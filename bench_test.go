@@ -16,7 +16,6 @@ import (
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
-	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	"github.com/secmediation/secmediation/internal/crypto/paillier"
 	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
@@ -323,74 +322,6 @@ func BenchmarkExtHierarchy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// ablation-homo: Paillier vs exponential EC-ElGamal as the additively
-// homomorphic scheme (the paper names both as suitable).
-func BenchmarkAblationHomomorphic(b *testing.B) {
-	pk, err := paillier.GenerateKey(rand.Reader, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ek, err := ecelgamal.GenerateKey(rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec, err := ecelgamal.NewDecrypter(ek, 1<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("paillier/encrypt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pk.EncryptInt64(rand.Reader, int64(i%1000)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	cp, _ := pk.EncryptInt64(rand.Reader, 123)
-	b.Run("paillier/add", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pk.Add(cp, cp)
-		}
-	})
-	b.Run("paillier/mulconst", func(b *testing.B) {
-		g := big.NewInt(99991)
-		for i := 0; i < b.N; i++ {
-			pk.MulConst(cp, g)
-		}
-	})
-	b.Run("paillier/decrypt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pk.Decrypt(cp); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ecelgamal/encrypt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ek.Encrypt(rand.Reader, int64(i%1000)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	ce, _ := ek.Encrypt(rand.Reader, 123)
-	b.Run("ecelgamal/add", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ek.Add(ce, ce)
-		}
-	})
-	b.Run("ecelgamal/mulconst", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ek.MulConst(ce, 99991)
-		}
-	})
-	b.Run("ecelgamal/decrypt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dec.Decrypt(ce); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // PM polynomial primitives: building, encrypting and obliviously

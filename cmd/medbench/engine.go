@@ -10,13 +10,12 @@ import (
 	"github.com/secmediation/secmediation/internal/crypto/groups"
 )
 
-// commutativeEngineRun is the before/after measurement of the fast-
-// exponentiation engine on the commutative protocol's single-thread
-// cross-encryption path: full-length exponents (the scheme exactly as
-// Agrawal et al. state it, the pre-engine baseline) against the
-// short-exponent window-scheduled keys GenerateKey now produces, plus
-// the QR membership test (Euler-criterion exponentiation vs the Jacobi
-// symbol that replaced it).
+// commutativeEngineRun is the before/after measurement of the
+// commutative protocol's single-thread cross-encryption path:
+// full-length exponents (the scheme exactly as Agrawal et al. state it,
+// the baseline) against the short-exponent keys GenerateKey now
+// produces, plus the QR membership test (Euler-criterion exponentiation
+// vs the Jacobi symbol that replaced it).
 type commutativeEngineRun struct {
 	GroupBits      int     `json:"group_bits"`
 	Values         int     `json:"values"`
@@ -29,7 +28,7 @@ type commutativeEngineRun struct {
 	QRTestJacobiNs int64   `json:"qrtest_jacobi_ns_per_op"`
 	QRTestSpeedup  float64 `json:"qrtest_speedup"`
 	// The constant-time ladder (GenerateKeyConstantTime) against the
-	// calibrated short-exponent engine on the same path: the price of
+	// variable-time short-exponent engine on the same path: the price of
 	// a secret-independent execution trajectory (docs/SECURITY.md).
 	CTLadderNsPerOp  int64   `json:"ct_ladder_ns_per_op"`
 	CTLadderOverhead float64 `json:"ct_ladder_overhead"`
@@ -76,10 +75,6 @@ func measureCommutativeEngine(groupBits, values int) (commutativeEngineRun, erro
 		}
 	}
 	crossWall := func(k *commutative.Key) (int64, error) {
-		// One warm-up op so the engine's backend calibration is not billed.
-		if _, err := k.ReEncrypt(xs[0]); err != nil {
-			return 0, err
-		}
 		start := time.Now()
 		if _, err := k.ReEncryptBatch(xs, 1); err != nil {
 			return 0, err

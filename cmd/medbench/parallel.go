@@ -134,7 +134,7 @@ func (h *harness) tableParallel(jsonPath string) error {
 		time.Duration(eng.QRTestEulerNs).Round(time.Microsecond),
 		time.Duration(eng.QRTestJacobiNs).Round(time.Microsecond),
 		eng.QRTestSpeedup)
-	fmt.Printf("constant-time ladder (same short exponents, fixed-window): %s/op (%.2fx the calibrated engine)\n\n",
+	fmt.Printf("constant-time ladder (same short exponents, fixed-window): %s/op (%.2fx the variable-time engine)\n\n",
 		time.Duration(eng.CTLadderNsPerOp).Round(time.Microsecond),
 		eng.CTLadderOverhead)
 

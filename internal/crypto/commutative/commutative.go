@@ -16,10 +16,10 @@
 //     additionally relies on the short-exponent indistinguishability
 //     assumption (Koshiba–Kurosawa, PKC 2004); see docs/SECURITY.md.
 //
-// Each key exponentiation runs through a modexp.Engine: the secret
-// exponent's window schedule is decomposed once at key generation and
-// reused by every Encrypt/ReEncrypt/Decrypt — the hot path of the whole
-// commutative protocol.
+// Each key exponentiation — Encrypt, ReEncrypt, Decrypt: the hot path of
+// the whole commutative protocol — runs through a modexp.Engine built at
+// key generation: math/big.Exp for the default and full-exponent keys,
+// the constant-time Montgomery ladder for GenerateKeyConstantTime.
 //
 // Inputs must be elements of QR(p); the protocols guarantee this by hashing
 // attribute values into QR(p) with the ideal-hash oracle
@@ -36,19 +36,16 @@ import (
 	"github.com/secmediation/secmediation/internal/parallel"
 )
 
-// Key is a commutative encryption key: a secret exponent, its inverse in
-// a fixed safe-prime group, and the precomputed exponentiation engines
-// for both (the engines' window schedules are derived from the secrets
-// and are key material themselves). Both datasources must use the same
-// group (the paper's common domain dom_f); they generate independent
-// exponents.
+// Key is a commutative encryption key in a fixed safe-prime group: one
+// exponentiation engine for the secret exponent e and one for its inverse
+// d (each engine holds the only copy of its exponent). Both datasources
+// must use the same group (the paper's common domain dom_f); they
+// generate independent exponents.
 // seclint:private commutative-encryption exponent
 type Key struct {
 	group *groups.Group
-	e     *big.Int       // seclint:secret encryption exponent, 1 ≤ e < q
-	d     *big.Int       // seclint:secret decryption exponent, e·d ≡ 1 (mod q)
-	enc   *modexp.Engine // engine for x ↦ x^e mod p
-	dec   *modexp.Engine // engine for y ↦ y^d mod p
+	enc   *modexp.Engine // seclint:secret x ↦ x^e mod p, 1 ≤ e < q
+	dec   *modexp.Engine // seclint:secret y ↦ y^d mod p, e·d ≡ 1 (mod q)
 }
 
 // GenerateKey draws a fresh secret exponent in the given group. At
@@ -63,7 +60,7 @@ func GenerateKey(g *groups.Group, rnd io.Reader) (*Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	return keyFromExponent(g, e)
+	return keyFromExponent(g, e, false)
 }
 
 // GenerateKeyFullExponent draws a full-length exponent uniform in
@@ -76,7 +73,7 @@ func GenerateKeyFullExponent(g *groups.Group, rnd io.Reader) (*Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	return keyFromExponent(g, e)
+	return keyFromExponent(g, e, false)
 }
 
 // GenerateKeyConstantTime draws a short exponent like GenerateKey but
@@ -84,28 +81,22 @@ func GenerateKeyFullExponent(g *groups.Group, rnd io.Reader) (*Key, error) {
 // ladder (modexp.ExpConstantTime): the execution trajectory depends only
 // on the group and the public exponent-length bound, never on the
 // exponent's bits, closing the timing side channel the cttaint analyzer
-// flags on the calibrated engines. The encrypt ladder is padded to the
+// flags on the math/big.Exp engines. The encrypt ladder is padded to the
 // group's short-exponent bound and the decrypt ladder to |q|, so the pad
 // reveals only what the drawing procedure already fixes. Costs the
-// skipped-work the sliding window exploits; `medbench -table engine`
-// records the overhead.
+// skipped work and assembly kernel math/big.Exp enjoys; `medbench -table
+// engine` records the overhead.
 func GenerateKeyConstantTime(g *groups.Group, rnd io.Reader) (*Key, error) {
 	e, err := g.RandomShortExponent(rnd)
 	if err != nil {
 		return nil, err
 	}
-	return keyFromExponentOpt(g, e, true)
+	return keyFromExponent(g, e, true)
 }
 
-// keyFromExponent completes a key: inverse exponent, shared Montgomery
-// context, and the two window-schedule engines.
-func keyFromExponent(g *groups.Group, e *big.Int) (*Key, error) {
-	return keyFromExponentOpt(g, e, false)
-}
-
-// keyFromExponentOpt builds the key's engines, constant-time or
-// calibrated variable-time.
-func keyFromExponentOpt(g *groups.Group, e *big.Int, constantTime bool) (*Key, error) {
+// keyFromExponent completes a key: inverse exponent, the key's Montgomery
+// context, and the two engines — constant-time ladders or math/big.Exp.
+func keyFromExponent(g *groups.Group, e *big.Int, constantTime bool) (*Key, error) {
 	d := new(big.Int).ModInverse(e, g.Q)
 	if d == nil {
 		// unreachable for prime q and 1 ≤ e < q, but fail loudly
@@ -115,34 +106,29 @@ func keyFromExponentOpt(g *groups.Group, e *big.Int, constantTime bool) (*Key, e
 	if err != nil {
 		return nil, fmt.Errorf("commutative: %w", err)
 	}
-	if constantTime {
-		// The public pad bounds: encryption exponents are drawn to the
-		// group's short-exponent length (or |q| below the threshold);
-		// decryption exponents are full-length in [1, q-1] either way.
-		encBits := g.ShortExponentBits()
-		if encBits == 0 || encBits >= g.Q.BitLen() {
-			encBits = g.Q.BitLen()
-		}
-		decBits := g.Q.BitLen()
-		enc, err := modexp.NewEngineConstantTime(mod, e, encBits)
-		if err != nil {
-			return nil, fmt.Errorf("commutative: %w", err)
-		}
-		dec, err := modexp.NewEngineConstantTime(mod, d, decBits)
-		if err != nil {
-			return nil, fmt.Errorf("commutative: %w", err)
-		}
-		return &Key{group: g, e: e, d: d, enc: enc, dec: dec}, nil
+	// The public pad bounds of the constant-time ladders: encryption
+	// exponents are drawn to the group's short-exponent length (or |q|
+	// below the threshold); decryption exponents are full-length in
+	// [1, q-1] either way.
+	encBits := g.ShortExponentBits()
+	if encBits == 0 || encBits >= g.Q.BitLen() {
+		encBits = g.Q.BitLen()
 	}
-	enc, err := modexp.NewEngine(mod, e)
+	newEngine := func(x *big.Int, padBits int) (*modexp.Engine, error) {
+		if constantTime {
+			return modexp.NewEngineConstantTime(mod, x, padBits)
+		}
+		return modexp.NewEngine(mod, x)
+	}
+	enc, err := newEngine(e, encBits)
 	if err != nil {
 		return nil, fmt.Errorf("commutative: %w", err)
 	}
-	dec, err := modexp.NewEngine(mod, d)
+	dec, err := newEngine(d, g.Q.BitLen())
 	if err != nil {
 		return nil, fmt.Errorf("commutative: %w", err)
 	}
-	return &Key{group: g, e: e, d: d, enc: enc, dec: dec}, nil
+	return &Key{group: g, enc: enc, dec: dec}, nil
 }
 
 // newKeyForTest builds a key from a fixed exponent; used by tests only.
@@ -151,7 +137,7 @@ func newKeyForTest(g *groups.Group, e *big.Int) (*Key, error) {
 	if em.Sign() == 0 {
 		return nil, fmt.Errorf("commutative: zero exponent")
 	}
-	return keyFromExponent(g, em)
+	return keyFromExponent(g, em, false)
 }
 
 // Group returns the key's group.

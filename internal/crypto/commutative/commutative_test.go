@@ -366,15 +366,15 @@ func TestShortExponentKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := ks.e.BitLen(), g.ShortExponentBits(); got != want {
+	if got, want := ks.enc.Bits(), g.ShortExponentBits(); got != want {
 		t.Fatalf("short key exponent bit length = %d, want %d", got, want)
 	}
 	kf, err := GenerateKeyFullExponent(g, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kf.e.BitLen() <= g.ShortExponentBits() {
-		t.Logf("full-exponent key drew %d bits (possible but unlikely)", kf.e.BitLen())
+	if kf.enc.Bits() <= g.ShortExponentBits() {
+		t.Logf("full-exponent key drew %d bits (possible but unlikely)", kf.enc.Bits())
 	}
 	x, err := g.RandomElement(rand.Reader)
 	if err != nil {
@@ -402,9 +402,10 @@ func TestShortExponentKey(t *testing.T) {
 }
 
 // TestGenerateKeyConstantTime checks the constant-time key end to end:
-// roundtrip, commutation with a calibrated variable-time key, and exact
-// agreement with the textbook f_e(x) = x^e mod p on both layers — the
-// ladder change must be invisible in the transcript.
+// roundtrip, commutation with a variable-time key, and (on a key built
+// from a known exponent) exact agreement with the textbook
+// f_e(x) = x^e mod p — the ladder change must be invisible in the
+// transcript.
 func TestGenerateKeyConstantTime(t *testing.T) {
 	g := testGroup(t)
 	ct, err := GenerateKeyConstantTime(g, rand.Reader)
@@ -415,17 +416,25 @@ func TestGenerateKeyConstantTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e, err := g.RandomShortExponent(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	known, err := keyFromExponent(g, e, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
 		x, err := g.RandomElement(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got, want := known.EncryptUnchecked(x), new(big.Int).Exp(x, e, g.P); got.Cmp(want) != 0 {
+			t.Fatalf("ct encrypt diverges from x^e mod p: %v vs %v", got, want)
+		}
 		c, err := ct.Encrypt(x)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if want := new(big.Int).Exp(x, ct.e, g.P); c.Cmp(want) != 0 {
-			t.Fatalf("ct encrypt diverges from x^e mod p: %v vs %v", c, want)
 		}
 		back, err := ct.Decrypt(c)
 		if err != nil {

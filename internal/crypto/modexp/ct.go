@@ -5,8 +5,8 @@ package modexp
 // bounds, memory access pattern — depends only on public parameters (the
 // modulus and a declared exponent-length bound), never on the exponent's
 // bits. It exists for deployments that reject the variable-time caveat
-// documented on the sliding-window engine (docs/SECURITY.md): the window
-// schedule of Engine.Exp is literally the exponent, so its replay leaks
+// documented on NewEngine (docs/SECURITY.md): math/big.Exp's windowing
+// and zero-skipping follow the exponent's bits, so its execution leaks
 // exponent structure to a co-resident attacker; this ladder does not.
 //
 // Three mechanisms remove the data dependence:
@@ -24,19 +24,11 @@ package modexp
 //   - Constant-time reduction. montMulCT replaces the kernel's final
 //     conditional subtraction with an unconditional subtract-and-select.
 //
-// The price is the skipped-work the sliding window exploits: measured
-// overhead vs the variable-time ladder is recorded by `medbench -table
-// engine` (ct_ladder_* fields in BENCH_parallel.json).
+// The price is the skipped work and the assembly kernel math/big.Exp
+// enjoys: measured overhead vs the variable-time engine is recorded by
+// `medbench -table engine` (ct_ladder_* fields in BENCH_parallel.json).
 
-import (
-	"fmt"
-	"math/big"
-)
-
-// BackendConstantTime identifies engines built by NewEngineConstantTime.
-// It is never selected by calibration: constant-time execution is a
-// correctness property of the deployment, not a performance choice.
-const BackendConstantTime Backend = 3
+import "math/big"
 
 // publicBitBound declassifies an exponent's bit length. The CT ladder's
 // execution trajectory is a function of its length bound alone, and the
@@ -51,8 +43,8 @@ func publicBitBound(e *big.Int) int { return e.BitLen() }
 
 // ctWindowWidth picks the fixed-window width for an exponent bound:
 // wider windows amortize multiplications but square the table (and its
-// full scan per lookup), so the optimum sits below the sliding-window
-// choice for the same length.
+// full scan per lookup), so the optimum sits below what a sliding
+// window would choose for the same length.
 func ctWindowWidth(bits int) int {
 	switch {
 	case bits < 24:
@@ -154,35 +146,26 @@ func ExpConstantTime(m *Modulus, x, e *big.Int, bits int) *big.Int {
 }
 
 // NewEngineConstantTime builds an engine whose Exp runs the fixed-window
-// constant-time ladder instead of the calibrated variable-time backends.
-// padBits declares the public bound on the exponent's length (its
-// drawing range, e.g. groups.ShortExponentBits or |q|); padBits ≤ 0
-// uses e.BitLen(), treating the true length as public. The engine never
-// calibrates — Backend reports BackendConstantTime from birth.
+// constant-time ladder instead of math/big.Exp. padBits declares the
+// public bound on the exponent's length (its drawing range, e.g.
+// groups.ShortExponentBits or |q|); padBits ≤ 0 uses e.BitLen(),
+// treating the true length as public.
 func NewEngineConstantTime(mod *Modulus, e *big.Int, padBits int) (*Engine, error) {
-	if mod == nil {
-		return nil, fmt.Errorf("modexp: nil modulus")
-	}
-	if e == nil || e.Sign() <= 0 {
-		return nil, fmt.Errorf("modexp: exponent must be positive")
+	en, err := NewEngine(mod, e)
+	if err != nil {
+		return nil, err
 	}
 	if b := publicBitBound(e); padBits < b {
 		padBits = b
 	}
-	en := &Engine{mod: mod, e: new(big.Int).Set(e), ctBits: padBits}
-	en.backend.Store(int32(BackendConstantTime))
-	en.calOnce.Do(func() {}) // never calibrate
+	en.ctBits = padBits
 	return en, nil
 }
 
 // ExpConstantTime runs the constant-time ladder with this engine's
-// exponent, independent of the engine's configured backend. The length
-// bound is the engine's declared padBits for constant-time engines and
-// the exponent's own bit length otherwise.
+// exponent, whichever constructor built it. The length bound is the
+// engine's declared padBits for constant-time engines and the exponent's
+// own bit length otherwise (ctBits = 0 falls back to it).
 func (en *Engine) ExpConstantTime(x *big.Int) *big.Int {
-	bits := en.ctBits
-	if bits == 0 {
-		bits = publicBitBound(en.e)
-	}
-	return ExpConstantTime(en.mod, x, en.e, bits)
+	return ExpConstantTime(en.mod, x, en.e, en.ctBits)
 }

@@ -4,13 +4,14 @@ import (
 	"crypto/rand"
 	"math/big"
 	"testing"
+
+	"github.com/secmediation/secmediation/internal/parallel"
 )
 
 // TestExpConstantTimeAgainstBigExp is the property test the issue asks
 // for: across every test modulus, the edge exponents (0, 1, 2^k−1,
 // top-bit-only 2^k) and random exponents of many lengths, the
-// constant-time ladder must be bit-identical to math/big.Exp — and, by
-// transitivity through TestAgainstBigIntExp, to the Montgomery backend.
+// constant-time ladder must be bit-identical to math/big.Exp.
 func TestExpConstantTimeAgainstBigExp(t *testing.T) {
 	for _, n := range testModuli(t) {
 		mod, err := NewModulus(n)
@@ -88,9 +89,8 @@ func TestExpConstantTimeNegativeExponentPanics(t *testing.T) {
 }
 
 // TestConstantTimeEngine checks the engine wrapper: Exp routes to the
-// ladder, the backend reports constant-time from birth (no calibration
-// race), the padding bound is honored, and batch exponentiation over a
-// shared constant-time engine stays correct and race-free.
+// ladder, the padding bound is honored, and concurrent exponentiation
+// over a shared constant-time engine stays correct and race-free.
 func TestConstantTimeEngine(t *testing.T) {
 	n := testModuli(t)[1]
 	mod, err := NewModulus(n)
@@ -102,9 +102,6 @@ func TestConstantTimeEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := en.Backend(); b != BackendConstantTime {
-		t.Fatalf("backend = %v, want constant-time", b)
-	}
 	if en.Bits() != e.BitLen() {
 		t.Errorf("Bits() = %d, want %d", en.Bits(), e.BitLen())
 	}
@@ -114,30 +111,26 @@ func TestConstantTimeEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := en.ExpBatch(xs, 4)
+	got, err := parallel.Map(len(xs), 4, func(i int) (*big.Int, error) {
+		return en.Exp(xs[i]), nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range xs {
 		want := new(big.Int).Exp(x, e, n)
 		if got[i].Cmp(want) != 0 {
-			t.Fatalf("batch index %d: got %v want %v", i, got[i], want)
+			t.Fatalf("concurrent index %d: got %v want %v", i, got[i], want)
 		}
-		if one := en.Exp(x); one.Cmp(want) != 0 {
-			t.Fatalf("Exp(%v) = %v, want %v", x, one, want)
-		}
-	}
-	if b := en.Backend(); b != BackendConstantTime {
-		t.Fatalf("backend drifted to %v after use", b)
 	}
 
 	// The method form must agree on a variable-time engine too.
-	vt, err := NewEngineBackend(mod, e, BackendMontgomery)
+	vt, err := NewEngine(mod, e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := xs[0]
-	if ct, want := vt.ExpConstantTime(x), vt.Exp(x); ct.Cmp(want) != 0 {
+	if ct, want := vt.ExpConstantTime(x), new(big.Int).Exp(x, e, n); ct.Cmp(want) != 0 {
 		t.Fatalf("ExpConstantTime on variable-time engine: %v want %v", ct, want)
 	}
 }
@@ -215,7 +208,7 @@ func FuzzExpConstantTime(f *testing.F) {
 }
 
 // BenchmarkCTvsVariableLadder compares the constant-time ladder to the
-// variable-time Montgomery backend on the commutative hot-path shape
+// variable-time math/big.Exp engine on the commutative hot-path shape
 // (256-bit short exponent); `medbench -table engine` records the same
 // ratio into BENCH_parallel.json.
 func BenchmarkCTvsVariableLadder(b *testing.B) {
@@ -235,7 +228,7 @@ func BenchmarkCTvsVariableLadder(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("variable", func(b *testing.B) {
-		en, err := NewEngineBackend(mod, e, BackendMontgomery)
+		en, err := NewEngine(mod, e)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,295 +1,61 @@
-// Package modexp is the fast modular-exponentiation engine under the
+// Package modexp is the modular-exponentiation engine under the
 // commutative cipher's hot path: fixed-exponent, varying-base powers
 // x^e mod p, the operation the paper's cost model charges the
 // commutative protocol in (one per active-domain value per layer).
 //
-// The engine exploits the structure of that workload: the exponent is a
-// per-key secret that never changes, so its sliding-window decomposition
-// (Menezes et al. Alg. 14.85) is computed once per key and reused by
-// every exponentiation, and the modulus is a per-group constant, so its
-// Montgomery context (word form, -n⁻¹ mod 2⁶⁴, R and R² mod n) is built
-// once and shared by all keys in the group — mirroring the lazily built
-// fixed-base table idiom in internal/crypto/paillier.
+// An engine is one of two things, fixed by its constructor:
 //
-// Two interchangeable backends compute the ladder itself:
+//   - NewEngine: variable-time. Exp is exactly one math/big.Exp call,
+//     whose inner multiplication kernel is hand-written assembly on the
+//     common architectures and ~2× faster per modular multiplication
+//     than anything expressible in portable Go.
+//   - NewEngineConstantTime: the fixed-window Montgomery ladder of ct.go
+//     over the pure-Go CIOS kernel of mont.go, for deployments that
+//     reject the variable-time caveat (docs/SECURITY.md).
 //
-//   - backendMont: the in-package Montgomery CIOS kernel (mont.go) with
-//     the precomputed window schedule — pure Go, portable, and the
-//     reference implementation the property tests cross-check.
-//   - backendBig: math/big's Exp, whose inner multiplication kernel is
-//     hand-written assembly on the common architectures and therefore
-//     ~2× faster per modular multiplication than anything expressible
-//     in portable Go.
-//
-// Because the winner depends on the platform's math/big kernels, an
-// engine calibrates itself on its first exponentiation: it runs both
-// backends on the same input, keeps the faster one for the rest of its
-// life, and panics if they ever disagree (a pure-math invariant — the
-// two backends are independent implementations of the same function).
-// Calibration costs one extra exponentiation per key, amortized over the
-// 2·|domactive| exponentiations a protocol run performs with it.
+// The tests cross-check the ladder bit-for-bit against math/big.Exp.
 package modexp
 
 import (
 	"fmt"
 	"math/big"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"github.com/secmediation/secmediation/internal/parallel"
 )
 
-// Backend selects how an engine computes the ladder.
-type Backend int32
-
-const (
-	// BackendAuto calibrates on first use: both backends run once, the
-	// faster one wins, results are cross-checked.
-	BackendAuto Backend = iota
-	// BackendBig forces math/big's Exp.
-	BackendBig
-	// BackendMontgomery forces the in-package Montgomery kernel.
-	BackendMontgomery
-)
-
-// String names the backend.
-func (b Backend) String() string {
-	switch b {
-	case BackendBig:
-		return "big.Int.Exp"
-	case BackendMontgomery:
-		return "montgomery"
-	case BackendConstantTime:
-		return "constant-time"
-	default:
-		return "auto"
-	}
-}
-
-// windowOp is one step of the precomputed schedule: square the
-// accumulator sq times, then (for mul ≥ 0) multiply by the odd power
-// x^mul of the per-call base table.
-type windowOp struct {
-	sq  int32
-	mul int32 // odd window digit, or -1 for trailing squarings
-}
-
-// Engine computes x ↦ x^e mod n for one fixed exponent. The window
-// schedule is derived from the secret exponent — its digit sequence IS
-// the exponent — so engines are key material and live inside the key
-// that owns them, exactly like the exponent itself.
-// seclint:private window schedule derived from a secret exponent
+// Engine computes x ↦ x^e mod n for one fixed exponent. It holds the
+// secret exponent, so engines are key material and live inside the key
+// that owns them. Immutable after construction, which is what lets one
+// engine serve a whole worker pool.
+// seclint:private holds a secret exponent
 type Engine struct {
-	mod   *Modulus
-	e     *big.Int   // seclint:secret retained for the math/big backend
-	sched []windowOp // seclint:secret sliding-window decomposition of e, built once
-	w     int        // window width
-	tabN  int        // odd-power table entries: 2^(w-1)
+	mod *Modulus
+	e   *big.Int // seclint:secret the fixed exponent
 	// ctBits is the public exponent-length bound of a constant-time
 	// engine (NewEngineConstantTime); 0 on variable-time engines.
 	ctBits int
-
-	backend atomic.Int32 // Backend; BackendAuto until calibrated
-	calOnce sync.Once
 }
 
-// NewEngine builds an engine for exponent e ≥ 1 on the given modulus,
-// decomposing e into its reusable window schedule. Auto-calibrating
-// backend; use NewEngineBackend to force one.
+// NewEngine builds a variable-time engine for exponent e ≥ 1 on the
+// given modulus.
 func NewEngine(mod *Modulus, e *big.Int) (*Engine, error) {
-	return NewEngineBackend(mod, e, BackendAuto)
-}
-
-// NewEngineBackend is NewEngine with an explicit backend choice
-// (tests force each backend to cross-check them; BackendAuto measures).
-func NewEngineBackend(mod *Modulus, e *big.Int, b Backend) (*Engine, error) {
 	if mod == nil {
 		return nil, fmt.Errorf("modexp: nil modulus")
 	}
 	if e == nil || e.Sign() <= 0 {
 		return nil, fmt.Errorf("modexp: exponent must be positive")
 	}
-	en := &Engine{mod: mod, e: new(big.Int).Set(e)}
-	en.w = windowWidth(e.BitLen())
-	en.tabN = 1 << (en.w - 1)
-	en.sched = decompose(e, en.w)
-	en.backend.Store(int32(b))
-	if b != BackendAuto {
-		en.calOnce.Do(func() {}) // mark calibrated
-	}
-	return en, nil
+	return &Engine{mod: mod, e: new(big.Int).Set(e)}, nil
 }
 
-// windowWidth picks the sliding-window width minimizing
-// 2^(w-1) table multiplications + ℓ/(w+1) window multiplications.
-func windowWidth(bits int) int {
-	switch {
-	case bits < 32:
-		return 2
-	case bits < 128:
-		return 3
-	case bits < 512:
-		return 4
-	case bits < 1536:
-		return 5
-	default:
-		return 6
-	}
-}
-
-// decompose computes the left-to-right sliding-window schedule of e:
-// maximal odd windows of width ≤ w, runs of zeros become squarings.
-func decompose(e *big.Int, w int) []windowOp {
-	var sched []windowOp
-	i := e.BitLen() - 1
-	for i >= 0 {
-		if e.Bit(i) == 0 {
-			// run of zeros: count them into one squaring op
-			run := 0
-			for i >= 0 && e.Bit(i) == 0 {
-				run++
-				i--
-			}
-			sched = append(sched, windowOp{sq: int32(run), mul: -1})
-			continue
-		}
-		// window [i .. j]: j is the lowest set bit with i-j+1 ≤ w,
-		// making the digit odd and as wide as possible.
-		j := i - w + 1
-		if j < 0 {
-			j = 0
-		}
-		for e.Bit(j) == 0 {
-			j++
-		}
-		digit := int32(0)
-		for b := i; b >= j; b-- {
-			digit = digit<<1 | int32(e.Bit(b))
-		}
-		sched = append(sched, windowOp{sq: int32(i - j + 1), mul: digit})
-		i = j - 1
-	}
-	return sched
-}
-
-// Exp computes x^e mod n. x is reduced into [0, n) first; the input is
-// never modified. Safe for concurrent use — the schedule and context are
-// read-only after construction, which is what lets one engine serve a
-// whole worker pool.
+// Exp computes x^e mod n: through the constant-time ladder on a
+// constant-time engine, through math/big.Exp otherwise. x is reduced
+// into [0, n) first; the input is never modified. Safe for concurrent
+// use.
 func (en *Engine) Exp(x *big.Int) *big.Int {
-	if x.Sign() < 0 || x.Cmp(en.mod.n) >= 0 {
-		x = new(big.Int).Mod(x, en.mod.n)
+	if en.ctBits > 0 {
+		return en.ExpConstantTime(x)
 	}
-	switch en.decide(x) {
-	case BackendMontgomery:
-		return en.montExp(x)
-	case BackendConstantTime:
-		return ExpConstantTime(en.mod, x, en.e, en.ctBits)
-	default:
-		return new(big.Int).Exp(x, en.e, en.mod.n)
-	}
+	return new(big.Int).Exp(x, en.e, en.mod.n)
 }
 
-// ExpBatch computes xs[i]^e mod n for every element across a worker
-// pool (workers as in parallel.Resolve), preserving order. The engine —
-// schedule, Montgomery context, calibration — is shared by all workers;
-// calibration is forced up front so the pool never serializes on it.
-func (en *Engine) ExpBatch(xs []*big.Int, workers int) ([]*big.Int, error) {
-	if len(xs) > 0 {
-		en.decide(xs[0]) // calibrate once, outside the pool
-	}
-	return parallel.Map(len(xs), workers, func(i int) (*big.Int, error) {
-		if xs[i] == nil {
-			return nil, fmt.Errorf("modexp: nil element at index %d", i)
-		}
-		return en.Exp(xs[i]), nil
-	})
-}
-
-// Backend reports which backend the engine is using (BackendAuto until
-// the first exponentiation calibrates it).
-func (en *Engine) Backend() Backend { return Backend(en.backend.Load()) }
-
-// Bits returns the exponent bit length (the schedule length driver).
+// Bits returns the exponent bit length.
 func (en *Engine) Bits() int { return en.e.BitLen() }
-
-// decide returns the backend to use, running the one-time calibration
-// race on first use: both backends compute x^e, the faster one is kept,
-// and a result mismatch panics (two independent implementations of a
-// pure function disagreeing is a bug, never an input condition).
-func (en *Engine) decide(x *big.Int) Backend {
-	if b := Backend(en.backend.Load()); b != BackendAuto {
-		return b
-	}
-	en.calOnce.Do(func() {
-		start := time.Now()
-		viaMont := en.montExp(x)
-		montNs := time.Since(start)
-		start = time.Now()
-		viaBig := new(big.Int).Exp(x, en.e, en.mod.n)
-		bigNs := time.Since(start)
-		if viaMont.Cmp(viaBig) != 0 {
-			panic("modexp: montgomery and math/big backends disagree")
-		}
-		if montNs < bigNs {
-			en.backend.Store(int32(BackendMontgomery))
-		} else {
-			en.backend.Store(int32(BackendBig))
-		}
-	})
-	return Backend(en.backend.Load())
-}
-
-// montExp runs the precomputed window schedule over the Montgomery
-// kernel: per call it builds the odd-power table of the base
-// (2^(w-1) multiplications), then replays the schedule — ℓ squarings
-// plus one multiplication per window.
-func (en *Engine) montExp(x *big.Int) *big.Int {
-	m := en.mod
-	k := m.k
-	scratch := make([]uint64, k+2)
-	buf := make([]uint64, (en.tabN+3)*k) // table + xm + x² + spare
-	tab := make([][]uint64, en.tabN)
-	for i := range tab {
-		tab[i] = buf[i*k : (i+1)*k]
-	}
-	xm := buf[en.tabN*k : (en.tabN+1)*k]
-	xSq := buf[(en.tabN+1)*k : (en.tabN+2)*k]
-	tmp := buf[(en.tabN+2)*k : (en.tabN+3)*k]
-
-	m.montMul(xm, wordsOf(x, k), m.rr, scratch) // to Montgomery form
-	copy(tab[0], xm)                            // x^1
-	if en.tabN > 1 {
-		m.montMul(xSq, xm, xm, scratch) // x²
-		for i := 1; i < en.tabN; i++ {
-			m.montMul(tab[i], tab[i-1], xSq, scratch) // x^(2i+1)
-		}
-	}
-
-	var acc []uint64 // nil while the leading window is pending
-	accBuf := make([]uint64, k)
-	for _, op := range en.sched {
-		if acc != nil {
-			for s := int32(0); s < op.sq; s++ {
-				m.montMul(tmp, acc, acc, scratch)
-				acc, tmp = tmp, acc
-			}
-		}
-		if op.mul >= 0 {
-			if acc == nil {
-				// Leading window: the accumulator starts as the digit
-				// power itself; the window's squarings are implicit.
-				copy(accBuf, tab[op.mul>>1])
-				acc = accBuf
-				tmp = make([]uint64, k)
-			} else {
-				m.montMul(tmp, acc, tab[op.mul>>1], scratch)
-				acc, tmp = tmp, acc
-			}
-		}
-	}
-	out := make([]uint64, k)
-	m.montMul(out, acc, m.one, scratch) // out of Montgomery form
-	return bigOf(out)
-}

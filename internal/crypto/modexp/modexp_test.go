@@ -24,6 +24,22 @@ func testModuli(t *testing.T) []*big.Int {
 	return []*big.Int{big.NewInt(23), p256, odd1024}
 }
 
+// bothEngines builds the two engines for one exponent — the math/big.Exp
+// one and the constant-time Montgomery ladder — so every edge case below
+// exercises montMulCore against math/big.Exp.
+func bothEngines(t *testing.T, mod *Modulus, e *big.Int) map[string]*Engine {
+	t.Helper()
+	vt, err := NewEngine(mod, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := NewEngineConstantTime(mod, e, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Engine{"variable-time": vt, "constant-time": ct}
+}
+
 func TestNewModulusRejectsBadInput(t *testing.T) {
 	for _, bad := range []*big.Int{nil, big.NewInt(0), big.NewInt(1), big.NewInt(-7), big.NewInt(100)} {
 		if _, err := NewModulus(bad); err == nil {
@@ -49,7 +65,7 @@ func TestNewEngineRejectsBadExponent(t *testing.T) {
 
 // TestAgainstBigIntExp is the core property test: for random moduli sizes,
 // random exponents of many bit lengths, and random bases (plus the edge
-// bases 0, 1, n−1), the Montgomery backend must agree with big.Int.Exp.
+// bases 0, 1, n−1), both engines must agree with big.Int.Exp.
 func TestAgainstBigIntExp(t *testing.T) {
 	for _, n := range testModuli(t) {
 		mod, err := NewModulus(n)
@@ -67,10 +83,6 @@ func TestAgainstBigIntExp(t *testing.T) {
 				if e.Sign() == 0 {
 					e.SetInt64(1)
 				}
-				en, err := NewEngineBackend(mod, e, BackendMontgomery)
-				if err != nil {
-					t.Fatal(err)
-				}
 				bases := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(n, bigOne)}
 				for i := 0; i < 3; i++ {
 					x, err := rand.Int(rand.Reader, n)
@@ -79,12 +91,14 @@ func TestAgainstBigIntExp(t *testing.T) {
 					}
 					bases = append(bases, x)
 				}
-				for _, x := range bases {
-					got := en.Exp(x)
-					want := new(big.Int).Exp(x, e, n)
-					if got.Cmp(want) != 0 {
-						t.Fatalf("n=%d bits, e=%v (%d bits), x=%v: engine=%v want=%v",
-							n.BitLen(), e, e.BitLen(), x, got, want)
+				for name, en := range bothEngines(t, mod, e) {
+					for _, x := range bases {
+						got := en.Exp(x)
+						want := new(big.Int).Exp(x, e, n)
+						if got.Cmp(want) != 0 {
+							t.Fatalf("%s n=%d bits, e=%v (%d bits), x=%v: engine=%v want=%v",
+								name, n.BitLen(), e, e.BitLen(), x, got, want)
+						}
 					}
 				}
 			}
@@ -92,10 +106,9 @@ func TestAgainstBigIntExp(t *testing.T) {
 	}
 }
 
-// TestEdgeExponents pins the schedule edge cases the issue names: e ≡ 1
-// (single one-window), pure powers of two (top window then only zero
-// runs), all-ones exponents (maximal windows, no zero runs), and
-// exponents with long interior zero runs.
+// TestEdgeExponents pins the exponent edge cases: e = 1, pure powers of
+// two (one set digit, then only zero digits), all-ones exponents (no
+// zero digits), and exponents with long interior zero runs.
 func TestEdgeExponents(t *testing.T) {
 	n := testModuli(t)[1]
 	mod, err := NewModulus(n)
@@ -106,21 +119,19 @@ func TestEdgeExponents(t *testing.T) {
 		big.NewInt(1),
 		big.NewInt(2),
 		big.NewInt(3),
-		new(big.Int).Lsh(bigOne, 64),  // 2^64: top window 1, then 64 squarings
+		new(big.Int).Lsh(bigOne, 64),  // 2^64: one set bit, then 64 squarings
 		new(big.Int).Lsh(bigOne, 255), // 2^255
 		new(big.Int).Sub(new(big.Int).Lsh(bigOne, 160), bigOne), // all ones
 		new(big.Int).Add(new(big.Int).Lsh(bigOne, 200), bigOne), // 1...0^199...1
 	}
 	x := big.NewInt(1234567891011)
 	for _, e := range exps {
-		en, err := NewEngineBackend(mod, e, BackendMontgomery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := en.Exp(x)
-		want := new(big.Int).Exp(x, e, n)
-		if got.Cmp(want) != 0 {
-			t.Errorf("e=%v: engine=%v want=%v", e, got, want)
+		for name, en := range bothEngines(t, mod, e) {
+			got := en.Exp(x)
+			want := new(big.Int).Exp(x, e, n)
+			if got.Cmp(want) != 0 {
+				t.Errorf("%s e=%v: engine=%v want=%v", name, e, got, want)
+			}
 		}
 	}
 }
@@ -134,91 +145,17 @@ func TestExpReducesBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := big.NewInt(65537)
-	en, err := NewEngineBackend(mod, e, BackendMontgomery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []*big.Int{
-		new(big.Int).Add(n, big.NewInt(5)),
-		new(big.Int).Neg(big.NewInt(42)),
-		new(big.Int).Mul(n, n),
-	} {
-		got := en.Exp(x)
-		want := new(big.Int).Exp(new(big.Int).Mod(x, n), e, n)
-		if got.Cmp(want) != 0 {
-			t.Errorf("x=%v: engine=%v want=%v", x, got, want)
-		}
-	}
-}
-
-// TestAutoCalibration checks BackendAuto settles on a concrete backend
-// after the first Exp and that the calibrated result is correct.
-func TestAutoCalibration(t *testing.T) {
-	n := testModuli(t)[1]
-	mod, err := NewModulus(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := big.NewInt(0xfedcba987654321)
-	en, err := NewEngine(mod, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if en.Backend() != BackendAuto {
-		t.Fatalf("fresh engine backend = %v, want auto", en.Backend())
-	}
-	x := big.NewInt(777)
-	got := en.Exp(x)
-	if want := new(big.Int).Exp(x, e, n); got.Cmp(want) != 0 {
-		t.Fatalf("calibrating Exp = %v, want %v", got, want)
-	}
-	if b := en.Backend(); b != BackendBig && b != BackendMontgomery {
-		t.Fatalf("post-calibration backend = %v, want a concrete backend", b)
-	}
-}
-
-// TestExpBatch checks the batch path is deterministic and order-preserving
-// across worker counts — run under -race this also exercises the shared
-// engine for data races.
-func TestExpBatch(t *testing.T) {
-	n := testModuli(t)[1]
-	mod, err := NewModulus(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := big.NewInt(1000003)
-	en, err := NewEngineBackend(mod, e, BackendMontgomery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := make([]*big.Int, 61)
-	want := make([]*big.Int, len(xs))
-	for i := range xs {
-		x, err := rand.Int(rand.Reader, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xs[i] = x
-		want[i] = new(big.Int).Exp(x, e, n)
-	}
-	for _, workers := range []int{1, 2, 7, 0} {
-		got, err := en.ExpBatch(xs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range got {
-			if got[i].Cmp(want[i]) != 0 {
-				t.Fatalf("workers=%d index %d: got %v want %v", workers, i, got[i], want[i])
+	for name, en := range bothEngines(t, mod, e) {
+		for _, x := range []*big.Int{
+			new(big.Int).Add(n, big.NewInt(5)),
+			new(big.Int).Neg(big.NewInt(42)),
+			new(big.Int).Mul(n, n),
+		} {
+			got := en.Exp(x)
+			want := new(big.Int).Exp(new(big.Int).Mod(x, n), e, n)
+			if got.Cmp(want) != 0 {
+				t.Errorf("%s x=%v: engine=%v want=%v", name, x, got, want)
 			}
 		}
-	}
-	if _, err := en.ExpBatch([]*big.Int{big.NewInt(1), nil}, 2); err == nil {
-		t.Error("ExpBatch with nil element: want error")
-	}
-}
-
-func TestBackendString(t *testing.T) {
-	if BackendAuto.String() != "auto" || BackendBig.String() != "big.Int.Exp" || BackendMontgomery.String() != "montgomery" {
-		t.Error("Backend.String mismatch")
 	}
 }

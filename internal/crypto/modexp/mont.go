@@ -10,8 +10,8 @@ import (
 // word-level representation of n, the Montgomery constant -n⁻¹ mod 2⁶⁴,
 // and the conversion factors R mod n and R² mod n (R = 2^(64·k) for k
 // words). It holds public parameters only — the group modulus is part of
-// dom_f and known to every party — so a single context is safely shared
-// by all engines (and hence all keys) in the same group.
+// dom_f and known to every party — so one context may be shared by any
+// number of engines.
 //
 // All word vectors are little-endian []uint64, independent of the
 // platform word size, so transcripts are architecture-independent.
@@ -25,8 +25,7 @@ type Modulus struct {
 }
 
 // NewModulus builds the Montgomery context for an odd modulus n > 1.
-// The construction costs two big.Int divisions — amortized over every
-// exponentiation any engine on this modulus ever performs.
+// The construction costs one big.Int division.
 func NewModulus(n *big.Int) (*Modulus, error) {
 	if n == nil || n.Sign() <= 0 || n.Bit(0) == 0 || n.Cmp(bigOne) <= 0 {
 		return nil, fmt.Errorf("modexp: modulus must be odd and > 1")
@@ -75,32 +74,21 @@ func bigOf(w []uint64) *big.Int {
 	return new(big.Int).SetBytes(b)
 }
 
-// montMul computes z = x·y·R⁻¹ mod n (CIOS: coarsely integrated operand
-// scanning, Menezes et al. Alg. 14.36) into z, using t as scratch.
-// x, y < n is required; z < n is guaranteed. z must not alias x or y;
-// len(z) = k, len(t) = k+2. The final reduction is a data-dependent
-// conditional subtraction — use montMulCT where the operands derive from
-// secret exponent digits.
-func (m *Modulus) montMul(z, x, y, t []uint64) {
-	m.montMulCore(z, x, y, t)
-	// The loop invariant leaves t < 2n; one conditional subtraction
-	// finishes the reduction.
-	if t[m.k] != 0 || geWords(z, m.nw) {
-		subWords(z, m.nw)
-	}
-}
-
-// montMulCT is montMul with a constant-time final reduction: the
-// subtraction is always computed and the result selected by mask, so no
-// branch or memory access depends on the value being reduced. The CIOS
-// core itself is already fixed-trajectory (bits.Mul64/Add64 over fixed
-// loop bounds), which makes this the multiplication kernel of the
+// montMulCT computes z = x·y·R⁻¹ mod n (CIOS: coarsely integrated
+// operand scanning, Menezes et al. Alg. 14.36) into z, using t as
+// scratch. x, y < n is required; z < n is guaranteed. z must not alias x
+// or y; len(z) = k, len(t) = k+2. The final reduction is constant-time:
+// the subtraction is always computed and the result selected by mask, so
+// no branch or memory access depends on the value being reduced. The
+// CIOS core itself is already fixed-trajectory (bits.Mul64/Add64 over
+// fixed loop bounds), which makes this the multiplication kernel of the
 // constant-time ladder (ct.go).
 func (m *Modulus) montMulCT(z, x, y, t []uint64) {
 	k := m.k
 	m.montMulCore(z, x, y, t)
-	// t < 2n, so the carry word t[k] is 0 or 1. Subtract n iff
-	// t[k]·2^(64k) + z ≥ n: always compute z-n into t, then select.
+	// The loop invariant leaves t < 2n, so the carry word t[k] is 0 or
+	// 1. Subtract n iff t[k]·2^(64k) + z ≥ n: always compute z-n into t,
+	// then select.
 	var borrow uint64
 	for i := 0; i < k; i++ {
 		t[i], borrow = bits.Sub64(z[i], m.nw[i], borrow)
@@ -173,22 +161,4 @@ func ctSelectWords(z, b []uint64, mask uint64) {
 func ctEqMask(a, b uint64) uint64 {
 	x := a ^ b
 	return ctMask(((x | -x) >> 63) ^ 1)
-}
-
-// geWords reports a ≥ b for equal-length little-endian words.
-func geWords(a, b []uint64) bool {
-	for i := len(a) - 1; i >= 0; i-- {
-		if a[i] != b[i] {
-			return a[i] > b[i]
-		}
-	}
-	return true
-}
-
-// subWords computes a -= b in place (a ≥ b required).
-func subWords(a, b []uint64) {
-	var borrow uint64
-	for i := range a {
-		a[i], borrow = bits.Sub64(a[i], b[i], borrow)
-	}
 }

@@ -18,8 +18,8 @@ import (
 // timing reveals to anyone on the network path).
 //
 // Taint sources are declared with seclint:secret — on struct fields
-// (commutative exponents, Paillier CRT secrets, window schedules), on
-// vars, or on functions (secret results, or named secret parameters) —
+// (commutative exponents, Paillier CRT secrets), on vars, or on
+// functions (secret results, or named secret parameters) —
 // plus the structural rule that any value of a seclint:private type is
 // secret-bearing. Taint propagates through assignments, composite
 // literals, calls (by per-function summaries inside the module,
@@ -66,9 +66,9 @@ import (
 //     the former's results. Closures and variadic fan-in keep the
 //     context-insensitive behaviour.
 //
-// What survives on the real tree is the honest residue: the
-// sliding-window schedule machinery in internal/crypto/modexp whose
-// variable-time behaviour is a documented design choice — with
+// What survives on the real tree is the honest residue: the one
+// math/big.Exp call with a secret exponent in internal/crypto/modexp,
+// whose variable-time behaviour is a documented design choice — with
 // modexp.ExpConstantTime as the machine-checked fixed-trajectory
 // alternative — plus key-generation-time inversions. Those live in
 // seclint.allow with audit rationales; everything else must be clean.
