@@ -10,7 +10,6 @@ import (
 	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/mediation"
-	"github.com/secmediation/secmediation/internal/telemetry"
 	"github.com/secmediation/secmediation/internal/workload"
 )
 
@@ -64,18 +63,18 @@ func (h *harness) params() mediation.Params {
 		PayloadMode: mediation.PayloadHybrid}
 }
 
-// run executes one instrumented query and returns the ledger.
-func (h *harness) run(proto mediation.Protocol, params mediation.Params) (*leakage.Ledger, error) {
-	return h.runWith(proto, params, nil)
-}
+// joinSQL is the workload's global query: the equi-join of the two
+// generated relations.
+const joinSQL = "SELECT * FROM R1 JOIN R2 ON R1.id = R2.id"
 
-// runWith executes one query with an optional telemetry registry shared
-// by all four parties (nil runs without telemetry, as before).
-func (h *harness) runWith(proto mediation.Protocol, params mediation.Params, reg *telemetry.Registry) (*leakage.Ledger, error) {
-	ledger := leakage.NewLedger()
+// run executes one instrumented query and returns its ledger and the wall
+// time of the query itself. Every run is checked against the plaintext
+// baseline evaluating the same query on the same network: a table row is
+// only printed for a run that returned exactly the plaintext join.
+func (h *harness) run(query string, proto mediation.Protocol, params mediation.Params) (*leakage.Ledger, time.Duration, error) {
 	r1, r2, err := h.spec.Generate()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	policy := func(rel string) *credential.Policy {
 		return &credential.Policy{Relation: rel,
@@ -83,27 +82,35 @@ func (h *harness) runWith(proto mediation.Protocol, params mediation.Params, reg
 	}
 	s1 := &mediation.Source{Name: "S1", Catalog: algebra.MapCatalog{"R1": r1},
 		Policies:   map[string]*credential.Policy{"R1": policy("R1")},
-		TrustedCAs: []*rsa.PublicKey{h.ca.PublicKey()}, Ledger: ledger}
+		TrustedCAs: []*rsa.PublicKey{h.ca.PublicKey()}}
 	s2 := &mediation.Source{Name: "S2", Catalog: algebra.MapCatalog{"R2": r2},
 		Policies:   map[string]*credential.Policy{"R2": policy("R2")},
-		TrustedCAs: []*rsa.PublicKey{h.ca.PublicKey()}, Ledger: ledger}
-	h.client.Ledger = ledger
-	n, err := mediation.NewNetwork(h.client, &mediation.Mediator{Ledger: ledger}, s1, s2)
+		TrustedCAs: []*rsa.PublicKey{h.ca.PublicKey()}}
+	med := &mediation.Mediator{}
+	n, err := mediation.NewNetwork(h.client, med, s1, s2)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if reg != nil {
-		n.SetTelemetry(reg)
-		defer n.SetTelemetry(nil) // h.client is shared across runs
-	}
-	got, err := n.Query("SELECT * FROM R1 JOIN R2 ON R1.id = R2.id", proto, params)
+	// The reference runs before the ledger is attached (h.client is shared
+	// across runs), so the ledger records the measured run only.
+	h.client.Ledger = nil
+	want, err := n.Query(query, mediation.ProtocolPlaintext, params)
 	if err != nil {
-		return nil, err
+		return nil, 0, fmt.Errorf("plaintext reference: %w", err)
 	}
-	if got.Len() != h.joinSize {
-		return nil, fmt.Errorf("%v produced %d tuples, want %d", proto, got.Len(), h.joinSize)
+	ledger := leakage.NewLedger()
+	h.client.Ledger, med.Ledger, s1.Ledger, s2.Ledger = ledger, ledger, ledger, ledger
+	start := time.Now()
+	got, err := n.Query(query, proto, params)
+	wall := time.Since(start)
+	if err != nil {
+		return nil, 0, err
 	}
-	return ledger, nil
+	if !got.EqualMultiset(want) {
+		return nil, 0, fmt.Errorf("%v returned %d tuples that are not the plaintext join (%d tuples) of %q",
+			proto, got.Len(), want.Len(), query)
+	}
+	return ledger, wall, nil
 }
 
 var secureProtocols = []mediation.Protocol{
@@ -116,7 +123,7 @@ func (h *harness) table1() error {
 	fmt.Println("Table 1 — extra information disclosed to client and mediator")
 	rows := [][]string{{"protocol", "client learns", "mediator learns"}}
 	for _, proto := range secureProtocols {
-		ledger, err := h.run(proto, h.params())
+		ledger, _, err := h.run(joinSQL, proto, h.params())
 		if err != nil {
 			return err
 		}
@@ -164,7 +171,7 @@ func (h *harness) table2() error {
 	rows := [][]string{{"protocol", "primitives (beyond credentials + hybrid encryption)"}}
 	core := map[string]bool{"hybrid-encryption": true, "hybrid-decryption": true}
 	for _, proto := range secureProtocols {
-		ledger, err := h.run(proto, h.params())
+		ledger, _, err := h.run(joinSQL, proto, h.params())
 		if err != nil {
 			return err
 		}
@@ -196,12 +203,10 @@ func (h *harness) table3() error {
 		"sources compute", "client<->mediator msgs", "bytes to client", "client receives"}}
 	protos := append([]mediation.Protocol{mediation.ProtocolPlaintext, mediation.ProtocolMobileCode}, secureProtocols...)
 	for _, proto := range protos {
-		start := time.Now()
-		ledger, err := h.run(proto, h.params())
+		ledger, wall, err := h.run(joinSQL, proto, h.params())
 		if err != nil {
 			return err
 		}
-		wall := time.Since(start)
 		clientNs, _ := ledger.Observed(leakage.PartyClient, "compute-ns")
 		medNs, _ := ledger.Observed(leakage.PartyMediator, "compute-ns")
 		s1Ns, _ := ledger.Observed(leakage.PartySource("S1"), "compute-ns")
@@ -220,7 +225,7 @@ func (h *harness) table3() error {
 		}
 		rows = append(rows, []string{
 			proto.String(),
-			time.Duration(wall).Round(time.Millisecond).String(),
+			wall.Round(time.Millisecond).String(),
 			time.Duration(clientNs).Round(time.Microsecond).String(),
 			time.Duration(medNs).Round(time.Microsecond).String(),
 			time.Duration(s1Ns + s2Ns).Round(time.Microsecond).String(),
@@ -241,7 +246,7 @@ func (h *harness) table4() error {
 	for _, k := range []int{1, 2, 4, 8, 16, 32, 64} {
 		params := h.params()
 		params.Partitions = k
-		ledger, err := h.run(mediation.ProtocolDAS, params)
+		ledger, _, err := h.run(joinSQL, mediation.ProtocolDAS, params)
 		if err != nil {
 			return err
 		}
@@ -263,76 +268,44 @@ func (h *harness) table5() error {
 	fmt.Println("Extension ablations (measured)")
 	rows := [][]string{{"variant", "wall", "bytes to client", "client receives / note"}}
 
-	sql := "SELECT * FROM R1 JOIN R2 ON R1.id = R2.id WHERE R1.id < 3"
-	runVariant := func(name string, proto mediation.Protocol, params mediation.Params, query string) error {
-		ledger := leakage.NewLedger()
-		r1, r2, err := h.spec.Generate()
+	base := h.params()
+	base.Partitions = 32
+	push := base
+	push.Pushdown = true
+	comm := h.params()
+	commID := comm
+	commID.IDMode = true
+	pmInline := h.params()
+	pmInline.PayloadMode = mediation.PayloadInline
+	pmHybrid := pmInline
+	pmHybrid.PayloadMode = mediation.PayloadHybrid
+	pmBuckets := pmHybrid
+	pmBuckets.Buckets = 8
+	query := joinSQL + " WHERE R1.id < 3"
+	for _, v := range []struct {
+		name   string
+		proto  mediation.Protocol
+		params mediation.Params
+	}{
+		{"das (no pushdown)", mediation.ProtocolDAS, base},
+		{"das + selection pushdown", mediation.ProtocolDAS, push},
+		{"commutative (payloads circulate)", mediation.ProtocolCommutative, comm},
+		{"commutative + footnote-1 ID mode", mediation.ProtocolCommutative, commID},
+		{"pm (inline payloads)", mediation.ProtocolPM, pmInline},
+		{"pm + footnote-2 hybrid payloads", mediation.ProtocolPM, pmHybrid},
+		{"pm + FNP buckets (b=8)", mediation.ProtocolPM, pmBuckets},
+	} {
+		ledger, wall, err := h.run(query, v.proto, v.params)
 		if err != nil {
-			return err
+			return fmt.Errorf("variant %q: %w", v.name, err)
 		}
-		policy := func(rel string) *credential.Policy {
-			return &credential.Policy{Relation: rel,
-				Require: []credential.Requirement{{Property: credential.Property{Name: "role", Value: "analyst"}}}}
-		}
-		s1 := &mediation.Source{Name: "S1", Catalog: algebra.MapCatalog{"R1": r1},
-			Policies:   map[string]*credential.Policy{"R1": policy("R1")},
-			TrustedCAs: []*rsa.PublicKey{h.ca.PublicKey()}, Ledger: ledger}
-		s2 := &mediation.Source{Name: "S2", Catalog: algebra.MapCatalog{"R2": r2},
-			Policies:   map[string]*credential.Policy{"R2": policy("R2")},
-			TrustedCAs: []*rsa.PublicKey{h.ca.PublicKey()}, Ledger: ledger}
-		h.client.Ledger = ledger
-		n, err := mediation.NewNetwork(h.client, &mediation.Mediator{Ledger: ledger}, s1, s2)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		if _, err := n.Query(query, proto, params); err != nil {
-			return err
-		}
-		wall := time.Since(start)
 		bytesToClient, _ := ledger.Observed(leakage.PartyClient, "bytes-received")
 		note := "exact result"
 		if superset, ok := ledger.Observed(leakage.PartyClient, "superset-size"); ok {
 			note = fmt.Sprintf("superset of %d pairs", superset)
 		}
-		rows = append(rows, []string{name, wall.Round(time.Millisecond).String(),
+		rows = append(rows, []string{v.name, wall.Round(time.Millisecond).String(),
 			fmt.Sprint(bytesToClient), note})
-		return nil
-	}
-
-	base := h.params()
-	base.Partitions = 32
-	if err := runVariant("das (no pushdown)", mediation.ProtocolDAS, base, sql); err != nil {
-		return err
-	}
-	push := base
-	push.Pushdown = true
-	if err := runVariant("das + selection pushdown", mediation.ProtocolDAS, push, sql); err != nil {
-		return err
-	}
-	comm := h.params()
-	if err := runVariant("commutative (payloads circulate)", mediation.ProtocolCommutative, comm, sql); err != nil {
-		return err
-	}
-	commID := comm
-	commID.IDMode = true
-	if err := runVariant("commutative + footnote-1 ID mode", mediation.ProtocolCommutative, commID, sql); err != nil {
-		return err
-	}
-	pmInline := h.params()
-	pmInline.PayloadMode = mediation.PayloadInline
-	if err := runVariant("pm (inline payloads)", mediation.ProtocolPM, pmInline, sql); err != nil {
-		return err
-	}
-	pmHybrid := pmInline
-	pmHybrid.PayloadMode = mediation.PayloadHybrid
-	if err := runVariant("pm + footnote-2 hybrid payloads", mediation.ProtocolPM, pmHybrid, sql); err != nil {
-		return err
-	}
-	pmBuckets := pmHybrid
-	pmBuckets.Buckets = 8
-	if err := runVariant("pm + FNP buckets (b=8)", mediation.ProtocolPM, pmBuckets, sql); err != nil {
-		return err
 	}
 	printAligned(rows)
 	return nil

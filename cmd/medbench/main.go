@@ -6,35 +6,22 @@
 //	medbench -table 3    Section 6 cost matrix (per-party compute, traffic, interactions)
 //	medbench -table 4    DAS partitioning trade-off (superset size vs partition count)
 //	medbench -table 5    extension ablations (selection pushdown, footnote modes, FNP buckets)
-//	medbench -table parallel  worker-pool + fixed-base + fast-exponentiation speedup
-//	                          summary (writes BENCH_parallel.json)
-//	medbench -table phases    per-phase × per-party cost breakdown from telemetry spans
-//	                          (writes BENCH_phases.json)
-//	medbench -table large     TPC-H-shaped orders⋈customer workload at -scale
-//	                          (writes BENCH_large.json)
-//	medbench -table sessions  session-layer concurrent-clients throughput:
-//	                          overlapping queries over one multiplexed TCP
-//	                          link vs dial-per-query, plus the admission
-//	                          overload arm (writes BENCH_sessions.json)
-//	medbench -table soak      query-lifecycle fault-recovery soak: retry
-//	                          orchestration + circuit breakers + graceful
-//	                          drain under seeded link faults and source
-//	                          kill/restart; fails on any invariant
-//	                          violation (writes BENCH_soak.json)
-//	medbench -table all  everything except large (which sizes itself by -scale,
-//	                     not the -rows/-domain toy knobs), sessions and soak
-//	                     (which measure the deployment transport and its
-//	                     fault recovery, not the paper's evaluation
-//	                     artifacts)
+//	medbench -table soak query-lifecycle fault-recovery soak: retry
+//	                     orchestration + circuit breakers + graceful
+//	                     drain under seeded link faults and source
+//	                     kill/restart; fails on any invariant
+//	                     violation (writes BENCH_soak.json)
+//	medbench -table all  Tables 1–5: the paper's evaluation, not the soak
+//	                     (which exercises the deployment transport's
+//	                     fault recovery)
 //
-// Workload knobs: -rows, -domain, -overlap, -groupbits, -paillier; the
-// large table is sized by -scale alone (scale 1 = 150k customer / 1.5M
-// orders rows, the realistic setting of arXiv 2103.05792).
-// -json overrides the output path of the machine-readable summaries;
-// "-" prints the JSON to stdout instead of the human table, "" keeps the
-// per-table default (BENCH_parallel.json / BENCH_phases.json).
+// Workload knobs: -rows, -domain, -overlap, -skew, -groupbits, -paillier.
+// Only the soak writes a machine-readable report; -json overrides its
+// path ("-" prints the JSON to stdout, "" keeps BENCH_soak.json).
 // Every number is measured from an instrumented in-process run of the real
-// protocols; nothing is hard-coded.
+// protocols, and every run is checked against the plaintext join; nothing
+// is hard-coded. Performance is measured by `go run ./bench` on the real
+// deployment path, not here.
 package main
 
 import (
@@ -48,28 +35,71 @@ import (
 	"time"
 )
 
+var (
+	jsonOut      = flag.String("json", "", `soak report path ("" = BENCH_soak.json, "-" = stdout JSON only)`)
+	soakClients  = flag.Int("soak-clients", 8, "concurrent query streams in the -table soak steady arm")
+	soakDuration = flag.Duration("soak-duration", 10*time.Second, "length of the -table soak steady arm")
+	soakSeed     = flag.Uint64("soak-seed", 20070415, "seed of the -table soak fault schedule")
+)
+
+// tables is the one list of accepted -table names (besides "all"): it
+// drives the dispatch and the flag usage string, and
+// TestDocsNameRealTables holds the package comment above and every other
+// doc in the repository to it.
+var tables = []struct {
+	name  string
+	paper bool // part of the paper's evaluation, hence of -table all
+	run   func(*harness) error
+}{
+	{"1", true, (*harness).table1},
+	{"2", true, (*harness).table2},
+	{"3", true, (*harness).table3},
+	{"4", true, (*harness).table4},
+	{"5", true, (*harness).table5},
+	{"soak", false, func(h *harness) error {
+		path := *jsonOut
+		if path == "" {
+			path = "BENCH_soak.json"
+		}
+		return h.tableSoak(*soakClients, *soakDuration, *soakSeed, path)
+	}},
+}
+
+// tableNames lists what -table accepts, in usage order.
+func tableNames() []string {
+	var names []string
+	for _, t := range tables {
+		names = append(names, t.name)
+	}
+	return append(names, "all")
+}
+
+// runTable runs the named table, or every paper table for "all".
+func (h *harness) runTable(name string) error {
+	known := false
+	for _, t := range tables {
+		if t.name == name || (name == "all" && t.paper) {
+			known = true
+			if err := t.run(h); err != nil {
+				return err
+			}
+		}
+	}
+	if !known {
+		return fmt.Errorf("unknown table %q (want %s)", name, strings.Join(tableNames(), "|"))
+	}
+	return nil
+}
+
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: 1|2|3|4|5|parallel|phases|large|sessions|soak|all")
+	table := flag.String("table", "all", "which table to regenerate: "+strings.Join(tableNames(), "|"))
 	rows := flag.Int("rows", 200, "tuples per relation")
 	domain := flag.Int("domain", 50, "active-domain size of the join attribute")
 	overlap := flag.Float64("overlap", 0.5, "fraction of shared join values")
 	skew := flag.Float64("skew", 0, "Zipf skew of join-key multiplicities (0 = uniform)")
 	groupBits := flag.Int("groupbits", 1536, "commutative group size")
 	paillierBits := flag.Int("paillier", 1024, "Paillier modulus size")
-	scale := flag.Float64("scale", 0.01, "TPC-H scale factor for -table large (1 = 150k/1.5M rows)")
-	jsonOut := flag.String("json", "", `machine-readable output path ("" = per-table default, "-" = stdout JSON only)`)
-	soakClients := flag.Int("soak-clients", 8, "concurrent query streams in the -table soak steady arm")
-	soakDuration := flag.Duration("soak-duration", 10*time.Second, "length of the -table soak steady arm")
-	soakSeed := flag.Uint64("soak-seed", 20070415, "seed of the -table soak fault schedule")
 	flag.Parse()
-
-	if *table == "large" {
-		// The large table owns its workload shape; skip the toy harness.
-		if err := tableLarge(*scale, *groupBits, *paillierBits, orDefault(*jsonOut, "BENCH_large.json")); err != nil {
-			log.Fatalf("medbench: %v", err)
-		}
-		return
-	}
 
 	h, err := newHarness(*rows, *domain, *overlap, *skew, *groupBits, *paillierBits)
 	if err != nil {
@@ -80,37 +110,7 @@ func main() {
 	fmt.Printf("parameters: commutative group %d bit, Paillier %d bit\n\n", *groupBits, *paillierBits)
 
 	start := time.Now()
-	switch *table {
-	case "1":
-		err = h.table1()
-	case "2":
-		err = h.table2()
-	case "3":
-		err = h.table3()
-	case "4":
-		err = h.table4()
-	case "5":
-		err = h.table5()
-	case "parallel":
-		err = h.tableParallel(orDefault(*jsonOut, "BENCH_parallel.json"))
-	case "phases":
-		err = h.tablePhases(orDefault(*jsonOut, "BENCH_phases.json"))
-	case "sessions":
-		err = h.tableSessions(orDefault(*jsonOut, "BENCH_sessions.json"))
-	case "soak":
-		err = h.tableSoak(*soakClients, *soakDuration, *soakSeed, orDefault(*jsonOut, "BENCH_soak.json"))
-	case "all":
-		parallelTable := func() error { return h.tableParallel(orDefault(*jsonOut, "BENCH_parallel.json")) }
-		phasesTable := func() error { return h.tablePhases(orDefault(*jsonOut, "BENCH_phases.json")) }
-		for _, f := range []func() error{h.table1, h.table2, h.table3, h.table4, h.table5, parallelTable, phasesTable} {
-			if err = f(); err != nil {
-				break
-			}
-		}
-	default:
-		err = fmt.Errorf("unknown table %q", *table)
-	}
-	if err != nil {
+	if err := h.runTable(*table); err != nil {
 		log.Fatalf("medbench: %v", err)
 	}
 	fmt.Printf("total measurement time: %v\n", time.Since(start).Round(time.Millisecond))
@@ -155,20 +155,9 @@ func printAligned(rows [][]string) {
 	fmt.Println()
 }
 
-// orDefault resolves the -json flag against a table's default path.
-func orDefault(v, def string) string {
-	if v == "" {
-		return def
-	}
-	return v
-}
-
 // writeReport writes a machine-readable summary as indented JSON: to
-// stdout when path is "-", to the named file otherwise ("" skips).
+// stdout when path is "-", to the named file otherwise.
 func writeReport(path string, v any) error {
-	if path == "" {
-		return nil
-	}
 	blob, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err

@@ -334,7 +334,7 @@ func (h *harness) soakQuery(pool *session.Pool, addr string, params mediation.Pa
 		conn.SetTimeout(params.Timeout)
 		p := params
 		p.QueryID, p.Attempt = a.QueryID, a.N
-		out, err := h.client.Query(conn, sessionsSQL, mediation.ProtocolDAS, p)
+		out, err := h.client.Query(conn, joinSQL, mediation.ProtocolDAS, p)
 		if err != nil {
 			return err
 		}

@@ -66,8 +66,8 @@ func GenerateKey(g *groups.Group, rnd io.Reader) (*Key, error) {
 // GenerateKeyFullExponent draws a full-length exponent uniform in
 // [1, q-1] — the scheme exactly as Agrawal et al. state it, with no
 // short-exponent assumption. Use it to drop the Koshiba–Kurosawa
-// assumption at ~8× the per-element encryption cost; medbench's engine
-// table benches both.
+// assumption at ~8× the per-element encryption cost; `go run ./bench`
+// reports both as modexp.exp_short_ns and modexp.exp_full_ns.
 func GenerateKeyFullExponent(g *groups.Group, rnd io.Reader) (*Key, error) {
 	e, err := g.RandomExponent(rnd)
 	if err != nil {
@@ -84,8 +84,8 @@ func GenerateKeyFullExponent(g *groups.Group, rnd io.Reader) (*Key, error) {
 // flags on the math/big.Exp engines. The encrypt ladder is padded to the
 // group's short-exponent bound and the decrypt ladder to |q|, so the pad
 // reveals only what the drawing procedure already fixes. Costs the
-// skipped work and assembly kernel math/big.Exp enjoys; `medbench -table
-// engine` records the overhead.
+// skipped work and assembly kernel math/big.Exp enjoys; `go run ./bench`
+// reports the overhead as modexp.exp_ct_ns against modexp.exp_short_ns.
 func GenerateKeyConstantTime(g *groups.Group, rnd io.Reader) (*Key, error) {
 	e, err := g.RandomShortExponent(rnd)
 	if err != nil {

@@ -25,8 +25,9 @@ package modexp
 //     conditional subtraction with an unconditional subtract-and-select.
 //
 // The price is the skipped work and the assembly kernel math/big.Exp
-// enjoys: measured overhead vs the variable-time engine is recorded by
-// `medbench -table engine` (ct_ladder_* fields in BENCH_parallel.json).
+// enjoys: `go run ./bench` reports the measured overhead as
+// modexp.exp_ct_ns against modexp.exp_short_ns / modexp.exp_full_ns, and
+// `go test -bench CTvsVariableLadder ./internal/crypto/modexp` as a ratio.
 
 import "math/big"
 

@@ -209,8 +209,8 @@ func FuzzExpConstantTime(f *testing.F) {
 
 // BenchmarkCTvsVariableLadder compares the constant-time ladder to the
 // variable-time math/big.Exp engine on the commutative hot-path shape
-// (256-bit short exponent); `medbench -table engine` records the same
-// ratio into BENCH_parallel.json.
+// (256-bit short exponent); `go run ./bench` reports the same two costs
+// as modexp.exp_ct_ns and modexp.exp_short_ns.
 func BenchmarkCTvsVariableLadder(b *testing.B) {
 	n := new(big.Int).Lsh(bigOne, 1023)
 	n.Add(n, big.NewInt(982451653))
