@@ -3,6 +3,11 @@ package das
 import (
 	"crypto/rand"
 	"crypto/rsa"
+	"fmt"
+	"math"
+	mrand "math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -10,6 +15,7 @@ import (
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	rel "github.com/secmediation/secmediation/internal/relation"
+	"github.com/secmediation/secmediation/internal/transport"
 )
 
 func intDomain(vals ...int64) []rel.Value {
@@ -629,4 +635,392 @@ func TestServerQueryFilterSoundness(t *testing.T) {
 	if count != 2 {
 		t.Errorf("filtered join kept %d id>=5 tuples, want 2\n%v", count, got)
 	}
+}
+
+// oraclePair, oracleExecute and oracleDecrypt are the reference the
+// factored ServerResult is checked against: σ_CondS with both etuples
+// inline in every pair, and a decrypt that opens both sides of every pair.
+type oraclePair struct {
+	E1, E2 []byte
+}
+
+func oracleExecute(r1, r2 *EncryptedRelation, q ServerQuery) ([]oraclePair, error) {
+	adm := make([]map[IndexValue]map[IndexValue]bool, len(q.PerAttr))
+	for a, pairs := range q.PerAttr {
+		adm[a] = make(map[IndexValue]map[IndexValue]bool, len(pairs))
+		for _, p := range pairs {
+			m, ok := adm[a][p.I1]
+			if !ok {
+				m = make(map[IndexValue]bool)
+				adm[a][p.I1] = m
+			}
+			m[p.I2] = true
+		}
+	}
+	filter1, err := buildFilter(q.Filters1)
+	if err != nil {
+		return nil, err
+	}
+	filter2, err := buildFilter(q.Filters2)
+	if err != nil {
+		return nil, err
+	}
+	byIdx := make(map[IndexValue][]int, len(r2.Tuples))
+	for i, t := range r2.Tuples {
+		if filter2.admits(t.Index) {
+			byIdx[t.Index[0]] = append(byIdx[t.Index[0]], i)
+		}
+	}
+	var out []oraclePair
+	for _, t1 := range r1.Tuples {
+		if !filter1.admits(t1.Index) {
+			continue
+		}
+		for i2 := range adm[0][t1.Index[0]] {
+			for _, j := range byIdx[i2] {
+				t2 := r2.Tuples[j]
+				match := true
+				for a := 1; a < len(q.PerAttr); a++ {
+					if !adm[a][t1.Index[a]][t2.Index[a]] {
+						match = false
+						break
+					}
+				}
+				if match {
+					out = append(out, oraclePair{E1: t1.Etuple, E2: t2.Etuple})
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+func oracleDecrypt(pairs []oraclePair, recv1, recv2 Opener, s1, s2 rel.Schema, cols []string) (*rel.Relation, int, error) {
+	joined, err := s1.Concat(s2)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := rel.New(joined)
+	discarded := 0
+	for _, p := range pairs {
+		t1, err := openTuple(recv1, p.E1, []byte("das:etuple:"+s1.Relation), s1)
+		if err != nil {
+			return nil, 0, err
+		}
+		t2, err := openTuple(recv2, p.E2, []byte("das:etuple:"+s2.Relation), s2)
+		if err != nil {
+			return nil, 0, err
+		}
+		match := true
+		for _, c := range cols {
+			if !t1[s1.IndexOf(c)].Equal(t2[s2.IndexOf(c)]) {
+				match = false
+			}
+		}
+		if !match {
+			discarded++
+			continue
+		}
+		out.MustAppend(append(t1.Clone(), t2...))
+	}
+	return out, discarded, nil
+}
+
+// skewedRelation draws n rows whose join keys repeat and pile up on the
+// small values: id ∈ [0, 12) exponentially distributed, dept ∈ {a, b, c}.
+func skewedRelation(rng *mrand.Rand, name string, n int) *rel.Relation {
+	r := rel.New(rel.MustSchema(name,
+		rel.Column{Name: "id", Kind: rel.KindInt},
+		rel.Column{Name: "dept", Kind: rel.KindString},
+		rel.Column{Name: "payload", Kind: rel.KindString}))
+	for i := 0; i < n; i++ {
+		r.MustAppend(rel.Tuple{
+			rel.Int(int64(rng.ExpFloat64()*3) % 12),
+			rel.String_(string(rune('a' + rng.Intn(3)))),
+			rel.String_(fmt.Sprintf("%s-%d", name, i)),
+		})
+	}
+	return r
+}
+
+// dasSide is one source's share of a DAS run on plaintext r.
+type dasSide struct {
+	r    *rel.Relation
+	its  []*IndexTable
+	er   *EncryptedRelation
+	recv *countingOpener
+}
+
+func newDASSide(t testing.TB, r *rel.Relation, cols []string, k int, strategy Strategy) dasSide {
+	t.Helper()
+	key := clientKey(t)
+	its := make([]*IndexTable, len(cols))
+	for i, c := range cols {
+		dom, err := r.ActiveDomain(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := strategy
+		if s == EquiWidth && dom[0].Kind() != rel.KindInt {
+			s = EquiDepth
+		}
+		parts, err := PartitionDomain(dom, k, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if its[i], err = BuildIndexTable(c, parts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	er, _, err := EncryptRelation(r, cols, its, &key.PublicKey, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv, err := hybrid.NewReceiver(key, er.WrappedKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dasSide{r: r, its: its, er: er, recv: &countingOpener{Opener: recv, opens: map[string]int{}}}
+}
+
+// countingOpener counts Open calls per ciphertext.
+type countingOpener struct {
+	Opener
+	mu    sync.Mutex
+	opens map[string]int
+}
+
+func (c *countingOpener) Open(ct *hybrid.Ciphertext, aad []byte) ([]byte, error) {
+	c.mu.Lock()
+	c.opens[string(ct.Sealed)]++
+	c.mu.Unlock()
+	return c.Opener.Open(ct, aad)
+}
+
+// total returns the number of Open calls and whether any ciphertext was
+// opened more than once.
+func (c *countingOpener) total() (n int, repeated bool) {
+	for _, k := range c.opens {
+		n += k
+		repeated = repeated || k > 1
+	}
+	return n, repeated
+}
+
+// The factored result must be exactly the reference's R_C and exactly the
+// plaintext join, across partitioning strategies, granularities, one- and
+// two-attribute joins and pushed-down filters; and it must reach them by
+// opening every shipped etuple exactly once.
+func TestServerResultMatchesOracle(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(22))
+	for _, strategy := range []Strategy{EquiDepth, EquiWidth, HashBuckets} {
+		for _, k := range []int{1, 2, 7, 16} {
+			for _, cols := range [][]string{{"id"}, {"id", "dept"}} {
+				for _, filtered := range []bool{false, true} {
+					name := fmt.Sprintf("%v/k=%d/%d-attr/filtered=%v", strategy, k, len(cols), filtered)
+					s1 := newDASSide(t, skewedRelation(rng, "R1", 30), cols, k, strategy)
+					s2 := newDASSide(t, skewedRelation(rng, "R2", 40), cols, k, strategy)
+					sq, err := BuildServerQuery(s1.its, s2.its)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The filtered runs push down R1.id >= 1 and R2.id <= 4.
+					keep1 := func(rel.Tuple) bool { return true }
+					keep2 := keep1
+					if filtered {
+						sq.Filters1 = []IndexFilter{{Attr: 0, Allowed: s1.its[0].AllowedIndexes(algebra.OpGe, rel.Int(1))}}
+						sq.Filters2 = []IndexFilter{{Attr: 0, Allowed: s2.its[0].AllowedIndexes(algebra.OpLe, rel.Int(4))}}
+						keep1 = func(tu rel.Tuple) bool { return tu[0].AsInt() >= 1 }
+						keep2 = func(tu rel.Tuple) bool { return tu[0].AsInt() <= 4 }
+					}
+					res, err := ExecuteServerQuery(s1.er, s2.er, sq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, discarded, err := DecryptServerResult(res, s1.recv, s2.recv, s1.r.Schema(), s2.r.Schema(), cols, cols, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opens1, rep1 := s1.recv.total()
+					opens2, rep2 := s2.recv.total()
+					if rep1 || rep2 {
+						t.Errorf("%s: an etuple was opened more than once", name)
+					}
+					if opens1 != len(res.E1) || opens2 != len(res.E2) {
+						t.Errorf("%s: opens = %d+%d, tables hold %d+%d", name, opens1, opens2, len(res.E1), len(res.E2))
+					}
+					if len(res.E1) > s1.r.Len() || len(res.E2) > s2.r.Len() {
+						t.Errorf("%s: tables hold %d+%d etuples of %d+%d rows", name, len(res.E1), len(res.E2), s1.r.Len(), s2.r.Len())
+					}
+
+					pairs, err := oracleExecute(s1.er, s2.er, sq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, wantDiscarded, err := oracleDecrypt(pairs, s1.recv, s2.recv, s1.r.Schema(), s2.r.Schema(), cols)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(res.Pairs) != len(pairs) {
+						t.Errorf("%s: |R_C| = %d, oracle %d", name, len(res.Pairs), len(pairs))
+					}
+					if discarded != wantDiscarded {
+						t.Errorf("%s: discarded = %d, oracle %d", name, discarded, wantDiscarded)
+					}
+					if !got.EqualMultiset(want) {
+						t.Errorf("%s: result differs from the oracle's", name)
+					}
+					// The filters over-approximate, so compare with the
+					// plaintext join after applying them exactly.
+					plain, err := algebra.EquiJoin(s1.r.Filter(keep1), s2.r.Filter(keep2), cols, cols)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n1 := s1.r.Schema().Arity()
+					exact := got.Filter(func(tu rel.Tuple) bool { return keep1(tu[:n1]) && keep2(tu[n1:]) })
+					if !exact.EqualMultiset(plain) {
+						t.Errorf("%s: result differs from algebra.EquiJoin:\n%v\nwant\n%v", name, exact, plain)
+					}
+				}
+			}
+		}
+	}
+}
+
+// R_C and the rows decrypted from it are a function of the inputs: the
+// same on every evaluation, and the same for any worker count.
+func TestServerResultDeterministic(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(7))
+	cols := []string{"id", "dept"}
+	s1 := newDASSide(t, skewedRelation(rng, "R1", 40), cols, 4, EquiDepth)
+	s2 := newDASSide(t, skewedRelation(rng, "R2", 40), cols, 4, EquiDepth)
+	sq, err := BuildServerQuery(s1.its, s2.its)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := ExecuteServerQuery(s1.er, s2.er, sq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Pairs) < 2 {
+		t.Fatalf("fixture too small: %d pairs", len(first.Pairs))
+	}
+	for i := 1; i < 20; i++ {
+		again, err := ExecuteServerQuery(s1.er, s2.er, sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("evaluation %d produced a different ServerResult", i)
+		}
+	}
+	decrypt := func(workers int) []rel.Tuple {
+		got, _, err := DecryptServerResult(first, s1.recv, s2.recv, s1.r.Schema(), s2.r.Schema(), cols, cols, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got.Tuples()
+	}
+	seq, par := decrypt(1), decrypt(4)
+	if len(seq) == 0 || len(seq) != len(par) {
+		t.Fatalf("workers 1 → %d rows, workers 4 → %d rows", len(seq), len(par))
+	}
+	for i := range seq {
+		if !seq[i].Equal(par[i]) {
+			t.Fatalf("row %d differs between workers 1 and 4: %v vs %v", i, seq[i], par[i])
+		}
+	}
+}
+
+// plainOpener stands in for a Receiver where the test hand-builds the
+// etuples: the "plaintext" is the sealed field itself.
+type plainOpener struct{}
+
+func (plainOpener) Open(ct *hybrid.Ciphertext, _ []byte) ([]byte, error) { return ct.Sealed, nil }
+
+func plainEtuple(t rel.Tuple) []byte {
+	return (&hybrid.Ciphertext{Sealed: t.Encode(nil)}).Marshal()
+}
+
+// The slots of a ServerResult are chosen by a peer: one outside its table
+// is an error, never a panic.
+func TestDecryptServerResultRejectsBadSlots(t *testing.T) {
+	r1, r2 := fixtures(t)
+	e1 := [][]byte{plainEtuple(r1.Tuple(1))} // id 2
+	e2 := [][]byte{plainEtuple(r2.Tuple(0))} // id 2
+	cases := []struct {
+		name     string
+		res      ServerResult
+		wantRows int
+		wantErr  bool
+	}{
+		{"in range", ServerResult{E1: e1, E2: e2, Pairs: []ServerResultPair{{0, 0}}}, 1, false},
+		{"I out of range", ServerResult{E1: e1, E2: e2, Pairs: []ServerResultPair{{0, 0}, {1, 0}}}, 0, true},
+		{"J out of range", ServerResult{E1: e1, E2: e2, Pairs: []ServerResultPair{{0, 1}}}, 0, true},
+		{"slot at uint32 max", ServerResult{E1: e1, E2: e2, Pairs: []ServerResultPair{{math.MaxUint32, 0}}}, 0, true},
+		{"pairs but empty tables", ServerResult{Pairs: []ServerResultPair{{0, 0}}}, 0, true},
+		{"tables but no pairs", ServerResult{E1: e1, E2: e2}, 0, false},
+		{"empty", ServerResult{}, 0, false},
+	}
+	for _, tc := range cases {
+		got, discarded, err := DecryptServerResult(&tc.res, plainOpener{}, plainOpener{}, r1.Schema(), r2.Schema(), []string{"id"}, []string{"id"}, 2)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if got.Len() != tc.wantRows || discarded != 0 {
+			t.Errorf("%s: %d rows, %d discarded; want %d, 0", tc.name, got.Len(), discarded, tc.wantRows)
+		}
+	}
+}
+
+// Any bytes a peer sends as a das.result body must decrypt to a result or
+// an error — no panic, and no allocation out of proportion to the input.
+func FuzzDecryptServerResult(f *testing.F) {
+	r1, r2 := fixtures(f)
+	valid := ServerResult{Pairs: []ServerResultPair{{0, 0}, {1, 1}, {1, 0}, {2, 1}}}
+	for _, i := range []int{1, 2, 3} {
+		valid.E1 = append(valid.E1, plainEtuple(r1.Tuple(i)))
+	}
+	for _, j := range []int{0, 1} {
+		valid.E2 = append(valid.E2, plainEtuple(r2.Tuple(j)))
+	}
+	badSlot := valid
+	badSlot.Pairs = []ServerResultPair{{0, 0}, {3, 0}}
+	badEtuple := valid
+	badEtuple.E2 = [][]byte{valid.E2[0], []byte("not a ciphertext")}
+	for _, res := range []ServerResult{valid, badSlot, badEtuple, {}} {
+		b, err := transport.Encode(res)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var res ServerResult
+		if transport.Decode(data, &res) != nil {
+			return
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, discarded, err := DecryptServerResult(&res, plainOpener{}, plainOpener{}, r1.Schema(), r2.Schema(), []string{"id"}, []string{"id"}, 2)
+		runtime.ReadMemStats(&after)
+		if err == nil && got.Len()+discarded != len(res.Pairs) {
+			t.Errorf("%d rows + %d discarded from %d pairs", got.Len(), discarded, len(res.Pairs))
+		}
+		// A pair costs a byte on the wire when both slots are zero and a
+		// joined row of four values in memory; 1 KiB per input byte plus
+		// fixed slack bounds every honest cost.
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+1024*len(data)); alloc > limit {
+			t.Errorf("decrypting a %d-byte body allocated %d bytes (limit %d)", len(data), alloc, limit)
+		}
+	})
 }

@@ -127,14 +127,22 @@ func BuildServerQuery(its1, its2 []*IndexTable) (ServerQuery, error) {
 	return q, nil
 }
 
-// ServerResultPair is one row of R_C: a pair of etuples whose index values
-// satisfied CondS.
+// ServerResultPair is one row of R_C: the slots, into ServerResult.E1 and
+// ServerResult.E2, of two etuples whose index values satisfied CondS.
 type ServerResultPair struct {
-	E1, E2 []byte
+	I, J uint32
 }
 
-// ServerResult is R_C = σ_CondS(R1^S × R2^S), still encrypted.
+// ServerResult is R_C = σ_CondS(R1^S × R2^S), still encrypted, in
+// factored form: every etuple that occurs in some admissible pair is
+// shipped once, and the pairs refer to it by slot. A shared slot tells the
+// client what two equal ciphertexts would, so the factoring discloses
+// nothing; it makes the client's work |E1|+|E2| opens instead of 2·|R_C|.
 type ServerResult struct {
+	// E1 and E2 hold the surviving etuples of R1^S and R2^S, each exactly
+	// once, in source order. They alias the sources' bytes.
+	E1, E2 [][]byte
+	// Pairs lists R_C in evaluation order; len(Pairs) is |R_C|.
 	Pairs []ServerResultPair
 }
 
@@ -142,13 +150,18 @@ type ServerResult struct {
 // is the mediator's computation: it sees only index values and ciphertext
 // blobs. Implemented as a hash join on the first attribute's admissible
 // pairs with residual filtering on the remaining attributes — semantically
-// identical to σ_CondS(R1^S × R2^S).
+// identical to σ_CondS(R1^S × R2^S). Pair order is a function of the
+// inputs alone: R1 order, then q.PerAttr[0] order, then R2 order.
 func ExecuteServerQuery(r1, r2 *EncryptedRelation, q ServerQuery) (*ServerResult, error) {
 	if len(q.PerAttr) == 0 {
 		return nil, fmt.Errorf("das: empty server query")
 	}
-	// Admissibility maps: attr -> I1 -> set of I2.
+	// Admissibility maps: attr -> I1 -> set of I2. The first attribute
+	// drives the join, so it also keeps each I1's partners in query order
+	// (ranging over the set would make R_C's order a map-iteration
+	// accident).
 	adm := make([]map[IndexValue]map[IndexValue]bool, len(q.PerAttr))
+	partners := make(map[IndexValue][]IndexValue)
 	for a, pairs := range q.PerAttr {
 		adm[a] = make(map[IndexValue]map[IndexValue]bool, len(pairs))
 		for _, p := range pairs {
@@ -156,6 +169,9 @@ func ExecuteServerQuery(r1, r2 *EncryptedRelation, q ServerQuery) (*ServerResult
 			if !ok {
 				m = make(map[IndexValue]bool)
 				adm[a][p.I1] = m
+			}
+			if a == 0 && !m[p.I2] {
+				partners[p.I1] = append(partners[p.I1], p.I2)
 			}
 			m[p.I2] = true
 		}
@@ -181,6 +197,9 @@ func ExecuteServerQuery(r1, r2 *EncryptedRelation, q ServerQuery) (*ServerResult
 		byIdx[t.Index[0]] = append(byIdx[t.Index[0]], i)
 	}
 	res := &ServerResult{}
+	// Pairs carry R2 positions until the survivors of R2 are known; the
+	// R1 side is visited in source order, so its slots are final.
+	survives2 := make([]bool, len(r2.Tuples))
 	for _, t1 := range r1.Tuples {
 		if len(t1.Index) < len(q.PerAttr) {
 			return nil, fmt.Errorf("das: R1 tuple has %d index values, query has %d attributes", len(t1.Index), len(q.PerAttr))
@@ -188,11 +207,8 @@ func ExecuteServerQuery(r1, r2 *EncryptedRelation, q ServerQuery) (*ServerResult
 		if !filter1.admits(t1.Index) {
 			continue
 		}
-		first := adm[0][t1.Index[0]]
-		if first == nil {
-			continue
-		}
-		for i2 := range first {
+		shipped := false
+		for _, i2 := range partners[t1.Index[0]] {
 			for _, j := range byIdx[i2] {
 				t2 := r2.Tuples[j]
 				match := true
@@ -202,11 +218,27 @@ func ExecuteServerQuery(r1, r2 *EncryptedRelation, q ServerQuery) (*ServerResult
 						break
 					}
 				}
-				if match {
-					res.Pairs = append(res.Pairs, ServerResultPair{E1: t1.Etuple, E2: t2.Etuple})
+				if !match {
+					continue
 				}
+				if !shipped {
+					res.E1 = append(res.E1, t1.Etuple)
+					shipped = true
+				}
+				survives2[j] = true
+				res.Pairs = append(res.Pairs, ServerResultPair{I: uint32(len(res.E1) - 1), J: uint32(j)})
 			}
 		}
+	}
+	slot2 := make([]uint32, len(r2.Tuples))
+	for j, t2 := range r2.Tuples {
+		if survives2[j] {
+			slot2[j] = uint32(len(res.E2))
+			res.E2 = append(res.E2, t2.Etuple)
+		}
+	}
+	for p := range res.Pairs {
+		res.Pairs[p].J = slot2[res.Pairs[p].J]
 	}
 	return res, nil
 }
@@ -217,13 +249,15 @@ type Opener interface {
 }
 
 // DecryptServerResult is decryptDAS followed by the client query q_C: it
-// opens both etuples of every pair, drops the index values (they are not
-// part of the etuple encoding), applies CondC (true join-attribute
-// equality on every join column) and assembles the joined tuples under the
-// concatenated schema. It returns the exact join and the number of false
-// positives discarded by q_C. The per-pair decryptions fan out over a
-// worker pool; matching and assembly stay sequential in pair order, so the
-// result is worker-count independent.
+// opens every etuple of the two tables once (the index values are not
+// part of the etuple encoding), then walks the pair list applying CondC
+// (true join-attribute equality on every join column) to the decoded
+// tuples and assembles the joined tuples under the concatenated schema.
+// It returns the exact join and the number of false positives discarded
+// by q_C. The slots come from a peer: one that points outside its table
+// is an error. The table decryptions fan out over a worker pool;
+// matching and assembly stay sequential in pair order, so the result is
+// worker-count independent.
 // seclint:source decrypted DAS server result tuples
 func DecryptServerResult(res *ServerResult, recv1, recv2 Opener,
 	schema1, schema2 relation.Schema, joinCols1, joinCols2 []string, workers int) (*relation.Relation, int, error) {
@@ -244,27 +278,27 @@ func DecryptServerResult(res *ServerResult, recv1, recv2 Opener,
 	if err != nil {
 		return nil, 0, err
 	}
+	n1, n2 := len(res.E1), len(res.E2)
+	for p, pair := range res.Pairs {
+		if uint64(pair.I) >= uint64(n1) || uint64(pair.J) >= uint64(n2) {
+			return nil, 0, fmt.Errorf("das: server result pair %d refers to slots (%d, %d) of tables with %d and %d etuples", p, pair.I, pair.J, n1, n2)
+		}
+	}
 	out := relation.New(joined)
 	aad1 := []byte("das:etuple:" + schema1.Relation)
 	aad2 := []byte("das:etuple:" + schema2.Relation)
-	type tuplePair struct{ t1, t2 relation.Tuple }
-	opened, err := parallel.Map(len(res.Pairs), workers, func(i int) (tuplePair, error) {
-		t1, err := openTuple(recv1, res.Pairs[i].E1, aad1, schema1)
-		if err != nil {
-			return tuplePair{}, err
+	opened, err := parallel.Map(n1+n2, workers, func(i int) (relation.Tuple, error) {
+		if i < n1 {
+			return openTuple(recv1, res.E1[i], aad1, schema1)
 		}
-		t2, err := openTuple(recv2, res.Pairs[i].E2, aad2, schema2)
-		if err != nil {
-			return tuplePair{}, err
-		}
-		return tuplePair{t1: t1, t2: t2}, nil
+		return openTuple(recv2, res.E2[i-n1], aad2, schema2)
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 	discarded := 0
-	for _, p := range opened {
-		t1, t2 := p.t1, p.t2
+	for _, pair := range res.Pairs {
+		t1, t2 := opened[pair.I], opened[n1+int(pair.J)]
 		match := true
 		for i := range j1 {
 			if !t1[j1[i]].Equal(t2[j2[i]]) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/transport"
 )
 
@@ -48,11 +49,10 @@ type tamperError struct{ s string }
 
 func (e *tamperError) Error() string { return e.s }
 
-// queryThroughTamperer runs one query with the client's inbound messages
-// of the given type corrupted.
-func queryThroughTamperer(t *testing.T, proto Protocol, typePrefix string, mutate func([]byte)) error {
+// queryOver runs one query over n with the client's end of the
+// client–mediator link wrapped by wrap.
+func queryOver(t *testing.T, n *Network, wrap func(transport.Conn) transport.Conn, sql string, proto Protocol, params Params) (*rel.Relation, error) {
 	t.Helper()
-	n := newTestNetwork(t, nil)
 	clientSide, mediatorSide := transport.Pair()
 	done := make(chan struct{})
 	go func() {
@@ -60,12 +60,21 @@ func queryThroughTamperer(t *testing.T, proto Protocol, typePrefix string, mutat
 		_ = n.Mediator.HandleSession(mediatorSide)
 		mediatorSide.Close()
 	}()
-	wrapped := &tamperConn{Conn: clientSide, typePrefix: typePrefix, mutate: mutate}
-	_, err := n.Client.Query(wrapped, fixtureSQL, proto, fastParams())
+	res, err := n.Client.Query(wrap(clientSide), sql, proto, params)
 	// Close before waiting: an early client abort must unblock a mediator
 	// still awaiting client messages.
 	clientSide.Close()
 	<-done
+	return res, err
+}
+
+// queryThroughTamperer runs one query with the client's inbound messages
+// of the given type corrupted.
+func queryThroughTamperer(t *testing.T, proto Protocol, typePrefix string, mutate func([]byte)) error {
+	t.Helper()
+	_, err := queryOver(t, newTestNetwork(t, nil), func(c transport.Conn) transport.Conn {
+		return &tamperConn{Conn: c, typePrefix: typePrefix, mutate: mutate}
+	}, fixtureSQL, proto, fastParams())
 	return err
 }
 

@@ -44,7 +44,8 @@ type dasServerQuery struct {
 	Query das.ServerQuery
 }
 
-// dasResult is the mediator's step 6 message: R_C.
+// dasResult is the mediator's step 6 message: R_C, as two etuple tables
+// and the slot pairs over them.
 type dasResult struct {
 	Result das.ServerResult
 }
@@ -63,16 +64,19 @@ func (s *Source) serveDAS(conn transport.Conn, pq *PartialQuery, rel *relation.R
 			if err != nil {
 				return err
 			}
-			if len(dom) == 0 {
-				return fmt.Errorf("das: relation %s is empty; no active domain for %s", pq.Relation, col)
-			}
-			strategy := pq.Params.Strategy
-			if strategy == das.EquiWidth && dom[0].Kind() != relation.KindInt {
-				strategy = das.EquiDepth // equi-width is INT-only; degrade gracefully
-			}
-			parts, err := das.PartitionDomain(dom, pq.Params.Partitions, strategy)
-			if err != nil {
-				return err
+			// An empty partial result has no active domain to partition:
+			// its index table has no entries, so q_S admits no pair and
+			// the join is empty, as in algebra.EquiJoin.
+			var parts []das.Partition
+			if len(dom) > 0 {
+				strategy := pq.Params.Strategy
+				if strategy == das.EquiWidth && dom[0].Kind() != relation.KindInt {
+					strategy = das.EquiDepth // equi-width is INT-only; degrade gracefully
+				}
+				parts, err = das.PartitionDomain(dom, pq.Params.Partitions, strategy)
+				if err != nil {
+					return err
+				}
 			}
 			s.Ledger.UsePrimitive(s.party(), "collision-free-hash", int64(len(parts)))
 			it, err := das.BuildIndexTable(col, parts)
@@ -222,7 +226,7 @@ func (c *Client) runDAS(conn transport.Conn, q *sqlparse.Query, params Params, w
 		if err != nil {
 			return err
 		}
-		c.Ledger.UsePrimitive(leakage.PartyClient, "hybrid-decryption", int64(2*len(res.Result.Pairs)))
+		c.Ledger.UsePrimitive(leakage.PartyClient, "hybrid-decryption", int64(len(res.Result.E1)+len(res.Result.E2)))
 		// Table 1: the client receives a superset of the global result.
 		c.Ledger.Observe(leakage.PartyClient, "superset-size", int64(len(res.Result.Pairs)))
 		c.Ledger.Observe(leakage.PartyClient, "false-positives-discarded", int64(discarded))

@@ -83,8 +83,15 @@ func policyFor(relName string) *credential.Policy {
 // newTestNetwork assembles the standard two-source network.
 func newTestNetwork(t testing.TB, ledger *leakage.Ledger) *Network {
 	t.Helper()
-	f := getFixture(t)
 	r1, r2 := testRelations(t)
+	return networkOver(t, ledger, r1, r2)
+}
+
+// networkOver assembles a two-source network serving r1 as R1 at S1 and
+// r2 as R2 at S2.
+func networkOver(t testing.TB, ledger *leakage.Ledger, r1, r2 *rel.Relation) *Network {
+	t.Helper()
+	f := getFixture(t)
 	s1 := &Source{
 		Name:       "S1",
 		Catalog:    algebra.MapCatalog{"R1": r1},
