@@ -88,7 +88,7 @@ func benchSpec() workload.JoinSpec {
 }
 
 func benchParams() mediation.Params {
-	return mediation.Params{Partitions: 8, Strategy: das.EquiDepth, GroupBits: 1536, PaillierBits: 1024}
+	return mediation.Params{Partitions: 8, Strategy: das.EquiDepth, PaillierBits: 1024}
 }
 
 func runProtocol(b *testing.B, proto mediation.Protocol, params mediation.Params) {

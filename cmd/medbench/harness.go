@@ -18,12 +18,11 @@ type harness struct {
 	ca           *credential.Authority
 	client       *mediation.Client
 	spec         workload.JoinSpec
-	groupBits    int
 	paillierBits int
 	joinSize     int
 }
 
-func newHarness(rows, domain int, overlap, skew float64, groupBits, paillierBits int) (*harness, error) {
+func newHarness(rows, domain int, overlap, skew float64, paillierBits int) (*harness, error) {
 	ca, err := credential.NewAuthority("BenchCA")
 	if err != nil {
 		return nil, err
@@ -42,7 +41,7 @@ func newHarness(rows, domain int, overlap, skew float64, groupBits, paillierBits
 		ca: ca, client: client,
 		spec: workload.JoinSpec{Rows1: rows, Rows2: rows, Domain1: domain, Domain2: domain,
 			Overlap: overlap, Skew: skew, Seed: 20070415},
-		groupBits: groupBits, paillierBits: paillierBits,
+		paillierBits: paillierBits,
 	}
 	r1, r2, err := h.spec.Generate()
 	if err != nil {
@@ -59,8 +58,7 @@ func (h *harness) params() mediation.Params {
 	// Hybrid PM payloads: skewed workloads produce tuple sets beyond the
 	// inline plaintext capacity (table 5 compares the two modes anyway).
 	return mediation.Params{Partitions: 8, Strategy: das.EquiDepth,
-		GroupBits: h.groupBits, PaillierBits: h.paillierBits,
-		PayloadMode: mediation.PayloadHybrid}
+		PaillierBits: h.paillierBits, PayloadMode: mediation.PayloadHybrid}
 }
 
 // joinSQL is the workload's global query: the equi-join of the two

@@ -107,8 +107,6 @@ func runQuery(args []string) error {
 	protoName := fs.String("protocol", "commutative", "delivery protocol: plaintext|mobilecode|das|commutative|pm")
 	partitions := fs.Int("partitions", 16, "DAS partitions per index table")
 	strategy := fs.String("strategy", "equi-depth", "DAS strategy: equi-width|equi-depth|hash-buckets")
-	groupBits := fs.Int("groupbits", 2048, "commutative safe-prime group size (1536|2048|3072)")
-	keyMode := fs.String("keymode", "short", "commutative exponent policy: short|full|ct (ct = constant-time ladder)")
 	idMode := fs.Bool("idmode", false, "commutative footnote-1 ID mode")
 	paillierBits := fs.Int("paillier", 2048, "PM Paillier modulus size")
 	payload := fs.String("payload", "inline", "PM payload mode: inline|hybrid")
@@ -152,15 +150,9 @@ func runQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	kmode, err := parseKeyMode(*keyMode)
-	if err != nil {
-		return err
-	}
 	params := mediation.Params{
 		Partitions:   *partitions,
 		Strategy:     strat,
-		GroupBits:    *groupBits,
-		KeyMode:      kmode,
 		IDMode:       *idMode,
 		PaillierBits: *paillierBits,
 		Buckets:      *buckets,
@@ -313,19 +305,6 @@ func parseProtocol(name string) (mediation.Protocol, error) {
 		return mediation.ProtocolPM, nil
 	default:
 		return 0, fmt.Errorf("unknown protocol %q", name)
-	}
-}
-
-func parseKeyMode(name string) (mediation.CommKeyMode, error) {
-	switch strings.ToLower(name) {
-	case "short":
-		return mediation.KeyShortExponent, nil
-	case "full":
-		return mediation.KeyFullExponent, nil
-	case "ct", "constant-time":
-		return mediation.KeyConstantTime, nil
-	default:
-		return 0, fmt.Errorf("unknown key mode %q (use short, full or ct)", name)
 	}
 }
 

@@ -91,7 +91,7 @@ func (d *demo) runQuery(sql string, proto mediation.Protocol) (*relation.Relatio
 	}
 	net.SetTelemetry(d.telemetry)
 	params := mediation.Params{Partitions: 4, Strategy: das.EquiDepth,
-		GroupBits: 1536, PaillierBits: 1024, PayloadMode: mediation.PayloadHybrid,
+		PaillierBits: 1024, PayloadMode: mediation.PayloadHybrid,
 		Timeout: 30 * time.Second}
 	start := time.Now()
 	res, err := net.Query(sql, proto, params)

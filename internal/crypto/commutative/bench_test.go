@@ -3,17 +3,13 @@ package commutative
 import (
 	"crypto/rand"
 	"fmt"
-	"math/big"
-	"runtime"
 	"testing"
 
 	"github.com/secmediation/secmediation/internal/crypto/groups"
-	"github.com/secmediation/secmediation/internal/crypto/oracle"
 	"github.com/secmediation/secmediation/internal/relation"
 )
 
-// Per-group-size cost of the commutative primitive: the dominant term of
-// the Listing 3 protocol (sources perform 2·|dom| of these each).
+// Per-group-size cost of the QR(p) reference instance.
 func BenchmarkEncrypt(b *testing.B) {
 	for _, g := range []*groups.Group{groups.MODP1536(), groups.MODP2048(), groups.MODP3072()} {
 		b.Run(fmt.Sprintf("group=%d", g.Bits()), func(b *testing.B) {
@@ -35,51 +31,6 @@ func BenchmarkEncrypt(b *testing.B) {
 	}
 }
 
-// EncryptUnchecked vs Encrypt isolates the cost of the quadratic-residue
-// membership test (itself a full exponentiation) that trusted-origin
-// inputs skip.
-func BenchmarkEncryptUnchecked(b *testing.B) {
-	g := groups.MODP2048()
-	key, err := GenerateKey(g, rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, err := g.RandomElement(rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key.EncryptUnchecked(x)
-	}
-}
-
-// Worker-pool scaling of the batch API; b.N elements per op keeps the
-// pool busy enough to show the scaling on multi-core runners.
-func BenchmarkEncryptBatchWorkers(b *testing.B) {
-	g := groups.MODP2048()
-	key, err := GenerateKey(g, rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 64
-	xs := make([]*big.Int, batch)
-	for i := range xs {
-		if xs[i], err = g.RandomElement(rand.Reader); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := key.EncryptBatch(xs, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkKeyGeneration(b *testing.B) {
 	g := groups.MODP2048()
 	for i := 0; i < b.N; i++ {
@@ -89,9 +40,23 @@ func BenchmarkKeyGeneration(b *testing.B) {
 	}
 }
 
-func BenchmarkIdealHash(b *testing.B) {
-	o := oracle.New(groups.MODP2048(), "bench")
+// The two per-value costs of the protocol path.
+func BenchmarkApply(b *testing.B) {
+	key, err := GenerateCurveKey(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	elem := HashToElement("bench", []byte("x"))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.HashValue(relation.Int(int64(i)))
+		if _, err := key.Apply(elem); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkHashToElement(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		HashToElement("bench", relation.Int(int64(i)).Encode(nil))
 	}
 }

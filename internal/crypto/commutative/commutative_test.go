@@ -133,9 +133,6 @@ func TestKeysDiffer(t *testing.T) {
 	if c1.Cmp(c2) == 0 {
 		t.Error("two random keys encrypted identically (astronomically unlikely)")
 	}
-	if k1.Group() != g {
-		t.Error("Group accessor wrong")
-	}
 }
 
 func TestZeroExponentRejected(t *testing.T) {
@@ -205,59 +202,6 @@ func TestOracleDeterminismAndRange(t *testing.T) {
 	}
 }
 
-func TestEncryptUncheckedMatchesEncrypt(t *testing.T) {
-	g := testGroup(t)
-	k, err := GenerateKey(g, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		x, err := g.RandomElement(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := k.Encrypt(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := k.EncryptUnchecked(x); got.Cmp(want) != 0 {
-			t.Fatal("EncryptUnchecked diverges from Encrypt on a QR element")
-		}
-	}
-}
-
-func TestEncryptBatch(t *testing.T) {
-	g := testGroup(t)
-	k, err := GenerateKey(g, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := make([]*big.Int, 33)
-	for i := range xs {
-		if xs[i], err = g.RandomElement(rand.Reader); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		got, err := k.EncryptBatch(xs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range xs {
-			want, _ := k.Encrypt(xs[i])
-			if got[i].Cmp(want) != 0 {
-				t.Fatalf("workers=%d: batch element %d mismatch", workers, i)
-			}
-		}
-	}
-	// A non-residue anywhere in the batch must fail the whole batch.
-	bad := append([]*big.Int(nil), xs...)
-	bad[17] = findNonResidue(t, g)
-	if _, err := k.EncryptBatch(bad, 4); err == nil {
-		t.Fatal("batch accepted a non-residue")
-	}
-}
-
 func TestReEncryptRangeCheck(t *testing.T) {
 	g := testGroup(t)
 	k, err := GenerateKey(g, rand.Reader)
@@ -271,95 +215,9 @@ func TestReEncryptRangeCheck(t *testing.T) {
 	}
 }
 
-// findNonResidue searches small integers for a quadratic non-residue of
-// the test group (half of Z_p^* qualifies, so this terminates fast).
-func findNonResidue(t *testing.T, g *groups.Group) *big.Int {
-	t.Helper()
-	for i := int64(2); i < 1000; i++ {
-		x := big.NewInt(i)
-		if !g.IsQuadraticResidue(x) {
-			return x
-		}
-	}
-	t.Fatal("no small non-residue found")
-	return nil
-}
-
-// TestReEncryptBatch mirrors TestEncryptBatch for the second-layer batch
-// path: order preservation across worker counts, agreement with the
-// scalar ReEncrypt, and whole-batch failure on a range violation.
-func TestReEncryptBatch(t *testing.T) {
-	g := testGroup(t)
-	k1, _ := GenerateKey(g, rand.Reader)
-	k2, _ := GenerateKey(g, rand.Reader)
-	cs := make([]*big.Int, 33)
-	for i := range cs {
-		x, err := g.RandomElement(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cs[i], err = k1.Encrypt(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, workers := range []int{1, 4, 0} {
-		got, err := k2.ReEncryptBatch(cs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range cs {
-			want, _ := k2.ReEncrypt(cs[i])
-			if got[i].Cmp(want) != 0 {
-				t.Fatalf("workers=%d: batch element %d mismatch", workers, i)
-			}
-		}
-	}
-	bad := append([]*big.Int(nil), cs...)
-	bad[11] = new(big.Int).Set(g.P)
-	if _, err := k2.ReEncryptBatch(bad, 4); err == nil {
-		t.Fatal("batch accepted an out-of-range ciphertext")
-	}
-}
-
-// TestDecryptBatch mirrors TestEncryptBatch for the decryption batch
-// path, including whole-batch failure on a non-residue.
-func TestDecryptBatch(t *testing.T) {
-	g := testGroup(t)
-	k, _ := GenerateKey(g, rand.Reader)
-	xs := make([]*big.Int, 33)
-	cs := make([]*big.Int, len(xs))
-	for i := range xs {
-		x, err := g.RandomElement(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xs[i] = x
-		if cs[i], err = k.Encrypt(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, workers := range []int{1, 4, 0} {
-		got, err := k.DecryptBatch(cs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range xs {
-			if got[i].Cmp(xs[i]) != 0 {
-				t.Fatalf("workers=%d: batch element %d did not round-trip", workers, i)
-			}
-		}
-	}
-	bad := append([]*big.Int(nil), cs...)
-	bad[7] = findNonResidue(t, g)
-	if _, err := k.DecryptBatch(bad, 4); err == nil {
-		t.Fatal("batch accepted a non-residue ciphertext")
-	}
-}
-
 // TestShortExponentKey checks the production path end-to-end on a real
 // RFC 3526 group: GenerateKey draws a short exponent there, and the key
-// must still round-trip, commute with a full-exponent key, and satisfy
-// the exact-bit-length policy.
+// must still round-trip and satisfy the exact-bit-length policy.
 func TestShortExponentKey(t *testing.T) {
 	g := groups.MODP1536()
 	ks, err := GenerateKey(g, rand.Reader)
@@ -368,13 +226,6 @@ func TestShortExponentKey(t *testing.T) {
 	}
 	if got, want := ks.enc.Bits(), g.ShortExponentBits(); got != want {
 		t.Fatalf("short key exponent bit length = %d, want %d", got, want)
-	}
-	kf, err := GenerateKeyFullExponent(g, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kf.enc.Bits() <= g.ShortExponentBits() {
-		t.Logf("full-exponent key drew %d bits (possible but unlikely)", kf.enc.Bits())
 	}
 	x, err := g.RandomElement(rand.Reader)
 	if err != nil {
@@ -390,95 +241,5 @@ func TestShortExponentKey(t *testing.T) {
 	}
 	if back.Cmp(x) != 0 {
 		t.Fatal("short-exponent key did not round-trip")
-	}
-	// Commutativity across short and full keys.
-	a, _ := ks.Encrypt(x)
-	ab, _ := kf.ReEncrypt(a)
-	b, _ := kf.Encrypt(x)
-	ba, _ := ks.ReEncrypt(b)
-	if ab.Cmp(ba) != 0 {
-		t.Fatal("short and full exponent keys do not commute")
-	}
-}
-
-// TestGenerateKeyConstantTime checks the constant-time key end to end:
-// roundtrip, commutation with a variable-time key, and (on a key built
-// from a known exponent) exact agreement with the textbook
-// f_e(x) = x^e mod p — the ladder change must be invisible in the
-// transcript.
-func TestGenerateKeyConstantTime(t *testing.T) {
-	g := testGroup(t)
-	ct, err := GenerateKeyConstantTime(g, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vt, err := GenerateKey(g, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := g.RandomShortExponent(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	known, err := keyFromExponent(g, e, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		x, err := g.RandomElement(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := known.EncryptUnchecked(x), new(big.Int).Exp(x, e, g.P); got.Cmp(want) != 0 {
-			t.Fatalf("ct encrypt diverges from x^e mod p: %v vs %v", got, want)
-		}
-		c, err := ct.Encrypt(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := ct.Decrypt(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Cmp(x) != 0 {
-			t.Fatalf("ct roundtrip: %v vs %v", back, x)
-		}
-		// Commutation across ladder implementations.
-		ab, err := vt.ReEncrypt(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := vt.Encrypt(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ba, err := ct.ReEncrypt(c2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ab.Cmp(ba) != 0 {
-			t.Fatalf("ct/vt keys do not commute: %v vs %v", ab, ba)
-		}
-	}
-	// Batch path shares the constant-time engine across workers.
-	xs := make([]*big.Int, 9)
-	for i := range xs {
-		var err error
-		if xs[i], err = g.RandomElement(rand.Reader); err != nil {
-			t.Fatal(err)
-		}
-	}
-	enc, err := ct.EncryptBatch(xs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := ct.DecryptBatch(enc, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if dec[i].Cmp(xs[i]) != 0 {
-			t.Fatalf("batch roundtrip index %d: %v vs %v", i, dec[i], xs[i])
-		}
 	}
 }

@@ -2,13 +2,16 @@ package commutative
 
 import "github.com/secmediation/secmediation/internal/telemetry"
 
-// opExp counts modular exponentiations in the group — the unit the
-// paper's cost model charges the commutative protocol in. Since the QR
-// membership test moved to the Jacobi symbol it is counted separately
-// (opQRTest): it no longer costs an exponentiation, and folding it in
-// here made opExp over-report actual ladder work by 2×.
+// opExp counts applications of the keyed permutation — one scalar
+// multiplication (CurveKey.Apply) or one modular exponentiation (Key) —
+// the unit the paper's cost model charges the commutative protocol in.
 var opExp = telemetry.CryptoOp("commutative.exp")
 
-// opQRTest counts quadratic-residue membership tests (Jacobi symbol —
-// a gcd-like pass, ~20× cheaper than the exponentiation it replaced).
+// opHash counts ideal-hash evaluations h(a), one per value hashed into the
+// group however many tries it took. The name predates this package owning
+// the hash; `go run ./bench` reads it.
+var opHash = telemetry.CryptoOp("oracle.hash")
+
+// opQRTest counts quadratic-residue membership tests of the QR(p) instance
+// (Jacobi symbol).
 var opQRTest = telemetry.CryptoOp("commutative.qrtest")

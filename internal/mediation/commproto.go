@@ -4,12 +4,9 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"fmt"
-	"math/big"
 
 	"github.com/secmediation/secmediation/internal/crypto/commutative"
-	"github.com/secmediation/secmediation/internal/crypto/groups"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
-	"github.com/secmediation/secmediation/internal/crypto/oracle"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/parallel"
 	"github.com/secmediation/secmediation/internal/relation"
@@ -22,8 +19,9 @@ import (
 // sets ID so the opposite source handles fixed-length items only.
 type commItem struct {
 	// Hash is f_e(h(a)) (after step 3) or f_e1(f_e2(h(a))) (after the
-	// cross-encryption steps 5/6).
-	Hash *big.Int
+	// cross-encryption steps 5/6): a commutative.ElementSize-byte group
+	// element.
+	Hash []byte
 	// Payload is encrypt(Tup(a)) — the sealed, gob-encoded tuple set.
 	Payload []byte
 	// ID replaces Payload between mediator and opposite source in ID mode.
@@ -64,24 +62,17 @@ type commResult struct {
 // the client, ship the shuffled message set, then re-encrypt the opposite
 // source's hash values when they come back through the mediator.
 func (s *Source) serveCommutative(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, clientKey *rsa.PublicKey, watch *stopwatch) error {
-	group, err := pq.Params.commutativeGroup()
-	if err != nil {
-		return err
-	}
 	var offer commOffer
-	var key *commutative.Key
-	err = watch.phase(telemetry.PhaseSourceEncrypt, func() error {
-		key, err = pq.Params.generateCommKey(group, rand.Reader)
+	var key *commutative.CurveKey
+	err := watch.phase(telemetry.PhaseSourceEncrypt, func() error {
+		var err error
+		key, err = commutative.GenerateCurveKey(rand.Reader)
 		if err != nil {
 			return err
 		}
-		orc := oracle.New(group, pq.SessionID)
 		groupsByKey, err := rel.GroupByColumns(pq.JoinCols)
 		if err != nil {
 			return err
-		}
-		if len(groupsByKey) == 0 {
-			return fmt.Errorf("comm: relation %s is empty", pq.Relation)
 		}
 		sess, err := hybrid.NewSession(clientKey)
 		if err != nil {
@@ -90,15 +81,16 @@ func (s *Source) serveCommutative(conn transport.Conn, pq *PartialQuery, rel *re
 		offer = commOffer{Session: pq.SessionID, Schema: rel.Schema(), WrappedKey: sess.WrappedKey()}
 		aad := []byte("comm:" + pq.SessionID + ":" + rel.Schema().Relation)
 		// The per-value hash+encrypt+seal work is the protocol's dominant
-		// cost (one modexp per active-domain value); fan it out over the
-		// worker pool. Map preallocates the full item slice and writes by
-		// index, so the transcript order is worker-count independent.
-		// EncryptUnchecked is sound here: the oracle squares every hash
-		// into QR(p) by construction.
+		// cost (one scalar multiplication per active-domain value); fan it
+		// out over the worker pool. Map preallocates the full item slice
+		// and writes by index, so the transcript order is worker-count
+		// independent.
 		offer.Items, err = parallel.Map(len(groupsByKey), pq.Params.Workers, func(i int) (commItem, error) {
 			g := groupsByKey[i]
-			h := orc.HashBytes(relation.EncodeValues(g.Key, nil))
-			c := key.EncryptUnchecked(h)
+			c, err := key.Apply(commutative.HashToElement(pq.SessionID, relation.EncodeValues(g.Key, nil)))
+			if err != nil {
+				return commItem{}, err
+			}
 			sealed, err := sess.Seal(relation.EncodeTupleSet(g.Tuples), aad)
 			if err != nil {
 				return commItem{}, err
@@ -130,20 +122,19 @@ func (s *Source) serveCommutative(conn transport.Conn, pq *PartialQuery, rel *re
 	err = watch.phase(telemetry.PhaseCrossEncrypt, func() error {
 		// Both sources learn the opposite active-domain size (Section 6).
 		s.Ledger.Observe(s.party(), "|domactive(opposite)|", int64(len(cross.Items)))
-		// The second encryption layer is pure fixed-exponent modexp work —
-		// exactly what the key's batch path exists for: one shared window
-		// schedule across the pool, order preserved.
-		hashes := make([]*big.Int, len(cross.Items))
-		for i, it := range cross.Items {
-			hashes[i] = it.Hash
-		}
-		doubled, err := key.ReEncryptBatch(hashes, pq.Params.Workers)
+		// The second layer. These elements crossed two links: Apply
+		// validates each one before the key touches it.
+		var err error
+		back.Items, err = parallel.Map(len(cross.Items), pq.Params.Workers, func(i int) (commItem, error) {
+			it := cross.Items[i]
+			doubled, err := key.Apply(it.Hash)
+			if err != nil {
+				return commItem{}, err
+			}
+			return commItem{Hash: doubled, Payload: it.Payload, ID: it.ID}, nil
+		})
 		if err != nil {
 			return err
-		}
-		back.Items = make([]commItem, len(cross.Items))
-		for i, it := range cross.Items {
-			back.Items[i] = commItem{Hash: doubled[i], Payload: it.Payload, ID: it.ID}
 		}
 		s.Ledger.UsePrimitive(s.party(), "commutative-encryption", int64(len(cross.Items)))
 		return shuffleItems(back.Items)
@@ -202,23 +193,8 @@ func (m *Mediator) mediateCommutative(client, s1, s2 transport.Conn, d *decompos
 		Wrapped1: o1.WrappedKey, Wrapped2: o2.WrappedKey,
 	}
 	err := watch.phase(telemetry.PhaseMatch, func() error {
-		// Rendering a 2048-bit hash to a map key is the mediator's only
-		// per-item cost; fan the conversions out, then build and probe
-		// the match map sequentially.
-		keys2, err := parallel.Map(len(b2.Items), params.Workers, func(i int) (string, error) {
-			return b2.Items[i].Hash.Text(16), nil
-		})
-		if err != nil {
-			return err
-		}
-		keys1, err := parallel.Map(len(b1.Items), params.Workers, func(i int) (string, error) {
-			return b1.Items[i].Hash.Text(16), nil
-		})
-		if err != nil {
-			return err
-		}
 		tup1ByHash := make(map[string][]byte, len(b2.Items))
-		for i, it := range b2.Items {
+		for _, it := range b2.Items {
 			payload := it.Payload
 			if params.IDMode {
 				var ok bool
@@ -227,10 +203,10 @@ func (m *Mediator) mediateCommutative(client, s1, s2 transport.Conn, d *decompos
 					return fmt.Errorf("comm: unknown ID %d from S2", it.ID)
 				}
 			}
-			tup1ByHash[keys2[i]] = payload
+			tup1ByHash[string(it.Hash)] = payload
 		}
-		for i, it := range b1.Items {
-			t1, ok := tup1ByHash[keys1[i]]
+		for _, it := range b1.Items {
+			t1, ok := tup1ByHash[string(it.Hash)]
 			if !ok {
 				continue
 			}
@@ -359,33 +335,25 @@ func shuffleItems(items []commItem) error { return shuffleSlice(items) }
 // of its values lie in the intersection — nothing else. Exposed for the
 // ext-intersection experiment. workers sizes the worker pool for the two
 // double-encryption loops (see parallel.Resolve).
-func CommutativeIntersection(g *groups.Group, label string, receiver, sender []relation.Value, workers int) ([]relation.Value, error) {
-	kR, err := commutative.GenerateKey(g, rand.Reader)
+func CommutativeIntersection(label string, receiver, sender []relation.Value, workers int) ([]relation.Value, error) {
+	kR, err := commutative.GenerateCurveKey(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	kS, err := commutative.GenerateKey(g, rand.Reader)
+	kS, err := commutative.GenerateCurveKey(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	orc := oracle.New(g, label)
-	// Each value costs two modexps (first layer + cross layer). The first
-	// layer fans hash+encrypt out over the pool (oracle outputs are QR(p)
-	// by construction, so it takes the unchecked path); the second layer
-	// goes through the key's batch entry point, sharing one engine.
-	double := func(vals []relation.Value, first, second *commutative.Key) ([]string, error) {
-		layer1, err := parallel.Map(len(vals), workers, func(i int) (*big.Int, error) {
-			return first.EncryptUnchecked(orc.HashValue(vals[i])), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		layer2, err := second.ReEncryptBatch(layer1, workers)
-		if err != nil {
-			return nil, err
-		}
-		return parallel.Map(len(layer2), workers, func(i int) (string, error) {
-			return layer2[i].Text(16), nil
+	// Each value costs two scalar multiplications (first layer + cross
+	// layer), fanned out over the pool.
+	double := func(vals []relation.Value, first, second *commutative.CurveKey) ([]string, error) {
+		return parallel.Map(len(vals), workers, func(i int) (string, error) {
+			layer1, err := first.Apply(commutative.HashToElement(label, vals[i].Encode(nil)))
+			if err != nil {
+				return "", err
+			}
+			layer2, err := second.Apply(layer1)
+			return string(layer2), err
 		})
 	}
 	// Sender: f_s(h(u)) for its values, shared with receiver, who

@@ -8,7 +8,6 @@ import (
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
-	"github.com/secmediation/secmediation/internal/crypto/groups"
 	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
 	rel "github.com/secmediation/secmediation/internal/relation"
@@ -131,7 +130,7 @@ const fixtureSQL = "SELECT * FROM R1 JOIN R2 ON R1.id = R2.id"
 // fastParams keeps cryptographic parameters small enough for unit tests
 // while exercising the full protocol paths.
 func fastParams() Params {
-	return Params{Partitions: 3, Strategy: das.EquiDepth, GroupBits: 1536, PaillierBits: 1024}
+	return Params{Partitions: 3, Strategy: das.EquiDepth, PaillierBits: 1024}
 }
 
 // All five protocols must produce exactly the same global result.
@@ -162,13 +161,13 @@ func TestProtocolVariants(t *testing.T) {
 		proto  Protocol
 		params Params
 	}{
-		{"das-equi-width", ProtocolDAS, Params{Partitions: 2, Strategy: das.EquiWidth, GroupBits: 1536, PaillierBits: 1024}},
-		{"das-hash-buckets", ProtocolDAS, Params{Partitions: 4, Strategy: das.HashBuckets, GroupBits: 1536, PaillierBits: 1024}},
-		{"das-one-partition", ProtocolDAS, Params{Partitions: 1, Strategy: das.EquiDepth, GroupBits: 1536, PaillierBits: 1024}},
-		{"comm-id-mode", ProtocolCommutative, Params{GroupBits: 1536, IDMode: true, PaillierBits: 1024}},
-		{"pm-hybrid-payload", ProtocolPM, Params{GroupBits: 1536, PaillierBits: 1024, PayloadMode: PayloadHybrid}},
-		{"pm-bucketed", ProtocolPM, Params{GroupBits: 1536, PaillierBits: 1024, Buckets: 3}},
-		{"pm-bucketed-hybrid", ProtocolPM, Params{GroupBits: 1536, PaillierBits: 1024, Buckets: 2, PayloadMode: PayloadHybrid}},
+		{"das-equi-width", ProtocolDAS, Params{Partitions: 2, Strategy: das.EquiWidth, PaillierBits: 1024}},
+		{"das-hash-buckets", ProtocolDAS, Params{Partitions: 4, Strategy: das.HashBuckets, PaillierBits: 1024}},
+		{"das-one-partition", ProtocolDAS, Params{Partitions: 1, Strategy: das.EquiDepth, PaillierBits: 1024}},
+		{"comm-id-mode", ProtocolCommutative, Params{IDMode: true, PaillierBits: 1024}},
+		{"pm-hybrid-payload", ProtocolPM, Params{PaillierBits: 1024, PayloadMode: PayloadHybrid}},
+		{"pm-bucketed", ProtocolPM, Params{PaillierBits: 1024, Buckets: 3}},
+		{"pm-bucketed-hybrid", ProtocolPM, Params{PaillierBits: 1024, Buckets: 2, PayloadMode: PayloadHybrid}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -182,44 +181,6 @@ func TestProtocolVariants(t *testing.T) {
 				t.Errorf("result mismatch:\n%v\nwant\n%v", got, want)
 			}
 		})
-	}
-}
-
-// TestCommutativeKeyModes runs the commutative protocol end-to-end under
-// every key-generation policy: the default short exponents, the
-// full-length escape hatch (GenerateKeyFullExponent, which previously
-// had no protocol-level coverage), and the constant-time ladder. All
-// three must produce the exact join, and an unknown mode must abort
-// rather than silently fall back.
-func TestCommutativeKeyModes(t *testing.T) {
-	want := expectedJoin(t)
-	for _, mode := range []CommKeyMode{KeyShortExponent, KeyFullExponent, KeyConstantTime} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			n := newTestNetwork(t, nil)
-			params := fastParams()
-			params.KeyMode = mode
-			got, err := n.Query(fixtureSQL, ProtocolCommutative, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.EqualMultiset(want) {
-				t.Errorf("result mismatch:\n%v\nwant\n%v", got, want)
-			}
-			if errs := n.SourceErrors(); len(errs) != 0 {
-				t.Errorf("source errors: %v", errs)
-			}
-		})
-	}
-	if _, err := (Params{KeyMode: CommKeyMode(99)}).generateCommKey(nil, nil); err == nil {
-		t.Error("unknown key mode: want error")
-	}
-	for mode, name := range map[CommKeyMode]string{
-		KeyShortExponent: "short-exponent", KeyFullExponent: "full-exponent", KeyConstantTime: "constant-time",
-	} {
-		if mode.String() != name {
-			t.Errorf("CommKeyMode(%d).String() = %q, want %q", int(mode), mode.String(), name)
-		}
 	}
 }
 
@@ -411,7 +372,7 @@ func TestTable1ClientLeakage(t *testing.T) {
 
 	ledger := leakage.NewLedger()
 	n := newTestNetwork(t, ledger)
-	if _, err := n.Query(fixtureSQL, ProtocolDAS, Params{Partitions: 1, Strategy: das.EquiDepth, GroupBits: 1536, PaillierBits: 1024}); err != nil {
+	if _, err := n.Query(fixtureSQL, ProtocolDAS, Params{Partitions: 1, Strategy: das.EquiDepth, PaillierBits: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	superset, _ := ledger.Observed(leakage.PartyClient, "superset-size")
@@ -525,13 +486,9 @@ func TestClientInteractionCounts(t *testing.T) {
 }
 
 func TestCommutativeIntersectionOperation(t *testing.T) {
-	g, err := groups.GenerateSafePrime(256, cryptoRand())
-	if err != nil {
-		t.Fatal(err)
-	}
 	recv := []rel.Value{rel.Int(1), rel.Int(2), rel.Int(3), rel.String_("x")}
 	send := []rel.Value{rel.Int(2), rel.Int(3), rel.Int(9), rel.String_("x")}
-	got, err := CommutativeIntersection(g, "sess", recv, send, 2)
+	got, err := CommutativeIntersection("sess", recv, send, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,17 +651,8 @@ func TestProtocolStrings(t *testing.T) {
 
 func TestParamsDefaultsAndGroups(t *testing.T) {
 	p := Params{}.withDefaults()
-	if p.Partitions == 0 || p.GroupBits == 0 || p.Buckets == 0 || p.PaillierBits == 0 {
+	if p.Partitions == 0 || p.Buckets == 0 || p.PaillierBits == 0 {
 		t.Errorf("defaults not applied: %+v", p)
-	}
-	if _, err := (Params{GroupBits: 1234}).commutativeGroup(); err == nil {
-		t.Error("bad group size accepted")
-	}
-	for _, bits := range []int{1536, 2048, 3072} {
-		g, err := (Params{GroupBits: bits}).commutativeGroup()
-		if err != nil || g.Bits() != bits {
-			t.Errorf("group %d: %v", bits, err)
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/secmediation/secmediation/internal/crypto/groups"
 	"github.com/secmediation/secmediation/internal/leakage"
 	rel "github.com/secmediation/secmediation/internal/relation"
 )
@@ -101,15 +100,11 @@ func TestWorkerCountDoesNotChangeResults(t *testing.T) {
 // TestCommutativeIntersectionWorkerIndependence pins the standalone
 // intersection operation to the same contract.
 func TestCommutativeIntersectionWorkerIndependence(t *testing.T) {
-	g, err := groups.GenerateSafePrime(256, cryptoRand())
-	if err != nil {
-		t.Fatal(err)
-	}
 	recv := []rel.Value{rel.Int(10), rel.Int(20), rel.Int(30), rel.String_("x")}
 	send := []rel.Value{rel.Int(20), rel.Int(30), rel.Int(40), rel.String_("x")}
 	var lens []int
 	for _, workers := range []int{1, 4} {
-		got, err := CommutativeIntersection(g, "sess-w", recv, send, workers)
+		got, err := CommutativeIntersection("sess-w", recv, send, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

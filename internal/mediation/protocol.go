@@ -24,12 +24,9 @@ package mediation
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"time"
 
-	"github.com/secmediation/secmediation/internal/crypto/commutative"
-	"github.com/secmediation/secmediation/internal/crypto/groups"
 	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/resilience"
@@ -109,13 +106,6 @@ type Params struct {
 	Pushdown bool
 	// Strategy is the DAS partitioning strategy.
 	Strategy das.Strategy
-	// GroupBits selects the commutative-encryption safe-prime group
-	// (1536, 2048 or 3072 bits, the embedded RFC 3526 groups).
-	GroupBits int
-	// KeyMode selects how the sources draw their commutative exponents
-	// (short, full-length, or constant-time ladder); see CommKeyMode.
-	// It travels in the request so both sources use the same policy.
-	KeyMode CommKeyMode
 	// IDMode enables footnote 1 for the commutative protocol: the
 	// mediator retains the encrypted tuple sets and circulates fixed-
 	// length IDs instead.
@@ -166,9 +156,6 @@ func (p Params) withDefaults() Params {
 	if p.Partitions == 0 {
 		p.Partitions = 16
 	}
-	if p.GroupBits == 0 {
-		p.GroupBits = 2048
-	}
 	if p.Buckets < 1 {
 		p.Buckets = 1
 	}
@@ -176,67 +163,6 @@ func (p Params) withDefaults() Params {
 		p.PaillierBits = 1024
 	}
 	return p
-}
-
-// CommKeyMode selects the commutative key-generation policy a protocol
-// run uses at both sources.
-type CommKeyMode int
-
-const (
-	// KeyShortExponent draws 224/256/288-bit exponents (GenerateKey,
-	// Koshiba–Kurosawa assumption) — the default and the fast path.
-	KeyShortExponent CommKeyMode = iota
-	// KeyFullExponent draws full-length uniform exponents
-	// (GenerateKeyFullExponent) — the scheme exactly as Agrawal et al.
-	// state it, with no short-exponent assumption, at ~8× the
-	// per-element encryption cost.
-	KeyFullExponent
-	// KeyConstantTime draws short exponents but runs every
-	// exponentiation through the fixed-window constant-time ladder
-	// (GenerateKeyConstantTime) for deployments where a co-resident
-	// attacker could observe timing; see docs/SECURITY.md.
-	KeyConstantTime
-)
-
-// String names the key mode.
-func (m CommKeyMode) String() string {
-	switch m {
-	case KeyFullExponent:
-		return "full-exponent"
-	case KeyConstantTime:
-		return "constant-time"
-	default:
-		return "short-exponent"
-	}
-}
-
-// generateCommKey draws a commutative key under the requested policy.
-func (p Params) generateCommKey(g *groups.Group, rnd io.Reader) (*commutative.Key, error) {
-	switch p.KeyMode {
-	case KeyFullExponent:
-		return commutative.GenerateKeyFullExponent(g, rnd)
-	case KeyConstantTime:
-		return commutative.GenerateKeyConstantTime(g, rnd)
-	case KeyShortExponent:
-		return commutative.GenerateKey(g, rnd)
-	default:
-		mode := int(p.KeyMode)
-		return nil, fmt.Errorf("mediation: unknown commutative key mode %d", mode)
-	}
-}
-
-// commutativeGroup resolves GroupBits to an embedded RFC 3526 group.
-func (p Params) commutativeGroup() (*groups.Group, error) {
-	switch p.GroupBits {
-	case 1536:
-		return groups.MODP1536(), nil
-	case 2048:
-		return groups.MODP2048(), nil
-	case 3072:
-		return groups.MODP3072(), nil
-	default:
-		return nil, fmt.Errorf("mediation: unsupported commutative group size %d (use 1536, 2048 or 3072)", p.GroupBits)
-	}
 }
 
 // Message type tags. One namespace per protocol keeps mis-wiring loud.

@@ -1,7 +1,7 @@
 // Package parallel provides the bounded data-parallel execution layer
 // under the protocol hot loops: every delivery-phase protocol spends its
-// runtime in per-value public-key operations (Pohlig–Hellman
-// exponentiations, Paillier encryptions, hybrid seals), which are
+// runtime in per-value public-key operations (commutative scalar
+// multiplications, Paillier encryptions, hybrid seals), which are
 // independent across values and therefore embarrassingly parallel.
 //
 // The helpers chunk an index range [0, n) over a fixed number of worker

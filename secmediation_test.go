@@ -59,7 +59,7 @@ func buildWorld(t testing.TB) (*secmediation.Network, *secmediation.Relation, *s
 
 func TestPublicAPIQuickstart(t *testing.T) {
 	net, _, _ := buildWorld(t)
-	params := secmediation.Params{GroupBits: 1536, PaillierBits: 1024, Partitions: 2}
+	params := secmediation.Params{PaillierBits: 1024, Partitions: 2}
 	for _, proto := range []secmediation.Protocol{secmediation.Plaintext, secmediation.MobileCode, secmediation.DAS, secmediation.Commutative, secmediation.PM} {
 		got, err := net.Query("SELECT * FROM Patients JOIN Claims ON Patients.pid = Claims.pid", proto, params)
 		if err != nil {
@@ -90,7 +90,7 @@ func TestPublicAPILedgerAndWorkload(t *testing.T) {
 func TestPublicAPIHierarchy(t *testing.T) {
 	net, _, _ := buildWorld(t)
 	first, err := net.Query("SELECT * FROM Patients NATURAL JOIN Claims", secmediation.Commutative,
-		secmediation.Params{GroupBits: 1536})
+		secmediation.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestPublicAPIAggregation(t *testing.T) {
 
 func TestPublicAPIPushdownParam(t *testing.T) {
 	net, _, _ := buildWorld(t)
-	params := secmediation.Params{Partitions: 8, Pushdown: true, GroupBits: 1536, PaillierBits: 1024}
+	params := secmediation.Params{Partitions: 8, Pushdown: true, PaillierBits: 1024}
 	res, err := net.Query(
 		"SELECT * FROM Patients JOIN Claims ON Patients.pid = Claims.pid WHERE Patients.pid >= 3",
 		secmediation.DAS, params)
@@ -143,7 +143,7 @@ func TestPublicAPIDistinctAndWhere(t *testing.T) {
 	net, _, _ := buildWorld(t)
 	res, err := net.Query(
 		"SELECT DISTINCT name FROM Patients JOIN Claims ON Patients.pid = Claims.pid WHERE amount > 5.0",
-		secmediation.Commutative, secmediation.Params{GroupBits: 1536})
+		secmediation.Commutative, secmediation.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
