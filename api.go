@@ -76,8 +76,6 @@ type (
 	Protocol = mediation.Protocol
 	// Params tunes the protocols.
 	Params = mediation.Params
-	// PayloadMode selects the PM tuple-set transport.
-	PayloadMode = mediation.PayloadMode
 	// Dialer opens a fresh link to a datasource for one session.
 	Dialer = mediation.Dialer
 )
@@ -94,11 +92,6 @@ const (
 	Commutative = mediation.ProtocolCommutative
 	// PM is the private-matching protocol (Listing 4).
 	PM = mediation.ProtocolPM
-
-	// PayloadInline packs tuple sets into the PM polynomial evaluation.
-	PayloadInline = mediation.PayloadInline
-	// PayloadHybrid ships tuple sets under per-set session keys (fn. 2).
-	PayloadHybrid = mediation.PayloadHybrid
 )
 
 // DAS partitioning strategies.

@@ -16,7 +16,7 @@ import (
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
-	"github.com/secmediation/secmediation/internal/crypto/paillier"
+	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/mediation"
@@ -233,21 +233,12 @@ func BenchmarkFootnote1IDMode(b *testing.B) {
 	runProtocol(b, mediation.ProtocolCommutative, params)
 }
 
-// footnote2: PM protocol with hybrid payloads (session key + ID inside the
-// polynomial, tuple sets out of band).
-func BenchmarkFootnote2HybridPayload(b *testing.B) {
-	params := benchParams()
-	params.PayloadMode = mediation.PayloadHybrid
-	runProtocol(b, mediation.ProtocolPM, params)
-}
-
 // FNP bucketing ablation: PM evaluation cost with and without buckets.
 func BenchmarkPMBucketing(b *testing.B) {
 	for _, buckets := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
 			params := benchParams()
 			params.Buckets = buckets
-			params.PayloadMode = mediation.PayloadHybrid
 			runProtocol(b, mediation.ProtocolPM, params)
 		})
 	}
@@ -328,7 +319,11 @@ func BenchmarkExtHierarchy(b *testing.B) {
 // evaluating the active-domain polynomial, isolating the Θ(n·m) cost the
 // paper calls "quite expensive".
 func BenchmarkPMPolynomial(b *testing.B) {
-	pk, err := paillier.GenerateKey(rand.Reader, 1024)
+	sk, err := ecelgamal.GenerateKey(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pk, err := ecelgamal.ParsePublicKey(sk.PublicKey())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -337,18 +332,18 @@ func BenchmarkPMPolynomial(b *testing.B) {
 		for i := range roots {
 			roots[i] = pm.RootOfValue(relation.Int(int64(i)))
 		}
-		poly, err := pm.FromRoots(roots, pk.N)
+		buckets, err := pm.BuildBuckets(roots, 1, ecelgamal.Order())
 		if err != nil {
 			b.Fatal(err)
 		}
-		enc, err := poly.Encrypt(&pk.PublicKey, 1)
+		enc, err := buckets.EncryptEC(pk, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		x := pm.RootOfValue(relation.Int(3))
+		x := []*big.Int{pm.RootOfValue(relation.Int(3))}
 		b.Run(fmt.Sprintf("eval/degree=%d", degree), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := enc.EvalEncrypted(&pk.PublicKey, x); err != nil {
+				if _, err := enc.MaskedEvalBatch(pk, x, [][]byte{nil}, nil, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,14 +15,13 @@ import (
 
 // harness owns the measurement world: CA, client, workload parameters.
 type harness struct {
-	ca           *credential.Authority
-	client       *mediation.Client
-	spec         workload.JoinSpec
-	paillierBits int
-	joinSize     int
+	ca       *credential.Authority
+	client   *mediation.Client
+	spec     workload.JoinSpec
+	joinSize int
 }
 
-func newHarness(rows, domain int, overlap, skew float64, paillierBits int) (*harness, error) {
+func newHarness(rows, domain int, overlap, skew float64) (*harness, error) {
 	ca, err := credential.NewAuthority("BenchCA")
 	if err != nil {
 		return nil, err
@@ -41,7 +40,6 @@ func newHarness(rows, domain int, overlap, skew float64, paillierBits int) (*har
 		ca: ca, client: client,
 		spec: workload.JoinSpec{Rows1: rows, Rows2: rows, Domain1: domain, Domain2: domain,
 			Overlap: overlap, Skew: skew, Seed: 20070415},
-		paillierBits: paillierBits,
 	}
 	r1, r2, err := h.spec.Generate()
 	if err != nil {
@@ -55,10 +53,7 @@ func newHarness(rows, domain int, overlap, skew float64, paillierBits int) (*har
 }
 
 func (h *harness) params() mediation.Params {
-	// Hybrid PM payloads: skewed workloads produce tuple sets beyond the
-	// inline plaintext capacity (table 5 compares the two modes anyway).
-	return mediation.Params{Partitions: 8, Strategy: das.EquiDepth,
-		PaillierBits: h.paillierBits, PayloadMode: mediation.PayloadHybrid}
+	return mediation.Params{Partitions: 8, Strategy: das.EquiDepth}
 }
 
 // joinSQL is the workload's global query: the equi-join of the two
@@ -273,11 +268,8 @@ func (h *harness) table5() error {
 	comm := h.params()
 	commID := comm
 	commID.IDMode = true
-	pmInline := h.params()
-	pmInline.PayloadMode = mediation.PayloadInline
-	pmHybrid := pmInline
-	pmHybrid.PayloadMode = mediation.PayloadHybrid
-	pmBuckets := pmHybrid
+	pm := h.params()
+	pmBuckets := pm
 	pmBuckets.Buckets = 8
 	query := joinSQL + " WHERE R1.id < 3"
 	for _, v := range []struct {
@@ -289,8 +281,7 @@ func (h *harness) table5() error {
 		{"das + selection pushdown", mediation.ProtocolDAS, push},
 		{"commutative (payloads circulate)", mediation.ProtocolCommutative, comm},
 		{"commutative + footnote-1 ID mode", mediation.ProtocolCommutative, commID},
-		{"pm (inline payloads)", mediation.ProtocolPM, pmInline},
-		{"pm + footnote-2 hybrid payloads", mediation.ProtocolPM, pmHybrid},
+		{"pm (footnote-2 sealed payloads)", mediation.ProtocolPM, pm},
 		{"pm + FNP buckets (b=8)", mediation.ProtocolPM, pmBuckets},
 	} {
 		ledger, wall, err := h.run(query, v.proto, v.params)

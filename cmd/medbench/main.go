@@ -15,7 +15,7 @@
 //	                     (which exercises the deployment transport's
 //	                     fault recovery)
 //
-// Workload knobs: -rows, -domain, -overlap, -skew, -paillier.
+// Workload knobs: -rows, -domain, -overlap, -skew.
 // Only the soak writes a machine-readable report; -json overrides its
 // path ("-" prints the JSON to stdout, "" keeps BENCH_soak.json).
 // Every number is measured from an instrumented in-process run of the real
@@ -97,16 +97,15 @@ func main() {
 	domain := flag.Int("domain", 50, "active-domain size of the join attribute")
 	overlap := flag.Float64("overlap", 0.5, "fraction of shared join values")
 	skew := flag.Float64("skew", 0, "Zipf skew of join-key multiplicities (0 = uniform)")
-	paillierBits := flag.Int("paillier", 1024, "Paillier modulus size")
 	flag.Parse()
 
-	h, err := newHarness(*rows, *domain, *overlap, *skew, *paillierBits)
+	h, err := newHarness(*rows, *domain, *overlap, *skew)
 	if err != nil {
 		log.Fatalf("medbench: %v", err)
 	}
 	fmt.Printf("workload: |R1|=|R2|=%d, |domactive|=%d, overlap=%.0f%%, join size=%d\n",
 		*rows, *domain, *overlap*100, h.joinSize)
-	fmt.Printf("parameters: commutative group P-256, Paillier %d bit\n\n", *paillierBits)
+	fmt.Printf("parameters: commutative and PM group P-256\n\n")
 
 	start := time.Now()
 	if err := h.runTable(*table); err != nil {

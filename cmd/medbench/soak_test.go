@@ -21,7 +21,7 @@ func TestSoakShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the soak drives live TCP deployments through fault schedules; skipped with -short")
 	}
-	h, err := newHarness(12, 6, 0.5, 0, 1024)
+	h, err := newHarness(12, 6, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func TestPaperTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a full (if tiny) protocol sweep; skipped with -short")
 	}
-	h, err := newHarness(12, 6, 0.5, 0, 1024)
+	h, err := newHarness(12, 6, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,8 +108,7 @@ func runQuery(args []string) error {
 	partitions := fs.Int("partitions", 16, "DAS partitions per index table")
 	strategy := fs.String("strategy", "equi-depth", "DAS strategy: equi-width|equi-depth|hash-buckets")
 	idMode := fs.Bool("idmode", false, "commutative footnote-1 ID mode")
-	paillierBits := fs.Int("paillier", 2048, "PM Paillier modulus size")
-	payload := fs.String("payload", "inline", "PM payload mode: inline|hybrid")
+	paillierBits := fs.Int("paillier", 2048, "Paillier modulus size of encrypted aggregation")
 	buckets := fs.Int("buckets", 0, "PM FNP bucket count (0 = single polynomial)")
 	workers := fs.Int("workers", 0, "crypto worker pool size per party (0 = all cores, 1 = sequential)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-operation send/receive deadline for every party (0 disables)")
@@ -158,11 +157,6 @@ func runQuery(args []string) error {
 		Buckets:      *buckets,
 		Workers:      *workers,
 		Timeout:      *timeout,
-	}
-	if *payload == "hybrid" {
-		params.PayloadMode = mediation.PayloadHybrid
-	} else if *payload != "inline" {
-		return fmt.Errorf("unknown payload mode %q", *payload)
 	}
 
 	// All protocol sessions run as virtual links over one physical

@@ -237,22 +237,11 @@ func open(key, nonce, sealed, aad []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// NewSessionKey generates a raw symmetric session key for callers that
-// manage key transport themselves (the PM protocol's footnote-2 mode packs
-// the key inside a homomorphically encrypted polynomial evaluation instead
-// of wrapping it with RSA).
-func NewSessionKey() ([]byte, error) {
-	key := make([]byte, sessionKeyLen)
-	if _, err := rand.Read(key); err != nil {
-		return nil, fmt.Errorf("hybrid: session key: %w", err)
-	}
-	return key, nil
-}
-
-// SessionKeyLen is the byte length of keys produced by NewSessionKey.
+// SessionKeyLen is the byte length of a session key.
 const SessionKeyLen = sessionKeyLen
 
-// SealWithKey seals a message under a caller-provided session key.
+// SealWithKey seals a message under a caller-provided session key (the
+// PM protocol derives one per tuple set from a curve point).
 // seclint:sanitizer hybrid encrypt boundary
 func SealWithKey(key, plaintext, aad []byte) (*Ciphertext, error) {
 	nonce, sealed, err := seal(key, plaintext, aad)

@@ -8,6 +8,7 @@ import (
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
+	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	"github.com/secmediation/secmediation/internal/crypto/paillier"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/relation"
@@ -32,8 +33,8 @@ type Client struct {
 	// this party. Params.Telemetry overrides it per query.
 	Telemetry *telemetry.Registry
 
-	// homKey caches the Paillier key pair for PM queries; homMu guards it
-	// so concurrent sessions share one key generation.
+	// homKey caches the Paillier key pair for aggregation queries; homMu
+	// guards it so concurrent sessions share one key generation.
 	homMu  sync.Mutex
 	homKey *paillier.PrivateKey
 }
@@ -50,7 +51,7 @@ func NewClient() (*Client, error) {
 }
 
 // HomomorphicKey returns (generating on first use) the client's Paillier
-// key pair for the PM protocol.
+// key pair for encrypted aggregation.
 func (c *Client) HomomorphicKey(bits int) (*paillier.PrivateKey, error) {
 	c.homMu.Lock()
 	defer c.homMu.Unlock()
@@ -82,12 +83,21 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 		conn.SetTimeout(params.Timeout)
 	}
 	req := Request{SQL: sql, Credentials: c.Credentials, Protocol: proto, Params: params}
-	if proto == ProtocolPM || q.Aggregate != nil {
+	if q.Aggregate != nil {
 		hk, err := c.HomomorphicKey(params.PaillierBits)
 		if err != nil {
 			return nil, err
 		}
 		req.HomomorphicKey = &hk.PublicKey
+	}
+	// PM draws a fresh key per query, so the mediator cannot link a
+	// client's PM queries by its public key.
+	var pmKey *ecelgamal.PrivateKey
+	if proto == ProtocolPM {
+		if pmKey, err = ecelgamal.GenerateKey(rand.Reader); err != nil {
+			return nil, err
+		}
+		req.PMKey = pmKey.PublicKey()
 	}
 	if err := sendMsg(conn, "mediator", msgRequest, req); err != nil {
 		return nil, c.abort(conn, params, err)
@@ -125,7 +135,7 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	case ProtocolCommutative:
 		joined, schema2, joinCols2, err = c.runCommutative(conn, params, watch)
 	case ProtocolPM:
-		joined, schema2, joinCols2, err = c.runPM(conn, params, watch)
+		joined, schema2, joinCols2, err = c.runPM(conn, pmKey, params, watch)
 	default:
 		err = fmt.Errorf("mediation: unknown protocol %d", proto)
 	}

@@ -51,10 +51,6 @@ func TestDifferentialRandomWorkloads(t *testing.T) {
 			params.Partitions = 1 + rng.Intn(6)
 			if proto == ProtocolPM {
 				params.Buckets = 1 + rng.Intn(3)
-				// Hybrid payloads: skewed workloads produce tuple sets far
-				// beyond the inline plaintext capacity (footnote 2 exists
-				// for exactly this).
-				params.PayloadMode = PayloadHybrid
 			}
 			if proto == ProtocolCommutative && rng.Intn(2) == 1 {
 				params.IDMode = true

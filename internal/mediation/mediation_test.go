@@ -165,9 +165,9 @@ func TestProtocolVariants(t *testing.T) {
 		{"das-hash-buckets", ProtocolDAS, Params{Partitions: 4, Strategy: das.HashBuckets, PaillierBits: 1024}},
 		{"das-one-partition", ProtocolDAS, Params{Partitions: 1, Strategy: das.EquiDepth, PaillierBits: 1024}},
 		{"comm-id-mode", ProtocolCommutative, Params{IDMode: true, PaillierBits: 1024}},
-		{"pm-hybrid-payload", ProtocolPM, Params{PaillierBits: 1024, PayloadMode: PayloadHybrid}},
+		{"pm-hybrid-payload", ProtocolPM, Params{PaillierBits: 1024}},
 		{"pm-bucketed", ProtocolPM, Params{PaillierBits: 1024, Buckets: 3}},
-		{"pm-bucketed-hybrid", ProtocolPM, Params{PaillierBits: 1024, Buckets: 2, PayloadMode: PayloadHybrid}},
+		{"pm-bucketed-hybrid", ProtocolPM, Params{PaillierBits: 1024, Buckets: 2}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -643,9 +643,6 @@ func TestProtocolStrings(t *testing.T) {
 		if p.String() != want {
 			t.Errorf("Protocol(%d).String() = %q", p, p.String())
 		}
-	}
-	if PayloadInline.String() != "inline" || PayloadHybrid.String() != "hybrid" {
-		t.Error("PayloadMode strings")
 	}
 }
 

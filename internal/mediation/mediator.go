@@ -141,12 +141,12 @@ func (m *Mediator) handleSession(client transport.Conn) error {
 	pq1 := PartialQuery{
 		SessionID: session, Query: d.partialSQL(d.rel1), Relation: d.rel1,
 		JoinCols: d.joinCols1, Credentials: m.selectCredentials(d.rel1, req.Credentials),
-		Protocol: req.Protocol, Params: req.Params, HomomorphicKey: req.HomomorphicKey,
+		Protocol: req.Protocol, Params: req.Params, HomomorphicKey: req.HomomorphicKey, PMKey: req.PMKey,
 	}
 	pq2 := PartialQuery{
 		SessionID: session, Query: d.partialSQL(d.rel2), Relation: d.rel2,
 		JoinCols: d.joinCols2, Credentials: m.selectCredentials(d.rel2, req.Credentials),
-		Protocol: req.Protocol, Params: req.Params, HomomorphicKey: req.HomomorphicKey,
+		Protocol: req.Protocol, Params: req.Params, HomomorphicKey: req.HomomorphicKey, PMKey: req.PMKey,
 	}
 	if req.Protocol == ProtocolDAS && req.Params.Pushdown {
 		// Selection-pushdown extension: ask the sources to index the
@@ -192,7 +192,7 @@ func (m *Mediator) handleSession(client transport.Conn) error {
 	case ProtocolCommutative:
 		err = m.mediateCommutative(client, conn1, conn2, d, req.Params, watch)
 	case ProtocolPM:
-		err = m.mediatePM(client, conn1, conn2, d, req.Params, watch)
+		err = m.mediatePM(client, conn1, conn2, d, watch)
 	default:
 		err = fmt.Errorf("mediation: unknown protocol %d", req.Protocol)
 	}

@@ -1,12 +1,10 @@
 package mediation
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/big"
 
-	"github.com/secmediation/secmediation/internal/crypto/hybrid"
-	"github.com/secmediation/secmediation/internal/crypto/paillier"
+	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/parallel"
 	"github.com/secmediation/secmediation/internal/pm"
@@ -15,66 +13,51 @@ import (
 	"github.com/secmediation/secmediation/internal/transport"
 )
 
-// pmCoeffs is a source's Listing 4 step 2/3 message: the homomorphically
+// pmCoeffs is a source's Listing 4 step 2/3 message: the EC-ElGamal
 // encrypted coefficients of its active-domain polynomial (bucketed per the
 // FNP optimization; one bucket means the paper's literal single
 // polynomial).
 type pmCoeffs struct {
 	Session string
 	Schema  relation.Schema
-	Buckets pm.EncryptedBuckets
+	Buckets pm.ECBuckets
 }
 
 // pmCross forwards the opposite source's encrypted polynomial (step 4).
 type pmCross struct {
-	Buckets pm.EncryptedBuckets
+	Buckets pm.ECBuckets
 }
 
-// pmPayloadEntry carries one sealed tuple set in the footnote-2 hybrid
-// mode, addressed by the ID packed inside the polynomial evaluation.
-type pmPayloadEntry struct {
-	ID     uint64
-	Sealed []byte
-}
-
-// pmEvals is a source's step 5/6 message: the masked evaluations e_k, plus
-// the payload table in hybrid mode.
+// pmEvals is a source's step 5/6 message: one masked evaluation and its
+// sealed tuple set per own join value, shuffled.
 type pmEvals struct {
-	Evals []*paillier.Ciphertext
-	Table []pmPayloadEntry
+	Evals []pm.Eval
 }
 
 // pmResult is the mediator's step 7 message to the client: all n+m
-// encrypted values (and payload tables).
+// evaluations with their sealed tuple sets.
 type pmResult struct {
 	Session              string
 	Schema1, Schema2     relation.Schema
 	JoinCols1, JoinCols2 []string
-	Evals1, Evals2       []*paillier.Ciphertext
-	Table1, Table2       []pmPayloadEntry
-	Mode                 PayloadMode
+	Evals1, Evals2       []pm.Eval
 }
 
 // servePM implements a datasource's role in Listing 4: build the
 // polynomial over the active domain of the join attributes, encrypt its
-// coefficients with the client's homomorphic key, then obliviously
-// evaluate the opposite source's polynomial at every own value, masked and
-// carrying the tuple-set payload.
+// coefficients under the client's EC-ElGamal point, then obliviously
+// evaluate the opposite source's polynomial at every own value, masked,
+// with the tuple set sealed under the key only a match decrypts to
+// (footnote 2's out-of-band payload, the only mode). An empty partial
+// result still ships B filler buckets and evaluates nothing.
 func (s *Source) servePM(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, watch *stopwatch) error {
-	if pq.HomomorphicKey == nil || pq.HomomorphicKey.N == nil {
-		return fmt.Errorf("pm: request carries no homomorphic client key")
-	}
-	pk := derivePaillierKey(pq.HomomorphicKey)
-	codec, err := pm.NewCodec(pk)
+	pk, err := ecelgamal.ParsePublicKey(pq.PMKey)
 	if err != nil {
-		return err
+		return fmt.Errorf("pm: request carries no valid client key: %w", err)
 	}
 	groupsByKey, err := rel.GroupByColumns(pq.JoinCols)
 	if err != nil {
 		return err
-	}
-	if len(groupsByKey) == 0 {
-		return fmt.Errorf("pm: relation %s is empty", pq.Relation)
 	}
 	roots := make([]*big.Int, len(groupsByKey))
 	for i, g := range groupsByKey {
@@ -82,11 +65,11 @@ func (s *Source) servePM(conn transport.Conn, pq *PartialQuery, rel *relation.Re
 	}
 	var coeffs pmCoeffs
 	err = watch.phase(telemetry.PhaseSourceEncrypt, func() error {
-		buckets, err := pm.BuildBuckets(roots, pq.Params.Buckets, pk.N)
+		buckets, err := pm.BuildBuckets(roots, pq.Params.Buckets, ecelgamal.Order())
 		if err != nil {
 			return err
 		}
-		enc, err := buckets.Encrypt(pk, pq.Params.Workers)
+		enc, err := buckets.EncryptEC(pk, pq.Params.Workers)
 		if err != nil {
 			return err
 		}
@@ -110,60 +93,23 @@ func (s *Source) servePM(conn transport.Conn, pq *PartialQuery, rel *relation.Re
 	err = watch.phase(telemetry.PhaseCrossEncrypt, func() error {
 		// Section 6: each source learns the opposite polynomial degree(s),
 		// i.e. the opposite active-domain size.
-		oppDegree := int64(0)
-		for _, p := range cross.Buckets.Polys {
-			oppDegree += int64(len(p.Coeffs) - 1)
-		}
-		s.Ledger.Observe(s.party(), "|domactive(opposite)|", oppDegree)
-
-		// Stage 1 (sequential): assemble the packed plaintexts. The hybrid
-		// payload table and its ID counter are shared state, and this stage
-		// is cheap symmetric crypto only.
-		aad := []byte("pm:" + pq.SessionID + ":" + rel.Schema().Relation)
-		var nextID uint64
-		packed := make([]*big.Int, len(groupsByKey))
+		s.Ledger.Observe(s.party(), "|domactive(opposite)|", totalDegree(&cross.Buckets))
+		payloads := make([][]byte, len(groupsByKey))
 		for i, g := range groupsByKey {
-			tuplesBlob := relation.EncodeTupleSet(g.Tuples)
-			var payload []byte
-			switch pq.Params.PayloadMode {
-			case PayloadInline:
-				payload = tuplesBlob
-			case PayloadHybrid:
-				// Footnote 2: pack a fresh session key and an ID; ship the
-				// sealed tuple set out of band.
-				key, err := hybrid.NewSessionKey()
-				if err != nil {
-					return err
-				}
-				nextID++
-				sealed, err := hybrid.SealWithKey(key, tuplesBlob, aad)
-				if err != nil {
-					return err
-				}
-				evals.Table = append(evals.Table, pmPayloadEntry{ID: nextID, Sealed: sealed.Marshal()})
-				var idb [8]byte
-				binary.BigEndian.PutUint64(idb[:], nextID)
-				payload = append(key, idb[:]...)
-				s.Ledger.UsePrimitive(s.party(), "hybrid-encryption", 1)
-			default:
-				return fmt.Errorf("pm: unknown payload mode %d", pq.Params.PayloadMode)
-			}
-			m, err := codec.Pack(roots[i], payload)
-			if err != nil {
-				return err
-			}
-			packed[i] = m
+			payloads[i] = relation.EncodeTupleSet(g.Tuples)
 		}
-		// Stage 2 (parallel): the oblivious evaluations — Θ(max-load)
-		// homomorphic multiply-adds plus a masking and a re-randomization
-		// exponentiation per value — dominate the sender's cost; fan them
-		// out over the worker pool.
-		evals.Evals, err = cross.Buckets.MaskedEvalBatch(pk, roots, packed, pq.Params.Workers)
+		// The oblivious evaluations — Θ(max-load) homomorphic
+		// multiply-adds plus a masking per value — dominate the sender's
+		// cost; MaskedEvalBatch fans them out over the worker pool.
+		aad := []byte("pm:" + pq.SessionID + ":" + rel.Schema().Relation)
+		evals.Evals, err = cross.Buckets.MaskedEvalBatch(pk, roots, payloads, aad, pq.Params.Workers)
 		if err != nil {
 			return err
 		}
-		s.Ledger.UsePrimitive(s.party(), "homomorphic-evaluation", int64(len(groupsByKey)))
-		s.Ledger.UsePrimitive(s.party(), "random-masking", int64(len(groupsByKey)))
+		n := int64(len(groupsByKey))
+		s.Ledger.UsePrimitive(s.party(), "homomorphic-evaluation", n)
+		s.Ledger.UsePrimitive(s.party(), "random-masking", n)
+		s.Ledger.UsePrimitive(s.party(), "hybrid-encryption", n)
 		// Shuffle the evaluations so positions carry no join-order signal.
 		return shuffleSlice(evals.Evals)
 	})
@@ -176,9 +122,9 @@ func (s *Source) servePM(conn transport.Conn, pq *PartialQuery, rel *relation.Re
 // mediatePM implements the mediator's role: forward the encrypted
 // coefficients to the opposite source (step 4) and ship the n+m encrypted
 // evaluations to the client (step 7). The mediator never decrypts
-// anything; it only observes polynomial degrees.
+// anything; it only observes the bucket count and degree.
 // seclint:entry mediator
-func (m *Mediator) mediatePM(client, s1, s2 transport.Conn, d *decomposition, params Params, watch *stopwatch) error {
+func (m *Mediator) mediatePM(client, s1, s2 transport.Conn, d *decomposition, watch *stopwatch) error {
 	var c1, c2 pmCoeffs
 	if err := recvInto(s1, "source:"+d.rel1, msgPMCoeffs, &c1); err != nil {
 		return err
@@ -186,8 +132,9 @@ func (m *Mediator) mediatePM(client, s1, s2 transport.Conn, d *decomposition, pa
 	if err := recvInto(s2, "source:"+d.rel2, msgPMCoeffs, &c2); err != nil {
 		return err
 	}
-	// Table 1: the mediator learns the polynomial degrees, hence the
-	// active-domain sizes.
+	// Table 1: the mediator learns the bucket count B and the uniform
+	// bucket degree (the maximum load); at B = 1 the degree is the
+	// active-domain size.
 	m.Ledger.Observe(leakage.PartyMediator, "|domactive(R1.Ajoin)|", totalDegree(&c1.Buckets))
 	m.Ledger.Observe(leakage.PartyMediator, "|domactive(R2.Ajoin)|", totalDegree(&c2.Buckets))
 
@@ -209,50 +156,40 @@ func (m *Mediator) mediatePM(client, s1, s2 transport.Conn, d *decomposition, pa
 		Schema1: c1.Schema, Schema2: c2.Schema,
 		JoinCols1: d.joinCols1, JoinCols2: d.joinCols2,
 		Evals1: e1.Evals, Evals2: e2.Evals,
-		Table1: e1.Table, Table2: e2.Table,
-		Mode: params.PayloadMode,
 	})
 }
 
-func totalDegree(b *pm.EncryptedBuckets) int64 {
+func totalDegree(b *pm.ECBuckets) int64 {
 	var total int64
 	for _, p := range b.Polys {
-		total += int64(len(p.Coeffs) - 1)
+		total += int64(len(p) - 1)
 	}
 	return total
 }
 
-// pmSide is one decrypted, matched side of the PM result: root → tuple set.
+// pmSide is one opened side of the PM result: root → tuple set.
 type pmSide map[string][]relation.Tuple
 
-// runPM implements the client's step 8: decrypt all n+m values, keep those
-// of the form (a ‖ payload), match equal roots across the two sides and
-// cross-combine the tuple sets.
-func (c *Client) runPM(conn transport.Conn, params Params, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+// runPM implements the client's step 8: decrypt all n+m evaluations under
+// the query's ephemeral key, open the blobs that match, match equal roots
+// across the two sides and cross-combine the tuple sets.
+func (c *Client) runPM(conn transport.Conn, sk *ecelgamal.PrivateKey, params Params, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res pmResult
 	if err := recvInto(conn, "mediator", msgPMResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
-	hk, err := c.HomomorphicKey(params.PaillierBits)
-	if err != nil {
-		return nil, relation.Schema{}, nil, err
-	}
-	codec, err := pm.NewCodec(&hk.PublicKey)
-	if err != nil {
-		return nil, relation.Schema{}, nil, err
-	}
 	var joined *relation.Relation
-	err = watch.phase(telemetry.PhasePostFilter, func() error {
+	err := watch.phase(telemetry.PhasePostFilter, func() error {
 		// Table 1: the client receives encrypted values of both partial
 		// results (n+m of them) but can open only the matching ones.
 		c.Ledger.Observe(leakage.PartyClient, "encrypted-values-received", int64(len(res.Evals1)+len(res.Evals2)))
 		c.Ledger.UsePrimitive(leakage.PartyClient, "homomorphic-decryption", int64(len(res.Evals1)+len(res.Evals2)))
 
-		side1, err := c.openPMSide(hk, codec, res.Evals1, res.Table1, params, res.Session, res.Schema1)
+		side1, err := openPMSide(sk, res.Evals1, params.Workers, res.Session, res.Schema1)
 		if err != nil {
 			return err
 		}
-		side2, err := c.openPMSide(hk, codec, res.Evals2, res.Table2, params, res.Session, res.Schema2)
+		side2, err := openPMSide(sk, res.Evals2, params.Workers, res.Session, res.Schema2)
 		if err != nil {
 			return err
 		}
@@ -286,61 +223,35 @@ func (c *Client) runPM(conn transport.Conn, params Params, watch *stopwatch) (*r
 	return joined, res.Schema2, res.JoinCols2, nil
 }
 
-// openPMSide decrypts one source's evaluations and returns the decodable
-// (i.e. matching) entries keyed by root.
-func (c *Client) openPMSide(hk *paillier.PrivateKey, codec *pm.Codec, evals []*paillier.Ciphertext, table []pmPayloadEntry, params Params, session string, schema relation.Schema) (pmSide, error) {
-	mode := params.PayloadMode
-	relName := schema.Relation
-	byID := make(map[uint64][]byte, len(table))
-	for _, e := range table {
-		byID[e.ID] = e.Sealed
-	}
-	aad := []byte("pm:" + session + ":" + relName)
-	// The Paillier decryptions (one n-bit exponentiation each) dwarf the
-	// unpack/unseal work, so only they fan out over the worker pool; the
-	// side map is then assembled sequentially.
-	plains, err := parallel.Map(len(evals), params.Workers, func(i int) (*big.Int, error) {
-		return hk.Decrypt(evals[i])
+// pmOpened is one evaluation after decryption: ok marks a match.
+type pmOpened struct {
+	root    *big.Int
+	payload []byte
+	ok      bool
+}
+
+// openPMSide decrypts one source's evaluations and returns the matching
+// entries keyed by root. A blob that does not open is a non-match; a
+// ciphertext that is not two curve points aborts the query.
+func openPMSide(sk *ecelgamal.PrivateKey, evals []pm.Eval, workers int, session string, schema relation.Schema) (pmSide, error) {
+	aad := []byte("pm:" + session + ":" + schema.Relation)
+	opened, err := parallel.Map(len(evals), workers, func(i int) (pmOpened, error) {
+		root, payload, ok, err := pm.OpenEval(sk, evals[i], aad)
+		return pmOpened{root, payload, ok}, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	side := make(pmSide)
-	for _, m := range plains {
-		root, payload, ok := codec.Unpack(m)
-		if !ok {
-			continue // non-matching value: decrypts to randomness
+	for _, o := range opened {
+		if !o.ok {
+			continue // non-matching value: decrypts to a random point
 		}
-		var tuplesBlob []byte
-		switch mode {
-		case PayloadInline:
-			tuplesBlob = payload
-		case PayloadHybrid:
-			if len(payload) != hybrid.SessionKeyLen+8 {
-				return nil, fmt.Errorf("pm: hybrid payload has %d bytes, want %d", len(payload), hybrid.SessionKeyLen+8)
-			}
-			key := payload[:hybrid.SessionKeyLen]
-			id := binary.BigEndian.Uint64(payload[hybrid.SessionKeyLen:])
-			sealed, ok := byID[id]
-			if !ok {
-				return nil, fmt.Errorf("pm: payload table has no entry %d", id)
-			}
-			ct, err := hybrid.UnmarshalCiphertext(sealed)
-			if err != nil {
-				return nil, err
-			}
-			tuplesBlob, err = hybrid.OpenWithKey(key, ct, aad)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("pm: unknown payload mode %d", mode)
-		}
-		tuples, err := relation.DecodeTupleSet(schema, tuplesBlob)
+		tuples, err := relation.DecodeTupleSet(schema, o.payload)
 		if err != nil {
 			return nil, err
 		}
-		side[root.String()] = tuples
+		side[o.root.String()] = tuples
 	}
 	return side, nil
 }

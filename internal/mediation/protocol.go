@@ -72,27 +72,16 @@ func (p Protocol) String() string {
 	}
 }
 
-// PayloadMode selects how the PM protocol carries tuple sets.
+// PayloadMode named the PM tuple-set transport.
+//
+// Deprecated: PM always seals tuple sets out of band (footnote 2), the
+// only mode EC-ElGamal allows. Nothing in the protocol reads it.
 type PayloadMode uint8
 
-const (
-	// PayloadInline packs the serialized tuple set directly into the
-	// masked polynomial evaluation (Listing 4 as written). Limited by the
-	// Paillier plaintext size.
-	PayloadInline PayloadMode = iota
-	// PayloadHybrid implements footnote 2: the polynomial carries a fresh
-	// session key and an ID; the tuple set travels separately, sealed
-	// under that session key.
-	PayloadHybrid
-)
-
-// String names the payload mode.
-func (m PayloadMode) String() string {
-	if m == PayloadHybrid {
-		return "hybrid"
-	}
-	return "inline"
-}
+// PayloadHybrid was footnote 2's out-of-band payload mode.
+//
+// Deprecated: it is what PM always does.
+const PayloadHybrid PayloadMode = 1
 
 // Params tunes the delivery-phase protocols. The zero value selects sane
 // defaults (see withDefaults).
@@ -110,12 +99,15 @@ type Params struct {
 	// mediator retains the encrypted tuple sets and circulates fixed-
 	// length IDs instead.
 	IDMode bool
-	// PayloadMode selects the PM tuple-set transport.
+	// PayloadMode is ignored.
+	//
+	// Deprecated: PM has one payload mode.
 	PayloadMode PayloadMode
 	// Buckets is the FNP bucketing parameter for PM; 0 or 1 means one
 	// polynomial over the whole active domain.
 	Buckets int
-	// PaillierBits is the PM key size; the client generates the key.
+	// PaillierBits is the key size of encrypted aggregation; the client
+	// generates the key.
 	PaillierBits int
 	// Workers bounds the worker pool every party uses for its per-value
 	// crypto hot loops (hash+encrypt+seal, re-encryption, oblivious

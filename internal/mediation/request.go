@@ -15,14 +15,18 @@ import (
 // SQL text, the credential set CR, and the chosen delivery protocol. For
 // the PM protocol the client's homomorphic public key rides along, which
 // models the paper's "this key is distributed with the client's
-// credentials".
+// credentials"; it is drawn fresh for every query.
 type Request struct {
 	SQL         string
 	Credentials credential.Set
 	Protocol    Protocol
 	Params      Params
-	// HomomorphicKey is the client's Paillier public key (PM only).
+	// HomomorphicKey is the client's Paillier public key (aggregation
+	// only).
 	HomomorphicKey *paillier.PublicKey
+	// PMKey is the compressed EC-ElGamal point of the query's ephemeral
+	// PM key (PM only).
+	PMKey []byte
 }
 
 // PartialQuery is the mediator's message to a datasource (Listing 1,
@@ -47,8 +51,10 @@ type PartialQuery struct {
 	// Protocol and Params mirror the client's request.
 	Protocol Protocol
 	Params   Params
-	// HomomorphicKey is forwarded for the PM protocol.
+	// HomomorphicKey is forwarded for aggregation, PMKey for the PM
+	// protocol.
 	HomomorphicKey *paillier.PublicKey
+	PMKey          []byte
 	// Aggregate is set for aggregation partial queries (the extension of
 	// internal/mediation/aggproto.go).
 	Aggregate *sqlparse.AggregateSpec

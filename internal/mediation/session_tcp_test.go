@@ -153,6 +153,11 @@ func TestSessionTCPOverlappingRuns(t *testing.T) {
 	if failed > 0 {
 		t.Fatalf("%d/%d overlapping runs failed", failed, runs)
 	}
+	// The server counts a session once its handler returns, which can be
+	// just after the client already holds the result.
+	for deadline := time.Now().Add(5 * time.Second); reg.Counter("sessions_completed").Value() < runs && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
 	if got := reg.Counter("sessions_completed").Value(); got < runs {
 		t.Errorf("mediator completed %d sessions, want >= %d", got, runs)
 	}

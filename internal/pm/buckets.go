@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"math/big"
 
-	"github.com/secmediation/secmediation/internal/crypto/paillier"
+	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	"github.com/secmediation/secmediation/internal/parallel"
 )
 
@@ -34,13 +34,11 @@ type Buckets struct {
 
 // BuildBuckets distributes the roots over b buckets and pads every bucket
 // with random filler roots (negligibly likely to collide with a real value
-// root) up to the maximum load.
+// root) up to the maximum load. An empty root set gives b filler buckets
+// of load 1, which look like those of any one-value domain.
 func BuildBuckets(roots []*big.Int, b int, n *big.Int) (*Buckets, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("pm: bucket count %d < 1", b)
-	}
-	if len(roots) == 0 {
-		return nil, fmt.Errorf("pm: no roots")
 	}
 	groups := make([][]*big.Int, b)
 	for _, r := range roots {
@@ -76,60 +74,97 @@ func BuildBuckets(roots []*big.Int, b int, n *big.Int) (*Buckets, error) {
 // MaxDegree returns the uniform per-bucket polynomial degree.
 func (b *Buckets) MaxDegree() int { return b.Polys[0].Degree() }
 
-// EncryptedBuckets is the ciphertext form shipped to the sender.
-type EncryptedBuckets struct {
-	Polys []*EncryptedPolynomial
+// ECBuckets is the encrypted form the chooser ships to the sender:
+// Polys[i][k] is the ecelgamal ciphertext (ecelgamal.CiphertextSize
+// bytes) of bucket i's coefficient c_k.
+type ECBuckets struct {
+	Polys [][][]byte
 }
 
-// Encrypt encrypts every bucket polynomial. The (bucket, coefficient)
-// space is flattened before fanning out over the worker pool, so the pool
-// stays evenly loaded whether the parameters give one huge polynomial or
-// many low-degree ones.
-func (b *Buckets) Encrypt(pk *paillier.PublicKey, workers int) (*EncryptedBuckets, error) {
-	if pk.N.Cmp(b.N) != 0 {
-		return nil, fmt.Errorf("pm: bucket modulus differs from key modulus")
+// EncryptEC encrypts every bucket polynomial under the client's point.
+// The (bucket, coefficient) space is flattened before fanning out over
+// the worker pool, so the pool stays evenly loaded whether the parameters
+// give one huge polynomial or many low-degree ones.
+func (b *Buckets) EncryptEC(pk *ecelgamal.PublicKey, workers int) (*ECBuckets, error) {
+	if b.N.Cmp(ecelgamal.Order()) != 0 {
+		return nil, fmt.Errorf("pm: bucket modulus is not the group order")
 	}
 	stride := b.MaxDegree() + 1 // every bucket is padded to uniform degree
-	plain := make([]*big.Int, len(b.Polys)*stride)
-	for i := range plain {
-		plain[i] = b.Polys[i/stride].Coeffs[i%stride]
-	}
-	flat, err := pk.EncryptBatch(rand.Reader, plain, workers)
+	flat, err := parallel.Map(len(b.Polys)*stride, workers, func(i int) ([]byte, error) {
+		c, err := pk.Encrypt(rand.Reader, b.Polys[i/stride].Coeffs[i%stride])
+		if err != nil {
+			return nil, err
+		}
+		return c.Bytes(), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := &EncryptedBuckets{Polys: make([]*EncryptedPolynomial, len(b.Polys))}
-	for i := range b.Polys {
-		out.Polys[i] = &EncryptedPolynomial{Coeffs: flat[i*stride : (i+1)*stride]}
+	out := &ECBuckets{Polys: make([][][]byte, len(b.Polys))}
+	for i := range out.Polys {
+		out.Polys[i] = flat[i*stride : (i+1)*stride]
 	}
 	return out, nil
 }
 
-// MaskedEval evaluates against the bucket the root belongs to.
-func (eb *EncryptedBuckets) MaskedEval(pk *paillier.PublicKey, a, m *big.Int) (*paillier.Ciphertext, error) {
-	if len(eb.Polys) == 0 {
-		return nil, fmt.Errorf("pm: empty encrypted buckets")
-	}
-	i := BucketIndex(a, len(eb.Polys))
-	return eb.Polys[i].MaskedEval(pk, a, m)
+// Eval is one masked evaluation e and the payload blob sealed under the
+// key its match decrypts to.
+type Eval struct {
+	Cipher []byte
+	Sealed []byte
 }
 
-// MaskedEvalBatch runs MaskedEval for every (root, message) pair across a
-// worker pool (workers as in parallel.Resolve), preserving order — the
-// sender-side hot loop of the PM protocol's oblivious-evaluation step.
-// The key's fixed-base randomizer table is built eagerly before the pool
-// starts, so each evaluation's mask-and-rerandomize encryptions are
-// windowed table lookups instead of full-width exponentiations.
-func (eb *EncryptedBuckets) MaskedEvalBatch(pk *paillier.PublicKey, as, ms []*big.Int, workers int) ([]*paillier.Ciphertext, error) {
-	if len(as) != len(ms) {
-		return nil, fmt.Errorf("pm: %d roots but %d messages", len(as), len(ms))
+// MaskedEvalBatch is the sender's step 5/6: for every own root a′ with
+// its payload, evaluate the bucket polynomial a′ falls into by Horner's
+// rule over ciphertexts, and return e = r·E(P(a′)) + E(s) for fresh
+// nonzero r and s (E's fresh ρ re-randomizes e) with the blob
+// SealPayload(s·G, a′, payload, aad). Order is preserved across the
+// worker pool. Every coefficient is decoded, and so validated, once
+// before any evaluation; a malformed one is an error.
+func (eb *ECBuckets) MaskedEvalBatch(pk *ecelgamal.PublicKey, roots []*big.Int, payloads [][]byte, aad []byte, workers int) ([]Eval, error) {
+	if len(roots) != len(payloads) {
+		return nil, fmt.Errorf("pm: %d roots but %d payloads", len(roots), len(payloads))
 	}
-	if len(as) > 1 {
-		if err := pk.Precompute(rand.Reader); err != nil {
-			return nil, err
+	if len(eb.Polys) == 0 {
+		return nil, fmt.Errorf("pm: no encrypted buckets")
+	}
+	polys := make([][]*ecelgamal.Ciphertext, len(eb.Polys))
+	for i, p := range eb.Polys {
+		if len(p) == 0 {
+			return nil, fmt.Errorf("pm: encrypted bucket %d has no coefficients", i)
+		}
+		polys[i] = make([]*ecelgamal.Ciphertext, len(p))
+		for k, c := range p {
+			ct, err := ecelgamal.DecodeCiphertext(c)
+			if err != nil {
+				return nil, fmt.Errorf("pm: bucket %d coefficient %d: %w", i, k, err)
+			}
+			polys[i][k] = ct
 		}
 	}
-	return parallel.Map(len(as), workers, func(i int) (*paillier.Ciphertext, error) {
-		return eb.MaskedEval(pk, as[i], ms[i])
+	return parallel.Map(len(roots), workers, func(i int) (Eval, error) {
+		a := roots[i]
+		coeffs := polys[BucketIndex(a, len(polys))]
+		acc := coeffs[len(coeffs)-1]
+		for k := len(coeffs) - 2; k >= 0; k-- {
+			acc = ecelgamal.Add(ecelgamal.ScalarMul(acc, a), coeffs[k])
+		}
+		r, err := ecelgamal.RandomScalar(rand.Reader)
+		if err != nil {
+			return Eval{}, err
+		}
+		s, err := ecelgamal.RandomScalar(rand.Reader)
+		if err != nil {
+			return Eval{}, err
+		}
+		es, err := pk.Encrypt(rand.Reader, s)
+		if err != nil {
+			return Eval{}, err
+		}
+		sealed, err := SealPayload(ecelgamal.BaseMul(s), a, payloads[i], aad)
+		if err != nil {
+			return Eval{}, err
+		}
+		return Eval{Cipher: ecelgamal.Add(ecelgamal.ScalarMul(acc, r), es).Bytes(), Sealed: sealed}, nil
 	})
 }

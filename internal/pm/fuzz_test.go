@@ -1,41 +1,35 @@
 package pm
 
 import (
-	"crypto/rand"
+	"bytes"
 	"math/big"
 	"testing"
 
-	"github.com/secmediation/secmediation/internal/crypto/paillier"
+	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 )
 
-// FuzzUnpack: Unpack over arbitrary integers must never panic and must
-// only accept properly tagged messages.
+// FuzzUnpack: opening arbitrary bytes as a sealed payload never panics,
+// and nothing but the one genuinely sealed blob opens under its key.
 func FuzzUnpack(f *testing.F) {
-	key, err := paillier.GenerateKey(rand.Reader, 512)
+	point := ecelgamal.BaseMul(big.NewInt(12345))
+	aad := []byte("pm:fuzz")
+	valid, err := SealPayload(point, big.NewInt(12345), []byte("payload"), aad)
 	if err != nil {
 		f.Fatal(err)
 	}
-	codec, err := NewCodec(&key.PublicKey)
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid, _ := codec.Pack(big.NewInt(12345), []byte("payload"))
-	f.Add(valid.Bytes())
+	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := new(big.Int).SetBytes(data)
-		root, payload, ok := codec.Unpack(m)
+		root, payload, ok := OpenPayload(point, data, aad)
 		if !ok {
 			return
 		}
-		// Anything accepted must repack to the same integer.
-		re, err := codec.Pack(root, payload)
-		if err != nil {
-			t.Fatalf("accepted message does not repack: %v", err)
+		if !bytes.Equal(data, valid) {
+			t.Fatalf("forged blob %x opened", data)
 		}
-		if re.Cmp(m) != 0 {
-			t.Fatal("repacked message differs")
+		if root.Cmp(big.NewInt(12345)) != 0 || string(payload) != "payload" {
+			t.Fatal("sealed blob opened to other contents")
 		}
 	})
 }

@@ -1,31 +1,60 @@
 package pm
 
 import (
+	"bytes"
 	"crypto/rand"
 	"math/big"
-	"sync"
 	"testing"
 	"testing/quick"
 
+	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	"github.com/secmediation/secmediation/internal/crypto/paillier"
 	rel "github.com/secmediation/secmediation/internal/relation"
 )
 
-var (
-	keyOnce sync.Once
-	tk      *paillier.PrivateKey
-)
+// q is the coefficient modulus the protocol uses.
+var q = ecelgamal.Order()
 
-func testKey(t testing.TB) *paillier.PrivateKey {
+func testKey(t testing.TB) (*ecelgamal.PrivateKey, *ecelgamal.PublicKey) {
 	t.Helper()
-	keyOnce.Do(func() {
-		var err error
-		tk, err = paillier.GenerateKey(rand.Reader, 512)
-		if err != nil {
-			panic(err)
-		}
-	})
-	return tk
+	sk, err := ecelgamal.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, err := ecelgamal.ParsePublicKey(sk.PublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sk, pk
+}
+
+func encryptBuckets(t testing.TB, pk *ecelgamal.PublicKey, roots []*big.Int, b int) *ECBuckets {
+	t.Helper()
+	bs, err := BuildBuckets(roots, b, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := bs.EncryptEC(pk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eb
+}
+
+// openOne masked-evaluates eb at one root with payload and opens the
+// result as the client does.
+func openOne(t testing.TB, sk *ecelgamal.PrivateKey, pk *ecelgamal.PublicKey, eb *ECBuckets, root *big.Int, payload []byte) (*big.Int, []byte, bool) {
+	t.Helper()
+	aad := []byte("pm:test")
+	evals, err := eb.MaskedEvalBatch(pk, []*big.Int{root}, [][]byte{payload}, aad, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, p, ok, err := OpenEval(sk, evals[0], aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, p, ok
 }
 
 func TestRootOfValueDeterministicAndDistinct(t *testing.T) {
@@ -45,9 +74,8 @@ func TestRootOfValueDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestFromRootsHasExactRoots(t *testing.T) {
-	k := testKey(t)
 	roots := []*big.Int{RootOfValue(rel.Int(1)), RootOfValue(rel.Int(2)), RootOfValue(rel.Int(3))}
-	p, err := FromRoots(roots, k.N)
+	p, err := FromRoots(roots, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +90,7 @@ func TestFromRootsHasExactRoots(t *testing.T) {
 	if p.Eval(RootOfValue(rel.Int(99))).Sign() == 0 {
 		t.Error("P(non-root) == 0")
 	}
-	if _, err := FromRoots(nil, k.N); err == nil {
+	if _, err := FromRoots(nil, q); err == nil {
 		t.Error("empty root list accepted")
 	}
 }
@@ -70,7 +98,6 @@ func TestFromRootsHasExactRoots(t *testing.T) {
 // Property: FromRoots is a correct expansion — P(x) = Π(a_i − x) for
 // random evaluation points.
 func TestFromRootsMatchesProductForm(t *testing.T) {
-	k := testKey(t)
 	f := func(rootSeeds []uint16, xSeed uint32) bool {
 		if len(rootSeeds) == 0 || len(rootSeeds) > 12 {
 			return true
@@ -79,7 +106,7 @@ func TestFromRootsMatchesProductForm(t *testing.T) {
 		for i, s := range rootSeeds {
 			roots[i] = big.NewInt(int64(s))
 		}
-		p, err := FromRoots(roots, k.N)
+		p, err := FromRoots(roots, q)
 		if err != nil {
 			return false
 		}
@@ -88,7 +115,7 @@ func TestFromRootsMatchesProductForm(t *testing.T) {
 		for _, a := range roots {
 			f := new(big.Int).Sub(a, x)
 			want.Mul(want, f)
-			want.Mod(want, k.N)
+			want.Mod(want, q)
 		}
 		return p.Eval(x).Cmp(want) == 0
 	}
@@ -97,130 +124,125 @@ func TestFromRootsMatchesProductForm(t *testing.T) {
 	}
 }
 
+// The homomorphic Horner evaluation decrypts to P(x)·G, checked against
+// the plaintext polynomial.
 func TestEncryptedEvaluationMatchesPlain(t *testing.T) {
-	k := testKey(t)
+	sk, pk := testKey(t)
 	roots := []*big.Int{big.NewInt(11), big.NewInt(22), big.NewInt(33)}
-	p, _ := FromRoots(roots, k.N)
-	ep, err := p.Encrypt(&k.PublicKey, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, _ := FromRoots(roots, q)
+	eb := encryptBuckets(t, pk, roots, 1)
 	for _, x := range []*big.Int{big.NewInt(11), big.NewInt(5), big.NewInt(1 << 30)} {
-		ct, err := ep.EvalEncrypted(&k.PublicKey, x)
+		coeffs := make([]*ecelgamal.Ciphertext, len(eb.Polys[0]))
+		for k, c := range eb.Polys[0] {
+			ct, err := ecelgamal.DecodeCiphertext(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coeffs[k] = ct
+		}
+		acc := coeffs[len(coeffs)-1]
+		for k := len(coeffs) - 2; k >= 0; k-- {
+			acc = ecelgamal.Add(ecelgamal.ScalarMul(acc, x), coeffs[k])
+		}
+		// Adding E(1) keeps a root's P(x)·G off the identity, which has no
+		// compressed form.
+		one, err := pk.Encrypt(rand.Reader, big.NewInt(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := k.Decrypt(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(p.Eval(x)) != 0 {
-			t.Errorf("E-eval(%v) = %v, plain = %v", x, got, p.Eval(x))
+		want := new(big.Int).Add(p.Eval(x), big.NewInt(1))
+		if !bytes.Equal(sk.Decrypt(ecelgamal.Add(acc, one)), ecelgamal.BaseMul(want)) {
+			t.Errorf("E-eval(%v) does not decrypt to P(%v)·G", x, x)
 		}
 	}
 }
 
+// EncryptEC refuses polynomials over any modulus but the group order;
+// the Paillier form keeps its own key-modulus check.
 func TestEncryptModulusMismatch(t *testing.T) {
-	k := testKey(t)
-	p, _ := FromRoots([]*big.Int{big.NewInt(5)}, big.NewInt(999983))
-	if _, err := p.Encrypt(&k.PublicKey, 1); err == nil {
+	_, pk := testKey(t)
+	bs, err := BuildBuckets([]*big.Int{big.NewInt(5)}, 1, big.NewInt(999983))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bs.EncryptEC(pk, 1); err == nil {
 		t.Error("modulus mismatch accepted")
 	}
+	small, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bs.Encrypt(&small.PublicKey, 1); err == nil {
+		t.Error("Paillier modulus mismatch accepted")
+	}
 }
 
+// A masked evaluation at a root of the chooser's polynomial opens to its
+// root and payload; at a non-root it does not open.
 func TestMaskedEvalRootRevealsPayload(t *testing.T) {
-	k := testKey(t)
-	codec, err := NewCodec(&k.PublicKey)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sk, pk := testKey(t)
 	v1, v2 := rel.Int(100), rel.Int(200)
-	roots := []*big.Int{RootOfValue(v1), RootOfValue(v2)}
-	p, _ := FromRoots(roots, k.N)
-	ep, _ := p.Encrypt(&k.PublicKey, 1)
+	eb := encryptBuckets(t, pk, []*big.Int{RootOfValue(v1), RootOfValue(v2)}, 1)
 
-	// Root hit: payload recoverable.
-	m, err := codec.PackValue(v1, []byte("tuples-of-100"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := ep.MaskedEval(&k.PublicKey, RootOfValue(v1), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := k.Decrypt(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, payload, ok := codec.Unpack(dec)
+	root, payload, ok := openOne(t, sk, pk, eb, RootOfValue(v1), []byte("tuples-of-100"))
 	if !ok || string(payload) != "tuples-of-100" || root.Cmp(RootOfValue(v1)) != 0 {
-		t.Errorf("root-hit unpack: ok=%v payload=%q", ok, payload)
+		t.Errorf("root hit: ok=%v payload=%q", ok, payload)
 	}
-
-	// Non-root: decryption is garbage and Unpack rejects it.
-	v3 := rel.Int(300)
-	m3, _ := codec.PackValue(v3, []byte("tuples-of-300"))
-	ct3, err := ep.MaskedEval(&k.PublicKey, RootOfValue(v3), m3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec3, _ := k.Decrypt(ct3)
-	if _, _, ok := codec.Unpack(dec3); ok {
-		t.Error("non-root masked eval unpacked as valid (2^-64 event)")
+	if _, _, ok := openOne(t, sk, pk, eb, RootOfValue(rel.Int(300)), []byte("tuples-of-300")); ok {
+		t.Error("non-root masked eval opened (2^-128 event)")
 	}
 }
 
+// The sealed-payload codec round-trips root ‖ payload under the point's
+// key.
 func TestCodecPackUnpackRoundtrip(t *testing.T) {
-	k := testKey(t)
-	codec, _ := NewCodec(&k.PublicKey)
+	point := ecelgamal.BaseMul(big.NewInt(77))
+	aad := []byte("pm:s:R1")
 	f := func(id int64, payload []byte) bool {
-		if len(payload) > codec.MaxPayload() {
-			payload = payload[:codec.MaxPayload()]
-		}
-		m, err := codec.PackValue(rel.Int(id), payload)
+		sealed, err := SealPayload(point, RootOfValue(rel.Int(id)), payload, aad)
 		if err != nil {
 			return false
 		}
-		root, got, ok := codec.Unpack(m)
-		if !ok || root.Cmp(RootOfValue(rel.Int(id))) != 0 {
-			return false
-		}
-		if len(got) != len(payload) {
-			return false
-		}
-		for i := range got {
-			if got[i] != payload[i] {
-				return false
-			}
-		}
-		return true
+		root, got, ok := OpenPayload(point, sealed, aad)
+		return ok && root.Cmp(RootOfValue(rel.Int(id))) == 0 && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
+// The sealed-payload codec rejects the wrong key, the wrong associated
+// data, truncations, random bytes and out-of-range roots.
 func TestCodecRejects(t *testing.T) {
-	k := testKey(t)
-	codec, _ := NewCodec(&k.PublicKey)
-	// Oversized payload.
-	if _, err := codec.PackValue(rel.Int(1), make([]byte, codec.MaxPayload()+1)); err == nil {
-		t.Error("oversized payload packed")
+	point := ecelgamal.BaseMul(big.NewInt(77))
+	aad := []byte("pm:s:R1")
+	sealed, err := SealPayload(point, RootOfValue(rel.Int(1)), []byte("payload"), aad)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Random plaintexts unpack as garbage.
-	for i := 0; i < 50; i++ {
-		r, _ := k.RandomPlaintext(rand.Reader)
-		if _, _, ok := codec.Unpack(r); ok {
-			t.Fatal("random plaintext unpacked as valid")
+	if _, _, ok := OpenPayload(ecelgamal.BaseMul(big.NewInt(78)), sealed, aad); ok {
+		t.Error("opened under another point's key")
+	}
+	if _, _, ok := OpenPayload(point, sealed, []byte("pm:s:R2")); ok {
+		t.Error("opened under other associated data")
+	}
+	for n := 0; n < len(sealed); n += 7 {
+		if _, _, ok := OpenPayload(point, sealed[:n], aad); ok {
+			t.Fatalf("%d-byte truncation opened", n)
 		}
 	}
-	// Negative and oversized integers rejected.
-	if _, _, ok := codec.Unpack(big.NewInt(-1)); ok {
-		t.Error("negative unpacked")
+	for i := 0; i < 50; i++ {
+		junk := make([]byte, len(sealed))
+		rand.Read(junk)
+		if _, _, ok := OpenPayload(point, junk, aad); ok {
+			t.Fatal("random bytes opened")
+		}
 	}
-	huge := new(big.Int).Lsh(big.NewInt(1), uint(8*codec.Width+1))
-	if _, _, ok := codec.Unpack(huge); ok {
-		t.Error("oversized unpacked")
+	if _, err := SealPayload(point, big.NewInt(-1), nil, aad); err == nil {
+		t.Error("negative root sealed")
+	}
+	if _, err := SealPayload(point, new(big.Int).Lsh(big.NewInt(1), 8*RootBytes), nil, aad); err == nil {
+		t.Error("oversized root sealed")
 	}
 }
 
@@ -235,13 +257,12 @@ func TestNewCodecSmallKey(t *testing.T) {
 }
 
 func TestBucketsEndToEnd(t *testing.T) {
-	k := testKey(t)
-	codec, _ := NewCodec(&k.PublicKey)
+	sk, pk := testKey(t)
 	var roots []*big.Int
 	for i := 0; i < 20; i++ {
 		roots = append(roots, RootOfValue(rel.Int(int64(i))))
 	}
-	bs, err := BuildBuckets(roots, 5, k.N)
+	bs, err := BuildBuckets(roots, 5, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,35 +275,36 @@ func TestBucketsEndToEnd(t *testing.T) {
 			t.Error("bucket degrees not uniform (loads leak)")
 		}
 	}
-	eb, err := bs.Encrypt(&k.PublicKey, 1)
+	eb, err := bs.EncryptEC(pk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Match: value 7 is in the chooser set.
-	m, _ := codec.PackValue(rel.Int(7), []byte("p7"))
-	ct, err := eb.MaskedEval(&k.PublicKey, RootOfValue(rel.Int(7)), m)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range eb.Polys {
+		for _, c := range p {
+			if len(c) != ecelgamal.CiphertextSize {
+				t.Fatalf("coefficient ciphertext is %d bytes", len(c))
+			}
+		}
 	}
-	dec, _ := k.Decrypt(ct)
-	if _, payload, ok := codec.Unpack(dec); !ok || string(payload) != "p7" {
+	if _, payload, ok := openOne(t, sk, pk, eb, RootOfValue(rel.Int(7)), []byte("p7")); !ok || string(payload) != "p7" {
 		t.Errorf("bucketed match failed: ok=%v payload=%q", ok, payload)
 	}
-	// Non-match.
-	m2, _ := codec.PackValue(rel.Int(999), []byte("p999"))
-	ct2, _ := eb.MaskedEval(&k.PublicKey, RootOfValue(rel.Int(999)), m2)
-	dec2, _ := k.Decrypt(ct2)
-	if _, _, ok := codec.Unpack(dec2); ok {
-		t.Error("bucketed non-match unpacked as valid")
+	if _, _, ok := openOne(t, sk, pk, eb, RootOfValue(rel.Int(999)), []byte("p999")); ok {
+		t.Error("bucketed non-match opened")
 	}
 }
 
+// An empty root set is B filler buckets of load 1; zero buckets is an
+// error.
 func TestBuildBucketsValidation(t *testing.T) {
-	k := testKey(t)
-	if _, err := BuildBuckets(nil, 3, k.N); err == nil {
-		t.Error("no roots accepted")
+	bs, err := BuildBuckets(nil, 3, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := BuildBuckets([]*big.Int{big.NewInt(1)}, 0, k.N); err == nil {
+	if len(bs.Polys) != 3 || bs.MaxDegree() != 1 {
+		t.Errorf("empty domain gave %d buckets of degree %d, want 3 of degree 1", len(bs.Polys), bs.MaxDegree())
+	}
+	if _, err := BuildBuckets([]*big.Int{big.NewInt(1)}, 0, q); err == nil {
 		t.Error("0 buckets accepted")
 	}
 }
@@ -301,74 +323,91 @@ func TestBucketIndexStable(t *testing.T) {
 	}
 }
 
+// Flipping any bit of the sealed blob — nonce, ciphertext or GCM tag —
+// makes it fail to open: the tag replaces the old 64-bit codec tag.
 func TestUnpackRejectsTamperedTag(t *testing.T) {
-	k := testKey(t)
-	codec, _ := NewCodec(&k.PublicKey)
-	m, err := codec.PackValue(rel.Int(7), []byte("payload"))
+	point := ecelgamal.BaseMul(big.NewInt(5))
+	aad := []byte("pm:s:R1")
+	sealed, err := SealPayload(point, RootOfValue(rel.Int(7)), []byte("payload"), aad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, codec.Width)
-	m.FillBytes(buf)
-	// Flipping any bit of the embedded tag must make the (constant-time)
-	// tag check reject the message.
-	for i := RootBytes; i < RootBytes+tagBytes; i++ {
-		tampered := make([]byte, len(buf))
-		copy(tampered, buf)
+	for i := range sealed {
+		tampered := bytes.Clone(sealed)
 		tampered[i] ^= 0x01
-		if _, _, ok := codec.Unpack(new(big.Int).SetBytes(tampered)); ok {
-			t.Fatalf("tampered tag byte %d accepted", i)
+		if _, _, ok := OpenPayload(point, tampered, aad); ok {
+			t.Fatalf("tampered byte %d opened", i)
 		}
 	}
-	// Untampered control: still unpacks.
-	if _, _, ok := codec.Unpack(new(big.Int).SetBytes(buf)); !ok {
-		t.Fatal("control message no longer unpacks")
+	if _, _, ok := OpenPayload(point, sealed, aad); !ok {
+		t.Fatal("control blob no longer opens")
 	}
 }
 
-// TestMaskedEvalBatch checks the batch oblivious-evaluation path against
-// the scalar MaskedEval semantics: roots of the polynomial reveal their
-// payload, non-roots decrypt to garbage, order is preserved across
-// worker counts, and length mismatches are rejected.
+// TestMaskedEvalBatch checks the batch path: roots open to their own
+// payloads, non-roots do not open, order is preserved across worker
+// counts, and length mismatches and malformed coefficients are rejected.
 func TestMaskedEvalBatch(t *testing.T) {
-	k := testKey(t)
-	pk := &k.PublicKey
+	sk, pk := testKey(t)
 	roots := []*big.Int{RootOfValue(rel.Int(1)), RootOfValue(rel.Int(2)), RootOfValue(rel.Int(3))}
-	bs, err := BuildBuckets(roots, 2, pk.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ebs, err := bs.Encrypt(pk, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	as := []*big.Int{
-		roots[0],
-		RootOfValue(rel.Int(99)), // not a root
-		roots[2],
-		roots[1],
-	}
-	ms := []*big.Int{big.NewInt(1111), big.NewInt(2222), big.NewInt(3333), big.NewInt(4444)}
+	eb := encryptBuckets(t, pk, roots, 2)
+	as := []*big.Int{roots[0], RootOfValue(rel.Int(99)), roots[2], roots[1]}
+	payloads := [][]byte{[]byte("p1"), []byte("p99"), []byte("p3"), []byte("p2")}
+	aad := []byte("pm:batch")
 	for _, workers := range []int{1, 3, 0} {
-		cs, err := ebs.MaskedEvalBatch(pk, as, ms, workers)
+		evals, err := eb.MaskedEvalBatch(pk, as, payloads, aad, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for i, c := range cs {
-			got, err := k.Decrypt(c)
+		for i, e := range evals {
+			root, payload, ok, err := OpenEval(sk, e, aad)
 			if err != nil {
 				t.Fatal(err)
 			}
-			isRoot := i != 1
-			if isRoot && got.Cmp(ms[i]) != 0 {
-				t.Fatalf("workers=%d: root %d decrypts to %v, want payload %v", workers, i, got, ms[i])
+			if isRoot := i != 1; ok != isRoot {
+				t.Fatalf("workers=%d: evaluation %d opened = %v", workers, i, ok)
 			}
-			if !isRoot && got.Cmp(ms[i]) == 0 {
-				t.Fatalf("workers=%d: non-root revealed its payload", workers)
+			if ok && (root.Cmp(as[i]) != 0 || !bytes.Equal(payload, payloads[i])) {
+				t.Fatalf("workers=%d: evaluation %d opened to another value", workers, i)
 			}
 		}
 	}
-	if _, err := ebs.MaskedEvalBatch(pk, as, ms[:2], 2); err == nil {
+	if _, err := eb.MaskedEvalBatch(pk, as, payloads[:2], aad, 2); err == nil {
 		t.Error("length mismatch accepted")
+	}
+	bad := &ECBuckets{Polys: [][][]byte{{eb.Polys[0][0][:ecelgamal.CiphertextSize-1]}}}
+	if _, err := bad.MaskedEvalBatch(pk, as, payloads, aad, 1); err == nil {
+		t.Error("malformed coefficient accepted")
+	}
+	for _, empty := range []*ECBuckets{{}, {Polys: [][][]byte{{}}}} {
+		if _, err := empty.MaskedEvalBatch(pk, as, payloads, aad, 1); err == nil {
+			t.Error("empty encrypted buckets accepted")
+		}
+	}
+}
+
+// Masked evaluations at non-roots never open: each decrypts to an
+// independent random point, whose key fails the blob's GCM tag.
+func TestMaskedEvalNonRootsNeverOpen(t *testing.T) {
+	n := 10000
+	if testing.Short() {
+		n = 500
+	}
+	sk, pk := testKey(t)
+	eb := encryptBuckets(t, pk, []*big.Int{RootOfValue(rel.Int(0))}, 1)
+	as := make([]*big.Int, n)
+	payloads := make([][]byte, n)
+	for i := range as {
+		as[i] = RootOfValue(rel.Int(int64(i + 1)))
+	}
+	aad := []byte("pm:nonroots")
+	evals, err := eb.MaskedEvalBatch(pk, as, payloads, aad, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range evals {
+		if _, _, ok, err := OpenEval(sk, e, aad); err != nil || ok {
+			t.Fatalf("non-root %d: ok=%v err=%v", i, ok, err)
+		}
 	}
 }

@@ -1,29 +1,33 @@
 // Package pm implements the private-matching substrate of the paper's
 // Section 5 protocol (after Freedman, Nissim, Pinkas, EUROCRYPT'04):
-// polynomials over the Paillier plaintext space whose roots encode the
-// active domain of the join attribute, oblivious (encrypted-coefficient)
-// polynomial evaluation, and the "a′ ‖ payload" message packing with which
-// a source attaches tuple-set payloads to masked evaluations
+// polynomials over Z_q whose roots encode the active domain of the join
+// attribute, their coefficients encrypted under the client's exponential
+// EC-ElGamal key (internal/crypto/ecelgamal), and the oblivious
+// evaluation with which a source attaches a tuple-set payload to each of
+// its values a′:
 //
-//	e = E(r·P(a′) + (a′ ‖ payload)).
+//	e = r·E(P(a′)) + E(s),   blob = AEAD_{KDF(s·G)}(a′ ‖ payload).
+//
+// The client decrypts e to the point M = (r·P(a′) + s)·G and opens the
+// blob under KDF(M): it opens iff P(a′) = 0, so no discrete logarithm is
+// ever solved.
 //
 // It also implements FNP's bucketing optimization (hashing inputs into
 // buckets with low-degree polynomials), which the paper alludes to when
 // noting that "Freedman et al. show how the polynomial can be evaluated
-// efficiently".
+// efficiently". paillier.go keeps the Paillier form of the same steps,
+// which no protocol calls any more.
 package pm
 
 import (
-	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
 	"math/big"
 
-	"github.com/secmediation/secmediation/internal/crypto/paillier"
 	"github.com/secmediation/secmediation/internal/relation"
 )
 
-// RootBytes is the width of a value root: values are mapped into Z_n by a
+// RootBytes is the width of a value root: values are mapped into Z_q by a
 // truncated SHA-256 of their canonical encoding, so both sources derive
 // identical roots for identical join values.
 const RootBytes = 16
@@ -49,13 +53,13 @@ type Polynomial struct {
 	//
 	// seclint:secret plaintext set-encoding coefficients
 	Coeffs []*big.Int
-	// N is the coefficient modulus (the Paillier modulus).
+	// N is the coefficient modulus (the EC group order q).
 	N *big.Int
 }
 
 // FromRoots expands Π (a_i − x) mod n. At least one root is required: the
-// protocols never ship an empty polynomial (an empty active domain aborts
-// earlier).
+// protocols never ship an empty polynomial (BuildBuckets pads an empty
+// active domain with filler roots).
 func FromRoots(roots []*big.Int, n *big.Int) (*Polynomial, error) {
 	if len(roots) == 0 {
 		return nil, fmt.Errorf("pm: polynomial needs at least one root")
@@ -98,59 +102,4 @@ func (p *Polynomial) Eval(x *big.Int) *big.Int {
 		acc.Mod(acc, p.N)
 	}
 	return acc
-}
-
-// EncryptedPolynomial is the ciphertext-coefficient form the chooser ships
-// to the sender.
-type EncryptedPolynomial struct {
-	Coeffs []*paillier.Ciphertext
-}
-
-// Encrypt encrypts every coefficient under the client's public key across
-// a worker pool (workers as in parallel.Resolve; coefficient order is
-// preserved). The number of coefficients — hence |domactive| — is visible
-// to anyone who sees the result (Table 1's mediator leakage for the PM
-// protocol).
-func (p *Polynomial) Encrypt(pk *paillier.PublicKey, workers int) (*EncryptedPolynomial, error) {
-	if pk.N.Cmp(p.N) != 0 {
-		return nil, fmt.Errorf("pm: polynomial modulus differs from key modulus")
-	}
-	coeffs, err := pk.EncryptBatch(rand.Reader, p.Coeffs, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &EncryptedPolynomial{Coeffs: coeffs}, nil
-}
-
-// EvalEncrypted computes E(P(a)) from encrypted coefficients by Horner's
-// rule: acc ← acc·a + c_k, using MulConst and Add on ciphertexts.
-func (ep *EncryptedPolynomial) EvalEncrypted(pk *paillier.PublicKey, a *big.Int) (*paillier.Ciphertext, error) {
-	if len(ep.Coeffs) == 0 {
-		return nil, fmt.Errorf("pm: empty encrypted polynomial")
-	}
-	am := new(big.Int).Mod(a, pk.N)
-	acc := ep.Coeffs[len(ep.Coeffs)-1]
-	for k := len(ep.Coeffs) - 2; k >= 0; k-- {
-		acc = pk.Add(pk.MulConst(acc, am), ep.Coeffs[k])
-	}
-	return acc, nil
-}
-
-// MaskedEval computes e = E(r·P(a) + m) for a fresh random r — the
-// sender-side operation of Listing 4, steps 5/6. When P(a) = 0 the
-// ciphertext decrypts to m; otherwise to a value indistinguishable from
-// random.
-func (ep *EncryptedPolynomial) MaskedEval(pk *paillier.PublicKey, a, m *big.Int) (*paillier.Ciphertext, error) {
-	pa, err := ep.EvalEncrypted(pk, a)
-	if err != nil {
-		return nil, err
-	}
-	r, err := pk.RandomPlaintext(rand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	masked := pk.AddPlain(pk.MulConst(pa, r), m)
-	// Re-randomize so the ciphertext is unlinkable to the coefficient
-	// ciphertexts even for m = 0 edge cases.
-	return pk.Rerandomize(rand.Reader, masked)
 }

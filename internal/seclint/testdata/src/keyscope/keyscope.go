@@ -3,6 +3,8 @@
 // and must not be held by mediator-reachable code (mediator rule).
 package keyscope
 
+import "github.com/secmediation/secmediation/internal/crypto/ecelgamal"
+
 // PrivKey is the fixture's decryption key.
 //
 // seclint:private fixture decryption key
@@ -67,3 +69,9 @@ func mixKeys(ks []*PrivKey) { // want "holds private-key material keyscope.PrivK
 // clientDecrypt holds the key but is never mediator-reachable: the
 // owning party decrypting its own data is the normal case.
 func clientDecrypt(k *PrivKey) int { return k.D }
+
+// shipPMKey puts the real PM decryption key on the wire: the module's
+// own seclint:private annotation is what makes it key material.
+func shipPMKey(k *ecelgamal.PrivateKey) error {
+	return send(k) // want "private-key material ecelgamal.PrivateKey"
+}
