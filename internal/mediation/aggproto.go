@@ -9,7 +9,7 @@ import (
 	"github.com/secmediation/secmediation/internal/crypto/paillier"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/relation"
-	"github.com/secmediation/secmediation/internal/sqlparse"
+	"github.com/secmediation/secmediation/internal/telemetry"
 	"github.com/secmediation/secmediation/internal/transport"
 )
 
@@ -58,7 +58,7 @@ func (s *Source) serveAggregate(conn transport.Conn, pq *PartialQuery, rel *rela
 		return fmt.Errorf("agg: partial query carries no aggregate spec")
 	}
 	out := aggPartial{Count: int64(rel.Len())}
-	err := watch.track(func() error {
+	err := watch.phase(telemetry.PhaseSourceEncrypt, func() error {
 		if spec.Func == "COUNT" {
 			return nil // the cardinality is the whole answer
 		}
@@ -111,66 +111,21 @@ func fixedPoint(v relation.Value) (int64, error) {
 	}
 }
 
-// handleAggregate is the mediator's side: localize the source, forward the
-// partial query, fold the encrypted column into E(Σ) and report the count.
+// mediateAggregate is the mediator's side: fold the encrypted column into
+// E(Σ) and report the count.
 // seclint:entry mediator
-func (m *Mediator) handleAggregate(client transport.Conn, req *Request, q *sqlparse.Query) error {
-	if q.Right != "" {
-		return fmt.Errorf("mediation: aggregates over joins are not supported")
-	}
-	if req.HomomorphicKey == nil {
-		return fmt.Errorf("mediation: aggregate request carries no homomorphic key")
-	}
-	if _, ok := m.Schemas[q.Left]; !ok {
-		return fmt.Errorf("mediation: unknown relation %q (not in global schema)", q.Left)
-	}
-	dial, ok := m.Routes[q.Left]
-	if !ok {
-		return fmt.Errorf("mediation: no source for relation %q", q.Left)
-	}
-	conn, err := dial()
-	if err != nil {
-		return &ProtocolError{Party: "source:" + q.Left, Err: fmt.Errorf("dialing: %w", err)}
-	}
-	defer conn.Close()
-	if req.Params.Timeout > 0 {
-		conn.SetTimeout(req.Params.Timeout)
-	}
-	session, err := newSessionID()
-	if err != nil {
-		return err
-	}
-	// The partial query keeps the WHERE clause: the source owns the
-	// plaintext and applies it before encryption.
-	partial := *q
-	partial.Aggregate = nil
-	pq := PartialQuery{
-		SessionID: session, Query: partial.String(), Relation: q.Left,
-		Credentials: m.selectCredentials(q.Left, req.Credentials),
-		Protocol:    req.Protocol, Params: req.Params,
-		HomomorphicKey: req.HomomorphicKey, Aggregate: q.Aggregate,
-	}
-	if err := sendMsg(conn, "source:"+q.Left, msgPartialQuery, pq); err != nil {
-		return err
-	}
-	var ack PartialAck
-	if err := recvInto(conn, "source:"+q.Left, msgPartialAck, &ack); err != nil {
-		return err
-	}
-	if !ack.Granted {
-		return fmt.Errorf("mediation: access to %s denied: %s", q.Left, ack.Reason)
-	}
+func (m *Mediator) mediateAggregate(client, conn transport.Conn, req *Request, d *decomposition, watch *stopwatch) error {
 	var part aggPartial
-	if err := recvInto(conn, "source:"+q.Left, msgAggPartial, &part); err != nil {
+	if err := recvInto(conn, "source:"+d.rel1, msgAggPartial, &part); err != nil {
 		return err
 	}
 	// The mediator learns only the row count.
 	m.Ledger.Observe(leakage.PartyMediator, "|R|", part.Count)
 
-	res := aggResult{Func: q.Aggregate.Func, Column: q.Aggregate.Column, Count: part.Count, Kind: part.Kind}
-	watch := newStopwatch(m.Ledger, leakage.PartyMediator)
-	err = watch.track(func() error {
-		if q.Aggregate.Func == "COUNT" {
+	spec := d.query.Aggregate
+	res := aggResult{Func: spec.Func, Column: spec.Column, Count: part.Count, Kind: part.Kind}
+	err := watch.phase(telemetry.PhaseMatch, func() error {
+		if spec.Func == "COUNT" {
 			return nil
 		}
 		pk := derivePaillierKey(req.HomomorphicKey)
@@ -193,51 +148,53 @@ func (m *Mediator) handleAggregate(client transport.Conn, req *Request, q *sqlpa
 
 // runAggregate is the client's side: decrypt E(Σ) and assemble the
 // one-row result relation.
-func (c *Client) runAggregate(conn transport.Conn, q *sqlparse.Query, params Params) (*relation.Relation, error) {
+func (c *Client) runAggregate(conn transport.Conn, params Params, watch *stopwatch) (*relation.Relation, error) {
 	var res aggResult
 	if err := recvInto(conn, "mediator", msgAggResult, &res); err != nil {
 		return nil, err
 	}
-	name := res.Func + "(" + res.Column + ")"
-	if res.Func == "COUNT" {
-		schema, err := relation.NewSchema("", relation.Column{Name: name, Kind: relation.KindInt})
-		if err != nil {
-			return nil, err
-		}
-		return relation.FromTuples(schema, relation.Tuple{relation.Int(res.Count)})
-	}
-	hk, err := c.HomomorphicKey(params.PaillierBits)
-	if err != nil {
-		return nil, err
-	}
-	if res.ESum == nil {
-		return nil, fmt.Errorf("mediation: aggregate result carries no sum")
-	}
-	sum, err := hk.DecryptSigned(res.ESum)
-	if err != nil {
-		return nil, err
-	}
-	c.Ledger.UsePrimitive(leakage.PartyClient, "homomorphic-decryption", 1)
-	if !sum.IsInt64() {
-		return nil, fmt.Errorf("mediation: aggregate sum overflows int64")
-	}
 	var out relation.Value
-	switch {
-	case res.Func == "AVG":
-		if res.Count == 0 {
-			return nil, fmt.Errorf("mediation: AVG over empty relation")
+	err := watch.phase(telemetry.PhasePostFilter, func() error {
+		if res.Func == "COUNT" {
+			out = relation.Int(res.Count)
+			return nil
 		}
-		f := float64(sum.Int64()) / float64(res.Count)
-		if res.Kind == relation.KindFloat {
-			f /= aggScale
+		hk, err := c.HomomorphicKey(params.PaillierBits)
+		if err != nil {
+			return err
 		}
-		out = relation.Float(f)
-	case res.Kind == relation.KindFloat:
-		out = relation.Float(float64(sum.Int64()) / aggScale)
-	default:
-		out = relation.Int(sum.Int64())
+		if res.ESum == nil {
+			return fmt.Errorf("mediation: aggregate result carries no sum")
+		}
+		sum, err := hk.DecryptSigned(res.ESum)
+		if err != nil {
+			return err
+		}
+		c.Ledger.UsePrimitive(leakage.PartyClient, "homomorphic-decryption", 1)
+		if !sum.IsInt64() {
+			return fmt.Errorf("mediation: aggregate sum overflows int64")
+		}
+		switch {
+		case res.Func == "AVG":
+			if res.Count == 0 {
+				return fmt.Errorf("mediation: AVG over empty relation")
+			}
+			f := float64(sum.Int64()) / float64(res.Count)
+			if res.Kind == relation.KindFloat {
+				f /= aggScale
+			}
+			out = relation.Float(f)
+		case res.Kind == relation.KindFloat:
+			out = relation.Float(float64(sum.Int64()) / aggScale)
+		default:
+			out = relation.Int(sum.Int64())
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	schema, err := relation.NewSchema("", relation.Column{Name: name, Kind: out.Kind()})
+	schema, err := relation.NewSchema("", relation.Column{Name: res.Func + "(" + res.Column + ")", Kind: out.Kind()})
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/relation"
+	"github.com/secmediation/secmediation/internal/sqlparse"
 	"github.com/secmediation/secmediation/internal/telemetry"
 	"github.com/secmediation/secmediation/internal/transport"
 )
@@ -74,7 +75,8 @@ type mcPartial struct {
 	Rows       [][]byte
 }
 
-// mcResult forwards both encrypted partial results to the client.
+// mcResult forwards both encrypted partial results to the client. It is
+// also the result of a union, whose join attribute lists are empty.
 type mcResult struct {
 	P1, P2               mcPartial
 	JoinCols1, JoinCols2 []string
@@ -124,7 +126,10 @@ func (m *Mediator) mediateMobileCode(client, s1, s2 transport.Conn, d *decomposi
 	})
 }
 
-func (c *Client) runMobileCode(conn transport.Conn, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+// runMobileCode opens both partial results and merges them: a join
+// evaluates the equi-join, a union concatenates (postProcess drops the
+// duplicates of a plain UNION).
+func (c *Client) runMobileCode(conn transport.Conn, q *sqlparse.Query, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res sessioned[mcResult]
 	if err := recvInto(conn, "mediator", msgMCResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
@@ -140,6 +145,11 @@ func (c *Client) runMobileCode(conn transport.Conn, watch *stopwatch) (*relation
 			return err
 		}
 		c.Ledger.Observe(leakage.PartyClient, "tuples-received", int64(r1.Len()+r2.Len()))
+		if q.UnionWith != "" {
+			// The relation names differ; the column lists must match.
+			joined, err = algebra.Union(r1, r2.Rename(r1.Schema().Relation))
+			return err
+		}
 		joined, err = algebra.EquiJoin(r1, r2, res.Body.JoinCols1, res.Body.JoinCols2)
 		return err
 	})

@@ -82,6 +82,7 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	if params.Timeout > 0 {
 		conn.SetTimeout(params.Timeout)
 	}
+	proto = delivery(q, proto)
 	req := Request{SQL: sql, Credentials: c.Credentials, Protocol: proto, Params: params}
 	if q.Aggregate != nil {
 		hk, err := c.HomomorphicKey(params.PaillierBits)
@@ -93,7 +94,7 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	// PM draws a fresh key per query, so the mediator cannot link a
 	// client's PM queries by its public key.
 	var pmKey *ecelgamal.PrivateKey
-	if proto == ProtocolPM {
+	if proto == ProtocolPM && q.Aggregate == nil {
 		if pmKey, err = ecelgamal.GenerateKey(rand.Reader); err != nil {
 			return nil, err
 		}
@@ -101,20 +102,6 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	}
 	if err := sendMsg(conn, "mediator", msgRequest, req); err != nil {
 		return nil, c.abort(conn, params, err)
-	}
-	if q.Aggregate != nil {
-		res, err := c.runAggregate(conn, q, params)
-		if err != nil {
-			return nil, c.abort(conn, params, err)
-		}
-		return res, nil
-	}
-	if q.UnionWith != "" {
-		res, err := c.runUnion(conn, q)
-		if err != nil {
-			return nil, c.abort(conn, params, err)
-		}
-		return res, nil
 	}
 	root := c.telemetry(params).Tracer(leakage.PartyClient).Start("session")
 	root.Annotate("protocol", proto.String())
@@ -125,16 +112,18 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	var joined *relation.Relation
 	var schema2 relation.Schema
 	var joinCols2 []string
-	switch proto {
-	case ProtocolPlaintext:
+	switch {
+	case q.Aggregate != nil:
+		joined, err = c.runAggregate(conn, params, watch)
+	case proto == ProtocolPlaintext:
 		joined, schema2, joinCols2, err = c.runPlaintext(conn)
-	case ProtocolMobileCode:
-		joined, schema2, joinCols2, err = c.runMobileCode(conn, watch)
-	case ProtocolDAS:
+	case proto == ProtocolMobileCode:
+		joined, schema2, joinCols2, err = c.runMobileCode(conn, q, watch)
+	case proto == ProtocolDAS:
 		joined, schema2, joinCols2, err = c.runDAS(conn, q, params, watch)
-	case ProtocolCommutative:
+	case proto == ProtocolCommutative:
 		joined, schema2, joinCols2, err = c.runCommutative(conn, params, watch)
-	case ProtocolPM:
+	case proto == ProtocolPM:
 		joined, schema2, joinCols2, err = c.runPM(conn, pmKey, params, watch)
 	default:
 		err = fmt.Errorf("mediation: unknown protocol %d", proto)
@@ -143,6 +132,10 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 		return nil, c.abort(conn, params, err)
 	}
 	c.recordTraffic(conn, c.telemetry(params))
+	if q.Aggregate != nil {
+		// The source already applied the WHERE clause.
+		return joined, nil
+	}
 	return postProcess(q, joined, schema2, joinCols2)
 }
 

@@ -83,12 +83,19 @@ func (n *Network) Query(sql string, proto Protocol, params Params) (*relation.Re
 
 // runSession executes one client/mediator session.
 func (n *Network) runSession(sql string, proto Protocol, params Params) (*relation.Relation, error) {
+	return n.session(func(conn transport.Conn) (*relation.Relation, error) {
+		return n.Client.Query(conn, sql, proto, params)
+	})
+}
+
+// session runs the client side over a fresh link to a mediator session.
+func (n *Network) session(client func(transport.Conn) (*relation.Relation, error)) (*relation.Relation, error) {
 	clientSide, mediatorSide := transport.Pair()
 	done := make(chan error, 1)
 	go func() {
 		done <- closeJoin(mediatorSide, n.Mediator.HandleSession(mediatorSide))
 	}()
-	res, err := n.Client.Query(clientSide, sql, proto, params)
+	res, err := client(clientSide)
 	err = closeJoin(clientSide, err)
 	medErr := <-done
 	if err != nil {
@@ -154,21 +161,9 @@ func MaterializeView(r *relation.Relation, name string) (*relation.Relation, err
 
 // Intersect runs Client.Intersect through the in-memory network.
 func (n *Network) Intersect(rel1, rel2 string, params Params) (*relation.Relation, error) {
-	clientSide, mediatorSide := transport.Pair()
-	done := make(chan error, 1)
-	go func() {
-		done <- closeJoin(mediatorSide, n.Mediator.HandleSession(mediatorSide))
-	}()
-	res, err := n.Client.Intersect(clientSide, rel1, rel2, params)
-	err = closeJoin(clientSide, err)
-	medErr := <-done
-	if err != nil {
-		return nil, err
-	}
-	if medErr != nil {
-		return nil, fmt.Errorf("mediation: mediator failed after client success: %w", medErr)
-	}
-	return res, nil
+	return n.session(func(conn transport.Conn) (*relation.Relation, error) {
+		return n.Client.Intersect(conn, rel1, rel2, params)
+	})
 }
 
 // queryChain executes a chained-join query ("A JOIN B ... JOIN C ...") as

@@ -8,7 +8,6 @@ import (
 	"github.com/secmediation/secmediation/internal/credential"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/relation"
-	"github.com/secmediation/secmediation/internal/sqlparse"
 	"github.com/secmediation/secmediation/internal/telemetry"
 	"github.com/secmediation/secmediation/internal/transport"
 )
@@ -46,7 +45,8 @@ type Mediator struct {
 
 // HandleSession serves one client session end-to-end. It is the
 // combination of the request phase (Listing 1) and the mediator role of
-// the selected delivery phase (Listings 2–4). Everything reachable from
+// the selected delivery phase (Listings 2–4, a baseline, or the
+// aggregation extension). Everything reachable from
 // here runs at the untrusted mediator and is held to the
 // ciphertext-only invariant by the plaintaint/keyscope analyzers.
 //
@@ -73,139 +73,136 @@ func (m *Mediator) handleSession(client transport.Conn) error {
 		client.SetTimeout(req.Params.Timeout)
 	}
 
-	// Aggregation and union queries take their own paths (aggproto.go,
-	// unionproto.go).
-	if q, err := sqlparse.Parse(req.SQL); err == nil {
-		if q.Aggregate != nil {
-			return m.handleAggregate(client, &req, q)
-		}
-		if q.UnionWith != "" {
-			return m.handleUnion(client, &req, q)
-		}
-	}
-
 	root := m.Telemetry.Tracer(leakage.PartyMediator).Start("session")
 	root.Annotate("protocol", req.Protocol.String())
 	annotateSession(root, client)
 	defer root.End()
 
-	// Listing 1, steps 2–3 are the querying phase: decompose, localize,
-	// ship partial queries, collect authorization acks. The span is ended
-	// exactly once — at the phase boundary, or at whatever earlier point
-	// an error aborts the session.
+	// Listing 1, steps 2–4 are the querying phase, the same for every
+	// query shape.
 	querying := root.Start(telemetry.PhaseQuerying)
-	queryingEnded := false
-	endQuerying := func() {
-		if !queryingEnded {
-			queryingEnded = true
-			querying.End()
-		}
+	d, conns, err := m.requestPhase(&req)
+	querying.End()
+	for _, c := range conns {
+		defer c.Close()
 	}
-	defer endQuerying()
-
-	// Listing 1, step 2: decompose and localize.
-	d, err := decompose(req.SQL, m.Schemas)
 	if err != nil {
 		return err
 	}
-	dial1, ok := m.Routes[d.rel1]
-	if !ok {
-		return fmt.Errorf("mediation: no source for relation %q", d.rel1)
-	}
-	dial2, ok := m.Routes[d.rel2]
-	if !ok {
-		return fmt.Errorf("mediation: no source for relation %q", d.rel2)
-	}
-	conn1, err := dial1()
-	if err != nil {
-		return &ProtocolError{Party: "source:" + d.rel1, Err: fmt.Errorf("dialing: %w", err)}
-	}
-	defer conn1.Close()
-	conn2, err := dial2()
-	if err != nil {
-		return &ProtocolError{Party: "source:" + d.rel2, Err: fmt.Errorf("dialing: %w", err)}
-	}
-	defer conn2.Close()
-	if req.Params.Timeout > 0 {
-		conn1.SetTimeout(req.Params.Timeout)
-		conn2.SetTimeout(req.Params.Timeout)
-	}
-
-	session, err := newSessionID()
-	if err != nil {
-		return err
-	}
-
-	// Listing 1, step 3: partial queries with credential subsets and join
-	// attribute sets.
-	pq1 := PartialQuery{
-		SessionID: session, Query: d.partialSQL(d.rel1), Relation: d.rel1,
-		JoinCols: d.joinCols1, Credentials: m.selectCredentials(d.rel1, req.Credentials),
-		Protocol: req.Protocol, Params: req.Params, HomomorphicKey: req.HomomorphicKey, PMKey: req.PMKey,
-	}
-	pq2 := PartialQuery{
-		SessionID: session, Query: d.partialSQL(d.rel2), Relation: d.rel2,
-		JoinCols: d.joinCols2, Credentials: m.selectCredentials(d.rel2, req.Credentials),
-		Protocol: req.Protocol, Params: req.Params, HomomorphicKey: req.HomomorphicKey, PMKey: req.PMKey,
-	}
-	if req.Protocol == ProtocolDAS && req.Params.Pushdown {
-		// Selection-pushdown extension: ask the sources to index the
-		// pushable WHERE columns as well.
-		pq1.FilterCols = filterColumns(extractPushdown(d.query.Where, m.Schemas[d.rel1]), d.joinCols1)
-		pq2.FilterCols = filterColumns(extractPushdown(d.query.Where, m.Schemas[d.rel2]), d.joinCols2)
-	}
-	if err := sendMsg(conn1, "source:"+d.rel1, msgPartialQuery, pq1); err != nil {
-		abortLinks(err, conn2)
-		return err
-	}
-	if err := sendMsg(conn2, "source:"+d.rel2, msgPartialQuery, pq2); err != nil {
-		abortLinks(err, conn1)
-		return err
-	}
-	var ack1, ack2 PartialAck
-	if err := recvInto(conn1, "source:"+d.rel1, msgPartialAck, &ack1); err != nil {
-		abortLinks(err, conn2)
-		return err
-	}
-	if err := recvInto(conn2, "source:"+d.rel2, msgPartialAck, &ack2); err != nil {
-		abortLinks(err, conn1)
-		return err
-	}
-	if !ack1.Granted {
-		return fmt.Errorf("mediation: access to %s denied: %s", d.rel1, ack1.Reason)
-	}
-	if !ack2.Granted {
-		return fmt.Errorf("mediation: access to %s denied: %s", d.rel2, ack2.Reason)
-	}
-	d.schema1, d.schema2 = ack1.Schema, ack2.Schema
-	endQuerying()
 
 	watch := newStopwatch(m.Ledger, leakage.PartyMediator)
 	watch.attach(root)
-	switch req.Protocol {
-	case ProtocolPlaintext:
-		err = m.mediatePlaintext(client, conn1, conn2, d, watch)
-	case ProtocolMobileCode:
-		err = m.mediateMobileCode(client, conn1, conn2, d)
-	case ProtocolDAS:
-		err = m.mediateDAS(client, conn1, conn2, d, watch)
-	case ProtocolCommutative:
-		err = m.mediateCommutative(client, conn1, conn2, d, req.Params, watch)
-	case ProtocolPM:
-		err = m.mediatePM(client, conn1, conn2, d, watch)
+	switch {
+	case d.query.Aggregate != nil:
+		err = m.mediateAggregate(client, conns[0], &req, d, watch)
+	case d.protocol == ProtocolPlaintext:
+		err = m.mediatePlaintext(client, conns[0], conns[1], d, watch)
+	case d.protocol == ProtocolMobileCode:
+		err = m.mediateMobileCode(client, conns[0], conns[1], d)
+	case d.protocol == ProtocolDAS:
+		err = m.mediateDAS(client, conns[0], conns[1], d, watch)
+	case d.protocol == ProtocolCommutative:
+		err = m.mediateCommutative(client, conns[0], conns[1], d, req.Params, watch)
+	case d.protocol == ProtocolPM:
+		err = m.mediatePM(client, conns[0], conns[1], d, watch)
 	default:
 		err = fmt.Errorf("mediation: unknown protocol %d", req.Protocol)
 	}
 	if err != nil {
 		// Unblock sources that may still be waiting mid-protocol.
-		abortLinks(err, conn1, conn2)
+		abortLinks(err, conns...)
 		return err
 	}
-	m.recordTraffic(client, conn1, conn2)
-	trafficGauges(m.Telemetry, leakage.PartyMediator, "client", client.Stats())
-	trafficGauges(m.Telemetry, leakage.PartyMediator, "source:"+d.rel1, conn1.Stats())
-	trafficGauges(m.Telemetry, leakage.PartyMediator, "source:"+d.rel2, conn2.Stats())
+	m.recordTraffic(client, d, conns)
 	return nil
+}
+
+// requestPhase runs Listing 1, steps 2–4, for a join, a union and an
+// aggregate alike: decompose the global query, localize and dial the
+// source of each relation it reads, ship each partial query q_i with its
+// credential subset CR_i and join attribute set A_i, and collect the
+// authorization answers. It returns one live link per relation of d, in
+// d.relations() order, with the authorized schemas recorded in d. The
+// caller closes the links it returns, on error too.
+func (m *Mediator) requestPhase(req *Request) (*decomposition, []transport.Conn, error) {
+	d, err := decompose(req.SQL, m.Schemas)
+	if err != nil {
+		return nil, nil, err
+	}
+	d.protocol = delivery(d.query, req.Protocol)
+	if d.query.Aggregate != nil && req.HomomorphicKey == nil {
+		return nil, nil, fmt.Errorf("mediation: aggregate request carries no homomorphic key")
+	}
+	rels := d.relations()
+	dials := make([]Dialer, len(rels))
+	for i, rel := range rels {
+		dial, ok := m.Routes[rel]
+		if !ok {
+			return nil, nil, fmt.Errorf("mediation: no source for relation %q", rel)
+		}
+		dials[i] = dial
+	}
+	var conns []transport.Conn
+	for i, dial := range dials {
+		conn, err := dial()
+		if err != nil {
+			return nil, conns, &ProtocolError{Party: "source:" + rels[i], Err: fmt.Errorf("dialing: %w", err)}
+		}
+		if req.Params.Timeout > 0 {
+			conn.SetTimeout(req.Params.Timeout)
+		}
+		conns = append(conns, conn)
+	}
+	session, err := newSessionID()
+	if err != nil {
+		return nil, conns, err
+	}
+	for i, rel := range rels {
+		pq := PartialQuery{
+			SessionID: session, Query: d.partial1, Relation: rel, JoinCols: d.joinCols1,
+			Credentials: m.selectCredentials(rel, req.Credentials),
+			Protocol:    d.protocol, Params: req.Params, Aggregate: d.query.Aggregate,
+			HomomorphicKey: req.HomomorphicKey, PMKey: req.PMKey,
+		}
+		if i == 1 {
+			pq.Query, pq.JoinCols = d.partial2, d.joinCols2
+		}
+		if d.protocol == ProtocolDAS && req.Params.Pushdown {
+			// Selection-pushdown extension: ask the sources to index the
+			// pushable WHERE columns as well.
+			pq.FilterCols = filterColumns(extractPushdown(d.query.Where, m.Schemas[rel]), pq.JoinCols)
+		}
+		if err := sendMsg(conns[i], "source:"+rel, msgPartialQuery, pq); err != nil {
+			abortLinks(err, without(conns, i)...)
+			return nil, conns, err
+		}
+	}
+	acks := make([]PartialAck, len(rels))
+	for i, rel := range rels {
+		if err := recvInto(conns[i], "source:"+rel, msgPartialAck, &acks[i]); err != nil {
+			abortLinks(err, without(conns, i)...)
+			return nil, conns, err
+		}
+	}
+	for i, rel := range rels {
+		if !acks[i].Granted {
+			err := fmt.Errorf("mediation: access to %s denied: %s", rel, acks[i].Reason)
+			abortLinks(err, conns...)
+			return nil, conns, err
+		}
+	}
+	d.schema1 = acks[0].Schema
+	if len(acks) == 2 {
+		d.schema2 = acks[1].Schema
+	}
+	return d, conns, nil
+}
+
+// without returns conns minus the link at i: the live links to abort
+// after link i failed.
+func without(conns []transport.Conn, i int) []transport.Conn {
+	out := append([]transport.Conn(nil), conns[:i]...)
+	return append(out, conns[i+1:]...)
 }
 
 // selectCredentials picks CR_i for a relation per the configured hints.
@@ -227,17 +224,27 @@ func (m *Mediator) selectCredentials(rel string, all credential.Set) credential.
 	return out
 }
 
-func (m *Mediator) recordTraffic(client, s1, s2 transport.Conn) {
+// recordTraffic exports the session's link counters: telemetry gauges
+// per link, and ledger totals with the client and over all source links.
+func (m *Mediator) recordTraffic(client transport.Conn, d *decomposition, sources []transport.Conn) {
+	trafficGauges(m.Telemetry, leakage.PartyMediator, "client", client.Stats())
+	var toSources, fromSources, msgsWithSources int64
+	for i, rel := range d.relations() {
+		st := sources[i].Stats()
+		trafficGauges(m.Telemetry, leakage.PartyMediator, "source:"+rel, st)
+		toSources += st.BytesSent()
+		fromSources += st.BytesRecv()
+		msgsWithSources += st.MsgsSent() + st.MsgsRecv()
+	}
 	if m.Ledger == nil {
 		return
 	}
 	m.Ledger.Observe(leakage.PartyMediator, "bytes-to-client", client.Stats().BytesSent())
 	m.Ledger.Observe(leakage.PartyMediator, "bytes-from-client", client.Stats().BytesRecv())
-	m.Ledger.Observe(leakage.PartyMediator, "bytes-to-sources", s1.Stats().BytesSent()+s2.Stats().BytesSent())
-	m.Ledger.Observe(leakage.PartyMediator, "bytes-from-sources", s1.Stats().BytesRecv()+s2.Stats().BytesRecv())
+	m.Ledger.Observe(leakage.PartyMediator, "bytes-to-sources", toSources)
+	m.Ledger.Observe(leakage.PartyMediator, "bytes-from-sources", fromSources)
 	m.Ledger.Observe(leakage.PartyMediator, "msgs-with-client", client.Stats().MsgsSent()+client.Stats().MsgsRecv())
-	m.Ledger.Observe(leakage.PartyMediator, "msgs-with-sources",
-		s1.Stats().MsgsSent()+s1.Stats().MsgsRecv()+s2.Stats().MsgsSent()+s2.Stats().MsgsRecv())
+	m.Ledger.Observe(leakage.PartyMediator, "msgs-with-sources", msgsWithSources)
 }
 
 func newSessionID() (string, error) {

@@ -12,10 +12,11 @@ import (
 )
 
 // Request is the client's global query message (Listing 1, step 1): the
-// SQL text, the credential set CR, and the chosen delivery protocol. For
-// the PM protocol the client's homomorphic public key rides along, which
-// models the paper's "this key is distributed with the client's
-// credentials"; it is drawn fresh for every query.
+// SQL text (a join, a union or an aggregate), the credential set CR, and
+// the chosen delivery protocol. The client's homomorphic public keys ride
+// along, which models the paper's "this key is distributed with the
+// client's credentials": the PM key, drawn fresh for every PM join, and
+// the Paillier key of an aggregate.
 type Request struct {
 	SQL         string
 	Credentials credential.Set
@@ -31,7 +32,8 @@ type Request struct {
 
 // PartialQuery is the mediator's message to a datasource (Listing 1,
 // step 3): the partial query q_i, the credential subset CR_i, and the join
-// attribute set A_i, plus everything the delivery phase needs.
+// attribute set A_i, plus everything the delivery phase needs. A union's
+// partial queries are mobile-code ones with an empty A_i.
 type PartialQuery struct {
 	// SessionID is a fresh mediator-chosen identifier; it doubles as the
 	// oracle domain-separation label in the commutative protocol (both
@@ -58,9 +60,6 @@ type PartialQuery struct {
 	// Aggregate is set for aggregation partial queries (the extension of
 	// internal/mediation/aggproto.go).
 	Aggregate *sqlparse.AggregateSpec
-	// Union marks a union partial query: the source ships its sealed rows
-	// (mobile-code wire format) and no join attributes are involved.
-	Union bool
 }
 
 // PartialAck is a datasource's authorization answer (Listing 1, step 4).
@@ -72,39 +71,84 @@ type PartialAck struct {
 	Schema  relation.Schema
 }
 
-// decomposition is the mediator's view of a parsed JOIN query.
+// decomposition is the mediator's view of a parsed global query: the
+// relations it reads (two for a join or a union, one for an aggregate),
+// the partial query each source runs, and the delivery phase that follows.
 type decomposition struct {
-	query      *sqlparse.Query
+	query *sqlparse.Query
+	// protocol is the delivery phase (see delivery); requestPhase sets it.
+	protocol Protocol
+	// rel2, partial2, joinCols2 and schema2 are empty for an aggregate.
 	rel1, rel2 string
-	// joinCols1/joinCols2 are source-local join attribute lists (parallel).
+	// partial1/partial2 are q_1 and q_2.
+	partial1, partial2 string
+	// joinCols1/joinCols2 are source-local join attribute lists (parallel);
+	// empty for a union or an aggregate.
 	joinCols1, joinCols2 []string
 	schema1, schema2     relation.Schema
 }
 
-// decompose implements Listing 1 step 2: parse the global query, check it
-// is a two-relation JOIN, resolve the join attribute sets A_1 and A_2
-// against the mediator's global schema (the "embedding"), and derive the
-// partial queries.
+// delivery names the delivery phase a query runs: the client's protocol
+// for a join (an aggregate ignores it), mobile code for a union — its
+// result is the two sealed partial results, which only the client can
+// open and merge.
+func delivery(q *sqlparse.Query, proto Protocol) Protocol {
+	if q.UnionWith != "" {
+		return ProtocolMobileCode
+	}
+	return proto
+}
+
+// decompose implements Listing 1 step 2: parse the global query, resolve
+// its relations against the mediator's global schema (the "embedding"),
+// and derive the partial queries — for a JOIN with the join attribute sets
+// A_1 and A_2, for a UNION of two same-schema relations, and for an
+// aggregate over one relation (its WHERE stays in q_1: the source owns
+// the plaintext and filters before it encrypts).
 func decompose(sql string, schemas map[string]relation.Schema) (*decomposition, error) {
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	if q.Right == "" {
-		return nil, fmt.Errorf("mediation: query is not a JOIN of two relations: %s", sql)
+	schemaOf := func(rel string) (relation.Schema, error) {
+		s, ok := schemas[rel]
+		if !ok {
+			return relation.Schema{}, fmt.Errorf("mediation: unknown relation %q (not in global schema)", rel)
+		}
+		return s, nil
 	}
-	if len(q.MoreJoins) > 0 {
+	d := &decomposition{query: q, rel1: q.Left, partial1: selectAll(q.Left)}
+	if d.schema1, err = schemaOf(q.Left); err != nil {
+		return nil, err
+	}
+	switch {
+	case q.Aggregate != nil:
+		if q.Right != "" {
+			return nil, fmt.Errorf("mediation: aggregates over joins are not supported")
+		}
+		partial := *q
+		partial.Aggregate = nil
+		d.partial1 = partial.String()
+		return d, nil
+	case q.UnionWith != "":
+		d.rel2, d.partial2 = q.UnionWith, selectAll(q.UnionWith)
+		if d.schema2, err = schemaOf(q.UnionWith); err != nil {
+			return nil, err
+		}
+		if !d.schema1.Equal(d.schema2) {
+			return nil, fmt.Errorf("mediation: UNION of incompatible schemas %s and %s", d.schema1, d.schema2)
+		}
+		return d, nil
+	case q.Right == "":
+		return nil, fmt.Errorf("mediation: query is not a JOIN, UNION or aggregate: %s", sql)
+	case len(q.MoreJoins) > 0:
 		return nil, fmt.Errorf("mediation: chained joins must run as successive joins (Network.Query); the delivery protocols join two relations at a time")
 	}
-	s1, ok := schemas[q.Left]
-	if !ok {
-		return nil, fmt.Errorf("mediation: unknown relation %q (not in global schema)", q.Left)
+	d.rel2, d.partial2 = q.Right, selectAll(q.Right)
+	if d.schema2, err = schemaOf(q.Right); err != nil {
+		return nil, err
 	}
-	s2, ok := schemas[q.Right]
-	if !ok {
-		return nil, fmt.Errorf("mediation: unknown relation %q (not in global schema)", q.Right)
-	}
-	d := &decomposition{query: q, rel1: q.Left, rel2: q.Right, schema1: s1, schema2: s2}
+	s1, s2 := d.schema1, d.schema2
 	if q.Natural {
 		for _, c := range s1.Columns {
 			if s2.IndexOf(c.Name) >= 0 {
@@ -145,15 +189,26 @@ func localColumn(name, rel string) string {
 	return name
 }
 
-// partialSQL renders q_i. The paper fixes partial queries to "select *".
-func (d *decomposition) partialSQL(rel string) string {
+// selectAll renders a join or union partial query q_i: the paper fixes
+// them to "select *".
+func selectAll(rel string) string {
 	return "SELECT * FROM " + rel
 }
 
+// relations lists the relations d reads, in link order.
+func (d *decomposition) relations() []string {
+	if d.rel2 == "" {
+		return []string{d.rel1}
+	}
+	return []string{d.rel1, d.rel2}
+}
+
 // postProcess applies, at the client, the global query's remaining
-// operations to the joined relation: natural-join column dedup, the WHERE
-// predicate, and the projection list. The joined relation carries both
-// join columns (qualified on collision), as all three protocols produce.
+// operations to the joined (or unioned) relation: natural-join column
+// dedup, the WHERE predicate, the projection list, and duplicate
+// elimination for DISTINCT and plain UNION. The joined relation carries
+// both join columns (qualified on collision), as all three protocols
+// produce.
 func postProcess(q *sqlparse.Query, joined *relation.Relation, schema2 relation.Schema, joinCols2 []string) (*relation.Relation, error) {
 	out := joined
 	var err error
@@ -195,7 +250,7 @@ func postProcess(q *sqlparse.Query, joined *relation.Relation, schema2 relation.
 			return nil, err
 		}
 	}
-	if q.Distinct {
+	if q.Distinct || (q.UnionWith != "" && !q.UnionAll) {
 		out = algebra.Distinct(out)
 	}
 	return out, nil

@@ -137,28 +137,18 @@ func (s *Source) Serve(conn transport.Conn) error {
 	defer trafficGauges(s.Telemetry, s.party(), "mediator", conn.Stats())
 	watch := newStopwatch(s.Ledger, s.party())
 	watch.attach(root)
-	if pq.Union {
-		if err := s.serveMobileCode(conn, &pq, rel, clientKey, watch); err != nil {
-			return s.abort(conn, err)
-		}
-		return nil
-	}
-	if pq.Aggregate != nil {
-		if err := s.serveAggregate(conn, &pq, rel, watch); err != nil {
-			return s.abort(conn, err)
-		}
-		return nil
-	}
-	switch pq.Protocol {
-	case ProtocolPlaintext:
+	switch {
+	case pq.Aggregate != nil:
+		err = s.serveAggregate(conn, &pq, rel, watch)
+	case pq.Protocol == ProtocolPlaintext:
 		err = s.servePlaintext(conn, rel)
-	case ProtocolMobileCode:
+	case pq.Protocol == ProtocolMobileCode:
 		err = s.serveMobileCode(conn, &pq, rel, clientKey, watch)
-	case ProtocolDAS:
+	case pq.Protocol == ProtocolDAS:
 		err = s.serveDAS(conn, &pq, rel, clientKey, watch)
-	case ProtocolCommutative:
+	case pq.Protocol == ProtocolCommutative:
 		err = s.serveCommutative(conn, &pq, rel, clientKey, watch)
-	case ProtocolPM:
+	case pq.Protocol == ProtocolPM:
 		err = s.servePM(conn, &pq, rel, watch)
 	default:
 		err = fmt.Errorf("unknown protocol %d", pq.Protocol)
@@ -206,13 +196,16 @@ func (s *Source) executePartial(pq *PartialQuery) (*relation.Relation, *rsa.Publ
 		return nil, nil, "", err
 	}
 	// Validate the join attributes exist before entering the delivery
-	// phase (aggregation partial queries have none).
+	// phase. The protocols that encrypt A_i need at least one; the
+	// baselines ship whole tuples (a union's partial query has none), and
+	// aggregation reads none.
 	for _, c := range pq.JoinCols {
 		if out.Schema().IndexOf(c) < 0 {
 			return nil, nil, "", fmt.Errorf("relation %s has no join column %q", pq.Relation, c)
 		}
 	}
-	if len(pq.JoinCols) == 0 && pq.Aggregate == nil && !pq.Union {
+	secure := pq.Protocol == ProtocolDAS || pq.Protocol == ProtocolCommutative || pq.Protocol == ProtocolPM
+	if len(pq.JoinCols) == 0 && pq.Aggregate == nil && secure {
 		return nil, nil, "", fmt.Errorf("empty join attribute set")
 	}
 	return out, decision.ClientKey, "", nil

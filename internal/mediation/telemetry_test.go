@@ -53,62 +53,87 @@ func TestProtocolSpanTrees(t *testing.T) {
 	for proto, want := range wantPhases {
 		proto, want := proto, want
 		t.Run(proto.String(), func(t *testing.T) {
-			n := newTestNetwork(t, nil)
-			reg := telemetry.NewRegistry()
-			n.SetTelemetry(reg)
-			defer n.SetTelemetry(nil)
-			if _, err := n.Query(fixtureSQL, proto, fastParams()); err != nil {
-				t.Fatal(err)
-			}
-			for _, pp := range want {
-				if _, cnt := reg.PhaseTotal(pp[0], pp[1]); cnt == 0 {
-					t.Errorf("no %q span for party %q", pp[1], pp[0])
-				}
-			}
-			// Every phase span nests under a session root of its party.
-			roots := map[int64]string{}
-			for _, sp := range reg.Spans() {
-				if sp.Name == "session" {
-					if sp.Parent != 0 {
-						t.Errorf("session span %d has parent %d", sp.ID, sp.Parent)
-					}
-					roots[sp.ID] = sp.Party
-				}
-			}
-			for _, sp := range reg.Spans() {
-				if sp.Name == "session" {
-					continue
-				}
-				if party, ok := roots[sp.Parent]; !ok || party != sp.Party {
-					t.Errorf("span %s (party %s) not nested under its party's session root", sp.Name, sp.Party)
-				}
-				if sp.DurNs < 0 {
-					t.Errorf("span %s has negative duration %d", sp.Name, sp.DurNs)
-				}
-			}
+			reg := checkSpanTree(t, newTestNetwork(t, nil), fixtureSQL, proto, want, "source:S1", "source:S2")
 			// The secure protocols must show crypto work in the op deltas.
 			if proto == ProtocolCommutative || proto == ProtocolPM || proto == ProtocolDAS {
 				if len(reg.OpDeltas()) == 0 {
 					t.Errorf("%s run recorded no crypto op deltas", proto)
 				}
 			}
-			// Traffic gauges cover all four parties.
-			snap := reg.Snapshot()
-			parties := map[string]bool{}
-			for _, g := range snap.Gauges {
-				for i := 0; i+1 < len(g.Labels); i += 2 {
-					if g.Labels[i] == "party" {
-						parties[g.Labels[i+1]] = true
-					}
-				}
-			}
-			for _, p := range []string{"client", "mediator", "source:S1", "source:S2"} {
-				if !parties[p] {
-					t.Errorf("no traffic gauges for party %q", p)
-				}
-			}
 		})
 	}
+}
+
+// Unions and aggregates run the same request phase and session tree as
+// joins: a querying phase at the mediator, the delivery phases below
+// per-party session roots, and traffic gauges at every party.
+func TestQueryShapeSpanTrees(t *testing.T) {
+	r1, _ := testRelations(t)
+	t.Run("union", func(t *testing.T) {
+		checkSpanTree(t, networkOver(t, nil, r1, r1.Rename("R2")), "SELECT * FROM R1 UNION SELECT * FROM R2", ProtocolCommutative,
+			wantPhases[ProtocolMobileCode], "source:S1", "source:S2")
+	})
+	t.Run("aggregate", func(t *testing.T) {
+		checkSpanTree(t, aggNetwork(t, nil), "SELECT SUM(units) FROM Claims", ProtocolPM, [][2]string{
+			{leakage.PartyMediator, telemetry.PhaseQuerying},
+			{"source:Insurer", telemetry.PhaseSourceEncrypt},
+			{leakage.PartyMediator, telemetry.PhaseMatch},
+			{leakage.PartyClient, telemetry.PhasePostFilter},
+		}, "source:Insurer")
+	})
+}
+
+// checkSpanTree runs one query over n with a fresh registry at every
+// party and checks that it produced each wanted (party, phase) span, that
+// every phase span nests under its party's session root, and that the
+// client, the mediator and each listed source exported traffic gauges.
+func checkSpanTree(t *testing.T, n *Network, sql string, proto Protocol, want [][2]string, sources ...string) *telemetry.Registry {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	n.SetTelemetry(reg)
+	defer n.SetTelemetry(nil)
+	if _, err := n.Query(sql, proto, fastParams()); err != nil {
+		t.Fatal(err)
+	}
+	for _, pp := range want {
+		if _, cnt := reg.PhaseTotal(pp[0], pp[1]); cnt == 0 {
+			t.Errorf("no %q span for party %q", pp[1], pp[0])
+		}
+	}
+	roots := map[int64]string{}
+	for _, sp := range reg.Spans() {
+		if sp.Name == "session" {
+			if sp.Parent != 0 {
+				t.Errorf("session span %d has parent %d", sp.ID, sp.Parent)
+			}
+			roots[sp.ID] = sp.Party
+		}
+	}
+	for _, sp := range reg.Spans() {
+		if sp.Name == "session" {
+			continue
+		}
+		if party, ok := roots[sp.Parent]; !ok || party != sp.Party {
+			t.Errorf("span %s (party %s) not nested under its party's session root", sp.Name, sp.Party)
+		}
+		if sp.DurNs < 0 {
+			t.Errorf("span %s has negative duration %d", sp.Name, sp.DurNs)
+		}
+	}
+	parties := map[string]bool{}
+	for _, g := range reg.Snapshot().Gauges {
+		for i := 0; i+1 < len(g.Labels); i += 2 {
+			if g.Labels[i] == "party" {
+				parties[g.Labels[i+1]] = true
+			}
+		}
+	}
+	for _, p := range append([]string{"client", "mediator"}, sources...) {
+		if !parties[p] {
+			t.Errorf("no traffic gauges for party %q", p)
+		}
+	}
+	return reg
 }
 
 // A query with no registry anywhere must behave exactly as before the
