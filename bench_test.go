@@ -6,6 +6,7 @@
 package secmediation
 
 import (
+	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/rsa"
 	"fmt"
@@ -319,10 +320,11 @@ func BenchmarkExtHierarchy(b *testing.B) {
 // evaluating the active-domain polynomial, isolating the Θ(n·m) cost the
 // paper calls "quite expensive".
 func BenchmarkPMPolynomial(b *testing.B) {
-	sk, err := ecelgamal.GenerateKey(rand.Reader)
+	k, err := ecdh.P256().GenerateKey(rand.Reader)
 	if err != nil {
 		b.Fatal(err)
 	}
+	sk := ecelgamal.KeyFromECDH(k)
 	pk, err := ecelgamal.ParsePublicKey(sk.PublicKey())
 	if err != nil {
 		b.Fatal(err)

@@ -8,6 +8,7 @@
 package ecelgamal
 
 import (
+	"crypto/ecdh"
 	"crypto/elliptic"
 	"crypto/rand"
 	"errors"
@@ -78,13 +79,13 @@ type PrivateKey struct {
 	pub []byte
 }
 
-// GenerateKey draws a fresh key pair.
-func GenerateKey(rnd io.Reader) (*PrivateKey, error) {
-	d, err := RandomScalar(rnd)
-	if err != nil {
-		return nil, err
-	}
-	return &PrivateKey{d: d, pub: baseMul(d).compressed()}, nil
+// KeyFromECDH reuses an ecdh.P256 key's scalar (crypto/ecdh keeps it in
+// [1, q−1]) as the decryption scalar, so one per-query key serves key
+// transport and PM alike: the public point is the same X = x·G in both
+// roles.
+func KeyFromECDH(k *ecdh.PrivateKey) *PrivateKey {
+	d := new(big.Int).SetBytes(k.Bytes())
+	return &PrivateKey{d: d, pub: baseMul(d).compressed()}
 }
 
 // PublicKey returns the compressed public point, the form it travels in.

@@ -2,6 +2,7 @@ package ecelgamal
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	"crypto/elliptic"
 	"crypto/rand"
 	"math/big"
@@ -19,11 +20,11 @@ func refPoint(k *big.Int) []byte {
 
 func mustKey(t testing.TB) *PrivateKey {
 	t.Helper()
-	k, err := GenerateKey(rand.Reader)
+	k, err := ecdh.P256().GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k
+	return KeyFromECDH(k)
 }
 
 func mustEncrypt(t testing.TB, pk *PublicKey, m *big.Int) *Ciphertext {
@@ -45,6 +46,29 @@ func TestDecryptIsPlaintextPoint(t *testing.T) {
 		if got := sk.Decrypt(mustEncrypt(t, pk, m)); !bytes.Equal(got, refPoint(m)) {
 			t.Errorf("Decrypt(E(%v)) is not %v·G", m, m)
 		}
+	}
+}
+
+// A key built from an ECDH scalar has the ECDH key's public point and
+// decrypts like any other.
+func TestKeyFromECDH(t *testing.T) {
+	ek, err := ecdh.P256().GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := KeyFromECDH(ek)
+	raw := ek.PublicKey().Bytes()
+	want := append([]byte{2 | raw[len(raw)-1]&1}, raw[1:PointSize]...)
+	if !bytes.Equal(sk.PublicKey(), want) {
+		t.Errorf("public point % x, want the ECDH key's % x", sk.PublicKey(), want)
+	}
+	pk, err := ParsePublicKey(sk.PublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := big.NewInt(42)
+	if got := sk.Decrypt(mustEncrypt(t, pk, m)); !bytes.Equal(got, refPoint(m)) {
+		t.Error("Decrypt(E(42)) under the ECDH scalar is not 42·G")
 	}
 }
 
@@ -130,10 +154,7 @@ func onCurve(h []byte) bool {
 // FuzzDecodeCiphertext: arbitrary bytes never panic, and decoding succeeds
 // iff the input is CiphertextSize bytes whose halves both pass onCurve.
 func FuzzDecodeCiphertext(f *testing.F) {
-	sk, err := GenerateKey(rand.Reader)
-	if err != nil {
-		f.Fatal(err)
-	}
+	sk := mustKey(f)
 	pk, _ := ParsePublicKey(sk.PublicKey())
 	valid, err := pk.Encrypt(rand.Reader, big.NewInt(7))
 	if err != nil {

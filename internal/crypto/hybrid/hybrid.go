@@ -1,119 +1,64 @@
 // Package hybrid implements the paper's hybrid encryption functions
-// encrypt(...) and decrypt(...): data is encrypted under a freshly
-// generated symmetric session key (AES-256-GCM) and the session key is
-// wrapped under the client's public key (RSA-OAEP with SHA-256) taken from
-// a credential.
+// encrypt(...) and decrypt(...): data is sealed under a symmetric session
+// key (AES-256-GCM), and the session key is transported to the client by
+// ECDH over P-256 against the client's per-query key.
 //
-// Two granularities are offered, matching the paper's usage:
-//
-//   - One-shot Encrypt/Decrypt wraps a fresh session key per message
-//     (used when a single blob is sent, e.g. an index table).
-//   - Session amortizes one wrapped key over many messages (the paper
-//     recommends encrypting a partial result and its index table with the
-//     same session key).
+// A sender draws a fresh P-256 key per session; its compressed public
+// point, the share, travels beside the sealed messages. Both ends derive
+// the AES-256 key SHA-256(tag ‖ shared x ‖ share ‖ query key) from the
+// ECDH shared secret, so the client pays one scalar multiplication per
+// session and no RSA operation. One session covers many messages: the
+// paper recommends encrypting a partial result and its index table under
+// the same session key.
 package hybrid
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/ecdh"
+	"crypto/elliptic"
 	"crypto/rand"
-	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/subtle"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 )
-
-// KeyBits is the default RSA modulus size for client keys.
-const KeyBits = 2048
 
 // sessionKeyLen is the AES-256 key length.
 const sessionKeyLen = 32
 
-// GenerateKeyPair creates a client key pair for hybrid encryption.
-func GenerateKeyPair(rnd io.Reader) (*rsa.PrivateKey, error) {
-	key, err := rsa.GenerateKey(rnd, KeyBits)
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: generate key: %w", err)
-	}
-	return key, nil
-}
+// SessionKeyLen is the byte length of a session key.
+const SessionKeyLen = sessionKeyLen
 
-// Ciphertext is a hybrid-encrypted message: the RSA-wrapped session key
-// (empty when the message belongs to an established Session), the GCM
-// nonce, and the AEAD ciphertext.
+// PointSize is the width of a SEC 1 compressed P-256 point: a query key
+// or a session share on the wire.
+const PointSize = 33
+
+// nonceSize is the GCM standard nonce length.
+const nonceSize = 12
+
+// sessionKeyTag domain-separates the session-key derivation from every
+// other SHA-256 use.
+const sessionKeyTag = "secmediation/hybrid-session-key\x00"
+
+// Ciphertext is one sealed message: the GCM nonce and the AEAD output.
 type Ciphertext struct {
-	WrappedKey []byte
-	Nonce      []byte
-	Sealed     []byte
+	Nonce  []byte
+	Sealed []byte
 }
 
-// Marshal serializes the ciphertext into a single length-prefixed blob
-// (3 × uint32 length + bytes), suitable for transport message fields.
+// Marshal serializes the ciphertext as nonce ‖ AEAD output.
 func (c *Ciphertext) Marshal() []byte {
-	out := make([]byte, 0, 12+len(c.WrappedKey)+len(c.Nonce)+len(c.Sealed))
-	for _, part := range [][]byte{c.WrappedKey, c.Nonce, c.Sealed} {
-		var lb [4]byte
-		binary.BigEndian.PutUint32(lb[:], uint32(len(part)))
-		out = append(out, lb[:]...)
-		out = append(out, part...)
-	}
-	return out
+	out := make([]byte, 0, len(c.Nonce)+len(c.Sealed))
+	return append(append(out, c.Nonce...), c.Sealed...)
 }
 
 // UnmarshalCiphertext parses a blob produced by Marshal.
 func UnmarshalCiphertext(b []byte) (*Ciphertext, error) {
-	var parts [3][]byte
-	for i := 0; i < 3; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("hybrid: truncated ciphertext header")
-		}
-		n := int(binary.BigEndian.Uint32(b[:4]))
-		b = b[4:]
-		if len(b) < n {
-			return nil, fmt.Errorf("hybrid: truncated ciphertext body")
-		}
-		parts[i] = b[:n]
-		b = b[n:]
+	if len(b) < nonceSize {
+		return nil, fmt.Errorf("hybrid: ciphertext is %d bytes, shorter than its nonce", len(b))
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("hybrid: %d trailing bytes", len(b))
-	}
-	return &Ciphertext{WrappedKey: parts[0], Nonce: parts[1], Sealed: parts[2]}, nil
-}
-
-// Encrypt hybrid-encrypts plaintext for the public key: fresh session key,
-// wrapped with RSA-OAEP(SHA-256). The optional associated data is
-// authenticated but not encrypted.
-// seclint:sanitizer hybrid encrypt boundary
-func Encrypt(pub *rsa.PublicKey, plaintext, aad []byte) (*Ciphertext, error) {
-	key := make([]byte, sessionKeyLen)
-	if _, err := rand.Read(key); err != nil {
-		return nil, fmt.Errorf("hybrid: session key: %w", err)
-	}
-	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, pub, key, []byte("secmediation/hybrid"))
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: wrap session key: %w", err)
-	}
-	nonce, sealed, err := seal(key, plaintext, aad)
-	if err != nil {
-		return nil, err
-	}
-	return &Ciphertext{WrappedKey: wrapped, Nonce: nonce, Sealed: sealed}, nil
-}
-
-// Decrypt reverses Encrypt with the client's private key.
-// seclint:source hybrid decryption output
-func Decrypt(priv *rsa.PrivateKey, c *Ciphertext, aad []byte) ([]byte, error) {
-	if len(c.WrappedKey) == 0 {
-		return nil, fmt.Errorf("hybrid: ciphertext has no wrapped key (session ciphertext?)")
-	}
-	key, err := unwrapSessionKey(priv, c.WrappedKey)
-	if err != nil {
-		return nil, err
-	}
-	return open(key, c.Nonce, c.Sealed, aad)
+	return &Ciphertext{Nonce: b[:nonceSize], Sealed: b[nonceSize:]}, nil
 }
 
 // KeyEqual compares two keys (or tags) in constant time. Every key
@@ -125,58 +70,82 @@ func KeyEqual(a, b []byte) bool {
 	return subtle.ConstantTimeCompare(a, b) == 1
 }
 
-// unwrapSessionKey recovers and validates a session key. OAEP already
-// authenticates the padding, but a wrapped blob produced by a different
-// (or malicious) sender could still carry a short key; AES would accept
-// 16 or 24 bytes silently, downgrading the advertised AES-256 strength.
-// seclint:source unwrapped session key
-func unwrapSessionKey(priv *rsa.PrivateKey, wrappedKey []byte) ([]byte, error) {
-	key, err := rsa.DecryptOAEP(sha256.New(), nil, priv, wrappedKey, []byte("secmediation/hybrid"))
+// CompressPoint renders an ECDH public key as its SEC 1 compressed point.
+func CompressPoint(pub *ecdh.PublicKey) []byte {
+	raw := pub.Bytes() // 0x04 ‖ x ‖ y
+	out := make([]byte, PointSize)
+	out[0] = 2 | raw[len(raw)-1]&1
+	copy(out[1:], raw[1:PointSize])
+	return out
+}
+
+// ParsePoint validates a compressed P-256 point received from a peer:
+// anything but 33 bytes, a prefix other than 02/03, x ≥ p, and an x with
+// no point on the curve are errors, so no scalar ever multiplies an
+// invalid point. elliptic.UnmarshalCompressed is both the range and
+// on-curve test and the square root.
+func ParsePoint(b []byte) (*ecdh.PublicKey, error) {
+	if len(b) != PointSize {
+		return nil, fmt.Errorf("hybrid: point is %d bytes, want %d", len(b), PointSize)
+	}
+	x, y := elliptic.UnmarshalCompressed(elliptic.P256(), b)
+	if x == nil {
+		return nil, errors.New("hybrid: not a compressed P-256 point")
+	}
+	raw := make([]byte, 1+2*(PointSize-1))
+	raw[0] = 4
+	x.FillBytes(raw[1:PointSize])
+	y.FillBytes(raw[PointSize:])
+	pub, err := ecdh.P256().NewPublicKey(raw)
 	if err != nil {
-		return nil, fmt.Errorf("hybrid: unwrap session key: %w", err)
+		return nil, fmt.Errorf("hybrid: %w", err)
 	}
-	if len(key) != sessionKeyLen {
-		return nil, fmt.Errorf("hybrid: unwrapped session key has %d bytes, want %d", len(key), sessionKeyLen)
-	}
-	opUnwrap.Add(1)
-	return key, nil
+	return pub, nil
 }
 
-// Session is a sender-side hybrid session: one wrapped session key, many
-// sealed messages.
+// deriveSessionKey is SHA-256(tag ‖ shared x ‖ share ‖ query key).
+// seclint:source derived session key
+func deriveSessionKey(shared, share, queryKey []byte) []byte {
+	h := sha256.New()
+	h.Write([]byte(sessionKeyTag))
+	h.Write(shared)
+	h.Write(share)
+	h.Write(queryKey)
+	return h.Sum(nil)
+}
+
+// Session is a sender-side hybrid session: one session key, many sealed
+// messages.
 type Session struct {
-	key     []byte
-	wrapped []byte
+	key   []byte
+	share []byte
 }
 
-// NewSession generates a session key for the recipient's public key.
-func NewSession(pub *rsa.PublicKey) (*Session, error) {
-	key := make([]byte, sessionKeyLen)
-	if _, err := rand.Read(key); err != nil {
+// NewSessionECDH starts a session to the client's query key: a fresh
+// P-256 key agrees a secret with it, and the session key is derived from
+// that secret and both public points.
+func NewSessionECDH(queryKey *ecdh.PublicKey) (*Session, error) {
+	eph, err := ecdh.P256().GenerateKey(rand.Reader)
+	if err != nil {
 		return nil, fmt.Errorf("hybrid: session key: %w", err)
 	}
-	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, pub, key, []byte("secmediation/hybrid"))
+	shared, err := eph.ECDH(queryKey)
 	if err != nil {
-		return nil, fmt.Errorf("hybrid: wrap session key: %w", err)
+		return nil, fmt.Errorf("hybrid: key agreement: %w", err)
 	}
+	share := CompressPoint(eph.PublicKey())
 	opWrap.Add(1)
-	return &Session{key: key, wrapped: wrapped}, nil
+	return &Session{key: deriveSessionKey(shared, share, CompressPoint(queryKey)), share: share}, nil
 }
 
-// WrappedKey returns the RSA-wrapped session key to ship alongside the
-// sealed messages.
-func (s *Session) WrappedKey() []byte { return s.wrapped }
+// Share returns what the recipient needs to rebuild the session key: the
+// session's compressed public point.
+func (s *Session) Share() []byte { return s.share }
 
-// Seal encrypts one message under the session key. The returned ciphertext
-// has an empty WrappedKey; the recipient opens it with a Receiver built
-// from the session's wrapped key.
+// Seal encrypts one message under the session key.
 // seclint:sanitizer hybrid encrypt boundary
 func (s *Session) Seal(plaintext, aad []byte) (*Ciphertext, error) {
-	nonce, sealed, err := seal(s.key, plaintext, aad)
-	if err != nil {
-		return nil, err
-	}
-	return &Ciphertext{Nonce: nonce, Sealed: sealed}, nil
+	return SealWithKey(s.key, plaintext, aad)
 }
 
 // Receiver is the client side of a Session.
@@ -184,13 +153,20 @@ type Receiver struct {
 	key []byte
 }
 
-// NewReceiver unwraps a session key with the client's private key.
-func NewReceiver(priv *rsa.PrivateKey, wrappedKey []byte) (*Receiver, error) {
-	key, err := unwrapSessionKey(priv, wrappedKey)
+// NewReceiverECDH rebuilds a session key from the sender's share with the
+// query's private key. The share comes from a peer: ParsePoint rejects it
+// before the scalar touches it.
+func NewReceiverECDH(queryKey *ecdh.PrivateKey, share []byte) (*Receiver, error) {
+	pub, err := ParsePoint(share)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hybrid: session share: %w", err)
 	}
-	return &Receiver{key: key}, nil
+	shared, err := queryKey.ECDH(pub)
+	if err != nil {
+		return nil, fmt.Errorf("hybrid: key agreement: %w", err)
+	}
+	opUnwrap.Add(1)
+	return &Receiver{key: deriveSessionKey(shared, share, CompressPoint(queryKey.PublicKey()))}, nil
 }
 
 // Open decrypts one session message.
@@ -199,25 +175,34 @@ func (r *Receiver) Open(c *Ciphertext, aad []byte) ([]byte, error) {
 	return open(r.key, c.Nonce, c.Sealed, aad)
 }
 
-func seal(key, plaintext, aad []byte) (nonce, sealed []byte, err error) {
-	block, err := aes.NewCipher(key)
+// SealWithKey seals a message under a caller-provided session key (the
+// PM protocol derives one per tuple set from a curve point).
+// seclint:sanitizer hybrid encrypt boundary
+func SealWithKey(key, plaintext, aad []byte) (*Ciphertext, error) {
+	gcm, err := newGCM(key)
 	if err != nil {
-		return nil, nil, fmt.Errorf("hybrid: aes: %w", err)
+		return nil, err
 	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, nil, fmt.Errorf("hybrid: gcm: %w", err)
-	}
-	nonce = make([]byte, gcm.NonceSize())
+	nonce := make([]byte, nonceSize)
 	if _, err := rand.Read(nonce); err != nil {
-		return nil, nil, fmt.Errorf("hybrid: nonce: %w", err)
+		return nil, fmt.Errorf("hybrid: nonce: %w", err)
 	}
 	opSeal.Add(1)
-	return nonce, gcm.Seal(nil, nonce, plaintext, aad), nil
+	return &Ciphertext{Nonce: nonce, Sealed: gcm.Seal(nil, nonce, plaintext, aad)}, nil
 }
 
-// seclint:source AEAD plaintext
-func open(key, nonce, sealed, aad []byte) ([]byte, error) {
+// OpenWithKey opens a message sealed by SealWithKey.
+// seclint:source hybrid decryption output
+func OpenWithKey(key []byte, c *Ciphertext, aad []byte) ([]byte, error) {
+	return open(key, c.Nonce, c.Sealed, aad)
+}
+
+// newGCM refuses every key length but 32 bytes: AES would accept 16 or 24
+// silently, downgrading the advertised AES-256 strength.
+func newGCM(key []byte) (cipher.AEAD, error) {
+	if len(key) != sessionKeyLen {
+		return nil, fmt.Errorf("hybrid: session key has %d bytes, want %d", len(key), sessionKeyLen)
+	}
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: aes: %w", err)
@@ -225,6 +210,15 @@ func open(key, nonce, sealed, aad []byte) ([]byte, error) {
 	gcm, err := cipher.NewGCM(block)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: gcm: %w", err)
+	}
+	return gcm, nil
+}
+
+// seclint:source AEAD plaintext
+func open(key, nonce, sealed, aad []byte) ([]byte, error) {
+	gcm, err := newGCM(key)
+	if err != nil {
+		return nil, err
 	}
 	if len(nonce) != gcm.NonceSize() {
 		return nil, fmt.Errorf("hybrid: bad nonce length %d", len(nonce))
@@ -235,24 +229,4 @@ func open(key, nonce, sealed, aad []byte) ([]byte, error) {
 	}
 	opOpen.Add(1)
 	return pt, nil
-}
-
-// SessionKeyLen is the byte length of a session key.
-const SessionKeyLen = sessionKeyLen
-
-// SealWithKey seals a message under a caller-provided session key (the
-// PM protocol derives one per tuple set from a curve point).
-// seclint:sanitizer hybrid encrypt boundary
-func SealWithKey(key, plaintext, aad []byte) (*Ciphertext, error) {
-	nonce, sealed, err := seal(key, plaintext, aad)
-	if err != nil {
-		return nil, err
-	}
-	return &Ciphertext{Nonce: nonce, Sealed: sealed}, nil
-}
-
-// OpenWithKey opens a message sealed by SealWithKey.
-// seclint:source hybrid decryption output
-func OpenWithKey(key []byte, c *Ciphertext, aad []byte) ([]byte, error) {
-	return open(key, c.Nonce, c.Sealed, aad)
 }

@@ -1,6 +1,7 @@
 package das
 
 import (
+	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/rsa"
 	"fmt"
@@ -233,19 +234,30 @@ func TestOverlapPairsSymmetry(t *testing.T) {
 
 var (
 	keyOnce sync.Once
-	ck      *rsa.PrivateKey
+	ck      *ecdh.PrivateKey
 )
 
-func clientKey(t testing.TB) *rsa.PrivateKey {
+// clientKey is the test client's query key.
+func clientKey(t testing.TB) *ecdh.PrivateKey {
 	t.Helper()
 	keyOnce.Do(func() {
 		var err error
-		ck, err = rsa.GenerateKey(rand.Reader, 1024)
+		ck, err = ecdh.P256().GenerateKey(rand.Reader)
 		if err != nil {
 			panic(err)
 		}
 	})
 	return ck
+}
+
+// encryptFor is SealRelation under a fresh session to the query key.
+func encryptFor(key *ecdh.PrivateKey, r *rel.Relation, cols []string, its []*IndexTable) (*EncryptedRelation, *hybrid.Session, error) {
+	sess, err := hybrid.NewSessionECDH(key.PublicKey())
+	if err != nil {
+		return nil, nil, err
+	}
+	er, err := SealRelation(r, cols, its, sess, 1)
+	return er, sess, err
 }
 
 func fixtures(t testing.TB) (*rel.Relation, *rel.Relation) {
@@ -291,11 +303,11 @@ func TestDASEndToEnd(t *testing.T) {
 			}
 			it1, _ := BuildIndexTable("id", p1)
 			it2, _ := BuildIndexTable("id", p2)
-			er1, _, err := EncryptRelation(r1, []string{"id"}, []*IndexTable{it1}, &key.PublicKey, 1)
+			er1, _, err := encryptFor(key, r1, []string{"id"}, []*IndexTable{it1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			er2, _, err := EncryptRelation(r2, []string{"id"}, []*IndexTable{it2}, &key.PublicKey, 1)
+			er2, _, err := encryptFor(key, r2, []string{"id"}, []*IndexTable{it2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,11 +320,11 @@ func TestDASEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			recv1, err := hybrid.NewReceiver(key, er1.WrappedKey)
+			recv1, err := hybrid.NewReceiverECDH(key, er1.KeyShare)
 			if err != nil {
 				t.Fatal(err)
 			}
-			recv2, err := hybrid.NewReceiver(key, er2.WrappedKey)
+			recv2, err := hybrid.NewReceiverECDH(key, er2.KeyShare)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,8 +361,8 @@ func TestPartitionGranularityMonotonicity(t *testing.T) {
 		p2, _ := PartitionDomain(d2, k, EquiDepth)
 		it1, _ := BuildIndexTable("id", p1)
 		it2, _ := BuildIndexTable("id", p2)
-		er1, _, _ := EncryptRelation(r1, []string{"id"}, []*IndexTable{it1}, &key.PublicKey, 1)
-		er2, _, _ := EncryptRelation(r2, []string{"id"}, []*IndexTable{it2}, &key.PublicKey, 1)
+		er1, _, _ := encryptFor(key, r1, []string{"id"}, []*IndexTable{it1})
+		er2, _, _ := encryptFor(key, r2, []string{"id"}, []*IndexTable{it2})
 		sq, _ := BuildServerQuery([]*IndexTable{it1}, []*IndexTable{it2})
 		res, err := ExecuteServerQuery(er1, er2, sq)
 		if err != nil {
@@ -372,16 +384,36 @@ func TestEncryptRelationErrors(t *testing.T) {
 	d1, _ := r1.ActiveDomain("id")
 	p1, _ := PartitionDomain(d1, 2, EquiDepth)
 	it1, _ := BuildIndexTable("id", p1)
-	if _, _, err := EncryptRelation(r1, []string{"ghost"}, []*IndexTable{it1}, &key.PublicKey, 1); err == nil {
+	if _, _, err := encryptFor(key, r1, []string{"ghost"}, []*IndexTable{it1}); err == nil {
 		t.Error("bad join column accepted")
 	}
-	if _, _, err := EncryptRelation(r1, []string{"id"}, nil, &key.PublicKey, 1); err == nil {
+	if _, _, err := encryptFor(key, r1, []string{"id"}, nil); err == nil {
 		t.Error("missing index tables accepted")
 	}
 	// Index table missing coverage.
 	itBad := &IndexTable{Attribute: "id"}
-	if _, _, err := EncryptRelation(r1, []string{"id"}, []*IndexTable{itBad}, &key.PublicKey, 1); err == nil {
+	if _, _, err := encryptFor(key, r1, []string{"id"}, []*IndexTable{itBad}); err == nil {
 		t.Error("uncovering index table accepted")
+	}
+	// The bench-only RSA wrapper validates the same way and otherwise
+	// seals under a session whose key it wraps.
+	rk, err := rsa.GenerateKey(rand.Reader, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := EncryptRelation(r1, []string{"ghost"}, []*IndexTable{it1}, &rk.PublicKey, 1); err == nil {
+		t.Error("EncryptRelation: bad join column accepted")
+	}
+	er, sess, err := EncryptRelation(r1, []string{"id"}, []*IndexTable{it1}, &rk.PublicKey, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv, err := hybrid.NewReceiver(rk, sess.WrappedKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openTuple(recv, er.Tuples[0].Etuple, []byte("das:etuple:R1"), r1.Schema()); err != nil {
+		t.Errorf("EncryptRelation etuple does not open: %v", err)
 	}
 }
 
@@ -481,11 +513,11 @@ func TestDASMultiAttribute(t *testing.T) {
 	its1 := buildITs(r1)
 	its2 := buildITs(r2)
 	cols := []string{"id", "dept"}
-	er1, _, err := EncryptRelation(r1, cols, its1, &ck.PublicKey, 1)
+	er1, _, err := encryptFor(ck, r1, cols, its1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	er2, _, err := EncryptRelation(r2, cols, its2, &ck.PublicKey, 1)
+	er2, _, err := encryptFor(ck, r2, cols, its2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,8 +529,8 @@ func TestDASMultiAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv1, _ := hybrid.NewReceiver(key, er1.WrappedKey)
-	recv2, _ := hybrid.NewReceiver(key, er2.WrappedKey)
+	recv1, _ := hybrid.NewReceiverECDH(key, er1.KeyShare)
+	recv2, _ := hybrid.NewReceiverECDH(key, er2.KeyShare)
 	got, _, err := DecryptServerResult(res, recv1, recv2, s1, s2, cols, cols, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -609,8 +641,8 @@ func TestServerQueryFilterSoundness(t *testing.T) {
 	p2, _ := PartitionDomain(d2, 3, EquiDepth)
 	it1, _ := BuildIndexTable("id", p1)
 	it2, _ := BuildIndexTable("id", p2)
-	er1, _, _ := EncryptRelation(r1, []string{"id"}, []*IndexTable{it1}, &key.PublicKey, 1)
-	er2, _, _ := EncryptRelation(r2, []string{"id"}, []*IndexTable{it2}, &key.PublicKey, 1)
+	er1, _, _ := encryptFor(key, r1, []string{"id"}, []*IndexTable{it1})
+	er2, _, _ := encryptFor(key, r2, []string{"id"}, []*IndexTable{it2})
 	sq, _ := BuildServerQuery([]*IndexTable{it1}, []*IndexTable{it2})
 	// Push down "R1.id >= 5": ids 5,5,9 remain on the left.
 	sq.Filters1 = []IndexFilter{{Attr: 0, Allowed: it1.AllowedIndexes(algebra.OpGe, rel.Int(5))}}
@@ -618,8 +650,8 @@ func TestServerQueryFilterSoundness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv1, _ := hybrid.NewReceiver(key, er1.WrappedKey)
-	recv2, _ := hybrid.NewReceiver(key, er2.WrappedKey)
+	recv1, _ := hybrid.NewReceiverECDH(key, er1.KeyShare)
+	recv2, _ := hybrid.NewReceiverECDH(key, er2.KeyShare)
 	got, _, err := DecryptServerResult(res, recv1, recv2, r1.Schema(), r2.Schema(), []string{"id"}, []string{"id"}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -772,11 +804,11 @@ func newDASSide(t testing.TB, r *rel.Relation, cols []string, k int, strategy St
 			t.Fatal(err)
 		}
 	}
-	er, _, err := EncryptRelation(r, cols, its, &key.PublicKey, 1)
+	er, _, err := encryptFor(key, r, cols, its)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv, err := hybrid.NewReceiver(key, er.WrappedKey)
+	recv, err := hybrid.NewReceiverECDH(key, er.KeyShare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -939,7 +971,7 @@ type plainOpener struct{}
 func (plainOpener) Open(ct *hybrid.Ciphertext, _ []byte) ([]byte, error) { return ct.Sealed, nil }
 
 func plainEtuple(t rel.Tuple) []byte {
-	return (&hybrid.Ciphertext{Sealed: t.Encode(nil)}).Marshal()
+	return (&hybrid.Ciphertext{Nonce: make([]byte, 12), Sealed: t.Encode(nil)}).Marshal()
 }
 
 // The slots of a ServerResult are chosen by a peer: one outside its table

@@ -1,7 +1,6 @@
 package das
 
 import (
-	"crypto/rsa"
 	"fmt"
 
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
@@ -28,8 +27,9 @@ type EncryptedRelation struct {
 	// Name is the source relation name (schema metadata, not secret: the
 	// mediator localized the source by name already).
 	Name string
-	// WrappedKey is the hybrid session key wrapped for the client.
-	WrappedKey []byte
+	// KeyShare is the hybrid session's share: what the client needs, with
+	// its query key, to rebuild the session key.
+	KeyShare []byte
 	// Tuples are the encrypted rows.
 	Tuples []EncTuple
 }
@@ -38,32 +38,28 @@ type EncryptedRelation struct {
 // the |R_i| leakage of Table 1).
 func (er *EncryptedRelation) Len() int { return len(er.Tuples) }
 
-// EncryptRelation produces R^S from a partial result: each tuple is sealed
-// row-wise under a fresh session key for the client's public key, and
-// annotated with the index values of its join attribute values (one per
-// join column, parallel to the index tables). It also returns the session
-// so the caller can seal the index tables under the same key, as the paper
-// recommends. The per-tuple index+seal work fans out over a worker pool
-// (workers as in parallel.Resolve) with tuple order preserved.
+// SealRelation produces R^S from a partial result: each tuple is sealed
+// row-wise under the session, and annotated with the index values of its
+// join attribute values (one per join column, parallel to the index
+// tables). The caller seals the index tables under the same session, as
+// the paper recommends. The per-tuple index+seal work fans out over a
+// worker pool (workers as in parallel.Resolve) with tuple order preserved.
 // seclint:sanitizer DAS encrypt boundary (tuples sealed, buckets indexed)
-func EncryptRelation(r *relation.Relation, joinCols []string, its []*IndexTable, clientKey *rsa.PublicKey, workers int) (*EncryptedRelation, *hybrid.Session, error) {
+func SealRelation(r *relation.Relation, joinCols []string, its []*IndexTable, sess *hybrid.Session, workers int) (*EncryptedRelation, error) {
 	if len(joinCols) == 0 || len(joinCols) != len(its) {
-		return nil, nil, fmt.Errorf("das: need one index table per join column, got %d/%d", len(joinCols), len(its))
+		return nil, fmt.Errorf("das: need one index table per join column, got %d/%d", len(joinCols), len(its))
 	}
 	idxs := make([]int, len(joinCols))
 	for i, c := range joinCols {
 		idxs[i] = r.Schema().IndexOf(c)
 		if idxs[i] < 0 {
-			return nil, nil, fmt.Errorf("das: relation %s has no column %q", r.Schema().Relation, c)
+			return nil, fmt.Errorf("das: relation %s has no column %q", r.Schema().Relation, c)
 		}
 	}
-	sess, err := hybrid.NewSession(clientKey)
-	if err != nil {
-		return nil, nil, err
-	}
-	er := &EncryptedRelation{Name: r.Schema().Relation, WrappedKey: sess.WrappedKey()}
+	er := &EncryptedRelation{Name: r.Schema().Relation, KeyShare: sess.Share()}
 	aad := []byte("das:etuple:" + r.Schema().Relation)
 	tuples := r.Tuples()
+	var err error
 	er.Tuples, err = parallel.Map(len(tuples), workers, func(ti int) (EncTuple, error) {
 		t := tuples[ti]
 		iv := make([]IndexValue, len(joinCols))
@@ -81,9 +77,9 @@ func EncryptRelation(r *relation.Relation, joinCols []string, its []*IndexTable,
 		return EncTuple{Etuple: ct.Marshal(), Index: iv}, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return er, sess, nil
+	return er, nil
 }
 
 // IndexPair is one disjunct of CondS for one attribute:

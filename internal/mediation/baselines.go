@@ -1,7 +1,7 @@
 package mediation
 
 import (
-	"crypto/rsa"
+	"crypto/ecdh"
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
@@ -70,9 +70,9 @@ func (c *Client) runPlaintext(conn transport.Conn) (*relation.Relation, relation
 // shipped these to the client together with mobile code computing the join
 // after decryption. Here the "mobile code" is the client's local join.
 type mcPartial struct {
-	Schema     relation.Schema
-	WrappedKey []byte
-	Rows       [][]byte
+	Schema   relation.Schema
+	KeyShare []byte
+	Rows     [][]byte
 }
 
 // mcResult forwards both encrypted partial results to the client. It is
@@ -82,15 +82,15 @@ type mcResult struct {
 	JoinCols1, JoinCols2 []string
 }
 
-func (s *Source) serveMobileCode(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, clientKey *rsa.PublicKey, watch *stopwatch) error {
+func (s *Source) serveMobileCode(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, queryKey *ecdh.PublicKey, watch *stopwatch) error {
 	var out mcPartial
 	err := watch.phase(telemetry.PhaseSourceEncrypt, func() error {
-		sess, err := hybrid.NewSession(clientKey)
+		sess, err := hybrid.NewSessionECDH(queryKey)
 		if err != nil {
 			return err
 		}
 		s.Ledger.UsePrimitive(s.party(), "hybrid-encryption", int64(rel.Len()))
-		out = mcPartial{Schema: rel.Schema(), WrappedKey: sess.WrappedKey()}
+		out = mcPartial{Schema: rel.Schema(), KeyShare: sess.Share()}
 		aad := []byte("mc:" + pq.SessionID + ":" + rel.Schema().Relation)
 		for _, t := range rel.Tuples() {
 			ct, err := sess.Seal(t.Encode(nil), aad)
@@ -129,18 +129,18 @@ func (m *Mediator) mediateMobileCode(client, s1, s2 transport.Conn, d *decomposi
 // runMobileCode opens both partial results and merges them: a join
 // evaluates the equi-join, a union concatenates (postProcess drops the
 // duplicates of a plain UNION).
-func (c *Client) runMobileCode(conn transport.Conn, q *sqlparse.Query, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+func (c *Client) runMobileCode(conn transport.Conn, q *sqlparse.Query, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res sessioned[mcResult]
 	if err := recvInto(conn, "mediator", msgMCResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	var joined *relation.Relation
 	err := watch.phase(telemetry.PhasePostFilter, func() error {
-		r1, err := c.openMCPartial(res.Body.P1, res.Session)
+		r1, err := c.openMCPartial(queryKey, res.Body.P1, res.Session)
 		if err != nil {
 			return err
 		}
-		r2, err := c.openMCPartial(res.Body.P2, res.Session)
+		r2, err := c.openMCPartial(queryKey, res.Body.P2, res.Session)
 		if err != nil {
 			return err
 		}
@@ -159,8 +159,8 @@ func (c *Client) runMobileCode(conn transport.Conn, q *sqlparse.Query, watch *st
 	return joined, res.Body.P2.Schema, res.Body.JoinCols2, nil
 }
 
-func (c *Client) openMCPartial(p mcPartial, session string) (*relation.Relation, error) {
-	recv, err := hybrid.NewReceiver(c.PrivateKey, p.WrappedKey)
+func (c *Client) openMCPartial(queryKey *ecdh.PrivateKey, p mcPartial, session string) (*relation.Relation, error) {
+	recv, err := hybrid.NewReceiverECDH(queryKey, p.KeyShare)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package mediation
 
 import (
+	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/rsa"
 	"fmt"
@@ -8,7 +9,7 @@ import (
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
-	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
+	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/crypto/paillier"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/relation"
@@ -17,13 +18,13 @@ import (
 	"github.com/secmediation/secmediation/internal/transport"
 )
 
-// Client is the querying party: it holds the private decryption key whose
-// public half is bound into its credentials, issues global queries, and
-// performs the client side of each delivery phase (decryption, the DAS
-// query translation, PM matching, result assembly).
+// Client is the querying party: it holds the private key whose public
+// half is bound into its credentials, issues global queries, and performs
+// the client side of each delivery phase (decryption, the DAS query
+// translation, PM matching, result assembly).
 type Client struct {
-	// PrivateKey is the hybrid-encryption private key matching the public
-	// key in the credentials.
+	// PrivateKey matches the public key in the credentials. It signs each
+	// query's fresh P-256 key, which the data is then encrypted to.
 	PrivateKey *rsa.PrivateKey
 	// Credentials is the credential set CR attached to queries.
 	Credentials credential.Set
@@ -39,7 +40,7 @@ type Client struct {
 	homKey *paillier.PrivateKey
 }
 
-// NewClient creates a client with a fresh hybrid key pair. Callers
+// NewClient creates a client with a fresh RSA key pair. Callers
 // typically then have a CA issue credentials for
 // &client.PrivateKey.PublicKey.
 func NewClient() (*Client, error) {
@@ -91,14 +92,17 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 		}
 		req.HomomorphicKey = &hk.PublicKey
 	}
-	// PM draws a fresh key per query, so the mediator cannot link a
-	// client's PM queries by its public key.
-	var pmKey *ecelgamal.PrivateKey
-	if proto == ProtocolPM && q.Aggregate == nil {
-		if pmKey, err = ecelgamal.GenerateKey(rand.Reader); err != nil {
+	// A fresh query key per query: the mediator cannot link a client's
+	// queries by a public key beyond what the credentials already show.
+	var queryKey *ecdh.PrivateKey
+	if needsQueryKey(proto, q.Aggregate != nil) {
+		if queryKey, err = ecdh.P256().GenerateKey(rand.Reader); err != nil {
+			return nil, fmt.Errorf("mediation: query key: %w", err)
+		}
+		req.QueryKey = hybrid.CompressPoint(queryKey.PublicKey())
+		if req.QueryKeySig, err = signQueryKey(c.PrivateKey, req.QueryKey, req.HomomorphicKey); err != nil {
 			return nil, err
 		}
-		req.PMKey = pmKey.PublicKey()
 	}
 	if err := sendMsg(conn, "mediator", msgRequest, req); err != nil {
 		return nil, c.abort(conn, params, err)
@@ -118,13 +122,13 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	case proto == ProtocolPlaintext:
 		joined, schema2, joinCols2, err = c.runPlaintext(conn)
 	case proto == ProtocolMobileCode:
-		joined, schema2, joinCols2, err = c.runMobileCode(conn, q, watch)
+		joined, schema2, joinCols2, err = c.runMobileCode(conn, q, queryKey, watch)
 	case proto == ProtocolDAS:
-		joined, schema2, joinCols2, err = c.runDAS(conn, q, params, watch)
+		joined, schema2, joinCols2, err = c.runDAS(conn, q, queryKey, params, watch)
 	case proto == ProtocolCommutative:
-		joined, schema2, joinCols2, err = c.runCommutative(conn, params, watch)
+		joined, schema2, joinCols2, err = c.runCommutative(conn, queryKey, params, watch)
 	case proto == ProtocolPM:
-		joined, schema2, joinCols2, err = c.runPM(conn, pmKey, params, watch)
+		joined, schema2, joinCols2, err = c.runPM(conn, queryKey, params, watch)
 	default:
 		err = fmt.Errorf("mediation: unknown protocol %d", proto)
 	}

@@ -1,8 +1,8 @@
 package mediation
 
 import (
+	"crypto/ecdh"
 	"crypto/rand"
-	"crypto/rsa"
 	"fmt"
 
 	"github.com/secmediation/secmediation/internal/crypto/commutative"
@@ -30,10 +30,10 @@ type commItem struct {
 
 // commOffer is a source's step 3 message M_i.
 type commOffer struct {
-	Session    string
-	Schema     relation.Schema
-	WrappedKey []byte
-	Items      []commItem
+	Session  string
+	Schema   relation.Schema
+	KeyShare []byte
+	Items    []commItem
 }
 
 // commCross carries the opposite source's items (step 4), and commCrossBack
@@ -52,7 +52,7 @@ type commResult struct {
 	Session              string
 	Schema1, Schema2     relation.Schema
 	JoinCols1, JoinCols2 []string
-	Wrapped1, Wrapped2   []byte
+	Share1, Share2       []byte
 	Pairs                []commPair
 }
 
@@ -61,7 +61,7 @@ type commResult struct {
 // join attributes (composite keys supported), encrypt the tuple sets for
 // the client, ship the shuffled message set, then re-encrypt the opposite
 // source's hash values when they come back through the mediator.
-func (s *Source) serveCommutative(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, clientKey *rsa.PublicKey, watch *stopwatch) error {
+func (s *Source) serveCommutative(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, queryKey *ecdh.PublicKey, watch *stopwatch) error {
 	var offer commOffer
 	var key *commutative.CurveKey
 	err := watch.phase(telemetry.PhaseSourceEncrypt, func() error {
@@ -74,11 +74,11 @@ func (s *Source) serveCommutative(conn transport.Conn, pq *PartialQuery, rel *re
 		if err != nil {
 			return err
 		}
-		sess, err := hybrid.NewSession(clientKey)
+		sess, err := hybrid.NewSessionECDH(queryKey)
 		if err != nil {
 			return err
 		}
-		offer = commOffer{Session: pq.SessionID, Schema: rel.Schema(), WrappedKey: sess.WrappedKey()}
+		offer = commOffer{Session: pq.SessionID, Schema: rel.Schema(), KeyShare: sess.Share()}
 		aad := []byte("comm:" + pq.SessionID + ":" + rel.Schema().Relation)
 		// The per-value hash+encrypt+seal work is the protocol's dominant
 		// cost (one scalar multiplication per active-domain value); fan it
@@ -190,7 +190,7 @@ func (m *Mediator) mediateCommutative(client, s1, s2 transport.Conn, d *decompos
 		Session: o1.Session,
 		Schema1: o1.Schema, Schema2: o2.Schema,
 		JoinCols1: d.joinCols1, JoinCols2: d.joinCols2,
-		Wrapped1: o1.WrappedKey, Wrapped2: o2.WrappedKey,
+		Share1: o1.KeyShare, Share2: o2.KeyShare,
 	}
 	err := watch.phase(telemetry.PhaseMatch, func() error {
 		tup1ByHash := make(map[string][]byte, len(b2.Items))
@@ -233,18 +233,18 @@ func (m *Mediator) mediateCommutative(client, s1, s2 transport.Conn, d *decompos
 // runCommutative implements the client's step 8: decrypt the matched tuple
 // sets and construct the result tuples (a cross product per matched join
 // value).
-func (c *Client) runCommutative(conn transport.Conn, params Params, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+func (c *Client) runCommutative(conn transport.Conn, queryKey *ecdh.PrivateKey, params Params, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res commResult
 	if err := recvInto(conn, "mediator", msgCommResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	var joined *relation.Relation
 	err := watch.phase(telemetry.PhasePostFilter, func() error {
-		recv1, err := hybrid.NewReceiver(c.PrivateKey, res.Wrapped1)
+		recv1, err := hybrid.NewReceiverECDH(queryKey, res.Share1)
 		if err != nil {
 			return err
 		}
-		recv2, err := hybrid.NewReceiver(c.PrivateKey, res.Wrapped2)
+		recv2, err := hybrid.NewReceiverECDH(queryKey, res.Share2)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,7 @@
 package mediation
 
 import (
-	"crypto/rsa"
+	"crypto/ecdh"
 	"fmt"
 
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
@@ -34,9 +34,9 @@ type dasIndexTables struct {
 	JoinCols1, JoinCols2 []string
 	// Cols1/Cols2 name all indexed attributes per side (join columns
 	// first, then pushdown filter columns).
-	Cols1, Cols2       []string
-	Wrapped1, Wrapped2 []byte
-	Enc1, Enc2         []byte
+	Cols1, Cols2   []string
+	Share1, Share2 []byte
+	Enc1, Enc2     []byte
 }
 
 // dasServerQuery is the client's step 5 message: q_S.
@@ -52,9 +52,10 @@ type dasResult struct {
 
 // serveDAS implements Listing 2 steps 1–3 at a datasource: partition the
 // active domains of the join attributes, build index tables, encrypt the
-// partial result DAS-style and the index tables with the client's keys,
-// and send everything to the mediator in one interaction.
-func (s *Source) serveDAS(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, clientKey *rsa.PublicKey, watch *stopwatch) error {
+// partial result DAS-style and the index tables under one hybrid session
+// to the query key, and send everything to the mediator in one
+// interaction.
+func (s *Source) serveDAS(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, queryKey *ecdh.PublicKey, watch *stopwatch) error {
 	indexedCols := append(append([]string(nil), pq.JoinCols...), pq.FilterCols...)
 	var out dasPartial
 	err := watch.phase(telemetry.PhaseSourceEncrypt, func() error {
@@ -85,7 +86,11 @@ func (s *Source) serveDAS(conn transport.Conn, pq *PartialQuery, rel *relation.R
 			}
 			its[i] = it
 		}
-		encRel, sess, err := das.EncryptRelation(rel, indexedCols, its, clientKey, pq.Params.Workers)
+		sess, err := hybrid.NewSessionECDH(queryKey)
+		if err != nil {
+			return err
+		}
+		encRel, err := das.SealRelation(rel, indexedCols, its, sess, pq.Params.Workers)
 		if err != nil {
 			return err
 		}
@@ -128,7 +133,7 @@ func (m *Mediator) mediateDAS(client, s1, s2 transport.Conn, d *decomposition, w
 		Schema1: p1.Schema, Schema2: p2.Schema,
 		JoinCols1: d.joinCols1, JoinCols2: d.joinCols2,
 		Cols1: p1.Columns, Cols2: p2.Columns,
-		Wrapped1: p1.EncRel.WrappedKey, Wrapped2: p2.EncRel.WrappedKey,
+		Share1: p1.EncRel.KeyShare, Share2: p2.EncRel.KeyShare,
 		Enc1: p1.EncIndexTables, Enc2: p2.EncIndexTables,
 	}); err != nil {
 		return err
@@ -159,7 +164,7 @@ func (m *Mediator) mediateDAS(client, s1, s2 transport.Conn, d *decomposition, w
 // runDAS implements the client side (Listing 2 steps 5 and 7): decrypt the
 // index tables, act as the DAS query translator (build q_S and q_C), send
 // q_S, then decrypt R_C and apply q_C.
-func (c *Client) runDAS(conn transport.Conn, q *sqlparse.Query, params Params, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+func (c *Client) runDAS(conn transport.Conn, q *sqlparse.Query, queryKey *ecdh.PrivateKey, params Params, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var its dasIndexTables
 	if err := recvInto(conn, "mediator", msgDASIndexTables, &its); err != nil {
 		return nil, relation.Schema{}, nil, err
@@ -169,11 +174,11 @@ func (c *Client) runDAS(conn transport.Conn, q *sqlparse.Query, params Params, w
 	var sq das.ServerQuery
 	err := watch.phase(telemetry.PhaseTranslate, func() error {
 		var err error
-		recv1, err = hybrid.NewReceiver(c.PrivateKey, its.Wrapped1)
+		recv1, err = hybrid.NewReceiverECDH(queryKey, its.Share1)
 		if err != nil {
 			return err
 		}
-		recv2, err = hybrid.NewReceiver(c.PrivateKey, its.Wrapped2)
+		recv2, err = hybrid.NewReceiverECDH(queryKey, its.Share2)
 		if err != nil {
 			return err
 		}

@@ -162,7 +162,7 @@ func (m *Mediator) requestPhase(req *Request) (*decomposition, []transport.Conn,
 			SessionID: session, Query: d.partial1, Relation: rel, JoinCols: d.joinCols1,
 			Credentials: m.selectCredentials(rel, req.Credentials),
 			Protocol:    d.protocol, Params: req.Params, Aggregate: d.query.Aggregate,
-			HomomorphicKey: req.HomomorphicKey, PMKey: req.PMKey,
+			HomomorphicKey: req.HomomorphicKey, QueryKey: req.QueryKey, QueryKeySig: req.QueryKeySig,
 		}
 		if i == 1 {
 			pq.Query, pq.JoinCols = d.partial2, d.joinCols2

@@ -1,6 +1,7 @@
 package mediation
 
 import (
+	"crypto/ecdh"
 	"fmt"
 	"math/big"
 
@@ -45,13 +46,13 @@ type pmResult struct {
 
 // servePM implements a datasource's role in Listing 4: build the
 // polynomial over the active domain of the join attributes, encrypt its
-// coefficients under the client's EC-ElGamal point, then obliviously
+// coefficients under the query key as an EC-ElGamal point, then obliviously
 // evaluate the opposite source's polynomial at every own value, masked,
 // with the tuple set sealed under the key only a match decrypts to
 // (footnote 2's out-of-band payload, the only mode). An empty partial
 // result still ships B filler buckets and evaluates nothing.
 func (s *Source) servePM(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, watch *stopwatch) error {
-	pk, err := ecelgamal.ParsePublicKey(pq.PMKey)
+	pk, err := ecelgamal.ParsePublicKey(pq.QueryKey)
 	if err != nil {
 		return fmt.Errorf("pm: request carries no valid client key: %w", err)
 	}
@@ -171,15 +172,16 @@ func totalDegree(b *pm.ECBuckets) int64 {
 type pmSide map[string][]relation.Tuple
 
 // runPM implements the client's step 8: decrypt all n+m evaluations under
-// the query's ephemeral key, open the blobs that match, match equal roots
+// the query key's scalar, open the blobs that match, match equal roots
 // across the two sides and cross-combine the tuple sets.
-func (c *Client) runPM(conn transport.Conn, sk *ecelgamal.PrivateKey, params Params, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+func (c *Client) runPM(conn transport.Conn, queryKey *ecdh.PrivateKey, params Params, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res pmResult
 	if err := recvInto(conn, "mediator", msgPMResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	var joined *relation.Relation
 	err := watch.phase(telemetry.PhasePostFilter, func() error {
+		sk := ecelgamal.KeyFromECDH(queryKey)
 		// Table 1: the client receives encrypted values of both partial
 		// results (n+m of them) but can open only the matching ones.
 		c.Ledger.Observe(leakage.PartyClient, "encrypted-values-received", int64(len(res.Evals1)+len(res.Evals2)))

@@ -1,11 +1,17 @@
 package mediation
 
 import (
+	"crypto"
+	"crypto/ecdh"
+	"crypto/rand"
+	"crypto/rsa"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
+	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/crypto/paillier"
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/sqlparse"
@@ -13,10 +19,12 @@ import (
 
 // Request is the client's global query message (Listing 1, step 1): the
 // SQL text (a join, a union or an aggregate), the credential set CR, and
-// the chosen delivery protocol. The client's homomorphic public keys ride
+// the chosen delivery protocol. The client's per-query public keys ride
 // along, which models the paper's "this key is distributed with the
-// client's credentials": the PM key, drawn fresh for every PM join, and
-// the Paillier key of an aggregate.
+// client's credentials": the query key, drawn fresh for every query but a
+// plaintext join, and the Paillier key of an aggregate. The credential's
+// RSA key signs both, so a source encrypts only to keys the credential's
+// holder chose.
 type Request struct {
 	SQL         string
 	Credentials credential.Set
@@ -25,9 +33,66 @@ type Request struct {
 	// HomomorphicKey is the client's Paillier public key (aggregation
 	// only).
 	HomomorphicKey *paillier.PublicKey
-	// PMKey is the compressed EC-ElGamal point of the query's ephemeral
-	// PM key (PM only).
-	PMKey []byte
+	// QueryKey is the compressed P-256 point of the query's fresh key: the
+	// sources' hybrid sessions agree their keys with it, and PM encrypts
+	// under it as an EC-ElGamal key.
+	QueryKey []byte
+	// QueryKeySig is the client's RSA-PSS/SHA-256 signature of
+	// queryKeyDigest(QueryKey, HomomorphicKey) under the credential's key.
+	QueryKeySig []byte
+}
+
+// queryKeyTag domain-separates the query-key binding from every other
+// message the client key signs.
+const queryKeyTag = "secmediation/query-key\x00"
+
+// queryKeyDigest is SHA-256(tag ‖ QueryKey ‖ Paillier modulus): what the
+// client signs to bind its per-query keys to its credential. The modulus
+// is absent for every query but an aggregate.
+func queryKeyDigest(queryKey []byte, hom *paillier.PublicKey) []byte {
+	h := sha256.New()
+	h.Write([]byte(queryKeyTag))
+	h.Write(queryKey)
+	if hom != nil && hom.N != nil {
+		h.Write(hom.N.Bytes())
+	}
+	return h.Sum(nil)
+}
+
+// needsQueryKey reports whether a query carries a signed query key: every
+// one but a plaintext join, whose partial results travel in the clear.
+func needsQueryKey(proto Protocol, aggregate bool) bool {
+	return proto != ProtocolPlaintext || aggregate
+}
+
+// signQueryKey signs the query's keys with the credential's private key.
+func signQueryKey(priv *rsa.PrivateKey, queryKey []byte, hom *paillier.PublicKey) ([]byte, error) {
+	sig, err := rsa.SignPSS(rand.Reader, priv, crypto.SHA256, queryKeyDigest(queryKey, hom), nil)
+	if err != nil {
+		return nil, fmt.Errorf("mediation: signing the query key: %w", err)
+	}
+	return sig, nil
+}
+
+// verifyQueryKey is a source's check that the query key (and an
+// aggregate's Paillier key) was signed by the client key of the
+// credential that granted access, and the parse of that key. Every
+// credential crosses the mediator in the clear; without this check anyone
+// holding a copy could run a query under a key of their own. A non-empty
+// reason denies the query; a malformed key is refused here, before any
+// scalar touches it.
+func verifyQueryKey(pq *PartialQuery, clientKey *rsa.PublicKey) (*ecdh.PublicKey, string) {
+	if !needsQueryKey(pq.Protocol, pq.Aggregate != nil) {
+		return nil, ""
+	}
+	if err := rsa.VerifyPSS(clientKey, crypto.SHA256, queryKeyDigest(pq.QueryKey, pq.HomomorphicKey), pq.QueryKeySig, nil); err != nil {
+		return nil, "query key is not signed by the credential's client key"
+	}
+	key, err := hybrid.ParsePoint(pq.QueryKey)
+	if err != nil {
+		return nil, fmt.Sprintf("malformed query key: %v", err)
+	}
+	return key, ""
 }
 
 // PartialQuery is the mediator's message to a datasource (Listing 1,
@@ -53,10 +118,11 @@ type PartialQuery struct {
 	// Protocol and Params mirror the client's request.
 	Protocol Protocol
 	Params   Params
-	// HomomorphicKey is forwarded for aggregation, PMKey for the PM
-	// protocol.
+	// HomomorphicKey, QueryKey and QueryKeySig are forwarded from the
+	// client's request.
 	HomomorphicKey *paillier.PublicKey
-	PMKey          []byte
+	QueryKey       []byte
+	QueryKeySig    []byte
 	// Aggregate is set for aggregation partial queries (the extension of
 	// internal/mediation/aggproto.go).
 	Aggregate *sqlparse.AggregateSpec

@@ -11,6 +11,7 @@ import (
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
+	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/sqlparse"
 	"github.com/secmediation/secmediation/internal/transport"
@@ -67,12 +68,12 @@ func TestRequestPhase(t *testing.T) {
 		sql   string
 		proto Protocol
 		links map[string]want
-		// pmKey and homKey say whether the partial queries carry the
-		// client's PM and Paillier keys.
-		pmKey, homKey bool
+		// homKey says whether the partial queries carry the client's
+		// Paillier key; every one carries a signed query key.
+		homKey bool
 	}{
 		{
-			name: "join", n: networkOver(t, nil, r1, r2), sql: fixtureSQL, proto: ProtocolPM, pmKey: true,
+			name: "join", n: networkOver(t, nil, r1, r2), sql: fixtureSQL, proto: ProtocolPM,
 			links: map[string]want{
 				"source:R1": {query: "SELECT * FROM R1", joinCols: []string{"id"}, proto: ProtocolPM},
 				"source:R2": {query: "SELECT * FROM R2", joinCols: []string{"id"}, proto: ProtocolPM},
@@ -80,7 +81,7 @@ func TestRequestPhase(t *testing.T) {
 		},
 		{
 			// The client's protocol choice does not apply to a union: it is
-			// delivered as a mobile-code result, so no PM key is drawn.
+			// delivered as a mobile-code result.
 			name: "union", n: networkOver(t, nil, r1, r1.Rename("R2")), proto: ProtocolPM,
 			sql: "SELECT * FROM R1 UNION ALL SELECT * FROM R2",
 			links: map[string]want{
@@ -132,9 +133,9 @@ func TestRequestPhase(t *testing.T) {
 					t.Errorf("%s: partial query %q %v %v %+v for %s, want %q %v %v %+v",
 						link, pq.Query, pq.JoinCols, pq.Protocol, pq.Aggregate, pq.Relation, w.query, w.joinCols, w.proto, w.agg)
 				}
-				if (pq.PMKey != nil) != tc.pmKey || (pq.HomomorphicKey != nil) != tc.homKey {
-					t.Errorf("%s: PM key %v, homomorphic key %v; want %v, %v",
-						link, pq.PMKey != nil, pq.HomomorphicKey != nil, tc.pmKey, tc.homKey)
+				if len(pq.QueryKey) != hybrid.PointSize || len(pq.QueryKeySig) == 0 || (pq.HomomorphicKey != nil) != tc.homKey {
+					t.Errorf("%s: query key %d B signed by %d B, homomorphic key %v; want %d B signed, %v",
+						link, len(pq.QueryKey), len(pq.QueryKeySig), pq.HomomorphicKey != nil, hybrid.PointSize, tc.homKey)
 				}
 				if len(pq.Credentials) == 0 {
 					t.Errorf("%s: no credentials forwarded", link)

@@ -1,6 +1,7 @@
 package mediation
 
 import (
+	"crypto/ecdh"
 	"crypto/rsa"
 	"fmt"
 	"sync"
@@ -119,7 +120,7 @@ func (s *Source) Serve(conn transport.Conn) error {
 		reason := fmt.Sprintf("stale attempt %d of query %s", pq.Params.Attempt, pq.Params.QueryID)
 		return sendMsg(conn, "mediator", msgPartialAck, PartialAck{Granted: false, Reason: reason})
 	}
-	rel, clientKey, denyReason, err := s.executePartial(&pq)
+	rel, queryKey, denyReason, err := s.executePartial(&pq)
 	if err != nil {
 		return s.abort(conn, err)
 	}
@@ -143,11 +144,11 @@ func (s *Source) Serve(conn transport.Conn) error {
 	case pq.Protocol == ProtocolPlaintext:
 		err = s.servePlaintext(conn, rel)
 	case pq.Protocol == ProtocolMobileCode:
-		err = s.serveMobileCode(conn, &pq, rel, clientKey, watch)
+		err = s.serveMobileCode(conn, &pq, rel, queryKey, watch)
 	case pq.Protocol == ProtocolDAS:
-		err = s.serveDAS(conn, &pq, rel, clientKey, watch)
+		err = s.serveDAS(conn, &pq, rel, queryKey, watch)
 	case pq.Protocol == ProtocolCommutative:
-		err = s.serveCommutative(conn, &pq, rel, clientKey, watch)
+		err = s.serveCommutative(conn, &pq, rel, queryKey, watch)
 	case pq.Protocol == ProtocolPM:
 		err = s.servePM(conn, &pq, rel, watch)
 	default:
@@ -168,10 +169,12 @@ func (s *Source) abort(conn transport.Conn, err error) error {
 	return fmt.Errorf("mediation: source %s: %w", s.Name, err)
 }
 
-// executePartial runs Listing 1 step 4: credential check, then execution
-// of q_i against the catalog, with the policy's row filter applied. The
-// returned denyReason is non-empty when access is denied (not an error).
-func (s *Source) executePartial(pq *PartialQuery) (*relation.Relation, *rsa.PublicKey, string, error) {
+// executePartial runs Listing 1 step 4: credential check, the query-key
+// binding check, then execution of q_i against the catalog, with the
+// policy's row filter applied. It returns the parsed query key (nil for a
+// plaintext join). The returned denyReason is non-empty when access is
+// denied (not an error).
+func (s *Source) executePartial(pq *PartialQuery) (*relation.Relation, *ecdh.PublicKey, string, error) {
 	pol, ok := s.Policies[pq.Relation]
 	if !ok {
 		return nil, nil, fmt.Sprintf("source %s serves no relation %q", s.Name, pq.Relation), nil
@@ -179,6 +182,10 @@ func (s *Source) executePartial(pq *PartialQuery) (*relation.Relation, *rsa.Publ
 	decision := pol.Check(pq.Credentials, s.TrustedCAs, s.now())
 	if !decision.Granted {
 		return nil, nil, decision.Reason, nil
+	}
+	queryKey, reason := verifyQueryKey(pq, decision.ClientKey)
+	if reason != "" {
+		return nil, nil, reason, nil
 	}
 	q, err := sqlparse.Parse(pq.Query)
 	if err != nil {
@@ -208,7 +215,7 @@ func (s *Source) executePartial(pq *PartialQuery) (*relation.Relation, *rsa.Publ
 	if len(pq.JoinCols) == 0 && pq.Aggregate == nil && secure {
 		return nil, nil, "", fmt.Errorf("empty join attribute set")
 	}
-	return out, decision.ClientKey, "", nil
+	return out, queryKey, "", nil
 }
 
 // servePlaintext ships the partial result in the clear (trusted-mediator

@@ -2,6 +2,7 @@ package pm
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	"crypto/rand"
 	"math/big"
 	"testing"
@@ -17,10 +18,11 @@ var q = ecelgamal.Order()
 
 func testKey(t testing.TB) (*ecelgamal.PrivateKey, *ecelgamal.PublicKey) {
 	t.Helper()
-	sk, err := ecelgamal.GenerateKey(rand.Reader)
+	k, err := ecdh.P256().GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sk := ecelgamal.KeyFromECDH(k)
 	pk, err := ecelgamal.ParsePublicKey(sk.PublicKey())
 	if err != nil {
 		t.Fatal(err)

@@ -38,6 +38,7 @@ var externalSources = map[string]string{
 // material, keyed by "pkgpath.Name".
 var externalPrivate = map[string]bool{
 	"crypto/rsa.PrivateKey":     true,
+	"crypto/ecdh.PrivateKey":    true,
 	"crypto/ecdsa.PrivateKey":   true,
 	"crypto/ed25519.PrivateKey": true,
 	"crypto/dsa.PrivateKey":     true,
@@ -58,7 +59,7 @@ type Fn struct {
 	// Parent is the creating function for literals.
 	Parent *Fn
 	// Name is the short human-readable name used in taint traces,
-	// e.g. "mediation.(*Mediator).HandleSession" or "hybrid.Decrypt".
+	// e.g. "mediation.(*Mediator).HandleSession" or "pm.OpenPayload".
 	Name string
 	Pos  token.Pos
 

@@ -3,7 +3,11 @@
 // and must not be held by mediator-reachable code (mediator rule).
 package keyscope
 
-import "github.com/secmediation/secmediation/internal/crypto/ecelgamal"
+import (
+	"crypto/ecdh"
+
+	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
+)
 
 // PrivKey is the fixture's decryption key.
 //
@@ -74,4 +78,15 @@ func clientDecrypt(k *PrivKey) int { return k.D }
 // own seclint:private annotation is what makes it key material.
 func shipPMKey(k *ecelgamal.PrivateKey) error {
 	return send(k) // want "private-key material ecelgamal.PrivateKey"
+}
+
+// shipQueryKey puts the client's per-query ECDH key on the wire: the
+// standard library's key type is key material by the analyzer's table.
+func shipQueryKey(k *ecdh.PrivateKey) error {
+	return send(k) // want "private-key material ecdh.PrivateKey"
+}
+
+// shipQueryPub sends the query key's public half: clean.
+func shipQueryPub(k *ecdh.PrivateKey) error {
+	return send(k.PublicKey().Bytes())
 }
