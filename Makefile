@@ -17,8 +17,9 @@ vet:
 	$(GO) vet ./...
 
 # Crypto-invariant static analysis (cmd/seclint): the package-mode
-# analyzers (weakrand, subtlecmp, secretfmt, errdrop, rawexp, rawrecv)
-# over every module package, then the whole-program analyzers
+# analyzers (weakrand, subtlecmp, secretfmt, errdrop, rawexp, and rawrecv
+# on direct Conn.Recv calls in internal/mediation) over every module
+# package, then the whole-program analyzers
 # (plaintaint, keyscope, cttaint, conccheck) over the combined call
 # graph, gated on the audited exceptions in seclint.allow. Non-zero
 # exit on any finding.

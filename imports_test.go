@@ -1,7 +1,10 @@
 package secmediation_test
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -28,6 +31,37 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 	for _, pkg := range pkgs {
 		if strings.Contains(pkg, "/internal/") && !imported[pkg] {
 			t.Errorf("%s has no importer among non-test files", pkg)
+		}
+	}
+}
+
+// docGoPath matches a repo-relative Go file path in prose, with or
+// without a :line suffix (which is not captured).
+var docGoPath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])((?:internal|cmd|examples)/[A-Za-z0-9_./-]*\.go)`)
+
+// TestDocsNameRealFiles fails when the living docs name a Go file that
+// does not exist — a reader following the reference lands nowhere. The
+// dated history (ROADMAP.md, CHANGES.md, EXPERIMENTS.md) may name files
+// since deleted, and bench/README.md documents a frozen harness, so
+// neither is scanned.
+func TestDocsNameRealFiles(t *testing.T) {
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Errorf("read %s: %v", doc, err)
+			continue
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range docGoPath.FindAllStringSubmatch(line, -1) {
+				if _, err := os.Stat(m[1]); err != nil {
+					t.Errorf("%s:%d names %s, which does not exist", doc, i+1, m[1])
+				}
+			}
 		}
 	}
 }

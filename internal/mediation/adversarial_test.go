@@ -32,23 +32,6 @@ func (c *tamperConn) Recv() (transport.Message, error) {
 	return m, nil
 }
 
-func (c *tamperConn) Expect(typ string) (transport.Message, error) {
-	m, err := c.Recv()
-	if err != nil {
-		return m, err
-	}
-	if m.Type != typ {
-		return transport.Message{}, errTypeMismatch
-	}
-	return m, nil
-}
-
-var errTypeMismatch = &tamperError{"type mismatch"}
-
-type tamperError struct{ s string }
-
-func (e *tamperError) Error() string { return e.s }
-
 // queryOver runs one query over n with the client's end of the
 // client–mediator link wrapped by wrap.
 func queryOver(t *testing.T, n *Network, wrap func(transport.Conn) transport.Conn, sql string, proto Protocol, params Params) (*rel.Relation, error) {

@@ -164,7 +164,7 @@ func (c *Client) telemetry(params Params) *telemetry.Registry {
 }
 
 func (c *Client) recordTraffic(conn transport.Conn, reg *telemetry.Registry) {
-	trafficGauges(reg, leakage.PartyClient, "mediator", conn.Stats())
+	trafficCounters(reg, leakage.PartyClient, "mediator", conn.Stats())
 	if c.Ledger == nil {
 		return
 	}

@@ -2,6 +2,7 @@ package mediation
 
 import (
 	"crypto/rsa"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -716,7 +717,7 @@ func TestConcurrentSessions(t *testing.T) {
 		go func(p Protocol) {
 			got, err := n.Query(fixtureSQL, p, fastParams())
 			if err == nil && !got.EqualMultiset(want) {
-				err = errTypeMismatch
+				err = fmt.Errorf("%s: result differs from the plaintext join", p)
 			}
 			errs <- err
 		}(proto)

@@ -224,14 +224,14 @@ func (m *Mediator) selectCredentials(rel string, all credential.Set) credential.
 	return out
 }
 
-// recordTraffic exports the session's link counters: telemetry gauges
+// recordTraffic exports the session's link counters: telemetry counters
 // per link, and ledger totals with the client and over all source links.
 func (m *Mediator) recordTraffic(client transport.Conn, d *decomposition, sources []transport.Conn) {
-	trafficGauges(m.Telemetry, leakage.PartyMediator, "client", client.Stats())
+	trafficCounters(m.Telemetry, leakage.PartyMediator, "client", client.Stats())
 	var toSources, fromSources, msgsWithSources int64
 	for i, rel := range d.relations() {
 		st := sources[i].Stats()
-		trafficGauges(m.Telemetry, leakage.PartyMediator, "source:"+rel, st)
+		trafficCounters(m.Telemetry, leakage.PartyMediator, "source:"+rel, st)
 		toSources += st.BytesSent()
 		fromSources += st.BytesRecv()
 		msgsWithSources += st.MsgsSent() + st.MsgsRecv()

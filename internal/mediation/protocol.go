@@ -441,14 +441,15 @@ func (s *stopwatch) phase(name string, f func() error) error {
 	return attribute(s.party, name, err)
 }
 
-// trafficGauges exports one endpoint's transport counters as telemetry
-// gauges labelled by the recording party and its peer. Nil-safe.
-func trafficGauges(reg *telemetry.Registry, party, peer string, st *transport.Stats) {
+// trafficCounters adds one session's transport counters to the telemetry
+// counters labelled by the recording party and its peer, so a party
+// serving many sessions reports their totals. Nil-safe.
+func trafficCounters(reg *telemetry.Registry, party, peer string, st *transport.Stats) {
 	if !reg.Enabled() {
 		return
 	}
-	reg.Gauge("transport_bytes_sent", "party", party, "peer", peer).Set(st.BytesSent())
-	reg.Gauge("transport_bytes_recv", "party", party, "peer", peer).Set(st.BytesRecv())
-	reg.Gauge("transport_msgs_sent", "party", party, "peer", peer).Set(st.MsgsSent())
-	reg.Gauge("transport_msgs_recv", "party", party, "peer", peer).Set(st.MsgsRecv())
+	reg.Counter("transport_bytes_sent", "party", party, "peer", peer).Add(st.BytesSent())
+	reg.Counter("transport_bytes_recv", "party", party, "peer", peer).Add(st.BytesRecv())
+	reg.Counter("transport_msgs_sent", "party", party, "peer", peer).Add(st.MsgsSent())
+	reg.Counter("transport_msgs_recv", "party", party, "peer", peer).Add(st.MsgsRecv())
 }

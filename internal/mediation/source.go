@@ -135,7 +135,7 @@ func (s *Source) Serve(conn transport.Conn) error {
 	root.Annotate("relation", pq.Relation)
 	annotateSession(root, conn)
 	defer root.End()
-	defer trafficGauges(s.Telemetry, s.party(), "mediator", conn.Stats())
+	defer trafficCounters(s.Telemetry, s.party(), "mediator", conn.Stats())
 	watch := newStopwatch(s.Ledger, s.party())
 	watch.attach(root)
 	switch {

@@ -1,7 +1,9 @@
 package mediation
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/telemetry"
@@ -66,7 +68,7 @@ func TestProtocolSpanTrees(t *testing.T) {
 
 // Unions and aggregates run the same request phase and session tree as
 // joins: a querying phase at the mediator, the delivery phases below
-// per-party session roots, and traffic gauges at every party.
+// per-party session roots, and traffic counters at every party.
 func TestQueryShapeSpanTrees(t *testing.T) {
 	r1, _ := testRelations(t)
 	t.Run("union", func(t *testing.T) {
@@ -86,7 +88,7 @@ func TestQueryShapeSpanTrees(t *testing.T) {
 // checkSpanTree runs one query over n with a fresh registry at every
 // party and checks that it produced each wanted (party, phase) span, that
 // every phase span nests under its party's session root, and that the
-// client, the mediator and each listed source exported traffic gauges.
+// client, the mediator and each listed source exported traffic counters.
 func checkSpanTree(t *testing.T, n *Network, sql string, proto Protocol, want [][2]string, sources ...string) *telemetry.Registry {
 	t.Helper()
 	reg := telemetry.NewRegistry()
@@ -94,6 +96,12 @@ func checkSpanTree(t *testing.T, n *Network, sql string, proto Protocol, want []
 	defer n.SetTelemetry(nil)
 	if _, err := n.Query(sql, proto, fastParams()); err != nil {
 		t.Fatal(err)
+	}
+	// A source ends its session — root span, traffic counters — after
+	// the client already has its answer; wait for every party's root.
+	parties := append([]string{leakage.PartyClient, leakage.PartyMediator}, sources...)
+	for deadline := time.Now().Add(5 * time.Second); !sessionsEnded(reg, parties) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	for _, pp := range want {
 		if _, cnt := reg.PhaseTotal(pp[0], pp[1]); cnt == 0 {
@@ -120,20 +128,64 @@ func checkSpanTree(t *testing.T, n *Network, sql string, proto Protocol, want []
 			t.Errorf("span %s has negative duration %d", sp.Name, sp.DurNs)
 		}
 	}
-	parties := map[string]bool{}
-	for _, g := range reg.Snapshot().Gauges {
-		for i := 0; i+1 < len(g.Labels); i += 2 {
-			if g.Labels[i] == "party" {
-				parties[g.Labels[i+1]] = true
+	counted := map[string]bool{}
+	for _, c := range reg.Snapshot().Counters {
+		if !strings.HasPrefix(c.Name, "transport_") {
+			continue
+		}
+		for i := 0; i+1 < len(c.Labels); i += 2 {
+			if c.Labels[i] == "party" {
+				counted[c.Labels[i+1]] = true
 			}
 		}
 	}
-	for _, p := range append([]string{"client", "mediator"}, sources...) {
-		if !parties[p] {
-			t.Errorf("no traffic gauges for party %q", p)
+	for _, p := range parties {
+		if !counted[p] {
+			t.Errorf("no traffic counters for party %q", p)
 		}
 	}
 	return reg
+}
+
+// sessionsEnded reports whether every party's session root span has
+// ended.
+func sessionsEnded(reg *telemetry.Registry, parties []string) bool {
+	ended := map[string]bool{}
+	for _, sp := range reg.Spans() {
+		if sp.Name == "session" {
+			ended[sp.Party] = true
+		}
+	}
+	for _, p := range parties {
+		if !ended[p] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTrafficCountersAccumulate checks that the traffic metrics add up
+// across sessions instead of showing whichever session ended last: two
+// identical queries double the mediator's bytes sent to the client.
+func TestTrafficCountersAccumulate(t *testing.T) {
+	n := newTestNetwork(t, nil)
+	reg := telemetry.NewRegistry()
+	n.SetTelemetry(reg)
+	defer n.SetTelemetry(nil)
+	sent := reg.Counter("transport_bytes_sent", "party", leakage.PartyMediator, "peer", "client")
+	if _, err := n.Query(fixtureSQL, ProtocolPlaintext, fastParams()); err != nil {
+		t.Fatal(err)
+	}
+	first := sent.Value()
+	if first <= 0 {
+		t.Fatalf("transport_bytes_sent{mediator,client} = %d after one query, want > 0", first)
+	}
+	if _, err := n.Query(fixtureSQL, ProtocolPlaintext, fastParams()); err != nil {
+		t.Fatal(err)
+	}
+	if got := sent.Value(); got != 2*first {
+		t.Fatalf("transport_bytes_sent{mediator,client} = %d after two identical queries, want %d", got, 2*first)
+	}
 }
 
 // A query with no registry anywhere must behave exactly as before the

@@ -50,33 +50,6 @@ var ErrCircuitOpen = errors.New("resilience: circuit open")
 // chain. Match with errors.Is.
 var ErrRetriesExhausted = errors.New("resilience: retries exhausted")
 
-// Class is the retry classification of an error.
-type Class int
-
-const (
-	// ClassTerminal errors replay deterministically; retrying wastes
-	// attempts and hides the real failure.
-	ClassTerminal Class = iota
-	// ClassRetryable errors are transient: a fresh attempt can succeed.
-	ClassRetryable
-)
-
-func (c Class) String() string {
-	if c == ClassRetryable {
-		return "retryable"
-	}
-	return "terminal"
-}
-
-// Classify maps an error to its retry class. See Retryable for the
-// rules.
-func Classify(err error) Class {
-	if Retryable(err) {
-		return ClassRetryable
-	}
-	return ClassTerminal
-}
-
 // Retryable reports whether a fresh attempt at the failed operation can
 // plausibly succeed. Retryable: circuit-open fast-fails, timeouts,
 // overload and drain rejects, closed/killed links (EOF, reset, refused

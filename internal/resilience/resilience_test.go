@@ -19,34 +19,51 @@ func (timeoutNetError) Error() string   { return "i/o timeout" }
 func (timeoutNetError) Timeout() bool   { return true }
 func (timeoutNetError) Temporary() bool { return true }
 
-func TestClassify(t *testing.T) {
+func TestRetryable(t *testing.T) {
 	cases := []struct {
 		name string
 		err  error
-		want Class
+		want bool
 	}{
-		{"nil", nil, ClassTerminal},
-		{"timeout", fmt.Errorf("recv: %w", transport.ErrTimeout), ClassRetryable},
-		{"overloaded", fmt.Errorf("open: %w", session.ErrOverloaded), ClassRetryable},
-		{"draining", fmt.Errorf("open: %w", session.ErrDraining), ClassRetryable},
-		{"mux closed", session.ErrMuxClosed, ClassRetryable},
-		{"circuit open", fmt.Errorf("dial: %w", ErrCircuitOpen), ClassRetryable},
-		{"eof", io.EOF, ClassRetryable},
-		{"unexpected eof", io.ErrUnexpectedEOF, ClassRetryable},
-		{"conn refused", fmt.Errorf("dial: %w", syscall.ECONNREFUSED), ClassRetryable},
-		{"conn reset", syscall.ECONNRESET, ClassRetryable},
-		{"net closed", net.ErrClosed, ClassRetryable},
-		{"net error", &net.OpError{Op: "read", Err: timeoutNetError{}}, ClassRetryable},
-		{"marked transient", MarkTransient(errors.New("peer says: timeout")), ClassRetryable},
-		{"wrapped transient", fmt.Errorf("query: %w", MarkTransient(errors.New("x"))), ClassRetryable},
-		{"too large", fmt.Errorf("recv: %w", transport.ErrTooLarge), ClassTerminal},
-		{"protocol violation", errors.New("expected message ack, got junk"), ClassTerminal},
-		{"policy denial", errors.New("query denied: insufficient credentials"), ClassTerminal},
+		{"nil", nil, false},
+		{"timeout", fmt.Errorf("recv: %w", transport.ErrTimeout), true},
+		{"overloaded", fmt.Errorf("open: %w", session.ErrOverloaded), true},
+		{"draining", fmt.Errorf("open: %w", session.ErrDraining), true},
+		{"mux closed", session.ErrMuxClosed, true},
+		{"circuit open", fmt.Errorf("dial: %w", ErrCircuitOpen), true},
+		{"eof", io.EOF, true},
+		{"unexpected eof", io.ErrUnexpectedEOF, true},
+		{"conn refused", fmt.Errorf("dial: %w", syscall.ECONNREFUSED), true},
+		{"conn reset", syscall.ECONNRESET, true},
+		{"net closed", net.ErrClosed, true},
+		{"net error", &net.OpError{Op: "read", Err: timeoutNetError{}}, true},
+		{"marked transient", MarkTransient(errors.New("peer says: timeout")), true},
+		{"wrapped transient", fmt.Errorf("query: %w", MarkTransient(errors.New("x"))), true},
+		{"too large", fmt.Errorf("recv: %w", transport.ErrTooLarge), false},
+		{"protocol violation", errors.New("expected message ack, got junk"), false},
+		{"policy denial", errors.New("query denied: insufficient credentials"), false},
 	}
 	for _, tc := range cases {
-		if got := Classify(tc.err); got != tc.want {
-			t.Errorf("Classify(%s) = %v, want %v", tc.name, got, tc.want)
+		if got := Retryable(tc.err); got != tc.want {
+			t.Errorf("Retryable(%s) = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestRetryableMidFrameStall pins that a link poisoned by a deadline
+// expiring inside a frame stays retryable — a fresh link can succeed —
+// without reading as an idle timeout.
+func TestRetryableMidFrameStall(t *testing.T) {
+	peer, local := net.Pipe()
+	defer peer.Close()
+	c := transport.WrapNetConn(local)
+	defer c.Close()
+	c.SetTimeout(20 * time.Millisecond)
+	// A length prefix promising 64 bytes, 2 of them, then silence.
+	go peer.Write([]byte{64, 0, 0})
+	_, err := c.Recv()
+	if errors.Is(err, transport.ErrTimeout) || !Retryable(err) {
+		t.Fatalf("mid-frame stall: %v; want a retryable, non-timeout error", err)
 	}
 }
 

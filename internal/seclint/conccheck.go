@@ -591,7 +591,7 @@ func isOnceDo(m *types.Func) bool {
 
 // blockingExternal classifies a non-module function as a known waiting
 // primitive: time.Sleep, net dial/listen, sync.WaitGroup/Cond Wait, and
-// the wire-shaped methods (Send/Recv/Expect/Accept) of any interface
+// the wire-shaped methods (Send/Recv/Accept) of any interface
 // named Conn or Listener — the axiom that makes transport.Conn calls
 // blocking without conccheck having to see the implementations.
 func blockingExternal(obj *types.Func) string {
@@ -642,7 +642,7 @@ func blockingExternal(obj *types.Func) string {
 
 func isWireMethod(name string) bool {
 	switch name {
-	case "Send", "Recv", "Expect", "Accept":
+	case "Send", "Recv", "Accept":
 		return true
 	}
 	return false

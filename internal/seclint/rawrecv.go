@@ -6,16 +6,15 @@ import (
 	"strings"
 )
 
-// Rawrecv flags direct transport.Conn.Recv and Conn.Expect calls inside
-// internal/mediation. Protocol code must receive through the recvExpect /
-// recvInto helpers: they are the single place where peer msgError
-// payloads become typed *ProtocolError aborts and where link failures
-// (including deadline expiry) get attributed to the party behind the
-// link. A raw Recv bypasses all of that — a peer's abort notification
+// Rawrecv flags direct transport.Conn.Recv calls inside internal/mediation.
+// Protocol code must receive through the recvExpect / recvInto helpers:
+// they are the single place where peer msgError payloads become typed
+// *ProtocolError aborts and where link failures (including deadline
+// expiry) get attributed to the party behind the link. A raw Recv bypasses all of that — a peer's abort notification
 // would surface as a bogus type-mismatch or, worse, be treated as data.
 var Rawrecv = &Analyzer{
 	Name: "rawrecv",
-	Doc:  "direct Conn.Recv/Expect in internal/mediation bypassing the abort-aware recvExpect helper",
+	Doc:  "direct Conn.Recv in internal/mediation bypassing the abort-aware recvExpect helper",
 	Run:  runRawrecv,
 }
 
@@ -30,13 +29,13 @@ func runRawrecv(p *Pass) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Recv" && sel.Sel.Name != "Expect") {
+			if !ok || sel.Sel.Name != "Recv" {
 				return true
 			}
 			if !isTransportConn(p.TypeOf(sel.X), true) {
 				return true
 			}
-			p.Reportf(call.Pos(), "direct transport.Conn.%s bypasses recvExpect (msgError handling, abort attribution); receive through recvExpect/recvInto", sel.Sel.Name)
+			p.Reportf(call.Pos(), "direct transport.Conn.Recv bypasses recvExpect (msgError handling, abort attribution); receive through recvExpect/recvInto")
 			return true
 		})
 	}
@@ -44,7 +43,7 @@ func runRawrecv(p *Pass) {
 
 // isTransportConn reports whether t is the transport.Conn interface (or a
 // pointer to it). A nil type (missing info) returns defaultTo — in
-// internal/mediation only transport conns carry Recv/Expect, so failing
+// internal/mediation only transport conns carry Recv, so failing
 // closed is the safe degradation.
 func isTransportConn(t types.Type, defaultTo bool) bool {
 	if t == nil {

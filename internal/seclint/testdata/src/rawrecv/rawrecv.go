@@ -1,5 +1,5 @@
-// Package rawrecv exercises the rawrecv analyzer: direct Recv/Expect on
-// a transport.Conn must go through the abort-aware recvExpect helper.
+// Package rawrecv exercises the rawrecv analyzer: a direct Recv on a
+// transport.Conn must go through the abort-aware recvExpect helper.
 // The unit test loads this fixture with RelDir overridden to
 // internal/mediation, which arms the rule.
 package rawrecv
@@ -8,12 +8,9 @@ import (
 	"github.com/secmediation/secmediation/internal/transport"
 )
 
-// drain bypasses the helper on both receive entry points.
+// drain bypasses the helper.
 func drain(conn transport.Conn) error {
-	if _, err := conn.Recv(); err != nil { // want "direct transport.Conn.Recv bypasses recvExpect"
-		return err
-	}
-	_, err := conn.Expect("mmm.partial-ack") // want "direct transport.Conn.Expect bypasses recvExpect"
+	_, err := conn.Recv() // want "direct transport.Conn.Recv bypasses recvExpect"
 	return err
 }
 

@@ -104,7 +104,7 @@ func TestServerGracefulDrain(t *testing.T) {
 
 	// Let the in-flight session finish; the handler echoes until EOF.
 	close(release)
-	if _, err := inflight.Expect("held"); err != nil {
+	if _, err := recvType(inflight, "held"); err != nil {
 		t.Fatalf("in-flight echo during drain: %v", err)
 	}
 	if err := inflight.Close(); err != nil {
@@ -164,7 +164,7 @@ func TestServerDrainDeadline(t *testing.T) {
 	if err := st.Send(transport.Message{Type: "stuck"}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if _, err := st.Expect("stuck"); err != nil {
+	if _, err := recvType(st, "stuck"); err != nil {
 		t.Fatalf("echo: %v", err)
 	}
 

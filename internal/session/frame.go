@@ -80,10 +80,9 @@ func (e *retryHintError) Unwrap() error { return e.err }
 // RetryAfter returns the peer's suggested backoff before retrying.
 func (e *retryHintError) RetryAfter() time.Duration { return e.hint }
 
-// IsMuxFrame reports whether a message type tag carries the mux frame
-// header — the sniff a Server uses to serve plain single-session links
-// and multiplexed links from the same listener.
-func IsMuxFrame(typ string) bool {
+// isMuxFrame reports whether a message type tag carries the mux frame
+// header — the Server's check of a link's first frame.
+func isMuxFrame(typ string) bool {
 	return strings.HasPrefix(typ, framePrefix)
 }
 

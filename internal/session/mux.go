@@ -38,8 +38,8 @@ func NewMux(conn transport.Conn, cfg Config) *Mux {
 }
 
 // newMux additionally accepts frames already read off the link (the
-// Server's sniff), which the demux loop dispatches before touching the
-// conn.
+// Server's first-frame check), which the demux loop dispatches before
+// touching the conn.
 func newMux(conn transport.Conn, cfg Config, preread []transport.Message) *Mux {
 	cfg = cfg.withDefaults()
 	m := &Mux{
@@ -109,19 +109,6 @@ func (m *Mux) Accept() (*Stream, error) {
 func (m *Mux) Close() error {
 	m.fail(ErrMuxClosed)
 	return m.inner.Close()
-}
-
-// Done is closed when the mux dies (link failure or Close).
-func (m *Mux) Done() <-chan struct{} { return m.done }
-
-// Err returns the terminal error after Done is closed (nil before).
-func (m *Mux) Err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.dead {
-		return nil
-	}
-	return m.err
 }
 
 // Sessions returns the number of live sessions on the link.
@@ -457,18 +444,6 @@ func (s *Stream) recvErr() error {
 	return s.err
 }
 
-// Expect implements transport.Conn.
-func (s *Stream) Expect(typ string) (transport.Message, error) {
-	m, err := s.Recv()
-	if err != nil {
-		return transport.Message{}, err
-	}
-	if m.Type != typ {
-		return transport.Message{}, fmt.Errorf("session: expected message %q, got %q", typ, m.Type)
-	}
-	return m, nil
-}
-
 // Close implements transport.Conn: it retires the session locally and
 // notifies the peer with a close frame. The shared link stays up for
 // the sibling sessions.
@@ -485,17 +460,12 @@ func (s *Stream) Close() error {
 	return nil
 }
 
-// Reject refuses a server-side session before handling it (admission
-// control): the opener's operations fail with ErrOverloaded and the
-// session is retired locally. Only meaningful on streams obtained from
-// Accept, before any payload is sent.
-func (s *Stream) Reject() {
-	s.rejectWith(ErrOverloaded, rejectOverloaded)
-}
-
-// RejectOverloaded refuses a server-side session for overload, carrying
-// a retry-after hint (when positive) that the opener's retry
-// orchestrator honors before re-opening.
+// RejectOverloaded refuses a server-side session before handling it
+// (admission control): the opener's operations fail with ErrOverloaded,
+// carrying a retry-after hint (when positive) that the opener's retry
+// orchestrator honors before re-opening. The session is retired locally.
+// Only meaningful on streams obtained from Accept, before any payload is
+// sent.
 func (s *Stream) RejectOverloaded(hint time.Duration) {
 	s.rejectWith(ErrOverloaded, rejectReason(rejectOverloaded, hint))
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -40,6 +41,15 @@ func sendMsg(t *testing.T, c transport.Conn, typ, body string) {
 	}
 }
 
+// recvType receives the next message and checks its type tag.
+func recvType(c transport.Conn, typ string) (transport.Message, error) {
+	m, err := c.Recv()
+	if err == nil && m.Type != typ {
+		err = fmt.Errorf("got message %q, want %q", m.Type, typ)
+	}
+	return m, err
+}
+
 func TestMuxOpenAcceptEcho(t *testing.T) {
 	cm, sm := muxPair(t, Config{}, Config{})
 	st, err := cm.Open()
@@ -58,7 +68,7 @@ func TestMuxOpenAcceptEcho(t *testing.T) {
 	if srv.SessionID() != st.SessionID() {
 		t.Fatalf("session IDs disagree: %d vs %d", srv.SessionID(), st.SessionID())
 	}
-	m, err := srv.Expect("ping")
+	m, err := recvType(srv, "ping")
 	if err != nil {
 		t.Fatalf("server expect: %v", err)
 	}
@@ -66,7 +76,7 @@ func TestMuxOpenAcceptEcho(t *testing.T) {
 		t.Fatalf("body %q, want hello", m.Body)
 	}
 	sendMsg(t, srv, "pong", "world")
-	m, err = st.Expect("pong")
+	m, err = recvType(st, "pong")
 	if err != nil {
 		t.Fatalf("client expect: %v", err)
 	}
@@ -96,7 +106,7 @@ func TestMuxBidirectionalOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("client accept: %v", err)
 	}
-	if _, err := got.Expect("srv.hi"); err != nil {
+	if _, err := recvType(got, "srv.hi"); err != nil {
 		t.Fatalf("expect: %v", err)
 	}
 }
@@ -183,13 +193,13 @@ func TestMuxCloseDrainsThenEOF(t *testing.T) {
 	// Let both data frames reach the peer queue before the close frame
 	// race can matter; frames are ordered on the link, so waiting for
 	// the first implies the second follows before the close.
-	if _, err := srv.Expect("a"); err != nil {
+	if _, err := recvType(srv, "a"); err != nil {
 		t.Fatalf("expect a: %v", err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if _, err := srv.Expect("b"); err != nil {
+	if _, err := recvType(srv, "b"); err != nil {
 		t.Fatalf("expect b after close: %v", err)
 	}
 	if _, err := srv.Recv(); err != io.EOF {
@@ -250,7 +260,7 @@ func TestMuxLinkFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("accept: %v", err)
 	}
-	if _, err := srv.Expect("ping"); err != nil {
+	if _, err := recvType(srv, "ping"); err != nil {
 		t.Fatalf("expect: %v", err)
 	}
 
@@ -282,6 +292,41 @@ func TestMuxLinkFailure(t *testing.T) {
 	}
 }
 
+// TestMuxMidFrameTimeoutFailsLink stalls the peer inside a frame on a
+// link whose per-operation timeout is armed: the demux loop must fail
+// the link with the poisoned-stream error instead of retrying it as
+// idleness, so a stream with no timeout of its own is released.
+func TestMuxMidFrameTimeoutFailsLink(t *testing.T) {
+	snap := testutil.Snapshot()
+	defer testutil.CheckGoroutines(t, snap)
+	peer, local := net.Pipe()
+	defer peer.Close()
+	link := transport.WrapNetConn(local)
+	link.SetTimeout(50 * time.Millisecond)
+	cm := NewMux(link, Config{})
+	defer cm.Close()
+	go io.Copy(io.Discard, peer) // swallow the open frame and all that follows
+	st, err := cm.Open()
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	go func() {
+		// A length prefix promising 64 bytes, 10 of them, then silence.
+		peer.Write([]byte{64})
+		peer.Write(make([]byte, 10))
+	}()
+	err = testutil.WithinDeadline(t, time.Second, func() error {
+		_, err := st.Recv()
+		return err
+	})
+	if err == nil || errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("stream on a link stalled mid-frame: %v, want the link error", err)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("stream on a link stalled mid-frame: %v, want io.ErrUnexpectedEOF on the chain", err)
+	}
+}
+
 // TestMuxStrayFrames checks that malformed headers and frames for
 // unknown or already-closed sessions are discarded without damaging
 // live sessions.
@@ -296,7 +341,7 @@ func TestMuxStrayFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("accept: %v", err)
 	}
-	if _, err := srv.Expect("ping"); err != nil {
+	if _, err := recvType(srv, "ping"); err != nil {
 		t.Fatalf("expect: %v", err)
 	}
 
@@ -318,7 +363,7 @@ func TestMuxStrayFrames(t *testing.T) {
 	}
 	// The live session still works after all of it.
 	sendMsg(t, srv, "pong", "")
-	if _, err := st.Expect("pong"); err != nil {
+	if _, err := recvType(st, "pong"); err != nil {
 		t.Fatalf("session damaged by stray frames: %v", err)
 	}
 }
@@ -342,7 +387,7 @@ func TestMuxBackpressure(t *testing.T) {
 	}
 	srv.SetTimeout(2 * time.Second)
 	for i := 0; i < n; i++ {
-		if _, err := srv.Expect(fmt.Sprintf("m%d", i)); err != nil {
+		if _, err := recvType(srv, fmt.Sprintf("m%d", i)); err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
 	}
@@ -361,7 +406,7 @@ func TestMuxRecvTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("accept: %v", err)
 	}
-	if _, err := srv.Expect("ping"); err != nil {
+	if _, err := recvType(srv, "ping"); err != nil {
 		t.Fatalf("expect: %v", err)
 	}
 	st.SetTimeout(30 * time.Millisecond)
@@ -371,7 +416,7 @@ func TestMuxRecvTimeout(t *testing.T) {
 	// The timeout poisoned nothing: traffic still flows.
 	st.SetTimeout(2 * time.Second)
 	sendMsg(t, srv, "pong", "")
-	if _, err := st.Expect("pong"); err != nil {
+	if _, err := recvType(st, "pong"); err != nil {
 		t.Fatalf("session damaged by timeout: %v", err)
 	}
 }
@@ -391,7 +436,7 @@ func TestMuxStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("accept: %v", err)
 	}
-	if _, err := srv.Expect("data"); err != nil {
+	if _, err := recvType(srv, "data"); err != nil {
 		t.Fatalf("expect: %v", err)
 	}
 	if got := st.Stats().MsgsSent(); got != 1 {

@@ -42,14 +42,11 @@ type DialGovernor interface {
 type Pool struct {
 	// Dial establishes the physical link; nil selects transport.Dial.
 	Dial func(addr string) (transport.Conn, error)
-	// Mux configures the per-link muxes (client role; Server is forced
-	// off). A nil Telemetry inherits the Pool's.
-	Mux Config
 	// Governor optionally gates dials per address — typically a
 	// resilience.BreakerSet. Nil allows every dial.
 	Governor DialGovernor
-	// Telemetry optionally records pool activity (links dialed,
-	// redials). Nil records nothing.
+	// Telemetry optionally records pool and per-link mux activity (links
+	// dialed, redials, sessions opened). Nil records nothing.
 	Telemetry *telemetry.Registry
 
 	mu    sync.Mutex
@@ -134,12 +131,7 @@ func (p *Pool) ensure(entry *poolLink, addr string, redial bool) (*Mux, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := p.Mux
-	cfg.Server = false
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = p.Telemetry
-	}
-	entry.mux = NewMux(conn, cfg)
+	entry.mux = NewMux(conn, Config{Telemetry: p.Telemetry})
 	if p.Telemetry.Enabled() {
 		p.Telemetry.Counter("pool_links_dialed").Add(1)
 		if redial {

@@ -6,6 +6,7 @@ package session_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -95,7 +96,10 @@ func echo(p *session.Pool, addr string) error {
 	if err := st.Send(transport.Message{Type: "ping"}); err != nil {
 		return err
 	}
-	_, err = st.Expect("ping")
+	m, err := st.Recv()
+	if err == nil && m.Type != "ping" {
+		err = fmt.Errorf("got message %q, want ping", m.Type)
+	}
 	return err
 }
 

@@ -83,7 +83,7 @@ func roundTrip(p *Pool, addr string) error {
 	if err := st.Send(transport.Message{Type: "ping"}); err != nil {
 		return err
 	}
-	_, err = st.Expect("ping")
+	_, err = recvType(st, "ping")
 	return err
 }
 

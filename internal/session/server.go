@@ -3,7 +3,6 @@ package session
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -29,9 +28,9 @@ type Acceptor interface {
 }
 
 // AcceptTimeout wraps an Acceptor so every accepted link comes up with a
-// per-operation timeout already armed. This bounds the Server's sniff of
-// the first message — a peer that connects and never speaks cannot park
-// a serve goroutine forever. Multiplexed links tolerate the armed
+// per-operation timeout already armed. This bounds the Server's check of
+// the first frame — a peer that connects and never speaks cannot park a
+// serve goroutine forever. The multiplexed link tolerates the armed
 // timeout when idle (the demux loop treats link-level receive timeouts
 // as idleness), and protocol sessions re-arm their own deadlines once
 // the request arrives.
@@ -58,24 +57,21 @@ func (a acceptTimeout) Accept() (transport.Conn, error) {
 
 // Server is the long-lived serve loop a mediator or datasource runs: it
 // accepts physical links forever (transient accept errors retry with
-// capped backoff instead of killing the process), speaks both plain
-// single-session links and multiplexed links from the same listener,
-// applies Gate admission control, and runs Handler once per session with
-// per-session traffic telemetry.
+// capped backoff instead of killing the process), serves every link as a
+// multiplexed link — a link whose first frame is not a mux frame is
+// logged and closed — applies Gate admission control, and runs Handler
+// once per session with per-session traffic telemetry.
 type Server struct {
-	// Handler serves one protocol session over one virtual (or plain)
-	// link. The Server closes the conn after Handler returns.
+	// Handler serves one protocol session over one virtual link. The
+	// Server closes the conn after Handler returns.
 	Handler func(conn transport.Conn) error
 	// Gate optionally bounds concurrent sessions across all links. Nil
 	// admits everything. Sessions rejected by the gate fail the opener
 	// with ErrOverloaded.
 	Gate *Gate
-	// Mux configures the per-link muxes; Server is forced on. A nil
-	// Telemetry inherits the Server's.
-	Mux Config
-	// Telemetry optionally records serve-loop metrics (accept errors,
-	// link and session counters, per-session byte histograms). Nil
-	// records nothing.
+	// Telemetry optionally records serve-loop and per-link mux metrics
+	// (accept errors, link and session counters, per-session byte
+	// histograms). Nil records nothing.
 	Telemetry *telemetry.Registry
 	// Logf, when set, receives serve-loop diagnostics (accept retries,
 	// session failures).
@@ -133,8 +129,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// closeLinks force-closes every tracked physical link (multiplexed or
-// plain). Sessions still riding one fail with the link error.
+// closeLinks force-closes every tracked physical link. Sessions still
+// riding one fail with the link error.
 func (s *Server) closeLinks() {
 	s.connMu.Lock()
 	conns := make([]io.Closer, 0, len(s.conns))
@@ -204,32 +200,25 @@ func (s *Server) Serve(l Acceptor) error {
 	}
 }
 
-// serveLink classifies one physical link by its first message: a mux
-// frame makes it a multiplexed link carrying many sessions, anything
-// else a plain single-session link (the first message is replayed to the
-// handler, so pre-mux clients keep working).
+// serveLink serves one physical link as a multiplexed link carrying many
+// sessions. Its first frame must be a mux frame; anything else is a peer
+// that does not speak the session layer, and the link is closed unserved.
 func (s *Server) serveLink(conn transport.Conn) {
 	s.gaugeLinks(1)
 	defer s.gaugeLinks(-1)
 	first, err := conn.Recv()
-	if err != nil {
-		// The peer connected and vanished before speaking; nothing to
-		// serve.
+	if err != nil || !isMuxFrame(first.Type) {
+		// The peer vanished before speaking, or does not speak the mux
+		// framing; nothing to serve.
+		if err == nil {
+			s.logf("session: refusing link: first frame %q is not a mux frame", first.Type)
+		}
 		if cerr := conn.Close(); cerr != nil {
 			s.logf("session: close dead link: %v", cerr)
 		}
 		return
 	}
-	if !IsMuxFrame(first.Type) {
-		s.servePlain(conn, first)
-		return
-	}
-	cfg := s.Mux
-	cfg.Server = true
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = s.Telemetry
-	}
-	mux := newMux(conn, cfg, []transport.Message{first})
+	mux := newMux(conn, Config{Server: true, Telemetry: s.Telemetry}, []transport.Message{first})
 	if !s.track(mux) {
 		// Drained while this link was being set up; refuse it whole.
 		if cerr := mux.Close(); cerr != nil {
@@ -253,34 +242,6 @@ func (s *Server) serveLink(conn transport.Conn) {
 		}
 		go s.runSession(st)
 	}
-}
-
-// servePlain runs a single-session (non-multiplexed) link through the
-// gate and handler. Under overload there is no session to reject
-// individually, so the link is simply closed.
-func (s *Server) servePlain(conn transport.Conn, first transport.Message) {
-	// Counted before the draining check so Shutdown's wait observes a
-	// session that raced past the flag flip.
-	s.sessions.Add(1)
-	defer s.sessions.Add(-1)
-	if s.draining.Load() {
-		// A plain link has no reject frame to carry ErrDraining; the
-		// close is the signal.
-		s.count("sessions_rejected_draining")
-		if cerr := conn.Close(); cerr != nil {
-			s.logf("session: close drained link: %v", cerr)
-		}
-		return
-	}
-	if err := s.Gate.Acquire(); err != nil {
-		s.logf("session: plain link rejected: %v", err)
-		if cerr := conn.Close(); cerr != nil {
-			s.logf("session: close rejected link: %v", cerr)
-		}
-		return
-	}
-	defer s.Gate.Release()
-	s.handle(&replayConn{conn: conn, first: &first})
 }
 
 // runSession admits one multiplexed session and hands it to the
@@ -347,39 +308,3 @@ func (s *Server) logf(format string, args ...any) {
 		s.Logf(format, args...)
 	}
 }
-
-// replayConn re-delivers the message the Server consumed while sniffing
-// a plain link, then delegates to the wrapped conn.
-type replayConn struct {
-	conn  transport.Conn
-	mu    sync.Mutex
-	first *transport.Message
-}
-
-func (r *replayConn) Recv() (transport.Message, error) {
-	r.mu.Lock()
-	if m := r.first; m != nil {
-		r.first = nil
-		r.mu.Unlock()
-		return *m, nil
-	}
-	r.mu.Unlock()
-	return r.conn.Recv()
-}
-
-// Expect must route through the replaying Recv, not the wrapped conn's.
-func (r *replayConn) Expect(typ string) (transport.Message, error) {
-	m, err := r.Recv()
-	if err != nil {
-		return transport.Message{}, err
-	}
-	if m.Type != typ {
-		return transport.Message{}, fmt.Errorf("transport: expected message %q, got %q", typ, m.Type)
-	}
-	return m, nil
-}
-
-func (r *replayConn) Send(m transport.Message) error { return r.conn.Send(m) }
-func (r *replayConn) Close() error                   { return r.conn.Close() }
-func (r *replayConn) SetTimeout(d time.Duration)     { r.conn.SetTimeout(d) }
-func (r *replayConn) Stats() *transport.Stats        { return r.conn.Stats() }

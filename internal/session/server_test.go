@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,7 +142,7 @@ func TestServerMultiplexedSessions(t *testing.T) {
 				errs <- err
 				return
 			}
-			if _, err := st.Expect(typ); err != nil {
+			if _, err := recvType(st, typ); err != nil {
 				errs <- fmt.Errorf("session %d: %w", i, err)
 			}
 		}(i)
@@ -153,25 +154,56 @@ func TestServerMultiplexedSessions(t *testing.T) {
 	}
 }
 
-// TestServerPlainLink checks backward compatibility: a client that
-// speaks no mux framing still gets served, its first (sniffed) message
-// replayed intact.
-func TestServerPlainLink(t *testing.T) {
-	addr := startServer(t, &Server{Handler: echoHandler, Logf: t.Logf})
+// TestServerRefusesPlainLink checks that a link whose first frame is
+// not a mux frame is closed unserved — the handler never runs — and that
+// the server goes on serving multiplexed links.
+func TestServerRefusesPlainLink(t *testing.T) {
+	var handled atomic.Int64
+	addr := startServer(t, &Server{
+		Handler: func(c transport.Conn) error {
+			handled.Add(1)
+			return echoHandler(c)
+		},
+		Logf: t.Logf,
+	})
+	plain, err := transport.Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer plain.Close()
+	plain.SetTimeout(5 * time.Second)
+	if err := plain.Send(transport.Message{Type: "plain.0"}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if m, err := plain.Recv(); err == nil || errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("plain link: recv = %q, %v; want the link closed", m.Type, err)
+	}
+	if n := handled.Load(); n != 0 {
+		t.Fatalf("handler ran %d times for a plain link, want 0", n)
+	}
+
 	conn, err := transport.Dial(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
-	conn.SetTimeout(5 * time.Second)
-	for i := 0; i < 3; i++ {
-		typ := fmt.Sprintf("plain.%d", i)
-		if err := conn.Send(transport.Message{Type: typ}); err != nil {
-			t.Fatalf("send %d: %v", i, err)
+	mux := NewMux(conn, Config{})
+	defer func() {
+		if err := mux.Close(); err != nil {
+			t.Logf("mux close: %v", err)
 		}
-		if _, err := conn.Expect(typ); err != nil {
-			t.Fatalf("echo %d: %v", i, err)
-		}
+	}()
+	st, err := mux.Open()
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer st.Close()
+	st.SetTimeout(5 * time.Second)
+	sendMsg(t, st, "ping", "x")
+	if _, err := recvType(st, "ping"); err != nil {
+		t.Fatalf("multiplexed session after a refused plain link: %v", err)
+	}
+	if n := handled.Load(); n != 1 {
+		t.Fatalf("handler ran %d times, want 1", n)
 	}
 }
 
@@ -235,7 +267,7 @@ func TestServerGateReject(t *testing.T) {
 
 	// Admitted session completes once released.
 	close(release)
-	if _, err := first.Expect("hold"); err != nil {
+	if _, err := recvType(first, "hold"); err != nil {
 		t.Fatalf("first session after reject of second: %v", err)
 	}
 }

@@ -21,10 +21,10 @@
 //
 //   - A Server is the long-lived serve loop mediator and datasources
 //     run: it survives transient Accept failures with capped backoff
-//     (never log.Fatalf), sniffs whether an inbound link speaks the mux
-//     framing (plain single-session links still work), applies the Gate,
-//     and runs one handler per session with per-session traffic
-//     telemetry.
+//     (never log.Fatalf), serves every inbound link as a multiplexed link
+//     (a link whose first frame is not a mux frame is closed unserved),
+//     applies the Gate, and runs one handler per session with
+//     per-session traffic telemetry.
 //
 //   - A Pool keeps one persistent multiplexed link per dialed peer:
 //     Open returns a fresh session over the cached link, dialing only on

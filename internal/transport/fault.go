@@ -247,10 +247,6 @@ func (c *faultConn) Recv() (Message, error) {
 	}
 }
 
-// Expect implements Conn in terms of the wrapper's own Recv so faults
-// apply to expected messages too.
-func (c *faultConn) Expect(typ string) (Message, error) { return expect(c, typ) }
-
 // Close implements Conn.
 func (c *faultConn) Close() error { return c.inner.Close() }
 

@@ -22,7 +22,7 @@ const DefaultMaxMessage = 256 << 20 // 256 MiB
 
 // countingWriter counts every byte that actually leaves for the wire —
 // including gob's type descriptors and frame headers, which
-// Message.size() knows nothing about.
+// Message.Size() knows nothing about.
 type countingWriter struct {
 	w io.Writer
 	n *atomic.Int64
@@ -65,11 +65,19 @@ type frameLimitReader struct {
 	err error  // sticky: set once the stream position is unrecoverable
 }
 
-// noEOF converts a clean-EOF mid-structure into ErrUnexpectedEOF so it is
-// never mistaken for an orderly peer shutdown.
-func noEOF(err error) error {
-	if err == io.EOF {
+// midFrame renders a read failure inside a frame for the sticky error.
+// A clean EOF becomes io.ErrUnexpectedEOF so it is never mistaken for an
+// orderly peer shutdown. An expired deadline becomes io.ErrUnexpectedEOF
+// too, with the timeout kept only in the text: the stream position is
+// lost, so the link is dead, not idle, and a caller that reads ErrTimeout
+// as idleness (the session mux's demux loop) would spin on the sticky
+// error forever instead of failing the link.
+func midFrame(err error) error {
+	switch {
+	case err == io.EOF:
 		return io.ErrUnexpectedEOF
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return fmt.Errorf("%w: deadline expired inside a frame (%v)", io.ErrUnexpectedEOF, err)
 	}
 	return err
 }
@@ -78,7 +86,8 @@ func noEOF(err error) error {
 // first header byte (clean close, recv timeout with nothing consumed) is
 // returned as-is and is NOT sticky: the stream is still aligned and a
 // later Recv may proceed. Any failure after the first byte poisons the
-// reader — the position inside the stream is lost.
+// reader — the position inside the stream is lost — and never matches
+// ErrTimeout (see midFrame).
 func (f *frameLimitReader) fill() error {
 	var hdr [9]byte
 	if _, err := io.ReadFull(f.r, hdr[:1]); err != nil {
@@ -94,7 +103,7 @@ func (f *frameLimitReader) fill() error {
 			return f.err
 		}
 		if _, err := io.ReadFull(f.r, hdr[1:1+n]); err != nil {
-			f.err = fmt.Errorf("transport: truncated gob frame header: %w", noEOF(err))
+			f.err = fmt.Errorf("transport: truncated gob frame header: %w", midFrame(err))
 			return f.err
 		}
 		hlen += n
@@ -116,7 +125,7 @@ func (f *frameLimitReader) fill() error {
 	frame := make([]byte, hlen+int(size))
 	copy(frame, hdr[:hlen])
 	if _, err := io.ReadFull(f.r, frame[hlen:]); err != nil {
-		f.err = fmt.Errorf("transport: truncated gob frame: %w", noEOF(err))
+		f.err = fmt.Errorf("transport: truncated gob frame: %w", midFrame(err))
 		return f.err
 	}
 	f.buf = frame
@@ -284,9 +293,6 @@ func (c *tcpConn) Recv() (Message, error) {
 	c.stats.msgsRecv.Add(1)
 	return m, nil
 }
-
-// Expect implements Conn.
-func (c *tcpConn) Expect(typ string) (Message, error) { return expect(c, typ) }
 
 // Close implements Conn.
 func (c *tcpConn) Close() error {

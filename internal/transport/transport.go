@@ -46,14 +46,11 @@ type Message struct {
 	Body []byte
 }
 
-// size returns the accounted wire size of the message.
-func (m Message) size() int { return len(m.Type) + len(m.Body) }
-
 // Size returns the accounted wire size of the message (type tag plus
 // body bytes) — the unit the in-memory transport counts in. Exported for
 // Conn wrappers outside this package (the session mux) that maintain
 // their own per-endpoint Stats.
-func (m Message) Size() int { return m.size() }
+func (m Message) Size() int { return len(m.Type) + len(m.Body) }
 
 // Encode gob-encodes a payload struct into a message body.
 // seclint:wire gob-encodes the payload for a link
@@ -126,9 +123,6 @@ type Conn interface {
 	Send(Message) error
 	// Recv blocks for the next message from the peer.
 	Recv() (Message, error)
-	// Expect receives the next message and verifies its type tag; a
-	// mismatch is a protocol error.
-	Expect(typ string) (Message, error)
 	// Close releases the link. Pending Recv calls fail.
 	Close() error
 	// SetTimeout bounds every subsequent Send and Recv to d. Zero or
@@ -219,7 +213,7 @@ func (c *chanConn) Send(m Message) error {
 		return fmt.Errorf("transport: peer closed")
 	case c.out <- m:
 		c.stats.msgsSent.Add(1)
-		c.stats.bytesSent.Add(int64(m.size()))
+		c.stats.bytesSent.Add(int64(m.Size()))
 		return nil
 	case <-deadline:
 		return fmt.Errorf("transport: send: %w", ErrTimeout)
@@ -252,7 +246,7 @@ func (c *chanConn) Recv() (Message, error) {
 		return Message{}, fmt.Errorf("transport: recv on closed connection")
 	case m := <-c.in:
 		c.stats.msgsRecv.Add(1)
-		c.stats.bytesRecv.Add(int64(m.size()))
+		c.stats.bytesRecv.Add(int64(m.Size()))
 		return m, nil
 	case <-deadline:
 		return Message{}, fmt.Errorf("transport: recv: %w", ErrTimeout)
@@ -261,17 +255,12 @@ func (c *chanConn) Recv() (Message, error) {
 		select {
 		case m := <-c.in:
 			c.stats.msgsRecv.Add(1)
-			c.stats.bytesRecv.Add(int64(m.size()))
+			c.stats.bytesRecv.Add(int64(m.Size()))
 			return m, nil
 		default:
 			return Message{}, io.EOF
 		}
 	}
-}
-
-// Expect implements Conn.
-func (c *chanConn) Expect(typ string) (Message, error) {
-	return expect(c, typ)
 }
 
 // Close implements Conn.
@@ -290,14 +279,3 @@ func (c *chanConn) SetTimeout(d time.Duration) {
 
 // Stats implements Conn.
 func (c *chanConn) Stats() *Stats { return &c.stats }
-
-func expect(c Conn, typ string) (Message, error) {
-	m, err := c.Recv()
-	if err != nil {
-		return Message{}, err
-	}
-	if m.Type != typ {
-		return Message{}, fmt.Errorf("transport: expected message %q, got %q", typ, m.Type)
-	}
-	return m, nil
-}
