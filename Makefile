@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci vet lint lint-json lint-sarif lint-golden build test test-short race chaos soak soak-short bench bench-smoke
+.PHONY: all ci vet lint lint-json lint-sarif lint-golden build test test-short race chaos soak soak-short bench bench-smoke examples
 
 all: vet lint build test race
 
@@ -9,9 +9,9 @@ all: vet lint build test race
 # whole-program plaintaint/keyscope/cttaint/conccheck analysis) come before the
 # test suites, plus a -short -race pass over the full module, the
 # benchmark's smoke run (real daemons, output checked against
-# BENCHMARK.json), and the compressed chaos soak that gates the
-# query-lifecycle recovery contract.
-ci: build vet lint test race test-short bench-smoke soak-short
+# BENCHMARK.json), the compressed chaos soak that gates the
+# query-lifecycle recovery contract, and a run of every example.
+ci: build vet lint test race test-short bench-smoke soak-short examples
 
 vet:
 	$(GO) vet ./...
@@ -43,6 +43,15 @@ lint-golden:
 
 build:
 	$(GO) build ./...
+
+# Runs every program under examples/ to completion (`build` only compiles
+# them); fails on the first non-zero exit. Their output is discarded,
+# their errors are not.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 test:
 	$(GO) test ./...

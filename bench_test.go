@@ -89,7 +89,7 @@ func benchSpec() workload.JoinSpec {
 }
 
 func benchParams() mediation.Params {
-	return mediation.Params{Partitions: 8, Strategy: das.EquiDepth, PaillierBits: 1024}
+	return mediation.Params{Partitions: 8, Strategy: das.EquiDepth}
 }
 
 func runProtocol(b *testing.B, proto mediation.Protocol, params mediation.Params) {
@@ -378,7 +378,7 @@ func BenchmarkExtSelectionPushdown(b *testing.B) {
 	}
 }
 
-// ext-aggregation: mediator-side homomorphic SUM over an encrypted column.
+// ext-aggregation: a one-source SUM whose source seals the one result row.
 func BenchmarkExtAggregation(b *testing.B) {
 	n := benchNetwork(b, benchSpec(), nil)
 	b.ResetTimer()

@@ -108,7 +108,6 @@ func runQuery(args []string) error {
 	partitions := fs.Int("partitions", 16, "DAS partitions per index table")
 	strategy := fs.String("strategy", "equi-depth", "DAS strategy: equi-width|equi-depth|hash-buckets")
 	idMode := fs.Bool("idmode", false, "commutative footnote-1 ID mode")
-	paillierBits := fs.Int("paillier", 2048, "Paillier modulus size of encrypted aggregation")
 	buckets := fs.Int("buckets", 0, "PM FNP bucket count (0 = single polynomial)")
 	workers := fs.Int("workers", 0, "crypto worker pool size per party (0 = all cores, 1 = sequential)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-operation send/receive deadline for every party (0 disables)")
@@ -150,13 +149,12 @@ func runQuery(args []string) error {
 		return err
 	}
 	params := mediation.Params{
-		Partitions:   *partitions,
-		Strategy:     strat,
-		IDMode:       *idMode,
-		PaillierBits: *paillierBits,
-		Buckets:      *buckets,
-		Workers:      *workers,
-		Timeout:      *timeout,
+		Partitions: *partitions,
+		Strategy:   strat,
+		IDMode:     *idMode,
+		Buckets:    *buckets,
+		Workers:    *workers,
+		Timeout:    *timeout,
 	}
 
 	// All protocol sessions run as virtual links over one physical

@@ -90,8 +90,7 @@ func (d *demo) runQuery(sql string, proto mediation.Protocol) (*relation.Relatio
 		return nil, nil, 0, err
 	}
 	net.SetTelemetry(d.telemetry)
-	params := mediation.Params{Partitions: 4, Strategy: das.EquiDepth,
-		PaillierBits: 1024, Timeout: 30 * time.Second}
+	params := mediation.Params{Partitions: 4, Strategy: das.EquiDepth, Timeout: 30 * time.Second}
 	start := time.Now()
 	res, err := net.Query(sql, proto, params)
 	return res, ledger, time.Since(start), err

@@ -1,10 +1,11 @@
 // Command analytics demonstrates the two protocol extensions beyond the
 // paper's core join protocols:
 //
-//  1. Encrypted aggregation — the mediator computes SUM/COUNT/AVG over
-//     Paillier ciphertexts (inspired by the aggregation-over-encrypted-
-//     data work the paper's Section 7 surveys), learning only the row
-//     count.
+//  1. Aggregation — SUM/COUNT/AVG (after the aggregation-over-encrypted-
+//     data work the paper's Section 7 surveys) run as a one-source
+//     mobile-code session: the source computes the one result row and
+//     seals it to the client's query key, so the mediator relays one
+//     constant-length ciphertext and learns not even the row count.
 //  2. DAS selection pushdown — conjunctive WHERE conditions become
 //     mediator-side index filters, shrinking the superset the client must
 //     decrypt (quantified against the non-pushdown run).
@@ -69,7 +70,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 1. Encrypted aggregation: the mediator folds Paillier ciphertexts.
+	// 1. Aggregation: the source seals the one result row; the protocol
+	// argument does not apply to an aggregate.
 	for _, sql := range []string{
 		"SELECT COUNT(*) FROM Sales",
 		"SELECT SUM(revenue) FROM Sales",
@@ -81,8 +83,8 @@ func main() {
 		}
 		fmt.Printf("%-55s -> %s\n", sql, res.Tuple(0)[0])
 	}
-	fmt.Printf("mediator applied %d homomorphic additions, decrypted nothing\n\n",
-		ledger.PrimitiveCount("mediator", "homomorphic-addition"))
+	fmt.Printf("ERP sealed %d result rows, one per query; the mediator relayed them and opened nothing\n\n",
+		ledger.PrimitiveCount("source:ERP", "hybrid-encryption"))
 
 	// 2. DAS selection pushdown: compare superset sizes.
 	const joinSQL = "SELECT * FROM Sales JOIN Regions ON Sales.region = Regions.region WHERE country = 'fr'"

@@ -1,6 +1,10 @@
 // Package paillier implements the Paillier public-key cryptosystem
-// (Paillier, EUROCRYPT'99), the additively homomorphic scheme the paper's
-// private-matching protocol (Section 5) relies on:
+// (Paillier, EUROCRYPT'99), the additively homomorphic scheme the paper
+// names for its private-matching protocol (Section 5). No protocol calls
+// it: PM runs on exponential EC-ElGamal (internal/crypto/ecelgamal), and
+// an aggregate's source seals its one result row. It is kept for the
+// per-layer paillier.* and pm.* probes of `go run ./bench` only. It
+// provides:
 //
 //   - E(a)·E(b) mod n²  decrypts to  a+b mod n      (homomorphic addition)
 //   - E(a)^γ   mod n²  decrypts to  γ·a mod n      (scalar multiplication)

@@ -2,6 +2,7 @@ package mediation
 
 import (
 	"crypto/ecdh"
+	"fmt"
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
@@ -75,8 +76,9 @@ type mcPartial struct {
 	Rows     [][]byte
 }
 
-// mcResult forwards both encrypted partial results to the client. It is
-// also the result of a union, whose join attribute lists are empty.
+// mcResult forwards the encrypted partial results to the client. It is
+// also the result of a union, whose join attribute lists are empty, and
+// of an aggregate, whose P2 is empty as well.
 type mcResult struct {
 	P1, P2               mcPartial
 	JoinCols1, JoinCols2 []string
@@ -107,28 +109,33 @@ func (s *Source) serveMobileCode(conn transport.Conn, pq *PartialQuery, rel *rel
 	return sendMsg(conn, "mediator", msgMCPartial, sessioned[mcPartial]{Session: pq.SessionID, Body: out})
 }
 
+// mediateMobileCode relays the sealed partial result of each source in
+// d.relations() to the client: two for a join or a union, one for an
+// aggregate.
 // seclint:entry mediator
-func (m *Mediator) mediateMobileCode(client, s1, s2 transport.Conn, d *decomposition) error {
-	var p1, p2 sessioned[mcPartial]
-	if err := recvInto(s1, "source:"+d.rel1, msgMCPartial, &p1); err != nil {
-		return err
+func (m *Mediator) mediateMobileCode(client transport.Conn, sources []transport.Conn, d *decomposition) error {
+	parts := make([]sessioned[mcPartial], 2)
+	for i, rel := range d.relations() {
+		if err := recvInto(sources[i], "source:"+rel, msgMCPartial, &parts[i]); err != nil {
+			return err
+		}
+		// The mobile-code mediator sees the encrypted partial results whole:
+		// it learns the cardinalities of a join or a union (and forwards
+		// everything). An aggregate's one row tells it nothing.
+		if d.query.Aggregate == nil {
+			m.Ledger.Observe(leakage.PartyMediator, fmt.Sprintf("|R%d|", i+1), int64(len(parts[i].Body.Rows)))
+		}
 	}
-	if err := recvInto(s2, "source:"+d.rel2, msgMCPartial, &p2); err != nil {
-		return err
-	}
-	// The mobile-code mediator sees the encrypted partial results whole:
-	// it learns both cardinalities (and forwards everything).
-	m.Ledger.Observe(leakage.PartyMediator, "|R1|", int64(len(p1.Body.Rows)))
-	m.Ledger.Observe(leakage.PartyMediator, "|R2|", int64(len(p2.Body.Rows)))
 	return sendMsg(client, "client", msgMCResult, sessioned[mcResult]{
-		Session: p1.Session,
-		Body:    mcResult{P1: p1.Body, P2: p2.Body, JoinCols1: d.joinCols1, JoinCols2: d.joinCols2},
+		Session: parts[0].Session,
+		Body:    mcResult{P1: parts[0].Body, P2: parts[1].Body, JoinCols1: d.joinCols1, JoinCols2: d.joinCols2},
 	})
 }
 
-// runMobileCode opens both partial results and merges them: a join
+// runMobileCode opens the partial results and merges them: a join
 // evaluates the equi-join, a union concatenates (postProcess drops the
-// duplicates of a plain UNION).
+// duplicates of a plain UNION), and an aggregate's one partial result is
+// already the answer.
 func (c *Client) runMobileCode(conn transport.Conn, q *sqlparse.Query, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res sessioned[mcResult]
 	if err := recvInto(conn, "mediator", msgMCResult, &res); err != nil {
@@ -139,6 +146,11 @@ func (c *Client) runMobileCode(conn transport.Conn, q *sqlparse.Query, queryKey 
 		r1, err := c.openMCPartial(queryKey, res.Body.P1, res.Session)
 		if err != nil {
 			return err
+		}
+		if q.Aggregate != nil {
+			c.Ledger.Observe(leakage.PartyClient, "tuples-received", int64(r1.Len()))
+			joined = r1
+			return nil
 		}
 		r2, err := c.openMCPartial(queryKey, res.Body.P2, res.Session)
 		if err != nil {

@@ -5,12 +5,10 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"fmt"
-	"sync"
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
-	"github.com/secmediation/secmediation/internal/crypto/paillier"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/sqlparse"
@@ -33,11 +31,6 @@ type Client struct {
 	// Telemetry optionally records phase spans and traffic metrics for
 	// this party. Params.Telemetry overrides it per query.
 	Telemetry *telemetry.Registry
-
-	// homKey caches the Paillier key pair for aggregation queries; homMu
-	// guards it so concurrent sessions share one key generation.
-	homMu  sync.Mutex
-	homKey *paillier.PrivateKey
 }
 
 // NewClient creates a client with a fresh RSA key pair. Callers
@@ -49,21 +42,6 @@ func NewClient() (*Client, error) {
 		return nil, fmt.Errorf("mediation: client key: %w", err)
 	}
 	return &Client{PrivateKey: key}, nil
-}
-
-// HomomorphicKey returns (generating on first use) the client's Paillier
-// key pair for encrypted aggregation.
-func (c *Client) HomomorphicKey(bits int) (*paillier.PrivateKey, error) {
-	c.homMu.Lock()
-	defer c.homMu.Unlock()
-	if c.homKey == nil || c.homKey.N.BitLen() != bits {
-		k, err := paillier.GenerateKey(rand.Reader, bits)
-		if err != nil {
-			return nil, err
-		}
-		c.homKey = k
-	}
-	return c.homKey, nil
 }
 
 // Query runs one global query through the mediator reachable over conn and
@@ -85,22 +63,15 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	}
 	proto = delivery(q, proto)
 	req := Request{SQL: sql, Credentials: c.Credentials, Protocol: proto, Params: params}
-	if q.Aggregate != nil {
-		hk, err := c.HomomorphicKey(params.PaillierBits)
-		if err != nil {
-			return nil, err
-		}
-		req.HomomorphicKey = &hk.PublicKey
-	}
 	// A fresh query key per query: the mediator cannot link a client's
 	// queries by a public key beyond what the credentials already show.
 	var queryKey *ecdh.PrivateKey
-	if needsQueryKey(proto, q.Aggregate != nil) {
+	if needsQueryKey(proto) {
 		if queryKey, err = ecdh.P256().GenerateKey(rand.Reader); err != nil {
 			return nil, fmt.Errorf("mediation: query key: %w", err)
 		}
 		req.QueryKey = hybrid.CompressPoint(queryKey.PublicKey())
-		if req.QueryKeySig, err = signQueryKey(c.PrivateKey, req.QueryKey, req.HomomorphicKey); err != nil {
+		if req.QueryKeySig, err = signQueryKey(c.PrivateKey, req.QueryKey); err != nil {
 			return nil, err
 		}
 	}
@@ -117,8 +88,6 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	var schema2 relation.Schema
 	var joinCols2 []string
 	switch {
-	case q.Aggregate != nil:
-		joined, err = c.runAggregate(conn, params, watch)
 	case proto == ProtocolPlaintext:
 		joined, schema2, joinCols2, err = c.runPlaintext(conn)
 	case proto == ProtocolMobileCode:
@@ -137,7 +106,7 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	}
 	c.recordTraffic(conn, c.telemetry(params))
 	if q.Aggregate != nil {
-		// The source already applied the WHERE clause.
+		// The source already applied the WHERE clause and folded the rows.
 		return joined, nil
 	}
 	return postProcess(q, joined, schema2, joinCols2)

@@ -131,7 +131,7 @@ const fixtureSQL = "SELECT * FROM R1 JOIN R2 ON R1.id = R2.id"
 // fastParams keeps cryptographic parameters small enough for unit tests
 // while exercising the full protocol paths.
 func fastParams() Params {
-	return Params{Partitions: 3, Strategy: das.EquiDepth, PaillierBits: 1024}
+	return Params{Partitions: 3, Strategy: das.EquiDepth}
 }
 
 // All five protocols must produce exactly the same global result.
@@ -162,13 +162,13 @@ func TestProtocolVariants(t *testing.T) {
 		proto  Protocol
 		params Params
 	}{
-		{"das-equi-width", ProtocolDAS, Params{Partitions: 2, Strategy: das.EquiWidth, PaillierBits: 1024}},
-		{"das-hash-buckets", ProtocolDAS, Params{Partitions: 4, Strategy: das.HashBuckets, PaillierBits: 1024}},
-		{"das-one-partition", ProtocolDAS, Params{Partitions: 1, Strategy: das.EquiDepth, PaillierBits: 1024}},
-		{"comm-id-mode", ProtocolCommutative, Params{IDMode: true, PaillierBits: 1024}},
-		{"pm-hybrid-payload", ProtocolPM, Params{PaillierBits: 1024}},
-		{"pm-bucketed", ProtocolPM, Params{PaillierBits: 1024, Buckets: 3}},
-		{"pm-bucketed-hybrid", ProtocolPM, Params{PaillierBits: 1024, Buckets: 2}},
+		{"das-equi-width", ProtocolDAS, Params{Partitions: 2, Strategy: das.EquiWidth}},
+		{"das-hash-buckets", ProtocolDAS, Params{Partitions: 4, Strategy: das.HashBuckets}},
+		{"das-one-partition", ProtocolDAS, Params{Partitions: 1, Strategy: das.EquiDepth}},
+		{"comm-id-mode", ProtocolCommutative, Params{IDMode: true}},
+		{"pm-hybrid-payload", ProtocolPM, Params{}},
+		{"pm-bucketed", ProtocolPM, Params{Buckets: 3}},
+		{"pm-bucketed-hybrid", ProtocolPM, Params{Buckets: 2}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -373,7 +373,7 @@ func TestTable1ClientLeakage(t *testing.T) {
 
 	ledger := leakage.NewLedger()
 	n := newTestNetwork(t, ledger)
-	if _, err := n.Query(fixtureSQL, ProtocolDAS, Params{Partitions: 1, Strategy: das.EquiDepth, PaillierBits: 1024}); err != nil {
+	if _, err := n.Query(fixtureSQL, ProtocolDAS, Params{Partitions: 1, Strategy: das.EquiDepth}); err != nil {
 		t.Fatal(err)
 	}
 	superset, _ := ledger.Observed(leakage.PartyClient, "superset-size")
@@ -649,7 +649,7 @@ func TestProtocolStrings(t *testing.T) {
 
 func TestParamsDefaultsAndGroups(t *testing.T) {
 	p := Params{}.withDefaults()
-	if p.Partitions == 0 || p.Buckets == 0 || p.PaillierBits == 0 {
+	if p.Partitions == 0 || p.Buckets == 0 {
 		t.Errorf("defaults not applied: %+v", p)
 	}
 }

@@ -45,9 +45,8 @@ type Mediator struct {
 
 // HandleSession serves one client session end-to-end. It is the
 // combination of the request phase (Listing 1) and the mediator role of
-// the selected delivery phase (Listings 2–4, a baseline, or the
-// aggregation extension). Everything reachable from
-// here runs at the untrusted mediator and is held to the
+// the selected delivery phase (Listings 2–4 or a baseline). Everything
+// reachable from here runs at the untrusted mediator and is held to the
 // ciphertext-only invariant by the plaintaint/keyscope analyzers.
 //
 // seclint:entry mediator
@@ -93,12 +92,10 @@ func (m *Mediator) handleSession(client transport.Conn) error {
 	watch := newStopwatch(m.Ledger, leakage.PartyMediator)
 	watch.attach(root)
 	switch {
-	case d.query.Aggregate != nil:
-		err = m.mediateAggregate(client, conns[0], &req, d, watch)
 	case d.protocol == ProtocolPlaintext:
 		err = m.mediatePlaintext(client, conns[0], conns[1], d, watch)
 	case d.protocol == ProtocolMobileCode:
-		err = m.mediateMobileCode(client, conns[0], conns[1], d)
+		err = m.mediateMobileCode(client, conns, d)
 	case d.protocol == ProtocolDAS:
 		err = m.mediateDAS(client, conns[0], conns[1], d, watch)
 	case d.protocol == ProtocolCommutative:
@@ -130,9 +127,6 @@ func (m *Mediator) requestPhase(req *Request) (*decomposition, []transport.Conn,
 		return nil, nil, err
 	}
 	d.protocol = delivery(d.query, req.Protocol)
-	if d.query.Aggregate != nil && req.HomomorphicKey == nil {
-		return nil, nil, fmt.Errorf("mediation: aggregate request carries no homomorphic key")
-	}
 	rels := d.relations()
 	dials := make([]Dialer, len(rels))
 	for i, rel := range rels {
@@ -162,7 +156,7 @@ func (m *Mediator) requestPhase(req *Request) (*decomposition, []transport.Conn,
 			SessionID: session, Query: d.partial1, Relation: rel, JoinCols: d.joinCols1,
 			Credentials: m.selectCredentials(rel, req.Credentials),
 			Protocol:    d.protocol, Params: req.Params, Aggregate: d.query.Aggregate,
-			HomomorphicKey: req.HomomorphicKey, QueryKey: req.QueryKey, QueryKeySig: req.QueryKeySig,
+			QueryKey: req.QueryKey, QueryKeySig: req.QueryKeySig,
 		}
 		if i == 1 {
 			pq.Query, pq.JoinCols = d.partial2, d.joinCols2

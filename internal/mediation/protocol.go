@@ -106,9 +106,6 @@ type Params struct {
 	// Buckets is the FNP bucketing parameter for PM; 0 or 1 means one
 	// polynomial over the whole active domain.
 	Buckets int
-	// PaillierBits is the key size of encrypted aggregation; the client
-	// generates the key.
-	PaillierBits int
 	// Workers bounds the worker pool every party uses for its per-value
 	// crypto hot loops (hash+encrypt+seal, re-encryption, oblivious
 	// evaluation, result decryption). 0 selects runtime.NumCPU() on each
@@ -150,9 +147,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Buckets < 1 {
 		p.Buckets = 1
-	}
-	if p.PaillierBits == 0 {
-		p.PaillierBits = 1024
 	}
 	return p
 }
@@ -270,16 +264,27 @@ type errorBody struct {
 	Transient bool
 }
 
+// peerError is a failure a peer reported in msgError. Message is the
+// origin's own text, which sendError relays as is, so a failure reads
+// "peer error: " once however many parties it crossed.
+type peerError struct{ Message string }
+
+func (e *peerError) Error() string { return "peer error: " + e.Message }
+
 // sendError best-effort reports a failure to a peer so it can abort
 // instead of hanging. The from party names the sender; when err already
-// carries a *ProtocolError attribution, the origin's party/phase are
-// forwarded unchanged. The origin's retry classification rides along as
-// the Transient flag.
+// carries a *ProtocolError attribution, the origin's party/phase and text
+// are forwarded unchanged. The origin's retry classification rides along
+// as the Transient flag.
 func sendError(conn transport.Conn, from string, err error) {
 	body := errorBody{Party: from, Message: err.Error(), Transient: resilience.Retryable(err)}
 	var pe *ProtocolError
 	if errors.As(err, &pe) {
 		body.Party, body.Phase, body.Message = pe.Party, pe.Phase, pe.Err.Error()
+		var relayed *peerError
+		if errors.As(pe.Err, &relayed) {
+			body.Message = relayed.Message
+		}
 	}
 	m, e := transport.NewMessage(msgError, body)
 	if e != nil {
@@ -331,7 +336,7 @@ func recvExpect(conn transport.Conn, peer, typ string) (transport.Message, error
 		if party == "" {
 			party = peer
 		}
-		cause := error(fmt.Errorf("peer error: %s", body.Message))
+		cause := error(&peerError{Message: body.Message})
 		if body.Transient {
 			// The origin classified its failure retryable; keep that
 			// visible through the reconstructed chain.

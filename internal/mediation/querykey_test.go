@@ -7,13 +7,11 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"errors"
-	"math/big"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
-	"github.com/secmediation/secmediation/internal/crypto/paillier"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/resilience"
 	"github.com/secmediation/secmediation/internal/telemetry"
@@ -151,13 +149,6 @@ func TestQueryKeyBoundToCredential(t *testing.T) {
 					return n, func(c transport.Conn) transport.Conn { return c }
 				},
 			}
-			if sh.name == "aggregate" {
-				denied["rewritten Paillier key"] = func(t *testing.T) (*Network, func(transport.Conn) transport.Conn) {
-					return sh.net(), rewriteRequest(t, func(r *Request) {
-						r.HomomorphicKey = &paillier.PublicKey{N: new(big.Int).Add(r.HomomorphicKey.N, big.NewInt(2))}
-					})
-				}
-			}
 			for name, setup := range denied {
 				t.Run(name, func(t *testing.T) {
 					n, clientLink := setup(t)
@@ -221,7 +212,7 @@ func TestMalformedQueryKeyDenied(t *testing.T) {
 				if link == "client" {
 					return rewriteRequest(t, func(r *Request) {
 						r.QueryKey = offCurve
-						sig, err := signQueryKey(f.client.PrivateKey, r.QueryKey, r.HomomorphicKey)
+						sig, err := signQueryKey(f.client.PrivateKey, r.QueryKey)
 						if err != nil {
 							t.Error(err)
 						}

@@ -12,33 +12,28 @@ import (
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
-	"github.com/secmediation/secmediation/internal/crypto/paillier"
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/sqlparse"
 )
 
 // Request is the client's global query message (Listing 1, step 1): the
 // SQL text (a join, a union or an aggregate), the credential set CR, and
-// the chosen delivery protocol. The client's per-query public keys ride
+// the chosen delivery protocol. The client's per-query public key rides
 // along, which models the paper's "this key is distributed with the
 // client's credentials": the query key, drawn fresh for every query but a
-// plaintext join, and the Paillier key of an aggregate. The credential's
-// RSA key signs both, so a source encrypts only to keys the credential's
-// holder chose.
+// plaintext join. The credential's RSA key signs it, so a source encrypts
+// only to a key the credential's holder chose.
 type Request struct {
 	SQL         string
 	Credentials credential.Set
 	Protocol    Protocol
 	Params      Params
-	// HomomorphicKey is the client's Paillier public key (aggregation
-	// only).
-	HomomorphicKey *paillier.PublicKey
 	// QueryKey is the compressed P-256 point of the query's fresh key: the
 	// sources' hybrid sessions agree their keys with it, and PM encrypts
 	// under it as an EC-ElGamal key.
 	QueryKey []byte
 	// QueryKeySig is the client's RSA-PSS/SHA-256 signature of
-	// queryKeyDigest(QueryKey, HomomorphicKey) under the credential's key.
+	// queryKeyDigest(QueryKey) under the credential's key.
 	QueryKeySig []byte
 }
 
@@ -46,46 +41,42 @@ type Request struct {
 // message the client key signs.
 const queryKeyTag = "secmediation/query-key\x00"
 
-// queryKeyDigest is SHA-256(tag ‖ QueryKey ‖ Paillier modulus): what the
-// client signs to bind its per-query keys to its credential. The modulus
-// is absent for every query but an aggregate.
-func queryKeyDigest(queryKey []byte, hom *paillier.PublicKey) []byte {
+// queryKeyDigest is SHA-256(tag ‖ QueryKey): what the client signs to
+// bind its query key to its credential.
+func queryKeyDigest(queryKey []byte) []byte {
 	h := sha256.New()
 	h.Write([]byte(queryKeyTag))
 	h.Write(queryKey)
-	if hom != nil && hom.N != nil {
-		h.Write(hom.N.Bytes())
-	}
 	return h.Sum(nil)
 }
 
 // needsQueryKey reports whether a query carries a signed query key: every
 // one but a plaintext join, whose partial results travel in the clear.
-func needsQueryKey(proto Protocol, aggregate bool) bool {
-	return proto != ProtocolPlaintext || aggregate
+// proto is the delivery phase, so an aggregate or a union always has one.
+func needsQueryKey(proto Protocol) bool {
+	return proto != ProtocolPlaintext
 }
 
-// signQueryKey signs the query's keys with the credential's private key.
-func signQueryKey(priv *rsa.PrivateKey, queryKey []byte, hom *paillier.PublicKey) ([]byte, error) {
-	sig, err := rsa.SignPSS(rand.Reader, priv, crypto.SHA256, queryKeyDigest(queryKey, hom), nil)
+// signQueryKey signs the query key with the credential's private key.
+func signQueryKey(priv *rsa.PrivateKey, queryKey []byte) ([]byte, error) {
+	sig, err := rsa.SignPSS(rand.Reader, priv, crypto.SHA256, queryKeyDigest(queryKey), nil)
 	if err != nil {
 		return nil, fmt.Errorf("mediation: signing the query key: %w", err)
 	}
 	return sig, nil
 }
 
-// verifyQueryKey is a source's check that the query key (and an
-// aggregate's Paillier key) was signed by the client key of the
-// credential that granted access, and the parse of that key. Every
-// credential crosses the mediator in the clear; without this check anyone
-// holding a copy could run a query under a key of their own. A non-empty
-// reason denies the query; a malformed key is refused here, before any
-// scalar touches it.
+// verifyQueryKey is a source's check that the query key was signed by the
+// client key of the credential that granted access, and the parse of that
+// key. Every credential crosses the mediator in the clear; without this
+// check anyone holding a copy could run a query under a key of their own.
+// A non-empty reason denies the query; a malformed key is refused here,
+// before any scalar touches it.
 func verifyQueryKey(pq *PartialQuery, clientKey *rsa.PublicKey) (*ecdh.PublicKey, string) {
-	if !needsQueryKey(pq.Protocol, pq.Aggregate != nil) {
+	if !needsQueryKey(pq.Protocol) {
 		return nil, ""
 	}
-	if err := rsa.VerifyPSS(clientKey, crypto.SHA256, queryKeyDigest(pq.QueryKey, pq.HomomorphicKey), pq.QueryKeySig, nil); err != nil {
+	if err := rsa.VerifyPSS(clientKey, crypto.SHA256, queryKeyDigest(pq.QueryKey), pq.QueryKeySig, nil); err != nil {
 		return nil, "query key is not signed by the credential's client key"
 	}
 	key, err := hybrid.ParsePoint(pq.QueryKey)
@@ -97,8 +88,9 @@ func verifyQueryKey(pq *PartialQuery, clientKey *rsa.PublicKey) (*ecdh.PublicKey
 
 // PartialQuery is the mediator's message to a datasource (Listing 1,
 // step 3): the partial query q_i, the credential subset CR_i, and the join
-// attribute set A_i, plus everything the delivery phase needs. A union's
-// partial queries are mobile-code ones with an empty A_i.
+// attribute set A_i, plus everything the delivery phase needs. The partial
+// queries of a union and an aggregate are mobile-code ones with an empty
+// A_i.
 type PartialQuery struct {
 	// SessionID is a fresh mediator-chosen identifier; it doubles as the
 	// oracle domain-separation label in the commutative protocol (both
@@ -118,13 +110,11 @@ type PartialQuery struct {
 	// Protocol and Params mirror the client's request.
 	Protocol Protocol
 	Params   Params
-	// HomomorphicKey, QueryKey and QueryKeySig are forwarded from the
-	// client's request.
-	HomomorphicKey *paillier.PublicKey
-	QueryKey       []byte
-	QueryKeySig    []byte
-	// Aggregate is set for aggregation partial queries (the extension of
-	// internal/mediation/aggproto.go).
+	// QueryKey and QueryKeySig are forwarded from the client's request.
+	QueryKey    []byte
+	QueryKeySig []byte
+	// Aggregate is set for an aggregate's partial query: the source folds
+	// its rows into the one result row (see aggregate).
 	Aggregate *sqlparse.AggregateSpec
 }
 
@@ -155,11 +145,11 @@ type decomposition struct {
 }
 
 // delivery names the delivery phase a query runs: the client's protocol
-// for a join (an aggregate ignores it), mobile code for a union — its
-// result is the two sealed partial results, which only the client can
-// open and merge.
+// for a join, mobile code for a union and an aggregate — a union's result
+// is the two sealed partial results, which only the client can open and
+// merge, and an aggregate's is the one row its source sealed.
 func delivery(q *sqlparse.Query, proto Protocol) Protocol {
-	if q.UnionWith != "" {
+	if q.UnionWith != "" || q.Aggregate != nil {
 		return ProtocolMobileCode
 	}
 	return proto

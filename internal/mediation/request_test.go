@@ -68,9 +68,6 @@ func TestRequestPhase(t *testing.T) {
 		sql   string
 		proto Protocol
 		links map[string]want
-		// homKey says whether the partial queries carry the client's
-		// Paillier key; every one carries a signed query key.
-		homKey bool
 	}{
 		{
 			name: "join", n: networkOver(t, nil, r1, r2), sql: fixtureSQL, proto: ProtocolPM,
@@ -90,11 +87,12 @@ func TestRequestPhase(t *testing.T) {
 			},
 		},
 		{
-			// The WHERE clause stays in q_1: the source filters plaintext.
-			name: "aggregate", n: aggNetwork(t, nil), proto: ProtocolPM, homKey: true,
+			// The WHERE clause stays in q_1: the source filters plaintext. An
+			// aggregate, too, is delivered as a mobile-code result.
+			name: "aggregate", n: aggNetwork(t, nil), proto: ProtocolPM,
 			sql: "SELECT SUM(units) FROM Claims WHERE units > 3",
 			links: map[string]want{
-				"source:Claims": {query: "SELECT * FROM Claims WHERE units > 3", proto: ProtocolPM,
+				"source:Claims": {query: "SELECT * FROM Claims WHERE units > 3", proto: ProtocolMobileCode,
 					agg: &sqlparse.AggregateSpec{Func: "SUM", Column: "units"}},
 			},
 		},
@@ -133,9 +131,9 @@ func TestRequestPhase(t *testing.T) {
 					t.Errorf("%s: partial query %q %v %v %+v for %s, want %q %v %v %+v",
 						link, pq.Query, pq.JoinCols, pq.Protocol, pq.Aggregate, pq.Relation, w.query, w.joinCols, w.proto, w.agg)
 				}
-				if len(pq.QueryKey) != hybrid.PointSize || len(pq.QueryKeySig) == 0 || (pq.HomomorphicKey != nil) != tc.homKey {
-					t.Errorf("%s: query key %d B signed by %d B, homomorphic key %v; want %d B signed, %v",
-						link, len(pq.QueryKey), len(pq.QueryKeySig), pq.HomomorphicKey != nil, hybrid.PointSize, tc.homKey)
+				if len(pq.QueryKey) != hybrid.PointSize || len(pq.QueryKeySig) == 0 {
+					t.Errorf("%s: query key %d B signed by %d B, want %d B signed",
+						link, len(pq.QueryKey), len(pq.QueryKeySig), hybrid.PointSize)
 				}
 				if len(pq.Credentials) == 0 {
 					t.Errorf("%s: no credentials forwarded", link)
@@ -227,27 +225,7 @@ func TestUnionMediatorViewShape(t *testing.T) {
 		{build("R1", "wxyz", 41, 42, 43), build("R2", "qrst", 51, 52)},
 	}
 	view := func(r1, r2 *rel.Relation, sql string, proto Protocol, withLength bool) ([]string, *rel.Relation) {
-		var mu sync.Mutex
-		var out []string
-		record := func(link, dir string) func(transport.Message) transport.Message {
-			return func(m transport.Message) transport.Message {
-				entry := fmt.Sprintf("%s %s %s", link, dir, m.Type)
-				if withLength {
-					entry += fmt.Sprintf(" %d", len(m.Body))
-				}
-				mu.Lock()
-				out = append(out, entry)
-				mu.Unlock()
-				return m
-			}
-		}
-		got, srcErrs, err := queryAtMediator(t, networkOver(t, nil, r1, r2), func(link string, c transport.Conn) transport.Conn {
-			return &mediatorLinkConn{Conn: c, onSend: record(link, "send"), onRecv: record(link, "recv")}
-		}, sql, proto, fastParams())
-		if err != nil || srcErrs["S1"] != nil || srcErrs["S2"] != nil {
-			t.Fatalf("%s: %v, sources: %v", sql, err, srcErrs)
-		}
-		return out, got
+		return mediatorView(t, networkOver(t, nil, r1, r2), sql, proto, withLength)
 	}
 	const unionSQL = "SELECT * FROM R1 UNION ALL SELECT * FROM R2"
 	var views [2][]string
@@ -266,4 +244,37 @@ func TestUnionMediatorViewShape(t *testing.T) {
 	if fmt.Sprint(unionTypes) != fmt.Sprint(joinTypes) {
 		t.Errorf("union transcript is not a mobile-code join transcript:\n%v\n%v", unionTypes, joinTypes)
 	}
+}
+
+// mediatorView runs sql over n and records every message on the
+// mediator's links as "link direction type", with the body length when
+// withLength is set. The query and every source must succeed.
+func mediatorView(t *testing.T, n *Network, sql string, proto Protocol, withLength bool) ([]string, *rel.Relation) {
+	t.Helper()
+	var mu sync.Mutex
+	var out []string
+	record := func(link, dir string) func(transport.Message) transport.Message {
+		return func(m transport.Message) transport.Message {
+			entry := fmt.Sprintf("%s %s %s", link, dir, m.Type)
+			if withLength {
+				entry += fmt.Sprintf(" %d", len(m.Body))
+			}
+			mu.Lock()
+			out = append(out, entry)
+			mu.Unlock()
+			return m
+		}
+	}
+	got, srcErrs, err := queryAtMediator(t, n, func(link string, c transport.Conn) transport.Conn {
+		return &mediatorLinkConn{Conn: c, onSend: record(link, "send"), onRecv: record(link, "recv")}
+	}, sql, proto, fastParams())
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	for src, serr := range srcErrs {
+		if serr != nil {
+			t.Fatalf("%s: source %s: %v", sql, src, serr)
+		}
+	}
+	return out, got
 }

@@ -4,6 +4,8 @@ import (
 	"crypto/ecdh"
 	"crypto/rsa"
 	"fmt"
+	"math"
+	"math/big"
 	"sync"
 	"time"
 
@@ -139,8 +141,6 @@ func (s *Source) Serve(conn transport.Conn) error {
 	watch := newStopwatch(s.Ledger, s.party())
 	watch.attach(root)
 	switch {
-	case pq.Aggregate != nil:
-		err = s.serveAggregate(conn, &pq, rel, watch)
 	case pq.Protocol == ProtocolPlaintext:
 		err = s.servePlaintext(conn, rel)
 	case pq.Protocol == ProtocolMobileCode:
@@ -171,9 +171,10 @@ func (s *Source) abort(conn transport.Conn, err error) error {
 
 // executePartial runs Listing 1 step 4: credential check, the query-key
 // binding check, then execution of q_i against the catalog, with the
-// policy's row filter applied. It returns the parsed query key (nil for a
-// plaintext join). The returned denyReason is non-empty when access is
-// denied (not an error).
+// policy's row filter applied, and for an aggregate the fold into its one
+// result row. It returns the parsed query key (nil for a plaintext join).
+// The returned denyReason is non-empty when access is denied (not an
+// error).
 func (s *Source) executePartial(pq *PartialQuery) (*relation.Relation, *ecdh.PublicKey, string, error) {
 	pol, ok := s.Policies[pq.Relation]
 	if !ok {
@@ -204,18 +205,102 @@ func (s *Source) executePartial(pq *PartialQuery) (*relation.Relation, *ecdh.Pub
 	}
 	// Validate the join attributes exist before entering the delivery
 	// phase. The protocols that encrypt A_i need at least one; the
-	// baselines ship whole tuples (a union's partial query has none), and
-	// aggregation reads none.
+	// baselines ship whole tuples (the partial query of a union or an
+	// aggregate has none).
 	for _, c := range pq.JoinCols {
 		if out.Schema().IndexOf(c) < 0 {
 			return nil, nil, "", fmt.Errorf("relation %s has no join column %q", pq.Relation, c)
 		}
 	}
 	secure := pq.Protocol == ProtocolDAS || pq.Protocol == ProtocolCommutative || pq.Protocol == ProtocolPM
-	if len(pq.JoinCols) == 0 && pq.Aggregate == nil && secure {
+	if len(pq.JoinCols) == 0 && secure {
 		return nil, nil, "", fmt.Errorf("empty join attribute set")
 	}
+	if pq.Aggregate != nil {
+		if out, err = aggregate(out, pq.Aggregate); err != nil {
+			return nil, nil, "", err
+		}
+	}
 	return out, queryKey, "", nil
+}
+
+// aggScale is the fixed-point scale of FLOAT aggregation.
+const aggScale = 1_000_000
+
+// aggregate folds a filtered partial result into the one-row result of
+// spec — the aggregation extension, after the aggregation over encrypted
+// data that the paper's Section 7 surveys ([14],[9]). The source owns
+// every value, so it adds them itself and ships one sealed row; the
+// mediator never sees a per-row ciphertext. SUM and AVG add in fixed
+// point, exactly: they fail if and only if the true sum leaves int64.
+func aggregate(rel *relation.Relation, spec *sqlparse.AggregateSpec) (*relation.Relation, error) {
+	ci := rel.Schema().IndexOf(spec.Column)
+	if ci < 0 && (spec.Func != "COUNT" || spec.Column != "*") {
+		return nil, fmt.Errorf("agg: relation %s has no column %q", rel.Schema().Relation, spec.Column)
+	}
+	var v relation.Value
+	switch spec.Func {
+	case "COUNT":
+		v = relation.Int(int64(rel.Len()))
+	case "SUM", "AVG":
+		kind := rel.Schema().Columns[ci].Kind
+		if kind != relation.KindInt && kind != relation.KindFloat {
+			return nil, fmt.Errorf("agg: cannot aggregate %v column %q", kind, spec.Column)
+		}
+		var sum, x big.Int
+		for _, t := range rel.Tuples() {
+			fp, err := fixedPoint(t[ci])
+			if err != nil {
+				return nil, err
+			}
+			sum.Add(&sum, x.SetInt64(fp))
+		}
+		if !sum.IsInt64() {
+			return nil, fmt.Errorf("agg: aggregate sum overflows int64")
+		}
+		switch {
+		case spec.Func == "AVG":
+			if rel.Len() == 0 {
+				return nil, fmt.Errorf("agg: AVG over an empty relation")
+			}
+			f := float64(sum.Int64()) / float64(rel.Len())
+			if kind == relation.KindFloat {
+				f /= aggScale
+			}
+			v = relation.Float(f)
+		case kind == relation.KindFloat:
+			v = relation.Float(float64(sum.Int64()) / aggScale)
+		default:
+			v = relation.Int(sum.Int64())
+		}
+	default:
+		return nil, fmt.Errorf("agg: unsupported aggregate %q", spec.Func)
+	}
+	schema, err := relation.NewSchema("", relation.Column{Name: spec.Func + "(" + spec.Column + ")", Kind: v.Kind()})
+	if err != nil {
+		return nil, err
+	}
+	return relation.FromTuples(schema, relation.Tuple{v})
+}
+
+// fixedPoint encodes an INT or FLOAT value as a scaled integer.
+func fixedPoint(v relation.Value) (int64, error) {
+	switch v.Kind() {
+	case relation.KindInt:
+		return v.AsInt(), nil
+	case relation.KindFloat:
+		f := v.AsFloat()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return 0, fmt.Errorf("agg: cannot aggregate %v", f)
+		}
+		scaled := math.Round(f * aggScale)
+		if scaled > math.MaxInt64/2 || scaled < math.MinInt64/2 {
+			return 0, fmt.Errorf("agg: value %v overflows the fixed-point range", f)
+		}
+		return int64(scaled), nil
+	default:
+		return 0, fmt.Errorf("agg: unsupported kind %v", v.Kind())
+	}
 }
 
 // servePlaintext ships the partial result in the clear (trusted-mediator

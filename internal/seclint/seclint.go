@@ -114,7 +114,7 @@ func (p *ProgramPass) Reportf(pkg *Package, pos token.Pos, format string, args .
 
 // InDir reports whether the package lives in the module-relative
 // directory prefix (e.g. "internal/crypto" matches internal/crypto and
-// internal/crypto/paillier).
+// internal/crypto/hybrid).
 func (p *Pass) InDir(prefix string) bool {
 	return p.Pkg.RelDir == prefix || strings.HasPrefix(p.Pkg.RelDir, prefix+"/")
 }

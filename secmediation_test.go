@@ -59,7 +59,7 @@ func buildWorld(t testing.TB) (*secmediation.Network, *secmediation.Relation, *s
 
 func TestPublicAPIQuickstart(t *testing.T) {
 	net, _, _ := buildWorld(t)
-	params := secmediation.Params{PaillierBits: 1024, Partitions: 2}
+	params := secmediation.Params{Partitions: 2}
 	for _, proto := range []secmediation.Protocol{secmediation.Plaintext, secmediation.MobileCode, secmediation.DAS, secmediation.Commutative, secmediation.PM} {
 		got, err := net.Query("SELECT * FROM Patients JOIN Claims ON Patients.pid = Claims.pid", proto, params)
 		if err != nil {
@@ -106,7 +106,7 @@ func TestPublicAPIHierarchy(t *testing.T) {
 func TestPublicAPIAggregation(t *testing.T) {
 	net, _, _ := buildWorld(t)
 	res, err := net.Query("SELECT SUM(amount) FROM Claims", secmediation.PM,
-		secmediation.Params{PaillierBits: 1024})
+		secmediation.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPublicAPIAggregation(t *testing.T) {
 		t.Errorf("SUM(amount) = %v, want %v", got, want)
 	}
 	cnt, err := net.Query("SELECT COUNT(*) FROM Patients", secmediation.PM,
-		secmediation.Params{PaillierBits: 1024})
+		secmediation.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestPublicAPIAggregation(t *testing.T) {
 
 func TestPublicAPIPushdownParam(t *testing.T) {
 	net, _, _ := buildWorld(t)
-	params := secmediation.Params{Partitions: 8, Pushdown: true, PaillierBits: 1024}
+	params := secmediation.Params{Partitions: 8, Pushdown: true}
 	res, err := net.Query(
 		"SELECT * FROM Patients JOIN Claims ON Patients.pid = Claims.pid WHERE Patients.pid >= 3",
 		secmediation.DAS, params)
