@@ -1,17 +1,23 @@
 GO ?= go
 
-.PHONY: all ci vet lint lint-json lint-sarif lint-golden build test test-short race chaos soak soak-short bench bench-smoke examples
+.PHONY: all ci fmt vet lint lint-json lint-sarif lint-golden build test test-short race chaos soak soak-short bench bench-smoke examples
 
 all: vet lint build test race
 
 # The aggregate pre-merge gate: everything `all` runs, ordered so the
-# cheap fast-failing steps (build, vet, lint — including the
+# cheap fast-failing steps (fmt, build, vet, lint — including the
 # whole-program plaintaint/keyscope/cttaint/conccheck analysis) come before the
 # test suites, plus a -short -race pass over the full module, the
 # benchmark's smoke run (real daemons, output checked against
 # BENCHMARK.json), the compressed chaos soak that gates the
 # query-lifecycle recovery contract, and a run of every example.
-ci: build vet lint test race test-short bench-smoke soak-short examples
+ci: fmt build vet lint test race test-short bench-smoke soak-short examples
+
+# Fails if gofmt would rewrite any tracked Go file. Files under testdata/
+# are analyzer inputs pinned by goldens, not code under the gate.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -v '/testdata/')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -11,7 +11,6 @@ import (
 	"crypto/rsa"
 	"fmt"
 	"math/big"
-	"runtime"
 	"testing"
 	"time"
 
@@ -150,34 +149,6 @@ func BenchmarkListing3Commutative(b *testing.B) {
 // listing4: end-to-end private-matching delivery phase.
 func BenchmarkListing4PM(b *testing.B) {
 	runProtocol(b, mediation.ProtocolPM, benchParams())
-}
-
-// parallel-workers: the worker-pooled crypto execution layer — every
-// ciphertext protocol end-to-end at Workers 1 (the listings' sequential
-// execution), 2, and all cores. On a multi-core runner the hot loops
-// (hash+encrypt+seal, re-encryption, oblivious evaluation, result
-// decryption) scale with the pool; on a single core the variants bound the
-// pool's overhead instead.
-func BenchmarkParallelWorkers(b *testing.B) {
-	workerCounts := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, proto := range []mediation.Protocol{mediation.ProtocolDAS, mediation.ProtocolCommutative, mediation.ProtocolPM} {
-		for _, workers := range workerCounts {
-			b.Run(fmt.Sprintf("%s/workers=%d", proto, workers), func(b *testing.B) {
-				params := benchParams()
-				params.Workers = workers
-				n := benchNetwork(b, benchSpec(), nil)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := n.Query(benchSQL, proto, params); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // sec6-cost: end-to-end protocol comparison across active-domain sizes —
@@ -338,14 +309,14 @@ func BenchmarkPMPolynomial(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		enc, err := buckets.EncryptEC(pk, 1)
+		enc, err := buckets.EncryptEC(pk)
 		if err != nil {
 			b.Fatal(err)
 		}
 		x := []*big.Int{pm.RootOfValue(relation.Int(3))}
 		b.Run(fmt.Sprintf("eval/degree=%d", degree), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := enc.MaskedEvalBatch(pk, x, [][]byte{nil}, nil, 1); err != nil {
+				if _, err := enc.MaskedEvalBatch(pk, x, [][]byte{nil}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -105,11 +105,10 @@ func runQuery(args []string) error {
 	keyPath := fs.String("key", "client-key.pem", "client private key")
 	sql := fs.String("sql", "", "global SQL query (two-relation JOIN)")
 	protoName := fs.String("protocol", "commutative", "delivery protocol: plaintext|mobilecode|das|commutative|pm")
-	partitions := fs.Int("partitions", 16, "DAS partitions per index table")
+	partitions := fs.Int("partitions", 16, "DAS partitions per index table (1-65536)")
 	strategy := fs.String("strategy", "equi-depth", "DAS strategy: equi-width|equi-depth|hash-buckets")
 	idMode := fs.Bool("idmode", false, "commutative footnote-1 ID mode")
-	buckets := fs.Int("buckets", 0, "PM FNP bucket count (0 = single polynomial)")
-	workers := fs.Int("workers", 0, "crypto worker pool size per party (0 = all cores, 1 = sequential)")
+	buckets := fs.Int("buckets", 0, "PM FNP bucket count (0 = single polynomial, at most 4096)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-operation send/receive deadline for every party (0 disables)")
 	retries := fs.Int("retries", 4, "attempts per query: transient faults (dial failure, timeout, overload, drain, link death) are retried with backoff; protocol errors are not")
 	retryBudget := fs.Duration("retry-budget", 0, "total elapsed-time budget across a query's attempts (0 = bounded by -retries only)")
@@ -153,7 +152,6 @@ func runQuery(args []string) error {
 		Strategy:   strat,
 		IDMode:     *idMode,
 		Buckets:    *buckets,
-		Workers:    *workers,
 		Timeout:    *timeout,
 	}
 

@@ -1,11 +1,16 @@
 package mediation
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/secmediation/secmediation/internal/das"
 	rel "github.com/secmediation/secmediation/internal/relation"
+	"github.com/secmediation/secmediation/internal/resilience"
+	"github.com/secmediation/secmediation/internal/testutil"
 	"github.com/secmediation/secmediation/internal/transport"
 )
 
@@ -152,4 +157,108 @@ func TestExpiredCredentialDenied(t *testing.T) {
 		t.Errorf("expired credential error = %v", err)
 	}
 	_ = f
+}
+
+// Params no party may run with end the query in a terminal
+// *ProtocolError from the first party that decodes them: the client when
+// it chose them, the mediator when they reach it rewritten on the client
+// link, a source when the mediator rewrites a partial query. Before the
+// parties bounded them, the huge Partitions and Buckets rows crashed the
+// source.
+func TestHostileParams(t *testing.T) {
+	cases := []struct {
+		name   string
+		proto  Protocol
+		mutate func(*Params)
+		msg    string
+	}{
+		{"partitions 2^50", ProtocolDAS, func(p *Params) { p.Partitions, p.Strategy = 1<<50, das.HashBuckets }, "partition count"},
+		{"partitions 2^16+1", ProtocolDAS, func(p *Params) { p.Partitions = maxPartitions + 1 }, "partition count"},
+		{"partitions -1", ProtocolDAS, func(p *Params) { p.Partitions = -1 }, "partition count"},
+		{"buckets 2^50", ProtocolPM, func(p *Params) { p.Buckets = 1 << 50 }, "bucket count"},
+		{"buckets 2^12+1", ProtocolPM, func(p *Params) { p.Buckets = maxBuckets + 1 }, "bucket count"},
+		{"unknown strategy", ProtocolDAS, func(p *Params) { p.Strategy = 9 }, "strategy"},
+		{"negative timeout", ProtocolCommutative, func(p *Params) { p.Timeout = -time.Second }, "timeout"},
+		{"negative attempt", ProtocolCommutative, func(p *Params) { p.Attempt = -1 }, "attempt"},
+		{"query ID of 65 bytes", ProtocolCommutative, func(p *Params) { p.QueryID = strings.Repeat("q", maxQueryIDLen+1) }, "query ID"},
+	}
+	for _, tc := range cases {
+		tc := tc
+		// tamper rewrites the Params of the one message that carries them
+		// on a link: the request on the client link, the partial query on
+		// a source link.
+		tamper := func(m transport.Message) transport.Message {
+			var v any
+			switch m.Type {
+			case msgRequest:
+				var req Request
+				decodeBody(t, m, &req)
+				tc.mutate(&req.Params)
+				v = req
+			case msgPartialQuery:
+				var pq PartialQuery
+				decodeBody(t, m, &pq)
+				tc.mutate(&pq.Params)
+				v = pq
+			default:
+				return m
+			}
+			out, err := transport.NewMessage(m.Type, v)
+			if err != nil {
+				t.Errorf("re-encoding %s: %v", m.Type, err)
+			}
+			return out
+		}
+		for _, party := range []string{"client", "mediator", "source:S1"} {
+			party := party
+			t.Run(tc.name+"/"+party, func(t *testing.T) {
+				defer testutil.CheckGoroutines(t, testutil.Snapshot())
+				n := newTestNetwork(t, nil)
+				params := fastParams()
+				if party == "client" {
+					tc.mutate(&params)
+				}
+				var mu sync.Mutex
+				var dialed []string
+				var srcErrs map[string]error
+				err := testutil.WithinDeadline(t, 10*time.Second, func() error {
+					var err error
+					_, srcErrs, err = queryAtMediator(t, n, func(link string, c transport.Conn) transport.Conn {
+						switch {
+						case link == "client" && party == "mediator":
+							return &mediatorLinkConn{Conn: c, onRecv: tamper}
+						case link != "client":
+							mu.Lock()
+							dialed = append(dialed, link)
+							mu.Unlock()
+							if party == "source:S1" {
+								return &mediatorLinkConn{Conn: c, onSend: tamper}
+							}
+						}
+						return c
+					}, fixtureSQL, tc.proto, params)
+					return err
+				})
+				var pe *ProtocolError
+				if !errors.As(err, &pe) || pe.Party != party || !strings.Contains(pe.Error(), tc.msg) {
+					t.Fatalf("query error = %v, want a *ProtocolError from %s about the %s", err, party, tc.msg)
+				}
+				if resilience.Retryable(err) {
+					t.Errorf("hostile Params error is retryable: %v", err)
+				}
+				if party != "source:S1" {
+					if len(dialed) != 0 {
+						t.Errorf("sources dialed before the %s rejected the query: %v", party, dialed)
+					}
+					return
+				}
+				// Both sources get a rewritten partial query; each rejects it.
+				for _, src := range []string{"S1", "S2"} {
+					if !errors.As(srcErrs[src], &pe) || pe.Party != "source:"+src {
+						t.Errorf("%s returned %v, want its own *ProtocolError", src, srcErrs[src])
+					}
+				}
+			})
+		}
+	}
 }

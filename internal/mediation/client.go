@@ -29,7 +29,7 @@ type Client struct {
 	// Ledger optionally records leakage and primitive usage.
 	Ledger *leakage.Ledger
 	// Telemetry optionally records phase spans and traffic metrics for
-	// this party. Params.Telemetry overrides it per query.
+	// this party.
 	Telemetry *telemetry.Registry
 }
 
@@ -50,10 +50,15 @@ func NewClient() (*Client, error) {
 // Query failures during the delivery phase surface as *ProtocolError
 // values attributing the abort to the party (and, when known, the phase)
 // where it originated — "mediator unreachable" and "source 2 died during
-// cross.encrypt" are distinguishable with errors.As. Local errors before
-// the request leaves (bad SQL, key generation) stay untyped.
+// cross.encrypt" are distinguishable with errors.As. Params that no
+// party would accept fail locally, as a *ProtocolError blamed on the
+// client; other local errors before the request leaves (bad SQL, key
+// generation) stay untyped.
 func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params Params) (*relation.Relation, error) {
 	params = params.withDefaults()
+	if err := params.check(); err != nil {
+		return nil, attribute(leakage.PartyClient, "", err)
+	}
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -76,9 +81,9 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 		}
 	}
 	if err := sendMsg(conn, "mediator", msgRequest, req); err != nil {
-		return nil, c.abort(conn, params, err)
+		return nil, c.abort(conn, err)
 	}
-	root := c.telemetry(params).Tracer(leakage.PartyClient).Start("session")
+	root := c.Telemetry.Tracer(leakage.PartyClient).Start("session")
 	root.Annotate("protocol", proto.String())
 	annotateSession(root, conn)
 	defer root.End()
@@ -95,16 +100,16 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	case proto == ProtocolDAS:
 		joined, schema2, joinCols2, err = c.runDAS(conn, q, queryKey, params, watch)
 	case proto == ProtocolCommutative:
-		joined, schema2, joinCols2, err = c.runCommutative(conn, queryKey, params, watch)
+		joined, schema2, joinCols2, err = c.runCommutative(conn, queryKey, watch)
 	case proto == ProtocolPM:
-		joined, schema2, joinCols2, err = c.runPM(conn, queryKey, params, watch)
+		joined, schema2, joinCols2, err = c.runPM(conn, queryKey, watch)
 	default:
 		err = fmt.Errorf("mediation: unknown protocol %d", proto)
 	}
 	if err != nil {
-		return nil, c.abort(conn, params, err)
+		return nil, c.abort(conn, err)
 	}
-	c.recordTraffic(conn, c.telemetry(params))
+	c.recordTraffic(conn)
 	if q.Aggregate != nil {
 		// The source already applied the WHERE clause and folded the rows.
 		return joined, nil
@@ -116,24 +121,15 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 // *ProtocolError blamed on this client unless the chain already carries
 // the origin), counted when it is a timeout, and best-effort reported to
 // the mediator so the remaining parties unblock immediately.
-func (c *Client) abort(conn transport.Conn, params Params, err error) error {
+func (c *Client) abort(conn transport.Conn, err error) error {
 	err = attribute(leakage.PartyClient, "", err)
-	countTimeout(c.telemetry(params), leakage.PartyClient, err)
+	countTimeout(c.Telemetry, leakage.PartyClient, err)
 	sendError(conn, leakage.PartyClient, err)
 	return err
 }
 
-// telemetry resolves the registry for one query: the per-query override
-// in params wins over the client's own.
-func (c *Client) telemetry(params Params) *telemetry.Registry {
-	if params.Telemetry.Enabled() {
-		return params.Telemetry
-	}
-	return c.Telemetry
-}
-
-func (c *Client) recordTraffic(conn transport.Conn, reg *telemetry.Registry) {
-	trafficCounters(reg, leakage.PartyClient, "mediator", conn.Stats())
+func (c *Client) recordTraffic(conn transport.Conn) {
+	trafficCounters(c.Telemetry, leakage.PartyClient, "mediator", conn.Stats())
 	if c.Ledger == nil {
 		return
 	}

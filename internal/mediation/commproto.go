@@ -85,7 +85,7 @@ func (s *Source) serveCommutative(conn transport.Conn, pq *PartialQuery, rel *re
 		// out over the worker pool. Map preallocates the full item slice
 		// and writes by index, so the transcript order is worker-count
 		// independent.
-		offer.Items, err = parallel.Map(len(groupsByKey), pq.Params.Workers, func(i int) (commItem, error) {
+		offer.Items, err = parallel.Map(len(groupsByKey), 0, func(i int) (commItem, error) {
 			g := groupsByKey[i]
 			c, err := key.Apply(commutative.HashToElement(pq.SessionID, relation.EncodeValues(g.Key, nil)))
 			if err != nil {
@@ -125,7 +125,7 @@ func (s *Source) serveCommutative(conn transport.Conn, pq *PartialQuery, rel *re
 		// The second layer. These elements crossed two links: Apply
 		// validates each one before the key touches it.
 		var err error
-		back.Items, err = parallel.Map(len(cross.Items), pq.Params.Workers, func(i int) (commItem, error) {
+		back.Items, err = parallel.Map(len(cross.Items), 0, func(i int) (commItem, error) {
 			it := cross.Items[i]
 			doubled, err := key.Apply(it.Hash)
 			if err != nil {
@@ -233,7 +233,7 @@ func (m *Mediator) mediateCommutative(client, s1, s2 transport.Conn, d *decompos
 // runCommutative implements the client's step 8: decrypt the matched tuple
 // sets and construct the result tuples (a cross product per matched join
 // value).
-func (c *Client) runCommutative(conn transport.Conn, queryKey *ecdh.PrivateKey, params Params, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+func (c *Client) runCommutative(conn transport.Conn, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res commResult
 	if err := recvInto(conn, "mediator", msgCommResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
@@ -259,7 +259,7 @@ func (c *Client) runCommutative(conn transport.Conn, queryKey *ecdh.PrivateKey, 
 		// cross products append into the shared relation sequentially in
 		// pair order, keeping the result deterministic.
 		type pairSets struct{ ts1, ts2 []relation.Tuple }
-		opened, err := parallel.Map(len(res.Pairs), params.Workers, func(i int) (pairSets, error) {
+		opened, err := parallel.Map(len(res.Pairs), 0, func(i int) (pairSets, error) {
 			ts1, err := openTupleSet(recv1, res.Pairs[i].T1, aad1, res.Schema1)
 			if err != nil {
 				return pairSets{}, err
@@ -327,56 +327,3 @@ func stripPayloads(items []commItem) (map[uint64][]byte, []commItem) {
 // paper's "arbitrarily ordered set of messages" (see shuffle.go for the
 // buffered randomness source).
 func shuffleItems(items []commItem) error { return shuffleSlice(items) }
-
-// CommutativeIntersection runs Agrawal et al.'s two-party intersection
-// protocol shape directly (the operation the paper's Section 4 cites
-// alongside the join): both parties hash and singly encrypt their value
-// sets, cross-encrypt each other's, and the receiver learns exactly which
-// of its values lie in the intersection — nothing else. Exposed for the
-// ext-intersection experiment. workers sizes the worker pool for the two
-// double-encryption loops (see parallel.Resolve).
-func CommutativeIntersection(label string, receiver, sender []relation.Value, workers int) ([]relation.Value, error) {
-	kR, err := commutative.GenerateCurveKey(rand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	kS, err := commutative.GenerateCurveKey(rand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	// Each value costs two scalar multiplications (first layer + cross
-	// layer), fanned out over the pool.
-	double := func(vals []relation.Value, first, second *commutative.CurveKey) ([]string, error) {
-		return parallel.Map(len(vals), workers, func(i int) (string, error) {
-			layer1, err := first.Apply(commutative.HashToElement(label, vals[i].Encode(nil)))
-			if err != nil {
-				return "", err
-			}
-			layer2, err := second.Apply(layer1)
-			return string(layer2), err
-		})
-	}
-	// Sender: f_s(h(u)) for its values, shared with receiver, who
-	// re-encrypts to f_r(f_s(h(u))).
-	senderKeys, err := double(sender, kS, kR)
-	if err != nil {
-		return nil, err
-	}
-	senderDouble := make(map[string]bool, len(senderKeys))
-	for _, k := range senderKeys {
-		senderDouble[k] = true
-	}
-	// Receiver: f_r(h(v)), sender re-encrypts to f_s(f_r(h(v))); the
-	// receiver matches against the sender's doubly-encrypted set.
-	receiverKeys, err := double(receiver, kR, kS)
-	if err != nil {
-		return nil, err
-	}
-	var out []relation.Value
-	for i, v := range receiver {
-		if senderDouble[receiverKeys[i]] {
-			out = append(out, v)
-		}
-	}
-	return out, nil
-}

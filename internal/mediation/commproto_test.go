@@ -230,7 +230,6 @@ func TestCommMediatorViewShape(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			params := fastParams()
 			params.IDMode = idMode
-			params.Telemetry = reg
 			net := networkOver(t, nil, in[0], in[1])
 			got, srcErrs, err := queryAtMediator(t, net, func(link string, c transport.Conn) transport.Conn {
 				return &mediatorLinkConn{Conn: c, onSend: record(link, "send"), onRecv: record(link, "recv")}

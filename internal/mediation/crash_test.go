@@ -125,11 +125,12 @@ func TestSilentMediatorTimesOut(t *testing.T) {
 	snap := testutil.Snapshot()
 	n := newTestNetwork(t, nil)
 	reg := telemetry.NewRegistry()
+	n.Client.Telemetry = reg
+	defer n.SetTelemetry(nil)
 	clientSide, mediatorSide := transport.Pair()
 	defer mediatorSide.Close() // accepted, never served
 	params := fastParams()
 	params.Timeout = time.Second
-	params.Telemetry = reg
 	err := testutil.WithinDeadline(t, 2*time.Second, func() error {
 		_, qerr := n.Client.Query(clientSide, fixtureSQL, ProtocolPlaintext, params)
 		return qerr

@@ -90,7 +90,7 @@ func (s *Source) serveDAS(conn transport.Conn, pq *PartialQuery, rel *relation.R
 		if err != nil {
 			return err
 		}
-		encRel, err := das.SealRelation(rel, indexedCols, its, sess, pq.Params.Workers)
+		encRel, err := das.SealRelation(rel, indexedCols, its, sess, 0)
 		if err != nil {
 			return err
 		}
@@ -227,7 +227,7 @@ func (c *Client) runDAS(conn transport.Conn, q *sqlparse.Query, queryKey *ecdh.P
 		var discarded int
 		var err error
 		joined, discarded, err = das.DecryptServerResult(&res.Result, recv1, recv2,
-			its.Schema1, its.Schema2, its.JoinCols1, its.JoinCols2, params.Workers)
+			its.Schema1, its.Schema2, its.JoinCols1, its.JoinCols2, 0)
 		if err != nil {
 			return err
 		}

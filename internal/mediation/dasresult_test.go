@@ -123,7 +123,7 @@ func TestDASClientOpensLinear(t *testing.T) {
 	n := networkOver(t, ledger, r1, r2)
 	reg := telemetry.NewRegistry()
 	var body, inline, etuples int
-	got, err := queryDASVisiting(t, n, fixtureSQL, Params{Telemetry: reg}, func(res *dasResult, bodyBytes int) {
+	got, err := queryDASVisiting(t, n, fixtureSQL, Params{}, func(res *dasResult, bodyBytes int) {
 		body = bodyBytes
 		etuples = len(res.Result.E1) + len(res.Result.E2)
 		for _, p := range res.Result.Pairs {

@@ -11,6 +11,7 @@ import (
 	"github.com/secmediation/secmediation/internal/credential"
 	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
+	"github.com/secmediation/secmediation/internal/pm"
 	rel "github.com/secmediation/secmediation/internal/relation"
 )
 
@@ -352,17 +353,40 @@ func TestTable1MediatorLeakage(t *testing.T) {
 		t.Error("commutative mediator learned |R1|")
 	}
 
-	// PM: polynomial degrees = |domactive|.
-	ledger = leakage.NewLedger()
-	n = newTestNetwork(t, ledger)
-	if _, err := n.Query(fixtureSQL, ProtocolPM, fastParams()); err != nil {
-		t.Fatal(err)
+	// PM: per source, the bucket count B and the max bucket load L.
+	for _, buckets := range []int{1, 4} {
+		ledger = leakage.NewLedger()
+		n = newTestNetwork(t, ledger)
+		params := fastParams()
+		params.Buckets = buckets
+		if _, err := n.Query(fixtureSQL, ProtocolPM, params); err != nil {
+			t.Fatal(err)
+		}
+		checkBucketShape(t, ledger, leakage.PartyMediator, "R1.Ajoin", buckets, d1)
+		checkBucketShape(t, ledger, leakage.PartyMediator, "R2.Ajoin", buckets, d2)
+		if _, ok := ledger.Observed(leakage.PartyMediator, "|R1|"); ok {
+			t.Error("pm mediator learned |R1|")
+		}
 	}
-	if v, _ := ledger.Observed(leakage.PartyMediator, "|domactive(R1.Ajoin)|"); v != int64(len(d1)) {
-		t.Errorf("pm mediator degree(P1) = %d, want %d", v, len(d1))
+}
+
+// checkBucketShape asserts that party recorded, for the PM polynomials of
+// the active domain dom, the bucket count and the max bucket load, the
+// latter counted here with pm.BucketIndex.
+func checkBucketShape(t *testing.T, ledger *leakage.Ledger, party, of string, buckets int, dom []rel.Value) {
+	t.Helper()
+	loads := make([]int64, buckets)
+	var maxLoad int64
+	for _, v := range dom {
+		i := pm.BucketIndex(pm.RootOfValue(v), buckets)
+		loads[i]++
+		maxLoad = max(maxLoad, loads[i])
 	}
-	if _, ok := ledger.Observed(leakage.PartyMediator, "|R1|"); ok {
-		t.Error("pm mediator learned |R1|")
+	if v, ok := ledger.Observed(party, "buckets("+of+")"); !ok || v != int64(buckets) {
+		t.Errorf("%s: buckets(%s) = %d,%v; want %d", party, of, v, ok, buckets)
+	}
+	if v, ok := ledger.Observed(party, "max-bucket-load("+of+")"); !ok || v != maxLoad {
+		t.Errorf("%s: max-bucket-load(%s) = %d,%v; want %d (B = %d)", party, of, v, ok, maxLoad, buckets)
 	}
 }
 
@@ -442,24 +466,34 @@ func TestTable2Primitives(t *testing.T) {
 		[]string{"commutative-encryption", "ideal-hash", "collision-free-hash"})
 }
 
-// The sources learn the opposite active-domain size in the commutative and
-// PM protocols (Section 6).
+// The sources learn the opposite active-domain size in the commutative
+// protocol, and the opposite bucket count and max bucket load in PM
+// (Section 6).
 func TestSourceLeakage(t *testing.T) {
 	r1, r2 := testRelations(t)
 	d1, _ := r1.ActiveDomain("id")
 	d2, _ := r2.ActiveDomain("id")
-	for _, proto := range []Protocol{ProtocolCommutative, ProtocolPM} {
+	ledger := leakage.NewLedger()
+	n := newTestNetwork(t, ledger)
+	if _, err := n.Query(fixtureSQL, ProtocolCommutative, fastParams()); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := ledger.Observed(leakage.PartySource("S1"), "|domactive(opposite)|"); v != int64(len(d2)) {
+		t.Errorf("S1 sees opposite domain %d, want %d", v, len(d2))
+	}
+	if v, _ := ledger.Observed(leakage.PartySource("S2"), "|domactive(opposite)|"); v != int64(len(d1)) {
+		t.Errorf("S2 sees opposite domain %d, want %d", v, len(d1))
+	}
+	for _, buckets := range []int{1, 4} {
 		ledger := leakage.NewLedger()
 		n := newTestNetwork(t, ledger)
-		if _, err := n.Query(fixtureSQL, proto, fastParams()); err != nil {
+		params := fastParams()
+		params.Buckets = buckets
+		if _, err := n.Query(fixtureSQL, ProtocolPM, params); err != nil {
 			t.Fatal(err)
 		}
-		if v, _ := ledger.Observed(leakage.PartySource("S1"), "|domactive(opposite)|"); v != int64(len(d2)) {
-			t.Errorf("%v: S1 sees opposite domain %d, want %d", proto, v, len(d2))
-		}
-		if v, _ := ledger.Observed(leakage.PartySource("S2"), "|domactive(opposite)|"); v != int64(len(d1)) {
-			t.Errorf("%v: S2 sees opposite domain %d, want %d", proto, v, len(d1))
-		}
+		checkBucketShape(t, ledger, leakage.PartySource("S1"), "opposite", buckets, d2)
+		checkBucketShape(t, ledger, leakage.PartySource("S2"), "opposite", buckets, d1)
 	}
 }
 
@@ -483,18 +517,6 @@ func TestClientInteractionCounts(t *testing.T) {
 	// Others: request sent, result received = 2.
 	if counts[ProtocolCommutative] != 2 || counts[ProtocolPM] != 2 {
 		t.Errorf("comm/pm client messages = %d/%d, want 2/2", counts[ProtocolCommutative], counts[ProtocolPM])
-	}
-}
-
-func TestCommutativeIntersectionOperation(t *testing.T) {
-	recv := []rel.Value{rel.Int(1), rel.Int(2), rel.Int(3), rel.String_("x")}
-	send := []rel.Value{rel.Int(2), rel.Int(3), rel.Int(9), rel.String_("x")}
-	got, err := CommutativeIntersection("sess", recv, send, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("intersection = %v, want {2, 3, x}", got)
 	}
 }
 

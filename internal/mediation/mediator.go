@@ -66,6 +66,9 @@ func (m *Mediator) handleSession(client transport.Conn) error {
 		return err
 	}
 	req.Params = req.Params.withDefaults()
+	if err := req.Params.check(); err != nil {
+		return err
+	}
 	// Arm the client link with the request's per-operation deadline; the
 	// source links are armed right after dialing.
 	if req.Params.Timeout > 0 {

@@ -70,7 +70,7 @@ func (s *Source) servePM(conn transport.Conn, pq *PartialQuery, rel *relation.Re
 		if err != nil {
 			return err
 		}
-		enc, err := buckets.EncryptEC(pk, pq.Params.Workers)
+		enc, err := buckets.EncryptEC(pk)
 		if err != nil {
 			return err
 		}
@@ -92,9 +92,9 @@ func (s *Source) servePM(conn transport.Conn, pq *PartialQuery, rel *relation.Re
 	}
 	var evals pmEvals
 	err = watch.phase(telemetry.PhaseCrossEncrypt, func() error {
-		// Section 6: each source learns the opposite polynomial degree(s),
-		// i.e. the opposite active-domain size.
-		s.Ledger.Observe(s.party(), "|domactive(opposite)|", totalDegree(&cross.Buckets))
+		// Section 6: each source learns the shape of the opposite
+		// polynomials.
+		observeBuckets(s.Ledger, s.party(), "opposite", &cross.Buckets)
 		payloads := make([][]byte, len(groupsByKey))
 		for i, g := range groupsByKey {
 			payloads[i] = relation.EncodeTupleSet(g.Tuples)
@@ -103,7 +103,7 @@ func (s *Source) servePM(conn transport.Conn, pq *PartialQuery, rel *relation.Re
 		// multiply-adds plus a masking per value — dominate the sender's
 		// cost; MaskedEvalBatch fans them out over the worker pool.
 		aad := []byte("pm:" + pq.SessionID + ":" + rel.Schema().Relation)
-		evals.Evals, err = cross.Buckets.MaskedEvalBatch(pk, roots, payloads, aad, pq.Params.Workers)
+		evals.Evals, err = cross.Buckets.MaskedEvalBatch(pk, roots, payloads, aad)
 		if err != nil {
 			return err
 		}
@@ -133,11 +133,9 @@ func (m *Mediator) mediatePM(client, s1, s2 transport.Conn, d *decomposition, wa
 	if err := recvInto(s2, "source:"+d.rel2, msgPMCoeffs, &c2); err != nil {
 		return err
 	}
-	// Table 1: the mediator learns the bucket count B and the uniform
-	// bucket degree (the maximum load); at B = 1 the degree is the
-	// active-domain size.
-	m.Ledger.Observe(leakage.PartyMediator, "|domactive(R1.Ajoin)|", totalDegree(&c1.Buckets))
-	m.Ledger.Observe(leakage.PartyMediator, "|domactive(R2.Ajoin)|", totalDegree(&c2.Buckets))
+	// Table 1: the mediator learns the shape of both sources' polynomials.
+	observeBuckets(m.Ledger, leakage.PartyMediator, "R1.Ajoin", &c1.Buckets)
+	observeBuckets(m.Ledger, leakage.PartyMediator, "R2.Ajoin", &c2.Buckets)
 
 	if err := sendMsg(s1, "source:"+d.rel1, msgPMCross, pmCross{Buckets: c2.Buckets}); err != nil {
 		return err
@@ -160,12 +158,17 @@ func (m *Mediator) mediatePM(client, s1, s2 transport.Conn, d *decomposition, wa
 	})
 }
 
-func totalDegree(b *pm.ECBuckets) int64 {
-	var total int64
+// observeBuckets records what encrypted bucket polynomials show a party
+// without the query key: the bucket count B and the maximum bucket load
+// L, the degree every bucket is padded to. Only at B = 1 is L the
+// active-domain size.
+func observeBuckets(l *leakage.Ledger, party, of string, b *pm.ECBuckets) {
+	var maxLoad int64
 	for _, p := range b.Polys {
-		total += int64(len(p) - 1)
+		maxLoad = max(maxLoad, int64(len(p)-1))
 	}
-	return total
+	l.Observe(party, "buckets("+of+")", int64(len(b.Polys)))
+	l.Observe(party, "max-bucket-load("+of+")", maxLoad)
 }
 
 // pmSide is one opened side of the PM result: root → tuple set.
@@ -174,7 +177,7 @@ type pmSide map[string][]relation.Tuple
 // runPM implements the client's step 8: decrypt all n+m evaluations under
 // the query key's scalar, open the blobs that match, match equal roots
 // across the two sides and cross-combine the tuple sets.
-func (c *Client) runPM(conn transport.Conn, queryKey *ecdh.PrivateKey, params Params, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+func (c *Client) runPM(conn transport.Conn, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res pmResult
 	if err := recvInto(conn, "mediator", msgPMResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
@@ -187,11 +190,11 @@ func (c *Client) runPM(conn transport.Conn, queryKey *ecdh.PrivateKey, params Pa
 		c.Ledger.Observe(leakage.PartyClient, "encrypted-values-received", int64(len(res.Evals1)+len(res.Evals2)))
 		c.Ledger.UsePrimitive(leakage.PartyClient, "homomorphic-decryption", int64(len(res.Evals1)+len(res.Evals2)))
 
-		side1, err := openPMSide(sk, res.Evals1, params.Workers, res.Session, res.Schema1)
+		side1, err := openPMSide(sk, res.Evals1, res.Session, res.Schema1)
 		if err != nil {
 			return err
 		}
-		side2, err := openPMSide(sk, res.Evals2, params.Workers, res.Session, res.Schema2)
+		side2, err := openPMSide(sk, res.Evals2, res.Session, res.Schema2)
 		if err != nil {
 			return err
 		}
@@ -235,9 +238,9 @@ type pmOpened struct {
 // openPMSide decrypts one source's evaluations and returns the matching
 // entries keyed by root. A blob that does not open is a non-match; a
 // ciphertext that is not two curve points aborts the query.
-func openPMSide(sk *ecelgamal.PrivateKey, evals []pm.Eval, workers int, session string, schema relation.Schema) (pmSide, error) {
+func openPMSide(sk *ecelgamal.PrivateKey, evals []pm.Eval, session string, schema relation.Schema) (pmSide, error) {
 	aad := []byte("pm:" + session + ":" + schema.Relation)
-	opened, err := parallel.Map(len(evals), workers, func(i int) (pmOpened, error) {
+	opened, err := parallel.Map(len(evals), 0, func(i int) (pmOpened, error) {
 		root, payload, ok, err := pm.OpenEval(sk, evals[i], aad)
 		return pmOpened{root, payload, ok}, err
 	})

@@ -84,7 +84,9 @@ type PayloadMode uint8
 const PayloadHybrid PayloadMode = 1
 
 // Params tunes the delivery-phase protocols. The zero value selects sane
-// defaults (see withDefaults).
+// defaults (see withDefaults). Every party checks them against fixed
+// limits before it uses them and aborts the query on a violation (see
+// check).
 type Params struct {
 	// Partitions is the DAS partition count per index table.
 	Partitions int
@@ -106,13 +108,6 @@ type Params struct {
 	// Buckets is the FNP bucketing parameter for PM; 0 or 1 means one
 	// polynomial over the whole active domain.
 	Buckets int
-	// Workers bounds the worker pool every party uses for its per-value
-	// crypto hot loops (hash+encrypt+seal, re-encryption, oblivious
-	// evaluation, result decryption). 0 selects runtime.NumCPU() on each
-	// party's own machine; 1 forces the fully sequential execution the
-	// protocol listings describe. Transcripts are order-preserving, so
-	// the value never changes protocol results — only wall-clock time.
-	Workers int
 	// Timeout bounds every single Send/Recv a party performs for this
 	// query (via transport.Conn.SetTimeout); it travels in the request so
 	// mediator and sources arm the same per-operation deadline. Zero (the
@@ -132,13 +127,6 @@ type Params struct {
 	// A source that has seen a later attempt of the same QueryID denies
 	// earlier ones as stale.
 	Attempt int
-	// Telemetry optionally records phase spans and metrics for the query.
-	// It is a per-query override of the Client's Telemetry field; the
-	// registry is deliberately gob-inert, so it never crosses a transport
-	// link — mediators and sources observe into their own Telemetry
-	// fields, which the in-process Network (and medbench) point at the
-	// same registry to assemble a cross-party span tree.
-	Telemetry *telemetry.Registry
 }
 
 func (p Params) withDefaults() Params {
@@ -149,6 +137,45 @@ func (p Params) withDefaults() Params {
 		p.Buckets = 1
 	}
 	return p
+}
+
+// Limits on the Params a party decodes. The client chooses them and the
+// untrusted mediator relays them, so every party bounds them itself
+// before it allocates anything from them.
+const (
+	// maxPartitions caps the DAS partition count: hash bucketing
+	// allocates one member list per partition whatever the domain, which
+	// this holds to 1.5 MiB, and the superset/precision trade-off of
+	// Table 4 lies at tens of partitions.
+	maxPartitions = 1 << 16
+	// maxBuckets caps the PM bucket count: every bucket, even an empty
+	// one, costs the source two EC-ElGamal encryptions, so 4,096
+	// buckets already make each source ship half a megabyte of filler.
+	maxBuckets = 1 << 12
+	// maxQueryIDLen caps a query ID: a source stores up to attemptCap of
+	// them before it verifies any credential, and resilience.NewQueryID
+	// makes 16 bytes.
+	maxQueryIDLen = 64
+)
+
+// check rejects Params no party may run with. It applies to the values
+// after withDefaults, as the mediator forwards them.
+func (p Params) check() error {
+	switch {
+	case p.Partitions < 1 || p.Partitions > maxPartitions:
+		return fmt.Errorf("mediation: partition count %d outside [1, %d]", p.Partitions, maxPartitions)
+	case p.Buckets < 1 || p.Buckets > maxBuckets:
+		return fmt.Errorf("mediation: bucket count %d outside [1, %d]", p.Buckets, maxBuckets)
+	case p.Strategy != das.EquiWidth && p.Strategy != das.EquiDepth && p.Strategy != das.HashBuckets:
+		return fmt.Errorf("mediation: unknown partitioning strategy %d", p.Strategy)
+	case p.Timeout < 0:
+		return fmt.Errorf("mediation: negative timeout %v", p.Timeout)
+	case p.Attempt < 0:
+		return fmt.Errorf("mediation: negative attempt %d", p.Attempt)
+	case len(p.QueryID) > maxQueryIDLen:
+		return fmt.Errorf("mediation: query ID of %d bytes exceeds %d", len(p.QueryID), maxQueryIDLen)
+	}
+	return nil
 }
 
 // Message type tags. One namespace per protocol keeps mis-wiring loud.

@@ -110,6 +110,10 @@ func (s *Source) Serve(conn transport.Conn) error {
 	if err := recvInto(conn, "mediator", msgPartialQuery, &pq); err != nil {
 		return fmt.Errorf("mediation: source %s: %w", s.Name, err)
 	}
+	// The mediator may have rewritten what the client asked for.
+	if err := pq.Params.check(); err != nil {
+		return s.abort(conn, err)
+	}
 	// Arm the mediator link with the query's per-operation deadline so a
 	// dead mediator cannot park this session forever.
 	if pq.Params.Timeout > 0 {

@@ -208,23 +208,21 @@ func TestQueryWithoutTelemetry(t *testing.T) {
 	}
 }
 
-// Params.Telemetry is a per-query override at the client; it must not
-// survive the gob hop to mediator or sources (their own fields govern).
-func TestParamsTelemetryOverride(t *testing.T) {
+// A registry is one party's own: the client's records the client's spans,
+// and no registry crosses a link to the mediator or the sources.
+func TestClientTelemetryStaysLocal(t *testing.T) {
 	n := newTestNetwork(t, nil)
 	n.SetTelemetry(nil)
 	reg := telemetry.NewRegistry()
-	params := fastParams()
-	params.Telemetry = reg
-	if _, err := n.Query(fixtureSQL, ProtocolCommutative, params); err != nil {
+	n.Client.Telemetry = reg
+	defer n.SetTelemetry(nil)
+	if _, err := n.Query(fixtureSQL, ProtocolCommutative, fastParams()); err != nil {
 		t.Fatal(err)
 	}
 	if _, cnt := reg.PhaseTotal(leakage.PartyClient, telemetry.PhasePostFilter); cnt == 0 {
-		t.Error("client did not record into the per-query registry")
+		t.Error("client did not record into its registry")
 	}
-	// The registry is gob-inert, so the mediator (reached only over the
-	// transport link) cannot have recorded into it.
 	if _, cnt := reg.PhaseTotal(leakage.PartyMediator, telemetry.PhaseMatch); cnt != 0 {
-		t.Error("mediator spans appeared in the client-side registry despite the gob boundary")
+		t.Error("mediator spans appeared in the client's registry")
 	}
 }

@@ -85,12 +85,12 @@ type ECBuckets struct {
 // The (bucket, coefficient) space is flattened before fanning out over
 // the worker pool, so the pool stays evenly loaded whether the parameters
 // give one huge polynomial or many low-degree ones.
-func (b *Buckets) EncryptEC(pk *ecelgamal.PublicKey, workers int) (*ECBuckets, error) {
+func (b *Buckets) EncryptEC(pk *ecelgamal.PublicKey) (*ECBuckets, error) {
 	if b.N.Cmp(ecelgamal.Order()) != 0 {
 		return nil, fmt.Errorf("pm: bucket modulus is not the group order")
 	}
 	stride := b.MaxDegree() + 1 // every bucket is padded to uniform degree
-	flat, err := parallel.Map(len(b.Polys)*stride, workers, func(i int) ([]byte, error) {
+	flat, err := parallel.Map(len(b.Polys)*stride, 0, func(i int) ([]byte, error) {
 		c, err := pk.Encrypt(rand.Reader, b.Polys[i/stride].Coeffs[i%stride])
 		if err != nil {
 			return nil, err
@@ -121,7 +121,7 @@ type Eval struct {
 // SealPayload(s·G, a′, payload, aad). Order is preserved across the
 // worker pool. Every coefficient is decoded, and so validated, once
 // before any evaluation; a malformed one is an error.
-func (eb *ECBuckets) MaskedEvalBatch(pk *ecelgamal.PublicKey, roots []*big.Int, payloads [][]byte, aad []byte, workers int) ([]Eval, error) {
+func (eb *ECBuckets) MaskedEvalBatch(pk *ecelgamal.PublicKey, roots []*big.Int, payloads [][]byte, aad []byte) ([]Eval, error) {
 	if len(roots) != len(payloads) {
 		return nil, fmt.Errorf("pm: %d roots but %d payloads", len(roots), len(payloads))
 	}
@@ -142,7 +142,7 @@ func (eb *ECBuckets) MaskedEvalBatch(pk *ecelgamal.PublicKey, roots []*big.Int, 
 			polys[i][k] = ct
 		}
 	}
-	return parallel.Map(len(roots), workers, func(i int) (Eval, error) {
+	return parallel.Map(len(roots), 0, func(i int) (Eval, error) {
 		a := roots[i]
 		coeffs := polys[BucketIndex(a, len(polys))]
 		acc := coeffs[len(coeffs)-1]

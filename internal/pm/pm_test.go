@@ -36,7 +36,7 @@ func encryptBuckets(t testing.TB, pk *ecelgamal.PublicKey, roots []*big.Int, b i
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := bs.EncryptEC(pk, 0)
+	eb, err := bs.EncryptEC(pk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func encryptBuckets(t testing.TB, pk *ecelgamal.PublicKey, roots []*big.Int, b i
 func openOne(t testing.TB, sk *ecelgamal.PrivateKey, pk *ecelgamal.PublicKey, eb *ECBuckets, root *big.Int, payload []byte) (*big.Int, []byte, bool) {
 	t.Helper()
 	aad := []byte("pm:test")
-	evals, err := eb.MaskedEvalBatch(pk, []*big.Int{root}, [][]byte{payload}, aad, 1)
+	evals, err := eb.MaskedEvalBatch(pk, []*big.Int{root}, [][]byte{payload}, aad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestEncryptModulusMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bs.EncryptEC(pk, 1); err == nil {
+	if _, err := bs.EncryptEC(pk); err == nil {
 		t.Error("modulus mismatch accepted")
 	}
 	small, err := paillier.GenerateKey(rand.Reader, 256)
@@ -277,7 +277,7 @@ func TestBucketsEndToEnd(t *testing.T) {
 			t.Error("bucket degrees not uniform (loads leak)")
 		}
 	}
-	eb, err := bs.EncryptEC(pk, 1)
+	eb, err := bs.EncryptEC(pk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,8 +347,8 @@ func TestUnpackRejectsTamperedTag(t *testing.T) {
 }
 
 // TestMaskedEvalBatch checks the batch path: roots open to their own
-// payloads, non-roots do not open, order is preserved across worker
-// counts, and length mismatches and malformed coefficients are rejected.
+// payloads, non-roots do not open, order is preserved across the worker
+// pool, and length mismatches and malformed coefficients are rejected.
 func TestMaskedEvalBatch(t *testing.T) {
 	sk, pk := testKey(t)
 	roots := []*big.Int{RootOfValue(rel.Int(1)), RootOfValue(rel.Int(2)), RootOfValue(rel.Int(3))}
@@ -356,33 +356,31 @@ func TestMaskedEvalBatch(t *testing.T) {
 	as := []*big.Int{roots[0], RootOfValue(rel.Int(99)), roots[2], roots[1]}
 	payloads := [][]byte{[]byte("p1"), []byte("p99"), []byte("p3"), []byte("p2")}
 	aad := []byte("pm:batch")
-	for _, workers := range []int{1, 3, 0} {
-		evals, err := eb.MaskedEvalBatch(pk, as, payloads, aad, workers)
+	evals, err := eb.MaskedEvalBatch(pk, as, payloads, aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range evals {
+		root, payload, ok, err := OpenEval(sk, e, aad)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		for i, e := range evals {
-			root, payload, ok, err := OpenEval(sk, e, aad)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if isRoot := i != 1; ok != isRoot {
-				t.Fatalf("workers=%d: evaluation %d opened = %v", workers, i, ok)
-			}
-			if ok && (root.Cmp(as[i]) != 0 || !bytes.Equal(payload, payloads[i])) {
-				t.Fatalf("workers=%d: evaluation %d opened to another value", workers, i)
-			}
+		if isRoot := i != 1; ok != isRoot {
+			t.Fatalf("evaluation %d opened = %v", i, ok)
+		}
+		if ok && (root.Cmp(as[i]) != 0 || !bytes.Equal(payload, payloads[i])) {
+			t.Fatalf("evaluation %d opened to another value", i)
 		}
 	}
-	if _, err := eb.MaskedEvalBatch(pk, as, payloads[:2], aad, 2); err == nil {
+	if _, err := eb.MaskedEvalBatch(pk, as, payloads[:2], aad); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	bad := &ECBuckets{Polys: [][][]byte{{eb.Polys[0][0][:ecelgamal.CiphertextSize-1]}}}
-	if _, err := bad.MaskedEvalBatch(pk, as, payloads, aad, 1); err == nil {
+	if _, err := bad.MaskedEvalBatch(pk, as, payloads, aad); err == nil {
 		t.Error("malformed coefficient accepted")
 	}
 	for _, empty := range []*ECBuckets{{}, {Polys: [][][]byte{{}}}} {
-		if _, err := empty.MaskedEvalBatch(pk, as, payloads, aad, 1); err == nil {
+		if _, err := empty.MaskedEvalBatch(pk, as, payloads, aad); err == nil {
 			t.Error("empty encrypted buckets accepted")
 		}
 	}
@@ -403,7 +401,7 @@ func TestMaskedEvalNonRootsNeverOpen(t *testing.T) {
 		as[i] = RootOfValue(rel.Int(int64(i + 1)))
 	}
 	aad := []byte("pm:nonroots")
-	evals, err := eb.MaskedEvalBatch(pk, as, payloads, aad, 0)
+	evals, err := eb.MaskedEvalBatch(pk, as, payloads, aad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,14 +69,5 @@ func (r *Registry) active() bool { return r != nil && r.enabled }
 // Enabled reports whether the registry records anything. Nil-safe.
 func (r *Registry) Enabled() bool { return r.active() }
 
-// GobEncode implements gob.GobEncoder: a registry is process-local
-// observer state and never travels, so it encodes to nothing.
-func (r *Registry) GobEncode() ([]byte, error) { return nil, nil }
-
-// GobDecode implements gob.GobDecoder: whatever was received decodes to
-// an inert registry (enabled stays false), so protocol peers that gob a
-// Params struct around never inherit the sender's instrumentation.
-func (r *Registry) GobDecode([]byte) error { return nil }
-
 // sinceStart returns the registry-relative timestamp of t.
 func (r *Registry) sinceStart(t time.Time) int64 { return t.Sub(r.start).Nanoseconds() }

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sync"
 	"testing"
 	"time"
@@ -61,7 +59,7 @@ func TestNilAndInertRegistry(t *testing.T) {
 		t.Errorf("nil registry has spans: %v", got)
 	}
 
-	inert := &Registry{} // what gob-decoding produces
+	inert := &Registry{} // a zero value, not from NewRegistry
 	if inert.Tracer("p") != nil {
 		t.Error("inert registry returned a live tracer")
 	}
@@ -94,9 +92,9 @@ func TestCountersGaugesHistograms(t *testing.T) {
 		t.Errorf("gauge = %d", g.Value())
 	}
 	h := r.Histogram("wait")
-	h.Observe(100)                 // below first bound (1024)
-	h.Observe(5000)                // bucket 3: < 8192
-	h.Observe(int64(1) << 60)      // overflow bucket
+	h.Observe(100)            // below first bound (1024)
+	h.Observe(5000)           // bucket 3: < 8192
+	h.Observe(int64(1) << 60) // overflow bucket
 	snap := h.snapshot()
 	if snap.Count != 3 || snap.Sum != 100+5000+(int64(1)<<60) {
 		t.Errorf("histogram snapshot = %+v", snap)
@@ -126,37 +124,6 @@ func TestOpDeltas(t *testing.T) {
 	}
 	if op.Count() < 14 {
 		t.Errorf("process-wide count = %d", op.Count())
-	}
-}
-
-func TestRegistryGobInert(t *testing.T) {
-	type carrier struct {
-		N   int
-		Reg *Registry
-	}
-	in := carrier{N: 42, Reg: NewRegistry()}
-	in.Reg.Tracer("client").Start("phase").End()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var out carrier
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if out.N != 42 {
-		t.Errorf("payload fields lost: %+v", out)
-	}
-	if out.Reg.Enabled() {
-		t.Error("registry travelled enabled through gob")
-	}
-	if got := out.Reg.Spans(); len(got) != 0 {
-		t.Errorf("spans travelled through gob: %v", got)
-	}
-	// Nil field round-trips too.
-	var buf2 bytes.Buffer
-	if err := gob.NewEncoder(&buf2).Encode(carrier{N: 1}); err != nil {
-		t.Fatalf("encode nil registry: %v", err)
 	}
 }
 

@@ -12,7 +12,7 @@ func TestDeterministicSequence(t *testing.T) {
 			t.Fatalf("draw %d: %d != %d with equal seeds", i, x, y)
 		}
 	}
-	if New(1).Intn(1 << 30) == New(2).Intn(1<<30) {
+	if New(1).Intn(1<<30) == New(2).Intn(1<<30) {
 		// Equality here is possible but astronomically unlikely; treat
 		// as a regression in seed plumbing.
 		t.Error("different seeds produced identical first draws")
