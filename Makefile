@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt vet lint lint-json lint-sarif lint-golden build test test-short race chaos soak soak-short bench bench-smoke examples
+.PHONY: all ci fmt vet lint lint-json lint-sarif lint-golden build test test-short race chaos soak soak-short bench bench-smoke examples fuzz
 
 all: vet lint build test race
 
@@ -95,6 +95,19 @@ soak:
 
 soak-short:
 	$(GO) test -count=1 -run TestSoakShort ./cmd/medbench
+
+# Runs every Fuzz* target in the module for FUZZTIME each, one target at
+# a time (`go test -fuzz` takes a single target per run); stops at the
+# first failure, whose input lands under the package's testdata/fuzz/.
+# Not part of `ci`: the seed corpora already run in `test`.
+FUZZTIME ?= 10s
+fuzz:
+	@git grep -o '^func Fuzz[A-Za-z0-9_]*' -- '*_test.go' ':!*/testdata/*' | \
+	while IFS=: read -r file decl; do \
+		target=$${decl#func }; pkg=./$$(dirname $$file); \
+		echo "$(GO) test -run '^$$target\$$' -fuzz '^$$target\$$' -fuzztime $(FUZZTIME) $$pkg"; \
+		$(GO) test -run "^$$target\$$" -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # The performance benchmark declared in BENCHMARK.json: four workloads
 # on the real daemons over TCP (bench/README.md).

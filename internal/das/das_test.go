@@ -337,11 +337,14 @@ func TestDASEndToEnd(t *testing.T) {
 				t.Errorf("%v k=%d: join size = %d, want 3", strategy, k, got.Len())
 			}
 			// Superset property: server result ≥ exact result.
-			if len(res.Pairs) < got.Len() {
+			if res.Size != len(res.Pairs) {
+				t.Errorf("%v k=%d: Size = %d, %d pairs", strategy, k, res.Size, len(res.Pairs))
+			}
+			if res.Size < got.Len() {
 				t.Errorf("%v k=%d: server result smaller than join", strategy, k)
 			}
-			if len(res.Pairs) != got.Len()+discarded {
-				t.Errorf("%v k=%d: pair accounting broken: %d != %d+%d", strategy, k, len(res.Pairs), got.Len(), discarded)
+			if res.Size != got.Len()+discarded {
+				t.Errorf("%v k=%d: pair accounting broken: %d != %d+%d", strategy, k, res.Size, got.Len(), discarded)
 			}
 		}
 	}
@@ -368,7 +371,7 @@ func TestPartitionGranularityMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes[k] = len(res.Pairs)
+		sizes[k] = res.Size
 	}
 	if sizes[1] != r1.Len()*r2.Len() {
 		t.Errorf("k=1 server result = %d, want full product %d", sizes[1], r1.Len()*r2.Len())
@@ -670,8 +673,9 @@ func TestServerQueryFilterSoundness(t *testing.T) {
 }
 
 // oraclePair, oracleExecute and oracleDecrypt are the reference the
-// factored ServerResult is checked against: σ_CondS with both etuples
-// inline in every pair, and a decrypt that opens both sides of every pair.
+// reduced ServerResult is checked against: σ_CondS with both etuples
+// inline in every pair, and a decrypt that opens both sides of every pair
+// and compares their join values by canonical encoding.
 type oraclePair struct {
 	E1, E2 []byte
 }
@@ -745,7 +749,7 @@ func oracleDecrypt(pairs []oraclePair, recv1, recv2 Opener, s1, s2 rel.Schema, c
 		}
 		match := true
 		for _, c := range cols {
-			if !t1[s1.IndexOf(c)].Equal(t2[s2.IndexOf(c)]) {
+			if string(t1[s1.IndexOf(c)].Encode(nil)) != string(t2[s2.IndexOf(c)].Encode(nil)) {
 				match = false
 			}
 		}
@@ -893,8 +897,8 @@ func TestServerResultMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(res.Pairs) != len(pairs) {
-						t.Errorf("%s: |R_C| = %d, oracle %d", name, len(res.Pairs), len(pairs))
+					if res.Size != len(pairs) || len(res.Pairs) != len(pairs) {
+						t.Errorf("%s: |R_C| = %d (%d pairs), oracle %d", name, res.Size, len(res.Pairs), len(pairs))
 					}
 					if discarded != wantDiscarded {
 						t.Errorf("%s: discarded = %d, oracle %d", name, discarded, wantDiscarded)
@@ -974,25 +978,36 @@ func plainEtuple(t rel.Tuple) []byte {
 	return (&hybrid.Ciphertext{Nonce: make([]byte, 12), Sealed: t.Encode(nil)}).Marshal()
 }
 
-// The slots of a ServerResult are chosen by a peer: one outside its table
-// is an error, never a panic.
-func TestDecryptServerResultRejectsBadSlots(t *testing.T) {
+// A ServerResult comes from a peer: a table that repeats an etuple, or a
+// Size that no set of pairs over the shipped tables could have, is an
+// error, never a panic or an inflated join.
+func TestDecryptServerResultRejectsInconsistentResults(t *testing.T) {
 	r1, r2 := fixtures(t)
-	e1 := [][]byte{plainEtuple(r1.Tuple(1))} // id 2
-	e2 := [][]byte{plainEtuple(r2.Tuple(0))} // id 2
+	e1 := [][]byte{plainEtuple(r1.Tuple(1)), plainEtuple(r1.Tuple(2))} // ids 2, 5
+	e2 := [][]byte{plainEtuple(r2.Tuple(0)), plainEtuple(r2.Tuple(1))} // ids 2, 5
+	// Two etuples a side, all with id 5: four rows join.
+	fives1 := [][]byte{plainEtuple(r1.Tuple(2)), plainEtuple(r1.Tuple(3))}
+	fives2 := [][]byte{plainEtuple(r2.Tuple(1)), plainEtuple(rel.Tuple{rel.Int(5), rel.String_("w")})}
 	cases := []struct {
-		name     string
-		res      ServerResult
-		wantRows int
-		wantErr  bool
+		name          string
+		res           ServerResult
+		wantRows      int
+		wantDiscarded int
+		wantErr       bool
 	}{
-		{"in range", ServerResult{E1: e1, E2: e2, Pairs: []ServerResultPair{{0, 0}}}, 1, false},
-		{"I out of range", ServerResult{E1: e1, E2: e2, Pairs: []ServerResultPair{{0, 0}, {1, 0}}}, 0, true},
-		{"J out of range", ServerResult{E1: e1, E2: e2, Pairs: []ServerResultPair{{0, 1}}}, 0, true},
-		{"slot at uint32 max", ServerResult{E1: e1, E2: e2, Pairs: []ServerResultPair{{math.MaxUint32, 0}}}, 0, true},
-		{"pairs but empty tables", ServerResult{Pairs: []ServerResultPair{{0, 0}}}, 0, true},
-		{"tables but no pairs", ServerResult{E1: e1, E2: e2}, 0, false},
-		{"empty", ServerResult{}, 0, false},
+		{"exact", ServerResult{E1: e1, E2: e2, Size: 2}, 2, 0, false},
+		{"full product", ServerResult{E1: e1, E2: e2, Size: 4}, 2, 2, false},
+		{"empty", ServerResult{}, 0, 0, false},
+		{"Size below the join", ServerResult{E1: fives1, E2: fives2, Size: 3}, 0, 0, true},
+		{"Size at the join", ServerResult{E1: fives1, E2: fives2, Size: 4}, 4, 0, false},
+		{"Size below a table", ServerResult{E1: e1, E2: e2[:1], Size: 1}, 0, 0, true},
+		{"Size above the product", ServerResult{E1: e1, E2: e2, Size: 5}, 0, 0, true},
+		{"Size at int max", ServerResult{E1: e1, E2: e2, Size: math.MaxInt}, 0, 0, true},
+		{"negative Size", ServerResult{E1: e1, E2: e2, Size: -1}, 0, 0, true},
+		{"Size but empty tables", ServerResult{Size: 1}, 0, 0, true},
+		{"one table empty", ServerResult{E1: e1, Size: 2}, 0, 0, true},
+		{"E1 repeats an etuple", ServerResult{E1: [][]byte{e1[1], e1[1]}, E2: e2, Size: 4}, 0, 0, true},
+		{"E2 repeats an etuple", ServerResult{E1: e1, E2: [][]byte{e2[0], e2[0]}, Size: 4}, 0, 0, true},
 	}
 	for _, tc := range cases {
 		got, discarded, err := DecryptServerResult(&tc.res, plainOpener{}, plainOpener{}, r1.Schema(), r2.Schema(), []string{"id"}, []string{"id"}, 2)
@@ -1006,28 +1021,30 @@ func TestDecryptServerResultRejectsBadSlots(t *testing.T) {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
 		}
-		if got.Len() != tc.wantRows || discarded != 0 {
-			t.Errorf("%s: %d rows, %d discarded; want %d, 0", tc.name, got.Len(), discarded, tc.wantRows)
+		if got.Len() != tc.wantRows || discarded != tc.wantDiscarded {
+			t.Errorf("%s: %d rows, %d discarded; want %d, %d", tc.name, got.Len(), discarded, tc.wantRows, tc.wantDiscarded)
 		}
 	}
 }
 
 // Any bytes a peer sends as a das.result body must decrypt to a result or
-// an error — no panic, and no allocation out of proportion to the input.
+// an error — no panic, an accepted result has distinct etuples and
+// rows ≤ Size ≤ |E1|·|E2|, and nothing allocates out of proportion to the
+// input plus the rows joined.
 func FuzzDecryptServerResult(f *testing.F) {
 	r1, r2 := fixtures(f)
-	valid := ServerResult{Pairs: []ServerResultPair{{0, 0}, {1, 1}, {1, 0}, {2, 1}}}
+	valid := ServerResult{Size: 4}
 	for _, i := range []int{1, 2, 3} {
 		valid.E1 = append(valid.E1, plainEtuple(r1.Tuple(i)))
 	}
 	for _, j := range []int{0, 1} {
 		valid.E2 = append(valid.E2, plainEtuple(r2.Tuple(j)))
 	}
-	badSlot := valid
-	badSlot.Pairs = []ServerResultPair{{0, 0}, {3, 0}}
+	badSize := valid
+	badSize.Size = 7
 	badEtuple := valid
 	badEtuple.E2 = [][]byte{valid.E2[0], []byte("not a ciphertext")}
-	for _, res := range []ServerResult{valid, badSlot, badEtuple, {}} {
+	for _, res := range []ServerResult{valid, badSize, badEtuple, {}} {
 		b, err := transport.Encode(res)
 		if err != nil {
 			f.Fatal(err)
@@ -1045,14 +1062,76 @@ func FuzzDecryptServerResult(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		got, discarded, err := DecryptServerResult(&res, plainOpener{}, plainOpener{}, r1.Schema(), r2.Schema(), []string{"id"}, []string{"id"}, 2)
 		runtime.ReadMemStats(&after)
-		if err == nil && got.Len()+discarded != len(res.Pairs) {
-			t.Errorf("%d rows + %d discarded from %d pairs", got.Len(), discarded, len(res.Pairs))
+		// A rejected result may have joined every shipped pair before its
+		// Size was checked.
+		n1, n2 := len(res.E1), len(res.E2)
+		rows := n1 * n2
+		if err == nil {
+			rows = got.Len()
+			if rows+discarded != res.Size || discarded < 0 || res.Size > n1*n2 {
+				t.Errorf("accepted %d rows + %d discarded as Size %d over %d×%d etuples", rows, discarded, res.Size, n1, n2)
+			}
+			for _, tab := range [][][]byte{res.E1, res.E2} {
+				seen := map[string]bool{}
+				for _, e := range tab {
+					if seen[string(e)] {
+						t.Errorf("accepted a table that repeats an etuple")
+					}
+					seen[string(e)] = true
+				}
+			}
 		}
-		// A pair costs a byte on the wire when both slots are zero and a
-		// joined row of four values in memory; 1 KiB per input byte plus
-		// fixed slack bounds every honest cost.
-		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+1024*len(data)); alloc > limit {
-			t.Errorf("decrypting a %d-byte body allocated %d bytes (limit %d)", len(data), alloc, limit)
+		// Opening and keying an etuple costs a small multiple of its bytes,
+		// and a joined row of four values a few hundred bytes: 1 KiB per
+		// input byte and per row plus fixed slack bounds every honest cost.
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+1024*(len(data)+rows)); alloc > limit {
+			t.Errorf("decrypting a %d-byte body into %d rows allocated %d bytes (limit %d)", len(data), rows, alloc, limit)
 		}
 	})
+}
+
+// DAS joins FLOAT keys as the plaintext reference does: by canonical
+// encoding, so NaN meets NaN and 0 does not meet −0.
+func TestDASFloatKeysMatchReference(t *testing.T) {
+	floats := func(name string, vals ...float64) *rel.Relation {
+		r := rel.New(rel.MustSchema(name,
+			rel.Column{Name: "k", Kind: rel.KindFloat},
+			rel.Column{Name: "tag", Kind: rel.KindString}))
+		for i, v := range vals {
+			r.MustAppend(rel.Tuple{rel.Float(v), rel.String_(fmt.Sprintf("%s-%d", name, i))})
+		}
+		return r
+	}
+	r1 := floats("R1", math.NaN(), 0, 1.5, 2)
+	r2 := floats("R2", math.NaN(), math.Copysign(0, -1), 1.5, 3)
+	cols := []string{"k"}
+	want, err := algebra.EquiJoin(r1, r2, cols, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() != 2 {
+		t.Fatalf("reference join has %d rows, want (NaN, NaN) and (1.5, 1.5)", want.Len())
+	}
+	for _, strategy := range []Strategy{EquiWidth, EquiDepth, HashBuckets} {
+		for _, k := range []int{1, 2, 4} {
+			s1 := newDASSide(t, r1, cols, k, strategy)
+			s2 := newDASSide(t, r2, cols, k, strategy)
+			sq, err := BuildServerQuery(s1.its, s2.its)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ExecuteServerQuery(s1.er, s2.er, sq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := DecryptServerResult(res, s1.recv, s2.recv, r1.Schema(), r2.Schema(), cols, cols, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// EqualMultiset compares with Value.Equal, under which NaN ≠ NaN.
+			if got.Clone().Sort().String() != want.Clone().Sort().String() {
+				t.Errorf("%v k=%d: got\n%v\nwant\n%v", strategy, k, got, want)
+			}
+		}
+	}
 }

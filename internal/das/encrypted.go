@@ -3,6 +3,7 @@ package das
 import (
 	"fmt"
 
+	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/parallel"
 	"github.com/secmediation/secmediation/internal/relation"
@@ -130,15 +131,21 @@ type ServerResultPair struct {
 }
 
 // ServerResult is R_C = σ_CondS(R1^S × R2^S), still encrypted, in
-// factored form: every etuple that occurs in some admissible pair is
-// shipped once, and the pairs refer to it by slot. A shared slot tells the
-// client what two equal ciphertexts would, so the factoring discloses
-// nothing; it makes the client's work |E1|+|E2| opens instead of 2·|R_C|.
+// semi-join-reduced form: every etuple that occurs in some admissible pair
+// is shipped once, together with |R_C|, and the pairs themselves are not
+// shipped. The client, who holds both index tables, could rebuild them, so
+// the reduced form discloses nothing R_C would not; the client recovers
+// the join by an exact equi-join of the opened tables, because q_S has no
+// false negatives. Both the client's opens and the das.result frame are
+// |E1|+|E2|, not |R_C|.
 type ServerResult struct {
 	// E1 and E2 hold the surviving etuples of R1^S and R2^S, each exactly
 	// once, in source order. They alias the sources' bytes.
 	E1, E2 [][]byte
-	// Pairs lists R_C in evaluation order; len(Pairs) is |R_C|.
+	// Size is |R_C|, the number of admissible pairs.
+	Size int
+	// Pairs lists R_C in evaluation order, for in-process callers that
+	// measure it; the protocol neither ships nor reads it.
 	Pairs []ServerResultPair
 }
 
@@ -236,6 +243,7 @@ func ExecuteServerQuery(r1, r2 *EncryptedRelation, q ServerQuery) (*ServerResult
 	for p := range res.Pairs {
 		res.Pairs[p].J = slot2[res.Pairs[p].J]
 	}
+	res.Size = len(res.Pairs)
 	return res, nil
 }
 
@@ -246,41 +254,32 @@ type Opener interface {
 
 // DecryptServerResult is decryptDAS followed by the client query q_C: it
 // opens every etuple of the two tables once (the index values are not
-// part of the etuple encoding), then walks the pair list applying CondC
-// (true join-attribute equality on every join column) to the decoded
-// tuples and assembles the joined tuples under the concatenated schema.
-// It returns the exact join and the number of false positives discarded
-// by q_C. The slots come from a peer: one that points outside its table
-// is an error. The table decryptions fan out over a worker pool;
-// matching and assembly stay sequential in pair order, so the result is
-// worker-count independent.
+// part of the etuple encoding), then applies CondC (true join-attribute
+// equality on every join column) as one algebra.EquiJoin of the two
+// opened tables. That is exact because q_S has no false negatives: every
+// equal-keyed pair among the shipped tuples is a pair of R_C. It returns
+// the join and the number of false positives q_C discarded, Size minus
+// the join's rows. The result comes from a peer: a repeated etuple, or a
+// Size outside [max(|E1|, |E2|, rows), |E1|·|E2|], is an error. The
+// table decryptions fan out over a worker pool; the join is sequential,
+// so the result is worker-count independent.
 // seclint:source decrypted DAS server result tuples
 func DecryptServerResult(res *ServerResult, recv1, recv2 Opener,
 	schema1, schema2 relation.Schema, joinCols1, joinCols2 []string, workers int) (*relation.Relation, int, error) {
 
-	if len(joinCols1) == 0 || len(joinCols1) != len(joinCols2) {
-		return nil, 0, fmt.Errorf("das: mismatched join column lists")
+	n1, n2 := len(res.E1), len(res.E2)
+	// Every shipped etuple is in at least one of the Size pairs, and no
+	// more than |E1|·|E2| pairs exist ((Size-1)/n1 >= n2 is Size > n1·n2
+	// without the overflow).
+	if res.Size < n1 || res.Size < n2 || (n1 == 0 && res.Size != 0) || (n1 > 0 && (res.Size-1)/n1 >= n2) {
+		return nil, 0, fmt.Errorf("das: server result claims %d pairs over tables of %d and %d etuples", res.Size, n1, n2)
 	}
-	j1 := make([]int, len(joinCols1))
-	j2 := make([]int, len(joinCols2))
-	for i := range joinCols1 {
-		j1[i] = schema1.IndexOf(joinCols1[i])
-		j2[i] = schema2.IndexOf(joinCols2[i])
-		if j1[i] < 0 || j2[i] < 0 {
-			return nil, 0, fmt.Errorf("das: join columns %q/%q not found", joinCols1[i], joinCols2[i])
-		}
-	}
-	joined, err := schema1.Concat(schema2)
-	if err != nil {
+	if err := distinct(res.E1, "R1"); err != nil {
 		return nil, 0, err
 	}
-	n1, n2 := len(res.E1), len(res.E2)
-	for p, pair := range res.Pairs {
-		if uint64(pair.I) >= uint64(n1) || uint64(pair.J) >= uint64(n2) {
-			return nil, 0, fmt.Errorf("das: server result pair %d refers to slots (%d, %d) of tables with %d and %d etuples", p, pair.I, pair.J, n1, n2)
-		}
+	if err := distinct(res.E2, "R2"); err != nil {
+		return nil, 0, err
 	}
-	out := relation.New(joined)
 	aad1 := []byte("das:etuple:" + schema1.Relation)
 	aad2 := []byte("das:etuple:" + schema2.Relation)
 	opened, err := parallel.Map(n1+n2, workers, func(i int) (relation.Tuple, error) {
@@ -292,28 +291,35 @@ func DecryptServerResult(res *ServerResult, recv1, recv2 Opener,
 	if err != nil {
 		return nil, 0, err
 	}
-	discarded := 0
-	for _, pair := range res.Pairs {
-		t1, t2 := opened[pair.I], opened[n1+int(pair.J)]
-		match := true
-		for i := range j1 {
-			if !t1[j1[i]].Equal(t2[j2[i]]) {
-				match = false
-				break
-			}
-		}
-		if !match {
-			discarded++ // false positive of the coarse index match
-			continue
-		}
-		t := make(relation.Tuple, 0, len(t1)+len(t2))
-		t = append(t, t1...)
-		t = append(t, t2...)
-		if err := out.Append(t); err != nil {
-			return nil, 0, err
-		}
+	r1, err := relation.FromTuples(schema1, opened[:n1]...)
+	if err != nil {
+		return nil, 0, err
 	}
-	return out, discarded, nil
+	r2, err := relation.FromTuples(schema2, opened[n1:]...)
+	if err != nil {
+		return nil, 0, err
+	}
+	out, err := algebra.EquiJoin(r1, r2, joinCols1, joinCols2)
+	if err != nil {
+		return nil, 0, err
+	}
+	if out.Len() > res.Size {
+		return nil, 0, fmt.Errorf("das: server result claims %d pairs, but %d tuple pairs join", res.Size, out.Len())
+	}
+	return out, res.Size - out.Len(), nil
+}
+
+// distinct rejects a table that holds some etuple twice: a mediator cannot
+// forge an etuple, but replaying one would inflate the client's join.
+func distinct(etuples [][]byte, side string) error {
+	seen := make(map[string]struct{}, len(etuples))
+	for i, e := range etuples {
+		if _, dup := seen[string(e)]; dup {
+			return fmt.Errorf("das: server result repeats an etuple of %s at slot %d", side, i)
+		}
+		seen[string(e)] = struct{}{}
+	}
+	return nil
 }
 
 // compiledFilter is the evaluable form of a filter list.

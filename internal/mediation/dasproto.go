@@ -44,10 +44,12 @@ type dasServerQuery struct {
 	Query das.ServerQuery
 }
 
-// dasResult is the mediator's step 6 message: R_C, as two etuple tables
-// and the slot pairs over them.
+// dasResult is the mediator's step 6 message: R_C in semi-join-reduced
+// form, the two tables of surviving etuples and |R_C|. The pairs stay at
+// the mediator; the client rebuilds the join from the opened tuples.
 type dasResult struct {
-	Result das.ServerResult
+	E1, E2 [][]byte
+	Size   int
 }
 
 // serveDAS implements Listing 2 steps 1–3 at a datasource: partition the
@@ -157,8 +159,8 @@ func (m *Mediator) mediateDAS(client, s1, s2 transport.Conn, d *decomposition, w
 	}
 	// Table 1: the mediator learns |R_C|, an upper bound of the global
 	// result size.
-	m.Ledger.Observe(leakage.PartyMediator, "|RC|", int64(len(res.Pairs)))
-	return sendMsg(client, "client", msgDASResult, dasResult{Result: *res})
+	m.Ledger.Observe(leakage.PartyMediator, "|RC|", int64(res.Size))
+	return sendMsg(client, "client", msgDASResult, dasResult{E1: res.E1, E2: res.E2, Size: res.Size})
 }
 
 // runDAS implements the client side (Listing 2 steps 5 and 7): decrypt the
@@ -226,14 +228,15 @@ func (c *Client) runDAS(conn transport.Conn, q *sqlparse.Query, queryKey *ecdh.P
 	err = watch.phase(telemetry.PhasePostFilter, func() error {
 		var discarded int
 		var err error
-		joined, discarded, err = das.DecryptServerResult(&res.Result, recv1, recv2,
-			its.Schema1, its.Schema2, its.JoinCols1, its.JoinCols2, 0)
+		joined, discarded, err = das.DecryptServerResult(&das.ServerResult{E1: res.E1, E2: res.E2, Size: res.Size},
+			recv1, recv2, its.Schema1, its.Schema2, its.JoinCols1, its.JoinCols2, 0)
 		if err != nil {
 			return err
 		}
-		c.Ledger.UsePrimitive(leakage.PartyClient, "hybrid-decryption", int64(len(res.Result.E1)+len(res.Result.E2)))
-		// Table 1: the client receives a superset of the global result.
-		c.Ledger.Observe(leakage.PartyClient, "superset-size", int64(len(res.Result.Pairs)))
+		c.Ledger.UsePrimitive(leakage.PartyClient, "hybrid-decryption", int64(len(res.E1)+len(res.E2)))
+		// Table 1: the client receives a superset of the global result,
+		// as its etuples and its size.
+		c.Ledger.Observe(leakage.PartyClient, "superset-size", int64(res.Size))
 		c.Ledger.Observe(leakage.PartyClient, "false-positives-discarded", int64(discarded))
 		return nil
 	})

@@ -2,6 +2,9 @@ package mediation
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/secmediation/secmediation/internal/das"
@@ -85,13 +88,12 @@ func TestDASEmptyPartialResult(t *testing.T) {
 	}
 }
 
-// A das.result whose pairs point outside its tables aborts the query with
-// a terminal *ProtocolError at the client.
-func TestDASResultBadSlotAborts(t *testing.T) {
-	n := newTestNetwork(t, nil)
-	_, err := queryDASVisiting(t, n, fixtureSQL, fastParams(), func(res *dasResult, _ int) {
-		res.Result.Pairs[0].J = uint32(len(res.Result.E2))
-	})
+// queryDASTampered runs the fixture DAS query with tamper applied to the
+// client's inbound das.result, and checks that the query ends in a
+// terminal *ProtocolError blamed on the client's post-filter.
+func queryDASTampered(t *testing.T, tamper func(*dasResult)) *ProtocolError {
+	t.Helper()
+	_, err := queryDASVisiting(t, newTestNetwork(t, nil), fixtureSQL, fastParams(), func(res *dasResult, _ int) { tamper(res) })
 	var pe *ProtocolError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *ProtocolError", err)
@@ -100,13 +102,62 @@ func TestDASResultBadSlotAborts(t *testing.T) {
 		t.Errorf("blamed %s/%s, want %s/%s", pe.Party, pe.Phase, leakage.PartyClient, telemetry.PhasePostFilter)
 	}
 	if resilience.Retryable(err) {
-		t.Errorf("out-of-range slot classified retryable: %v", err)
+		t.Errorf("tampered das.result classified retryable: %v", err)
+	}
+	return pe
+}
+
+// A mediator cannot forge an etuple, but it could replay one to inflate
+// the client's join: a das.result that repeats an etuple aborts the query.
+func TestDASResultDuplicateEtupleAborts(t *testing.T) {
+	pe := queryDASTampered(t, func(res *dasResult) {
+		if len(res.E1) < 2 {
+			t.Fatalf("fixture ships %d R1 etuples, need 2", len(res.E1))
+		}
+		res.E1[1] = res.E1[0]
+	})
+	if !strings.Contains(pe.Error(), "repeats an etuple") {
+		t.Errorf("err = %v, want the repeated etuple named", pe)
+	}
+}
+
+// A das.result whose Size no set of pairs over its tables could have
+// aborts the query.
+func TestDASResultBadSizeAborts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		size func(res *dasResult) int
+	}{
+		{"above |E1|·|E2|", func(res *dasResult) int { return len(res.E1)*len(res.E2) + 1 }},
+		{"below |E1|", func(res *dasResult) int { return len(res.E1) - 1 }},
+		{"negative", func(*dasResult) int { return -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pe := queryDASTampered(t, func(res *dasResult) { res.Size = tc.size(res) })
+			if !strings.Contains(pe.Error(), "claims") {
+				t.Errorf("err = %v, want the claimed Size named", pe)
+			}
+		})
+	}
+}
+
+// dasResultShape is what a tap on das.result measures.
+type dasResultShape struct {
+	body, etupleBytes, etuples, size int
+}
+
+func (s *dasResultShape) visit(res *dasResult, bodyBytes int) {
+	s.body, s.size = bodyBytes, res.Size
+	s.etuples = len(res.E1) + len(res.E2)
+	for _, e := range append(append([][]byte(nil), res.E1...), res.E2...) {
+		s.etupleBytes += len(e)
 	}
 }
 
 // The client's decryption work and the das.result frame are linear in
 // |R1|+|R2|, not in |R_C|: a fat join whose superset is several times the
-// join must still open each etuple once and ship it once.
+// join must still open each etuple once and ship it once, with no bytes
+// per pair.
 func TestDASClientOpensLinear(t *testing.T) {
 	// R1: ids 0..19, one row each. R2: ids 0, 5, …, 95, ten rows each.
 	// Sixteen equi-width partitions per side make R2's wide partitions
@@ -122,14 +173,8 @@ func TestDASClientOpensLinear(t *testing.T) {
 	ledger := leakage.NewLedger()
 	n := networkOver(t, ledger, r1, r2)
 	reg := telemetry.NewRegistry()
-	var body, inline, etuples int
-	got, err := queryDASVisiting(t, n, fixtureSQL, Params{}, func(res *dasResult, bodyBytes int) {
-		body = bodyBytes
-		etuples = len(res.Result.E1) + len(res.Result.E2)
-		for _, p := range res.Result.Pairs {
-			inline += len(res.Result.E1[p.I]) + len(res.Result.E2[p.J])
-		}
-	})
+	var shape dasResultShape
+	got, err := queryDASVisiting(t, n, fixtureSQL, Params{}, shape.visit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,22 +182,104 @@ func TestDASClientOpensLinear(t *testing.T) {
 		t.Fatalf("join has %d rows, want 40", got.Len())
 	}
 	superset, _ := ledger.Observed(leakage.PartyClient, "superset-size")
-	if superset <= 5*int64(got.Len()) {
-		t.Fatalf("superset %d is not > 5 × the %d-row join; the fixture no longer exercises the quadratic", superset, got.Len())
+	if superset != 260 {
+		t.Fatalf("superset %d, want 260: the fixture no longer exercises the quadratic", superset)
+	}
+	if discarded, _ := ledger.Observed(leakage.PartyClient, "false-positives-discarded"); discarded != superset-int64(got.Len()) {
+		t.Errorf("%d false positives discarded, want %d − %d", discarded, superset, got.Len())
 	}
 	opens := reg.OpDeltas()["hybrid.open"]
-	t.Logf("join %d, superset %d, hybrid.open %d, das.result %d B (inline pairs: %d B)", got.Len(), superset, opens, body, inline)
+	t.Logf("join %d, superset %d, hybrid.open %d, das.result %d B (%d B of etuples)", got.Len(), superset, opens, shape.body, shape.etupleBytes)
 	// Every etuple once, plus the two index tables.
 	if limit := int64(r1.Len() + r2.Len() + 2); opens > limit {
 		t.Errorf("%d hybrid.open calls for |R1|+|R2|+2 = %d (superset %d)", opens, limit, superset)
 	}
-	if opens != int64(etuples+2) {
-		t.Errorf("%d hybrid.open calls, result tables hold %d etuples", opens, etuples)
+	if opens != int64(shape.etuples+2) {
+		t.Errorf("%d hybrid.open calls, result tables hold %d etuples", opens, shape.etuples)
 	}
-	if c := ledger.PrimitiveCount(leakage.PartyClient, "hybrid-decryption"); c != int64(etuples) {
-		t.Errorf("ledger records %d hybrid decryptions, %d etuples were opened", c, etuples)
+	if c := ledger.PrimitiveCount(leakage.PartyClient, "hybrid-decryption"); c != int64(shape.etuples) {
+		t.Errorf("ledger records %d hybrid decryptions, %d etuples were opened", c, shape.etuples)
 	}
-	if 4*body >= inline {
-		t.Errorf("das.result body is %d bytes; inlining both etuples per pair would be %d", body, inline)
+	// Beyond the etuples themselves, a frame carries a few bytes of
+	// framing per etuple and a fixed envelope.
+	if overhead, limit := shape.body-shape.etupleBytes, 4*shape.etuples+512; overhead > limit {
+		t.Errorf("das.result carries %d bytes beside its %d etuples (limit %d)", overhead, shape.etuples, limit)
+	}
+}
+
+// The das.result frame does not grow with |R_C|: the same surviving
+// etuples under a superset 20× larger make a frame of the same size, up
+// to the varint that holds |R_C|.
+func TestDASResultSizeIndependentOfSuperset(t *testing.T) {
+	// Every R1 id occurs in R2, so every etuple survives at any
+	// granularity: 20 equi-width partitions match exactly, one partition
+	// pairs everything.
+	s1, s2 := testRelations(t)
+	r1, r2 := rel.New(s1.Schema()), rel.New(s2.Schema())
+	for i := 0; i < 20; i++ {
+		r1.MustAppend(rel.Tuple{rel.Int(int64(i)), rel.String_("name")})
+		for j := 0; j < 10; j++ {
+			r2.MustAppend(rel.Tuple{rel.Int(int64(i)), rel.String_("city")})
+		}
+	}
+	shapes := map[int]*dasResultShape{}
+	for _, k := range []int{1, 20} {
+		shapes[k] = &dasResultShape{}
+		got, err := queryDASVisiting(t, networkOver(t, nil, r1, r2), fixtureSQL,
+			Params{Partitions: k, Strategy: das.EquiWidth}, shapes[k].visit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 200 {
+			t.Fatalf("k=%d: join has %d rows, want 200", k, got.Len())
+		}
+	}
+	coarse, fine := shapes[1], shapes[20]
+	t.Logf("|R_C| %d vs %d: das.result %d B vs %d B", coarse.size, fine.size, coarse.body, fine.body)
+	if coarse.etuples != fine.etuples || coarse.etupleBytes != fine.etupleBytes {
+		t.Fatalf("surviving etuples differ (%d/%d B vs %d/%d B); the fixture no longer holds them fixed",
+			coarse.etuples, coarse.etupleBytes, fine.etuples, fine.etupleBytes)
+	}
+	if coarse.size < 4*fine.size {
+		t.Fatalf("|R_C| %d vs %d differ by less than 4×", coarse.size, fine.size)
+	}
+	if d := coarse.body - fine.body; d < -8 || d > 8 {
+		t.Errorf("das.result is %d B at |R_C| = %d and %d B at |R_C| = %d", coarse.body, coarse.size, fine.body, fine.size)
+	}
+}
+
+// DAS joins FLOAT keys exactly as the plaintext protocol does, by
+// canonical encoding: NaN meets NaN and 0 does not meet −0, under every
+// partitioning strategy.
+func TestDASFloatKeysMatchPlaintext(t *testing.T) {
+	floats := func(name string, vals ...float64) *rel.Relation {
+		r := rel.New(rel.MustSchema(name,
+			rel.Column{Name: "id", Kind: rel.KindFloat},
+			rel.Column{Name: "tag", Kind: rel.KindString}))
+		for i, v := range vals {
+			r.MustAppend(rel.Tuple{rel.Float(v), rel.String_(fmt.Sprintf("%s-%d", name, i))})
+		}
+		return r
+	}
+	r1 := floats("R1", math.NaN(), 0, 1.5, 2)
+	r2 := floats("R2", math.NaN(), math.Copysign(0, -1), 1.5, 3)
+	want, err := networkOver(t, nil, r1, r2).Query(fixtureSQL, ProtocolPlaintext, fastParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() != 2 {
+		t.Fatalf("plaintext join has %d rows, want (NaN, NaN) and (1.5, 1.5)", want.Len())
+	}
+	for _, strategy := range []das.Strategy{das.EquiWidth, das.EquiDepth, das.HashBuckets} {
+		params := fastParams()
+		params.Strategy = strategy
+		got, err := networkOver(t, nil, r1, r2).Query(fixtureSQL, ProtocolDAS, params)
+		if err != nil {
+			t.Fatalf("%v: %v", strategy, err)
+		}
+		// EqualMultiset compares with Value.Equal, under which NaN ≠ NaN.
+		if got.Clone().Sort().String() != want.Clone().Sort().String() {
+			t.Errorf("%v: got\n%v\nwant\n%v", strategy, got, want)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package pm
 
 import (
-	"bytes"
 	"math/big"
 	"testing"
 
@@ -9,7 +8,9 @@ import (
 )
 
 // FuzzUnpack: opening arbitrary bytes as a sealed payload never panics,
-// and nothing but the one genuinely sealed blob opens under its key.
+// and a blob that opens under the key opens to exactly what was sealed.
+// (Under -fuzz each worker process seals its own copy of valid, with its
+// own nonce, so a genuine seal need not equal this process's bytes.)
 func FuzzUnpack(f *testing.F) {
 	point := ecelgamal.BaseMul(big.NewInt(12345))
 	aad := []byte("pm:fuzz")
@@ -25,11 +26,11 @@ func FuzzUnpack(f *testing.F) {
 		if !ok {
 			return
 		}
-		if !bytes.Equal(data, valid) {
-			t.Fatalf("forged blob %x opened", data)
-		}
 		if root.Cmp(big.NewInt(12345)) != 0 || string(payload) != "payload" {
-			t.Fatal("sealed blob opened to other contents")
+			t.Fatalf("blob %x opened to other contents", data)
+		}
+		if len(data) != len(valid) {
+			t.Fatalf("forged blob %x opened", data)
 		}
 	})
 }

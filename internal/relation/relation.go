@@ -374,14 +374,19 @@ func EncodeTupleSet(tuples []Tuple) []byte {
 
 // DecodeTupleSet parses an EncodeTupleSet blob against a schema.
 func DecodeTupleSet(s Schema, b []byte) ([]Tuple, error) {
-	n, k := binary.Uvarint(b)
+	n, k := minimalUvarint(b)
 	if k <= 0 {
 		return nil, fmt.Errorf("relation: decode tuple set: bad count")
 	}
 	b = b[k:]
+	// Every entry takes at least its one-byte length: a count beyond the
+	// remaining bytes is a lie, and must not size the allocation.
+	if n > uint64(len(b)) {
+		return nil, fmt.Errorf("relation: decode tuple set: %d entries in %d bytes", n, len(b))
+	}
 	out := make([]Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
-		l, k := binary.Uvarint(b)
+		l, k := minimalUvarint(b)
 		if k <= 0 || uint64(len(b[k:])) < l {
 			return nil, fmt.Errorf("relation: decode tuple set: truncated entry %d", i)
 		}
@@ -396,4 +401,15 @@ func DecodeTupleSet(s Schema, b []byte) ([]Tuple, error) {
 		return nil, fmt.Errorf("relation: decode tuple set: %d trailing bytes", len(b))
 	}
 	return out, nil
+}
+
+// minimalUvarint is binary.Uvarint accepting only the shortest encoding
+// (a multi-byte varint whose last byte is zero is padded), so a tuple set
+// has exactly one encoding, as its values do.
+func minimalUvarint(b []byte) (uint64, int) {
+	n, k := binary.Uvarint(b)
+	if k > 1 && b[k-1] == 0 {
+		return 0, 0
+	}
+	return n, k
 }

@@ -360,11 +360,14 @@ func (p *parser) parseQuery() (*Query, error) {
 			for i := range step.OnLeft {
 				l, r := step.OnLeft[i], step.OnRight[i]
 				// Normalize: the column qualified by (or belonging to) the
-				// left relation goes into JoinLeft.
-				if rel, _, ok := qualifier(l); ok && rel == q.Right {
-					l, r = r, l
-				} else if rel, _, ok := qualifier(r); ok && rel == q.Left {
-					l, r = r, l
+				// left relation goes into JoinLeft. A self-join has no
+				// side to prefer, so its pairs keep their written order.
+				if q.Left != q.Right {
+					if rel, _, ok := qualifier(l); ok && rel == q.Right {
+						l, r = r, l
+					} else if rel, _, ok := qualifier(r); ok && rel == q.Left {
+						l, r = r, l
+					}
 				}
 				q.JoinLeft = append(q.JoinLeft, l)
 				q.JoinRight = append(q.JoinRight, r)
