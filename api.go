@@ -120,7 +120,8 @@ type (
 	Requirement = credential.Requirement
 	// RowFilter is a row-level policy restriction.
 	RowFilter = credential.RowFilter
-	// Ledger records leakage and primitive usage.
+	// Ledger records what each party learns and the primitives it
+	// applies: the paper's Tables 1 and 2.
 	Ledger = leakage.Ledger
 	// JoinSpec describes a synthetic join workload.
 	JoinSpec = workload.JoinSpec

@@ -10,6 +10,7 @@ import (
 	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/mediation"
+	"github.com/secmediation/secmediation/internal/telemetry"
 	"github.com/secmediation/secmediation/internal/workload"
 )
 
@@ -60,14 +61,47 @@ func (h *harness) params() mediation.Params {
 // generated relations.
 const joinSQL = "SELECT * FROM R1 JOIN R2 ON R1.id = R2.id"
 
-// run executes one instrumented query and returns its ledger and the wall
-// time of the query itself. Every run is checked against the plaintext
-// baseline evaluating the same query on the same network: a table row is
-// only printed for a run that returned exactly the plaintext join.
-func (h *harness) run(query string, proto mediation.Protocol, params mediation.Params) (*leakage.Ledger, time.Duration, error) {
+// measurement is one checked run: its ledger (what each party learns and
+// the primitives it applies, Tables 1–2), its telemetry registry (the
+// Section 6 cost: phase spans and link counters) and the wall time of the
+// query itself.
+type measurement struct {
+	ledger *leakage.Ledger
+	reg    *telemetry.Registry
+	wall   time.Duration
+}
+
+// deliveryPhases are the phases in which a party computes; its compute
+// time is the sum of their spans, time blocked on the network excluded.
+var deliveryPhases = []string{telemetry.PhaseTranslate, telemetry.PhaseSourceEncrypt,
+	telemetry.PhaseCrossEncrypt, telemetry.PhaseMatch, telemetry.PhasePostFilter}
+
+// compute returns the parties' summed delivery-phase compute time.
+func (m measurement) compute(parties ...string) time.Duration {
+	var total time.Duration
+	for _, party := range parties {
+		for _, phase := range deliveryPhases {
+			d, _ := m.reg.PhaseTotal(party, phase)
+			total += d
+		}
+	}
+	return total
+}
+
+// clientLink reads one transport counter of the client's link to the
+// mediator.
+func (m measurement) clientLink(counter string) int64 {
+	return m.reg.Counter(counter, "party", leakage.PartyClient, "peer", "mediator").Value()
+}
+
+// run executes one instrumented query and returns its measurement. Every
+// run is checked against the plaintext baseline evaluating the same query
+// on the same network: a table row is only printed for a run that
+// returned exactly the plaintext join.
+func (h *harness) run(query string, proto mediation.Protocol, params mediation.Params) (measurement, error) {
 	r1, r2, err := h.spec.Generate()
 	if err != nil {
-		return nil, 0, err
+		return measurement{}, err
 	}
 	policy := func(rel string) *credential.Policy {
 		return &credential.Policy{Relation: rel,
@@ -82,28 +116,30 @@ func (h *harness) run(query string, proto mediation.Protocol, params mediation.P
 	med := &mediation.Mediator{}
 	n, err := mediation.NewNetwork(h.client, med, s1, s2)
 	if err != nil {
-		return nil, 0, err
+		return measurement{}, err
 	}
-	// The reference runs before the ledger is attached (h.client is shared
-	// across runs), so the ledger records the measured run only.
-	h.client.Ledger = nil
+	// The reference runs before the ledger and the registry are attached
+	// (h.client is shared across runs), so they record the measured run
+	// only.
+	h.client.Ledger, h.client.Telemetry = nil, nil
 	want, err := n.Query(query, mediation.ProtocolPlaintext, params)
 	if err != nil {
-		return nil, 0, fmt.Errorf("plaintext reference: %w", err)
+		return measurement{}, fmt.Errorf("plaintext reference: %w", err)
 	}
-	ledger := leakage.NewLedger()
-	h.client.Ledger, med.Ledger, s1.Ledger, s2.Ledger = ledger, ledger, ledger, ledger
+	m := measurement{ledger: leakage.NewLedger(), reg: telemetry.NewRegistry()}
+	h.client.Ledger, med.Ledger, s1.Ledger, s2.Ledger = m.ledger, m.ledger, m.ledger, m.ledger
+	n.SetTelemetry(m.reg)
 	start := time.Now()
 	got, err := n.Query(query, proto, params)
-	wall := time.Since(start)
+	m.wall = time.Since(start)
 	if err != nil {
-		return nil, 0, err
+		return measurement{}, err
 	}
 	if !got.EqualMultiset(want) {
-		return nil, 0, fmt.Errorf("%v returned %d tuples that are not the plaintext join (%d tuples) of %q",
+		return measurement{}, fmt.Errorf("%v returned %d tuples that are not the plaintext join (%d tuples) of %q",
 			proto, got.Len(), want.Len(), query)
 	}
-	return ledger, wall, nil
+	return m, nil
 }
 
 var secureProtocols = []mediation.Protocol{
@@ -116,30 +152,25 @@ func (h *harness) table1() error {
 	fmt.Println("Table 1 — extra information disclosed to client and mediator")
 	rows := [][]string{{"protocol", "client learns", "mediator learns"}}
 	for _, proto := range secureProtocols {
-		ledger, _, err := h.run(joinSQL, proto, h.params())
+		m, err := h.run(joinSQL, proto, h.params())
 		if err != nil {
 			return err
 		}
 		rows = append(rows, []string{proto.String(),
-			describe(ledger.ObservedItems(leakage.PartyClient)),
-			describe(ledger.ObservedItems(leakage.PartyMediator))})
+			describe(m.ledger.ObservedItems(leakage.PartyClient)),
+			describe(m.ledger.ObservedItems(leakage.PartyMediator))})
 	}
 	printAligned(rows)
 	return nil
 }
 
-// describe renders the leakage items of one party, skipping the traffic
-// and timing bookkeeping entries.
+// describe renders the leakage items of one party. The DAS client's
+// false-positive count is left out: it follows from superset-size and
+// the result the client holds.
 func describe(items map[string]int64) string {
-	skip := map[string]bool{
-		"bytes-sent": true, "bytes-received": true, "interactions-with-mediator": true,
-		"bytes-to-client": true, "bytes-from-client": true, "bytes-to-sources": true,
-		"bytes-from-sources": true, "msgs-with-client": true, "msgs-with-sources": true,
-		"compute-ns": true, "false-positives-discarded": true,
-	}
 	var parts []string
 	for _, k := range sortedKeys(items) {
-		if skip[k] {
+		if k == "false-positives-discarded" {
 			continue
 		}
 		parts = append(parts, fmt.Sprintf("%s=%d", k, items[k]))
@@ -164,12 +195,12 @@ func (h *harness) table2() error {
 	rows := [][]string{{"protocol", "primitives (beyond credentials + hybrid encryption)"}}
 	core := map[string]bool{"hybrid-encryption": true, "hybrid-decryption": true}
 	for _, proto := range secureProtocols {
-		ledger, _, err := h.run(joinSQL, proto, h.params())
+		m, err := h.run(joinSQL, proto, h.params())
 		if err != nil {
 			return err
 		}
 		var prims []string
-		for _, p := range ledger.AllPrimitives() {
+		for _, p := range m.ledger.AllPrimitives() {
 			if core[p] {
 				continue
 			}
@@ -188,42 +219,37 @@ func (h *harness) table2() error {
 	return nil
 }
 
-// table3 is the Section 6 cost matrix: per-party compute time, traffic and
-// interaction counts, plus what the client has to post-process.
+// table3 is the Section 6 cost matrix: per-party compute time (phase
+// spans), the client's traffic and interaction counts (link counters),
+// plus what the client has to post-process (ledger).
 func (h *harness) table3() error {
 	fmt.Println("Section 6 — cost matrix (measured)")
 	rows := [][]string{{"protocol", "wall", "client compute", "mediator compute",
 		"sources compute", "client<->mediator msgs", "bytes to client", "client receives"}}
 	protos := append([]mediation.Protocol{mediation.ProtocolPlaintext, mediation.ProtocolMobileCode}, secureProtocols...)
 	for _, proto := range protos {
-		ledger, wall, err := h.run(joinSQL, proto, h.params())
+		m, err := h.run(joinSQL, proto, h.params())
 		if err != nil {
 			return err
 		}
-		clientNs, _ := ledger.Observed(leakage.PartyClient, "compute-ns")
-		medNs, _ := ledger.Observed(leakage.PartyMediator, "compute-ns")
-		s1Ns, _ := ledger.Observed(leakage.PartySource("S1"), "compute-ns")
-		s2Ns, _ := ledger.Observed(leakage.PartySource("S2"), "compute-ns")
-		msgs, _ := ledger.Observed(leakage.PartyClient, "interactions-with-mediator")
-		bytesToClient, _ := ledger.Observed(leakage.PartyClient, "bytes-received")
 		receives := "exact result"
-		if superset, ok := ledger.Observed(leakage.PartyClient, "superset-size"); ok {
+		if superset, ok := m.ledger.Observed(leakage.PartyClient, "superset-size"); ok {
 			receives = fmt.Sprintf("superset (%d pairs for %d result tuples)", superset, h.joinSize)
 		}
-		if enc, ok := ledger.Observed(leakage.PartyClient, "encrypted-values-received"); ok {
+		if enc, ok := m.ledger.Observed(leakage.PartyClient, "encrypted-values-received"); ok {
 			receives = fmt.Sprintf("n+m=%d encrypted values, opens matches only", enc)
 		}
-		if tuples, ok := ledger.Observed(leakage.PartyClient, "tuples-received"); ok {
+		if tuples, ok := m.ledger.Observed(leakage.PartyClient, "tuples-received"); ok {
 			receives = fmt.Sprintf("both partial results (%d tuples)", tuples)
 		}
 		rows = append(rows, []string{
 			proto.String(),
-			wall.Round(time.Millisecond).String(),
-			time.Duration(clientNs).Round(time.Microsecond).String(),
-			time.Duration(medNs).Round(time.Microsecond).String(),
-			time.Duration(s1Ns + s2Ns).Round(time.Microsecond).String(),
-			fmt.Sprint(msgs),
-			fmt.Sprint(bytesToClient),
+			m.wall.Round(time.Millisecond).String(),
+			m.compute(leakage.PartyClient).Round(time.Microsecond).String(),
+			m.compute(leakage.PartyMediator).Round(time.Microsecond).String(),
+			m.compute(leakage.PartySource("S1"), leakage.PartySource("S2")).Round(time.Microsecond).String(),
+			fmt.Sprint(m.clientLink("transport_msgs_sent") + m.clientLink("transport_msgs_recv")),
+			fmt.Sprint(m.clientLink("transport_bytes_recv")),
 			receives,
 		})
 	}
@@ -239,16 +265,15 @@ func (h *harness) table4() error {
 	for _, k := range []int{1, 2, 4, 8, 16, 32, 64} {
 		params := h.params()
 		params.Partitions = k
-		ledger, _, err := h.run(joinSQL, mediation.ProtocolDAS, params)
+		m, err := h.run(joinSQL, mediation.ProtocolDAS, params)
 		if err != nil {
 			return err
 		}
-		superset, _ := ledger.Observed(leakage.PartyClient, "superset-size")
-		fp, _ := ledger.Observed(leakage.PartyClient, "false-positives-discarded")
-		clientNs, _ := ledger.Observed(leakage.PartyClient, "compute-ns")
+		superset, _ := m.ledger.Observed(leakage.PartyClient, "superset-size")
+		fp, _ := m.ledger.Observed(leakage.PartyClient, "false-positives-discarded")
 		rows = append(rows, []string{
 			fmt.Sprint(k), fmt.Sprint(superset), fmt.Sprint(fp), fmt.Sprint(h.joinSize),
-			time.Duration(clientNs).Round(time.Microsecond).String(),
+			m.compute(leakage.PartyClient).Round(time.Microsecond).String(),
 		})
 	}
 	printAligned(rows)
@@ -284,17 +309,16 @@ func (h *harness) table5() error {
 		{"pm (footnote-2 sealed payloads)", mediation.ProtocolPM, pm},
 		{"pm + FNP buckets (b=8)", mediation.ProtocolPM, pmBuckets},
 	} {
-		ledger, wall, err := h.run(query, v.proto, v.params)
+		m, err := h.run(query, v.proto, v.params)
 		if err != nil {
 			return fmt.Errorf("variant %q: %w", v.name, err)
 		}
-		bytesToClient, _ := ledger.Observed(leakage.PartyClient, "bytes-received")
 		note := "exact result"
-		if superset, ok := ledger.Observed(leakage.PartyClient, "superset-size"); ok {
+		if superset, ok := m.ledger.Observed(leakage.PartyClient, "superset-size"); ok {
 			note = fmt.Sprintf("superset of %d pairs", superset)
 		}
-		rows = append(rows, []string{v.name, wall.Round(time.Millisecond).String(),
-			fmt.Sprint(bytesToClient), note})
+		rows = append(rows, []string{v.name, m.wall.Round(time.Millisecond).String(),
+			fmt.Sprint(m.clientLink("transport_bytes_recv")), note})
 	}
 	printAligned(rows)
 	return nil

@@ -624,7 +624,7 @@ func (h *harness) tableSoak(clients int, duration time.Duration, seed uint64, js
 	maxprocs := runtime.GOMAXPROCS(0)
 	fmt.Printf("Chaos soak — %d query streams × %v of seeded faults and source restarts (runner: %d core(s), GOMAXPROCS=%d, seed %d)\n",
 		clients, duration, cores, maxprocs, seed)
-	h.client.Ledger = nil
+	h.client.Ledger, h.client.Telemetry = nil, nil
 	params := h.params()
 	params.Timeout = soakTimeout
 

@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"time"
 
 	secmediation "github.com/secmediation/secmediation"
@@ -95,8 +96,14 @@ func main() {
 		}
 		fmt.Printf("== querying as rank=%s\n%s\n", rank, res.Sort())
 		fmt.Printf("what the untrusted mediator could observe:\n")
-		for item, v := range ledger.ObservedItems("mediator") {
-			fmt.Printf("  %s = %d\n", item, v)
+		items := ledger.ObservedItems("mediator")
+		keys := make([]string, 0, len(items))
+		for k := range items {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Printf("  %s = %d\n", k, items[k])
 		}
 		fmt.Println()
 	}

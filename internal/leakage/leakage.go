@@ -5,12 +5,15 @@
 // from the messages it sees and (b) every cryptographic primitive a party
 // applies. The medbench harness and the security tests read the ledger
 // back to regenerate and assert the tables.
+//
+// The ledger holds no cost. Compute time and traffic (the Section 6 cost
+// matrix) are the phase spans and transport counters of
+// internal/telemetry, and message sizes are held to the transcript-shape
+// tests.
 package leakage
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -144,47 +147,4 @@ func (l *Ledger) AllPrimitives() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// String renders the ledger for debugging and the medbench reports.
-func (l *Ledger) String() string {
-	if l == nil {
-		return "<nil ledger>"
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var b strings.Builder
-	var parties []string
-	for p := range l.observed {
-		parties = append(parties, p)
-	}
-	sort.Strings(parties)
-	for _, p := range parties {
-		items := l.observed[p]
-		var keys []string
-		for k := range items {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s observes %s = %d\n", p, k, items[k])
-		}
-	}
-	parties = parties[:0]
-	for p := range l.primitives {
-		parties = append(parties, p)
-	}
-	sort.Strings(parties)
-	for _, p := range parties {
-		prims := l.primitives[p]
-		var keys []string
-		for k := range prims {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s applies %s ×%d\n", p, k, prims[k])
-		}
-	}
-	return b.String()
 }

@@ -26,7 +26,8 @@ type Client struct {
 	PrivateKey *rsa.PrivateKey
 	// Credentials is the credential set CR attached to queries.
 	Credentials credential.Set
-	// Ledger optionally records leakage and primitive usage.
+	// Ledger optionally records what this party learns and the
+	// primitives it applies (Tables 1 and 2).
 	Ledger *leakage.Ledger
 	// Telemetry optionally records phase spans and traffic metrics for
 	// this party.
@@ -80,6 +81,9 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 			return nil, err
 		}
 	}
+	// The session's traffic counts on every exit from here on, aborts
+	// included.
+	defer trafficCounters(c.Telemetry, leakage.PartyClient, "mediator", conn.Stats())
 	if err := sendMsg(conn, "mediator", msgRequest, req); err != nil {
 		return nil, c.abort(conn, err)
 	}
@@ -87,8 +91,7 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	root.Annotate("protocol", proto.String())
 	annotateSession(root, conn)
 	defer root.End()
-	watch := newStopwatch(c.Ledger, leakage.PartyClient)
-	watch.attach(root)
+	watch := &stopwatch{party: leakage.PartyClient, root: root}
 	var joined *relation.Relation
 	var schema2 relation.Schema
 	var joinCols2 []string
@@ -109,7 +112,6 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	if err != nil {
 		return nil, c.abort(conn, err)
 	}
-	c.recordTraffic(conn)
 	if q.Aggregate != nil {
 		// The source already applied the WHERE clause and folded the rows.
 		return joined, nil
@@ -126,16 +128,6 @@ func (c *Client) abort(conn transport.Conn, err error) error {
 	countTimeout(c.Telemetry, leakage.PartyClient, err)
 	sendError(conn, leakage.PartyClient, err)
 	return err
-}
-
-func (c *Client) recordTraffic(conn transport.Conn) {
-	trafficCounters(c.Telemetry, leakage.PartyClient, "mediator", conn.Stats())
-	if c.Ledger == nil {
-		return
-	}
-	c.Ledger.Observe(leakage.PartyClient, "bytes-sent", conn.Stats().BytesSent())
-	c.Ledger.Observe(leakage.PartyClient, "bytes-received", conn.Stats().BytesRecv())
-	c.Ledger.Observe(leakage.PartyClient, "interactions-with-mediator", conn.Stats().MsgsSent()+conn.Stats().MsgsRecv())
 }
 
 // Intersect computes the set intersection of two relations with identical

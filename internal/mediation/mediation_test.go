@@ -3,6 +3,7 @@ package mediation
 import (
 	"crypto/rsa"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/pm"
 	rel "github.com/secmediation/secmediation/internal/relation"
+	"github.com/secmediation/secmediation/internal/telemetry"
 )
 
 // fixture holds a ready-made credential world shared across tests (key
@@ -497,18 +499,63 @@ func TestSourceLeakage(t *testing.T) {
 	}
 }
 
+// The ledger holds Tables 1 and 2 only: each party's observed items are
+// exactly those its protocol declares, with no cost or traffic entries
+// beside them.
+func TestLedgerHoldsOnlyTable1Items(t *testing.T) {
+	none := []string{}
+	for _, tc := range []struct {
+		proto                    Protocol
+		client, mediator, source []string
+	}{
+		{ProtocolPlaintext, none, []string{"plaintext-tuples-seen"}, none},
+		{ProtocolMobileCode, []string{"tuples-received"}, []string{"|R1|", "|R2|"}, none},
+		{ProtocolDAS, []string{"false-positives-discarded", "index-table-partitions", "superset-size"},
+			[]string{"|R1|", "|R2|", "|RC|"}, none},
+		{ProtocolCommutative, []string{"result-tuples"},
+			[]string{"|domactive(R1) ∩ domactive(R2)|", "|domactive(R1.Ajoin)|", "|domactive(R2.Ajoin)|"},
+			[]string{"|domactive(opposite)|"}},
+		{ProtocolPM, []string{"encrypted-values-received", "result-tuples"},
+			[]string{"buckets(R1.Ajoin)", "buckets(R2.Ajoin)", "max-bucket-load(R1.Ajoin)", "max-bucket-load(R2.Ajoin)"},
+			[]string{"buckets(opposite)", "max-bucket-load(opposite)"}},
+	} {
+		ledger := leakage.NewLedger()
+		n := newTestNetwork(t, ledger)
+		if _, err := n.Query(fixtureSQL, tc.proto, fastParams()); err != nil {
+			t.Fatal(err)
+		}
+		for party, want := range map[string][]string{
+			leakage.PartyClient:       tc.client,
+			leakage.PartyMediator:     tc.mediator,
+			leakage.PartySource("S1"): tc.source,
+			leakage.PartySource("S2"): tc.source,
+		} {
+			var got []string
+			for item := range ledger.ObservedItems(party) {
+				got = append(got, item)
+			}
+			sort.Strings(got)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%v: %s observed %v, want exactly %v", tc.proto, party, got, want)
+			}
+		}
+	}
+}
+
 // Section 6: the DAS client interacts twice with the mediator (query +
 // server-query), the other protocols once.
 func TestClientInteractionCounts(t *testing.T) {
 	counts := map[Protocol]int64{}
 	for _, proto := range []Protocol{ProtocolDAS, ProtocolCommutative, ProtocolPM} {
-		ledger := leakage.NewLedger()
-		n := newTestNetwork(t, ledger)
+		n := newTestNetwork(t, nil)
+		reg := telemetry.NewRegistry()
+		n.SetTelemetry(reg)
 		if _, err := n.Query(fixtureSQL, proto, fastParams()); err != nil {
 			t.Fatal(err)
 		}
-		v, _ := ledger.Observed(leakage.PartyClient, "interactions-with-mediator")
-		counts[proto] = v
+		for _, c := range []string{"transport_msgs_sent", "transport_msgs_recv"} {
+			counts[proto] += reg.Counter(c, "party", leakage.PartyClient, "peer", "mediator").Value()
+		}
 	}
 	// DAS: request + server query sent, index tables + result received = 4.
 	if counts[ProtocolDAS] != 4 {

@@ -36,7 +36,8 @@ type Mediator struct {
 	// matching credentials (Listing 1, step 2: "selects appropriate
 	// subsets CR_i"). Relations without hints receive the full set.
 	CredHints map[string][]string
-	// Ledger optionally records leakage, primitive usage and traffic.
+	// Ledger optionally records what this party learns and the
+	// primitives it applies (Tables 1 and 2).
 	Ledger *leakage.Ledger
 	// Telemetry optionally records phase spans and traffic metrics for
 	// this party.
@@ -51,6 +52,9 @@ type Mediator struct {
 //
 // seclint:entry mediator
 func (m *Mediator) HandleSession(client transport.Conn) error {
+	// Deferred, so the client link counts on every exit, the error frame
+	// of an aborted session included.
+	defer trafficCounters(m.Telemetry, leakage.PartyMediator, "client", client.Stats())
 	err := m.handleSession(client)
 	if err != nil {
 		err = attribute(leakage.PartyMediator, "", err)
@@ -85,15 +89,15 @@ func (m *Mediator) handleSession(client transport.Conn) error {
 	querying := root.Start(telemetry.PhaseQuerying)
 	d, conns, err := m.requestPhase(&req)
 	querying.End()
-	for _, c := range conns {
+	for i, c := range conns {
 		defer c.Close()
+		defer trafficCounters(m.Telemetry, leakage.PartyMediator, "source:"+d.relations()[i], c.Stats())
 	}
 	if err != nil {
 		return err
 	}
 
-	watch := newStopwatch(m.Ledger, leakage.PartyMediator)
-	watch.attach(root)
+	watch := &stopwatch{party: leakage.PartyMediator, root: root}
 	switch {
 	case d.protocol == ProtocolPlaintext:
 		err = m.mediatePlaintext(client, conns[0], conns[1], d, watch)
@@ -111,10 +115,8 @@ func (m *Mediator) handleSession(client transport.Conn) error {
 	if err != nil {
 		// Unblock sources that may still be waiting mid-protocol.
 		abortLinks(err, conns...)
-		return err
 	}
-	m.recordTraffic(client, d, conns)
-	return nil
+	return err
 }
 
 // requestPhase runs Listing 1, steps 2–4, for a join, a union and an
@@ -122,8 +124,9 @@ func (m *Mediator) handleSession(client transport.Conn) error {
 // source of each relation it reads, ship each partial query q_i with its
 // credential subset CR_i and join attribute set A_i, and collect the
 // authorization answers. It returns one live link per relation of d, in
-// d.relations() order, with the authorized schemas recorded in d. The
-// caller closes the links it returns, on error too.
+// d.relations() order, with the authorized schemas recorded in d. It
+// returns d with any link it returns, and the caller closes the links on
+// error too.
 func (m *Mediator) requestPhase(req *Request) (*decomposition, []transport.Conn, error) {
 	d, err := decompose(req.SQL, m.Schemas)
 	if err != nil {
@@ -143,7 +146,7 @@ func (m *Mediator) requestPhase(req *Request) (*decomposition, []transport.Conn,
 	for i, dial := range dials {
 		conn, err := dial()
 		if err != nil {
-			return nil, conns, &ProtocolError{Party: "source:" + rels[i], Err: fmt.Errorf("dialing: %w", err)}
+			return d, conns, &ProtocolError{Party: "source:" + rels[i], Err: fmt.Errorf("dialing: %w", err)}
 		}
 		if req.Params.Timeout > 0 {
 			conn.SetTimeout(req.Params.Timeout)
@@ -152,7 +155,7 @@ func (m *Mediator) requestPhase(req *Request) (*decomposition, []transport.Conn,
 	}
 	session, err := newSessionID()
 	if err != nil {
-		return nil, conns, err
+		return d, conns, err
 	}
 	for i, rel := range rels {
 		pq := PartialQuery{
@@ -171,21 +174,21 @@ func (m *Mediator) requestPhase(req *Request) (*decomposition, []transport.Conn,
 		}
 		if err := sendMsg(conns[i], "source:"+rel, msgPartialQuery, pq); err != nil {
 			abortLinks(err, without(conns, i)...)
-			return nil, conns, err
+			return d, conns, err
 		}
 	}
 	acks := make([]PartialAck, len(rels))
 	for i, rel := range rels {
 		if err := recvInto(conns[i], "source:"+rel, msgPartialAck, &acks[i]); err != nil {
 			abortLinks(err, without(conns, i)...)
-			return nil, conns, err
+			return d, conns, err
 		}
 	}
 	for i, rel := range rels {
 		if !acks[i].Granted {
 			err := fmt.Errorf("mediation: access to %s denied: %s", rel, acks[i].Reason)
 			abortLinks(err, conns...)
-			return nil, conns, err
+			return d, conns, err
 		}
 	}
 	d.schema1 = acks[0].Schema
@@ -219,29 +222,6 @@ func (m *Mediator) selectCredentials(rel string, all credential.Set) credential.
 		}
 	}
 	return out
-}
-
-// recordTraffic exports the session's link counters: telemetry counters
-// per link, and ledger totals with the client and over all source links.
-func (m *Mediator) recordTraffic(client transport.Conn, d *decomposition, sources []transport.Conn) {
-	trafficCounters(m.Telemetry, leakage.PartyMediator, "client", client.Stats())
-	var toSources, fromSources, msgsWithSources int64
-	for i, rel := range d.relations() {
-		st := sources[i].Stats()
-		trafficCounters(m.Telemetry, leakage.PartyMediator, "source:"+rel, st)
-		toSources += st.BytesSent()
-		fromSources += st.BytesRecv()
-		msgsWithSources += st.MsgsSent() + st.MsgsRecv()
-	}
-	if m.Ledger == nil {
-		return
-	}
-	m.Ledger.Observe(leakage.PartyMediator, "bytes-to-client", client.Stats().BytesSent())
-	m.Ledger.Observe(leakage.PartyMediator, "bytes-from-client", client.Stats().BytesRecv())
-	m.Ledger.Observe(leakage.PartyMediator, "bytes-to-sources", toSources)
-	m.Ledger.Observe(leakage.PartyMediator, "bytes-from-sources", fromSources)
-	m.Ledger.Observe(leakage.PartyMediator, "msgs-with-client", client.Stats().MsgsSent()+client.Stats().MsgsRecv())
-	m.Ledger.Observe(leakage.PartyMediator, "msgs-with-sources", msgsWithSources)
 }
 
 func newSessionID() (string, error) {

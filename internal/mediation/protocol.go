@@ -432,43 +432,23 @@ func recvInto(conn transport.Conn, peer, typ string, v any) error {
 	return nil
 }
 
-// stopwatch accumulates a party's active compute time into the ledger
-// (item "compute-ns"), excluding time spent blocked on the network. The
-// Section 6 cost matrix reads these. When a telemetry root span is
-// attached, tracked work additionally becomes named child spans of that
-// root — the per-phase cost breakdown.
+// stopwatch runs a party's delivery-phase work as named telemetry spans:
+// each phase becomes a child span of the attached session root, so a
+// party's compute time is the sum of its phase spans (time blocked on the
+// network falls between phases). With no root attached the span calls
+// are nil no-ops.
 type stopwatch struct {
-	ledger *leakage.Ledger
-	party  string
-	total  time.Duration
-	root   *telemetry.Span
+	party string
+	root  *telemetry.Span
 }
 
-func newStopwatch(l *leakage.Ledger, party string) *stopwatch {
-	return &stopwatch{ledger: l, party: party}
-}
-
-// attach nests subsequent phase calls under the given root span. A nil
-// root (telemetry off) keeps the stopwatch ledger-only.
-func (s *stopwatch) attach(root *telemetry.Span) { s.root = root }
-
-// track runs f while accumulating its duration.
-func (s *stopwatch) track(f func() error) error {
-	start := time.Now()
-	err := f()
-	s.total += time.Since(start)
-	s.ledger.Observe(s.party, "compute-ns", s.total.Nanoseconds())
-	return err
-}
-
-// phase runs f as one named telemetry phase (a child span of the attached
-// root) while also accumulating compute time like track. With no root
-// attached the span calls are nil no-ops. A failing phase aborts the
-// protocol: the error is attributed to this party and phase (unless it
-// already carries an origin attribution from a peer).
+// phase runs f as one named telemetry phase (a child span of the root).
+// A failing phase aborts the protocol: the error is attributed to this
+// party and phase (unless it already carries an origin attribution from
+// a peer).
 func (s *stopwatch) phase(name string, f func() error) error {
 	sp := s.root.Start(name)
-	err := s.track(f)
+	err := f()
 	sp.End()
 	return attribute(s.party, name, err)
 }

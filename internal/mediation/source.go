@@ -31,7 +31,8 @@ type Source struct {
 	Policies map[string]*credential.Policy
 	// TrustedCAs are the certification-authority keys this source accepts.
 	TrustedCAs []*rsa.PublicKey
-	// Ledger optionally records leakage and primitive usage.
+	// Ledger optionally records what this party learns and the
+	// primitives it applies (Tables 1 and 2).
 	Ledger *leakage.Ledger
 	// Telemetry optionally records phase spans and traffic metrics for
 	// this party.
@@ -142,8 +143,7 @@ func (s *Source) Serve(conn transport.Conn) error {
 	annotateSession(root, conn)
 	defer root.End()
 	defer trafficCounters(s.Telemetry, s.party(), "mediator", conn.Stats())
-	watch := newStopwatch(s.Ledger, s.party())
-	watch.attach(root)
+	watch := &stopwatch{party: s.party(), root: root}
 	switch {
 	case pq.Protocol == ProtocolPlaintext:
 		err = s.servePlaintext(conn, rel)

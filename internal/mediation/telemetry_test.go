@@ -7,6 +7,7 @@ import (
 
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/telemetry"
+	"github.com/secmediation/secmediation/internal/transport"
 )
 
 // wantPhases lists, per protocol, which (party, phase) pairs a run must
@@ -191,6 +192,38 @@ func TestTrafficCountersAccumulate(t *testing.T) {
 	}
 	if got := sent.Value(); got != 2*first {
 		t.Fatalf("transport_bytes_sent{mediator,client} = %d after two identical queries, want %d", got, 2*first)
+	}
+}
+
+// An aborted session counts its traffic too. A source that never
+// answers makes the mediator abort and report the error to the client;
+// the request, the partial query and the error frame all show in the
+// transport counters of the parties that sent them.
+func TestAbortedSessionCountsTraffic(t *testing.T) {
+	n := newTestNetwork(t, nil)
+	reg := telemetry.NewRegistry()
+	n.SetTelemetry(reg)
+	defer n.SetTelemetry(nil)
+	n.Mediator.Routes["R1"] = func() (transport.Conn, error) {
+		a, _ := transport.Pair() // nobody ever serves the far end
+		// The query carries no deadline, so only the mediator's wait on
+		// this link times out and the client hears why.
+		a.SetTimeout(100 * time.Millisecond)
+		return a, nil
+	}
+	if _, err := n.Query(fixtureSQL, ProtocolPlaintext, fastParams()); err == nil {
+		t.Fatal("query succeeded against a silent source")
+	}
+	for _, c := range []struct{ name, party, peer string }{
+		{"transport_bytes_sent", leakage.PartyClient, "mediator"},
+		{"transport_bytes_recv", leakage.PartyClient, "mediator"},
+		{"transport_bytes_recv", leakage.PartyMediator, "client"},
+		{"transport_bytes_sent", leakage.PartyMediator, "client"},
+		{"transport_bytes_sent", leakage.PartyMediator, "source:R1"},
+	} {
+		if got := reg.Counter(c.name, "party", c.party, "peer", c.peer).Value(); got <= 0 {
+			t.Errorf("%s{party=%s,peer=%s} = %d after an aborted query, want > 0", c.name, c.party, c.peer, got)
+		}
 	}
 }
 
