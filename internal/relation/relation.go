@@ -170,7 +170,8 @@ func (r *Relation) Sort() *Relation {
 
 // EqualMultiset reports whether two relations contain the same tuples with
 // the same multiplicities, regardless of order. Schemas must be compatible
-// (Equal). It does not mutate either relation.
+// (Equal). Tuples match as Sort orders them, so a FLOAT NaN matches NaN,
+// as it does in a join. It does not mutate either relation.
 func (r *Relation) EqualMultiset(o *Relation) bool {
 	if !r.schema.Equal(o.schema) || len(r.tuples) != len(o.tuples) {
 		return false
@@ -178,7 +179,7 @@ func (r *Relation) EqualMultiset(o *Relation) bool {
 	a := r.Clone().Sort()
 	b := o.Clone().Sort()
 	for i := range a.tuples {
-		if !a.tuples[i].Equal(b.tuples[i]) {
+		if a.tuples[i].Compare(b.tuples[i]) != 0 {
 			return false
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // The mux frame header lives in the transport.Message type tag, so a
-// multiplexed link reuses the existing gob stream unchanged and the
+// multiplexed link reuses the transport's frames unchanged and the
 // per-link wire-byte accounting automatically includes the mux
 // overhead. The format is
 //

@@ -8,10 +8,10 @@
 //
 //   - A Mux turns one transport.Conn into many virtual links. Each frame
 //     carries a session ID and an opcode (open/data/close/reject) in the
-//     message type header; payload bodies travel untouched, so the gob
-//     stream underneath never re-encodes. Open and Accept return *Stream
-//     values satisfying transport.Conn — every protocol in
-//     internal/mediation runs over a session unchanged.
+//     message type header; payload bodies travel untouched, so the
+//     transport frame underneath never re-encodes them. Open and Accept
+//     return *Stream values satisfying transport.Conn — every protocol
+//     in internal/mediation runs over a session unchanged.
 //
 //   - A Gate is the admission controller: a bounded semaphore with a
 //     bounded wait queue. When both are full, new sessions are rejected

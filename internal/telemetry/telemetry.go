@@ -23,10 +23,9 @@
 //     the totals at creation time, so its snapshot reports the delta —
 //     the operations of *this* run.
 //
-// Registries may be carried inside gob-encoded protocol parameters
-// (mediation.Params). A registry never travels: it gob-encodes to
-// nothing and decodes to an inert registry, because telemetry is a
-// per-party, per-process concern — each party observes its own run.
+// A registry never travels on a link: telemetry is a per-party,
+// per-process concern — each party attaches its own and observes its
+// own run.
 package telemetry
 
 import (

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -133,82 +134,132 @@ func TestTCPCleanCloseEOF(t *testing.T) {
 	}
 }
 
+// frameHeaderBytes hand-builds a frame header: a type tag of typeLen
+// bytes and a body of bodyLen bytes follow it.
+func frameHeaderBytes(typeLen uint16, bodyLen uint32) []byte {
+	return []byte{byte(typeLen >> 8), byte(typeLen),
+		byte(bodyLen >> 24), byte(bodyLen >> 16), byte(bodyLen >> 8), byte(bodyLen)}
+}
+
+// TestTCPRecvErrorWrapped closes the stream inside a frame — after a
+// plausible header and some garbage, or inside the header itself. That
+// is a cut frame, not an orderly shutdown: Recv must not report bare
+// io.EOF, must wrap the failure as a transport error, and must keep
+// returning it.
 func TestTCPRecvErrorWrapped(t *testing.T) {
-	p1, p2 := net.Pipe()
-	c := WrapNetConn(p2)
-	defer c.Close()
-	go func() {
-		// A plausible frame header followed by garbage: the decoder fails
-		// mid-frame, which must surface as a wrapped transport error.
-		p1.Write([]byte{0x04, 0xff, 0xff, 0xff, 0xff})
-		p1.Close()
-	}()
-	_, err := c.Recv()
-	if err == nil || err == io.EOF {
-		t.Fatalf("garbage stream decoded: %v", err)
-	}
-	if !strings.Contains(err.Error(), "transport: tcp recv:") {
-		t.Errorf("decode error not wrapped: %v", err)
+	for name, stream := range map[string][]byte{
+		"body":   append(frameHeaderBytes(4, 64), 0xff, 0xff, 0xff, 0xff),
+		"header": frameHeaderBytes(1, 1)[:3],
+	} {
+		t.Run(name, func(t *testing.T) {
+			p1, p2 := net.Pipe()
+			c := WrapNetConn(p2)
+			defer c.Close()
+			go func() {
+				p1.Write(stream)
+				p1.Close()
+			}()
+			_, err := c.Recv()
+			if err == io.EOF || !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("recv of a cut frame = %v, want io.ErrUnexpectedEOF", err)
+			}
+			if !strings.Contains(err.Error(), "transport: tcp recv:") {
+				t.Errorf("recv error not wrapped: %v", err)
+			}
+			if _, again := c.Recv(); again == nil || again.Error() != err.Error() {
+				t.Errorf("second recv = %v, want the sticky %v", again, err)
+			}
+		})
 	}
 }
 
 // TestTCPMidFrameTimeoutPoisonsLink stalls the peer inside a frame: the
-// length prefix promises 64 bytes, 10 arrive. The stream position is
-// lost, so the failure must not read as an idle ErrTimeout (the session
-// mux would retry it forever); it is sticky, and stays a dead link that
-// a fresh dial can recover from (io.ErrUnexpectedEOF).
+// header promises 64 bytes, 10 arrive. The stream position is lost, so
+// the failure must not read as an idle ErrTimeout (the session mux would
+// retry it forever); it is sticky, and stays a dead link that a fresh
+// dial can recover from (io.ErrUnexpectedEOF). The second case stalls
+// inside the header itself.
 func TestTCPMidFrameTimeoutPoisonsLink(t *testing.T) {
-	p1, p2 := net.Pipe()
-	defer p1.Close()
-	c := WrapNetConn(p2)
-	defer c.Close()
-	c.SetTimeout(50 * time.Millisecond)
-	go func() {
-		p1.Write([]byte{64})
-		p1.Write(make([]byte, 10))
-	}()
-	_, err := c.Recv()
-	if err == nil || errors.Is(err, ErrTimeout) {
-		t.Fatalf("recv stalled mid-frame = %v, want a non-timeout link error", err)
-	}
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("recv stalled mid-frame = %v, want io.ErrUnexpectedEOF on the chain", err)
-	}
-	start := time.Now()
-	_, again := c.Recv()
-	if again == nil || again.Error() != err.Error() {
-		t.Errorf("second recv = %v, want the sticky %v", again, err)
-	}
-	if d := time.Since(start); d > 25*time.Millisecond {
-		t.Errorf("second recv took %v, want an immediate sticky error", d)
+	for name, stream := range map[string][]byte{
+		"body":   append(frameHeaderBytes(0, 64), make([]byte, 10)...),
+		"header": frameHeaderBytes(0, 64)[:3],
+	} {
+		t.Run(name, func(t *testing.T) {
+			p1, p2 := net.Pipe()
+			defer p1.Close()
+			c := WrapNetConn(p2)
+			defer c.Close()
+			c.SetTimeout(50 * time.Millisecond)
+			go p1.Write(stream)
+			_, err := c.Recv()
+			if err == nil || errors.Is(err, ErrTimeout) {
+				t.Fatalf("recv stalled mid-frame = %v, want a non-timeout link error", err)
+			}
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("recv stalled mid-frame = %v, want io.ErrUnexpectedEOF on the chain", err)
+			}
+			start := time.Now()
+			_, again := c.Recv()
+			if again == nil || again.Error() != err.Error() {
+				t.Errorf("second recv = %v, want the sticky %v", again, err)
+			}
+			if d := time.Since(start); d > 25*time.Millisecond {
+				t.Errorf("second recv took %v, want an immediate sticky error", d)
+			}
+		})
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Message size limit.
 
-// TestTCPOversizedHeader feeds a hand-built gob length prefix declaring a
-// terabyte-scale frame: Recv must reject it from the 7-byte header alone,
-// before any allocation, and the connection stays poisoned.
+// TestTCPOversizedHeader feeds hand-built headers whose declared frame
+// exceeds the limit — through the body length, and through the type
+// length alone. Recv must reject each from the 6-byte header, before
+// reading or allocating anything more, and the connection stays
+// poisoned.
 func TestTCPOversizedHeader(t *testing.T) {
+	for name, hdr := range map[string][]byte{
+		"body":     frameHeaderBytes(3, math.MaxUint32),
+		"type tag": frameHeaderBytes(math.MaxUint16, 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			p1, p2 := net.Pipe()
+			defer p1.Close()
+			c := WrapNetConnLimit(p2, 4096)
+			defer c.Close()
+			// The header is all the peer ever sends: a Recv that tried to
+			// read the declared frame would stall into a mid-frame timeout.
+			c.SetTimeout(2 * time.Second)
+			go p1.Write(hdr)
+			_, err := c.Recv()
+			if !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("recv of an oversized declared frame = %v, want ErrTooLarge", err)
+			}
+			if !strings.Contains(err.Error(), "transport: tcp recv:") {
+				t.Errorf("size error not wrapped: %v", err)
+			}
+			// Poisoned: the stream position inside the giant frame is lost.
+			if _, err := c.Recv(); !errors.Is(err, ErrTooLarge) {
+				t.Errorf("second recv = %v, want sticky ErrTooLarge", err)
+			}
+		})
+	}
+}
+
+// TestTCPSendRejectsUnframable pins that a type tag too long for its
+// 16-bit header field is refused with a typed error, not truncated.
+func TestTCPSendRejectsUnframable(t *testing.T) {
 	p1, p2 := net.Pipe()
-	c := WrapNetConnLimit(p2, 1<<20)
+	defer p2.Close()
+	c := WrapNetConn(p1)
 	defer c.Close()
-	go func() {
-		// Unsigned varint per gob: 0xfa = 256-6 → six big-endian bytes
-		// follow; value 1<<40.
-		p1.Write([]byte{0xfa, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00})
-	}()
-	_, err := c.Recv()
+	err := c.Send(Message{Type: strings.Repeat("t", math.MaxUint16+1)})
 	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("recv of declared 1 TiB frame = %v, want ErrTooLarge", err)
+		t.Errorf("send of a %d-byte type tag = %v, want ErrTooLarge", math.MaxUint16+1, err)
 	}
-	if !strings.Contains(err.Error(), "transport: tcp recv:") {
-		t.Errorf("size error not wrapped: %v", err)
-	}
-	// Poisoned: the stream position inside the giant frame is lost.
-	if _, err := c.Recv(); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("second recv = %v, want sticky ErrTooLarge", err)
+	if got := c.Stats().BytesSent(); got != 0 {
+		t.Errorf("refused send wrote %d bytes", got)
 	}
 }
 

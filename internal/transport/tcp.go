@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -13,57 +13,17 @@ import (
 	"time"
 )
 
-// DefaultMaxMessage is the inbound gob frame size limit applied by Dial,
-// Accept and WrapNetConn. Generous: the largest legitimate payloads (full
-// encrypted relations in the PM and commutative protocols) stay well
-// under it, while a hostile length prefix claiming gigabytes is rejected
-// before any allocation.
+// DefaultMaxMessage is the inbound frame size limit (type tag plus body
+// bytes) applied by Dial, Accept and WrapNetConn. Generous: the largest
+// legitimate payloads (full encrypted relations in the PM and
+// commutative protocols) stay well under it, while a hostile header
+// claiming gigabytes is rejected before any allocation.
 const DefaultMaxMessage = 256 << 20 // 256 MiB
 
-// countingWriter counts every byte that actually leaves for the wire —
-// including gob's type descriptors and frame headers, which
-// Message.Size() knows nothing about.
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
-}
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n.Add(int64(n))
-	return n, err
-}
-
-// countingReader counts every byte consumed from the wire. Frames are
-// read exactly (no read-ahead, see frameLimitReader), so after a message
-// is fully decoded the count covers everything the peer sent for it.
-type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (cr countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n.Add(int64(n))
-	return n, err
-}
-
-// frameLimitReader sits between the wire and the gob decoder. It parses
-// gob's own framing — an unsigned varint byte count followed by that many
-// bytes — and rejects frames whose declared size exceeds max BEFORE
-// reading or allocating the body, so a hostile length prefix cannot OOM
-// the receiving party (gob itself allocates up to 1 GiB on trust).
-//
-// It implements io.ByteReader so the gob decoder uses it directly instead
-// of wrapping it in a read-ahead bufio.Reader; reads therefore consume
-// the underlying stream exactly frame by frame, which keeps the counting
-// reader's wire-byte accounting exact.
-type frameLimitReader struct {
-	r   io.Reader
-	max int64
-	buf []byte // unread remainder of the current frame
-	err error  // sticky: set once the stream position is unrecoverable
-}
+// frameHeader is the length of the header in front of every frame on a
+// TCP link: the type tag's length as a big-endian uint16, then the
+// body's length as a big-endian uint32. The tag and the body follow.
+const frameHeader = 6
 
 // midFrame renders a read failure inside a frame for the sticky error.
 // A clean EOF becomes io.ErrUnexpectedEOF so it is never mistaken for an
@@ -82,94 +42,15 @@ func midFrame(err error) error {
 	return err
 }
 
-// fill reads the next frame header and body into buf. An error before the
-// first header byte (clean close, recv timeout with nothing consumed) is
-// returned as-is and is NOT sticky: the stream is still aligned and a
-// later Recv may proceed. Any failure after the first byte poisons the
-// reader — the position inside the stream is lost — and never matches
-// ErrTimeout (see midFrame).
-func (f *frameLimitReader) fill() error {
-	var hdr [9]byte
-	if _, err := io.ReadFull(f.r, hdr[:1]); err != nil {
-		return err
-	}
-	hlen, size := 1, int64(hdr[0])
-	if hdr[0] > 0x7f {
-		// gob encodes uints >= 128 as (256 - byteCount) followed by the
-		// value in big-endian bytes.
-		n := 256 - int(hdr[0])
-		if n < 1 || n > 8 {
-			f.err = fmt.Errorf("transport: corrupt gob frame header byte 0x%02x", hdr[0])
-			return f.err
-		}
-		if _, err := io.ReadFull(f.r, hdr[1:1+n]); err != nil {
-			f.err = fmt.Errorf("transport: truncated gob frame header: %w", midFrame(err))
-			return f.err
-		}
-		hlen += n
-		size = 0
-		for _, b := range hdr[1:hlen] {
-			if size > math.MaxInt64>>8 {
-				size = math.MaxInt64
-				break
-			}
-			size = size<<8 | int64(b)
-		}
-	}
-	if size > f.max {
-		f.err = fmt.Errorf("%w: frame declares %d bytes, limit %d", ErrTooLarge, size, f.max)
-		return f.err
-	}
-	// Buffer the header back in front of the body: the gob decoder parses
-	// the length prefix itself, so the stream it sees must be byte-exact.
-	frame := make([]byte, hlen+int(size))
-	copy(frame, hdr[:hlen])
-	if _, err := io.ReadFull(f.r, frame[hlen:]); err != nil {
-		f.err = fmt.Errorf("transport: truncated gob frame: %w", midFrame(err))
-		return f.err
-	}
-	f.buf = frame
-	return nil
-}
-
-func (f *frameLimitReader) Read(p []byte) (int, error) {
-	if f.err != nil {
-		return 0, f.err
-	}
-	for len(f.buf) == 0 {
-		if err := f.fill(); err != nil {
-			return 0, err
-		}
-	}
-	n := copy(p, f.buf)
-	f.buf = f.buf[n:]
-	return n, nil
-}
-
-func (f *frameLimitReader) ReadByte() (byte, error) {
-	if f.err != nil {
-		return 0, f.err
-	}
-	for len(f.buf) == 0 {
-		if err := f.fill(); err != nil {
-			return 0, err
-		}
-	}
-	b := f.buf[0]
-	f.buf = f.buf[1:]
-	return b, nil
-}
-
-// tcpConn adapts a net.Conn to the Conn interface with gob framing. The
-// gob streams run through counting wrappers, so Stats reports true wire
-// bytes (framing, type descriptors and all) rather than the payload
-// approximation the in-memory transport uses.
+// tcpConn adapts a net.Conn to the Conn interface with length-prefixed
+// frames (see frameHeader). Stats reports true wire bytes: every frame
+// costs exactly frameHeader + len(Type) + len(Body) on both ends.
 type tcpConn struct {
 	nc        net.Conn
-	enc       *gob.Encoder
-	dec       *gob.Decoder
+	max       int64 // inbound limit on len(Type)+len(Body)
 	sendMu    sync.Mutex
 	recvMu    sync.Mutex
+	recvErr   error        // sticky, guarded by recvMu: the stream position is lost
 	timeout   atomic.Int64 // nanoseconds; 0 disables
 	stats     Stats
 	closeOnce sync.Once
@@ -185,8 +66,8 @@ func Dial(addr string) (Conn, error) {
 	return WrapNetConn(nc), nil
 }
 
-// WrapNetConn turns any net.Conn into a transport Conn (gob-framed) with
-// the DefaultMaxMessage inbound frame limit.
+// WrapNetConn turns any net.Conn into a transport Conn (length-prefixed
+// frames) with the DefaultMaxMessage inbound frame limit.
 func WrapNetConn(nc net.Conn) Conn {
 	return WrapNetConnLimit(nc, DefaultMaxMessage)
 }
@@ -197,13 +78,7 @@ func WrapNetConnLimit(nc net.Conn, maxMessage int64) Conn {
 	if maxMessage <= 0 {
 		maxMessage = DefaultMaxMessage
 	}
-	c := &tcpConn{nc: nc}
-	c.enc = gob.NewEncoder(countingWriter{w: nc, n: &c.stats.bytesSent})
-	c.dec = gob.NewDecoder(&frameLimitReader{
-		r:   countingReader{r: nc, n: &c.stats.bytesRecv},
-		max: maxMessage,
-	})
-	return c
+	return &tcpConn{nc: nc, max: maxMessage}
 }
 
 // Listener accepts party connections.
@@ -251,13 +126,25 @@ func (c *tcpConn) armDeadline(set func(time.Time) error) {
 	}
 }
 
-// Send implements Conn. Byte accounting happens in the counting writer
-// under the gob encoder; only the message count is bumped here.
+// Send implements Conn. It writes the header and type tag from one
+// buffer and the body from the caller's slice, in one vectored write.
 func (c *tcpConn) Send(m Message) error {
+	if len(m.Type) > math.MaxUint16 || uint64(len(m.Body)) > math.MaxUint32 {
+		return fmt.Errorf("transport: tcp send: %w: %d-byte type tag, %d-byte body", ErrTooLarge, len(m.Type), len(m.Body))
+	}
+	head := make([]byte, frameHeader, frameHeader+len(m.Type))
+	binary.BigEndian.PutUint16(head, uint16(len(m.Type)))
+	binary.BigEndian.PutUint32(head[2:], uint32(len(m.Body)))
+	frame := net.Buffers{append(head, m.Type...)}
+	if len(m.Body) > 0 { // an empty write blocks net.Pipe until the peer's next read
+		frame = append(frame, m.Body)
+	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	c.armDeadline(c.nc.SetWriteDeadline)
-	if err := c.enc.Encode(m); err != nil {
+	n, err := frame.WriteTo(c.nc)
+	c.stats.bytesSent.Add(n)
+	if err != nil {
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			return fmt.Errorf("transport: tcp send: %w", ErrTimeout)
 		}
@@ -267,31 +154,57 @@ func (c *tcpConn) Send(m Message) error {
 	return nil
 }
 
-// Recv implements Conn. Byte accounting happens in the counting reader
-// under the gob decoder; only the message count is bumped here.
+// Recv implements Conn. It checks the header's declared size against the
+// limit before allocating, then reads the type tag and body into one
+// buffer.
 //
 // Error mapping mirrors the in-memory transport: an orderly peer shutdown
-// between messages surfaces as bare io.EOF; a timeout surfaces as an
-// error matching ErrTimeout; everything else is wrapped with recv
-// context.
+// between messages surfaces as bare io.EOF; a timeout before the first
+// header byte surfaces as an error matching ErrTimeout; neither is sticky,
+// because the stream is still aligned. Any failure after the first header
+// byte, and an oversized frame (ErrTooLarge), poisons the link: every
+// later Recv returns the same error, which never matches ErrTimeout (see
+// midFrame).
 func (c *tcpConn) Recv() (Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
+	if c.recvErr != nil {
+		return Message{}, c.recvErr
+	}
 	c.armDeadline(c.nc.SetReadDeadline)
-	var m Message
-	if err := c.dec.Decode(&m); err != nil {
-		switch {
-		case err == io.EOF:
-			// Clean close at a message boundary — parity with chanConn.
-			return Message{}, io.EOF
-		case errors.Is(err, os.ErrDeadlineExceeded):
-			return Message{}, fmt.Errorf("transport: tcp recv: %w", ErrTimeout)
-		default:
-			return Message{}, fmt.Errorf("transport: tcp recv: %w", err)
-		}
+	var hdr [frameHeader]byte
+	n, err := io.ReadFull(c.nc, hdr[:])
+	c.stats.bytesRecv.Add(int64(n))
+	switch {
+	case n == 0 && err == io.EOF:
+		return Message{}, io.EOF
+	case n == 0 && errors.Is(err, os.ErrDeadlineExceeded):
+		return Message{}, fmt.Errorf("transport: tcp recv: %w", ErrTimeout)
+	case n == 0 && err != nil:
+		return Message{}, fmt.Errorf("transport: tcp recv: %w", err)
+	case err != nil:
+		return c.poison(fmt.Errorf("truncated frame header: %w", midFrame(err)))
+	}
+	typeLen := int64(binary.BigEndian.Uint16(hdr[:2]))
+	size := typeLen + int64(binary.BigEndian.Uint32(hdr[2:]))
+	if size > c.max {
+		return c.poison(fmt.Errorf("%w: frame declares %d bytes, limit %d", ErrTooLarge, size, c.max))
+	}
+	buf := make([]byte, size)
+	n, err = io.ReadFull(c.nc, buf)
+	c.stats.bytesRecv.Add(int64(n))
+	if err != nil {
+		return c.poison(fmt.Errorf("truncated frame: %w", midFrame(err)))
 	}
 	c.stats.msgsRecv.Add(1)
-	return m, nil
+	return Message{Type: string(buf[:typeLen]), Body: buf[typeLen:]}, nil
+}
+
+// poison records err as the link's sticky receive error. The caller
+// holds recvMu.
+func (c *tcpConn) poison(err error) (Message, error) {
+	c.recvErr = fmt.Errorf("transport: tcp recv: %w", err)
+	return Message{}, c.recvErr
 }
 
 // Close implements Conn.

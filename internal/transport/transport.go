@@ -1,8 +1,8 @@
 // Package transport provides the message-passing fabric between the
 // mediation parties (client, mediator, datasources): typed message
 // envelopes, an in-memory duplex channel pair for single-process runs and
-// tests, a TCP/gob transport for multi-process deployment, and per-link
-// traffic accounting used by the Section 6 cost experiments.
+// tests, a length-prefixed TCP transport for multi-process deployment,
+// and per-link traffic accounting used by the Section 6 cost experiments.
 package transport
 
 import (
@@ -55,8 +55,13 @@ func (m Message) Size() int { return len(m.Type) + len(m.Body) }
 // Encode gob-encodes a payload struct into a message body.
 // seclint:wire gob-encodes the payload for a link
 func Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	return encode(new(bytes.Buffer), v)
+}
+
+// encode gob-encodes v after whatever buf already holds and returns
+// buf's whole content.
+func encode(buf *bytes.Buffer, v any) ([]byte, error) {
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		return nil, fmt.Errorf("transport: encode: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -74,20 +79,17 @@ func Decode(b []byte, v any) error {
 // message body by NewMessage and verified by Payload.
 const sumLen = 8
 
-// seal prefixes a payload with its FNV-1a digest. The digest detects
-// accidental in-flight corruption and truncation (so protocols fail
-// typed instead of computing on mangled inputs); it is NOT a MAC —
-// tamper resistance comes from the hybrid-encryption layer above, per
-// the paper's trust model.
-func seal(payload []byte) []byte {
+// digest is the FNV-1a sum of an encoded payload. It detects accidental
+// in-flight corruption and truncation (so protocols fail typed instead
+// of computing on mangled inputs); it is NOT a MAC — tamper resistance
+// comes from the hybrid-encryption layer above, per the paper's trust
+// model.
+func digest(payload []byte) uint64 {
 	h := fnv.New64a()
 	if _, err := h.Write(payload); err != nil {
 		panic("transport: fnv write: " + err.Error())
 	}
-	out := make([]byte, sumLen+len(payload))
-	binary.BigEndian.PutUint64(out, h.Sum64())
-	copy(out[sumLen:], payload)
-	return out
+	return h.Sum64()
 }
 
 // Payload verifies a received message's integrity digest and returns
@@ -97,24 +99,23 @@ func Payload(m Message) ([]byte, error) {
 	if len(m.Body) < sumLen {
 		return nil, fmt.Errorf("message %q: %d-byte body: %w", m.Type, len(m.Body), ErrIntegrity)
 	}
-	h := fnv.New64a()
-	if _, err := h.Write(m.Body[sumLen:]); err != nil {
-		panic("transport: fnv write: " + err.Error())
-	}
-	if binary.BigEndian.Uint64(m.Body) != h.Sum64() {
+	if binary.BigEndian.Uint64(m.Body) != digest(m.Body[sumLen:]) {
 		return nil, fmt.Errorf("message %q: %w", m.Type, ErrIntegrity)
 	}
 	return m.Body[sumLen:], nil
 }
 
 // NewMessage builds a message with an encoded, integrity-sealed body.
+// The payload is encoded once, behind an empty digest slot that is then
+// filled in place.
 // seclint:wire gob-encodes the payload for a link
 func NewMessage(typ string, v any) (Message, error) {
-	b, err := Encode(v)
+	body, err := encode(bytes.NewBuffer(make([]byte, sumLen)), v)
 	if err != nil {
 		return Message{}, err
 	}
-	return Message{Type: typ, Body: seal(b)}, nil
+	binary.BigEndian.PutUint64(body, digest(body[sumLen:]))
+	return Message{Type: typ, Body: body}, nil
 }
 
 // Conn is one endpoint of a duplex party-to-party link.

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"io"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -39,9 +41,10 @@ func tcpPair(t *testing.T) (Conn, Conn) {
 }
 
 // The TCP transport must account the bytes that actually cross the wire:
-// gob framing, type descriptors and all — strictly more than the
-// in-memory transport's len(Type)+len(Body) approximation, and identical
-// on both ends of the link.
+// the frame header and all — strictly more than the in-memory
+// transport's len(Type)+len(Body) approximation, exactly
+// frameHeader+len(Type)+len(Body) per frame, and identical on both ends
+// of the link.
 func TestTCPWireBytesExceedPayloadBytes(t *testing.T) {
 	client, server := tcpPair(t)
 
@@ -50,8 +53,13 @@ func TestTCPWireBytesExceedPayloadBytes(t *testing.T) {
 	defer memB.Close()
 
 	const rounds = 5
+	var framed int64
 	for i := 0; i < rounds; i++ {
 		m := Message{Type: "bulk", Body: make([]byte, 1000+i)}
+		if i == rounds-1 {
+			m.Body = nil // a bodyless control frame costs its header and tag
+		}
+		framed += int64(frameHeader + m.Size())
 		if err := client.Send(m); err != nil {
 			t.Fatal(err)
 		}
@@ -76,6 +84,9 @@ func TestTCPWireBytesExceedPayloadBytes(t *testing.T) {
 	if got := server.Stats().BytesRecv(); got != tcpSent {
 		t.Errorf("receiver counted %d wire bytes, sender %d", got, tcpSent)
 	}
+	if tcpSent != framed {
+		t.Errorf("sender counted %d wire bytes, want Σ(header+type+body) = %d", tcpSent, framed)
+	}
 	// Replies flow the other way with the same properties.
 	if err := server.Send(Message{Type: "reply", Body: make([]byte, 64)}); err != nil {
 		t.Fatal(err)
@@ -86,6 +97,39 @@ func TestTCPWireBytesExceedPayloadBytes(t *testing.T) {
 	if client.Stats().BytesRecv() != server.Stats().BytesSent() {
 		t.Errorf("reply direction disagrees: client recv %d, server sent %d",
 			client.Stats().BytesRecv(), server.Stats().BytesSent())
+	}
+}
+
+// TestTCPRecvOneBuffer pins the receive path's allocation: a 64 KiB
+// message crosses a link with one buffer for its type tag and body, not
+// one copy per decoding layer.
+func TestTCPRecvOneBuffer(t *testing.T) {
+	p1, p2 := net.Pipe()
+	sender, receiver := WrapNetConn(p1), WrapNetConn(p2)
+	defer sender.Close()
+	defer receiver.Close()
+	m := Message{Type: "bulk", Body: make([]byte, 64<<10)}
+	roundTrip := func() {
+		errs := make(chan error, 1)
+		go func() { errs <- sender.Send(m) }()
+		if _, err := receiver.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // warm up: first-use allocations are not per message
+	var before, after runtime.MemStats
+	const runs = 20
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	perMsg := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if limit := 1.25 * float64(len(m.Body)); perMsg > limit {
+		t.Errorf("send+recv of a %d-byte body allocated %.0f B, want at most %.0f B", len(m.Body), perMsg, limit)
 	}
 }
 
