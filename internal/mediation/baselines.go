@@ -7,10 +7,10 @@ import (
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/leakage"
+	"github.com/secmediation/secmediation/internal/mediation/link"
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/sqlparse"
 	"github.com/secmediation/secmediation/internal/telemetry"
-	"github.com/secmediation/secmediation/internal/transport"
 )
 
 // ptResult is the plaintext baseline's final message: the mediator joined
@@ -26,12 +26,12 @@ type ptResult struct {
 // without any confidentiality mechanism). Used as the correctness oracle
 // and the cost floor in the Section 6 experiments.
 // seclint:entry mediator
-func (m *Mediator) mediatePlaintext(client, s1, s2 transport.Conn, d *decomposition, watch *stopwatch) error {
+func (m *Mediator) mediatePlaintext(client, s1, s2 *link.Link, d *decomposition, watch *stopwatch) error {
 	var w1, w2 wireRelation
-	if err := recvInto(s1, "source:"+d.rel1, msgPTPartial, &w1); err != nil {
+	if err := s1.Recv(msgPTPartial, &w1); err != nil {
 		return err
 	}
-	if err := recvInto(s2, "source:"+d.rel2, msgPTPartial, &w2); err != nil {
+	if err := s2.Recv(msgPTPartial, &w2); err != nil {
 		return err
 	}
 	var joined *relation.Relation
@@ -52,12 +52,12 @@ func (m *Mediator) mediatePlaintext(client, s1, s2 transport.Conn, d *decomposit
 	if err != nil {
 		return err
 	}
-	return sendMsg(client, "client", msgPTResult, ptResult{Result: toWire(joined), Schema2: d.schema2, JoinCols2: d.joinCols2})
+	return client.Send(msgPTResult, ptResult{Result: toWire(joined), Schema2: d.schema2, JoinCols2: d.joinCols2})
 }
 
-func (c *Client) runPlaintext(conn transport.Conn) (*relation.Relation, relation.Schema, []string, error) {
+func (c *Client) runPlaintext(mediator *link.Link) (*relation.Relation, relation.Schema, []string, error) {
 	var res ptResult
-	if err := recvInto(conn, "mediator", msgPTResult, &res); err != nil {
+	if err := mediator.Recv(msgPTResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	out, err := fromWire(res.Result)
@@ -84,7 +84,7 @@ type mcResult struct {
 	JoinCols1, JoinCols2 []string
 }
 
-func (s *Source) serveMobileCode(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, queryKey *ecdh.PublicKey, watch *stopwatch) error {
+func (s *Source) serveMobileCode(mediator *link.Link, pq *PartialQuery, rel *relation.Relation, queryKey *ecdh.PublicKey, watch *stopwatch) error {
 	var out mcPartial
 	err := watch.phase(telemetry.PhaseSourceEncrypt, func() error {
 		sess, err := hybrid.NewSessionECDH(queryKey)
@@ -106,17 +106,17 @@ func (s *Source) serveMobileCode(conn transport.Conn, pq *PartialQuery, rel *rel
 	if err != nil {
 		return err
 	}
-	return sendMsg(conn, "mediator", msgMCPartial, sessioned[mcPartial]{Session: pq.SessionID, Body: out})
+	return mediator.Send(msgMCPartial, sessioned[mcPartial]{Session: pq.SessionID, Body: out})
 }
 
 // mediateMobileCode relays the sealed partial result of each source in
 // d.relations() to the client: two for a join or a union, one for an
 // aggregate.
 // seclint:entry mediator
-func (m *Mediator) mediateMobileCode(client transport.Conn, sources []transport.Conn, d *decomposition) error {
+func (m *Mediator) mediateMobileCode(client *link.Link, sources []*link.Link, d *decomposition) error {
 	parts := make([]sessioned[mcPartial], 2)
-	for i, rel := range d.relations() {
-		if err := recvInto(sources[i], "source:"+rel, msgMCPartial, &parts[i]); err != nil {
+	for i := range d.relations() {
+		if err := sources[i].Recv(msgMCPartial, &parts[i]); err != nil {
 			return err
 		}
 		// The mobile-code mediator sees the encrypted partial results whole:
@@ -126,7 +126,7 @@ func (m *Mediator) mediateMobileCode(client transport.Conn, sources []transport.
 			m.Ledger.Observe(leakage.PartyMediator, fmt.Sprintf("|R%d|", i+1), int64(len(parts[i].Body.Rows)))
 		}
 	}
-	return sendMsg(client, "client", msgMCResult, sessioned[mcResult]{
+	return client.Send(msgMCResult, sessioned[mcResult]{
 		Session: parts[0].Session,
 		Body:    mcResult{P1: parts[0].Body, P2: parts[1].Body, JoinCols1: d.joinCols1, JoinCols2: d.joinCols2},
 	})
@@ -136,9 +136,9 @@ func (m *Mediator) mediateMobileCode(client transport.Conn, sources []transport.
 // evaluates the equi-join, a union concatenates (postProcess drops the
 // duplicates of a plain UNION), and an aggregate's one partial result is
 // already the answer.
-func (c *Client) runMobileCode(conn transport.Conn, q *sqlparse.Query, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+func (c *Client) runMobileCode(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res sessioned[mcResult]
-	if err := recvInto(conn, "mediator", msgMCResult, &res); err != nil {
+	if err := mediator.Recv(msgMCResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	var joined *relation.Relation

@@ -10,6 +10,7 @@ import (
 	"github.com/secmediation/secmediation/internal/credential"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/leakage"
+	"github.com/secmediation/secmediation/internal/mediation/link"
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/sqlparse"
 	"github.com/secmediation/secmediation/internal/telemetry"
@@ -67,6 +68,7 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	if params.Timeout > 0 {
 		conn.SetTimeout(params.Timeout)
 	}
+	mediator := link.New(conn, leakage.PartyMediator)
 	proto = delivery(q, proto)
 	req := Request{SQL: sql, Credentials: c.Credentials, Protocol: proto, Params: params}
 	// A fresh query key per query: the mediator cannot link a client's
@@ -83,13 +85,13 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	}
 	// The session's traffic counts on every exit from here on, aborts
 	// included.
-	defer trafficCounters(c.Telemetry, leakage.PartyClient, "mediator", conn.Stats())
-	if err := sendMsg(conn, "mediator", msgRequest, req); err != nil {
-		return nil, c.abort(conn, err)
+	defer trafficCounters(c.Telemetry, leakage.PartyClient, mediator.Peer(), conn.Stats())
+	if err := mediator.Send(msgRequest, req); err != nil {
+		return nil, abort(mediator, c.Telemetry, leakage.PartyClient, err)
 	}
 	root := c.Telemetry.Tracer(leakage.PartyClient).Start("session")
 	root.Annotate("protocol", proto.String())
-	annotateSession(root, conn)
+	annotateSession(root, mediator)
 	defer root.End()
 	watch := &stopwatch{party: leakage.PartyClient, root: root}
 	var joined *relation.Relation
@@ -97,37 +99,26 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	var joinCols2 []string
 	switch {
 	case proto == ProtocolPlaintext:
-		joined, schema2, joinCols2, err = c.runPlaintext(conn)
+		joined, schema2, joinCols2, err = c.runPlaintext(mediator)
 	case proto == ProtocolMobileCode:
-		joined, schema2, joinCols2, err = c.runMobileCode(conn, q, queryKey, watch)
+		joined, schema2, joinCols2, err = c.runMobileCode(mediator, q, queryKey, watch)
 	case proto == ProtocolDAS:
-		joined, schema2, joinCols2, err = c.runDAS(conn, q, queryKey, params, watch)
+		joined, schema2, joinCols2, err = c.runDAS(mediator, q, queryKey, params, watch)
 	case proto == ProtocolCommutative:
-		joined, schema2, joinCols2, err = c.runCommutative(conn, queryKey, watch)
+		joined, schema2, joinCols2, err = c.runCommutative(mediator, queryKey, watch)
 	case proto == ProtocolPM:
-		joined, schema2, joinCols2, err = c.runPM(conn, queryKey, watch)
+		joined, schema2, joinCols2, err = c.runPM(mediator, queryKey, watch)
 	default:
 		err = fmt.Errorf("mediation: unknown protocol %d", proto)
 	}
 	if err != nil {
-		return nil, c.abort(conn, err)
+		return nil, abort(mediator, c.Telemetry, leakage.PartyClient, err)
 	}
 	if q.Aggregate != nil {
 		// The source already applied the WHERE clause and folded the rows.
 		return joined, nil
 	}
 	return postProcess(q, joined, schema2, joinCols2)
-}
-
-// abort finalizes a failed delivery phase: the error is attributed (a
-// *ProtocolError blamed on this client unless the chain already carries
-// the origin), counted when it is a timeout, and best-effort reported to
-// the mediator so the remaining parties unblock immediately.
-func (c *Client) abort(conn transport.Conn, err error) error {
-	err = attribute(leakage.PartyClient, "", err)
-	countTimeout(c.Telemetry, leakage.PartyClient, err)
-	sendError(conn, leakage.PartyClient, err)
-	return err
 }
 
 // Intersect computes the set intersection of two relations with identical

@@ -8,10 +8,10 @@ import (
 	"github.com/secmediation/secmediation/internal/crypto/commutative"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/leakage"
+	"github.com/secmediation/secmediation/internal/mediation/link"
 	"github.com/secmediation/secmediation/internal/parallel"
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/telemetry"
-	"github.com/secmediation/secmediation/internal/transport"
 )
 
 // commItem is one message component ⟨f_e(h(a)), encrypt(Tup(a))⟩. In the
@@ -61,7 +61,7 @@ type commResult struct {
 // join attributes (composite keys supported), encrypt the tuple sets for
 // the client, ship the shuffled message set, then re-encrypt the opposite
 // source's hash values when they come back through the mediator.
-func (s *Source) serveCommutative(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, queryKey *ecdh.PublicKey, watch *stopwatch) error {
+func (s *Source) serveCommutative(mediator *link.Link, pq *PartialQuery, rel *relation.Relation, queryKey *ecdh.PublicKey, watch *stopwatch) error {
 	var offer commOffer
 	var key *commutative.CurveKey
 	err := watch.phase(telemetry.PhaseSourceEncrypt, func() error {
@@ -109,13 +109,13 @@ func (s *Source) serveCommutative(conn transport.Conn, pq *PartialQuery, rel *re
 	if err != nil {
 		return err
 	}
-	if err := sendMsg(conn, "mediator", msgCommOffer, offer); err != nil {
+	if err := mediator.Send(msgCommOffer, offer); err != nil {
 		return err
 	}
 
 	// Steps 4–6: re-encrypt the opposite source's hash values.
 	var cross commCross
-	if err := recvInto(conn, "mediator", msgCommCross, &cross); err != nil {
+	if err := mediator.Recv(msgCommCross, &cross); err != nil {
 		return err
 	}
 	var back commCross
@@ -142,7 +142,7 @@ func (s *Source) serveCommutative(conn transport.Conn, pq *PartialQuery, rel *re
 	if err != nil {
 		return err
 	}
-	return sendMsg(conn, "mediator", msgCommCrossBack, back)
+	return mediator.Send(msgCommCrossBack, back)
 }
 
 // mediateCommutative implements the mediator's role: exchange the message
@@ -150,12 +150,12 @@ func (s *Source) serveCommutative(conn transport.Conn, pq *PartialQuery, rel *re
 // tuple sets per footnote 1), then match doubly-encrypted hash values and
 // assemble the result messages (step 7).
 // seclint:entry mediator
-func (m *Mediator) mediateCommutative(client, s1, s2 transport.Conn, d *decomposition, params Params, watch *stopwatch) error {
+func (m *Mediator) mediateCommutative(client, s1, s2 *link.Link, d *decomposition, params Params, watch *stopwatch) error {
 	var o1, o2 commOffer
-	if err := recvInto(s1, "source:"+d.rel1, msgCommOffer, &o1); err != nil {
+	if err := s1.Recv(msgCommOffer, &o1); err != nil {
 		return err
 	}
-	if err := recvInto(s2, "source:"+d.rel2, msgCommOffer, &o2); err != nil {
+	if err := s2.Recv(msgCommOffer, &o2); err != nil {
 		return err
 	}
 	// Table 1: the mediator learns both active-domain sizes.
@@ -170,17 +170,17 @@ func (m *Mediator) mediateCommutative(client, s1, s2 transport.Conn, d *decompos
 		store1, cross2.Items = stripPayloads(o1.Items)
 		store2, cross1.Items = stripPayloads(o2.Items)
 	}
-	if err := sendMsg(s1, "source:"+d.rel1, msgCommCross, cross1); err != nil {
+	if err := s1.Send(msgCommCross, cross1); err != nil {
 		return err
 	}
-	if err := sendMsg(s2, "source:"+d.rel2, msgCommCross, cross2); err != nil {
+	if err := s2.Send(msgCommCross, cross2); err != nil {
 		return err
 	}
 	var b1, b2 commCross
-	if err := recvInto(s1, "source:"+d.rel1, msgCommCrossBack, &b1); err != nil {
+	if err := s1.Recv(msgCommCrossBack, &b1); err != nil {
 		return err
 	}
-	if err := recvInto(s2, "source:"+d.rel2, msgCommCrossBack, &b2); err != nil {
+	if err := s2.Recv(msgCommCrossBack, &b2); err != nil {
 		return err
 	}
 
@@ -227,15 +227,15 @@ func (m *Mediator) mediateCommutative(client, s1, s2 transport.Conn, d *decompos
 	if err != nil {
 		return err
 	}
-	return sendMsg(client, "client", msgCommResult, res)
+	return client.Send(msgCommResult, res)
 }
 
 // runCommutative implements the client's step 8: decrypt the matched tuple
 // sets and construct the result tuples (a cross product per matched join
 // value).
-func (c *Client) runCommutative(conn transport.Conn, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+func (c *Client) runCommutative(mediator *link.Link, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res commResult
-	if err := recvInto(conn, "mediator", msgCommResult, &res); err != nil {
+	if err := mediator.Recv(msgCommResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	var joined *relation.Relation

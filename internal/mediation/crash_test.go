@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/secmediation/secmediation/internal/resilience"
 	"github.com/secmediation/secmediation/internal/telemetry"
 	"github.com/secmediation/secmediation/internal/testutil"
 	"github.com/secmediation/secmediation/internal/transport"
@@ -61,11 +62,13 @@ func TestSourceCrashMidProtocol(t *testing.T) {
 
 // TestSilentSourceTimesOut replaces R1's source with one that accepts the
 // link and then never answers. With the same per-operation deadline armed
-// everywhere, the client's wait started first, so the client times out
-// (blaming its own silent peer, the mediator) before the mediator's
+// everywhere, the client's wait started first, so the client usually times
+// out (blaming its own silent peer, the mediator) before the mediator's
 // source:R1 attribution can reach it — the finer attribution lives in the
-// mediator's own error and its timeout counter. (When a source dies on a
-// LATER round, the mediator's earlier timeout does propagate; that path is
+// mediator's own error and its timeout counter. When the relayed timeout
+// wins the race instead, it still wraps transport.ErrTimeout, so every
+// assertion holds for either timer order. (When a source dies on a LATER
+// round, the mediator's earlier timeout does propagate; that path is
 // TestSourceCrashMidProtocol.)
 func TestSilentSourceTimesOut(t *testing.T) {
 	snap := testutil.Snapshot()
@@ -113,6 +116,41 @@ func TestSilentSourceTimesOut(t *testing.T) {
 	}
 	if got := reg.Counter("mediation_timeouts", "party", "mediator").Value(); got < 1 {
 		t.Errorf("mediation_timeouts{party=mediator} = %d, want >= 1", got)
+	}
+	testutil.CheckGoroutines(t, snap)
+}
+
+// TestRelayedTimeoutStaysTimeout runs a query without a deadline against a
+// source link whose dialer armed one. Only the mediator's timer fires, so
+// the client hears the relayed source:R1 timeout. It must still match
+// transport.ErrTimeout and stay retryable, and only the mediator, whose
+// own deadline fired, counts it in mediation_timeouts.
+func TestRelayedTimeoutStaysTimeout(t *testing.T) {
+	snap := testutil.Snapshot()
+	n := newTestNetwork(t, nil)
+	reg := telemetry.NewRegistry()
+	n.SetTelemetry(reg)
+	defer n.SetTelemetry(nil)
+	n.Mediator.Routes["R1"] = func() (transport.Conn, error) {
+		a, _ := transport.Pair() // nobody ever serves the far end
+		a.SetTimeout(100 * time.Millisecond)
+		return a, nil
+	}
+	_, err := n.Query(fixtureSQL, ProtocolCommutative, fastParams())
+	var pe *ProtocolError
+	if !errors.As(err, &pe) || pe.Party != "source:R1" {
+		t.Fatalf("client error = %v, want a *ProtocolError blaming source:R1", err)
+	}
+	if !errors.Is(err, transport.ErrTimeout) {
+		t.Errorf("relayed timeout does not wrap transport.ErrTimeout: %v", err)
+	}
+	if !resilience.Retryable(err) {
+		t.Errorf("relayed timeout is not retryable: %v", err)
+	}
+	for party, want := range map[string]int64{"client": 0, "mediator": 1} {
+		if got := reg.Counter("mediation_timeouts", "party", party).Value(); got != want {
+			t.Errorf("mediation_timeouts{party=%s} = %d, want %d", party, got, want)
+		}
 	}
 	testutil.CheckGoroutines(t, snap)
 }

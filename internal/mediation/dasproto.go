@@ -7,6 +7,7 @@ import (
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
+	"github.com/secmediation/secmediation/internal/mediation/link"
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/sqlparse"
 	"github.com/secmediation/secmediation/internal/telemetry"
@@ -57,7 +58,7 @@ type dasResult struct {
 // partial result DAS-style and the index tables under one hybrid session
 // to the query key, and send everything to the mediator in one
 // interaction.
-func (s *Source) serveDAS(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, queryKey *ecdh.PublicKey, watch *stopwatch) error {
+func (s *Source) serveDAS(mediator *link.Link, pq *PartialQuery, rel *relation.Relation, queryKey *ecdh.PublicKey, watch *stopwatch) error {
 	indexedCols := append(append([]string(nil), pq.JoinCols...), pq.FilterCols...)
 	var out dasPartial
 	err := watch.phase(telemetry.PhaseSourceEncrypt, func() error {
@@ -111,26 +112,26 @@ func (s *Source) serveDAS(conn transport.Conn, pq *PartialQuery, rel *relation.R
 	if err != nil {
 		return err
 	}
-	return sendMsg(conn, "mediator", msgDASPartial, out)
+	return mediator.Send(msgDASPartial, out)
 }
 
 // mediateDAS implements the mediator's role: forward the encrypted index
 // tables to the client (step 4), receive the server query (step 5),
 // evaluate it over the encrypted partial results and return R_C (step 6).
 // seclint:entry mediator
-func (m *Mediator) mediateDAS(client, s1, s2 transport.Conn, d *decomposition, watch *stopwatch) error {
+func (m *Mediator) mediateDAS(client, s1, s2 *link.Link, d *decomposition, watch *stopwatch) error {
 	var p1, p2 dasPartial
-	if err := recvInto(s1, "source:"+d.rel1, msgDASPartial, &p1); err != nil {
+	if err := s1.Recv(msgDASPartial, &p1); err != nil {
 		return err
 	}
-	if err := recvInto(s2, "source:"+d.rel2, msgDASPartial, &p2); err != nil {
+	if err := s2.Recv(msgDASPartial, &p2); err != nil {
 		return err
 	}
 	// Table 1: the mediator learns the partial result cardinalities.
 	m.Ledger.Observe(leakage.PartyMediator, "|R1|", int64(p1.EncRel.Len()))
 	m.Ledger.Observe(leakage.PartyMediator, "|R2|", int64(p2.EncRel.Len()))
 
-	if err := sendMsg(client, "client", msgDASIndexTables, dasIndexTables{
+	if err := client.Send(msgDASIndexTables, dasIndexTables{
 		Session: p1.Session,
 		Schema1: p1.Schema, Schema2: p2.Schema,
 		JoinCols1: d.joinCols1, JoinCols2: d.joinCols2,
@@ -141,7 +142,7 @@ func (m *Mediator) mediateDAS(client, s1, s2 transport.Conn, d *decomposition, w
 		return err
 	}
 	var sq dasServerQuery
-	if err := recvInto(client, "client", msgDASServerQuery, &sq); err != nil {
+	if err := client.Recv(msgDASServerQuery, &sq); err != nil {
 		return err
 	}
 	if n := len(sq.Query.Filters1) + len(sq.Query.Filters2); n > 0 {
@@ -160,15 +161,15 @@ func (m *Mediator) mediateDAS(client, s1, s2 transport.Conn, d *decomposition, w
 	// Table 1: the mediator learns |R_C|, an upper bound of the global
 	// result size.
 	m.Ledger.Observe(leakage.PartyMediator, "|RC|", int64(res.Size))
-	return sendMsg(client, "client", msgDASResult, dasResult{E1: res.E1, E2: res.E2, Size: res.Size})
+	return client.Send(msgDASResult, dasResult{E1: res.E1, E2: res.E2, Size: res.Size})
 }
 
 // runDAS implements the client side (Listing 2 steps 5 and 7): decrypt the
 // index tables, act as the DAS query translator (build q_S and q_C), send
 // q_S, then decrypt R_C and apply q_C.
-func (c *Client) runDAS(conn transport.Conn, q *sqlparse.Query, queryKey *ecdh.PrivateKey, params Params, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+func (c *Client) runDAS(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.PrivateKey, params Params, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var its dasIndexTables
-	if err := recvInto(conn, "mediator", msgDASIndexTables, &its); err != nil {
+	if err := mediator.Recv(msgDASIndexTables, &its); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	var recv1, recv2 *hybrid.Receiver
@@ -217,11 +218,11 @@ func (c *Client) runDAS(conn transport.Conn, q *sqlparse.Query, queryKey *ecdh.P
 	if err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
-	if err := sendMsg(conn, "mediator", msgDASServerQuery, dasServerQuery{Query: sq}); err != nil {
+	if err := mediator.Send(msgDASServerQuery, dasServerQuery{Query: sq}); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	var res dasResult
-	if err := recvInto(conn, "mediator", msgDASResult, &res); err != nil {
+	if err := mediator.Recv(msgDASResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	var joined *relation.Relation

@@ -7,6 +7,7 @@ import (
 
 	"github.com/secmediation/secmediation/internal/credential"
 	"github.com/secmediation/secmediation/internal/leakage"
+	"github.com/secmediation/secmediation/internal/mediation/link"
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/telemetry"
 	"github.com/secmediation/secmediation/internal/transport"
@@ -51,22 +52,20 @@ type Mediator struct {
 // ciphertext-only invariant by the plaintaint/keyscope analyzers.
 //
 // seclint:entry mediator
-func (m *Mediator) HandleSession(client transport.Conn) error {
+func (m *Mediator) HandleSession(conn transport.Conn) error {
 	// Deferred, so the client link counts on every exit, the error frame
 	// of an aborted session included.
-	defer trafficCounters(m.Telemetry, leakage.PartyMediator, "client", client.Stats())
-	err := m.handleSession(client)
-	if err != nil {
-		err = attribute(leakage.PartyMediator, "", err)
-		countTimeout(m.Telemetry, leakage.PartyMediator, err)
-		sendError(client, leakage.PartyMediator, err)
+	defer trafficCounters(m.Telemetry, leakage.PartyMediator, leakage.PartyClient, conn.Stats())
+	client := link.New(conn, leakage.PartyClient)
+	if err := m.handleSession(client); err != nil {
+		return abort(client, m.Telemetry, leakage.PartyMediator, err)
 	}
-	return err
+	return nil
 }
 
-func (m *Mediator) handleSession(client transport.Conn) error {
+func (m *Mediator) handleSession(client *link.Link) error {
 	var req Request
-	if err := recvInto(client, "client", msgRequest, &req); err != nil {
+	if err := client.Recv(msgRequest, &req); err != nil {
 		return err
 	}
 	req.Params = req.Params.withDefaults()
@@ -87,11 +86,11 @@ func (m *Mediator) handleSession(client transport.Conn) error {
 	// Listing 1, steps 2–4 are the querying phase, the same for every
 	// query shape.
 	querying := root.Start(telemetry.PhaseQuerying)
-	d, conns, err := m.requestPhase(&req)
+	d, sources, err := m.requestPhase(&req)
 	querying.End()
-	for i, c := range conns {
-		defer c.Close()
-		defer trafficCounters(m.Telemetry, leakage.PartyMediator, "source:"+d.relations()[i], c.Stats())
+	for _, s := range sources {
+		defer s.Close()
+		defer trafficCounters(m.Telemetry, leakage.PartyMediator, s.Peer(), s.Stats())
 	}
 	if err != nil {
 		return err
@@ -100,21 +99,21 @@ func (m *Mediator) handleSession(client transport.Conn) error {
 	watch := &stopwatch{party: leakage.PartyMediator, root: root}
 	switch {
 	case d.protocol == ProtocolPlaintext:
-		err = m.mediatePlaintext(client, conns[0], conns[1], d, watch)
+		err = m.mediatePlaintext(client, sources[0], sources[1], d, watch)
 	case d.protocol == ProtocolMobileCode:
-		err = m.mediateMobileCode(client, conns, d)
+		err = m.mediateMobileCode(client, sources, d)
 	case d.protocol == ProtocolDAS:
-		err = m.mediateDAS(client, conns[0], conns[1], d, watch)
+		err = m.mediateDAS(client, sources[0], sources[1], d, watch)
 	case d.protocol == ProtocolCommutative:
-		err = m.mediateCommutative(client, conns[0], conns[1], d, req.Params, watch)
+		err = m.mediateCommutative(client, sources[0], sources[1], d, req.Params, watch)
 	case d.protocol == ProtocolPM:
-		err = m.mediatePM(client, conns[0], conns[1], d, watch)
+		err = m.mediatePM(client, sources[0], sources[1], d, watch)
 	default:
 		err = fmt.Errorf("mediation: unknown protocol %d", req.Protocol)
 	}
 	if err != nil {
 		// Unblock sources that may still be waiting mid-protocol.
-		abortLinks(err, conns...)
+		abortLinks(err, sources...)
 	}
 	return err
 }
@@ -127,7 +126,7 @@ func (m *Mediator) handleSession(client transport.Conn) error {
 // d.relations() order, with the authorized schemas recorded in d. It
 // returns d with any link it returns, and the caller closes the links on
 // error too.
-func (m *Mediator) requestPhase(req *Request) (*decomposition, []transport.Conn, error) {
+func (m *Mediator) requestPhase(req *Request) (*decomposition, []*link.Link, error) {
 	d, err := decompose(req.SQL, m.Schemas)
 	if err != nil {
 		return nil, nil, err
@@ -142,20 +141,20 @@ func (m *Mediator) requestPhase(req *Request) (*decomposition, []transport.Conn,
 		}
 		dials[i] = dial
 	}
-	var conns []transport.Conn
+	var sources []*link.Link
 	for i, dial := range dials {
 		conn, err := dial()
 		if err != nil {
-			return d, conns, &ProtocolError{Party: "source:" + rels[i], Err: fmt.Errorf("dialing: %w", err)}
+			return d, sources, &ProtocolError{Party: leakage.PartySource(rels[i]), Err: fmt.Errorf("dialing: %w", err)}
 		}
 		if req.Params.Timeout > 0 {
 			conn.SetTimeout(req.Params.Timeout)
 		}
-		conns = append(conns, conn)
+		sources = append(sources, link.New(conn, leakage.PartySource(rels[i])))
 	}
 	session, err := newSessionID()
 	if err != nil {
-		return d, conns, err
+		return d, sources, err
 	}
 	for i, rel := range rels {
 		pq := PartialQuery{
@@ -172,37 +171,37 @@ func (m *Mediator) requestPhase(req *Request) (*decomposition, []transport.Conn,
 			// pushable WHERE columns as well.
 			pq.FilterCols = filterColumns(extractPushdown(d.query.Where, m.Schemas[rel]), pq.JoinCols)
 		}
-		if err := sendMsg(conns[i], "source:"+rel, msgPartialQuery, pq); err != nil {
-			abortLinks(err, without(conns, i)...)
-			return d, conns, err
+		if err := sources[i].Send(msgPartialQuery, pq); err != nil {
+			abortLinks(err, without(sources, i)...)
+			return d, sources, err
 		}
 	}
 	acks := make([]PartialAck, len(rels))
-	for i, rel := range rels {
-		if err := recvInto(conns[i], "source:"+rel, msgPartialAck, &acks[i]); err != nil {
-			abortLinks(err, without(conns, i)...)
-			return d, conns, err
+	for i := range rels {
+		if err := sources[i].Recv(msgPartialAck, &acks[i]); err != nil {
+			abortLinks(err, without(sources, i)...)
+			return d, sources, err
 		}
 	}
 	for i, rel := range rels {
 		if !acks[i].Granted {
 			err := fmt.Errorf("mediation: access to %s denied: %s", rel, acks[i].Reason)
-			abortLinks(err, conns...)
-			return d, conns, err
+			abortLinks(err, sources...)
+			return d, sources, err
 		}
 	}
 	d.schema1 = acks[0].Schema
 	if len(acks) == 2 {
 		d.schema2 = acks[1].Schema
 	}
-	return d, conns, nil
+	return d, sources, nil
 }
 
-// without returns conns minus the link at i: the live links to abort
+// without returns links minus the link at i: the live links to abort
 // after link i failed.
-func without(conns []transport.Conn, i int) []transport.Conn {
-	out := append([]transport.Conn(nil), conns[:i]...)
-	return append(out, conns[i+1:]...)
+func without(links []*link.Link, i int) []*link.Link {
+	out := append([]*link.Link(nil), links[:i]...)
+	return append(out, links[i+1:]...)
 }
 
 // selectCredentials picks CR_i for a relation per the configured hints.

@@ -7,11 +7,11 @@ import (
 
 	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	"github.com/secmediation/secmediation/internal/leakage"
+	"github.com/secmediation/secmediation/internal/mediation/link"
 	"github.com/secmediation/secmediation/internal/parallel"
 	"github.com/secmediation/secmediation/internal/pm"
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/telemetry"
-	"github.com/secmediation/secmediation/internal/transport"
 )
 
 // pmCoeffs is a source's Listing 4 step 2/3 message: the EC-ElGamal
@@ -51,7 +51,7 @@ type pmResult struct {
 // with the tuple set sealed under the key only a match decrypts to
 // (footnote 2's out-of-band payload, the only mode). An empty partial
 // result still ships B filler buckets and evaluates nothing.
-func (s *Source) servePM(conn transport.Conn, pq *PartialQuery, rel *relation.Relation, watch *stopwatch) error {
+func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Relation, watch *stopwatch) error {
 	pk, err := ecelgamal.ParsePublicKey(pq.QueryKey)
 	if err != nil {
 		return fmt.Errorf("pm: request carries no valid client key: %w", err)
@@ -82,12 +82,12 @@ func (s *Source) servePM(conn transport.Conn, pq *PartialQuery, rel *relation.Re
 	if err != nil {
 		return err
 	}
-	if err := sendMsg(conn, "mediator", msgPMCoeffs, coeffs); err != nil {
+	if err := mediator.Send(msgPMCoeffs, coeffs); err != nil {
 		return err
 	}
 
 	var cross pmCross
-	if err := recvInto(conn, "mediator", msgPMCross, &cross); err != nil {
+	if err := mediator.Recv(msgPMCross, &cross); err != nil {
 		return err
 	}
 	var evals pmEvals
@@ -117,7 +117,7 @@ func (s *Source) servePM(conn transport.Conn, pq *PartialQuery, rel *relation.Re
 	if err != nil {
 		return err
 	}
-	return sendMsg(conn, "mediator", msgPMEvals, evals)
+	return mediator.Send(msgPMEvals, evals)
 }
 
 // mediatePM implements the mediator's role: forward the encrypted
@@ -125,32 +125,32 @@ func (s *Source) servePM(conn transport.Conn, pq *PartialQuery, rel *relation.Re
 // evaluations to the client (step 7). The mediator never decrypts
 // anything; it only observes the bucket count and degree.
 // seclint:entry mediator
-func (m *Mediator) mediatePM(client, s1, s2 transport.Conn, d *decomposition, watch *stopwatch) error {
+func (m *Mediator) mediatePM(client, s1, s2 *link.Link, d *decomposition, watch *stopwatch) error {
 	var c1, c2 pmCoeffs
-	if err := recvInto(s1, "source:"+d.rel1, msgPMCoeffs, &c1); err != nil {
+	if err := s1.Recv(msgPMCoeffs, &c1); err != nil {
 		return err
 	}
-	if err := recvInto(s2, "source:"+d.rel2, msgPMCoeffs, &c2); err != nil {
+	if err := s2.Recv(msgPMCoeffs, &c2); err != nil {
 		return err
 	}
 	// Table 1: the mediator learns the shape of both sources' polynomials.
 	observeBuckets(m.Ledger, leakage.PartyMediator, "R1.Ajoin", &c1.Buckets)
 	observeBuckets(m.Ledger, leakage.PartyMediator, "R2.Ajoin", &c2.Buckets)
 
-	if err := sendMsg(s1, "source:"+d.rel1, msgPMCross, pmCross{Buckets: c2.Buckets}); err != nil {
+	if err := s1.Send(msgPMCross, pmCross{Buckets: c2.Buckets}); err != nil {
 		return err
 	}
-	if err := sendMsg(s2, "source:"+d.rel2, msgPMCross, pmCross{Buckets: c1.Buckets}); err != nil {
+	if err := s2.Send(msgPMCross, pmCross{Buckets: c1.Buckets}); err != nil {
 		return err
 	}
 	var e1, e2 pmEvals
-	if err := recvInto(s1, "source:"+d.rel1, msgPMEvals, &e1); err != nil {
+	if err := s1.Recv(msgPMEvals, &e1); err != nil {
 		return err
 	}
-	if err := recvInto(s2, "source:"+d.rel2, msgPMEvals, &e2); err != nil {
+	if err := s2.Recv(msgPMEvals, &e2); err != nil {
 		return err
 	}
-	return sendMsg(client, "client", msgPMResult, pmResult{
+	return client.Send(msgPMResult, pmResult{
 		Session: c1.Session,
 		Schema1: c1.Schema, Schema2: c2.Schema,
 		JoinCols1: d.joinCols1, JoinCols2: d.joinCols2,
@@ -177,9 +177,9 @@ type pmSide map[string][]relation.Tuple
 // runPM implements the client's step 8: decrypt all n+m evaluations under
 // the query key's scalar, open the blobs that match, match equal roots
 // across the two sides and cross-combine the tuple sets.
-func (c *Client) runPM(conn transport.Conn, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+func (c *Client) runPM(mediator *link.Link, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res pmResult
-	if err := recvInto(conn, "mediator", msgPMResult, &res); err != nil {
+	if err := mediator.Recv(msgPMResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	var joined *relation.Relation

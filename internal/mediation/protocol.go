@@ -16,9 +16,13 @@
 //
 // Parties (Client, Mediator, Source) communicate exclusively through
 // transport.Conn links, so every protocol runs identically in-memory
-// (tests, benchmarks) and across TCP (cmd/mediator etc.). All parties are
-// semi-honest: they follow the protocol but may analyze what they see;
-// the leakage.Ledger records exactly what that is.
+// (tests, benchmarks) and across TCP (cmd/mediator etc.). A party wraps
+// each conn once, where it enters, in a link.Link naming the peer behind
+// it; the protocol code receives only through link.Link.Recv, so a run
+// ends in the exact join or in a *ProtocolError naming the failing
+// party. All parties are semi-honest: they follow the protocol but may
+// analyze what they see; the leakage.Ledger records exactly what that
+// is.
 package mediation
 
 import (
@@ -29,7 +33,7 @@ import (
 
 	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
-	"github.com/secmediation/secmediation/internal/resilience"
+	"github.com/secmediation/secmediation/internal/mediation/link"
 	"github.com/secmediation/secmediation/internal/telemetry"
 	"github.com/secmediation/secmediation/internal/transport"
 )
@@ -183,7 +187,6 @@ const (
 	msgRequest      = "mmm.request"
 	msgPartialQuery = "mmm.partial-query"
 	msgPartialAck   = "mmm.partial-ack"
-	msgError        = "mmm.error"
 
 	msgDASPartial     = "das.partial"
 	msgDASIndexTables = "das.index-tables"
@@ -208,33 +211,8 @@ const (
 )
 
 // ProtocolError is the typed abort error every party surfaces when a
-// delivery-phase run fails: it attributes the failure to the party where
-// it originated (leakage party naming: "client", "mediator", "source:S1",
-// or the mediator's relation-addressed "source:R1" for links whose source
-// name is unknown) and, when known, the protocol phase that was active
-// there. Callers unwrap the cause with errors.Is/As — a dead peer's
-// timeout matches transport.ErrTimeout.
-type ProtocolError struct {
-	// Party is where the failure originated (or the peer behind the link
-	// that failed, when the party itself is unreachable).
-	Party string
-	// Phase is the telemetry phase active at the origin, when known
-	// (e.g. "cross.encrypt").
-	Phase string
-	// Err is the underlying cause.
-	Err error
-}
-
-// Error implements error.
-func (e *ProtocolError) Error() string {
-	if e.Phase != "" {
-		return fmt.Sprintf("mediation: %s failed during %s: %v", e.Party, e.Phase, e.Err)
-	}
-	return fmt.Sprintf("mediation: %s failed: %v", e.Party, e.Err)
-}
-
-// Unwrap supports errors.Is/As on the cause.
-func (e *ProtocolError) Unwrap() error { return e.Err }
+// delivery-phase run fails (see link.ProtocolError).
+type ProtocolError = link.ProtocolError
 
 // attribute wraps err as a *ProtocolError blamed on party/phase, unless
 // the chain already carries an attribution (the origin wins: a mediator
@@ -250,186 +228,36 @@ func attribute(party, phase string, err error) error {
 	return &ProtocolError{Party: party, Phase: phase, Err: err}
 }
 
-// countTimeout bumps the party's mediation_timeouts counter when err is a
-// deadline expiry. Nil-safe on the registry.
-func countTimeout(reg *telemetry.Registry, party string, err error) {
-	if reg.Enabled() && errors.Is(err, transport.ErrTimeout) {
-		reg.Counter("mediation_timeouts", "party", party).Add(1)
-	}
-}
-
-// linkSessionID reports the mux session ID of a virtual link, when conn
-// is a session-layer stream (any conn exposing SessionID). Plain links
-// report false, and per-session telemetry roots stay unannotated.
-func linkSessionID(conn transport.Conn) (uint64, bool) {
-	s, ok := conn.(interface{ SessionID() uint64 })
-	if !ok {
-		return 0, false
-	}
-	return s.SessionID(), true
-}
-
 // annotateSession tags a telemetry root span with the mux session ID of
 // the link it serves, tying each span tree to one virtual link of a
 // multiplexed deployment.
-func annotateSession(root *telemetry.Span, conn transport.Conn) {
-	if sid, ok := linkSessionID(conn); ok {
+func annotateSession(root *telemetry.Span, l *link.Link) {
+	if sid, ok := l.SessionID(); ok {
 		root.Annotate("mux-session", strconv.FormatUint(sid, 10))
 	}
 }
 
-// errorBody is the payload of msgError: the originating party and phase
-// travel with the message so every survivor reports the same attribution.
-// Transient carries the origin's retry classification — error chains
-// flatten to strings at party boundaries, so without this flag a
-// client could not tell a relayed timeout (worth a fresh attempt) from
-// a relayed protocol violation (terminal).
-type errorBody struct {
-	Party     string
-	Phase     string
-	Message   string
-	Transient bool
+// abort ends a party's failed session: err is attributed to the party
+// (unless the chain already names its origin), counted in
+// mediation_timeouts when a deadline fired at this party, and
+// best-effort reported over l so the peer unblocks at once.
+func abort(l *link.Link, reg *telemetry.Registry, party string, err error) error {
+	err = attribute(party, "", err)
+	if reg.Enabled() && errors.Is(err, transport.ErrTimeout) && !link.Relayed(err) {
+		reg.Counter("mediation_timeouts", "party", party).Add(1)
+	}
+	l.Abort(party, err)
+	return err
 }
 
-// peerError is a failure a peer reported in msgError. Message is the
-// origin's own text, which sendError relays as is, so a failure reads
-// "peer error: " once however many parties it crossed.
-type peerError struct{ Message string }
-
-func (e *peerError) Error() string { return "peer error: " + e.Message }
-
-// sendError best-effort reports a failure to a peer so it can abort
-// instead of hanging. The from party names the sender; when err already
-// carries a *ProtocolError attribution, the origin's party/phase and text
-// are forwarded unchanged. The origin's retry classification rides along
-// as the Transient flag.
-func sendError(conn transport.Conn, from string, err error) {
-	body := errorBody{Party: from, Message: err.Error(), Transient: resilience.Retryable(err)}
-	var pe *ProtocolError
-	if errors.As(err, &pe) {
-		body.Party, body.Phase, body.Message = pe.Party, pe.Phase, pe.Err.Error()
-		var relayed *peerError
-		if errors.As(pe.Err, &relayed) {
-			body.Message = relayed.Message
-		}
+// abortLinks best-effort propagates err as an abort frame on every live
+// link, so peers blocked mid-protocol abort immediately instead of
+// waiting out their deadline. Used by the mediator, the only party with
+// more than one link.
+func abortLinks(err error, links ...*link.Link) {
+	for _, l := range links {
+		l.Abort(leakage.PartyMediator, err)
 	}
-	m, e := transport.NewMessage(msgError, body)
-	if e != nil {
-		return
-	}
-	if serr := conn.Send(m); serr != nil {
-		// The peer is already unreachable; the caller's original error is
-		// what surfaces, and the peer's own Recv will fail on the dead
-		// link, so there is nothing further to do with serr.
-		return
-	}
-}
-
-// abortLinks best-effort propagates err as msgError on every live link,
-// so peers blocked mid-protocol abort immediately instead of waiting out
-// their deadline. Used by the mediator, the only party with more than one
-// link.
-func abortLinks(err error, conns ...transport.Conn) {
-	for _, c := range conns {
-		sendError(c, leakage.PartyMediator, err)
-	}
-}
-
-// recvExpect receives the next message, turning msgError payloads and
-// link failures into *ProtocolError aborts and enforcing the expected
-// type tag. The peer name attributes link failures: a dead or silent link
-// is blamed on the party at its far end.
-func recvExpect(conn transport.Conn, peer, typ string) (transport.Message, error) {
-	m, err := conn.Recv()
-	if err != nil {
-		return transport.Message{}, &ProtocolError{
-			Party: peer,
-			Err:   fmt.Errorf("link failed awaiting %q: %w", typ, err),
-		}
-	}
-	if m.Type == msgError {
-		var body errorBody
-		payload, perr := transport.Payload(m)
-		if perr == nil {
-			perr = transport.Decode(payload, &body)
-		}
-		if perr != nil {
-			return transport.Message{}, &ProtocolError{
-				Party: peer,
-				Err:   fmt.Errorf("peer error (undecodable)"),
-			}
-		}
-		party := body.Party
-		if party == "" {
-			party = peer
-		}
-		cause := error(&peerError{Message: body.Message})
-		if body.Transient {
-			// The origin classified its failure retryable; keep that
-			// visible through the reconstructed chain.
-			cause = resilience.MarkTransient(cause)
-		}
-		return transport.Message{}, &ProtocolError{
-			Party: party,
-			Phase: body.Phase,
-			Err:   cause,
-		}
-	}
-	if m.Type != typ {
-		return transport.Message{}, &ProtocolError{
-			Party: peer,
-			Err:   fmt.Errorf("expected %q, got %q", typ, m.Type),
-		}
-	}
-	// Verify the body digest before any payload reaches a decoder: a
-	// corrupted-but-decodable payload would otherwise silently change
-	// the protocol's inputs (and with them the join). Integrity
-	// failures are link faults — typed and retryable.
-	payload, err := transport.Payload(m)
-	if err != nil {
-		return transport.Message{}, &ProtocolError{
-			Party: peer,
-			Err:   fmt.Errorf("receiving %q: %w", typ, err),
-		}
-	}
-	m.Body = payload
-	return m, nil
-}
-
-// sendMsg encodes and sends a payload in one step. Send failures become
-// *ProtocolError aborts attributed to the peer behind the link.
-//
-// seclint:wire gob-encodes the payload onto the party link
-func sendMsg(conn transport.Conn, peer, typ string, v any) error {
-	m, err := transport.NewMessage(typ, v)
-	if err != nil {
-		return err
-	}
-	if err := conn.Send(m); err != nil {
-		return &ProtocolError{
-			Party: peer,
-			Err:   fmt.Errorf("sending %q: %w", typ, err),
-		}
-	}
-	return nil
-}
-
-// recvInto receives a message of the given type and decodes its body.
-//
-// seclint:wire gob-decodes a link payload into the target (keys must not
-// arrive over a link either)
-func recvInto(conn transport.Conn, peer, typ string, v any) error {
-	m, err := recvExpect(conn, peer, typ)
-	if err != nil {
-		return err
-	}
-	if err := transport.Decode(m.Body, v); err != nil {
-		return &ProtocolError{
-			Party: peer,
-			Err:   fmt.Errorf("decoding %q: %w", typ, err),
-		}
-	}
-	return nil
 }
 
 // stopwatch runs a party's delivery-phase work as named telemetry spans:

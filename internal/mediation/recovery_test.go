@@ -271,46 +271,3 @@ func TestAdmitAttempt(t *testing.T) {
 		t.Error("q1 not evicted after attemptCap fresh query IDs")
 	}
 }
-
-// TestErrorTransientPropagation pins the wire contract that keeps retry
-// classification alive across party boundaries: a relayed transient
-// failure reconstructs as retryable, a relayed protocol violation as
-// terminal, and an attributed *ProtocolError keeps its origin.
-func TestErrorTransientPropagation(t *testing.T) {
-	relay := func(err error) error {
-		a, b := transport.Pair()
-		defer a.Close()
-		defer b.Close()
-		sendError(a, "S1", err)
-		_, rerr := recvExpect(b, "mediator", "anything")
-		return rerr
-	}
-
-	got := relay(fmt.Errorf("awaiting ack: %w", transport.ErrTimeout))
-	var pe *ProtocolError
-	if !errors.As(got, &pe) {
-		t.Fatalf("relayed timeout: %v, want *ProtocolError", got)
-	}
-	if pe.Party != "S1" {
-		t.Errorf("relayed timeout attributed to %q, want S1", pe.Party)
-	}
-	if !resilience.Retryable(got) {
-		t.Error("relayed timeout lost its transient classification")
-	}
-
-	got = relay(errors.New("schema mismatch"))
-	if !errors.As(got, &pe) {
-		t.Fatalf("relayed violation: %v, want *ProtocolError", got)
-	}
-	if resilience.Retryable(got) {
-		t.Error("relayed protocol violation reconstructed as retryable")
-	}
-
-	got = relay(&ProtocolError{Party: "S2", Phase: "delivery", Err: errors.New("bad partition")})
-	if !errors.As(got, &pe) {
-		t.Fatalf("relayed attributed error: %v, want *ProtocolError", got)
-	}
-	if pe.Party != "S2" || pe.Phase != "delivery" {
-		t.Errorf("relayed attribution = %q/%q, want S2/delivery", pe.Party, pe.Phase)
-	}
-}

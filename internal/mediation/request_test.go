@@ -200,7 +200,7 @@ func TestRequestPhaseRejects(t *testing.T) {
 			// Every source has unwound (queryAtMediator waited for them), and
 			// the granted one was sent the reason.
 			if ty := tap.types["source:R2"]; sh.name != "aggregate" &&
-				(len(ty) != 3 || ty[2] != "send "+msgError) {
+				(len(ty) != 3 || ty[2] != "send mmm.error") {
 				t.Errorf("granted source's link carried %v, want the partial query, its ack and the abort", ty)
 			}
 		})

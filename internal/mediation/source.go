@@ -12,6 +12,7 @@ import (
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
 	"github.com/secmediation/secmediation/internal/leakage"
+	"github.com/secmediation/secmediation/internal/mediation/link"
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/sqlparse"
 	"github.com/secmediation/secmediation/internal/telemetry"
@@ -107,70 +108,68 @@ func (s *Source) now() time.Time {
 // the access-denied case (which is a protocol outcome, not a server
 // failure).
 func (s *Source) Serve(conn transport.Conn) error {
+	mediator := link.New(conn, leakage.PartyMediator)
+	// The session's traffic counts on every exit from here on, a denied
+	// or rejected request included.
+	defer trafficCounters(s.Telemetry, s.party(), mediator.Peer(), conn.Stats())
+	// fail reports err to the mediator and returns the session error.
+	fail := func(err error) error {
+		return fmt.Errorf("mediation: source %s: %w", s.Name, abort(mediator, s.Telemetry, s.party(), err))
+	}
 	var pq PartialQuery
-	if err := recvInto(conn, "mediator", msgPartialQuery, &pq); err != nil {
+	if err := mediator.Recv(msgPartialQuery, &pq); err != nil {
 		return fmt.Errorf("mediation: source %s: %w", s.Name, err)
 	}
 	// The mediator may have rewritten what the client asked for.
 	if err := pq.Params.check(); err != nil {
-		return s.abort(conn, err)
+		return fail(err)
 	}
 	// Arm the mediator link with the query's per-operation deadline so a
 	// dead mediator cannot park this session forever.
 	if pq.Params.Timeout > 0 {
-		conn.SetTimeout(pq.Params.Timeout)
+		mediator.SetTimeout(pq.Params.Timeout)
 	}
 	if !s.admitAttempt(pq.Params.QueryID, pq.Params.Attempt) {
 		// A later attempt of this query already reached us: this one was
 		// abandoned by the client. Denying (a protocol outcome, like an
 		// access denial) discards the stale partial state cleanly.
 		reason := fmt.Sprintf("stale attempt %d of query %s", pq.Params.Attempt, pq.Params.QueryID)
-		return sendMsg(conn, "mediator", msgPartialAck, PartialAck{Granted: false, Reason: reason})
+		return mediator.Send(msgPartialAck, PartialAck{Granted: false, Reason: reason})
 	}
 	rel, queryKey, denyReason, err := s.executePartial(&pq)
 	if err != nil {
-		return s.abort(conn, err)
+		return fail(err)
 	}
 	if denyReason != "" {
-		return sendMsg(conn, "mediator", msgPartialAck, PartialAck{Granted: false, Reason: denyReason})
+		return mediator.Send(msgPartialAck, PartialAck{Granted: false, Reason: denyReason})
 	}
-	if err := sendMsg(conn, "mediator", msgPartialAck, PartialAck{Granted: true, Schema: rel.Schema()}); err != nil {
+	if err := mediator.Send(msgPartialAck, PartialAck{Granted: true, Schema: rel.Schema()}); err != nil {
 		return err
 	}
 	root := s.Telemetry.Tracer(s.party()).Start("session")
 	root.Annotate("protocol", pq.Protocol.String())
 	root.Annotate("relation", pq.Relation)
-	annotateSession(root, conn)
+	annotateSession(root, mediator)
 	defer root.End()
-	defer trafficCounters(s.Telemetry, s.party(), "mediator", conn.Stats())
 	watch := &stopwatch{party: s.party(), root: root}
 	switch {
 	case pq.Protocol == ProtocolPlaintext:
-		err = s.servePlaintext(conn, rel)
+		err = s.servePlaintext(mediator, rel)
 	case pq.Protocol == ProtocolMobileCode:
-		err = s.serveMobileCode(conn, &pq, rel, queryKey, watch)
+		err = s.serveMobileCode(mediator, &pq, rel, queryKey, watch)
 	case pq.Protocol == ProtocolDAS:
-		err = s.serveDAS(conn, &pq, rel, queryKey, watch)
+		err = s.serveDAS(mediator, &pq, rel, queryKey, watch)
 	case pq.Protocol == ProtocolCommutative:
-		err = s.serveCommutative(conn, &pq, rel, queryKey, watch)
+		err = s.serveCommutative(mediator, &pq, rel, queryKey, watch)
 	case pq.Protocol == ProtocolPM:
-		err = s.servePM(conn, &pq, rel, watch)
+		err = s.servePM(mediator, &pq, rel, watch)
 	default:
 		err = fmt.Errorf("unknown protocol %d", pq.Protocol)
 	}
 	if err != nil {
-		return s.abort(conn, err)
+		return fail(err)
 	}
 	return nil
-}
-
-// abort reports err to the mediator (attributed to this source unless the
-// chain already carries an origin) and returns the wrapped session error.
-func (s *Source) abort(conn transport.Conn, err error) error {
-	err = attribute(s.party(), "", err)
-	countTimeout(s.Telemetry, s.party(), err)
-	sendError(conn, s.party(), err)
-	return fmt.Errorf("mediation: source %s: %w", s.Name, err)
 }
 
 // executePartial runs Listing 1 step 4: credential check, the query-key
@@ -309,6 +308,6 @@ func fixedPoint(v relation.Value) (int64, error) {
 
 // servePlaintext ships the partial result in the clear (trusted-mediator
 // baseline).
-func (s *Source) servePlaintext(conn transport.Conn, rel *relation.Relation) error {
-	return sendMsg(conn, "mediator", msgPTPartial, toWire(rel))
+func (s *Source) servePlaintext(mediator *link.Link, rel *relation.Relation) error {
+	return mediator.Send(msgPTPartial, toWire(rel))
 }

@@ -227,6 +227,42 @@ func TestAbortedSessionCountsTraffic(t *testing.T) {
 	}
 }
 
+// A source counts its traffic on every exit. A denied request never
+// reaches the delivery phase, yet its partial query and its ack show in
+// the source's transport counters.
+func TestDeniedSourceCountsTraffic(t *testing.T) {
+	n := newTestNetwork(t, nil)
+	reg := telemetry.NewRegistry()
+	n.SetTelemetry(reg)
+	defer n.SetTelemetry(nil)
+	// S1's clock runs a century ahead: every credential has expired.
+	n.Sources[0].Now = func() time.Time { return time.Now().AddDate(100, 0, 0) }
+	if _, err := n.Query(fixtureSQL, ProtocolCommutative, fastParams()); err == nil || !strings.Contains(err.Error(), "access to R1 denied") {
+		t.Fatalf("query against an expired-clock source: err = %v, want the denial", err)
+	}
+	names := []string{"transport_bytes_sent", "transport_bytes_recv", "transport_msgs_sent", "transport_msgs_recv"}
+	counter := func(name string) int64 {
+		return reg.Counter(name, "party", "source:S1", "peer", leakage.PartyMediator).Value()
+	}
+	// The source ends its session after the client has its answer.
+	counted := func() bool {
+		for _, name := range names {
+			if counter(name) <= 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(5 * time.Second); !counted() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	for _, name := range names {
+		if got := counter(name); got <= 0 {
+			t.Errorf("%s{party=source:S1,peer=mediator} = %d after a denied query, want > 0", name, got)
+		}
+	}
+}
+
 // A query with no registry anywhere must behave exactly as before the
 // telemetry subsystem existed.
 func TestQueryWithoutTelemetry(t *testing.T) {

@@ -32,7 +32,6 @@ var goldenCases = []struct {
 	{name: "secretfmt", fixture: "testdata/src/secretfmt", run: []*Analyzer{Secretfmt}},
 	{name: "errdrop", fixture: "testdata/src/errdrop", run: []*Analyzer{Errdrop}},
 	{name: "rawexp", fixture: "testdata/src/rawexp", relDir: "internal/crypto/fixture", run: []*Analyzer{Rawexp}},
-	{name: "rawrecv", fixture: "testdata/src/rawrecv", relDir: "internal/mediation", run: []*Analyzer{Rawrecv}},
 	{name: "plaintaint", fixture: "testdata/src/plaintaint", program: true, run: []*Analyzer{Plaintaint}},
 	{name: "keyscope", fixture: "testdata/src/keyscope", program: true, run: []*Analyzer{Keyscope}},
 	{name: "cttaint", fixture: "testdata/src/cttaint", program: true, run: []*Analyzer{Cttaint}},

@@ -58,7 +58,7 @@ type Analyzer struct {
 }
 
 // All lists every analyzer in the suite, in reporting order.
-var All = []*Analyzer{Weakrand, Subtlecmp, Secretfmt, Errdrop, Rawexp, Rawrecv, Plaintaint, Keyscope, Cttaint, Conccheck}
+var All = []*Analyzer{Weakrand, Subtlecmp, Secretfmt, Errdrop, Rawexp, Plaintaint, Keyscope, Cttaint, Conccheck}
 
 // Pass carries one (analyzer, package) unit of work.
 type Pass struct {

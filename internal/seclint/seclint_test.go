@@ -45,7 +45,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"secretfmt", Secretfmt, "testdata/src/secretfmt", ""},
 		{"errdrop", Errdrop, "testdata/src/errdrop", ""},
 		{"rawexp", Rawexp, "testdata/src/rawexp", "internal/crypto/fixture"},
-		{"rawrecv", Rawrecv, "testdata/src/rawrecv", "internal/mediation"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

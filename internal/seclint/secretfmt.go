@@ -10,7 +10,7 @@ import (
 // formatting under content-rendering verbs (%x, %v, %s, ...), into
 // String() calls, and into telemetry span labels (Annotate). Keys and
 // wrapped keys must never land in error strings or logs: protocol
-// errors travel to the mediator verbatim (mediation.sendError), and
+// errors travel to the mediator verbatim (link.Link.Abort), and
 // the mediator is the adversary. Span labels are stricter still — they
 // are exported verbatim on the operator-facing /metrics and /trace
 // endpoints, so even ciphertexts (which the protocols deliberately

@@ -90,3 +90,16 @@ func shipQueryKey(k *ecdh.PrivateKey) error {
 func shipQueryPub(k *ecdh.PrivateKey) error {
 	return send(k.PublicKey().Bytes())
 }
+
+// wireLink models a party link whose methods are the encode points.
+type wireLink struct{}
+
+// Send models a method-form encode point.
+//
+// seclint:wire gob-encodes v onto the link
+func (l *wireLink) Send(typ string, v any) error { return nil }
+
+// shipKeyOverLink puts a private key on the wire through the method.
+func shipKeyOverLink(l *wireLink, k *PrivKey) error {
+	return l.Send("key", k) // want "private-key material keyscope.PrivKey"
+}

@@ -34,7 +34,7 @@ func muxPair(t *testing.T, clientCfg, serverCfg Config) (*Mux, *Mux) {
 	return cm, sm
 }
 
-func sendMsg(t *testing.T, c transport.Conn, typ, body string) {
+func sendFrame(t *testing.T, c transport.Conn, typ, body string) {
 	t.Helper()
 	if err := c.Send(transport.Message{Type: typ, Body: []byte(body)}); err != nil {
 		t.Fatalf("send %q: %v", typ, err)
@@ -59,7 +59,7 @@ func TestMuxOpenAcceptEcho(t *testing.T) {
 	if st.SessionID()%2 != 1 {
 		t.Fatalf("client session ID %d: want odd", st.SessionID())
 	}
-	sendMsg(t, st, "ping", "hello")
+	sendFrame(t, st, "ping", "hello")
 
 	srv, err := sm.Accept()
 	if err != nil {
@@ -75,7 +75,7 @@ func TestMuxOpenAcceptEcho(t *testing.T) {
 	if string(m.Body) != "hello" {
 		t.Fatalf("body %q, want hello", m.Body)
 	}
-	sendMsg(t, srv, "pong", "world")
+	sendFrame(t, srv, "pong", "world")
 	m, err = recvType(st, "pong")
 	if err != nil {
 		t.Fatalf("client expect: %v", err)
@@ -101,7 +101,7 @@ func TestMuxBidirectionalOpen(t *testing.T) {
 	if s1.SessionID()%2 != 0 {
 		t.Fatalf("server session ID %d: want even", s1.SessionID())
 	}
-	sendMsg(t, s1, "srv.hi", "")
+	sendFrame(t, s1, "srv.hi", "")
 	got, err := cm.Accept()
 	if err != nil {
 		t.Fatalf("client accept: %v", err)
@@ -184,8 +184,8 @@ func TestMuxCloseDrainsThenEOF(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	sendMsg(t, st, "a", "")
-	sendMsg(t, st, "b", "")
+	sendFrame(t, st, "a", "")
+	sendFrame(t, st, "b", "")
 	srv, err := sm.Accept()
 	if err != nil {
 		t.Fatalf("accept: %v", err)
@@ -219,7 +219,7 @@ func TestMuxPerLinkOverload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open first: %v", err)
 	}
-	sendMsg(t, first, "hold", "")
+	sendFrame(t, first, "hold", "")
 	if _, err := sm.Accept(); err != nil {
 		t.Fatalf("accept first: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestMuxLinkFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	sendMsg(t, st, "ping", "")
+	sendFrame(t, st, "ping", "")
 	srv, err := sm.Accept()
 	if err != nil {
 		t.Fatalf("accept: %v", err)
@@ -336,7 +336,7 @@ func TestMuxStrayFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	sendMsg(t, st, "ping", "")
+	sendFrame(t, st, "ping", "")
 	srv, err := sm.Accept()
 	if err != nil {
 		t.Fatalf("accept: %v", err)
@@ -362,7 +362,7 @@ func TestMuxStrayFrames(t *testing.T) {
 		}
 	}
 	// The live session still works after all of it.
-	sendMsg(t, srv, "pong", "")
+	sendFrame(t, srv, "pong", "")
 	if _, err := recvType(st, "pong"); err != nil {
 		t.Fatalf("session damaged by stray frames: %v", err)
 	}
@@ -379,7 +379,7 @@ func TestMuxBackpressure(t *testing.T) {
 	}
 	const n = 16
 	for i := 0; i < n; i++ {
-		sendMsg(t, st, fmt.Sprintf("m%d", i), "")
+		sendFrame(t, st, fmt.Sprintf("m%d", i), "")
 	}
 	srv, err := sm.Accept()
 	if err != nil {
@@ -401,7 +401,7 @@ func TestMuxRecvTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	sendMsg(t, st, "ping", "")
+	sendFrame(t, st, "ping", "")
 	srv, err := sm.Accept()
 	if err != nil {
 		t.Fatalf("accept: %v", err)
@@ -415,7 +415,7 @@ func TestMuxRecvTimeout(t *testing.T) {
 	}
 	// The timeout poisoned nothing: traffic still flows.
 	st.SetTimeout(2 * time.Second)
-	sendMsg(t, srv, "pong", "")
+	sendFrame(t, srv, "pong", "")
 	if _, err := recvType(st, "pong"); err != nil {
 		t.Fatalf("session damaged by timeout: %v", err)
 	}
@@ -431,7 +431,7 @@ func TestMuxStats(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	body := []byte("0123456789")
-	sendMsg(t, st, "data", string(body))
+	sendFrame(t, st, "data", string(body))
 	srv, err := sm.Accept()
 	if err != nil {
 		t.Fatalf("accept: %v", err)

@@ -198,7 +198,7 @@ func TestServerRefusesPlainLink(t *testing.T) {
 	}
 	defer st.Close()
 	st.SetTimeout(5 * time.Second)
-	sendMsg(t, st, "ping", "x")
+	sendFrame(t, st, "ping", "x")
 	if _, err := recvType(st, "ping"); err != nil {
 		t.Fatalf("multiplexed session after a refused plain link: %v", err)
 	}
