@@ -260,7 +260,7 @@ func (h *harness) startSoakWorld(slots, waiting int, hint time.Duration, hold <-
 	pool := &session.Pool{
 		Dial: transport.Dial,
 		Governor: resilience.NewBreakerSet(resilience.BreakerConfig{
-			Window: 8, FailureRate: 0.5, MinSamples: 2,
+			Window: 8, MinSamples: 2,
 			OpenTimeout: soakOpenTimeout, Telemetry: reg, OnTransition: record,
 		}),
 		Telemetry: reg,

@@ -29,7 +29,6 @@ import (
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/resilience"
 	"github.com/secmediation/secmediation/internal/session"
-	"github.com/secmediation/secmediation/internal/transport"
 )
 
 // Exit codes: 0 success, 1 terminal failure (protocol violation, policy
@@ -156,13 +155,11 @@ func runQuery(args []string) error {
 	}
 
 	// All protocol sessions run as virtual links over one physical
-	// connection per mediator address; the pool redials a dead link on
-	// the next attempt and its breaker fast-fails while the mediator
-	// stays down.
+	// connection per mediator address; the pool dials once per attempt,
+	// redials a dead link on the next attempt, and its breaker
+	// fast-fails while the mediator stays down. Backoff between
+	// attempts is resilience.Do's alone.
 	pool := &session.Pool{
-		Dial: func(addr string) (transport.Conn, error) {
-			return transport.DialRetry(addr, transport.RetryPolicy{Attempts: 2})
-		},
 		Governor: resilience.NewBreakerSet(resilience.BreakerConfig{}),
 	}
 	defer pool.Close()

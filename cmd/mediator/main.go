@@ -43,8 +43,10 @@ func (s *stringList) Set(v string) error {
 	return nil
 }
 
-// dialSource opens one link to a datasource; main swaps in a retrying
-// dialer once the flags are parsed.
+// dialSource opens one link to a datasource; main swaps in a session
+// over the pooled link once the flags are parsed. A failed dial is not
+// retried here: the attempt fails at once with a retryable error, and
+// the client's retry loop owns the backoff.
 var dialSource = transport.Dial
 
 func main() {
@@ -55,7 +57,6 @@ func main() {
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /trace and /snapshot on this address (empty disables)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-operation deadline on accepted client links before the request arrives (0 disables)")
 	maxMsg := flag.Int64("maxmsg", 0, "inbound message size limit in bytes (0 = default 256 MiB)")
-	retries := flag.Int("retries", 5, "dial attempts per datasource link (backoff between attempts)")
 	maxSessions := flag.Int("max-sessions", 64, "max concurrent protocol sessions (0 = unlimited)")
 	maxWaiting := flag.Int("max-waiting", 64, "sessions allowed to queue for a slot before overload rejects")
 	drain := flag.Duration("drain", 20*time.Second, "on SIGTERM/SIGINT, let in-flight sessions finish for up to this long before forcing links closed")
@@ -73,13 +74,12 @@ func main() {
 	// One persistent multiplexed link per datasource: every session dials
 	// through the pool, so overlapping queries share physical links
 	// instead of paying a TCP dial each.
-	// A per-peer circuit breaker governs the pool's dials: while one
-	// datasource stays down, sessions needing it fast-fail with
-	// resilience.ErrCircuitOpen instead of burning a dial timeout each,
-	// and sessions on healthy sources are unaffected.
-	pol := transport.RetryPolicy{Attempts: *retries, Telemetry: med.Telemetry}
+	// A per-peer circuit breaker governs the pool's dials: it sees every
+	// physical dial, and while one datasource stays down, sessions
+	// needing it fast-fail with resilience.ErrCircuitOpen instead of
+	// burning a dial timeout each, and sessions on healthy sources are
+	// unaffected.
 	pool := &session.Pool{
-		Dial:      func(addr string) (transport.Conn, error) { return transport.DialRetry(addr, pol) },
 		Governor:  resilience.NewBreakerSet(resilience.BreakerConfig{Telemetry: med.Telemetry}),
 		Telemetry: med.Telemetry,
 	}

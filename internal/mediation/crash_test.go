@@ -130,7 +130,6 @@ func TestRelayedTimeoutStaysTimeout(t *testing.T) {
 	n := newTestNetwork(t, nil)
 	reg := telemetry.NewRegistry()
 	n.SetTelemetry(reg)
-	defer n.SetTelemetry(nil)
 	n.Mediator.Routes["R1"] = func() (transport.Conn, error) {
 		a, _ := transport.Pair() // nobody ever serves the far end
 		a.SetTimeout(100 * time.Millisecond)
@@ -164,7 +163,6 @@ func TestSilentMediatorTimesOut(t *testing.T) {
 	n := newTestNetwork(t, nil)
 	reg := telemetry.NewRegistry()
 	n.Client.Telemetry = reg
-	defer n.SetTelemetry(nil)
 	clientSide, mediatorSide := transport.Pair()
 	defer mediatorSide.Close() // accepted, never served
 	params := fastParams()

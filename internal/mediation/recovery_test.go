@@ -112,7 +112,7 @@ func TestChaosSourceRestartRecovery(t *testing.T) {
 	// breaker must never trip.
 	pool := &session.Pool{Dial: transport.Dial, Telemetry: reg,
 		Governor: resilience.NewBreakerSet(resilience.BreakerConfig{
-			Window: 8, FailureRate: 0.5, MinSamples: 2, OpenTimeout: openTimeout, Telemetry: reg,
+			Window: 8, MinSamples: 2, OpenTimeout: openTimeout, Telemetry: reg,
 		})}
 	t.Cleanup(func() {
 		if err := pool.Close(); err != nil {

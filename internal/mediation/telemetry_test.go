@@ -100,7 +100,6 @@ func checkSpanTree(t *testing.T, n *Network, sql string, proto Protocol, want []
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	n.SetTelemetry(reg)
-	defer n.SetTelemetry(nil)
 	if _, err := n.Query(sql, proto, fastParams()); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,6 @@ func TestTrafficCountersAccumulate(t *testing.T) {
 	n := newTestNetwork(t, nil)
 	reg := telemetry.NewRegistry()
 	n.SetTelemetry(reg)
-	defer n.SetTelemetry(nil)
 	sent := reg.Counter("transport_bytes_sent", "party", leakage.PartyMediator, "peer", "client")
 	if _, err := n.Query(fixtureSQL, ProtocolPlaintext, fastParams()); err != nil {
 		t.Fatal(err)
@@ -203,7 +201,6 @@ func TestAbortedSessionCountsTraffic(t *testing.T) {
 	n := newTestNetwork(t, nil)
 	reg := telemetry.NewRegistry()
 	n.SetTelemetry(reg)
-	defer n.SetTelemetry(nil)
 	n.Mediator.Routes["R1"] = func() (transport.Conn, error) {
 		a, _ := transport.Pair() // nobody ever serves the far end
 		// The query carries no deadline, so only the mediator's wait on
@@ -234,7 +231,6 @@ func TestDeniedSourceCountsTraffic(t *testing.T) {
 	n := newTestNetwork(t, nil)
 	reg := telemetry.NewRegistry()
 	n.SetTelemetry(reg)
-	defer n.SetTelemetry(nil)
 	// S1's clock runs a century ahead: every credential has expired.
 	n.Sources[0].Now = func() time.Time { return time.Now().AddDate(100, 0, 0) }
 	if _, err := n.Query(fixtureSQL, ProtocolCommutative, fastParams()); err == nil || !strings.Contains(err.Error(), "access to R1 denied") {
@@ -284,7 +280,6 @@ func TestClientTelemetryStaysLocal(t *testing.T) {
 	n.SetTelemetry(nil)
 	reg := telemetry.NewRegistry()
 	n.Client.Telemetry = reg
-	defer n.SetTelemetry(nil)
 	if _, err := n.Query(fixtureSQL, ProtocolCommutative, fastParams()); err != nil {
 		t.Fatal(err)
 	}

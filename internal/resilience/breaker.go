@@ -16,8 +16,8 @@ const (
 	StateClosed State = iota
 	// StateOpen fast-fails everything until the open timeout elapses.
 	StateOpen
-	// StateHalfOpen admits a bounded probe budget; one success
-	// re-closes, one failure re-opens.
+	// StateHalfOpen admits one probe; its success re-closes, its
+	// failure re-opens.
 	StateHalfOpen
 )
 
@@ -33,14 +33,12 @@ func (s State) String() string {
 }
 
 // BreakerConfig tunes a Breaker (and every Breaker of a BreakerSet).
-// The zero value is usable: 20-outcome window, 50% trip rate with at
-// least 5 samples, 5s open timeout, 1 half-open probe.
+// The zero value is usable: 20-outcome window, at least 5 samples,
+// 5s open timeout. A failure that leaves at least half the window
+// failed trips the breaker; half-open admits one probe.
 type BreakerConfig struct {
 	// Window is the sliding outcome window length. Default 20.
 	Window int
-	// FailureRate in (0,1]: the window failure fraction that trips the
-	// breaker open. Default 0.5.
-	FailureRate float64
 	// MinSamples is the minimum outcomes in the window before the rate
 	// can trip — a single failed first dial must not open the circuit.
 	// Default 5.
@@ -48,8 +46,6 @@ type BreakerConfig struct {
 	// OpenTimeout is how long an open breaker fast-fails before
 	// admitting a half-open probe. Default 5s.
 	OpenTimeout time.Duration
-	// ProbeBudget bounds concurrent half-open probes. Default 1.
-	ProbeBudget int
 	// Now is the clock; nil selects time.Now. Tests pin it.
 	Now func() time.Time
 	// Telemetry optionally records breaker activity: the
@@ -66,17 +62,11 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Window <= 0 {
 		c.Window = 20
 	}
-	if c.FailureRate <= 0 || c.FailureRate > 1 {
-		c.FailureRate = 0.5
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 5
 	}
 	if c.OpenTimeout <= 0 {
 		c.OpenTimeout = 5 * time.Second
-	}
-	if c.ProbeBudget <= 0 {
-		c.ProbeBudget = 1
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -98,7 +88,6 @@ type Breaker struct {
 	count    int    // filled entries
 	fails    int    // failures among filled entries
 	openedAt time.Time
-	probes   int // in-flight half-open probes
 }
 
 // NewBreaker builds a breaker for one peer.
@@ -118,8 +107,8 @@ func (b *Breaker) State() State {
 
 // Allow asks whether a guarded operation may proceed. Closed: yes.
 // Open: a typed ErrCircuitOpen fast-fail, until OpenTimeout has elapsed
-// — then the breaker goes half-open and this call is the first probe.
-// Half-open: yes while probes remain in the budget, fast-fail beyond.
+// — then the breaker goes half-open and this call is its one probe.
+// Half-open: fast-fail, since the probe is in flight.
 // Every successful Allow must be paired with one Record.
 func (b *Breaker) Allow() error {
 	// Read the (injectable) clock before taking the lock: cfg.Now is a
@@ -143,25 +132,20 @@ func (b *Breaker) Allow() error {
 			return fmt.Errorf("resilience: peer %s: %w", b.peer, ErrCircuitOpen)
 		}
 		transition = b.transitionLocked(StateHalfOpen)
-		b.probes = 1
 		b.countLocked("breaker_probes")
 		return nil
-	default: // StateHalfOpen
-		if b.probes >= b.cfg.ProbeBudget {
-			b.countLocked("breaker_fastfails")
-			return fmt.Errorf("resilience: peer %s: %w", b.peer, ErrCircuitOpen)
-		}
-		b.probes++
-		b.countLocked("breaker_probes")
-		return nil
+	default: // StateHalfOpen: the one probe is in flight.
+		b.countLocked("breaker_fastfails")
+		return fmt.Errorf("resilience: peer %s: %w", b.peer, ErrCircuitOpen)
 	}
 }
 
 // Record feeds one guarded-operation outcome back (err nil = success).
-// In the closed state it slides the outcome window and trips open when
-// the failure rate crosses the threshold; in the half-open state a
-// success re-closes the breaker (window reset) and a failure re-opens
-// it.
+// In the closed state it slides the outcome window, and a failure that
+// leaves at least half of it failed trips the breaker open — a success
+// never does, so the dial that built a live link cannot strand its
+// breaker open. In the half-open state a success re-closes the breaker
+// (window reset) and a failure re-opens it.
 func (b *Breaker) Record(err error) {
 	failed := err != nil
 	b.mu.Lock()
@@ -175,14 +159,10 @@ func (b *Breaker) Record(err error) {
 	switch b.state {
 	case StateClosed:
 		b.pushLocked(failed)
-		if b.count >= b.cfg.MinSamples &&
-			float64(b.fails) >= b.cfg.FailureRate*float64(b.count) {
+		if failed && b.count >= b.cfg.MinSamples && 2*b.fails >= b.count {
 			transition = b.tripLocked()
 		}
 	case StateHalfOpen:
-		if b.probes > 0 {
-			b.probes--
-		}
 		if failed {
 			transition = b.tripLocked()
 		} else {
@@ -216,14 +196,13 @@ func (b *Breaker) pushLocked(failed bool) {
 func (b *Breaker) tripLocked() func() {
 	t := b.transitionLocked(StateOpen)
 	b.openedAt = b.cfg.Now()
-	b.probes = 0
 	b.countLocked("breaker_opened")
 	return t
 }
 
 // resetLocked clears the outcome window (breaker re-closed).
 func (b *Breaker) resetLocked() {
-	b.head, b.count, b.fails, b.probes = 0, 0, 0, 0
+	b.head, b.count, b.fails = 0, 0, 0
 }
 
 // transitionLocked moves the state machine, exports the gauge, and

@@ -45,7 +45,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	b, ck, transitions := testBreaker(t, BreakerConfig{
 		Window:      8,
-		FailureRate: 0.5,
 		MinSamples:  4,
 		OpenTimeout: time.Second,
 		Telemetry:   reg,
@@ -78,7 +77,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 
 	// Open timeout elapses: the next Allow is the half-open probe, and
-	// the probe budget (1) fast-fails a second concurrent caller.
+	// a second caller fast-fails while that one probe is in flight.
 	ck.Advance(1100 * time.Millisecond)
 	if err := b.Allow(); err != nil {
 		t.Fatalf("probe Allow: %v", err)
@@ -87,7 +86,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("state during probe = %v, want half-open", got)
 	}
 	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("second probe Allow = %v, want ErrCircuitOpen (budget 1)", err)
+		t.Fatalf("second probe Allow = %v, want ErrCircuitOpen (one probe)", err)
 	}
 
 	// Probe fails: re-open, timer restarted.
@@ -141,12 +140,12 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestBreakerWindowSlides(t *testing.T) {
-	b, _, _ := testBreaker(t, BreakerConfig{Window: 4, FailureRate: 0.6, MinSamples: 4})
+	b, _, _ := testBreaker(t, BreakerConfig{Window: 4, MinSamples: 4})
 	boom := errors.New("x")
-	// Two failures then many successes: the failures slide out of the
-	// 4-outcome window (peaking at 2/4 = 0.5, below the 0.6 rate) and
-	// the breaker never trips.
-	outcomes := []error{boom, boom, nil, nil, nil, nil, boom}
+	// Two early failures slide out of the 4-outcome window, so the
+	// third meets a window of 1/4 failed, not the cumulative 3/6 that
+	// would trip it.
+	outcomes := []error{boom, boom, nil, nil, nil, boom}
 	for i, out := range outcomes {
 		if err := b.Allow(); err != nil {
 			t.Fatalf("Allow %d: %v", i, err)
@@ -158,8 +157,39 @@ func TestBreakerWindowSlides(t *testing.T) {
 	}
 }
 
+// TestBreakerSuccessNeverTrips is the regression for a success that
+// trips the breaker: the pool asks its governor only around a dial, so
+// a breaker opened by the dial that built the live link would never be
+// asked again. Only a failure may trip a closed breaker.
+func TestBreakerSuccessNeverTrips(t *testing.T) {
+	boom := errors.New("dial refused")
+	for _, tc := range []struct {
+		name  string
+		cfg   BreakerConfig
+		fails int
+	}{
+		{"soak config", BreakerConfig{Window: 8, MinSamples: 2}, 1},
+		{"defaults", BreakerConfig{}, 4},
+	} {
+		b, _, _ := testBreaker(t, tc.cfg)
+		for i := 0; i <= tc.fails; i++ {
+			if err := b.Allow(); err != nil {
+				t.Fatalf("%s: Allow %d: %v", tc.name, i, err)
+			}
+			if i < tc.fails {
+				b.Record(boom)
+			} else {
+				b.Record(nil)
+			}
+		}
+		if got := b.State(); got != StateClosed {
+			t.Errorf("%s: state after %d refused dials and one success = %v, want closed", tc.name, tc.fails, got)
+		}
+	}
+}
+
 func TestBreakerSetGovernor(t *testing.T) {
-	set := NewBreakerSet(BreakerConfig{Window: 4, FailureRate: 0.5, MinSamples: 2, OpenTimeout: time.Hour})
+	set := NewBreakerSet(BreakerConfig{Window: 4, MinSamples: 2, OpenTimeout: time.Hour})
 	boom := errors.New("refused")
 	// Trip src1 only; src2 stays closed — per-peer isolation.
 	for i := 0; i < 2; i++ {

@@ -81,9 +81,12 @@ func TestMarkTransientPreservesChain(t *testing.T) {
 	}
 }
 
+// hinted is an overload reject carrying a retry-after hint, as a
+// draining-aware session.Server sends it.
 type hinted struct{ d time.Duration }
 
 func (h hinted) Error() string             { return "overloaded" }
+func (h hinted) Unwrap() error             { return session.ErrOverloaded }
 func (h hinted) RetryAfter() time.Duration { return h.d }
 
 func TestRetryAfter(t *testing.T) {

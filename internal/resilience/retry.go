@@ -8,30 +8,27 @@ import (
 	"github.com/secmediation/secmediation/internal/telemetry"
 )
 
+// maxDelay caps the backoff growth: each retry doubles the delay up to
+// it.
+const maxDelay = 2 * time.Second
+
 // Policy tunes one Do invocation. The zero value is usable: 4 attempts,
 // 50ms base backoff doubling to a 2s cap, half-jittered, no elapsed
-// budget.
+// budget. Every delay is drawn uniformly from [½, 1] of its nominal
+// value, de-synchronizing client fleets; the package Retryable decides
+// which errors earn another attempt.
 type Policy struct {
 	// MaxAttempts bounds total attempts (first try included).
 	// Default 4.
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt. Default 50ms.
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff growth. Default 2s.
-	MaxDelay time.Duration
-	// Multiplier grows the backoff per retry. Default 2.
-	Multiplier float64
-	// Jitter in [0,1] randomizes each delay down to [1-Jitter, 1] of
-	// its nominal value, de-synchronizing client fleets. Default 0.5.
-	Jitter float64
 	// Budget, when positive, bounds the total elapsed time across
 	// attempts: a retry whose backoff would overrun it is not taken.
 	Budget time.Duration
 	// Seed feeds the jitter PRNG; 0 derives a stable seed from the
 	// query ID, so a run is reproducible given its IDs.
 	Seed uint64
-	// Retryable classifies errors; nil selects the package Retryable.
-	Retryable func(error) bool
 	// Sleep is the backoff clock; nil selects time.Sleep. Tests stub
 	// it.
 	Sleep func(time.Duration)
@@ -48,18 +45,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 50 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = 0.5
-	}
-	if p.Retryable == nil {
-		p.Retryable = Retryable
 	}
 	if p.Sleep == nil {
 		p.Sleep = time.Sleep
@@ -123,7 +108,7 @@ func Do(pol Policy, op func(Attempt) error) (Result, error) {
 			return res, nil
 		}
 		lastErr = err
-		if !pol.Retryable(err) {
+		if !Retryable(err) {
 			return Result{QueryID: qid, Attempts: n}, err
 		}
 		if n == pol.MaxAttempts {
@@ -151,22 +136,14 @@ func Do(pol Policy, op func(Attempt) error) (Result, error) {
 // backoff computes the jittered delay before attempt n+1 (n completed
 // attempts so far).
 func (p Policy) backoff(n int, next func() uint64) time.Duration {
-	d := float64(p.BaseDelay)
-	for i := 1; i < n; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.MaxDelay) {
-			break
-		}
+	d := p.BaseDelay
+	for i := 1; i < n && d < maxDelay; i++ {
+		d *= 2
 	}
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	if p.Jitter > 0 {
-		// Uniform draw in [1-Jitter, 1], 53-bit precision.
-		u := float64(next()>>11) / float64(1<<53)
-		d *= 1 - p.Jitter*u
-	}
-	return time.Duration(d)
+	d = min(d, maxDelay)
+	// Uniform draw in [½, 1], 53-bit precision.
+	u := float64(next()>>11) / float64(1<<53)
+	return time.Duration(float64(d) * (1 - u/2))
 }
 
 // seqRand is a splitmix64 stream: deterministic jitter without

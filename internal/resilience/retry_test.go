@@ -15,11 +15,22 @@ func recordingPolicy(sleeps *[]time.Duration) Policy {
 	return Policy{
 		MaxAttempts: 4,
 		BaseDelay:   100 * time.Millisecond,
-		MaxDelay:    400 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      0, // exact delays
 		Seed:        1,
 		Sleep:       func(d time.Duration) { *sleeps = append(*sleeps, d) },
+	}
+}
+
+// checkBackoffs asserts one sleep per nominal delay, each jittered into
+// [nominal/2, nominal].
+func checkBackoffs(t *testing.T, sleeps, nominal []time.Duration) {
+	t.Helper()
+	if len(sleeps) != len(nominal) {
+		t.Fatalf("backoffs = %v, want %d jittered from %v", sleeps, len(nominal), nominal)
+	}
+	for i, d := range nominal {
+		if sleeps[i] < d/2 || sleeps[i] > d {
+			t.Fatalf("backoff %d = %v, outside [%v, %v]", i, sleeps[i], d/2, d)
+		}
 	}
 }
 
@@ -50,10 +61,7 @@ func TestDoRecovers(t *testing.T) {
 	if ns[0] != 1 || ns[1] != 2 || ns[2] != 3 {
 		t.Fatalf("attempt numbers = %v, want 1,2,3", ns)
 	}
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond}
-	if len(sleeps) != 2 || sleeps[0] != want[0] || sleeps[1] != want[1] {
-		t.Fatalf("backoffs = %v, want %v", sleeps, want)
-	}
+	checkBackoffs(t, sleeps, []time.Duration{100 * time.Millisecond, 200 * time.Millisecond})
 	if got := reg.Counter("retries_attempted").Value(); got != 2 {
 		t.Errorf("retries_attempted = %d, want 2", got)
 	}
@@ -97,16 +105,7 @@ func TestDoExhausts(t *testing.T) {
 	if res.Attempts != 4 || res.Recovered {
 		t.Fatalf("result = %+v, want 4 unrecovered attempts", res)
 	}
-	// 100, 200, 400 (capped).
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond}
-	if len(sleeps) != len(want) {
-		t.Fatalf("backoffs = %v, want %v", sleeps, want)
-	}
-	for i := range want {
-		if sleeps[i] != want[i] {
-			t.Fatalf("backoff %d = %v, want %v", i, sleeps[i], want[i])
-		}
-	}
+	checkBackoffs(t, sleeps, []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond})
 	if got := reg.Counter("queries_exhausted").Value(); got != 1 {
 		t.Errorf("queries_exhausted = %d, want 1", got)
 	}
@@ -116,7 +115,6 @@ func TestDoHonorsRetryAfterHint(t *testing.T) {
 	var sleeps []time.Duration
 	pol := recordingPolicy(&sleeps)
 	hintErr := fmt.Errorf("open: %w", hinted{900 * time.Millisecond})
-	pol.Retryable = func(error) bool { return true }
 	_, err := Do(pol, func(a Attempt) error {
 		if a.N == 1 {
 			return hintErr
@@ -147,8 +145,8 @@ func TestDoBudgetBoundsRetries(t *testing.T) {
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("Do = %v, want ErrRetriesExhausted", err)
 	}
-	// First backoff (100ms) fits the 150ms budget; the second (200ms)
-	// would overrun, so only two attempts run.
+	// The first backoff (at most 100ms) fits the 150ms budget; the
+	// second (over 100ms more) would overrun, so only two attempts run.
 	if res.Attempts != 2 || len(sleeps) != 1 {
 		t.Fatalf("attempts=%d sleeps=%v, want budget to stop after 2 attempts", res.Attempts, sleeps)
 	}
@@ -158,7 +156,6 @@ func TestDoJitterDeterministic(t *testing.T) {
 	run := func() []time.Duration {
 		var sleeps []time.Duration
 		pol := recordingPolicy(&sleeps)
-		pol.Jitter = 0.5
 		pol.Seed = 42
 		_, err := Do(pol, func(Attempt) error { return fmt.Errorf("x: %w", transport.ErrTimeout) })
 		if !errors.Is(err, ErrRetriesExhausted) {
@@ -174,9 +171,37 @@ func TestDoJitterDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("seeded jitter not reproducible: %v vs %v", a, b)
 		}
-		nominal := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond}[i]
-		if a[i] > nominal || a[i] < nominal/2 {
-			t.Fatalf("jittered delay %v outside [%v, %v]", a[i], nominal/2, nominal)
+	}
+}
+
+// TestDoJittersZeroPolicy checks that the zero-value Policy — what
+// medclient and the soak run — jitters: its sleeps are drawn below the
+// nominal 50/100/200ms, not equal to them.
+func TestDoJittersZeroPolicy(t *testing.T) {
+	var sleeps []time.Duration
+	_, err := Do(Policy{Seed: 12345, Sleep: func(d time.Duration) { sleeps = append(sleeps, d) }},
+		func(Attempt) error { return fmt.Errorf("x: %w", transport.ErrTimeout) })
+	if !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("Do = %v, want ErrRetriesExhausted", err)
+	}
+	nominal := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
+	checkBackoffs(t, sleeps, nominal)
+	for i, d := range nominal {
+		if sleeps[i] == d {
+			t.Fatalf("backoffs = %v: the zero-value policy slept the nominal %v unjittered", sleeps, d)
 		}
 	}
+}
+
+// TestDoBackoffCap checks that the doubling stops at the 2s cap.
+func TestDoBackoffCap(t *testing.T) {
+	var sleeps []time.Duration
+	pol := recordingPolicy(&sleeps)
+	pol.BaseDelay = 1500 * time.Millisecond
+	_, err := Do(pol, func(Attempt) error { return fmt.Errorf("x: %w", transport.ErrTimeout) })
+	if !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("Do = %v, want ErrRetriesExhausted", err)
+	}
+	// 1.5s, then 3s and 6s nominal, both capped at 2s.
+	checkBackoffs(t, sleeps, []time.Duration{1500 * time.Millisecond, maxDelay, maxDelay})
 }

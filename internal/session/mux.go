@@ -41,13 +41,12 @@ func NewMux(conn transport.Conn, cfg Config) *Mux {
 // Server's first-frame check), which the demux loop dispatches before
 // touching the conn.
 func newMux(conn transport.Conn, cfg Config, preread []transport.Message) *Mux {
-	cfg = cfg.withDefaults()
 	m := &Mux{
 		inner:    conn,
 		cfg:      cfg,
 		streams:  make(map[uint64]*Stream),
 		nextSID:  1,
-		acceptCh: make(chan *Stream, cfg.AcceptBacklog),
+		acceptCh: make(chan *Stream, acceptBacklog),
 		done:     make(chan struct{}),
 	}
 	if cfg.Server {
@@ -218,11 +217,6 @@ func (m *Mux) handleOpen(sid uint64) {
 		m.count("mux_frames_malformed")
 		return
 	}
-	if m.cfg.MaxSessions > 0 && len(m.streams) >= m.cfg.MaxSessions {
-		m.mu.Unlock()
-		m.reject(sid, rejectOverloaded)
-		return
-	}
 	st := m.newStream(sid)
 	m.streams[sid] = st
 	m.mu.Unlock()
@@ -322,7 +316,7 @@ func (m *Mux) newStream(sid uint64) *Stream {
 	return &Stream{
 		mux:      m,
 		id:       sid,
-		in:       make(chan transport.Message, m.cfg.QueueDepth),
+		in:       make(chan transport.Message, queueDepth),
 		closed:   make(chan struct{}),
 		peerDone: make(chan struct{}),
 		failed:   make(chan struct{}),

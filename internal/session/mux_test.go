@@ -210,35 +210,37 @@ func TestMuxCloseDrainsThenEOF(t *testing.T) {
 	}
 }
 
-// TestMuxPerLinkOverload checks the per-link MaxSessions backstop: the
-// peer's reject poisons the excess session with ErrOverloaded while the
-// admitted session keeps working.
-func TestMuxPerLinkOverload(t *testing.T) {
-	cm, sm := muxPair(t, Config{}, Config{MaxSessions: 1})
-	first, err := cm.Open()
-	if err != nil {
-		t.Fatalf("open first: %v", err)
+// TestMuxAcceptBacklogReject checks the accept-backlog bound: a
+// session opened while acceptBacklog others wait unclaimed is rejected
+// with ErrOverloaded, while a sibling on the same link keeps working.
+func TestMuxAcceptBacklogReject(t *testing.T) {
+	cm, sm := muxPair(t, Config{}, Config{})
+	streams := make([]*Stream, acceptBacklog+1)
+	for i := range streams {
+		st, err := cm.Open()
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		streams[i] = st
 	}
-	sendFrame(t, first, "hold", "")
-	if _, err := sm.Accept(); err != nil {
+	excess := streams[acceptBacklog]
+	excess.SetTimeout(2 * time.Second)
+	if _, err := excess.Recv(); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("excess session recv: %v, want ErrOverloaded", err)
+	}
+	if err := excess.Send(transport.Message{Type: "x"}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("excess session send: %v, want ErrOverloaded", err)
+	}
+	// The sibling queued first is unaffected: claim it and echo.
+	first := streams[0]
+	sendFrame(t, first, "still-alive", "")
+	srv, err := sm.Accept()
+	if err != nil {
 		t.Fatalf("accept first: %v", err)
 	}
-
-	second, err := cm.Open()
-	if err != nil {
-		t.Fatalf("open second: %v", err)
-	}
-	second.SetTimeout(2 * time.Second)
-	_, err = second.Recv()
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("second session recv: %v, want ErrOverloaded", err)
-	}
-	if err := second.Send(transport.Message{Type: "x"}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("second session send: %v, want ErrOverloaded", err)
-	}
-	// The sibling is unaffected.
-	if err := first.Send(transport.Message{Type: "still-alive"}); err != nil {
-		t.Fatalf("first session send after reject: %v", err)
+	srv.SetTimeout(2 * time.Second)
+	if _, err := recvType(srv, "still-alive"); err != nil {
+		t.Fatalf("first session after reject: %v", err)
 	}
 }
 
@@ -372,18 +374,27 @@ func TestMuxStrayFrames(t *testing.T) {
 // blocks the demux loop rather than growing without bound, and unblocks
 // once the consumer catches up.
 func TestMuxBackpressure(t *testing.T) {
-	cm, sm := muxPair(t, Config{}, Config{QueueDepth: 2})
+	cm, sm := muxPair(t, Config{}, Config{})
 	st, err := cm.Open()
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	const n = 16
+	const n = queueDepth + 16
 	for i := 0; i < n; i++ {
 		sendFrame(t, st, fmt.Sprintf("m%d", i), "")
 	}
 	srv, err := sm.Accept()
 	if err != nil {
 		t.Fatalf("accept: %v", err)
+	}
+	// The queue fills to its bound and no further: the rest of the
+	// frames wait on the link behind the blocked demux loop.
+	deadline := time.Now().Add(2 * time.Second)
+	for len(srv.in) < queueDepth && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := len(srv.in); got != queueDepth {
+		t.Fatalf("session queue holds %d frames, want it full at %d", got, queueDepth)
 	}
 	srv.SetTimeout(2 * time.Second)
 	for i := 0; i < n; i++ {

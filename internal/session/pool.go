@@ -46,7 +46,8 @@ type Pool struct {
 	// resilience.BreakerSet. Nil allows every dial.
 	Governor DialGovernor
 	// Telemetry optionally records pool and per-link mux activity (links
-	// dialed, redials, sessions opened). Nil records nothing.
+	// dialed, redials, failed dials per address, sessions opened). Nil
+	// records nothing.
 	Telemetry *telemetry.Registry
 
 	mu    sync.Mutex
@@ -129,6 +130,9 @@ func (p *Pool) ensure(entry *poolLink, addr string, redial bool) (*Mux, error) {
 		p.Governor.Record(addr, err)
 	}
 	if err != nil {
+		if p.Telemetry.Enabled() {
+			p.Telemetry.Counter("pool_dial_failures", "addr", addr).Add(1)
+		}
 		return nil, err
 	}
 	entry.mux = NewMux(conn, Config{Telemetry: p.Telemetry})

@@ -22,15 +22,20 @@ import (
 // a live link deterministically (a closed conn fails the cached mux's
 // next frame synchronously).
 type breakerNet struct {
-	mu    sync.Mutex
-	dials int
-	conns []transport.Conn
-	muxes []*session.Mux
+	mu     sync.Mutex
+	dials  int
+	conns  []transport.Conn
+	muxes  []*session.Mux
+	refuse bool // next dial is refused
 }
 
 func (n *breakerNet) dial(addr string) (transport.Conn, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.refuse {
+		n.refuse = false
+		return nil, fmt.Errorf("dial %s: connection refused", addr)
+	}
 	n.dials++
 	client, server := transport.Pair()
 	sm := session.NewMux(server, session.Config{Server: true})
@@ -115,7 +120,6 @@ func TestPoolRedialWhileBreakerOpen(t *testing.T) {
 	set := resilience.NewBreakerSet(resilience.BreakerConfig{
 		Window:      4,
 		MinSamples:  2,
-		FailureRate: 0.5,
 		OpenTimeout: time.Second,
 		Now:         func() time.Time { return now },
 	})
@@ -157,5 +161,50 @@ func TestPoolRedialWhileBreakerOpen(t *testing.T) {
 	}
 	if got := net.dialCount(); got != 2 {
 		t.Fatalf("dialed %d times after recovery, want 2 (initial + one probe redial)", got)
+	}
+}
+
+// TestPoolDialSuccessLeavesBreakerClosed is the regression for a breaker
+// tripped by the dial that built the live link: the pool consults its
+// governor only around a dial, so nothing would ever re-close it. A
+// refused dial followed by a successful one must leave the breaker
+// closed, however long the link then serves.
+func TestPoolDialSuccessLeavesBreakerClosed(t *testing.T) {
+	snap := testutil.Snapshot()
+	net := &breakerNet{refuse: true}
+	now := time.Unix(1000, 0)
+	set := resilience.NewBreakerSet(resilience.BreakerConfig{
+		Window:      8,
+		MinSamples:  2,
+		OpenTimeout: time.Second,
+		Now:         func() time.Time { return now },
+	})
+	p := &session.Pool{Dial: net.dial, Governor: set}
+	defer func() {
+		if err := p.Close(); err != nil {
+			t.Logf("pool close: %v", err)
+		}
+		net.close()
+		testutil.CheckGoroutines(t, snap)
+	}()
+
+	const addr = "src1:7000"
+	if err := echo(p, addr); err == nil {
+		t.Fatal("query over a refused dial succeeded, want error")
+	}
+	if err := echo(p, addr); err != nil {
+		t.Fatalf("query after the peer came back: %v", err)
+	}
+	now = now.Add(2 * time.Second)
+	for i := 0; i < 5; i++ {
+		if err := echo(p, addr); err != nil {
+			t.Fatalf("query %d over the live link: %v", i, err)
+		}
+	}
+	if got := set.For(addr).State(); got != resilience.StateClosed {
+		t.Fatalf("breaker = %v after a refused and a successful dial, want closed", got)
+	}
+	if got := net.dialCount(); got != 1 {
+		t.Fatalf("successful dials = %d, want 1", got)
 	}
 }

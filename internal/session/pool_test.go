@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/secmediation/secmediation/internal/telemetry"
 	"github.com/secmediation/secmediation/internal/testutil"
 	"github.com/secmediation/secmediation/internal/transport"
 )
@@ -166,7 +167,8 @@ func TestPoolDialFailure(t *testing.T) {
 	snap := testutil.Snapshot()
 	net := newFakeNet()
 	net.fail = true
-	p := &Pool{Dial: net.dial}
+	reg := telemetry.NewRegistry()
+	p := &Pool{Dial: net.dial, Telemetry: reg}
 	defer func() {
 		if err := p.Close(); err != nil {
 			t.Logf("pool close: %v", err)
@@ -184,6 +186,12 @@ func TestPoolDialFailure(t *testing.T) {
 	}
 	if got := net.dialCount("src1:7000"); got != 1 {
 		t.Fatalf("successful dials = %d, want 1", got)
+	}
+	if got := reg.Counter("pool_dial_failures", "addr", "src1:7000").Value(); got != 1 {
+		t.Errorf("pool_dial_failures = %d, want 1", got)
+	}
+	if got := reg.Counter("pool_links_dialed").Value(); got != 1 {
+		t.Errorf("pool_links_dialed = %d, want 1", got)
 	}
 }
 

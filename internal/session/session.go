@@ -64,40 +64,28 @@ var ErrDraining = errors.New("session: draining: server is shutting down")
 // ErrMuxClosed reports an operation on a mux that was closed locally.
 var ErrMuxClosed = errors.New("session: mux closed")
 
+const (
+	// queueDepth bounds each session's receive queue (frames demuxed
+	// but not yet consumed). When a queue is full the demux loop blocks
+	// — backpressure on the shared link — until the session consumes or
+	// closes.
+	queueDepth = 64
+	// acceptBacklog bounds sessions opened by the peer but not yet
+	// claimed with Accept. Opens beyond it are rejected with
+	// ErrOverloaded; admission control proper is the Server Gate's job.
+	acceptBacklog = 64
+)
+
 // Config tunes one Mux. The zero value is a valid client-side
-// configuration with sane defaults.
+// configuration.
 type Config struct {
 	// Server marks the accept side of the link. The two sides draw
 	// session IDs from disjoint parities (client odd, server even), so
 	// both may open sessions without coordination.
 	Server bool
-	// QueueDepth bounds each session's receive queue (frames demuxed but
-	// not yet consumed). When a queue is full the demux loop blocks —
-	// backpressure on the shared link — until the session consumes or
-	// closes. Default 64.
-	QueueDepth int
-	// AcceptBacklog bounds sessions opened by the peer but not yet
-	// claimed with Accept. Opens beyond it are rejected with
-	// ErrOverloaded. Default 64.
-	AcceptBacklog int
-	// MaxSessions, when positive, bounds the live sessions the peer may
-	// hold open on this link; opens beyond it are rejected with
-	// ErrOverloaded. This is the per-link backstop — cross-link
-	// admission control is the Server Gate's job. Default 0 (unlimited).
-	MaxSessions int
 	// Telemetry optionally counts mux activity (sessions opened,
 	// accepted, rejected, discarded frames). Nil records nothing.
 	Telemetry *telemetry.Registry
-}
-
-func (c Config) withDefaults() Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.AcceptBacklog <= 0 {
-		c.AcceptBacklog = 64
-	}
-	return c
 }
 
 // Gate is the admission controller for a Server: at most MaxActive

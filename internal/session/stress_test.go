@@ -11,19 +11,19 @@ import (
 )
 
 // TestStressInterleavedSessions drives well over 32 concurrent sessions
-// through one mux with a deliberately small queue depth, so demux
-// backpressure, open/close interleaving and per-session ordering all
-// get exercised under the race detector (the Makefile race target runs
-// this package).
+// through one mux, each pipelining more than queueDepth frames ahead of
+// its reader, so demux backpressure, open/close interleaving and
+// per-session ordering all get exercised under the race detector (the
+// Makefile race target runs this package).
 func TestStressInterleavedSessions(t *testing.T) {
 	const (
 		sessions = 40
-		msgs     = 25
+		msgs     = queueDepth + 16
 	)
 	snap := testutil.Snapshot()
 	a, b := transport.Pair()
-	cm := NewMux(a, Config{QueueDepth: 4})
-	sm := NewMux(b, Config{Server: true, QueueDepth: 4})
+	cm := NewMux(a, Config{})
+	sm := NewMux(b, Config{Server: true})
 	defer func() {
 		if err := cm.Close(); err != nil {
 			t.Logf("client mux close: %v", err)
@@ -57,7 +57,8 @@ func TestStressInterleavedSessions(t *testing.T) {
 	}()
 
 	var wg sync.WaitGroup
-	errs := make(chan error, sessions)
+	// At most a receive error and a send error per session.
+	errs := make(chan error, 2*sessions)
 	for i := 0; i < sessions; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -69,23 +70,28 @@ func TestStressInterleavedSessions(t *testing.T) {
 			}
 			defer st.Close()
 			st.SetTimeout(10 * time.Second)
-			// Pipeline a small burst, then strict request/response, so
-			// both queued and alternating traffic interleave across
-			// sessions.
-			burst := 3
-			for j := 0; j < burst; j++ {
-				if err := st.Send(transport.Message{Type: fmt.Sprintf("s%d.m%d", i, j)}); err != nil {
-					errs <- fmt.Errorf("session %d burst send: %w", i, err)
-					return
-				}
-			}
-			for j := 0; j < msgs; j++ {
-				if j+burst < msgs {
-					if err := st.Send(transport.Message{Type: fmt.Sprintf("s%d.m%d", i, j+burst)}); err != nil {
-						errs <- fmt.Errorf("session %d send: %w", i, err)
+			// A writer pipelines every frame without waiting for its
+			// echo while this goroutine reads the echoes back, so
+			// queued and alternating traffic interleave across
+			// sessions. Reading concurrently keeps the full queues
+			// draining: a session never blocks sending while its own
+			// echo queue is full.
+			sent := make(chan error, 1)
+			go func() {
+				for j := 0; j < msgs; j++ {
+					if err := st.Send(transport.Message{Type: fmt.Sprintf("s%d.m%d", i, j)}); err != nil {
+						sent <- fmt.Errorf("session %d send: %w", i, err)
 						return
 					}
 				}
+				sent <- nil
+			}()
+			defer func() {
+				if err := <-sent; err != nil {
+					errs <- err
+				}
+			}()
+			for j := 0; j < msgs; j++ {
 				m, err := st.Recv()
 				if err != nil {
 					errs <- fmt.Errorf("session %d recv %d: %w", i, j, err)
