@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt vet lint lint-json lint-sarif lint-golden build test test-short race chaos soak soak-short bench bench-smoke examples fuzz
+.PHONY: all ci fmt vet lint lint-golden build test test-short race chaos soak soak-short bench bench-smoke examples fuzz
 
 all: vet lint build test race
 
@@ -30,14 +30,6 @@ vet:
 # exit on any finding.
 lint:
 	$(GO) run ./cmd/seclint
-
-# Machine-readable findings for tooling; same gate, JSON array output.
-lint-json:
-	$(GO) run ./cmd/seclint -json
-
-# SARIF 2.1.0 log for code-scanning dashboards; same gate.
-lint-sarif:
-	$(GO) run ./cmd/seclint -sarif
 
 # Fails if any analyzer's rendered messages drift from the pinned
 # goldens under internal/seclint/testdata/golden/ — wording changes

@@ -4,19 +4,19 @@
 //
 // Usage:
 //
-//	seclint [-json] [-sarif] [-allow file] [-list] [patterns...]
+//	seclint [-allow file] [-list] [patterns...]
 //
 // Patterns default to ./... (every package under the module root,
 // excluding testdata). A pattern "dir/..." analyzes the subtree; a bare
 // directory analyzes that one package — including testdata fixtures,
 // which is how the driver is exercised in its own tests.
 //
+// Findings print one per line as file:line:col: [analyzer] message.
 // Exit status: 0 when no findings, 1 when findings were reported,
 // 2 on usage or load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -34,11 +34,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("seclint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 	allowFile := fs.String("allow", "", "allowlist file (default: seclint.allow at the module root, if present)")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	prune := fs.Bool("prune", false, "rewrite the allowlist dropping entries that suppressed nothing")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -88,51 +85,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *prune && allow != nil {
-		stale, err := allow.Prune()
-		if err != nil {
-			fmt.Fprintf(stderr, "seclint: pruning %s: %v\n", allow.Path, err)
-			return 2
-		}
-		if len(stale) > 0 {
-			// The stale-entry findings are resolved by the rewrite.
-			kept := findings[:0]
-			for _, f := range findings {
-				if f.Analyzer != "allowlist" {
-					kept = append(kept, f)
-				}
-			}
-			findings = kept
-			fmt.Fprintf(stderr, "seclint: pruned %d stale allowlist entr%s from %s\n",
-				len(stale), map[bool]string{true: "y", false: "ies"}[len(stale) == 1], allow.Path)
-		}
-	}
-
-	switch {
-	case *sarifOut:
-		if err := seclint.WriteSARIF(stdout, findings, seclint.All); err != nil {
-			fmt.Fprintf(stderr, "seclint: %v\n", err)
-			return 2
-		}
-	case *jsonOut:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []seclint.Finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(stderr, "seclint: %v\n", err)
-			return 2
-		}
-	default:
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-		}
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
-		if !*jsonOut && !*sarifOut {
-			fmt.Fprintf(stderr, "seclint: %d finding(s)\n", len(findings))
-		}
+		fmt.Fprintf(stderr, "seclint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path"
+	"path/filepath"
 	"strings"
 )
 
@@ -114,52 +115,26 @@ func (al *Allowlist) Filter(findings []Finding) []Finding {
 	return kept
 }
 
-// Prune rewrites the allowlist file in place, dropping every entry
-// that suppressed nothing during the preceding Filter pass. Comments
-// and blank lines are preserved. It returns the dropped entries; an
-// empty result means the file was left untouched.
-func (al *Allowlist) Prune() ([]*AllowEntry, error) {
-	var stale []*AllowEntry
-	drop := map[int]bool{}
-	for _, e := range al.Entries {
-		if !e.used {
-			stale = append(stale, e)
-			drop[e.Line] = true
-		}
-	}
-	if len(stale) == 0 {
-		return nil, nil
-	}
-	data, err := os.ReadFile(al.Path)
-	if err != nil {
-		return nil, err
-	}
-	lines := strings.Split(string(data), "\n")
-	kept := lines[:0]
-	for i, line := range lines {
-		if !drop[i+1] {
-			kept = append(kept, line)
-		}
-	}
-	out := strings.Join(kept, "\n")
-	if err := os.WriteFile(al.Path, []byte(out), 0o644); err != nil {
-		return nil, err
-	}
-	return stale, nil
-}
-
 // Unused returns one finding per allowlist entry that suppressed
-// nothing during Filter; stale entries must be pruned, not accumulated.
-func (al *Allowlist) Unused() []Finding {
+// nothing during Filter; stale entries must be deleted, not
+// accumulated. The findings name the allowlist file relative to the
+// module root when it lies under root, and as given otherwise.
+func (al *Allowlist) Unused(root string) []Finding {
 	if al == nil {
 		return nil
+	}
+	file := al.Path
+	if abs, err := filepath.Abs(al.Path); err == nil {
+		if rel, ok := relPath(root, abs); ok {
+			file = rel
+		}
 	}
 	var out []Finding
 	for _, e := range al.Entries {
 		if !e.used {
 			out = append(out, Finding{
 				Analyzer: "allowlist",
-				File:     al.Path,
+				File:     file,
 				Line:     e.Line,
 				Col:      1,
 				Message:  fmt.Sprintf("unused allowlist entry %q %q: no finding suppressed; remove it", e.Analyzer, e.Pattern),

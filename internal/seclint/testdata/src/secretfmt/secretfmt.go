@@ -16,8 +16,8 @@ func (WrappedKey) String() string { return "WrappedKey(opaque)" }
 
 // Errors builds diagnostics around a session key.
 func Errors(sessionKey []byte, rows int) error {
-	err := fmt.Errorf("unwrap failed for key %x", sessionKey) // want "formatted with %x"
-	log.Printf("bad mac: %v", sessionKey)                     // want "formatted with %v"
+	err := fmt.Errorf("unwrap failed for key %x", sessionKey)
+	log.Printf("bad mac: %v", sessionKey)
 	fmt.Printf("key type is %T\n", sessionKey)                // %T renders the type only
 	_ = fmt.Sprintf("matched %d rows", rows)                  // no secret argument
 	_ = fmt.Sprintf("key is %d bytes", len(sessionKey))       // len of a secret is public
@@ -26,18 +26,18 @@ func Errors(sessionKey []byte, rows int) error {
 
 // Fprint exercises writer-first variants.
 func Fprint(w io.Writer, macTag []byte) {
-	fmt.Fprintf(w, "tag=%x\n", macTag) // want "formatted with %x"
+	fmt.Fprintf(w, "tag=%x\n", macTag)
 	fmt.Fprint(w, "done")              // no secret argument
 }
 
 // Print exercises Print-style variadic rendering.
 func Print(hmacKey []byte) {
-	fmt.Println("derived", hmacKey) // want "passed to fmt.Println"
+	fmt.Println("derived", hmacKey)
 }
 
 // Render calls String() on a secret-named value.
 func Render(sessionKey WrappedKey) string {
-	return sessionKey.String() // want "called on secret material"
+	return sessionKey.String()
 }
 
 // RenderRow calls String() on a non-secret value; fine.
@@ -55,8 +55,8 @@ func (*Span) Annotate(key, value string) {}
 // AnnotateSpans exercises the span-label rule: ciphertexts and keys
 // must never become labels, while protocol metadata may.
 func AnnotateSpans(sp *Span, ciphertext []byte, sessionKey []byte, protoName string) {
-	sp.Annotate("payload", string(ciphertext)) // want "annotated onto a telemetry span"
-	sp.Annotate("session", string(sessionKey)) // want "annotated onto a telemetry span"
+	sp.Annotate("payload", string(ciphertext))
+	sp.Annotate("session", string(sessionKey))
 	sp.Annotate("protocol", protoName)         // public metadata; fine
 	cipherName := "pohlig-hellman"
 	sp.Annotate("scheme", cipherName) // neutral word overrides; fine

@@ -10,7 +10,7 @@ import (
 
 // CheckTag short-circuits on the first differing byte of a MAC tag.
 func CheckTag(tag, expect []byte) bool {
-	return bytes.Equal(tag, expect) // want "bytes.Equal on secret material"
+	return bytes.Equal(tag, expect)
 }
 
 // CheckRows compares non-secret data; bytes.Equal is fine here.
@@ -20,7 +20,7 @@ func CheckRows(a, b []byte) bool {
 
 // KeyArrayEqual compares fixed-size key arrays with ==.
 func KeyArrayEqual(key, other [16]byte) bool {
-	return key == other // want "== on byte-array secret"
+	return key == other
 }
 
 // RowArrayEqual compares non-secret arrays; == is fine.
@@ -30,7 +30,7 @@ func RowArrayEqual(row, other [16]byte) bool {
 
 // SecretExpEqual uses big.Int.Cmp as equality on a secret exponent.
 func SecretExpEqual(secretExp, x *big.Int) bool {
-	return secretExp.Cmp(x) == 0 // want "big.Int.Cmp equality on secret material"
+	return secretExp.Cmp(x) == 0
 }
 
 // CountEqual uses Cmp on public counters; fine.

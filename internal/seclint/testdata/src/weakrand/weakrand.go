@@ -4,7 +4,7 @@ package weakrand
 
 import (
 	"crypto/rand"
-	mrand "math/rand" // want "math/rand imported in non-test code"
+	mrand "math/rand"
 )
 
 // Shuffle mixes a predictable permutation with a proper CSPRNG read so

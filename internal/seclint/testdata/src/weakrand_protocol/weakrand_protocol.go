@@ -5,7 +5,7 @@
 package weakrandprotocol
 
 import (
-	"github.com/secmediation/secmediation/internal/workload/insecurerand" // want "insecure deterministic RNG"
+	"github.com/secmediation/secmediation/internal/workload/insecurerand"
 )
 
 // Pick draws from the deterministic generator — fine for workload
