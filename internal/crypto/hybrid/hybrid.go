@@ -71,6 +71,7 @@ func KeyEqual(a, b []byte) bool {
 }
 
 // CompressPoint renders an ECDH public key as its SEC 1 compressed point.
+// seclint:sanitizer the public point of a key pair (scalar·G) is public
 func CompressPoint(pub *ecdh.PublicKey) []byte {
 	raw := pub.Bytes() // 0x04 ‖ x ‖ y
 	out := make([]byte, PointSize)
@@ -115,9 +116,12 @@ func deriveSessionKey(shared, share, queryKey []byte) []byte {
 }
 
 // Session is a sender-side hybrid session: one session key, many sealed
-// messages.
+// messages. The AEAD is built once per session, not per message: AES key
+// expansion and the GCM tables cost more than sealing a short tuple. The
+// standard library's GCM keeps no per-call state, so the workers that
+// seal one relation share it.
 type Session struct {
-	key   []byte
+	aead  cipher.AEAD
 	share []byte
 }
 
@@ -134,8 +138,12 @@ func NewSessionECDH(queryKey *ecdh.PublicKey) (*Session, error) {
 		return nil, fmt.Errorf("hybrid: key agreement: %w", err)
 	}
 	share := CompressPoint(eph.PublicKey())
+	aead, err := newGCM(deriveSessionKey(shared, share, CompressPoint(queryKey)))
+	if err != nil {
+		return nil, err
+	}
 	opWrap.Add(1)
-	return &Session{key: deriveSessionKey(shared, share, CompressPoint(queryKey)), share: share}, nil
+	return &Session{aead: aead, share: share}, nil
 }
 
 // Share returns what the recipient needs to rebuild the session key: the
@@ -145,12 +153,13 @@ func (s *Session) Share() []byte { return s.share }
 // Seal encrypts one message under the session key.
 // seclint:sanitizer hybrid encrypt boundary
 func (s *Session) Seal(plaintext, aad []byte) (*Ciphertext, error) {
-	return SealWithKey(s.key, plaintext, aad)
+	return seal(s.aead, plaintext, aad)
 }
 
-// Receiver is the client side of a Session.
+// Receiver is the client side of a Session, with the session's AEAD
+// built once.
 type Receiver struct {
-	key []byte
+	aead cipher.AEAD
 }
 
 // NewReceiverECDH rebuilds a session key from the sender's share with the
@@ -165,14 +174,18 @@ func NewReceiverECDH(queryKey *ecdh.PrivateKey, share []byte) (*Receiver, error)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: key agreement: %w", err)
 	}
+	aead, err := newGCM(deriveSessionKey(shared, share, CompressPoint(queryKey.PublicKey())))
+	if err != nil {
+		return nil, err
+	}
 	opUnwrap.Add(1)
-	return &Receiver{key: deriveSessionKey(shared, share, CompressPoint(queryKey.PublicKey()))}, nil
+	return &Receiver{aead: aead}, nil
 }
 
 // Open decrypts one session message.
 // seclint:source hybrid decryption output
 func (r *Receiver) Open(c *Ciphertext, aad []byte) ([]byte, error) {
-	return open(r.key, c.Nonce, c.Sealed, aad)
+	return open(r.aead, c.Nonce, c.Sealed, aad)
 }
 
 // SealWithKey seals a message under a caller-provided session key (the
@@ -183,6 +196,11 @@ func SealWithKey(key, plaintext, aad []byte) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
+	return seal(gcm, plaintext, aad)
+}
+
+// seal encrypts one message under a fresh random nonce.
+func seal(gcm cipher.AEAD, plaintext, aad []byte) (*Ciphertext, error) {
 	nonce := make([]byte, nonceSize)
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("hybrid: nonce: %w", err)
@@ -194,7 +212,11 @@ func SealWithKey(key, plaintext, aad []byte) (*Ciphertext, error) {
 // OpenWithKey opens a message sealed by SealWithKey.
 // seclint:source hybrid decryption output
 func OpenWithKey(key []byte, c *Ciphertext, aad []byte) ([]byte, error) {
-	return open(key, c.Nonce, c.Sealed, aad)
+	gcm, err := newGCM(key)
+	if err != nil {
+		return nil, err
+	}
+	return open(gcm, c.Nonce, c.Sealed, aad)
 }
 
 // newGCM refuses every key length but 32 bytes: AES would accept 16 or 24
@@ -215,11 +237,7 @@ func newGCM(key []byte) (cipher.AEAD, error) {
 }
 
 // seclint:source AEAD plaintext
-func open(key, nonce, sealed, aad []byte) ([]byte, error) {
-	gcm, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
+func open(gcm cipher.AEAD, nonce, sealed, aad []byte) ([]byte, error) {
 	if len(nonce) != gcm.NonceSize() {
 		return nil, fmt.Errorf("hybrid: bad nonce length %d", len(nonce))
 	}

@@ -157,6 +157,33 @@ func TestSessionManyMessages(t *testing.T) {
 	}
 }
 
+// One session's AEAD is shared by the workers that seal a relation and
+// by those that open it.
+func TestSessionConcurrentUse(t *testing.T) {
+	_, sess, recv := sessionPair(t)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				msg := []byte{byte(w), byte(i)}
+				c, err := sess.Seal(msg, msg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := recv.Open(c, msg)
+				if err != nil || !bytes.Equal(got, msg) {
+					t.Errorf("worker %d message %d: got %x, %v", w, i, got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // The bench-only RSA form: an unwrap under the wrong private key fails.
 func TestNewReceiverWrongKey(t *testing.T) {
 	key := rsaKey(t)

@@ -27,8 +27,12 @@ func NewSession(pub *rsa.PublicKey) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: wrap session key: %w", err)
 	}
+	aead, err := newGCM(key)
+	if err != nil {
+		return nil, err
+	}
 	opWrap.Add(1)
-	return &Session{key: key, share: wrapped}, nil
+	return &Session{aead: aead, share: wrapped}, nil
 }
 
 // WrappedKey is Share under the name the benchmark calls. Bench-only.
@@ -43,9 +47,10 @@ func NewReceiver(priv *rsa.PrivateKey, wrappedKey []byte) (*Receiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: unwrap session key: %w", err)
 	}
-	if len(key) != sessionKeyLen {
-		return nil, fmt.Errorf("hybrid: unwrapped session key has %d bytes, want %d", len(key), sessionKeyLen)
+	aead, err := newGCM(key)
+	if err != nil {
+		return nil, err
 	}
 	opUnwrap.Add(1)
-	return &Receiver{key: key}, nil
+	return &Receiver{aead: aead}, nil
 }

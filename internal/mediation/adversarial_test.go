@@ -111,8 +111,8 @@ func TestTamperedPMEvaluationDropsMatchOnly(t *testing.T) {
 		_ = n.Mediator.HandleSession(mediatorSide)
 		mediatorSide.Close()
 	}()
-	// Corrupting the whole gob body breaks decoding → hard failure, which
-	// is also acceptable; both outcomes must avoid wrong results.
+	// Corrupting the body fails its digest → hard failure, which is also
+	// acceptable; both outcomes must avoid wrong results.
 	wrapped := &tamperConn{Conn: clientSide, typePrefix: "pm.result", mutate: flipLastByte}
 	res, err := n.Client.Query(wrapped, fixtureSQL, ProtocolPM, fastParams())
 	clientSide.Close()

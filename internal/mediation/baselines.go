@@ -70,17 +70,19 @@ func (c *Client) runPlaintext(mediator *link.Link) (*relation.Relation, relation
 // mcPartial is one hybrid-encrypted partial result: the prior MMM solution
 // shipped these to the client together with mobile code computing the join
 // after decryption. Here the "mobile code" is the client's local join.
+// Session lets the client recompute the rows' AAD.
 type mcPartial struct {
+	Session  string
 	Schema   relation.Schema
 	KeyShare []byte
 	Rows     [][]byte
 }
 
-// mcResult forwards the encrypted partial results to the client. It is
-// also the result of a union, whose join attribute lists are empty, and
-// of an aggregate, whose P2 is empty as well.
+// mcResult forwards the encrypted partial results to the client, one per
+// relation the query reads: two for a join or a union (whose join
+// attribute lists are empty), one for an aggregate.
 type mcResult struct {
-	P1, P2               mcPartial
+	Partials             []mcPartial
 	JoinCols1, JoinCols2 []string
 }
 
@@ -92,7 +94,7 @@ func (s *Source) serveMobileCode(mediator *link.Link, pq *PartialQuery, rel *rel
 			return err
 		}
 		s.Ledger.UsePrimitive(s.party(), "hybrid-encryption", int64(rel.Len()))
-		out = mcPartial{Schema: rel.Schema(), KeyShare: sess.Share()}
+		out = mcPartial{Session: pq.SessionID, Schema: rel.Schema(), KeyShare: sess.Share()}
 		aad := []byte("mc:" + pq.SessionID + ":" + rel.Schema().Relation)
 		for _, t := range rel.Tuples() {
 			ct, err := sess.Seal(t.Encode(nil), aad)
@@ -106,7 +108,7 @@ func (s *Source) serveMobileCode(mediator *link.Link, pq *PartialQuery, rel *rel
 	if err != nil {
 		return err
 	}
-	return mediator.Send(msgMCPartial, sessioned[mcPartial]{Session: pq.SessionID, Body: out})
+	return mediator.Send(msgMCPartial, out)
 }
 
 // mediateMobileCode relays the sealed partial result of each source in
@@ -114,8 +116,8 @@ func (s *Source) serveMobileCode(mediator *link.Link, pq *PartialQuery, rel *rel
 // aggregate.
 // seclint:entry mediator
 func (m *Mediator) mediateMobileCode(client *link.Link, sources []*link.Link, d *decomposition) error {
-	parts := make([]sessioned[mcPartial], 2)
-	for i := range d.relations() {
+	parts := make([]mcPartial, len(d.relations()))
+	for i := range parts {
 		if err := sources[i].Recv(msgMCPartial, &parts[i]); err != nil {
 			return err
 		}
@@ -123,13 +125,10 @@ func (m *Mediator) mediateMobileCode(client *link.Link, sources []*link.Link, d 
 		// it learns the cardinalities of a join or a union (and forwards
 		// everything). An aggregate's one row tells it nothing.
 		if d.query.Aggregate == nil {
-			m.Ledger.Observe(leakage.PartyMediator, fmt.Sprintf("|R%d|", i+1), int64(len(parts[i].Body.Rows)))
+			m.Ledger.Observe(leakage.PartyMediator, fmt.Sprintf("|R%d|", i+1), int64(len(parts[i].Rows)))
 		}
 	}
-	return client.Send(msgMCResult, sessioned[mcResult]{
-		Session: parts[0].Session,
-		Body:    mcResult{P1: parts[0].Body, P2: parts[1].Body, JoinCols1: d.joinCols1, JoinCols2: d.joinCols2},
-	})
+	return client.Send(msgMCResult, mcResult{Partials: parts, JoinCols1: d.joinCols1, JoinCols2: d.joinCols2})
 }
 
 // runMobileCode opens the partial results and merges them: a join
@@ -137,13 +136,20 @@ func (m *Mediator) mediateMobileCode(client *link.Link, sources []*link.Link, d 
 // duplicates of a plain UNION), and an aggregate's one partial result is
 // already the answer.
 func (c *Client) runMobileCode(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
-	var res sessioned[mcResult]
+	var res mcResult
 	if err := mediator.Recv(msgMCResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
+	want := 2
+	if q.Aggregate != nil {
+		want = 1
+	}
 	var joined *relation.Relation
 	err := watch.phase(telemetry.PhasePostFilter, func() error {
-		r1, err := c.openMCPartial(queryKey, res.Body.P1, res.Session)
+		if len(res.Partials) != want {
+			return fmt.Errorf("mediation: %d partial results, want %d", len(res.Partials), want)
+		}
+		r1, err := c.openMCPartial(queryKey, res.Partials[0])
 		if err != nil {
 			return err
 		}
@@ -152,7 +158,7 @@ func (c *Client) runMobileCode(mediator *link.Link, q *sqlparse.Query, queryKey 
 			joined = r1
 			return nil
 		}
-		r2, err := c.openMCPartial(queryKey, res.Body.P2, res.Session)
+		r2, err := c.openMCPartial(queryKey, res.Partials[1])
 		if err != nil {
 			return err
 		}
@@ -162,23 +168,26 @@ func (c *Client) runMobileCode(mediator *link.Link, q *sqlparse.Query, queryKey 
 			joined, err = algebra.Union(r1, r2.Rename(r1.Schema().Relation))
 			return err
 		}
-		joined, err = algebra.EquiJoin(r1, r2, res.Body.JoinCols1, res.Body.JoinCols2)
+		joined, err = algebra.EquiJoin(r1, r2, res.JoinCols1, res.JoinCols2)
 		return err
 	})
 	if err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
-	return joined, res.Body.P2.Schema, res.Body.JoinCols2, nil
+	if q.Aggregate != nil {
+		return joined, relation.Schema{}, nil, nil
+	}
+	return joined, res.Partials[1].Schema, res.JoinCols2, nil
 }
 
-func (c *Client) openMCPartial(queryKey *ecdh.PrivateKey, p mcPartial, session string) (*relation.Relation, error) {
+func (c *Client) openMCPartial(queryKey *ecdh.PrivateKey, p mcPartial) (*relation.Relation, error) {
 	recv, err := hybrid.NewReceiverECDH(queryKey, p.KeyShare)
 	if err != nil {
 		return nil, err
 	}
 	c.Ledger.UsePrimitive(leakage.PartyClient, "hybrid-decryption", int64(len(p.Rows)))
 	out := relation.New(p.Schema)
-	aad := []byte("mc:" + session + ":" + p.Schema.Relation)
+	aad := []byte("mc:" + p.Session + ":" + p.Schema.Relation)
 	for _, blob := range p.Rows {
 		ct, err := hybrid.UnmarshalCiphertext(blob)
 		if err != nil {
@@ -197,11 +206,4 @@ func (c *Client) openMCPartial(queryKey *ecdh.PrivateKey, p mcPartial, session s
 		}
 	}
 	return out, nil
-}
-
-// sessioned wraps a payload with its session id so AAD strings can be
-// recomputed by the client.
-type sessioned[T any] struct {
-	Session string
-	Body    T
 }

@@ -22,7 +22,7 @@ type commItem struct {
 	// cross-encryption steps 5/6): a commutative.ElementSize-byte group
 	// element.
 	Hash []byte
-	// Payload is encrypt(Tup(a)) — the sealed, gob-encoded tuple set.
+	// Payload is encrypt(Tup(a)) — the sealed relation.EncodeTupleSet.
 	Payload []byte
 	// ID replaces Payload between mediator and opposite source in ID mode.
 	ID uint64

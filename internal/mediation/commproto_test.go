@@ -2,6 +2,7 @@ package mediation
 
 import (
 	"bytes"
+	"encoding"
 	"errors"
 	"fmt"
 	"sync"
@@ -132,7 +133,9 @@ func TestCommEmptyPartialResult(t *testing.T) {
 }
 
 // A comm.cross element that is not a group element makes the receiving
-// source abort before its key touches it; everyone else unwinds.
+// source abort before its key touches it; everyone else unwinds. One that
+// is not 32 bytes long does not decode: the source refuses the frame and
+// blames the mediator that sent it.
 func TestCommHostileCrossElement(t *testing.T) {
 	offCurve := make([]byte, commutative.ElementSize)
 	offCurve[commutative.ElementSize-1] = 1 // 1 − 3 + b is not a square mod p
@@ -156,26 +159,25 @@ func TestCommHostileCrossElement(t *testing.T) {
 					}
 					var cross commCross
 					decodeBody(t, m, &cross)
-					cross.Items[1].Hash = bad
-					out, err := transport.NewMessage(m.Type, cross)
-					if err != nil {
-						t.Error(err)
-					}
-					return out
+					return hostileFrame(t, m.Type, commutative.ElementSize, bad, func(field []byte) encoding.BinaryMarshaler {
+						cross.Items[1].Hash = field
+						return cross
+					})
 				}}
 			}, fixtureSQL, ProtocolCommutative, fastParams())
 			var pe *ProtocolError
 			if !errors.As(err, &pe) {
 				t.Fatalf("err = %v, want a *ProtocolError", err)
 			}
-			if pe.Party != leakage.PartySource("S1") || pe.Phase != telemetry.PhaseCrossEncrypt {
-				t.Errorf("blamed %s/%s, want %s/%s", pe.Party, pe.Phase, leakage.PartySource("S1"), telemetry.PhaseCrossEncrypt)
+			party, phase := hostileBlame(bad, commutative.ElementSize, leakage.PartySource("S1"), telemetry.PhaseCrossEncrypt, leakage.PartyMediator)
+			if pe.Party != party || pe.Phase != phase {
+				t.Errorf("blamed %s/%s, want %s/%s", pe.Party, pe.Phase, party, phase)
 			}
 			if resilience.Retryable(err) {
 				t.Errorf("hostile element classified retryable: %v", err)
 			}
-			if !errors.As(srcErrs["S1"], &pe) || pe.Phase != telemetry.PhaseCrossEncrypt {
-				t.Errorf("S1 returned %v, want its own cross.encrypt abort", srcErrs["S1"])
+			if !errors.As(srcErrs["S1"], &pe) || pe.Party != party || pe.Phase != phase {
+				t.Errorf("S1 returned %v, want its own %s/%s abort", srcErrs["S1"], party, phase)
 			}
 		})
 	}

@@ -11,7 +11,6 @@ import (
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/sqlparse"
 	"github.com/secmediation/secmediation/internal/telemetry"
-	"github.com/secmediation/secmediation/internal/transport"
 )
 
 // dasPartial is a source's Listing 2 step 3 message: the encrypted
@@ -24,7 +23,8 @@ type dasPartial struct {
 	// the join columns first, then any pushdown filter columns.
 	Columns []string
 	EncRel  das.EncryptedRelation
-	// EncIndexTables is the sealed gob of []*das.IndexTable.
+	// EncIndexTables is the sealed das.EncodeIndexTables of the index
+	// tables.
 	EncIndexTables []byte
 }
 
@@ -38,11 +38,6 @@ type dasIndexTables struct {
 	Cols1, Cols2   []string
 	Share1, Share2 []byte
 	Enc1, Enc2     []byte
-}
-
-// dasServerQuery is the client's step 5 message: q_S.
-type dasServerQuery struct {
-	Query das.ServerQuery
 }
 
 // dasResult is the mediator's step 6 message: R_C in semi-join-reduced
@@ -98,7 +93,7 @@ func (s *Source) serveDAS(mediator *link.Link, pq *PartialQuery, rel *relation.R
 			return err
 		}
 		s.Ledger.UsePrimitive(s.party(), "hybrid-encryption", int64(rel.Len()+1))
-		itBlob, err := transport.Encode(its)
+		itBlob, err := das.EncodeIndexTables(its)
 		if err != nil {
 			return err
 		}
@@ -141,18 +136,18 @@ func (m *Mediator) mediateDAS(client, s1, s2 *link.Link, d *decomposition, watch
 	}); err != nil {
 		return err
 	}
-	var sq dasServerQuery
+	var sq das.ServerQuery
 	if err := client.Recv(msgDASServerQuery, &sq); err != nil {
 		return err
 	}
-	if n := len(sq.Query.Filters1) + len(sq.Query.Filters2); n > 0 {
+	if n := len(sq.Filters1) + len(sq.Filters2); n > 0 {
 		// Pushdown leaks predicate-satisfaction patterns to the mediator.
 		m.Ledger.Observe(leakage.PartyMediator, "pushdown-filters", int64(n))
 	}
 	var res *das.ServerResult
 	err := watch.phase(telemetry.PhaseMatch, func() error {
 		var err error
-		res, err = das.ExecuteServerQuery(&p1.EncRel, &p2.EncRel, sq.Query)
+		res, err = das.ExecuteServerQuery(&p1.EncRel, &p2.EncRel, sq)
 		return err
 	})
 	if err != nil {
@@ -218,7 +213,7 @@ func (c *Client) runDAS(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.P
 	if err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
-	if err := mediator.Send(msgDASServerQuery, dasServerQuery{Query: sq}); err != nil {
+	if err := mediator.Send(msgDASServerQuery, sq); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	var res dasResult
@@ -272,8 +267,8 @@ func openIndexTables(recv *hybrid.Receiver, blob []byte, session, rel string) ([
 	if err != nil {
 		return nil, err
 	}
-	var tables []*das.IndexTable
-	if err := transport.Decode(pt, &tables); err != nil {
+	tables, err := das.DecodeIndexTables(pt)
+	if err != nil {
 		return nil, err
 	}
 	if len(tables) == 0 {

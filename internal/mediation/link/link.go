@@ -6,10 +6,12 @@
 package link
 
 import (
+	"encoding"
 	"errors"
 	"fmt"
 	"time"
 
+	"github.com/secmediation/secmediation/internal/codec"
 	"github.com/secmediation/secmediation/internal/resilience"
 	"github.com/secmediation/secmediation/internal/transport"
 )
@@ -59,6 +61,43 @@ type errorBody struct {
 	Transient bool
 	Timeout   bool
 }
+
+// Flag bits of an abort frame's class byte.
+const (
+	flagTransient = 1 << iota
+	flagTimeout
+)
+
+// EncodeTo writes the three strings, then the class flags in one byte.
+func (b errorBody) EncodeTo(e *codec.Encoder) {
+	e.Text(b.Party)
+	e.Text(b.Phase)
+	e.Text(b.Message)
+	var flags byte
+	if b.Transient {
+		flags |= flagTransient
+	}
+	if b.Timeout {
+		flags |= flagTimeout
+	}
+	e.Byte(flags)
+}
+
+// DecodeFrom reads an abort frame written by EncodeTo.
+func (b *errorBody) DecodeFrom(d *codec.Decoder) {
+	b.Party, b.Phase, b.Message = d.Text(), d.Text(), d.Text()
+	flags := d.Byte()
+	if flags&^(flagTransient|flagTimeout) != 0 {
+		d.Fail(fmt.Errorf("link: unknown abort flags %#x", flags))
+	}
+	b.Transient, b.Timeout = flags&flagTransient != 0, flags&flagTimeout != 0
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (b errorBody) MarshalBinary() ([]byte, error) { return codec.Marshal(b) }
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (b *errorBody) UnmarshalBinary(data []byte) error { return codec.Unmarshal(data, b) }
 
 // peerError is a failure a peer reported in an abort frame. Message is
 // the origin's own text, which Abort relays as is, so a failure reads
@@ -119,8 +158,8 @@ func (l *Link) fail(format string, args ...any) error {
 // Send encodes v and sends it as a typ frame. A send failure is blamed
 // on the peer.
 //
-// seclint:wire gob-encodes the payload onto the party link
-func (l *Link) Send(typ string, v any) error {
+// seclint:wire encodes the payload onto the party link
+func (l *Link) Send(typ string, v encoding.BinaryMarshaler) error {
 	m, err := transport.NewMessage(typ, v)
 	if err != nil {
 		return err
@@ -138,9 +177,9 @@ func (l *Link) Send(typ string, v any) error {
 // party (the peer's, when it names none), phase, retry class and timeout
 // class.
 //
-// seclint:wire gob-decodes a link payload into the target (keys must not
+// seclint:wire decodes a link payload into the target (keys must not
 // arrive over a link either)
-func (l *Link) Recv(typ string, v any) error {
+func (l *Link) Recv(typ string, v encoding.BinaryUnmarshaler) error {
 	m, err := l.conn.Recv()
 	if err != nil {
 		return l.fail("link failed awaiting %q: %w", typ, err)

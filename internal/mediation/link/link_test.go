@@ -1,6 +1,8 @@
 package link
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -29,9 +31,12 @@ func (c *stubConn) Send(m transport.Message) error {
 // probe is a payload that records whether the decoder ever reached it.
 type probe struct{ decoded bool }
 
-func (p *probe) GobEncode() ([]byte, error) { return []byte{1}, nil }
+func (p *probe) MarshalBinary() ([]byte, error) { return []byte{1}, nil }
 
-func (p *probe) GobDecode([]byte) error {
+func (p *probe) UnmarshalBinary(b []byte) error {
+	if !bytes.Equal(b, []byte{1}) {
+		return errors.New("not a probe")
+	}
 	p.decoded = true
 	return nil
 }
@@ -155,8 +160,9 @@ func TestRecv(t *testing.T) {
 }
 
 // FuzzLinkRecv feeds arbitrary frames to Recv. It must never panic,
-// every error must be a *ProtocolError, and a body that fails its digest
-// must never reach the decoder.
+// every error must be a *ProtocolError, a body that fails its digest
+// must never reach the decoder, and an abort frame that decodes must
+// re-encode to itself.
 func FuzzLinkRecv(f *testing.F) {
 	for _, m := range []transport.Message{
 		frame(f, wantType, &probe{}),
@@ -184,5 +190,44 @@ func FuzzLinkRecv(f *testing.F) {
 		if p.decoded && (err != nil || typ != wantType) {
 			t.Fatalf("decoded a %q frame, then failed with %v", typ, err)
 		}
+		var eb errorBody
+		if payload, perr := transport.Payload(m); perr == nil && eb.UnmarshalBinary(payload) == nil {
+			if again, err := eb.MarshalBinary(); err != nil || !bytes.Equal(again, payload) {
+				t.Fatalf("abort payload %x re-encodes to %x (%v)", payload, again, err)
+			}
+		}
 	})
+}
+
+// An abort frame's hand-written body is no longer than gob's body for
+// the same fields without type descriptors (the rule the delivery-phase
+// messages follow in package mediation).
+func TestAbortFrameNotLargerThanGob(t *testing.T) {
+	type gobErrorBody struct {
+		Party, Phase, Message string
+		Transient, Timeout    bool
+	}
+	for _, b := range []errorBody{
+		{Party: "source:S1", Message: "awaiting ack: transport: i/o timeout", Transient: true, Timeout: true},
+		{Party: "source:S2", Phase: "cross.encrypt", Message: "bad partition"},
+		{},
+	} {
+		body, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		g := gobErrorBody(b)
+		if err := enc.Encode(g); err != nil {
+			t.Fatal(err)
+		}
+		first := buf.Len()
+		if err := enc.Encode(g); err != nil {
+			t.Fatal(err)
+		}
+		if gobLen := buf.Len() - first; len(body) > gobLen {
+			t.Errorf("%+v: %d bytes, gob without descriptors %d", b, len(body), gobLen)
+		}
+	}
 }

@@ -24,11 +24,6 @@ type pmCoeffs struct {
 	Buckets pm.ECBuckets
 }
 
-// pmCross forwards the opposite source's encrypted polynomial (step 4).
-type pmCross struct {
-	Buckets pm.ECBuckets
-}
-
 // pmEvals is a source's step 5/6 message: one masked evaluation and its
 // sealed tuple set per own join value, shuffled.
 type pmEvals struct {
@@ -86,7 +81,8 @@ func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Re
 		return err
 	}
 
-	var cross pmCross
+	// Step 4: the opposite source's encrypted polynomial.
+	var cross pm.ECBuckets
 	if err := mediator.Recv(msgPMCross, &cross); err != nil {
 		return err
 	}
@@ -94,7 +90,7 @@ func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Re
 	err = watch.phase(telemetry.PhaseCrossEncrypt, func() error {
 		// Section 6: each source learns the shape of the opposite
 		// polynomials.
-		observeBuckets(s.Ledger, s.party(), "opposite", &cross.Buckets)
+		observeBuckets(s.Ledger, s.party(), "opposite", &cross)
 		payloads := make([][]byte, len(groupsByKey))
 		for i, g := range groupsByKey {
 			payloads[i] = relation.EncodeTupleSet(g.Tuples)
@@ -103,7 +99,7 @@ func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Re
 		// multiply-adds plus a masking per value — dominate the sender's
 		// cost; MaskedEvalBatch fans them out over the worker pool.
 		aad := []byte("pm:" + pq.SessionID + ":" + rel.Schema().Relation)
-		evals.Evals, err = cross.Buckets.MaskedEvalBatch(pk, roots, payloads, aad)
+		evals.Evals, err = cross.MaskedEvalBatch(pk, roots, payloads, aad)
 		if err != nil {
 			return err
 		}
@@ -137,10 +133,10 @@ func (m *Mediator) mediatePM(client, s1, s2 *link.Link, d *decomposition, watch 
 	observeBuckets(m.Ledger, leakage.PartyMediator, "R1.Ajoin", &c1.Buckets)
 	observeBuckets(m.Ledger, leakage.PartyMediator, "R2.Ajoin", &c2.Buckets)
 
-	if err := s1.Send(msgPMCross, pmCross{Buckets: c2.Buckets}); err != nil {
+	if err := s1.Send(msgPMCross, c2.Buckets); err != nil {
 		return err
 	}
-	if err := s2.Send(msgPMCross, pmCross{Buckets: c1.Buckets}); err != nil {
+	if err := s2.Send(msgPMCross, c1.Buckets); err != nil {
 		return err
 	}
 	var e1, e2 pmEvals

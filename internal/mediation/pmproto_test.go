@@ -2,6 +2,7 @@ package mediation
 
 import (
 	"bytes"
+	"encoding"
 	"errors"
 	"fmt"
 	"math/big"
@@ -77,34 +78,33 @@ func hostileCiphertexts() map[string][]byte {
 // A pm.cross coefficient or a pm.evals ciphertext that is not two curve
 // points makes the party that decodes it abort before it computes with
 // it: the source in cross.encrypt, or the client in client.post-filter.
+// One that is not 66 bytes long does not decode: the next party to
+// receive the frame refuses it and blames the party that sent it.
 func TestPMHostileCiphertext(t *testing.T) {
 	targets := []struct {
 		name, link, msgType string
 		direction           string
 		party, phase        string
+		sender              string
 		rewrite             func(t *testing.T, m transport.Message, bad []byte) transport.Message
 	}{
-		{"cross coefficient", "source:R1", msgPMCross, "send", leakage.PartySource("S1"), telemetry.PhaseCrossEncrypt,
+		{"cross coefficient", "source:R1", msgPMCross, "send", leakage.PartySource("S1"), telemetry.PhaseCrossEncrypt, leakage.PartyMediator,
 			func(t *testing.T, m transport.Message, bad []byte) transport.Message {
-				var cross pmCross
+				var cross pm.ECBuckets
 				decodeBody(t, m, &cross)
-				cross.Buckets.Polys[0][1] = bad
-				out, err := transport.NewMessage(m.Type, cross)
-				if err != nil {
-					t.Error(err)
-				}
-				return out
+				return hostileFrame(t, m.Type, ecelgamal.CiphertextSize, bad, func(field []byte) encoding.BinaryMarshaler {
+					cross.Polys[0][1] = field
+					return cross
+				})
 			}},
-		{"evaluation", "source:R1", msgPMEvals, "recv", leakage.PartyClient, telemetry.PhasePostFilter,
+		{"evaluation", "source:R1", msgPMEvals, "recv", leakage.PartyClient, telemetry.PhasePostFilter, "source:R1",
 			func(t *testing.T, m transport.Message, bad []byte) transport.Message {
 				var evals pmEvals
 				decodeBody(t, m, &evals)
-				evals.Evals[0].Cipher = bad
-				out, err := transport.NewMessage(m.Type, evals)
-				if err != nil {
-					t.Error(err)
-				}
-				return out
+				return hostileFrame(t, m.Type, ecelgamal.CiphertextSize, bad, func(field []byte) encoding.BinaryMarshaler {
+					evals.Evals[0].Cipher = field
+					return evals
+				})
 			}},
 	}
 	for _, target := range targets {
@@ -133,14 +133,15 @@ func TestPMHostileCiphertext(t *testing.T) {
 				if !errors.As(err, &pe) {
 					t.Fatalf("err = %v, want a *ProtocolError", err)
 				}
-				if pe.Party != target.party || pe.Phase != target.phase {
-					t.Errorf("blamed %s/%s, want %s/%s (%v)", pe.Party, pe.Phase, target.party, target.phase, err)
+				party, phase := hostileBlame(bad, ecelgamal.CiphertextSize, target.party, target.phase, target.sender)
+				if pe.Party != party || pe.Phase != phase {
+					t.Errorf("blamed %s/%s, want %s/%s (%v)", pe.Party, pe.Phase, party, phase, err)
 				}
 				if resilience.Retryable(err) {
 					t.Errorf("hostile ciphertext classified retryable: %v", err)
 				}
-				if target.party == leakage.PartySource("S1") && (!errors.As(srcErrs["S1"], &pe) || pe.Phase != target.phase) {
-					t.Errorf("S1 returned %v, want its own %s abort", srcErrs["S1"], target.phase)
+				if target.party == leakage.PartySource("S1") && (!errors.As(srcErrs["S1"], &pe) || pe.Party != party || pe.Phase != phase) {
+					t.Errorf("S1 returned %v, want its own %s/%s abort", srcErrs["S1"], party, phase)
 				}
 			})
 		}
@@ -224,9 +225,9 @@ func TestPMMediatorViewShape(t *testing.T) {
 							cts = append(cts, p...)
 						}
 					case msgPMCross:
-						var c pmCross
+						var c pm.ECBuckets
 						decodeBody(t, msg, &c)
-						for _, p := range c.Buckets.Polys {
+						for _, p := range c.Polys {
 							cts = append(cts, p...)
 						}
 					case msgPMEvals:

@@ -6,6 +6,7 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/rsa"
+	"encoding"
 	"errors"
 	"strings"
 	"sync"
@@ -232,7 +233,8 @@ func TestMalformedQueryKeyDenied(t *testing.T) {
 // A source's session share reaches the client through the mediator. Any
 // value that is not a compressed P-256 point ends the query in a terminal
 // *ProtocolError at the client, in the phase that builds the receivers,
-// and every party unwinds.
+// and every party unwinds. One that is not 33 bytes long does not decode,
+// and the client blames the mediator that sent it.
 func TestHostileKeyShare(t *testing.T) {
 	uncompressed, err := ecdh.P256().GenerateKey(rand.Reader)
 	if err != nil {
@@ -255,25 +257,23 @@ func TestHostileKeyShare(t *testing.T) {
 		proto Protocol
 		msg   string
 		phase string
-		edit  func(t *testing.T, m transport.Message, bad []byte) any
+		// edit decodes m and returns the setter of its share field.
+		edit func(t *testing.T, m transport.Message) func(share []byte) encoding.BinaryMarshaler
 	}{
-		{ProtocolDAS, msgDASIndexTables, telemetry.PhaseTranslate, func(t *testing.T, m transport.Message, bad []byte) any {
+		{ProtocolDAS, msgDASIndexTables, telemetry.PhaseTranslate, func(t *testing.T, m transport.Message) func([]byte) encoding.BinaryMarshaler {
 			var its dasIndexTables
 			decodeBody(t, m, &its)
-			its.Share1 = bad
-			return its
+			return func(share []byte) encoding.BinaryMarshaler { its.Share1 = share; return its }
 		}},
-		{ProtocolCommutative, msgCommResult, telemetry.PhasePostFilter, func(t *testing.T, m transport.Message, bad []byte) any {
+		{ProtocolCommutative, msgCommResult, telemetry.PhasePostFilter, func(t *testing.T, m transport.Message) func([]byte) encoding.BinaryMarshaler {
 			var res commResult
 			decodeBody(t, m, &res)
-			res.Share2 = bad
-			return res
+			return func(share []byte) encoding.BinaryMarshaler { res.Share2 = share; return res }
 		}},
-		{ProtocolMobileCode, msgMCResult, telemetry.PhasePostFilter, func(t *testing.T, m transport.Message, bad []byte) any {
-			var res sessioned[mcResult]
+		{ProtocolMobileCode, msgMCResult, telemetry.PhasePostFilter, func(t *testing.T, m transport.Message) func([]byte) encoding.BinaryMarshaler {
+			var res mcResult
 			decodeBody(t, m, &res)
-			res.Body.P1.KeyShare = bad
-			return res
+			return func(share []byte) encoding.BinaryMarshaler { res.Partials[0].KeyShare = share; return res }
 		}},
 	}
 	for _, p := range protos {
@@ -289,19 +289,16 @@ func TestHostileKeyShare(t *testing.T) {
 						if m.Type != p.msg {
 							return m
 						}
-						out, err := transport.NewMessage(m.Type, p.edit(t, m, bad))
-						if err != nil {
-							t.Error(err)
-						}
-						return out
+						return hostileFrame(t, m.Type, hybrid.PointSize, bad, p.edit(t, m))
 					}}
 				}, fixtureSQL, p.proto, fastParams())
 				var pe *ProtocolError
 				if !errors.As(err, &pe) {
 					t.Fatalf("err = %v, want a *ProtocolError", err)
 				}
-				if pe.Party != leakage.PartyClient || pe.Phase != p.phase {
-					t.Errorf("blamed %s/%s, want %s/%s: %v", pe.Party, pe.Phase, leakage.PartyClient, p.phase, err)
+				party, phase := hostileBlame(bad, hybrid.PointSize, leakage.PartyClient, p.phase, leakage.PartyMediator)
+				if pe.Party != party || pe.Phase != phase {
+					t.Errorf("blamed %s/%s, want %s/%s: %v", pe.Party, pe.Phase, party, phase, err)
 				}
 				if resilience.Retryable(err) {
 					t.Errorf("hostile share classified retryable: %v", err)

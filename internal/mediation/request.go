@@ -58,6 +58,7 @@ func needsQueryKey(proto Protocol) bool {
 }
 
 // signQueryKey signs the query key with the credential's private key.
+// seclint:sanitizer a signature is public: it travels in the request
 func signQueryKey(priv *rsa.PrivateKey, queryKey []byte) ([]byte, error) {
 	sig, err := rsa.SignPSS(rand.Reader, priv, crypto.SHA256, queryKeyDigest(queryKey), nil)
 	if err != nil {
@@ -312,8 +313,8 @@ func postProcess(q *sqlparse.Query, joined *relation.Relation, schema2 relation.
 	return out, nil
 }
 
-// wireRelation is the gob-friendly form of a relation (for the plaintext
-// baseline and test fixtures; the secure protocols never send one).
+// wireRelation is the wire form of a plaintext relation (for the
+// plaintext baseline; the secure protocols never send one).
 type wireRelation struct {
 	Schema relation.Schema
 	Tuples []relation.Tuple

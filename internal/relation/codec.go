@@ -1,0 +1,56 @@
+package relation
+
+import (
+	"errors"
+
+	"github.com/secmediation/secmediation/internal/codec"
+)
+
+// EncodeTo writes the value's canonical encoding (see Encode). An
+// invalid value has none.
+func (v Value) EncodeTo(e *codec.Encoder) {
+	if !v.Valid() {
+		e.Fail(errors.New("relation: encoding an invalid value"))
+		return
+	}
+	e.Append(v.Encode)
+}
+
+// DecodeFrom reads a canonical value encoding.
+func (v *Value) DecodeFrom(d *codec.Decoder) {
+	d.Next(func(src []byte) (int, error) {
+		dec, n, err := DecodeValue(src)
+		*v = dec
+		return n, err
+	})
+}
+
+// EncodeTo writes the schema: the relation name, then each column's name
+// and kind byte.
+func (s Schema) EncodeTo(e *codec.Encoder) {
+	e.Text(s.Relation)
+	e.Len(len(s.Columns))
+	for _, c := range s.Columns {
+		e.Text(c.Name)
+		e.Byte(byte(c.Kind))
+	}
+}
+
+// DecodeFrom reads a schema written by EncodeTo.
+func (s *Schema) DecodeFrom(d *codec.Decoder) {
+	s.Relation = d.Text()
+	n := d.Count(2)
+	s.Columns = nil
+	if n > 0 {
+		s.Columns = make([]Column, n)
+	}
+	for i := range s.Columns {
+		s.Columns[i] = Column{Name: d.Text(), Kind: Kind(d.Byte())}
+	}
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (s Schema) MarshalBinary() ([]byte, error) { return codec.Marshal(s) }
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (s *Schema) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, s) }

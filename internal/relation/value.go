@@ -280,29 +280,6 @@ func (v Value) Encode(dst []byte) []byte {
 	return dst
 }
 
-// GobEncode implements gob.GobEncoder via the canonical encoding, so
-// values (and tuples, and structs containing them) can travel in protocol
-// messages.
-func (v Value) GobEncode() ([]byte, error) {
-	if !v.Valid() {
-		return nil, fmt.Errorf("relation: gob-encoding invalid value")
-	}
-	return v.Encode(nil), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (v *Value) GobDecode(b []byte) error {
-	dec, n, err := DecodeValue(b)
-	if err != nil {
-		return err
-	}
-	if n != len(b) {
-		return fmt.Errorf("relation: gob value has %d trailing bytes", len(b)-n)
-	}
-	*v = dec
-	return nil
-}
-
 // DecodeValue decodes a value previously produced by Encode from the front
 // of src, returning the value and the number of bytes consumed.
 func DecodeValue(src []byte) (Value, int, error) {

@@ -33,7 +33,7 @@ import (
 //	                           this type crosses a link to the named
 //	                           party, so the static call graph correctly
 //	                           ends there (e.g. mediation.Dialer).
-//	seclint:wire <why>         on a func: its arguments are gob-encoded
+//	seclint:wire <why>         on a func: its arguments are encoded
 //	                           onto a transport link; keyscope checks
 //	                           every argument type at every call site.
 //	seclint:secret <what>      on a struct field or var: the value is

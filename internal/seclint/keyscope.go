@@ -13,7 +13,7 @@ import (
 // can transitively hold a private key counts as key-bearing. Two rules:
 //
 //  1. Wire rule (all parties): no argument of a seclint:wire function —
-//     the gob-encode points of the transport layer — may be key-bearing.
+//     the encode points of the transport layer — may be key-bearing.
 //     Private keys never cross a link, in either direction.
 //  2. Mediator rule: no function reachable from a mediator entry point
 //     may declare, receive or reference a key-bearing value. The

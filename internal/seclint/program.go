@@ -73,7 +73,7 @@ type Fn struct {
 	// EntryRole is the declared protocol role ("mediator", …) whose
 	// reachability this function seeds.
 	EntryRole string
-	// Wire marks functions that gob-encode their arguments onto a link.
+	// Wire marks functions that encode their arguments onto a link.
 	Wire bool
 	// SecretResults marks a function whose results are secret key
 	// material (seclint:secret on the func); cttaint taints every call

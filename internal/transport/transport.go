@@ -7,6 +7,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -38,11 +39,11 @@ var ErrTooLarge = errors.New("transport: message exceeds size limit")
 var ErrIntegrity = errors.New("transport: integrity: message digest mismatch")
 
 // Message is the unit of exchange between parties: a protocol-defined type
-// tag and a gob-encoded body.
+// tag and an encoded body.
 type Message struct {
 	// Type tags the message for dispatching (e.g. "das.partial-result").
 	Type string
-	// Body is the gob-encoded payload.
+	// Body is the integrity digest followed by the encoded payload.
 	Body []byte
 }
 
@@ -52,24 +53,39 @@ type Message struct {
 // their own per-endpoint Stats.
 func (m Message) Size() int { return len(m.Type) + len(m.Body) }
 
-// Encode gob-encodes a payload struct into a message body.
-// seclint:wire gob-encodes the payload for a link
+// Encode encodes a payload into a message body: by its MarshalBinary
+// when it has one, as every protocol message does, and as gob otherwise.
+// seclint:wire encodes the payload for a link
 func Encode(v any) ([]byte, error) {
-	return encode(new(bytes.Buffer), v)
+	return encode(nil, v)
 }
 
-// encode gob-encodes v after whatever buf already holds and returns
-// buf's whole content.
-func encode(buf *bytes.Buffer, v any) ([]byte, error) {
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+// encode appends v's encoding to buf.
+func encode(buf []byte, v any) ([]byte, error) {
+	if m, ok := v.(encoding.BinaryMarshaler); ok {
+		b, err := m.MarshalBinary()
+		if err != nil {
+			return nil, fmt.Errorf("transport: encode: %w", err)
+		}
+		return append(buf, b...), nil
+	}
+	w := bytes.NewBuffer(buf)
+	if err := gob.NewEncoder(w).Encode(v); err != nil {
 		return nil, fmt.Errorf("transport: encode: %w", err)
 	}
-	return buf.Bytes(), nil
+	return w.Bytes(), nil
 }
 
-// Decode gob-decodes a message body into a payload struct.
+// Decode decodes a message body into v: by its UnmarshalBinary when it
+// has one, and as gob otherwise.
 func Decode(b []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
+	var err error
+	if u, ok := v.(encoding.BinaryUnmarshaler); ok {
+		err = u.UnmarshalBinary(b)
+	} else {
+		err = gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+	}
+	if err != nil {
 		return fmt.Errorf("transport: decode: %w", err)
 	}
 	return nil
@@ -105,12 +121,12 @@ func Payload(m Message) ([]byte, error) {
 	return m.Body[sumLen:], nil
 }
 
-// NewMessage builds a message with an encoded, integrity-sealed body.
-// The payload is encoded once, behind an empty digest slot that is then
-// filled in place.
-// seclint:wire gob-encodes the payload for a link
+// NewMessage builds a message with an encoded, integrity-sealed body
+// (see Encode). The payload is encoded once, behind an empty digest slot
+// that is then filled in place.
+// seclint:wire encodes the payload for a link
 func NewMessage(typ string, v any) (Message, error) {
-	body, err := encode(bytes.NewBuffer(make([]byte, sumLen)), v)
+	body, err := encode(make([]byte, sumLen), v)
 	if err != nil {
 		return Message{}, err
 	}
