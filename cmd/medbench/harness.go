@@ -257,11 +257,13 @@ func (h *harness) table3() error {
 	return nil
 }
 
-// table4 is the DAS partitioning trade-off: superset size and client
-// post-processing as the partition count varies.
+// table4 is the DAS partitioning trade-off: superset size, the client's
+// traffic and opens, and its post-processing as the partition count
+// varies.
 func (h *harness) table4() error {
 	fmt.Println("DAS partitioning trade-off (paper §6 bullet 1; refs [15],[8])")
-	rows := [][]string{{"partitions", "superset |RC|", "false positives", "exact join", "client compute"}}
+	rows := [][]string{{"partitions", "superset |RC|", "false positives", "exact join",
+		"bytes to client", "hybrid.open", "client compute"}}
 	for _, k := range []int{1, 2, 4, 8, 16, 32, 64} {
 		params := h.params()
 		params.Partitions = k
@@ -273,6 +275,7 @@ func (h *harness) table4() error {
 		fp, _ := m.ledger.Observed(leakage.PartyClient, "false-positives-discarded")
 		rows = append(rows, []string{
 			fmt.Sprint(k), fmt.Sprint(superset), fmt.Sprint(fp), fmt.Sprint(h.joinSize),
+			fmt.Sprint(m.clientLink("transport_bytes_recv")), fmt.Sprint(m.reg.OpDeltas()["hybrid.open"]),
 			m.compute(leakage.PartyClient).Round(time.Microsecond).String(),
 		})
 	}

@@ -10,26 +10,30 @@ import (
 )
 
 // EncodeTo writes R^S: the name, the 33-byte key share, the number of
-// index values per tuple (one per indexed column, the same for every
-// tuple), then each tuple's etuple and its 8-byte index values.
+// index values per run (one per indexed column, the same for every run,
+// and at least one when there are runs), then the runs, each its 8-byte
+// index values, its row count and its sealed tuple set. Runs ascend
+// strictly by index vector, hold at least one row each, and their sealed
+// tuple set takes at least one byte per row.
 func (er EncryptedRelation) EncodeTo(e *codec.Encoder) {
 	e.Text(er.Name)
 	e.Fixed(er.KeyShare, hybrid.PointSize)
 	width := 0
-	if len(er.Tuples) > 0 {
-		width = len(er.Tuples[0].Index)
+	if len(er.Runs) > 0 {
+		width = len(er.Runs[0].Index)
 	}
 	e.Len(width)
-	e.Len(len(er.Tuples))
-	for _, t := range er.Tuples {
-		if len(t.Index) != width {
-			e.Fail(fmt.Errorf("das: tuple with %d index values, want %d", len(t.Index), width))
+	e.Len(len(er.Runs))
+	for i, run := range er.Runs {
+		if err := checkRun(er.Runs, i, width); err != nil {
+			e.Fail(err)
 			return
 		}
-		e.Bytes(t.Etuple)
-		for _, iv := range t.Index {
+		for _, iv := range run.Index {
 			e.Uint64(uint64(iv))
 		}
+		e.Len(run.Rows)
+		e.Bytes(run.Sealed)
 	}
 }
 
@@ -38,25 +42,57 @@ func (er *EncryptedRelation) DecodeFrom(d *codec.Decoder) {
 	er.Name = d.Text()
 	er.KeyShare = d.Fixed(hybrid.PointSize)
 	width := d.Count(8)
-	n := d.Count(1 + 8*width)
-	if n == 0 && width != 0 {
-		d.Fail(errors.New("das: index width without tuples"))
+	// A run is its index values, a row count, a length and one byte
+	// per row.
+	n := d.Count(8*width + 3)
+	if (n == 0) != (width == 0) {
+		d.Fail(fmt.Errorf("das: %d runs of %d index values", n, width))
 	}
-	er.Tuples = nil
-	if n == 0 {
+	er.Runs = nil
+	if n == 0 || d.Err() != nil {
 		return
 	}
-	er.Tuples = make([]EncTuple, n)
-	for i := range er.Tuples {
-		t := &er.Tuples[i]
-		t.Etuple = d.Bytes()
-		if width > 0 {
-			t.Index = make([]IndexValue, width)
+	er.Runs = make([]Run, n)
+	for i := range er.Runs {
+		run := &er.Runs[i]
+		run.Index = make([]IndexValue, width)
+		for j := range run.Index {
+			run.Index[j] = IndexValue(d.Uint64())
 		}
-		for j := range t.Index {
-			t.Index[j] = IndexValue(d.Uint64())
+		run.Rows = d.Count(1)
+		run.Sealed = d.Bytes()
+		if d.Err() != nil {
+			return
+		}
+		if err := checkRun(er.Runs, i, width); err != nil {
+			d.Fail(err)
+			return
 		}
 	}
+}
+
+// checkRun is the layout's constraint on runs[i].
+func checkRun(runs []Run, i, width int) error {
+	run := runs[i]
+	switch {
+	case width == 0 || len(run.Index) != width:
+		return fmt.Errorf("das: run with %d index values, want %d ≥ 1", len(run.Index), width)
+	case run.Rows < 1 || run.Rows > len(run.Sealed):
+		return fmt.Errorf("das: run of %d rows in %d sealed bytes", run.Rows, len(run.Sealed))
+	case i > 0 && !lessIndex(runs[i-1].Index, run.Index):
+		return errors.New("das: runs out of index order")
+	}
+	return nil
+}
+
+// lessIndex orders index vectors of one width lexicographically.
+func lessIndex(a, b []IndexValue) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

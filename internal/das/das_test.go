@@ -1,6 +1,7 @@
 package das
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/rsa"
@@ -14,6 +15,7 @@ import (
 	"testing/quick"
 
 	"github.com/secmediation/secmediation/internal/algebra"
+	"github.com/secmediation/secmediation/internal/codec"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/transport"
@@ -415,8 +417,8 @@ func TestEncryptRelationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openTuple(recv, er.Tuples[0].Etuple, []byte("das:etuple:R1"), r1.Schema()); err != nil {
-		t.Errorf("EncryptRelation etuple does not open: %v", err)
+	if _, err := openRun(recv, er.Runs[0].Sealed, runAAD("R1"), r1.Schema()); err != nil {
+		t.Errorf("EncryptRelation run does not open: %v", err)
 	}
 }
 
@@ -548,14 +550,14 @@ func TestExecuteServerQueryValidation(t *testing.T) {
 	if _, err := ExecuteServerQuery(&EncryptedRelation{}, &EncryptedRelation{}, ServerQuery{}); err == nil {
 		t.Error("empty server query accepted")
 	}
-	// Tuples with fewer index entries than query attributes are invalid
+	// Runs with fewer index entries than query attributes are invalid
 	// (extra entries are fine: they carry pushed-down filter columns).
 	q2 := ServerQuery{PerAttr: [][]IndexPair{{{I1: 1, I2: 1}}, {{I1: 2, I2: 2}}}}
-	short := &EncryptedRelation{Tuples: []EncTuple{{Index: []IndexValue{1}}}}
+	short := &EncryptedRelation{Runs: []Run{{Index: []IndexValue{1}, Rows: 1}}}
 	if _, err := ExecuteServerQuery(short, &EncryptedRelation{}, q2); err == nil {
 		t.Error("short index vector accepted (R1)")
 	}
-	ok1 := &EncryptedRelation{Tuples: []EncTuple{{Index: []IndexValue{1, 2}}}}
+	ok1 := &EncryptedRelation{Runs: []Run{{Index: []IndexValue{1, 2}, Rows: 1}}}
 	if _, err := ExecuteServerQuery(ok1, short, q2); err == nil {
 		t.Error("short index vector accepted (R2)")
 	}
@@ -673,11 +675,13 @@ func TestServerQueryFilterSoundness(t *testing.T) {
 }
 
 // oraclePair, oracleExecute and oracleDecrypt are the reference the
-// reduced ServerResult is checked against: σ_CondS with both etuples
-// inline in every pair, and a decrypt that opens both sides of every pair
-// and compares their join values by canonical encoding.
+// reduced ServerResult is checked against: σ_CondS row pair by row pair,
+// with both runs inline in every pair and the pair's row within each,
+// and a decrypt that opens both sides of every pair and compares their
+// join values by canonical encoding.
 type oraclePair struct {
 	E1, E2 []byte
+	I, J   int
 }
 
 func oracleExecute(r1, r2 *EncryptedRelation, q ServerQuery) ([]oraclePair, error) {
@@ -701,29 +705,19 @@ func oracleExecute(r1, r2 *EncryptedRelation, q ServerQuery) ([]oraclePair, erro
 	if err != nil {
 		return nil, err
 	}
-	byIdx := make(map[IndexValue][]int, len(r2.Tuples))
-	for i, t := range r2.Tuples {
-		if filter2.admits(t.Index) {
-			byIdx[t.Index[0]] = append(byIdx[t.Index[0]], i)
-		}
-	}
 	var out []oraclePair
-	for _, t1 := range r1.Tuples {
-		if !filter1.admits(t1.Index) {
-			continue
-		}
-		for i2 := range adm[0][t1.Index[0]] {
-			for _, j := range byIdx[i2] {
-				t2 := r2.Tuples[j]
-				match := true
-				for a := 1; a < len(q.PerAttr); a++ {
-					if !adm[a][t1.Index[a]][t2.Index[a]] {
-						match = false
-						break
-					}
-				}
-				if match {
-					out = append(out, oraclePair{E1: t1.Etuple, E2: t2.Etuple})
+	for _, run1 := range r1.Runs {
+		for _, run2 := range r2.Runs {
+			match := filter1.admits(run1.Index) && filter2.admits(run2.Index)
+			for a := range q.PerAttr {
+				match = match && adm[a][run1.Index[a]][run2.Index[a]]
+			}
+			if !match {
+				continue
+			}
+			for i := 0; i < run1.Rows; i++ {
+				for j := 0; j < run2.Rows; j++ {
+					out = append(out, oraclePair{E1: run1.Sealed, E2: run2.Sealed, I: i, J: j})
 				}
 			}
 		}
@@ -739,14 +733,15 @@ func oracleDecrypt(pairs []oraclePair, recv1, recv2 Opener, s1, s2 rel.Schema, c
 	out := rel.New(joined)
 	discarded := 0
 	for _, p := range pairs {
-		t1, err := openTuple(recv1, p.E1, []byte("das:etuple:"+s1.Relation), s1)
+		run1, err := openRun(recv1, p.E1, runAAD(s1.Relation), s1)
 		if err != nil {
 			return nil, 0, err
 		}
-		t2, err := openTuple(recv2, p.E2, []byte("das:etuple:"+s2.Relation), s2)
+		run2, err := openRun(recv2, p.E2, runAAD(s2.Relation), s2)
 		if err != nil {
 			return nil, 0, err
 		}
+		t1, t2 := run1[p.I], run2[p.J]
 		match := true
 		for _, c := range cols {
 			if string(t1[s1.IndexOf(c)].Encode(nil)) != string(t2[s2.IndexOf(c)].Encode(nil)) {
@@ -845,8 +840,9 @@ func (c *countingOpener) total() (n int, repeated bool) {
 
 // The factored result must be exactly the reference's R_C and exactly the
 // plaintext join, across partitioning strategies, granularities, one- and
-// two-attribute joins and pushed-down filters; and it must reach them by
-// opening every shipped etuple exactly once.
+// two-attribute joins and pushed-down filters; its Pairs must name R_C's
+// row pairs by their ordinals among the shipped rows; and it must reach
+// them by opening every shipped run exactly once.
 func TestServerResultMatchesOracle(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(22))
 	for _, strategy := range []Strategy{EquiDepth, EquiWidth, HashBuckets} {
@@ -880,13 +876,13 @@ func TestServerResultMatchesOracle(t *testing.T) {
 					opens1, rep1 := s1.recv.total()
 					opens2, rep2 := s2.recv.total()
 					if rep1 || rep2 {
-						t.Errorf("%s: an etuple was opened more than once", name)
+						t.Errorf("%s: a run was opened more than once", name)
 					}
 					if opens1 != len(res.E1) || opens2 != len(res.E2) {
 						t.Errorf("%s: opens = %d+%d, tables hold %d+%d", name, opens1, opens2, len(res.E1), len(res.E2))
 					}
-					if len(res.E1) > s1.r.Len() || len(res.E2) > s2.r.Len() {
-						t.Errorf("%s: tables hold %d+%d etuples of %d+%d rows", name, len(res.E1), len(res.E2), s1.r.Len(), s2.r.Len())
+					if len(res.E1) > len(s1.er.Runs) || len(res.E2) > len(s2.er.Runs) {
+						t.Errorf("%s: tables hold %d+%d runs of %d+%d", name, len(res.E1), len(res.E2), len(s1.er.Runs), len(s2.er.Runs))
 					}
 
 					pairs, err := oracleExecute(s1.er, s2.er, sq)
@@ -906,6 +902,9 @@ func TestServerResultMatchesOracle(t *testing.T) {
 					if !got.EqualMultiset(want) {
 						t.Errorf("%s: result differs from the oracle's", name)
 					}
+					if named, all := pairRows(t, res, s1, s2), oracleRows(t, pairs, s1, s2); !named.EqualMultiset(all) {
+						t.Errorf("%s: Pairs name other row pairs than the oracle's R_C", name)
+					}
 					// The filters over-approximate, so compare with the
 					// plaintext join after applying them exactly.
 					plain, err := algebra.EquiJoin(s1.r.Filter(keep1), s2.r.Filter(keep2), cols, cols)
@@ -921,6 +920,56 @@ func TestServerResultMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pairRows opens the shipped runs and returns the row pairs res.Pairs
+// names, concatenated.
+func pairRows(t *testing.T, res *ServerResult, s1, s2 dasSide) *rel.Relation {
+	t.Helper()
+	rows := func(runs [][]byte, side dasSide) []rel.Tuple {
+		var out []rel.Tuple
+		for _, run := range runs {
+			tuples, err := openRun(side.recv.Opener, run, runAAD(side.r.Schema().Relation), side.r.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, tuples...)
+		}
+		return out
+	}
+	rows1, rows2 := rows(res.E1, s1), rows(res.E2, s2)
+	out := concatRelation(t, s1, s2)
+	for _, p := range res.Pairs {
+		out.MustAppend(append(rows1[p.I].Clone(), rows2[p.J]...))
+	}
+	return out
+}
+
+// oracleRows returns every row pair of the oracle's R_C, concatenated.
+func oracleRows(t *testing.T, pairs []oraclePair, s1, s2 dasSide) *rel.Relation {
+	t.Helper()
+	out := concatRelation(t, s1, s2)
+	for _, p := range pairs {
+		run1, err := openRun(s1.recv.Opener, p.E1, runAAD(s1.r.Schema().Relation), s1.r.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		run2, err := openRun(s2.recv.Opener, p.E2, runAAD(s2.r.Schema().Relation), s2.r.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.MustAppend(append(run1[p.I].Clone(), run2[p.J]...))
+	}
+	return out
+}
+
+func concatRelation(t *testing.T, s1, s2 dasSide) *rel.Relation {
+	t.Helper()
+	joined, err := s1.r.Schema().Concat(s2.r.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel.New(joined)
 }
 
 // R_C and the rows decrypted from it are a function of the inputs: the
@@ -969,25 +1018,28 @@ func TestServerResultDeterministic(t *testing.T) {
 }
 
 // plainOpener stands in for a Receiver where the test hand-builds the
-// etuples: the "plaintext" is the sealed field itself.
+// runs: the "plaintext" is the sealed field itself.
 type plainOpener struct{}
 
 func (plainOpener) Open(ct *hybrid.Ciphertext, _ []byte) ([]byte, error) { return ct.Sealed, nil }
 
-func plainEtuple(t rel.Tuple) []byte {
-	return (&hybrid.Ciphertext{Nonce: make([]byte, 12), Sealed: t.Encode(nil)}).Marshal()
+func plainRun(tuples ...rel.Tuple) []byte {
+	return (&hybrid.Ciphertext{Nonce: make([]byte, 12), Sealed: rel.EncodeTupleSet(tuples)}).Marshal()
 }
 
-// A ServerResult comes from a peer: a table that repeats an etuple, or a
-// Size that no set of pairs over the shipped tables could have, is an
-// error, never a panic or an inflated join.
+// A ServerResult comes from a peer: a table that repeats a run, a run
+// without rows, or a Size that no set of pairs over the shipped rows
+// could have, is an error, never a panic or an inflated join.
 func TestDecryptServerResultRejectsInconsistentResults(t *testing.T) {
 	r1, r2 := fixtures(t)
-	e1 := [][]byte{plainEtuple(r1.Tuple(1)), plainEtuple(r1.Tuple(2))} // ids 2, 5
-	e2 := [][]byte{plainEtuple(r2.Tuple(0)), plainEtuple(r2.Tuple(1))} // ids 2, 5
-	// Two etuples a side, all with id 5: four rows join.
-	fives1 := [][]byte{plainEtuple(r1.Tuple(2)), plainEtuple(r1.Tuple(3))}
-	fives2 := [][]byte{plainEtuple(r2.Tuple(1)), plainEtuple(rel.Tuple{rel.Int(5), rel.String_("w")})}
+	e1 := [][]byte{plainRun(r1.Tuple(1)), plainRun(r1.Tuple(2))} // ids 2, 5
+	e2 := [][]byte{plainRun(r2.Tuple(0)), plainRun(r2.Tuple(1))} // ids 2, 5
+	// Two rows a side, all with id 5, in one run a side: four rows join.
+	fives1 := [][]byte{plainRun(r1.Tuple(2), r1.Tuple(3))}
+	fives2 := [][]byte{plainRun(r2.Tuple(1), rel.Tuple{rel.Int(5), rel.String_("w")})}
+	// One run of ids 2 and 5 against two runs of one row: the range is
+	// over rows, not runs.
+	mixed1 := [][]byte{plainRun(r1.Tuple(1), r1.Tuple(2))}
 	cases := []struct {
 		name          string
 		res           ServerResult
@@ -1001,13 +1053,17 @@ func TestDecryptServerResultRejectsInconsistentResults(t *testing.T) {
 		{"Size below the join", ServerResult{E1: fives1, E2: fives2, Size: 3}, 0, 0, true},
 		{"Size at the join", ServerResult{E1: fives1, E2: fives2, Size: 4}, 4, 0, false},
 		{"Size below a table", ServerResult{E1: e1, E2: e2[:1], Size: 1}, 0, 0, true},
+		{"Size below a run's rows", ServerResult{E1: mixed1, E2: e2[:1], Size: 1}, 0, 0, true},
+		{"Size at a run's rows", ServerResult{E1: mixed1, E2: e2[:1], Size: 2}, 1, 1, false},
 		{"Size above the product", ServerResult{E1: e1, E2: e2, Size: 5}, 0, 0, true},
+		{"Size above the rows' product", ServerResult{E1: mixed1, E2: e2[:1], Size: 3}, 0, 0, true},
 		{"Size at int max", ServerResult{E1: e1, E2: e2, Size: math.MaxInt}, 0, 0, true},
 		{"negative Size", ServerResult{E1: e1, E2: e2, Size: -1}, 0, 0, true},
 		{"Size but empty tables", ServerResult{Size: 1}, 0, 0, true},
 		{"one table empty", ServerResult{E1: e1, Size: 2}, 0, 0, true},
-		{"E1 repeats an etuple", ServerResult{E1: [][]byte{e1[1], e1[1]}, E2: e2, Size: 4}, 0, 0, true},
-		{"E2 repeats an etuple", ServerResult{E1: e1, E2: [][]byte{e2[0], e2[0]}, Size: 4}, 0, 0, true},
+		{"a run without rows", ServerResult{E1: [][]byte{plainRun()}, E2: e2[:1], Size: 1}, 0, 0, true},
+		{"E1 repeats a run", ServerResult{E1: [][]byte{e1[1], e1[1]}, E2: e2, Size: 4}, 0, 0, true},
+		{"E2 repeats a run", ServerResult{E1: e1, E2: [][]byte{e2[0], e2[0]}, Size: 4}, 0, 0, true},
 	}
 	for _, tc := range cases {
 		got, discarded, err := DecryptServerResult(&tc.res, plainOpener{}, plainOpener{}, r1.Schema(), r2.Schema(), []string{"id"}, []string{"id"}, 2)
@@ -1028,23 +1084,19 @@ func TestDecryptServerResultRejectsInconsistentResults(t *testing.T) {
 }
 
 // Any bytes a peer sends as a das.result body must decrypt to a result or
-// an error — no panic, an accepted result has distinct etuples and
+// an error — no panic, an accepted result has distinct runs and
 // rows ≤ Size ≤ |E1|·|E2|, and nothing allocates out of proportion to the
 // input plus the rows joined.
 func FuzzDecryptServerResult(f *testing.F) {
 	r1, r2 := fixtures(f)
-	valid := ServerResult{Size: 4}
-	for _, i := range []int{1, 2, 3} {
-		valid.E1 = append(valid.E1, plainEtuple(r1.Tuple(i)))
-	}
-	for _, j := range []int{0, 1} {
-		valid.E2 = append(valid.E2, plainEtuple(r2.Tuple(j)))
-	}
+	valid := ServerResult{Size: 4,
+		E1: [][]byte{plainRun(r1.Tuple(1)), plainRun(r1.Tuple(2), r1.Tuple(3))},
+		E2: [][]byte{plainRun(r2.Tuple(0)), plainRun(r2.Tuple(1))}}
 	badSize := valid
 	badSize.Size = 7
-	badEtuple := valid
-	badEtuple.E2 = [][]byte{valid.E2[0], []byte("not a ciphertext")}
-	for _, res := range []ServerResult{valid, badSize, badEtuple, {}} {
+	badRun := valid
+	badRun.E2 = [][]byte{valid.E2[0], []byte("not a ciphertext")}
+	for _, res := range []ServerResult{valid, badSize, badRun, {}} {
 		b, err := transport.Encode(res)
 		if err != nil {
 			f.Fatal(err)
@@ -1064,30 +1116,42 @@ func FuzzDecryptServerResult(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		// A rejected result may have joined every shipped pair before its
 		// Size was checked.
-		n1, n2 := len(res.E1), len(res.E2)
+		n1, n2 := plainRows(res.E1, r1.Schema()), plainRows(res.E2, r2.Schema())
 		rows := n1 * n2
 		if err == nil {
 			rows = got.Len()
 			if rows+discarded != res.Size || discarded < 0 || res.Size > n1*n2 {
-				t.Errorf("accepted %d rows + %d discarded as Size %d over %d×%d etuples", rows, discarded, res.Size, n1, n2)
+				t.Errorf("accepted %d rows + %d discarded as Size %d over %d×%d rows", rows, discarded, res.Size, n1, n2)
 			}
 			for _, tab := range [][][]byte{res.E1, res.E2} {
 				seen := map[string]bool{}
 				for _, e := range tab {
 					if seen[string(e)] {
-						t.Errorf("accepted a table that repeats an etuple")
+						t.Errorf("accepted a table that repeats a run")
 					}
 					seen[string(e)] = true
 				}
 			}
 		}
-		// Opening and keying an etuple costs a small multiple of its bytes,
+		// Opening and keying a run costs a small multiple of its bytes,
 		// and a joined row of four values a few hundred bytes: 1 KiB per
 		// input byte and per row plus fixed slack bounds every honest cost.
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+1024*(len(data)+rows)); alloc > limit {
 			t.Errorf("decrypting a %d-byte body into %d rows allocated %d bytes (limit %d)", len(data), rows, alloc, limit)
 		}
 	})
+}
+
+// plainRows counts the rows of the plainRun runs that parse.
+func plainRows(runs [][]byte, schema rel.Schema) int {
+	n := 0
+	for _, run := range runs {
+		if len(run) >= 12 {
+			tuples, _ := rel.DecodeTupleSet(schema, run[12:])
+			n += len(tuples)
+		}
+	}
+	return n
 }
 
 // DAS joins FLOAT keys as the plaintext reference does: by canonical
@@ -1135,3 +1199,79 @@ func TestDASFloatKeysMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// R^S comes from a peer: its decoder accepts exactly the runs a source
+// can seal — at least one row each, no more rows than sealed bytes, one
+// index vector width of at least one, strictly ascending vectors — and
+// the encoder refuses to write anything else.
+func TestEncryptedRelationLayout(t *testing.T) {
+	share := make([]byte, hybrid.PointSize)
+	run := func(rows int, sealed string, index ...IndexValue) Run {
+		return Run{Index: index, Rows: rows, Sealed: []byte(sealed)}
+	}
+	valid := EncryptedRelation{Name: "R1", KeyShare: share, Runs: []Run{run(1, "a", 1, 9), run(2, "bcd", 2, 0)}}
+	b, err := valid.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back EncryptedRelation
+	if err := back.UnmarshalBinary(b); err != nil || !reflect.DeepEqual(back, valid) {
+		t.Fatalf("round trip: %v\n%+v\n%+v", err, back, valid)
+	}
+	// raw writes R^S field by field, valid or not.
+	raw := func(width, count int, runs ...Run) []byte {
+		out, err := codec.Marshal(layoutFunc(func(e *codec.Encoder) {
+			e.Text("R1")
+			e.Fixed(share, hybrid.PointSize)
+			e.Len(width)
+			e.Len(count)
+			for _, r := range runs {
+				for _, iv := range r.Index {
+					e.Uint64(uint64(iv))
+				}
+				e.Len(r.Rows)
+				e.Bytes(r.Sealed)
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if got := raw(2, 2, valid.Runs...); !bytes.Equal(got, b) {
+		t.Fatalf("raw layout %x, encoder %x", got, b)
+	}
+	bad := map[string]struct {
+		er  EncryptedRelation
+		enc []byte
+	}{
+		"no rows":          {EncryptedRelation{Runs: []Run{run(0, "a", 1)}}, raw(1, 1, run(0, "a", 1))},
+		"rows past sealed": {EncryptedRelation{Runs: []Run{run(2, "a", 1)}}, raw(1, 1, run(2, "a", 1))},
+		"zero width":       {EncryptedRelation{Runs: []Run{run(1, "a")}}, raw(0, 1, run(1, "a"))},
+		"width, no runs":   {EncryptedRelation{}, raw(1, 0)},
+		"descending":       {EncryptedRelation{Runs: []Run{run(1, "a", 2), run(1, "b", 1)}}, raw(1, 2, run(1, "a", 2), run(1, "b", 1))},
+		"repeated vector":  {EncryptedRelation{Runs: []Run{run(1, "a", 1, 5), run(1, "b", 1, 5)}}, raw(2, 2, run(1, "a", 1, 5), run(1, "b", 1, 5))},
+		"ragged widths":    {EncryptedRelation{Runs: []Run{run(1, "a", 1), run(1, "b", 2, 3)}}, nil},
+		"count past bytes": {EncryptedRelation{}, raw(1, 1000, run(1, "a", 1))},
+		"trailing byte":    {EncryptedRelation{}, append(raw(2, 2, valid.Runs...), 0)},
+	}
+	for name, tc := range bad {
+		if tc.er.Runs != nil {
+			tc.er.Name, tc.er.KeyShare = "R1", share
+			if _, err := tc.er.MarshalBinary(); err == nil {
+				t.Errorf("%s: encoded", name)
+			}
+		}
+		if tc.enc != nil {
+			var er EncryptedRelation
+			if err := er.UnmarshalBinary(tc.enc); err == nil {
+				t.Errorf("%s: decoded", name)
+			}
+		}
+	}
+}
+
+// layoutFunc is a hand-written layout.
+type layoutFunc func(*codec.Encoder)
+
+func (f layoutFunc) EncodeTo(e *codec.Encoder) { f(e) }

@@ -1,8 +1,9 @@
 // Package das implements the Database-as-a-Service substrate of the
 // paper's Section 3 protocol (after Hacıgümüş, Iyer, Li, Mehrotra,
 // SIGMOD'02): bucketization of the join attribute's active domain, index
-// tables mapping partitions to opaque index values, row-wise encrypted
-// relations R^S(Etuple, A^S_join), and the server/client query split
+// tables mapping partitions to opaque index values, encrypted relations
+// R^S(Etuple, A^S_join) whose etuple seals one partition's rows, and the
+// server/client query split
 //
 //	R_C = q_S(R1^S, R2^S) = σ_CondS(R1^S × R2^S)
 //	q_C(decrypt(R_C)) = σ_CondC(decrypt(R_C)),  CondC: R1.A_join = R2.A_join

@@ -310,7 +310,8 @@ func (m dasIndexTables) MarshalBinary() ([]byte, error) { return codec.Marshal(m
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *dasIndexTables) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, m) }
 
-// EncodeTo writes both etuple tables, then |R_C|.
+// EncodeTo writes both tables of sealed runs, each a count and every
+// run with its length, then |R_C|. The decoder rejects an empty run.
 func (r dasResult) EncodeTo(e *codec.Encoder) {
 	e.ByteStrings(r.E1)
 	e.ByteStrings(r.E2)
@@ -319,8 +320,25 @@ func (r dasResult) EncodeTo(e *codec.Encoder) {
 
 // DecodeFrom reads a result written by EncodeTo.
 func (r *dasResult) DecodeFrom(d *codec.Decoder) {
-	r.E1, r.E2 = d.ByteStrings(), d.ByteStrings()
+	r.E1, r.E2 = decodeRuns(d), decodeRuns(d)
 	r.Size = d.Int()
+}
+
+// decodeRuns reads one table of a das.result: a run takes its length
+// and at least one byte.
+func decodeRuns(d *codec.Decoder) [][]byte {
+	n := d.Count(2)
+	if n == 0 {
+		return nil
+	}
+	runs := make([][]byte, n)
+	for i := range runs {
+		if runs[i] = d.Bytes(); runs[i] == nil {
+			d.Fail(fmt.Errorf("mediation: DAS run %d is empty", i))
+			return nil
+		}
+	}
+	return runs
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

@@ -41,8 +41,8 @@ type dasIndexTables struct {
 }
 
 // dasResult is the mediator's step 6 message: R_C in semi-join-reduced
-// form, the two tables of surviving etuples and |R_C|. The pairs stay at
-// the mediator; the client rebuilds the join from the opened tuples.
+// form, the two tables of surviving sealed runs and |R_C|. The pairs stay
+// at the mediator; the client rebuilds the join from the opened rows.
 type dasResult struct {
 	E1, E2 [][]byte
 	Size   int
@@ -92,7 +92,7 @@ func (s *Source) serveDAS(mediator *link.Link, pq *PartialQuery, rel *relation.R
 		if err != nil {
 			return err
 		}
-		s.Ledger.UsePrimitive(s.party(), "hybrid-encryption", int64(rel.Len()+1))
+		s.Ledger.UsePrimitive(s.party(), "hybrid-encryption", int64(len(encRel.Runs)+1))
 		itBlob, err := das.EncodeIndexTables(its)
 		if err != nil {
 			return err
@@ -231,7 +231,7 @@ func (c *Client) runDAS(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.P
 		}
 		c.Ledger.UsePrimitive(leakage.PartyClient, "hybrid-decryption", int64(len(res.E1)+len(res.E2)))
 		// Table 1: the client receives a superset of the global result,
-		// as its etuples and its size.
+		// as its runs and its size.
 		c.Ledger.Observe(leakage.PartyClient, "superset-size", int64(res.Size))
 		c.Ledger.Observe(leakage.PartyClient, "false-positives-discarded", int64(discarded))
 		return nil

@@ -1,10 +1,13 @@
 package mediation
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/secmediation/secmediation/internal/das"
@@ -107,33 +110,81 @@ func queryDASTampered(t *testing.T, tamper func(*dasResult)) *ProtocolError {
 	return pe
 }
 
-// A mediator cannot forge an etuple, but it could replay one to inflate
-// the client's join: a das.result that repeats an etuple aborts the query.
+// A mediator cannot forge a run, but it could replay one to inflate the
+// client's join: a das.result that repeats a run aborts the query.
 func TestDASResultDuplicateEtupleAborts(t *testing.T) {
 	pe := queryDASTampered(t, func(res *dasResult) {
 		if len(res.E1) < 2 {
-			t.Fatalf("fixture ships %d R1 etuples, need 2", len(res.E1))
+			t.Fatalf("fixture ships %d R1 runs, need 2", len(res.E1))
 		}
 		res.E1[1] = res.E1[0]
 	})
-	if !strings.Contains(pe.Error(), "repeats an etuple") {
-		t.Errorf("err = %v, want the repeated etuple named", pe)
+	if !strings.Contains(pe.Error(), "repeats a run") {
+		t.Errorf("err = %v, want the repeated run named", pe)
 	}
 }
 
-// A das.result whose Size no set of pairs over its tables could have
-// aborts the query.
+// Each source seals its runs under its own session: a run the mediator
+// moves to the other side's table fails its AEAD at the client.
+func TestDASResultMovedRunFailsOpen(t *testing.T) {
+	pe := queryDASTampered(t, func(res *dasResult) {
+		res.E2 = append(res.E2, res.E1[len(res.E1)-1])
+		res.E1 = res.E1[:len(res.E1)-1]
+	})
+	if !strings.Contains(pe.Error(), "hybrid: open") {
+		t.Errorf("err = %v, want the failed open named", pe)
+	}
+}
+
+// A das.result table holds sealed runs, never an empty one: the decoder
+// rejects a zero-length run, and a count its bytes cannot hold.
+func TestDASResultRejectsEmptyRun(t *testing.T) {
+	for name, tc := range map[string]struct {
+		res     dasResult
+		wantErr bool
+	}{
+		"runs":         {dasResult{E1: [][]byte{{1}}, E2: [][]byte{{2}, {3}}, Size: 2}, false},
+		"no runs":      {dasResult{}, false},
+		"empty E1 run": {dasResult{E1: [][]byte{{}}, E2: [][]byte{{2}}, Size: 1}, true},
+		"empty E2 run": {dasResult{E1: [][]byte{{1}}, E2: [][]byte{{2}, nil}, Size: 2}, true},
+	} {
+		b, err := tc.res.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := new(dasResult).UnmarshalBinary(b); (err != nil) != tc.wantErr {
+			t.Errorf("%s: decode error %v, want one: %v", name, err, tc.wantErr)
+		}
+	}
+	if err := new(dasResult).UnmarshalBinary([]byte{100, 5, 1}); err == nil {
+		t.Error("100 runs in 2 bytes decoded")
+	}
+}
+
+// The fixture's rows under fastParams: three equi-depth partitions a
+// side ship R1's {1, 2} and {3, 3} runs and R2's {2} and {3, 3}, so
+// |R_C| = 2·1 + 2·2 over 4 and 3 shipped rows.
+const fixtureSize, fixtureRows1, fixtureRows2 = 6, 4, 3
+
+// A das.result whose Size no set of pairs over its tables' rows could
+// have aborts the query. |E1| and |E2| count the rows of the tables'
+// runs.
 func TestDASResultBadSizeAborts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		size func(res *dasResult) int
+		size int
 	}{
-		{"above |E1|·|E2|", func(res *dasResult) int { return len(res.E1)*len(res.E2) + 1 }},
-		{"below |E1|", func(res *dasResult) int { return len(res.E1) - 1 }},
-		{"negative", func(*dasResult) int { return -1 }},
+		{"above |E1|·|E2|", fixtureRows1*fixtureRows2 + 1},
+		{"below |E1|", fixtureRows1 - 1},
+		{"negative", -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pe := queryDASTampered(t, func(res *dasResult) { res.Size = tc.size(res) })
+			pe := queryDASTampered(t, func(res *dasResult) {
+				if res.Size != fixtureSize {
+					t.Fatalf("fixture has |R_C| = %d, want %d", res.Size, fixtureSize)
+				}
+				res.Size = tc.size
+			})
 			if !strings.Contains(pe.Error(), "claims") {
 				t.Errorf("err = %v, want the claimed Size named", pe)
 			}
@@ -143,21 +194,69 @@ func TestDASResultBadSizeAborts(t *testing.T) {
 
 // dasResultShape is what a tap on das.result measures.
 type dasResultShape struct {
-	body, etupleBytes, etuples, size int
+	body, runBytes, runs, size int
+	// runFraming is what the tables add to their rows, as far as a tap
+	// sees: the run counts and each run's length prefix, nonce and tag
+	// (not the tuple-set count sealed inside the run).
+	runFraming int
 }
 
 func (s *dasResultShape) visit(res *dasResult, bodyBytes int) {
 	s.body, s.size = bodyBytes, res.Size
-	s.etuples = len(res.E1) + len(res.E2)
-	for _, e := range append(append([][]byte(nil), res.E1...), res.E2...) {
-		s.etupleBytes += len(e)
+	s.runs = len(res.E1) + len(res.E2)
+	s.runFraming = uvarintLen(len(res.E1)) + uvarintLen(len(res.E2))
+	for _, run := range append(append([][]byte(nil), res.E1...), res.E2...) {
+		s.runBytes += len(run)
+		s.runFraming += uvarintLen(len(run)) + hybridOverhead
 	}
 }
 
-// The client's decryption work and the das.result frame are linear in
-// |R1|+|R2|, not in |R_C|: a fat join whose superset is several times the
-// join must still open each etuple once and ship it once, with no bytes
-// per pair.
+// hybridOverhead is a sealed run's nonce and tag.
+const hybridOverhead = 12 + 16
+
+func uvarintLen(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
+
+// shippedRows lists, per side, the row counts of the runs q_S ships for
+// params over r1 ⋈ r2 on id (partitions overlapping one of the other
+// side's), and the canonical bytes of their rows.
+func shippedRows(t *testing.T, r1, r2 *rel.Relation, params Params) (runs1, runs2 []int, rowBytes int) {
+	t.Helper()
+	parts := func(r *rel.Relation) []das.Partition {
+		dom, err := r.ActiveDomain("id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := das.PartitionDomain(dom, params.Partitions, params.Strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p1, p2 := parts(r1), parts(r2)
+	side := func(r *rel.Relation, own, other []das.Partition) []int {
+		var runs []int
+		for _, p := range own {
+			if !slices.ContainsFunc(other, p.Overlaps) {
+				continue
+			}
+			rows := 0
+			for _, tu := range r.Tuples() {
+				if p.Contains(tu[0]) {
+					rows++
+					rowBytes += len(tu.Encode(nil))
+				}
+			}
+			runs = append(runs, rows)
+		}
+		return runs
+	}
+	return side(r1, p1, p2), side(r2, p2, p1), rowBytes
+}
+
+// The client's decryption work is the shipped runs, whatever |R1|+|R2|
+// and |R_C|: a fat join whose superset is several times the join opens
+// at most one run per partition a side. The das.result frame carries
+// its rows with a few bytes per row and per run, and none per pair.
 func TestDASClientOpensLinear(t *testing.T) {
 	// R1: ids 0..19, one row each. R2: ids 0, 5, …, 95, ten rows each.
 	// Sixteen equi-width partitions per side make R2's wide partitions
@@ -189,29 +288,45 @@ func TestDASClientOpensLinear(t *testing.T) {
 		t.Errorf("%d false positives discarded, want %d − %d", discarded, superset, got.Len())
 	}
 	opens := reg.OpDeltas()["hybrid.open"]
-	t.Logf("join %d, superset %d, hybrid.open %d, das.result %d B (%d B of etuples)", got.Len(), superset, opens, shape.body, shape.etupleBytes)
-	// Every etuple once, plus the two index tables.
-	if limit := int64(r1.Len() + r2.Len() + 2); opens > limit {
-		t.Errorf("%d hybrid.open calls for |R1|+|R2|+2 = %d (superset %d)", opens, limit, superset)
+	t.Logf("join %d, superset %d, hybrid.open %d, das.result %d B (%d runs, %d B)", got.Len(), superset, opens, shape.body, shape.runs, shape.runBytes)
+	// Every run once, plus the two index tables.
+	if opens != int64(shape.runs+2) {
+		t.Errorf("%d hybrid.open calls, result tables hold %d runs", opens, shape.runs)
 	}
-	if opens != int64(shape.etuples+2) {
-		t.Errorf("%d hybrid.open calls, result tables hold %d etuples", opens, shape.etuples)
+	defaults := Params{}.withDefaults()
+	if opens > int64(2*defaults.Partitions+2) {
+		t.Errorf("%d hybrid.open calls for %d partitions a side (|R1|+|R2| = %d, superset %d)", opens, defaults.Partitions, r1.Len()+r2.Len(), superset)
 	}
-	if c := ledger.PrimitiveCount(leakage.PartyClient, "hybrid-decryption"); c != int64(shape.etuples) {
-		t.Errorf("ledger records %d hybrid decryptions, %d etuples were opened", c, shape.etuples)
+	if c := ledger.PrimitiveCount(leakage.PartyClient, "hybrid-decryption"); c != int64(shape.runs) {
+		t.Errorf("ledger records %d hybrid decryptions, %d runs were opened", c, shape.runs)
 	}
-	// Beyond the etuples themselves, a frame carries a few bytes of
-	// framing per etuple and a fixed envelope.
-	if overhead, limit := shape.body-shape.etupleBytes, 4*shape.etuples+512; overhead > limit {
-		t.Errorf("das.result carries %d bytes beside its %d etuples (limit %d)", overhead, shape.etuples, limit)
+	// Each source seals its runs and its index tables.
+	seals := reg.OpDeltas()["hybrid.seal"]
+	sealed := ledger.PrimitiveCount(leakage.PartySource("S1"), "hybrid-encryption") +
+		ledger.PrimitiveCount(leakage.PartySource("S2"), "hybrid-encryption")
+	if sealed != seals || seals > int64(2*defaults.Partitions+2) {
+		t.Errorf("ledger records %d hybrid encryptions, %d hybrid.seal calls for %d partitions a side", sealed, seals, defaults.Partitions)
+	}
+	// Beyond its rows, a frame carries a few bytes of framing per row and
+	// per run and a fixed envelope.
+	runs1, runs2, rowBytes := shippedRows(t, r1, r2, defaults)
+	if len(runs1)+len(runs2) != shape.runs {
+		t.Fatalf("%d runs shipped, the partitions predict %d+%d", shape.runs, len(runs1), len(runs2))
+	}
+	rows := 0
+	for _, k := range append(runs1, runs2...) {
+		rows += k
+	}
+	if overhead, limit := shape.body-rowBytes, 2*rows+40*shape.runs+64; overhead > limit {
+		t.Errorf("das.result carries %d bytes beside its %d rows in %d runs (limit %d)", overhead, rows, shape.runs, limit)
 	}
 }
 
-// The das.result frame does not grow with |R_C|: the same surviving
-// etuples under a superset 20× larger make a frame of the same size, up
-// to the varint that holds |R_C|.
+// The das.result frame does not grow with |R_C|: the same surviving rows
+// under a superset 20× larger make a frame that differs by exactly the
+// framing of the extra runs and the varint that holds |R_C|.
 func TestDASResultSizeIndependentOfSuperset(t *testing.T) {
-	// Every R1 id occurs in R2, so every etuple survives at any
+	// Every R1 id occurs in R2, so every row survives at any
 	// granularity: 20 equi-width partitions match exactly, one partition
 	// pairs everything.
 	s1, s2 := testRelations(t)
@@ -223,28 +338,117 @@ func TestDASResultSizeIndependentOfSuperset(t *testing.T) {
 		}
 	}
 	shapes := map[int]*dasResultShape{}
+	// framing is each shape's run framing, with the tuple-set count
+	// each run holds.
+	framing := map[int]int{}
 	for _, k := range []int{1, 20} {
+		params := Params{Partitions: k, Strategy: das.EquiWidth}
 		shapes[k] = &dasResultShape{}
-		got, err := queryDASVisiting(t, networkOver(t, nil, r1, r2), fixtureSQL,
-			Params{Partitions: k, Strategy: das.EquiWidth}, shapes[k].visit)
+		got, err := queryDASVisiting(t, networkOver(t, nil, r1, r2), fixtureSQL, params, shapes[k].visit)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Len() != 200 {
 			t.Fatalf("k=%d: join has %d rows, want 200", k, got.Len())
 		}
+		runs1, runs2, _ := shippedRows(t, r1, r2, params)
+		shipped := 0
+		framing[k] = shapes[k].runFraming
+		for _, rows := range append(runs1, runs2...) {
+			shipped += rows
+			framing[k] += uvarintLen(rows)
+		}
+		if shipped != r1.Len()+r2.Len() || len(runs1)+len(runs2) != shapes[k].runs {
+			t.Fatalf("k=%d: %d rows in %d runs ship; the fixture no longer ships every row", k, shipped, shapes[k].runs)
+		}
 	}
 	coarse, fine := shapes[1], shapes[20]
-	t.Logf("|R_C| %d vs %d: das.result %d B vs %d B", coarse.size, fine.size, coarse.body, fine.body)
-	if coarse.etuples != fine.etuples || coarse.etupleBytes != fine.etupleBytes {
-		t.Fatalf("surviving etuples differ (%d/%d B vs %d/%d B); the fixture no longer holds them fixed",
-			coarse.etuples, coarse.etupleBytes, fine.etuples, fine.etupleBytes)
-	}
+	t.Logf("|R_C| %d vs %d: das.result %d B vs %d B (%d vs %d runs)", coarse.size, fine.size, coarse.body, fine.body, coarse.runs, fine.runs)
 	if coarse.size < 4*fine.size {
 		t.Fatalf("|R_C| %d vs %d differ by less than 4×", coarse.size, fine.size)
 	}
-	if d := coarse.body - fine.body; d < -8 || d > 8 {
-		t.Errorf("das.result is %d B at |R_C| = %d and %d B at |R_C| = %d", coarse.body, coarse.size, fine.body, fine.size)
+	want := framing[20] - framing[1] + uvarintLen(2*fine.size) - uvarintLen(2*coarse.size)
+	if d := fine.body - coarse.body; d != want {
+		t.Errorf("das.result is %d B at |R_C| = %d and %d B at |R_C| = %d: %d B apart, the framing of the extra runs and |R_C| accounts for %d",
+			coarse.body, coarse.size, fine.body, fine.size, d, want)
+	}
+}
+
+// The mediator's view is a function of its Table 1 row and the runs'
+// shapes: two inputs with equal |R1| and |R2|, equal row counts per
+// bucket and equal TEXT bytes per bucket, but different values and
+// different TEXT lengths per row, put the same sequence of (link,
+// direction, type, body length) on the mediator's links, and the same
+// (rows, sealed length) runs in its das.partial and das.result tables.
+// Index values are random, so each table is compared as a multiset.
+func TestDASMediatorViewShape(t *testing.T) {
+	s1, s2 := testRelations(t)
+	build := func(schema rel.Schema, rows ...any) *rel.Relation {
+		r := rel.New(schema)
+		for i := 0; i < len(rows); i += 2 {
+			r.MustAppend(rel.Tuple{rel.Int(int64(rows[i].(int))), rel.String_(rows[i+1].(string))})
+		}
+		return r
+	}
+	// Three equi-depth partitions a side: R1's {1, 2}, {3} and {7} meet
+	// R2's {2} and {3}; the second input shifts every id by ten and
+	// redistributes each bucket's TEXT bytes over its rows.
+	inputs := [][2]*rel.Relation{
+		{build(s1.Schema(), 1, "a", 2, "bbbbbb", 3, "cc", 3, "dddd", 7, "e"),
+			build(s2.Schema(), 2, "xx", 3, "yyy", 3, "z", 9, "wwww")},
+		{build(s1.Schema(), 11, "pppp", 12, "qqq", 13, "r", 13, "sssss", 17, "t"),
+			build(s2.Schema(), 12, "uv", 13, "w", 13, "xyz", 19, "abcd")},
+	}
+	var views [2][]string
+	for i, in := range inputs {
+		var mu sync.Mutex
+		record := func(link, dir string) func(transport.Message) transport.Message {
+			return func(msg transport.Message) transport.Message {
+				entry := fmt.Sprintf("%s %s %s %d", link, dir, msg.Type, len(msg.Body))
+				var runs []string
+				switch msg.Type {
+				case msgDASPartial:
+					var p dasPartial
+					decodeBody(t, msg, &p)
+					for _, run := range p.EncRel.Runs {
+						runs = append(runs, fmt.Sprintf("%d×%d rows/%d B", len(run.Index), run.Rows, len(run.Sealed)))
+					}
+				case msgDASResult:
+					var res dasResult
+					decodeBody(t, msg, &res)
+					for _, tab := range [][][]byte{res.E1, res.E2} {
+						var lens []string
+						for _, run := range tab {
+							lens = append(lens, fmt.Sprintf("%d B", len(run)))
+						}
+						slices.Sort(lens)
+						runs = append(runs, fmt.Sprint(lens))
+					}
+				}
+				if msg.Type == msgDASPartial {
+					slices.Sort(runs)
+				}
+				if len(runs) > 0 {
+					entry += fmt.Sprint(" ", runs)
+				}
+				mu.Lock()
+				views[i] = append(views[i], entry)
+				mu.Unlock()
+				return msg
+			}
+		}
+		got, srcErrs, err := queryAtMediator(t, networkOver(t, nil, in[0], in[1]), func(link string, c transport.Conn) transport.Conn {
+			return &mediatorLinkConn{Conn: c, onSend: record(link, "send"), onRecv: record(link, "recv")}
+		}, fixtureSQL, ProtocolDAS, fastParams())
+		if err != nil || srcErrs["S1"] != nil || srcErrs["S2"] != nil {
+			t.Fatalf("query: %v, sources: %v", err, srcErrs)
+		}
+		if got.Len() != 5 {
+			t.Fatalf("input %d: join has %d rows, want 5", i, got.Len())
+		}
+	}
+	if len(views[0]) == 0 || fmt.Sprint(views[0]) != fmt.Sprint(views[1]) {
+		t.Errorf("mediator views differ:\n%s\n%s", strings.Join(views[0], "\n"), strings.Join(views[1], "\n"))
 	}
 }
 

@@ -48,8 +48,8 @@ func (t Tuple) Compare(o Tuple) int {
 }
 
 // Encode appends a deterministic byte encoding of the whole tuple to dst.
-// This is the plaintext that the hybrid scheme encrypts as an "etuple" in
-// the DAS protocol and inside tuple sets in the other two protocols.
+// This is the plaintext that the hybrid scheme encrypts inside tuple sets
+// in the DAS, commutative and PM protocols.
 func (t Tuple) Encode(dst []byte) []byte {
 	for _, v := range t {
 		dst = v.Encode(dst)
