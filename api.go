@@ -5,7 +5,6 @@ import (
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
-	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/mediation"
 	"github.com/secmediation/secmediation/internal/relation"
@@ -92,16 +91,6 @@ const (
 	Commutative = mediation.ProtocolCommutative
 	// PM is the private-matching protocol (Listing 4).
 	PM = mediation.ProtocolPM
-)
-
-// DAS partitioning strategies.
-const (
-	// EquiWidth splits the value range into equal-width intervals.
-	EquiWidth = das.EquiWidth
-	// EquiDepth splits the sorted domain into equal-count partitions.
-	EquiDepth = das.EquiDepth
-	// HashBuckets hashes values into buckets.
-	HashBuckets = das.HashBuckets
 )
 
 // Credentials and access control.

@@ -17,7 +17,6 @@ import (
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
 	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
-	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/mediation"
 	"github.com/secmediation/secmediation/internal/pm"
@@ -88,7 +87,7 @@ func benchSpec() workload.JoinSpec {
 }
 
 func benchParams() mediation.Params {
-	return mediation.Params{Partitions: 8, Strategy: das.EquiDepth}
+	return mediation.Params{Partitions: 8}
 }
 
 func runProtocol(b *testing.B, proto mediation.Protocol, params mediation.Params) {

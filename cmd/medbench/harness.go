@@ -7,7 +7,6 @@ import (
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
-	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/mediation"
 	"github.com/secmediation/secmediation/internal/telemetry"
@@ -54,7 +53,7 @@ func newHarness(rows, domain int, overlap, skew float64) (*harness, error) {
 }
 
 func (h *harness) params() mediation.Params {
-	return mediation.Params{Partitions: 8, Strategy: das.EquiDepth}
+	return mediation.Params{Partitions: 8}
 }
 
 // joinSQL is the workload's global query: the equi-join of the two

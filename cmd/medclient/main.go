@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/secmediation/secmediation/internal/credential"
-	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/keyio"
 	"github.com/secmediation/secmediation/internal/mediation"
 	"github.com/secmediation/secmediation/internal/relation"
@@ -105,7 +104,6 @@ func runQuery(args []string) error {
 	sql := fs.String("sql", "", "global SQL query (two-relation JOIN)")
 	protoName := fs.String("protocol", "commutative", "delivery protocol: plaintext|mobilecode|das|commutative|pm")
 	partitions := fs.Int("partitions", 16, "DAS partitions per index table (1-65536)")
-	strategy := fs.String("strategy", "equi-depth", "DAS strategy: equi-width|equi-depth|hash-buckets")
 	idMode := fs.Bool("idmode", false, "commutative footnote-1 ID mode")
 	buckets := fs.Int("buckets", 0, "PM FNP bucket count (0 = single polynomial, at most 4096)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-operation send/receive deadline for every party (0 disables)")
@@ -142,13 +140,8 @@ func runQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	strat, err := parseStrategy(*strategy)
-	if err != nil {
-		return err
-	}
 	params := mediation.Params{
 		Partitions: *partitions,
-		Strategy:   strat,
 		IDMode:     *idMode,
 		Buckets:    *buckets,
 		Timeout:    *timeout,
@@ -292,18 +285,5 @@ func parseProtocol(name string) (mediation.Protocol, error) {
 		return mediation.ProtocolPM, nil
 	default:
 		return 0, fmt.Errorf("unknown protocol %q", name)
-	}
-}
-
-func parseStrategy(name string) (das.Strategy, error) {
-	switch strings.ToLower(name) {
-	case "equi-width":
-		return das.EquiWidth, nil
-	case "equi-depth":
-		return das.EquiDepth, nil
-	case "hash-buckets":
-		return das.HashBuckets, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", name)
 	}
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"testing"
 
-	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/mediation"
 )
 
@@ -23,20 +22,5 @@ func TestParseProtocol(t *testing.T) {
 	}
 	if _, err := parseProtocol("quantum"); err == nil {
 		t.Error("unknown protocol accepted")
-	}
-}
-
-func TestParseStrategy(t *testing.T) {
-	cases := map[string]das.Strategy{
-		"equi-width": das.EquiWidth, "Equi-Depth": das.EquiDepth, "hash-buckets": das.HashBuckets,
-	}
-	for in, want := range cases {
-		got, err := parseStrategy(in)
-		if err != nil || got != want {
-			t.Errorf("parseStrategy(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := parseStrategy("random"); err == nil {
-		t.Error("unknown strategy accepted")
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
-	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/mediation"
 	"github.com/secmediation/secmediation/internal/relation"
@@ -90,7 +89,7 @@ func (d *demo) runQuery(sql string, proto mediation.Protocol) (*relation.Relatio
 		return nil, nil, 0, err
 	}
 	net.SetTelemetry(d.telemetry)
-	params := mediation.Params{Partitions: 4, Strategy: das.EquiDepth, Timeout: 30 * time.Second}
+	params := mediation.Params{Partitions: 4, Timeout: 30 * time.Second}
 	start := time.Now()
 	res, err := net.Query(sql, proto, params)
 	return res, ledger, time.Since(start), err

@@ -6,7 +6,6 @@ import (
 
 	"github.com/secmediation/secmediation/internal/codec"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
-	"github.com/secmediation/secmediation/internal/relation"
 )
 
 // EncodeTo writes R^S: the name, the 33-byte key share, the number of
@@ -174,9 +173,7 @@ func decodeFilters(d *codec.Decoder) []IndexFilter {
 type indexTables []*IndexTable
 
 // EncodeTo writes the tables: per table its attribute and its entries,
-// each a partition and its 8-byte index value. An interval partition is
-// a 1 byte and its two bounds; a bucket partition is a 0 byte, its
-// members, its ordinal and the bucket count.
+// each its partition's two bounds and its 8-byte index value.
 func (its indexTables) EncodeTo(e *codec.Encoder) {
 	e.Len(len(its))
 	for _, it := range its {
@@ -187,19 +184,12 @@ func (its indexTables) EncodeTo(e *codec.Encoder) {
 		e.Text(it.Attribute)
 		e.Len(len(it.Entries))
 		for _, en := range it.Entries {
-			p := en.Partition
-			e.Bool(p.IsInterval)
-			if p.IsInterval {
-				p.Lo.EncodeTo(e)
-				p.Hi.EncodeTo(e)
-			} else {
-				e.Len(len(p.Members))
-				for _, m := range p.Members {
-					m.EncodeTo(e)
-				}
-				e.Int(int64(p.Bucket))
-				e.Int(int64(p.BucketCount))
+			if err := checkInterval(en.Partition); err != nil {
+				e.Fail(err)
+				return
 			}
+			en.Partition.Lo.EncodeTo(e)
+			en.Partition.Hi.EncodeTo(e)
 			e.Uint64(uint64(en.Index))
 		}
 	}
@@ -213,29 +203,40 @@ func (its *indexTables) DecodeFrom(d *codec.Decoder) {
 	}
 	for i := range *its {
 		it := &IndexTable{Attribute: d.Text()}
-		// The smallest entry is an empty bucket partition: 4 bytes and
-		// its index value.
+		// The smallest entry is two BOOL bounds and its index value.
 		if n := d.Count(12); n > 0 {
 			it.Entries = make([]IndexEntry, n)
 		}
 		for j := range it.Entries {
 			var p Partition
-			if p.IsInterval = d.Bool(); p.IsInterval {
-				p.Lo.DecodeFrom(d)
-				p.Hi.DecodeFrom(d)
-			} else {
-				if m := d.Count(2); m > 0 {
-					p.Members = make([]relation.Value, m)
-				}
-				for k := range p.Members {
-					p.Members[k].DecodeFrom(d)
-				}
-				p.Bucket, p.BucketCount = d.Int(), d.Int()
-			}
+			p.Lo.DecodeFrom(d)
+			p.Hi.DecodeFrom(d)
 			it.Entries[j] = IndexEntry{Partition: p, Index: IndexValue(d.Uint64())}
+			if d.Err() != nil {
+				return
+			}
+			if err := checkInterval(p); err != nil {
+				d.Fail(err)
+				return
+			}
 		}
 		(*its)[i] = it
 	}
+}
+
+// checkInterval is the layout's constraint on a partition: bounds of
+// one kind, Lo ≤ Hi. Overlaps and Contains compare bounds across
+// partitions, so a mixed-kind interval would panic them.
+func checkInterval(p Partition) error {
+	switch {
+	case p.Lo.Kind() != p.Hi.Kind():
+		return fmt.Errorf("das: interval bounds of kinds %v and %v", p.Lo.Kind(), p.Hi.Kind())
+	case !p.Lo.Valid():
+		return errors.New("das: interval without bounds")
+	case p.Lo.Compare(p.Hi) > 0:
+		return errors.New("das: interval with Lo > Hi")
+	}
+	return nil
 }
 
 // EncodeIndexTables is the plaintext a source seals its index tables

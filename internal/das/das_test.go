@@ -10,6 +10,7 @@ import (
 	mrand "math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -29,16 +30,21 @@ func intDomain(vals ...int64) []rel.Value {
 	return out
 }
 
-func TestEquiWidthPartitioning(t *testing.T) {
-	dom := intDomain(1, 5, 10, 15, 20)
-	parts, err := PartitionDomain(dom, 4, EquiWidth)
+func TestEquiDepthPartitioning(t *testing.T) {
+	dom := intDomain(1, 2, 3, 100, 200, 300, 301)
+	parts, err := EquiDepthPartitions(dom, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parts) != 4 {
-		t.Fatalf("parts = %d, want 4", len(parts))
+	if len(parts) != 3 {
+		t.Fatalf("parts = %d, want 3", len(parts))
 	}
-	// Every domain value must be covered by exactly one partition.
+	// 7 values into 3 partitions: 3+2+2.
+	if parts[0].Lo.AsInt() != 1 || parts[0].Hi.AsInt() != 3 {
+		t.Errorf("first partition %v..%v, want 1..3", parts[0].Lo, parts[0].Hi)
+	}
+	// Every domain value must be covered by exactly one partition, and
+	// the partitions span the domain.
 	for _, v := range dom {
 		n := 0
 		for _, p := range parts {
@@ -50,112 +56,51 @@ func TestEquiWidthPartitioning(t *testing.T) {
 			t.Errorf("value %v covered by %d partitions", v, n)
 		}
 	}
-	// Range coverage must be contiguous from 1 to 20.
-	if parts[0].Lo.AsInt() != 1 || parts[3].Hi.AsInt() != 20 {
-		t.Errorf("range bounds: %v..%v", parts[0].Lo, parts[3].Hi)
-	}
-	if _, err := PartitionDomain([]rel.Value{rel.String_("x")}, 2, EquiWidth); err == nil {
-		t.Error("equi-width over TEXT accepted")
-	}
-}
-
-func TestEquiDepthPartitioning(t *testing.T) {
-	dom := intDomain(1, 2, 3, 100, 200, 300, 301)
-	parts, err := PartitionDomain(dom, 3, EquiDepth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 3 {
-		t.Fatalf("parts = %d, want 3", len(parts))
-	}
-	// 7 values into 3 partitions: 3+2+2.
-	if parts[0].Lo.AsInt() != 1 || parts[0].Hi.AsInt() != 3 {
-		t.Errorf("first partition %v..%v, want 1..3", parts[0].Lo, parts[0].Hi)
-	}
-	for _, v := range dom {
-		found := false
-		for _, p := range parts {
-			if p.Contains(v) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("value %v not covered", v)
-		}
+	if parts[2].Hi.AsInt() != 301 {
+		t.Errorf("last partition ends at %v, want 301", parts[2].Hi)
 	}
 	// Works for strings too.
 	sdom := []rel.Value{rel.String_("a"), rel.String_("b"), rel.String_("z")}
-	sparts, err := PartitionDomain(sdom, 2, EquiDepth)
+	sparts, err := EquiDepthPartitions(sdom, 2)
 	if err != nil || len(sparts) != 2 {
 		t.Errorf("string equi-depth: %v, %v", sparts, err)
 	}
 }
 
-func TestHashBucketPartitioning(t *testing.T) {
-	dom := intDomain(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-	parts, err := PartitionDomain(dom, 4, HashBuckets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	covered := 0
-	for _, v := range dom {
-		for _, p := range parts {
-			if p.Contains(v) {
-				covered++
-				break
-			}
-		}
-	}
-	if covered != len(dom) {
-		t.Errorf("covered %d of %d values", covered, len(dom))
-	}
-	// Same bucket count on two sources must agree on assignment.
-	other, _ := PartitionDomain(intDomain(5, 6, 99), 4, HashBuckets)
-	for _, p := range parts {
-		for _, q := range other {
-			if p.Bucket == q.Bucket && !p.Overlaps(q) {
-				t.Errorf("same-ordinal buckets do not overlap")
-			}
-			if p.Bucket != q.Bucket && p.Overlaps(q) {
-				t.Errorf("different-ordinal buckets overlap")
-			}
-		}
-	}
-}
-
 func TestPartitionDomainValidation(t *testing.T) {
-	if _, err := PartitionDomain(nil, 2, EquiDepth); err == nil {
+	if _, err := EquiDepthPartitions(nil, 2); err == nil {
 		t.Error("empty domain accepted")
 	}
-	if _, err := PartitionDomain(intDomain(1), 0, EquiDepth); err == nil {
+	if _, err := EquiDepthPartitions(intDomain(1), 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := PartitionDomain(intDomain(1), 1, Strategy(99)); err == nil {
-		t.Error("unknown strategy accepted")
+	// The deprecated PartitionDomain is equi-depth at strategy zero and
+	// refuses every other value, including the two deleted strategies.
+	dom := intDomain(1, 2, 3, 100)
+	want, _ := EquiDepthPartitions(dom, 3)
+	if got, err := PartitionDomain(dom, 3, 0); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("PartitionDomain(strategy 0) = %v, %v; want %v", got, err, want)
 	}
-	for s, want := range map[Strategy]string{EquiWidth: "equi-width", EquiDepth: "equi-depth", HashBuckets: "hash-buckets", Strategy(9): "unknown"} {
-		if s.String() != want {
-			t.Errorf("Strategy(%d).String() = %q", s, s.String())
+	for _, s := range []Strategy{1, 2, 99} {
+		if _, err := PartitionDomain(dom, 3, s); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+			t.Errorf("strategy %d: err = %v", s, err)
 		}
 	}
 }
 
 func TestMorePartitionsThanValues(t *testing.T) {
-	dom := intDomain(4, 7)
-	for _, s := range []Strategy{EquiWidth, EquiDepth} {
-		parts, err := PartitionDomain(dom, 10, s)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if len(parts) > 4 {
-			t.Errorf("%v produced %d partitions for 2 values", s, len(parts))
-		}
+	parts, err := EquiDepthPartitions(intDomain(4, 7), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 2 {
+		t.Errorf("%d partitions for 2 values", len(parts))
 	}
 }
 
 func TestIntervalOverlap(t *testing.T) {
 	iv := func(lo, hi int64) Partition {
-		return Partition{IsInterval: true, Lo: rel.Int(lo), Hi: rel.Int(hi)}
+		return Partition{Lo: rel.Int(lo), Hi: rel.Int(hi)}
 	}
 	cases := []struct {
 		a, b Partition
@@ -165,32 +110,18 @@ func TestIntervalOverlap(t *testing.T) {
 		{iv(1, 5), iv(6, 9), false},
 		{iv(1, 10), iv(3, 4), true},
 		{iv(3, 4), iv(1, 10), true},
-		{iv(1, 2), Partition{IsInterval: true, Lo: rel.String_("a"), Hi: rel.String_("b")}, false},
+		{iv(1, 2), Partition{Lo: rel.String_("a"), Hi: rel.String_("b")}, false},
 	}
 	for _, c := range cases {
 		if got := c.a.Overlaps(c.b); got != c.want {
 			t.Errorf("Overlaps(%v..%v, %v..%v) = %v, want %v", c.a.Lo, c.a.Hi, c.b.Lo, c.b.Hi, got, c.want)
 		}
 	}
-	// Mixed interval/bucket.
-	bucket := Partition{Members: intDomain(3, 30)}
-	if !bucket.Overlaps(iv(1, 5)) || !iv(1, 5).Overlaps(bucket) {
-		t.Error("bucket {3,30} should overlap [1,5]")
-	}
-	if bucket.Overlaps(iv(6, 9)) {
-		t.Error("bucket {3,30} should not overlap [6,9]")
-	}
-	// Bucket-bucket with different counts falls back to member comparison.
-	b1 := Partition{Members: intDomain(1, 2), BucketCount: 3, Bucket: 0}
-	b2 := Partition{Members: intDomain(2, 9), BucketCount: 5, Bucket: 1}
-	if !b1.Overlaps(b2) {
-		t.Error("member-intersecting buckets should overlap")
-	}
 }
 
 func TestIndexTable(t *testing.T) {
 	dom := intDomain(1, 2, 3, 4, 5, 6, 7, 8)
-	parts, _ := PartitionDomain(dom, 3, EquiDepth)
+	parts, _ := EquiDepthPartitions(dom, 3)
 	it, err := BuildIndexTable("id", parts)
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +151,8 @@ func TestIndexTable(t *testing.T) {
 func TestOverlapPairsSymmetry(t *testing.T) {
 	d1 := intDomain(1, 2, 3, 10, 11, 12)
 	d2 := intDomain(2, 3, 4, 11, 40)
-	p1, _ := PartitionDomain(d1, 3, EquiDepth)
-	p2, _ := PartitionDomain(d2, 2, EquiDepth)
+	p1, _ := EquiDepthPartitions(d1, 3)
+	p2, _ := EquiDepthPartitions(d2, 2)
 	it1, _ := BuildIndexTable("a", p1)
 	it2, _ := BuildIndexTable("a", p2)
 	fwd := OverlapPairs(it1, it2)
@@ -291,63 +222,61 @@ func fixtures(t testing.TB) (*rel.Relation, *rel.Relation) {
 func TestDASEndToEnd(t *testing.T) {
 	key := clientKey(t)
 	r1, r2 := fixtures(t)
-	for _, strategy := range []Strategy{EquiWidth, EquiDepth, HashBuckets} {
-		for _, k := range []int{1, 2, 3, 100} {
-			d1, _ := r1.ActiveDomain("id")
-			d2, _ := r2.ActiveDomain("id")
-			p1, err := PartitionDomain(d1, k, strategy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p2, err := PartitionDomain(d2, k, strategy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			it1, _ := BuildIndexTable("id", p1)
-			it2, _ := BuildIndexTable("id", p2)
-			er1, _, err := encryptFor(key, r1, []string{"id"}, []*IndexTable{it1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			er2, _, err := encryptFor(key, r2, []string{"id"}, []*IndexTable{it2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sq, err := BuildServerQuery([]*IndexTable{it1}, []*IndexTable{it2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := ExecuteServerQuery(er1, er2, sq)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, k := range []int{1, 2, 3, 100} {
+		d1, _ := r1.ActiveDomain("id")
+		d2, _ := r2.ActiveDomain("id")
+		p1, err := EquiDepthPartitions(d1, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := EquiDepthPartitions(d2, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it1, _ := BuildIndexTable("id", p1)
+		it2, _ := BuildIndexTable("id", p2)
+		er1, _, err := encryptFor(key, r1, []string{"id"}, []*IndexTable{it1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		er2, _, err := encryptFor(key, r2, []string{"id"}, []*IndexTable{it2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq, err := BuildServerQuery([]*IndexTable{it1}, []*IndexTable{it2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ExecuteServerQuery(er1, er2, sq)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			recv1, err := hybrid.NewReceiverECDH(key, er1.KeyShare)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recv2, err := hybrid.NewReceiverECDH(key, er2.KeyShare)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, discarded, err := DecryptServerResult(res, recv1, recv2, r1.Schema(), r2.Schema(), []string{"id"}, []string{"id"}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Expected join: ids 2 (1×1) and 5 (2×1) → 3 tuples.
-			if got.Len() != 3 {
-				t.Errorf("%v k=%d: join size = %d, want 3", strategy, k, got.Len())
-			}
-			// Superset property: server result ≥ exact result.
-			if res.Size != len(res.Pairs) {
-				t.Errorf("%v k=%d: Size = %d, %d pairs", strategy, k, res.Size, len(res.Pairs))
-			}
-			if res.Size < got.Len() {
-				t.Errorf("%v k=%d: server result smaller than join", strategy, k)
-			}
-			if res.Size != got.Len()+discarded {
-				t.Errorf("%v k=%d: pair accounting broken: %d != %d+%d", strategy, k, res.Size, got.Len(), discarded)
-			}
+		recv1, err := hybrid.NewReceiverECDH(key, er1.KeyShare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv2, err := hybrid.NewReceiverECDH(key, er2.KeyShare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, discarded, err := DecryptServerResult(res, recv1, recv2, r1.Schema(), r2.Schema(), []string{"id"}, []string{"id"}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Expected join: ids 2 (1×1) and 5 (2×1) → 3 tuples.
+		if got.Len() != 3 {
+			t.Errorf("k=%d: join size = %d, want 3", k, got.Len())
+		}
+		// Superset property: server result ≥ exact result.
+		if res.Size != len(res.Pairs) {
+			t.Errorf("k=%d: Size = %d, %d pairs", k, res.Size, len(res.Pairs))
+		}
+		if res.Size < got.Len() {
+			t.Errorf("k=%d: server result smaller than join", k)
+		}
+		if res.Size != got.Len()+discarded {
+			t.Errorf("k=%d: pair accounting broken: %d != %d+%d", k, res.Size, got.Len(), discarded)
 		}
 	}
 }
@@ -362,8 +291,8 @@ func TestPartitionGranularityMonotonicity(t *testing.T) {
 	d2, _ := r2.ActiveDomain("id")
 	sizes := map[int]int{}
 	for _, k := range []int{1, 2, 4, 64} {
-		p1, _ := PartitionDomain(d1, k, EquiDepth)
-		p2, _ := PartitionDomain(d2, k, EquiDepth)
+		p1, _ := EquiDepthPartitions(d1, k)
+		p2, _ := EquiDepthPartitions(d2, k)
 		it1, _ := BuildIndexTable("id", p1)
 		it2, _ := BuildIndexTable("id", p2)
 		er1, _, _ := encryptFor(key, r1, []string{"id"}, []*IndexTable{it1})
@@ -387,7 +316,7 @@ func TestEncryptRelationErrors(t *testing.T) {
 	key := clientKey(t)
 	r1, _ := fixtures(t)
 	d1, _ := r1.ActiveDomain("id")
-	p1, _ := PartitionDomain(d1, 2, EquiDepth)
+	p1, _ := EquiDepthPartitions(d1, 2)
 	it1, _ := BuildIndexTable("id", p1)
 	if _, _, err := encryptFor(key, r1, []string{"ghost"}, []*IndexTable{it1}); err == nil {
 		t.Error("bad join column accepted")
@@ -445,11 +374,11 @@ func TestOverlapPairsComplete(t *testing.T) {
 				}
 			}
 		}
-		p1, err := PartitionDomain(dom, int(k1%5)+1, EquiDepth)
+		p1, err := EquiDepthPartitions(dom, int(k1%5)+1)
 		if err != nil {
 			return false
 		}
-		p2, err := PartitionDomain(dom, int(k2%5)+1, EquiWidth)
+		p2, err := EquiDepthPartitions(dom, int(k2%5)+1)
 		if err != nil {
 			return false
 		}
@@ -503,11 +432,11 @@ func TestDASMultiAttribute(t *testing.T) {
 	buildITs := func(r *rel.Relation) []*IndexTable {
 		d1, _ := r.ActiveDomain("id")
 		d2, _ := r.ActiveDomain("dept")
-		p1, err := PartitionDomain(d1, 2, EquiDepth)
+		p1, err := EquiDepthPartitions(d1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := PartitionDomain(d2, 2, HashBuckets)
+		p2, err := EquiDepthPartitions(d2, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,7 +507,7 @@ func TestBuildServerQueryValidation(t *testing.T) {
 }
 
 func TestMaySatisfyIntervals(t *testing.T) {
-	iv := Partition{IsInterval: true, Lo: rel.Int(10), Hi: rel.Int(20)}
+	iv := Partition{Lo: rel.Int(10), Hi: rel.Int(20)}
 	cases := []struct {
 		op    algebra.CompareOp
 		bound int64
@@ -598,7 +527,7 @@ func TestMaySatisfyIntervals(t *testing.T) {
 		}
 	}
 	// Degenerate interval [c,c] with != c is unsatisfiable.
-	single := Partition{IsInterval: true, Lo: rel.Int(5), Hi: rel.Int(5)}
+	single := Partition{Lo: rel.Int(5), Hi: rel.Int(5)}
 	if single.MaySatisfy(algebra.OpNe, rel.Int(5)) {
 		t.Error("[5,5] may satisfy != 5")
 	}
@@ -608,22 +537,9 @@ func TestMaySatisfyIntervals(t *testing.T) {
 	}
 }
 
-func TestMaySatisfyBuckets(t *testing.T) {
-	b := Partition{Members: intDomain(3, 17, 40)}
-	if !b.MaySatisfy(algebra.OpLt, rel.Int(5)) {
-		t.Error("bucket with 3 should satisfy < 5")
-	}
-	if b.MaySatisfy(algebra.OpGt, rel.Int(40)) {
-		t.Error("bucket max 40 should not satisfy > 40")
-	}
-	if !b.MaySatisfy(algebra.OpEq, rel.Int(17)) || b.MaySatisfy(algebra.OpEq, rel.Int(18)) {
-		t.Error("bucket equality satisfiability wrong")
-	}
-}
-
 func TestAllowedIndexes(t *testing.T) {
 	dom := intDomain(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-	parts, _ := PartitionDomain(dom, 5, EquiDepth) // [1,2][3,4][5,6][7,8][9,10]
+	parts, _ := EquiDepthPartitions(dom, 5) // [1,2][3,4][5,6][7,8][9,10]
 	it, _ := BuildIndexTable("x", parts)
 	allowed := it.AllowedIndexes(algebra.OpLe, rel.Int(4))
 	if len(allowed) != 2 {
@@ -642,8 +558,8 @@ func TestServerQueryFilterSoundness(t *testing.T) {
 	r1, r2 := fixtures(t)
 	d1, _ := r1.ActiveDomain("id")
 	d2, _ := r2.ActiveDomain("id")
-	p1, _ := PartitionDomain(d1, 3, EquiDepth)
-	p2, _ := PartitionDomain(d2, 3, EquiDepth)
+	p1, _ := EquiDepthPartitions(d1, 3)
+	p2, _ := EquiDepthPartitions(d2, 3)
 	it1, _ := BuildIndexTable("id", p1)
 	it2, _ := BuildIndexTable("id", p2)
 	er1, _, _ := encryptFor(key, r1, []string{"id"}, []*IndexTable{it1})
@@ -782,7 +698,7 @@ type dasSide struct {
 	recv *countingOpener
 }
 
-func newDASSide(t testing.TB, r *rel.Relation, cols []string, k int, strategy Strategy) dasSide {
+func newDASSide(t testing.TB, r *rel.Relation, cols []string, k int) dasSide {
 	t.Helper()
 	key := clientKey(t)
 	its := make([]*IndexTable, len(cols))
@@ -791,11 +707,7 @@ func newDASSide(t testing.TB, r *rel.Relation, cols []string, k int, strategy St
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := strategy
-		if s == EquiWidth && dom[0].Kind() != rel.KindInt {
-			s = EquiDepth
-		}
-		parts, err := PartitionDomain(dom, k, s)
+		parts, err := EquiDepthPartitions(dom, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -845,77 +757,75 @@ func (c *countingOpener) total() (n int, repeated bool) {
 // them by opening every shipped run exactly once.
 func TestServerResultMatchesOracle(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(22))
-	for _, strategy := range []Strategy{EquiDepth, EquiWidth, HashBuckets} {
-		for _, k := range []int{1, 2, 7, 16} {
-			for _, cols := range [][]string{{"id"}, {"id", "dept"}} {
-				for _, filtered := range []bool{false, true} {
-					name := fmt.Sprintf("%v/k=%d/%d-attr/filtered=%v", strategy, k, len(cols), filtered)
-					s1 := newDASSide(t, skewedRelation(rng, "R1", 30), cols, k, strategy)
-					s2 := newDASSide(t, skewedRelation(rng, "R2", 40), cols, k, strategy)
-					sq, err := BuildServerQuery(s1.its, s2.its)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// The filtered runs push down R1.id >= 1 and R2.id <= 4.
-					keep1 := func(rel.Tuple) bool { return true }
-					keep2 := keep1
-					if filtered {
-						sq.Filters1 = []IndexFilter{{Attr: 0, Allowed: s1.its[0].AllowedIndexes(algebra.OpGe, rel.Int(1))}}
-						sq.Filters2 = []IndexFilter{{Attr: 0, Allowed: s2.its[0].AllowedIndexes(algebra.OpLe, rel.Int(4))}}
-						keep1 = func(tu rel.Tuple) bool { return tu[0].AsInt() >= 1 }
-						keep2 = func(tu rel.Tuple) bool { return tu[0].AsInt() <= 4 }
-					}
-					res, err := ExecuteServerQuery(s1.er, s2.er, sq)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, discarded, err := DecryptServerResult(res, s1.recv, s2.recv, s1.r.Schema(), s2.r.Schema(), cols, cols, 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opens1, rep1 := s1.recv.total()
-					opens2, rep2 := s2.recv.total()
-					if rep1 || rep2 {
-						t.Errorf("%s: a run was opened more than once", name)
-					}
-					if opens1 != len(res.E1) || opens2 != len(res.E2) {
-						t.Errorf("%s: opens = %d+%d, tables hold %d+%d", name, opens1, opens2, len(res.E1), len(res.E2))
-					}
-					if len(res.E1) > len(s1.er.Runs) || len(res.E2) > len(s2.er.Runs) {
-						t.Errorf("%s: tables hold %d+%d runs of %d+%d", name, len(res.E1), len(res.E2), len(s1.er.Runs), len(s2.er.Runs))
-					}
+	for _, k := range []int{1, 2, 7, 16} {
+		for _, cols := range [][]string{{"id"}, {"id", "dept"}} {
+			for _, filtered := range []bool{false, true} {
+				name := fmt.Sprintf("k=%d/%d-attr/filtered=%v", k, len(cols), filtered)
+				s1 := newDASSide(t, skewedRelation(rng, "R1", 30), cols, k)
+				s2 := newDASSide(t, skewedRelation(rng, "R2", 40), cols, k)
+				sq, err := BuildServerQuery(s1.its, s2.its)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The filtered runs push down R1.id >= 1 and R2.id <= 4.
+				keep1 := func(rel.Tuple) bool { return true }
+				keep2 := keep1
+				if filtered {
+					sq.Filters1 = []IndexFilter{{Attr: 0, Allowed: s1.its[0].AllowedIndexes(algebra.OpGe, rel.Int(1))}}
+					sq.Filters2 = []IndexFilter{{Attr: 0, Allowed: s2.its[0].AllowedIndexes(algebra.OpLe, rel.Int(4))}}
+					keep1 = func(tu rel.Tuple) bool { return tu[0].AsInt() >= 1 }
+					keep2 = func(tu rel.Tuple) bool { return tu[0].AsInt() <= 4 }
+				}
+				res, err := ExecuteServerQuery(s1.er, s2.er, sq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, discarded, err := DecryptServerResult(res, s1.recv, s2.recv, s1.r.Schema(), s2.r.Schema(), cols, cols, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opens1, rep1 := s1.recv.total()
+				opens2, rep2 := s2.recv.total()
+				if rep1 || rep2 {
+					t.Errorf("%s: a run was opened more than once", name)
+				}
+				if opens1 != len(res.E1) || opens2 != len(res.E2) {
+					t.Errorf("%s: opens = %d+%d, tables hold %d+%d", name, opens1, opens2, len(res.E1), len(res.E2))
+				}
+				if len(res.E1) > len(s1.er.Runs) || len(res.E2) > len(s2.er.Runs) {
+					t.Errorf("%s: tables hold %d+%d runs of %d+%d", name, len(res.E1), len(res.E2), len(s1.er.Runs), len(s2.er.Runs))
+				}
 
-					pairs, err := oracleExecute(s1.er, s2.er, sq)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, wantDiscarded, err := oracleDecrypt(pairs, s1.recv, s2.recv, s1.r.Schema(), s2.r.Schema(), cols)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Size != len(pairs) || len(res.Pairs) != len(pairs) {
-						t.Errorf("%s: |R_C| = %d (%d pairs), oracle %d", name, res.Size, len(res.Pairs), len(pairs))
-					}
-					if discarded != wantDiscarded {
-						t.Errorf("%s: discarded = %d, oracle %d", name, discarded, wantDiscarded)
-					}
-					if !got.EqualMultiset(want) {
-						t.Errorf("%s: result differs from the oracle's", name)
-					}
-					if named, all := pairRows(t, res, s1, s2), oracleRows(t, pairs, s1, s2); !named.EqualMultiset(all) {
-						t.Errorf("%s: Pairs name other row pairs than the oracle's R_C", name)
-					}
-					// The filters over-approximate, so compare with the
-					// plaintext join after applying them exactly.
-					plain, err := algebra.EquiJoin(s1.r.Filter(keep1), s2.r.Filter(keep2), cols, cols)
-					if err != nil {
-						t.Fatal(err)
-					}
-					n1 := s1.r.Schema().Arity()
-					exact := got.Filter(func(tu rel.Tuple) bool { return keep1(tu[:n1]) && keep2(tu[n1:]) })
-					if !exact.EqualMultiset(plain) {
-						t.Errorf("%s: result differs from algebra.EquiJoin:\n%v\nwant\n%v", name, exact, plain)
-					}
+				pairs, err := oracleExecute(s1.er, s2.er, sq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantDiscarded, err := oracleDecrypt(pairs, s1.recv, s2.recv, s1.r.Schema(), s2.r.Schema(), cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Size != len(pairs) || len(res.Pairs) != len(pairs) {
+					t.Errorf("%s: |R_C| = %d (%d pairs), oracle %d", name, res.Size, len(res.Pairs), len(pairs))
+				}
+				if discarded != wantDiscarded {
+					t.Errorf("%s: discarded = %d, oracle %d", name, discarded, wantDiscarded)
+				}
+				if !got.EqualMultiset(want) {
+					t.Errorf("%s: result differs from the oracle's", name)
+				}
+				if named, all := pairRows(t, res, s1, s2), oracleRows(t, pairs, s1, s2); !named.EqualMultiset(all) {
+					t.Errorf("%s: Pairs name other row pairs than the oracle's R_C", name)
+				}
+				// The filters over-approximate, so compare with the
+				// plaintext join after applying them exactly.
+				plain, err := algebra.EquiJoin(s1.r.Filter(keep1), s2.r.Filter(keep2), cols, cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n1 := s1.r.Schema().Arity()
+				exact := got.Filter(func(tu rel.Tuple) bool { return keep1(tu[:n1]) && keep2(tu[n1:]) })
+				if !exact.EqualMultiset(plain) {
+					t.Errorf("%s: result differs from algebra.EquiJoin:\n%v\nwant\n%v", name, exact, plain)
 				}
 			}
 		}
@@ -977,8 +887,8 @@ func concatRelation(t *testing.T, s1, s2 dasSide) *rel.Relation {
 func TestServerResultDeterministic(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(7))
 	cols := []string{"id", "dept"}
-	s1 := newDASSide(t, skewedRelation(rng, "R1", 40), cols, 4, EquiDepth)
-	s2 := newDASSide(t, skewedRelation(rng, "R2", 40), cols, 4, EquiDepth)
+	s1 := newDASSide(t, skewedRelation(rng, "R1", 40), cols, 4)
+	s2 := newDASSide(t, skewedRelation(rng, "R2", 40), cols, 4)
 	sq, err := BuildServerQuery(s1.its, s2.its)
 	if err != nil {
 		t.Fatal(err)
@@ -1176,26 +1086,24 @@ func TestDASFloatKeysMatchReference(t *testing.T) {
 	if want.Len() != 2 {
 		t.Fatalf("reference join has %d rows, want (NaN, NaN) and (1.5, 1.5)", want.Len())
 	}
-	for _, strategy := range []Strategy{EquiWidth, EquiDepth, HashBuckets} {
-		for _, k := range []int{1, 2, 4} {
-			s1 := newDASSide(t, r1, cols, k, strategy)
-			s2 := newDASSide(t, r2, cols, k, strategy)
-			sq, err := BuildServerQuery(s1.its, s2.its)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := ExecuteServerQuery(s1.er, s2.er, sq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := DecryptServerResult(res, s1.recv, s2.recv, r1.Schema(), r2.Schema(), cols, cols, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// EqualMultiset compares with Value.Equal, under which NaN ≠ NaN.
-			if got.Clone().Sort().String() != want.Clone().Sort().String() {
-				t.Errorf("%v k=%d: got\n%v\nwant\n%v", strategy, k, got, want)
-			}
+	for _, k := range []int{1, 2, 4} {
+		s1 := newDASSide(t, r1, cols, k)
+		s2 := newDASSide(t, r2, cols, k)
+		sq, err := BuildServerQuery(s1.its, s2.its)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ExecuteServerQuery(s1.er, s2.er, sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := DecryptServerResult(res, s1.recv, s2.recv, r1.Schema(), r2.Schema(), cols, cols, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// EqualMultiset compares with Value.Equal, under which NaN ≠ NaN.
+		if got.Clone().Sort().String() != want.Clone().Sort().String() {
+			t.Errorf("k=%d: got\n%v\nwant\n%v", k, got, want)
 		}
 	}
 }
@@ -1275,3 +1183,52 @@ func TestEncryptedRelationLayout(t *testing.T) {
 type layoutFunc func(*codec.Encoder)
 
 func (f layoutFunc) EncodeTo(e *codec.Encoder) { f(e) }
+
+// An index table comes from a source the client does not trust to be
+// well formed: its decoder refuses an interval whose bounds differ in
+// kind or are out of order, which Overlaps and Contains would otherwise
+// compare (a mixed-kind interval panicked BuildServerQuery).
+func TestIndexTableRejectsMalformedInterval(t *testing.T) {
+	// raw writes one table of one entry, valid or not.
+	raw := func(lo, hi rel.Value) []byte {
+		out, err := codec.Marshal(layoutFunc(func(e *codec.Encoder) {
+			e.Len(1)
+			e.Text("id")
+			e.Len(1)
+			lo.EncodeTo(e)
+			hi.EncodeTo(e)
+			e.Uint64(7)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	good := &IndexTable{Attribute: "id", Entries: []IndexEntry{{Partition: Partition{Lo: rel.Int(1), Hi: rel.Int(1)}, Index: 7}}}
+	b, err := EncodeIndexTables([]*IndexTable{good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, raw(rel.Int(1), rel.Int(1))) {
+		t.Fatalf("raw layout differs from the encoder's")
+	}
+	if back, err := DecodeIndexTables(b); err != nil || !reflect.DeepEqual(back, []*IndexTable{good}) {
+		t.Fatalf("round trip: %v, %+v", err, back)
+	}
+	bad := map[string]Partition{
+		"mixed kinds": {Lo: rel.Int(1), Hi: rel.String_("z")},
+		"lo above hi": {Lo: rel.Int(9), Hi: rel.Int(1)},
+	}
+	other := []*IndexTable{good}
+	for name, p := range bad {
+		its, err := DecodeIndexTables(raw(p.Lo, p.Hi))
+		if err == nil {
+			// What the client would do next with the tables.
+			_, qerr := BuildServerQuery(other, its)
+			t.Errorf("%s: decoded; BuildServerQuery then returns %v", name, qerr)
+		}
+		if _, err := EncodeIndexTables([]*IndexTable{{Attribute: "id", Entries: []IndexEntry{{Partition: p}}}}); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+	}
+}

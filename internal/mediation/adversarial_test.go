@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/secmediation/secmediation/internal/das"
 	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/resilience"
 	"github.com/secmediation/secmediation/internal/testutil"
@@ -164,23 +163,24 @@ func TestExpiredCredentialDenied(t *testing.T) {
 // it chose them, the mediator when they reach it rewritten on the client
 // link, a source when the mediator rewrites a partial query. Before the
 // parties bounded them, the huge Partitions and Buckets rows crashed the
-// source.
+// source. A non-zero Strategy is never sent, so only the client sees it.
 func TestHostileParams(t *testing.T) {
 	cases := []struct {
-		name   string
-		proto  Protocol
-		mutate func(*Params)
-		msg    string
+		name       string
+		proto      Protocol
+		mutate     func(*Params)
+		msg        string
+		clientOnly bool
 	}{
-		{"partitions 2^50", ProtocolDAS, func(p *Params) { p.Partitions, p.Strategy = 1<<50, das.HashBuckets }, "partition count"},
-		{"partitions 2^16+1", ProtocolDAS, func(p *Params) { p.Partitions = maxPartitions + 1 }, "partition count"},
-		{"partitions -1", ProtocolDAS, func(p *Params) { p.Partitions = -1 }, "partition count"},
-		{"buckets 2^50", ProtocolPM, func(p *Params) { p.Buckets = 1 << 50 }, "bucket count"},
-		{"buckets 2^12+1", ProtocolPM, func(p *Params) { p.Buckets = maxBuckets + 1 }, "bucket count"},
-		{"unknown strategy", ProtocolDAS, func(p *Params) { p.Strategy = 9 }, "strategy"},
-		{"negative timeout", ProtocolCommutative, func(p *Params) { p.Timeout = -time.Second }, "timeout"},
-		{"negative attempt", ProtocolCommutative, func(p *Params) { p.Attempt = -1 }, "attempt"},
-		{"query ID of 65 bytes", ProtocolCommutative, func(p *Params) { p.QueryID = strings.Repeat("q", maxQueryIDLen+1) }, "query ID"},
+		{"partitions 2^50", ProtocolDAS, func(p *Params) { p.Partitions = 1 << 50 }, "partition count", false},
+		{"partitions 2^16+1", ProtocolDAS, func(p *Params) { p.Partitions = maxPartitions + 1 }, "partition count", false},
+		{"partitions -1", ProtocolDAS, func(p *Params) { p.Partitions = -1 }, "partition count", false},
+		{"buckets 2^50", ProtocolPM, func(p *Params) { p.Buckets = 1 << 50 }, "bucket count", false},
+		{"buckets 2^12+1", ProtocolPM, func(p *Params) { p.Buckets = maxBuckets + 1 }, "bucket count", false},
+		{"unknown strategy", ProtocolDAS, func(p *Params) { p.Strategy = 1 }, "strategy", true},
+		{"negative timeout", ProtocolCommutative, func(p *Params) { p.Timeout = -time.Second }, "timeout", false},
+		{"negative attempt", ProtocolCommutative, func(p *Params) { p.Attempt = -1 }, "attempt", false},
+		{"query ID of 65 bytes", ProtocolCommutative, func(p *Params) { p.QueryID = strings.Repeat("q", maxQueryIDLen+1) }, "query ID", false},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -211,6 +211,9 @@ func TestHostileParams(t *testing.T) {
 		}
 		for _, party := range []string{"client", "mediator", "source:S1"} {
 			party := party
+			if tc.clientOnly && party != "client" {
+				continue
+			}
 			t.Run(tc.name+"/"+party, func(t *testing.T) {
 				defer testutil.CheckGoroutines(t, testutil.Snapshot())
 				n := newTestNetwork(t, nil)

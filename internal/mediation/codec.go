@@ -8,7 +8,6 @@ import (
 	"github.com/secmediation/secmediation/internal/crypto/commutative"
 	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
-	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/pm"
 	"github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/sqlparse"
@@ -26,7 +25,8 @@ const (
 	paramIDMode
 )
 
-// EncodeTo writes the parameters; the deprecated PayloadMode is not sent.
+// EncodeTo writes the parameters; the deprecated PayloadMode and
+// Strategy are not sent.
 func (p Params) EncodeTo(e *codec.Encoder) {
 	e.Int(int64(p.Partitions))
 	var flags byte
@@ -37,7 +37,6 @@ func (p Params) EncodeTo(e *codec.Encoder) {
 		flags |= paramIDMode
 	}
 	e.Byte(flags)
-	e.Byte(byte(p.Strategy))
 	e.Int(int64(p.Buckets))
 	e.Int(int64(p.Timeout))
 	e.Text(p.QueryID)
@@ -53,7 +52,6 @@ func (p *Params) DecodeFrom(d *codec.Decoder) {
 		d.Fail(fmt.Errorf("mediation: unknown parameter flags %#x", flags))
 	}
 	p.Pushdown, p.IDMode = flags&paramPushdown != 0, flags&paramIDMode != 0
-	p.Strategy = das.Strategy(d.Byte())
 	p.Buckets = d.Int()
 	p.Timeout = time.Duration(d.Int64())
 	p.QueryID = d.Text()

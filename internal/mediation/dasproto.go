@@ -68,11 +68,7 @@ func (s *Source) serveDAS(mediator *link.Link, pq *PartialQuery, rel *relation.R
 			// the join is empty, as in algebra.EquiJoin.
 			var parts []das.Partition
 			if len(dom) > 0 {
-				strategy := pq.Params.Strategy
-				if strategy == das.EquiWidth && dom[0].Kind() != relation.KindInt {
-					strategy = das.EquiDepth // equi-width is INT-only; degrade gracefully
-				}
-				parts, err = das.PartitionDomain(dom, pq.Params.Partitions, strategy)
+				parts, err = das.EquiDepthPartitions(dom, pq.Params.Partitions)
 				if err != nil {
 					return err
 				}

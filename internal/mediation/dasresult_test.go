@@ -72,20 +72,16 @@ func TestDASEmptyPartialResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, strategy := range []das.Strategy{das.EquiWidth, das.EquiDepth, das.HashBuckets} {
-				n := networkOver(t, nil, tc.r1, tc.r2)
-				params := fastParams()
-				params.Strategy = strategy
-				got, err := n.Query(fixtureSQL, ProtocolDAS, params)
-				if err != nil {
-					t.Fatalf("%v: %v", strategy, err)
-				}
-				if got.Len() != 0 || !got.EqualMultiset(want) {
-					t.Errorf("%v: got\n%v\nwant the empty\n%v", strategy, got, want)
-				}
-				if errs := n.SourceErrors(); len(errs) != 0 {
-					t.Errorf("%v: source errors: %v", strategy, errs)
-				}
+			n := networkOver(t, nil, tc.r1, tc.r2)
+			got, err := n.Query(fixtureSQL, ProtocolDAS, fastParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != 0 || !got.EqualMultiset(want) {
+				t.Errorf("got\n%v\nwant the empty\n%v", got, want)
+			}
+			if errs := n.SourceErrors(); len(errs) != 0 {
+				t.Errorf("source errors: %v", errs)
 			}
 		})
 	}
@@ -226,7 +222,7 @@ func shippedRows(t *testing.T, r1, r2 *rel.Relation, params Params) (runs1, runs
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := das.PartitionDomain(dom, params.Partitions, params.Strategy)
+		p, err := das.EquiDepthPartitions(dom, params.Partitions)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,8 +255,9 @@ func shippedRows(t *testing.T, r1, r2 *rel.Relation, params Params) (runs1, runs
 // its rows with a few bytes per row and per run, and none per pair.
 func TestDASClientOpensLinear(t *testing.T) {
 	// R1: ids 0..19, one row each. R2: ids 0, 5, …, 95, ten rows each.
-	// Sixteen equi-width partitions per side make R2's wide partitions
-	// overlap several of R1's narrow ones.
+	// Sixteen equi-depth partitions per side: R2's [0,5] and [10,15]
+	// (twenty rows each) overlap three and six of R1's partitions, six
+	// rows each time.
 	s1, s2 := testRelations(t)
 	r1, r2 := rel.New(s1.Schema()), rel.New(s2.Schema())
 	for i := 0; i < 20; i++ {
@@ -281,8 +278,8 @@ func TestDASClientOpensLinear(t *testing.T) {
 		t.Fatalf("join has %d rows, want 40", got.Len())
 	}
 	superset, _ := ledger.Observed(leakage.PartyClient, "superset-size")
-	if superset != 260 {
-		t.Fatalf("superset %d, want 260: the fixture no longer exercises the quadratic", superset)
+	if superset != 240 {
+		t.Fatalf("superset %d, want 240: the fixture no longer exercises the quadratic", superset)
 	}
 	if discarded, _ := ledger.Observed(leakage.PartyClient, "false-positives-discarded"); discarded != superset-int64(got.Len()) {
 		t.Errorf("%d false positives discarded, want %d − %d", discarded, superset, got.Len())
@@ -322,12 +319,63 @@ func TestDASClientOpensLinear(t *testing.T) {
 	}
 }
 
+// On a selective join whose non-shared keys lie far above the other
+// side's range, as the benchmark's generator places them (1<<40 + i), the
+// client opens the join's rows plus at most one partition's rows a side.
+// The shape is das_tiny_concurrent's: eight keys a side, two rows each,
+// half of R2's keys shared, so the default sixteen equi-depth partitions
+// hold one key each. Equal-width partitions of R2's range put all of R1's
+// keys in R2's first partition and shipped every R1 row.
+func TestDASSelectiveJoinShipsJoinRows(t *testing.T) {
+	s1, s2 := testRelations(t)
+	r1, r2 := rel.New(s1.Schema()), rel.New(s2.Schema())
+	for i := int64(0); i < 8; i++ {
+		k2 := i
+		if i >= 4 {
+			k2 = 1<<40 + i
+		}
+		for j := 0; j < 2; j++ {
+			r1.MustAppend(rel.Tuple{rel.Int(i), rel.String_("row")})
+			r2.MustAppend(rel.Tuple{rel.Int(k2), rel.String_("row")})
+		}
+	}
+	// Each row is 17 bytes and each run a sealed tuple set: nonce, tag,
+	// a one-byte count, and a one-byte length before every row.
+	rowLen := len(r1.Tuple(0).Encode(nil))
+	rowsOf := func(side string, runs [][]byte) int {
+		n := 0
+		for _, run := range runs {
+			body := len(run) - hybridOverhead - 1
+			if body%(rowLen+1) != 0 {
+				t.Fatalf("%s: a run of %d B does not hold whole %d-byte rows", side, len(run), rowLen)
+			}
+			n += body / (rowLen + 1)
+		}
+		return n
+	}
+	var rows1, rows2 int
+	got, err := queryDASVisiting(t, networkOver(t, nil, r1, r2), fixtureSQL, Params{}, func(res *dasResult, _ int) {
+		rows1, rows2 = rowsOf("R1", res.E1), rowsOf("R2", res.E2)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 16 {
+		t.Fatalf("join has %d rows, want 16", got.Len())
+	}
+	// Eight rows a side join; a partition holds one key, two rows.
+	const joinRows, partitionRows = 8, 2
+	if rows1 > joinRows+partitionRows || rows2 > joinRows+partitionRows {
+		t.Errorf("the client opens %d R1 and %d R2 rows, want at most %d + %d a side", rows1, rows2, joinRows, partitionRows)
+	}
+}
+
 // The das.result frame does not grow with |R_C|: the same surviving rows
 // under a superset 20× larger make a frame that differs by exactly the
 // framing of the extra runs and the varint that holds |R_C|.
 func TestDASResultSizeIndependentOfSuperset(t *testing.T) {
 	// Every R1 id occurs in R2, so every row survives at any
-	// granularity: 20 equi-width partitions match exactly, one partition
+	// granularity: 20 equi-depth partitions match exactly, one partition
 	// pairs everything.
 	s1, s2 := testRelations(t)
 	r1, r2 := rel.New(s1.Schema()), rel.New(s2.Schema())
@@ -342,7 +390,7 @@ func TestDASResultSizeIndependentOfSuperset(t *testing.T) {
 	// each run holds.
 	framing := map[int]int{}
 	for _, k := range []int{1, 20} {
-		params := Params{Partitions: k, Strategy: das.EquiWidth}
+		params := Params{Partitions: k}
 		shapes[k] = &dasResultShape{}
 		got, err := queryDASVisiting(t, networkOver(t, nil, r1, r2), fixtureSQL, params, shapes[k].visit)
 		if err != nil {
@@ -474,16 +522,14 @@ func TestDASFloatKeysMatchPlaintext(t *testing.T) {
 	if want.Len() != 2 {
 		t.Fatalf("plaintext join has %d rows, want (NaN, NaN) and (1.5, 1.5)", want.Len())
 	}
-	for _, strategy := range []das.Strategy{das.EquiWidth, das.EquiDepth, das.HashBuckets} {
-		params := fastParams()
-		params.Strategy = strategy
-		got, err := networkOver(t, nil, r1, r2).Query(fixtureSQL, ProtocolDAS, params)
+	for _, k := range []int{1, 2, 4} {
+		got, err := networkOver(t, nil, r1, r2).Query(fixtureSQL, ProtocolDAS, Params{Partitions: k})
 		if err != nil {
-			t.Fatalf("%v: %v", strategy, err)
+			t.Fatalf("k=%d: %v", k, err)
 		}
 		// EqualMultiset compares with Value.Equal, under which NaN ≠ NaN.
 		if got.Clone().Sort().String() != want.Clone().Sort().String() {
-			t.Errorf("%v: got\n%v\nwant\n%v", strategy, got, want)
+			t.Errorf("k=%d: got\n%v\nwant\n%v", k, got, want)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
-	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/pm"
 	rel "github.com/secmediation/secmediation/internal/relation"
@@ -134,7 +133,7 @@ const fixtureSQL = "SELECT * FROM R1 JOIN R2 ON R1.id = R2.id"
 // fastParams keeps cryptographic parameters small enough for unit tests
 // while exercising the full protocol paths.
 func fastParams() Params {
-	return Params{Partitions: 3, Strategy: das.EquiDepth}
+	return Params{Partitions: 3}
 }
 
 // All five protocols must produce exactly the same global result.
@@ -165,9 +164,9 @@ func TestProtocolVariants(t *testing.T) {
 		proto  Protocol
 		params Params
 	}{
-		{"das-equi-width", ProtocolDAS, Params{Partitions: 2, Strategy: das.EquiWidth}},
-		{"das-hash-buckets", ProtocolDAS, Params{Partitions: 4, Strategy: das.HashBuckets}},
-		{"das-one-partition", ProtocolDAS, Params{Partitions: 1, Strategy: das.EquiDepth}},
+		{"das-two-partitions", ProtocolDAS, Params{Partitions: 2}},
+		{"das-four-partitions", ProtocolDAS, Params{Partitions: 4}},
+		{"das-one-partition", ProtocolDAS, Params{Partitions: 1}},
 		{"comm-id-mode", ProtocolCommutative, Params{IDMode: true}},
 		{"pm-hybrid-payload", ProtocolPM, Params{}},
 		{"pm-bucketed", ProtocolPM, Params{Buckets: 3}},
@@ -399,7 +398,7 @@ func TestTable1ClientLeakage(t *testing.T) {
 
 	ledger := leakage.NewLedger()
 	n := newTestNetwork(t, ledger)
-	if _, err := n.Query(fixtureSQL, ProtocolDAS, Params{Partitions: 1, Strategy: das.EquiDepth}); err != nil {
+	if _, err := n.Query(fixtureSQL, ProtocolDAS, Params{Partitions: 1}); err != nil {
 		t.Fatal(err)
 	}
 	superset, _ := ledger.Observed(leakage.PartyClient, "superset-size")

@@ -99,7 +99,10 @@ type Params struct {
 	// Off by default (it reveals predicate-satisfaction patterns to the
 	// mediator; see internal/mediation/pushdown.go).
 	Pushdown bool
-	// Strategy is the DAS partitioning strategy.
+	// Strategy is zero: DAS partitions into equi-depth intervals. It is
+	// not sent; the client rejects any other value.
+	//
+	// Deprecated: DAS has one partitioning.
 	Strategy das.Strategy
 	// IDMode enables footnote 1 for the commutative protocol: the
 	// mediator retains the encrypted tuple sets and circulates fixed-
@@ -147,10 +150,11 @@ func (p Params) withDefaults() Params {
 // untrusted mediator relays them, so every party bounds them itself
 // before it allocates anything from them.
 const (
-	// maxPartitions caps the DAS partition count: hash bucketing
-	// allocates one member list per partition whatever the domain, which
-	// this holds to 1.5 MiB, and the superset/precision trade-off of
-	// Table 4 lies at tens of partitions.
+	// maxPartitions caps the DAS partition count. Equi-depth
+	// partitioning makes at most |dom| partitions whatever the count, so
+	// nothing is sized from it; the cap refuses a meaningless count at
+	// the first party that decodes it, far above the tens of partitions
+	// where Table 4's superset/precision trade-off lies.
 	maxPartitions = 1 << 16
 	// maxBuckets caps the PM bucket count: every bucket, even an empty
 	// one, costs the source two EC-ElGamal encryptions, so 4,096
@@ -170,7 +174,7 @@ func (p Params) check() error {
 		return fmt.Errorf("mediation: partition count %d outside [1, %d]", p.Partitions, maxPartitions)
 	case p.Buckets < 1 || p.Buckets > maxBuckets:
 		return fmt.Errorf("mediation: bucket count %d outside [1, %d]", p.Buckets, maxBuckets)
-	case p.Strategy != das.EquiWidth && p.Strategy != das.EquiDepth && p.Strategy != das.HashBuckets:
+	case p.Strategy != 0:
 		return fmt.Errorf("mediation: unknown partitioning strategy %d", p.Strategy)
 	case p.Timeout < 0:
 		return fmt.Errorf("mediation: negative timeout %v", p.Timeout)

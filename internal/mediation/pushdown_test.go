@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/secmediation/secmediation/internal/algebra"
-	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
 	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/sqlparse"
@@ -184,16 +183,14 @@ func TestDASPushdownOnJoinColumn(t *testing.T) {
 	}
 }
 
-func TestPushdownSoundnessAcrossStrategies(t *testing.T) {
+func TestPushdownSoundnessAcrossPartitionCounts(t *testing.T) {
 	sql := "SELECT * FROM R1 JOIN R2 ON R1.id = R2.id WHERE R2.city >= 'd'"
-	for _, strat := range []das.Strategy{das.EquiDepth, das.HashBuckets} {
-		params := fastParams()
-		params.Strategy = strat
-		params.Pushdown = true
+	for _, k := range []int{1, 3, 16} {
+		params := Params{Partitions: k, Pushdown: true}
 		n := newTestNetwork(t, nil)
 		got, err := n.Query(sql, ProtocolDAS, params)
 		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
+			t.Fatalf("k=%d: %v", k, err)
 		}
 		n2 := newTestNetwork(t, nil)
 		want, err := n2.Query(sql, ProtocolPlaintext, Params{})
@@ -201,7 +198,7 @@ func TestPushdownSoundnessAcrossStrategies(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.EqualMultiset(want) {
-			t.Errorf("%v: pushdown result mismatch:\n%v\nwant\n%v", strat, got, want)
+			t.Errorf("k=%d: pushdown result mismatch:\n%v\nwant\n%v", k, got, want)
 		}
 	}
 }

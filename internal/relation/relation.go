@@ -361,8 +361,7 @@ func (r *Relation) GroupByColumns(cols []string) ([]KeyGroup, error) {
 // EncodeTupleSet serializes a tuple list compactly: a uvarint count
 // followed by uvarint-length-prefixed canonical tuple encodings. This is
 // the wire form of Tup_i(a) inside protocol payloads; it is far denser
-// than generic encodings, which matters when a tuple set must fit into a
-// homomorphic plaintext (PM inline payload mode).
+// than generic encodings.
 func EncodeTupleSet(tuples []Tuple) []byte {
 	out := binary.AppendUvarint(nil, uint64(len(tuples)))
 	for _, t := range tuples {

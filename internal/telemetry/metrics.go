@@ -63,8 +63,8 @@ func (g *Gauge) Value() int64 {
 // observations the buckets span ~1 µs … ~34 s, which covers everything
 // from a queue-wait to a full PM run.
 const (
-	histBucketCount = 26
-	histShift       = 10
+	histBuckets = 26
+	histShift   = 10
 )
 
 // BucketBound returns the exclusive upper bound of histogram bucket i.
@@ -77,7 +77,7 @@ type Histogram struct {
 	labels  []string
 	count   atomic.Int64
 	sum     atomic.Int64
-	buckets [histBucketCount]atomic.Int64
+	buckets [histBuckets]atomic.Int64
 }
 
 // Observe records one value (conventionally nanoseconds). Nil-safe.
@@ -87,8 +87,8 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.count.Add(1)
 	h.sum.Add(v)
-	idx := histBucketCount - 1
-	for i := 0; i < histBucketCount-1; i++ {
+	idx := histBuckets - 1
+	for i := 0; i < histBuckets-1; i++ {
 		if v < BucketBound(i) {
 			idx = i
 			break
@@ -105,7 +105,7 @@ type HistogramSnapshot struct {
 }
 
 func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load(), Buckets: make([]int64, histBucketCount)}
+	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load(), Buckets: make([]int64, histBuckets)}
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
