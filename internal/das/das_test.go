@@ -346,7 +346,7 @@ func TestEncryptRelationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openRun(recv, er.Runs[0].Sealed, runAAD("R1"), r1.Schema()); err != nil {
+	if _, err := openRun(recv, er.Runs[0].Sealed, runAAD(r1.Schema()), r1.Schema()); err != nil {
 		t.Errorf("EncryptRelation run does not open: %v", err)
 	}
 }
@@ -646,14 +646,15 @@ func oracleDecrypt(pairs []oraclePair, recv1, recv2 Opener, s1, s2 rel.Schema, c
 	if err != nil {
 		return nil, 0, err
 	}
+	aad1, aad2 := runAAD(s1), runAAD(s2)
 	out := rel.New(joined)
 	discarded := 0
 	for _, p := range pairs {
-		run1, err := openRun(recv1, p.E1, runAAD(s1.Relation), s1)
+		run1, err := openRun(recv1, p.E1, aad1, s1)
 		if err != nil {
 			return nil, 0, err
 		}
-		run2, err := openRun(recv2, p.E2, runAAD(s2.Relation), s2)
+		run2, err := openRun(recv2, p.E2, aad2, s2)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -839,7 +840,7 @@ func pairRows(t *testing.T, res *ServerResult, s1, s2 dasSide) *rel.Relation {
 	rows := func(runs [][]byte, side dasSide) []rel.Tuple {
 		var out []rel.Tuple
 		for _, run := range runs {
-			tuples, err := openRun(side.recv.Opener, run, runAAD(side.r.Schema().Relation), side.r.Schema())
+			tuples, err := openRun(side.recv.Opener, run, runAAD(side.r.Schema()), side.r.Schema())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -860,11 +861,11 @@ func oracleRows(t *testing.T, pairs []oraclePair, s1, s2 dasSide) *rel.Relation 
 	t.Helper()
 	out := concatRelation(t, s1, s2)
 	for _, p := range pairs {
-		run1, err := openRun(s1.recv.Opener, p.E1, runAAD(s1.r.Schema().Relation), s1.r.Schema())
+		run1, err := openRun(s1.recv.Opener, p.E1, runAAD(s1.r.Schema()), s1.r.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
-		run2, err := openRun(s2.recv.Opener, p.E2, runAAD(s2.r.Schema().Relation), s2.r.Schema())
+		run2, err := openRun(s2.recv.Opener, p.E2, runAAD(s2.r.Schema()), s2.r.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ type Run struct {
 	// which sums them into |R_i| and multiplies them into |R_C|).
 	Rows int
 	// Sealed is the sealed relation.EncodeTupleSet of the run's rows
-	// (session ciphertext, marshaled).
+	// (session ciphertext, marshaled), bound to the relation's schema.
 	Sealed []byte
 }
 
@@ -54,8 +54,8 @@ func (er *EncryptedRelation) Len() int {
 	return n
 }
 
-// runAAD binds a run to its relation.
-func runAAD(relation string) []byte { return []byte("das:run:" + relation) }
+// runAAD binds a run to its relation's schema.
+func runAAD(schema relation.Schema) []byte { return schema.AAD("das:run") }
 
 // SealRelation produces R^S from a partial result: each distinct value
 // of a join column is indexed once, the tuples are grouped by their
@@ -106,7 +106,7 @@ func SealRelation(r *relation.Relation, joinCols []string, its []*IndexTable, se
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	aad := runAAD(r.Schema().Relation)
+	aad := runAAD(r.Schema())
 	runs, err := parallel.Map(len(keys), workers, func(i int) (Run, error) {
 		rows := groups[keys[i]]
 		ct, err := sess.Seal(relation.EncodeTupleSet(rows), aad)
@@ -332,7 +332,7 @@ func DecryptServerResult(res *ServerResult, recv1, recv2 Opener,
 		return nil, 0, err
 	}
 	e1 := len(res.E1)
-	aad1, aad2 := runAAD(schema1.Relation), runAAD(schema2.Relation)
+	aad1, aad2 := runAAD(schema1), runAAD(schema2)
 	opened, err := parallel.Map(e1+len(res.E2), workers, func(i int) ([]relation.Tuple, error) {
 		if i < e1 {
 			return openRun(recv1, res.E1[i], aad1, schema1)

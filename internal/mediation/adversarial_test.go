@@ -1,12 +1,16 @@
 package mediation
 
 import (
+	"crypto/rsa"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/secmediation/secmediation/internal/algebra"
+	"github.com/secmediation/secmediation/internal/credential"
 	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/resilience"
 	"github.com/secmediation/secmediation/internal/testutil"
@@ -259,6 +263,132 @@ func TestHostileParams(t *testing.T) {
 				for _, src := range []string{"S1", "S2"} {
 					if !errors.As(srcErrs[src], &pe) || pe.Party != "source:"+src {
 						t.Errorf("%s returned %v, want its own *ProtocolError", src, srcErrs[src])
+					}
+				}
+			})
+		}
+	}
+}
+
+// A mediator that rewrites the schema it relays — two same-kind columns
+// renamed into each other's place, or an INT column retyped FLOAT — must
+// not make the client read one column's values as another's. A tuple set
+// carries neither names nor kinds, so every sealed set binds its schema
+// in its AAD: DAS, commutative and mobile code abort with a
+// *ProtocolError, and under PM a set that does not open is a non-match,
+// so the rewrite can only withhold tuples.
+func TestRelayedSchemaRewriteRejected(t *testing.T) {
+	s1 := rel.MustSchema("R1", rel.Column{Name: "id", Kind: rel.KindInt}, rel.Column{Name: "name", Kind: rel.KindString})
+	s2 := rel.MustSchema("R2", rel.Column{Name: "id", Kind: rel.KindInt}, rel.Column{Name: "city", Kind: rel.KindString},
+		rel.Column{Name: "illness", Kind: rel.KindString}, rel.Column{Name: "age", Kind: rel.KindInt})
+	r1 := rel.MustFromTuples(s1, rel.Tuple{rel.Int(1), rel.String_("ada")}, rel.Tuple{rel.Int(2), rel.String_("bob")})
+	r2 := rel.MustFromTuples(s2,
+		rel.Tuple{rel.Int(1), rel.String_("bonn"), rel.String_("flu"), rel.Int(41)},
+		rel.Tuple{rel.Int(2), rel.String_("kiel"), rel.String_("cold"), rel.Int(37)})
+	const joinSQL = "SELECT R1.name, R2.city, R2.age FROM R1 JOIN R2 ON R1.id = R2.id"
+	union := rel.MustSchema("A", rel.Column{Name: "k", Kind: rel.KindInt}, rel.Column{Name: "x", Kind: rel.KindString},
+		rel.Column{Name: "y", Kind: rel.KindString}, rel.Column{Name: "n", Kind: rel.KindInt})
+	a := rel.MustFromTuples(union, rel.Tuple{rel.Int(1), rel.String_("p"), rel.String_("q"), rel.Int(5)})
+	b := rel.MustFromTuples(union.Rename("B"), rel.Tuple{rel.Int(2), rel.String_("r"), rel.String_("s"), rel.Int(6)})
+	unionNet := func(t *testing.T) *Network {
+		f := getFixture(t)
+		src := func(name, relName string, r *rel.Relation) *Source {
+			return &Source{Name: name, Catalog: algebra.MapCatalog{relName: r},
+				Policies: map[string]*credential.Policy{relName: policyFor(relName)}, TrustedCAs: []*rsa.PublicKey{f.ca.PublicKey()}}
+		}
+		n, err := NewNetwork(f.client, &Mediator{}, src("SA", "A", a), src("SB", "B", b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	// Each rewrite acts on the second relation's schema: its columns 1
+	// and 2 are TEXT, its column 3 is an INT.
+	rewrites := []struct {
+		name string
+		edit func(*rel.Schema)
+	}{
+		{"swap", func(s *rel.Schema) { s.Columns[1].Name, s.Columns[2].Name = s.Columns[2].Name, s.Columns[1].Name }},
+		{"retype", func(s *rel.Schema) { s.Columns[3].Kind = rel.KindFloat }},
+	}
+	runs := []struct {
+		name    string
+		net     func(*testing.T) *Network
+		link    string
+		sql     string
+		proto   Protocol
+		dropped bool // a rewrite may drop tuples instead of aborting
+	}{
+		{"das", func(t *testing.T) *Network { return networkOver(t, nil, r1, r2) }, "source:R2", joinSQL, ProtocolDAS, false},
+		{"commutative", func(t *testing.T) *Network { return networkOver(t, nil, r1, r2) }, "source:R2", joinSQL, ProtocolCommutative, false},
+		{"pm", func(t *testing.T) *Network { return networkOver(t, nil, r1, r2) }, "source:R2", joinSQL, ProtocolPM, true},
+		{"mobile-code", func(t *testing.T) *Network { return networkOver(t, nil, r1, r2) }, "source:R2", joinSQL, ProtocolMobileCode, false},
+		{"mobile-code-union", unionNet, "source:B", "SELECT * FROM A UNION ALL SELECT * FROM B", ProtocolMobileCode, false},
+	}
+	for _, run := range runs {
+		for _, rw := range rewrites {
+			run, rw := run, rw
+			t.Run(run.name+"/"+rw.name, func(t *testing.T) {
+				want, err := run.net(t).Query(run.sql, run.proto, fastParams())
+				if err != nil {
+					t.Fatalf("untampered query: %v", err)
+				}
+				// The mediator rewrites the schema of the one message
+				// that brings it from the source.
+				rewrite := func(m transport.Message) transport.Message {
+					var v any
+					switch m.Type {
+					case msgDASPartial:
+						var p dasPartial
+						decodeBody(t, m, &p)
+						rw.edit(&p.Schema)
+						v = p
+					case msgCommOffer:
+						var o commOffer
+						decodeBody(t, m, &o)
+						rw.edit(&o.Schema)
+						v = o
+					case msgPMCoeffs:
+						var c pmCoeffs
+						decodeBody(t, m, &c)
+						rw.edit(&c.Schema)
+						v = c
+					case msgMCPartial:
+						var p mcPartial
+						decodeBody(t, m, &p)
+						rw.edit(&p.Schema)
+						v = p
+					default:
+						return m
+					}
+					out, err := transport.NewMessage(m.Type, v)
+					if err != nil {
+						t.Errorf("re-encoding %s: %v", m.Type, err)
+					}
+					return out
+				}
+				got, _, err := queryAtMediator(t, run.net(t), func(link string, c transport.Conn) transport.Conn {
+					if link == run.link {
+						return &mediatorLinkConn{Conn: c, onRecv: rewrite}
+					}
+					return c
+				}, run.sql, run.proto, fastParams())
+				var pe *ProtocolError
+				if err != nil && errors.As(err, &pe) {
+					t.Logf("aborted: %v", err)
+					return
+				}
+				if err != nil || !run.dropped {
+					t.Fatalf("query under a rewritten schema returned %v, %v; want a *ProtocolError", got, err)
+				}
+				// Withholding only: every tuple returned is a true one.
+				truth := map[string]bool{}
+				for _, tu := range want.Tuples() {
+					truth[fmt.Sprint(tu)] = true
+				}
+				for _, tu := range got.Tuples() {
+					if !truth[fmt.Sprint(tu)] {
+						t.Errorf("query under a rewritten schema returned the wrong tuple %v (truth %v)", tu, want.Tuples())
 					}
 				}
 			})

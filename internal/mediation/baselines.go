@@ -95,9 +95,10 @@ func (s *Source) serveMobileCode(mediator *link.Link, pq *PartialQuery, rel *rel
 		}
 		s.Ledger.UsePrimitive(s.party(), "hybrid-encryption", int64(rel.Len()))
 		out = mcPartial{Session: pq.SessionID, Schema: rel.Schema(), KeyShare: sess.Share()}
-		aad := []byte("mc:" + pq.SessionID + ":" + rel.Schema().Relation)
+		aad := rel.Schema().AAD("mc:" + pq.SessionID)
+		// One seal per row, so the mediator learns |R_i| and no more.
 		for _, t := range rel.Tuples() {
-			ct, err := sess.Seal(t.Encode(nil), aad)
+			ct, err := sess.Seal(relation.EncodeTupleSet([]relation.Tuple{t}), aad)
 			if err != nil {
 				return err
 			}
@@ -187,7 +188,7 @@ func (c *Client) openMCPartial(queryKey *ecdh.PrivateKey, p mcPartial) (*relatio
 	}
 	c.Ledger.UsePrimitive(leakage.PartyClient, "hybrid-decryption", int64(len(p.Rows)))
 	out := relation.New(p.Schema)
-	aad := []byte("mc:" + p.Session + ":" + p.Schema.Relation)
+	aad := p.Schema.AAD("mc:" + p.Session)
 	for _, blob := range p.Rows {
 		ct, err := hybrid.UnmarshalCiphertext(blob)
 		if err != nil {
@@ -197,11 +198,14 @@ func (c *Client) openMCPartial(queryKey *ecdh.PrivateKey, p mcPartial) (*relatio
 		if err != nil {
 			return nil, err
 		}
-		t, err := relation.DecodeTuple(p.Schema, pt)
+		rows, err := relation.DecodeTupleSet(p.Schema, pt)
 		if err != nil {
 			return nil, err
 		}
-		if err := out.Append(t); err != nil {
+		if len(rows) != 1 {
+			return nil, fmt.Errorf("mediation: a sealed row of %s holds %d rows", p.Schema.Relation, len(rows))
+		}
+		if err := out.Append(rows[0]); err != nil {
 			return nil, err
 		}
 	}

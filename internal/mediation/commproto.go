@@ -79,7 +79,7 @@ func (s *Source) serveCommutative(mediator *link.Link, pq *PartialQuery, rel *re
 			return err
 		}
 		offer = commOffer{Session: pq.SessionID, Schema: rel.Schema(), KeyShare: sess.Share()}
-		aad := []byte("comm:" + pq.SessionID + ":" + rel.Schema().Relation)
+		aad := rel.Schema().AAD("comm:" + pq.SessionID)
 		// The per-value hash+encrypt+seal work is the protocol's dominant
 		// cost (one scalar multiplication per active-domain value); fan it
 		// out over the worker pool. Map preallocates the full item slice
@@ -253,8 +253,8 @@ func (c *Client) runCommutative(mediator *link.Link, queryKey *ecdh.PrivateKey, 
 			return err
 		}
 		joined = relation.New(schema)
-		aad1 := []byte("comm:" + res.Session + ":" + res.Schema1.Relation)
-		aad2 := []byte("comm:" + res.Session + ":" + res.Schema2.Relation)
+		aad1 := res.Schema1.AAD("comm:" + res.Session)
+		aad2 := res.Schema2.AAD("comm:" + res.Session)
 		// Open both tuple sets of every matched pair in parallel; the
 		// cross products append into the shared relation sequentially in
 		// pair order, keeping the result deterministic.

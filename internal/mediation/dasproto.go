@@ -93,7 +93,7 @@ func (s *Source) serveDAS(mediator *link.Link, pq *PartialQuery, rel *relation.R
 		if err != nil {
 			return err
 		}
-		sealed, err := sess.Seal(itBlob, []byte("das:itable:"+pq.SessionID+":"+pq.Relation))
+		sealed, err := sess.Seal(itBlob, rel.Schema().AAD("das:itable:"+pq.SessionID))
 		if err != nil {
 			return err
 		}
@@ -176,11 +176,11 @@ func (c *Client) runDAS(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.P
 		if err != nil {
 			return err
 		}
-		tables1, err = openIndexTables(recv1, its.Enc1, its.Session, its.Schema1.Relation)
+		tables1, err = openIndexTables(recv1, its.Enc1, its.Session, its.Schema1)
 		if err != nil {
 			return err
 		}
-		tables2, err = openIndexTables(recv2, its.Enc2, its.Session, its.Schema2.Relation)
+		tables2, err = openIndexTables(recv2, its.Enc2, its.Session, its.Schema2)
 		if err != nil {
 			return err
 		}
@@ -254,12 +254,12 @@ func buildIndexFilters(conds []pushCondition, cols []string, tables []*das.Index
 	return out
 }
 
-func openIndexTables(recv *hybrid.Receiver, blob []byte, session, rel string) ([]*das.IndexTable, error) {
+func openIndexTables(recv *hybrid.Receiver, blob []byte, session string, schema relation.Schema) ([]*das.IndexTable, error) {
 	ct, err := hybrid.UnmarshalCiphertext(blob)
 	if err != nil {
 		return nil, err
 	}
-	pt, err := recv.Open(ct, []byte("das:itable:"+session+":"+rel))
+	pt, err := recv.Open(ct, schema.AAD("das:itable:"+session))
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +268,7 @@ func openIndexTables(recv *hybrid.Receiver, blob []byte, session, rel string) ([
 		return nil, err
 	}
 	if len(tables) == 0 {
-		return nil, fmt.Errorf("mediation: empty index table list from %s", rel)
+		return nil, fmt.Errorf("mediation: empty index table list from %s", schema.Relation)
 	}
 	return tables, nil
 }

@@ -212,9 +212,13 @@ const hybridOverhead = 12 + 16
 
 func uvarintLen(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
 
+// wireRowLen is a row's length in a tuple set: the set's length less
+// its one-byte count.
+func wireRowLen(tu rel.Tuple) int { return len(rel.EncodeTupleSet([]rel.Tuple{tu})) - 1 }
+
 // shippedRows lists, per side, the row counts of the runs q_S ships for
 // params over r1 ⋈ r2 on id (partitions overlapping one of the other
-// side's), and the canonical bytes of their rows.
+// side's), and the tuple-set bytes of their rows.
 func shippedRows(t *testing.T, r1, r2 *rel.Relation, params Params) (runs1, runs2 []int, rowBytes int) {
 	t.Helper()
 	parts := func(r *rel.Relation) []das.Partition {
@@ -239,7 +243,7 @@ func shippedRows(t *testing.T, r1, r2 *rel.Relation, params Params) (runs1, runs
 			for _, tu := range r.Tuples() {
 				if p.Contains(tu[0]) {
 					rows++
-					rowBytes += len(tu.Encode(nil))
+					rowBytes += wireRowLen(tu)
 				}
 			}
 			runs = append(runs, rows)
@@ -304,8 +308,8 @@ func TestDASClientOpensLinear(t *testing.T) {
 	if sealed != seals || seals > int64(2*defaults.Partitions+2) {
 		t.Errorf("ledger records %d hybrid encryptions, %d hybrid.seal calls for %d partitions a side", sealed, seals, defaults.Partitions)
 	}
-	// Beyond its rows, a frame carries a few bytes of framing per row and
-	// per run and a fixed envelope.
+	// Beyond its rows, a frame carries a few bytes of framing per run
+	// and a fixed envelope; a tuple set frames no row.
 	runs1, runs2, rowBytes := shippedRows(t, r1, r2, defaults)
 	if len(runs1)+len(runs2) != shape.runs {
 		t.Fatalf("%d runs shipped, the partitions predict %d+%d", shape.runs, len(runs1), len(runs2))
@@ -314,7 +318,7 @@ func TestDASClientOpensLinear(t *testing.T) {
 	for _, k := range append(runs1, runs2...) {
 		rows += k
 	}
-	if overhead, limit := shape.body-rowBytes, 2*rows+40*shape.runs+64; overhead > limit {
+	if overhead, limit := shape.body-rowBytes, 40*shape.runs+64; overhead > limit {
 		t.Errorf("das.result carries %d bytes beside its %d rows in %d runs (limit %d)", overhead, rows, shape.runs, limit)
 	}
 }
@@ -339,17 +343,21 @@ func TestDASSelectiveJoinShipsJoinRows(t *testing.T) {
 			r2.MustAppend(rel.Tuple{rel.Int(k2), rel.String_("row")})
 		}
 	}
-	// Each row is 17 bytes and each run a sealed tuple set: nonce, tag,
-	// a one-byte count, and a one-byte length before every row.
-	rowLen := len(r1.Tuple(0).Encode(nil))
+	// Each row is 12 bytes (an 8-byte INT, then "row" and its one-byte
+	// length) and each run a sealed tuple set: nonce, tag, a one-byte
+	// count, and its rows with no length before them.
+	rowLen := wireRowLen(r1.Tuple(0))
+	if rowLen != 12 {
+		t.Fatalf("a row is %d bytes on the wire, want 12", rowLen)
+	}
 	rowsOf := func(side string, runs [][]byte) int {
 		n := 0
 		for _, run := range runs {
 			body := len(run) - hybridOverhead - 1
-			if body%(rowLen+1) != 0 {
+			if body%rowLen != 0 {
 				t.Fatalf("%s: a run of %d B does not hold whole %d-byte rows", side, len(run), rowLen)
 			}
-			n += body / (rowLen + 1)
+			n += body / rowLen
 		}
 		return n
 	}

@@ -98,7 +98,7 @@ func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Re
 		// The oblivious evaluations — Θ(max-load) homomorphic
 		// multiply-adds plus a masking per value — dominate the sender's
 		// cost; MaskedEvalBatch fans them out over the worker pool.
-		aad := []byte("pm:" + pq.SessionID + ":" + rel.Schema().Relation)
+		aad := rel.Schema().AAD("pm:" + pq.SessionID)
 		evals.Evals, err = cross.MaskedEvalBatch(pk, roots, payloads, aad)
 		if err != nil {
 			return err
@@ -235,7 +235,7 @@ type pmOpened struct {
 // entries keyed by root. A blob that does not open is a non-match; a
 // ciphertext that is not two curve points aborts the query.
 func openPMSide(sk *ecelgamal.PrivateKey, evals []pm.Eval, session string, schema relation.Schema) (pmSide, error) {
-	aad := []byte("pm:" + session + ":" + schema.Relation)
+	aad := schema.AAD("pm:" + session)
 	opened, err := parallel.Map(len(evals), 0, func(i int) (pmOpened, error) {
 		root, payload, ok, err := pm.OpenEval(sk, evals[i], aad)
 		return pmOpened{root, payload, ok}, err

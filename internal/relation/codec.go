@@ -54,3 +54,17 @@ func (s Schema) MarshalBinary() ([]byte, error) { return codec.Marshal(s) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *Schema) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, s) }
+
+// AAD is the additional data a tuple set of this schema is sealed under:
+// the schema's encoding, then tag. A tuple set carries neither kinds nor
+// names, so binding the schema makes a set relayed under any other
+// schema — columns renamed, swapped or retyped — fail its AEAD check
+// instead of decoding into the wrong columns. The schema encoding is
+// self-delimiting, so no two (schema, tag) pairs share an AAD.
+func (s Schema) AAD(tag string) []byte {
+	b, err := s.MarshalBinary()
+	if err != nil {
+		panic(err) // unreachable: Schema.EncodeTo never fails
+	}
+	return append(b, tag...)
+}

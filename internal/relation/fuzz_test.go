@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -30,18 +31,29 @@ func FuzzDecodeValue(f *testing.F) {
 	})
 }
 
-// FuzzDecodeTupleSet: arbitrary bytes against a fixed schema must never
-// panic, and accepted tuple sets must roundtrip.
+// FuzzDecodeTupleSet: arbitrary bytes against a schema of all four kinds
+// must never panic, and accepted tuple sets must re-encode to exactly
+// their input, so a FLOAT NaN or −0 comes back bit-exact.
 func FuzzDecodeTupleSet(f *testing.F) {
-	schema := MustSchema("R",
-		Column{Name: "id", Kind: KindInt},
-		Column{Name: "name", Kind: KindString})
-	f.Add(EncodeTupleSet([]Tuple{{Int(1), String_("a")}, {Int(2), String_("b")}}))
+	row := func(id int64, name string, score float64, ok bool) Tuple {
+		return Tuple{Int(id), String_(name), Float(score), Bool(ok)}
+	}
+	f.Add(EncodeTupleSet([]Tuple{row(1, "a", 1.5, true), row(2, "b", -2, false)}))
 	f.Add(EncodeTupleSet(nil))
 	f.Add([]byte{0x01})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	long := EncodeTupleSet([]Tuple{row(3, strings.Repeat("t", 200), 0, true)})
+	f.Add(long)
+	// A one-byte TEXT whose length is padded to two varint bytes, then
+	// long's FLOAT and BOOL; the decoder rejects the padding.
+	f.Add(append([]byte{0x01, 0, 0, 0, 0, 0, 0, 0, 3, 0x81, 0x00, 't'}, long[len(long)-9:]...))
+	boolTwo := EncodeTupleSet([]Tuple{row(4, "", 0, false)})
+	boolTwo[len(boolTwo)-1] = 2
+	f.Add(boolTwo)
+	f.Add(EncodeTupleSet([]Tuple{row(5, "n", math.NaN(), true), row(6, "z", math.Copysign(0, -1), false)}))
+	f.Add(EncodeTupleSet([]Tuple{row(7, "q", math.Float64frombits(0x7FF0_0000_0000_0001), true)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tuples, err := DecodeTupleSet(schema, data)
+		tuples, err := DecodeTupleSet(allKinds, data)
 		if err != nil {
 			return
 		}

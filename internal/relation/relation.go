@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -47,35 +46,15 @@ func (t Tuple) Compare(o Tuple) int {
 	return 0
 }
 
-// Encode appends a deterministic byte encoding of the whole tuple to dst.
-// This is the plaintext that the hybrid scheme encrypts inside tuple sets
-// in the DAS, commutative and PM protocols.
+// Encode appends the canonical encodings of the tuple's values to dst:
+// the hashing and equality encoding (grouping keys, set operations),
+// never the wire encoding. A tuple travels in a tuple set
+// (EncodeTupleSet), which writes no kind bytes.
 func (t Tuple) Encode(dst []byte) []byte {
 	for _, v := range t {
 		dst = v.Encode(dst)
 	}
 	return dst
-}
-
-// DecodeTuple decodes a tuple of the given schema from src. The entire
-// input must be consumed.
-func DecodeTuple(s Schema, src []byte) (Tuple, error) {
-	t := make(Tuple, 0, s.Arity())
-	for i := 0; i < s.Arity(); i++ {
-		v, n, err := DecodeValue(src)
-		if err != nil {
-			return nil, fmt.Errorf("relation: decode tuple column %d: %w", i, err)
-		}
-		if v.Kind() != s.Columns[i].Kind {
-			return nil, fmt.Errorf("relation: decode tuple: column %d is %v, schema wants %v", i, v.Kind(), s.Columns[i].Kind)
-		}
-		src = src[n:]
-		t = append(t, v)
-	}
-	if len(src) != 0 {
-		return nil, fmt.Errorf("relation: decode tuple: %d trailing bytes", len(src))
-	}
-	return t, nil
 }
 
 // Relation is a bag (multiset) of tuples under a schema. The in-memory
@@ -356,60 +335,4 @@ func (r *Relation) GroupByColumns(cols []string) ([]KeyGroup, error) {
 		out = append(out, *byKey[k])
 	}
 	return out, nil
-}
-
-// EncodeTupleSet serializes a tuple list compactly: a uvarint count
-// followed by uvarint-length-prefixed canonical tuple encodings. This is
-// the wire form of Tup_i(a) inside protocol payloads; it is far denser
-// than generic encodings.
-func EncodeTupleSet(tuples []Tuple) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(tuples)))
-	for _, t := range tuples {
-		enc := t.Encode(nil)
-		out = binary.AppendUvarint(out, uint64(len(enc)))
-		out = append(out, enc...)
-	}
-	return out
-}
-
-// DecodeTupleSet parses an EncodeTupleSet blob against a schema.
-func DecodeTupleSet(s Schema, b []byte) ([]Tuple, error) {
-	n, k := minimalUvarint(b)
-	if k <= 0 {
-		return nil, fmt.Errorf("relation: decode tuple set: bad count")
-	}
-	b = b[k:]
-	// Every entry takes at least its one-byte length: a count beyond the
-	// remaining bytes is a lie, and must not size the allocation.
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("relation: decode tuple set: %d entries in %d bytes", n, len(b))
-	}
-	out := make([]Tuple, 0, n)
-	for i := uint64(0); i < n; i++ {
-		l, k := minimalUvarint(b)
-		if k <= 0 || uint64(len(b[k:])) < l {
-			return nil, fmt.Errorf("relation: decode tuple set: truncated entry %d", i)
-		}
-		t, err := DecodeTuple(s, b[k:k+int(l)])
-		if err != nil {
-			return nil, err
-		}
-		b = b[k+int(l):]
-		out = append(out, t)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("relation: decode tuple set: %d trailing bytes", len(b))
-	}
-	return out, nil
-}
-
-// minimalUvarint is binary.Uvarint accepting only the shortest encoding
-// (a multi-byte varint whose last byte is zero is padded), so a tuple set
-// has exactly one encoding, as its values do.
-func minimalUvarint(b []byte) (uint64, int) {
-	n, k := binary.Uvarint(b)
-	if k > 1 && b[k-1] == 0 {
-		return 0, 0
-	}
-	return n, k
 }

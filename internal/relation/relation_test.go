@@ -184,35 +184,6 @@ func TestEqualMultiset(t *testing.T) {
 	}
 }
 
-func TestTupleEncodeDecodeRoundtrip(t *testing.T) {
-	s := testSchema(t)
-	f := func(id int64, name string, score float64) bool {
-		tu := Tuple{Int(id), String_(name), Float(score)}
-		enc := tu.Encode(nil)
-		got, err := DecodeTuple(s, enc)
-		return err == nil && got.Equal(tu)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecodeTupleErrors(t *testing.T) {
-	s := testSchema(t)
-	good := Tuple{Int(1), String_("x"), Float(2)}.Encode(nil)
-	if _, err := DecodeTuple(s, good[:len(good)-1]); err == nil {
-		t.Error("truncated tuple decoded")
-	}
-	if _, err := DecodeTuple(s, append(append([]byte{}, good...), 0)); err == nil {
-		t.Error("tuple with trailing bytes decoded")
-	}
-	// Kind mismatch: encode in wrong column order.
-	bad := Tuple{String_("x"), Int(1), Float(2)}.Encode(nil)
-	if _, err := DecodeTuple(s, bad); err == nil {
-		t.Error("kind-mismatched tuple decoded")
-	}
-}
-
 // Property: tuple encoding is injective over random tuples.
 func TestTupleEncodeInjective(t *testing.T) {
 	gen := func(r *rand.Rand) Tuple {
