@@ -150,10 +150,16 @@ func NewSessionECDH(queryKey *ecdh.PublicKey) (*Session, error) {
 // session's compressed public point.
 func (s *Session) Share() []byte { return s.share }
 
-// Seal encrypts one message under the session key.
+// Seal encrypts one message under the session key and a fresh random
+// nonce.
 // seclint:sanitizer hybrid encrypt boundary
 func (s *Session) Seal(plaintext, aad []byte) (*Ciphertext, error) {
-	return seal(s.aead, plaintext, aad)
+	nonce := make([]byte, nonceSize)
+	if _, err := rand.Read(nonce); err != nil {
+		return nil, fmt.Errorf("hybrid: nonce: %w", err)
+	}
+	opSeal.Add(1)
+	return &Ciphertext{Nonce: nonce, Sealed: s.aead.Seal(nil, nonce, plaintext, aad)}, nil
 }
 
 // Receiver is the client side of a Session, with the session's AEAD
@@ -188,36 +194,34 @@ func (r *Receiver) Open(c *Ciphertext, aad []byte) ([]byte, error) {
 	return open(r.aead, c.Nonce, c.Sealed, aad)
 }
 
-// SealWithKey seals a message under a caller-provided session key (the
-// PM protocol derives one per tuple set from a curve point).
+// SealOneTimeKey seals one message under a caller-provided key that seals
+// nothing else (PM derives a fresh one per evaluation from a curve point
+// s·G with s drawn for it). A key that is never reused makes the nonce
+// free to fix: it is the constant zero and is not sent, so the output is
+// the bare AEAD output. Sealing a second message under the same key would
+// reuse the nonce and break GCM.
 // seclint:sanitizer hybrid encrypt boundary
-func SealWithKey(key, plaintext, aad []byte) (*Ciphertext, error) {
+func SealOneTimeKey(key, plaintext, aad []byte) ([]byte, error) {
 	gcm, err := newGCM(key)
 	if err != nil {
 		return nil, err
-	}
-	return seal(gcm, plaintext, aad)
-}
-
-// seal encrypts one message under a fresh random nonce.
-func seal(gcm cipher.AEAD, plaintext, aad []byte) (*Ciphertext, error) {
-	nonce := make([]byte, nonceSize)
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, fmt.Errorf("hybrid: nonce: %w", err)
 	}
 	opSeal.Add(1)
-	return &Ciphertext{Nonce: nonce, Sealed: gcm.Seal(nil, nonce, plaintext, aad)}, nil
+	return gcm.Seal(nil, zeroNonce[:], plaintext, aad), nil
 }
 
-// OpenWithKey opens a message sealed by SealWithKey.
+// OpenOneTimeKey opens a SealOneTimeKey output.
 // seclint:source hybrid decryption output
-func OpenWithKey(key []byte, c *Ciphertext, aad []byte) ([]byte, error) {
+func OpenOneTimeKey(key, sealed, aad []byte) ([]byte, error) {
 	gcm, err := newGCM(key)
 	if err != nil {
 		return nil, err
 	}
-	return open(gcm, c.Nonce, c.Sealed, aad)
+	return open(gcm, zeroNonce[:], sealed, aad)
 }
+
+// zeroNonce is the nonce of every one-time-key seal.
+var zeroNonce [nonceSize]byte
 
 // newGCM refuses every key length but 32 bytes: AES would accept 16 or 24
 // silently, downgrading the advertised AES-256 strength.

@@ -260,15 +260,15 @@ func TestReceiverRejectsShortSessionKey(t *testing.T) {
 	if _, err := NewReceiver(key, wrapped); err == nil {
 		t.Error("NewReceiver accepted a 16-byte session key")
 	}
-	if _, err := SealWithKey(short, []byte("m"), nil); err == nil {
-		t.Error("SealWithKey accepted a 16-byte key")
+	if _, err := SealOneTimeKey(short, []byte("m"), nil); err == nil {
+		t.Error("SealOneTimeKey accepted a 16-byte key")
 	}
-	c, err := SealWithKey(make([]byte, SessionKeyLen), []byte("m"), nil)
+	c, err := SealOneTimeKey(make([]byte, SessionKeyLen), []byte("m"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWithKey(short, c, nil); err == nil {
-		t.Error("OpenWithKey accepted a 16-byte key")
+	if _, err := OpenOneTimeKey(short, c, nil); err == nil {
+		t.Error("OpenOneTimeKey accepted a 16-byte key")
 	}
 }
 

@@ -935,7 +935,11 @@ type plainOpener struct{}
 func (plainOpener) Open(ct *hybrid.Ciphertext, _ []byte) ([]byte, error) { return ct.Sealed, nil }
 
 func plainRun(tuples ...rel.Tuple) []byte {
-	return (&hybrid.Ciphertext{Nonce: make([]byte, 12), Sealed: rel.EncodeTupleSet(tuples)}).Marshal()
+	set, err := rel.EncodeTupleSet(tuples, nil)
+	if err != nil {
+		panic(err)
+	}
+	return (&hybrid.Ciphertext{Nonce: make([]byte, 12), Sealed: set}).Marshal()
 }
 
 // A ServerResult comes from a peer: a table that repeats a run, a run
@@ -1058,7 +1062,7 @@ func plainRows(runs [][]byte, schema rel.Schema) int {
 	n := 0
 	for _, run := range runs {
 		if len(run) >= 12 {
-			tuples, _ := rel.DecodeTupleSet(schema, run[12:])
+			tuples, _ := rel.DecodeTupleSet(schema, nil, run[12:])
 			n += len(tuples)
 		}
 	}

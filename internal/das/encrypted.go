@@ -109,7 +109,11 @@ func SealRelation(r *relation.Relation, joinCols []string, its []*IndexTable, se
 	aad := runAAD(r.Schema())
 	runs, err := parallel.Map(len(keys), workers, func(i int) (Run, error) {
 		rows := groups[keys[i]]
-		ct, err := sess.Seal(relation.EncodeTupleSet(rows), aad)
+		set, err := relation.EncodeTupleSet(rows, nil)
+		if err != nil {
+			return Run{}, err
+		}
+		ct, err := sess.Seal(set, aad)
 		if err != nil {
 			return Run{}, err
 		}
@@ -431,7 +435,7 @@ func openRun(r Opener, blob, aad []byte, schema relation.Schema) ([]relation.Tup
 	if err != nil {
 		return nil, err
 	}
-	rows, err := relation.DecodeTupleSet(schema, pt)
+	rows, err := relation.DecodeTupleSet(schema, nil, pt)
 	if err != nil {
 		return nil, err
 	}

@@ -271,9 +271,10 @@ func TestHostileParams(t *testing.T) {
 }
 
 // A mediator that rewrites the schema it relays — two same-kind columns
-// renamed into each other's place, or an INT column retyped FLOAT — must
-// not make the client read one column's values as another's. A tuple set
-// carries neither names nor kinds, so every sealed set binds its schema
+// renamed into each other's place, or an INT column retyped FLOAT — or
+// the join columns of a commutative or PM result must not make the
+// client read one column's values as another's. A tuple set carries
+// neither names, kinds nor key positions, so every sealed set binds them
 // in its AAD: DAS, commutative and mobile code abort with a
 // *ProtocolError, and under PM a set that does not open is a non-match,
 // so the rewrite can only withhold tuples.
@@ -373,25 +374,72 @@ func TestRelayedSchemaRewriteRejected(t *testing.T) {
 					}
 					return c
 				}, run.sql, run.proto, fastParams())
-				var pe *ProtocolError
-				if err != nil && errors.As(err, &pe) {
-					t.Logf("aborted: %v", err)
-					return
-				}
-				if err != nil || !run.dropped {
-					t.Fatalf("query under a rewritten schema returned %v, %v; want a *ProtocolError", got, err)
-				}
-				// Withholding only: every tuple returned is a true one.
-				truth := map[string]bool{}
-				for _, tu := range want.Tuples() {
-					truth[fmt.Sprint(tu)] = true
-				}
-				for _, tu := range got.Tuples() {
-					if !truth[fmt.Sprint(tu)] {
-						t.Errorf("query under a rewritten schema returned the wrong tuple %v (truth %v)", tu, want.Tuples())
-					}
-				}
+				checkRewriteOutcome(t, want, got, err, run.dropped)
 			})
+		}
+	}
+	// The client derives a tuple set's fixed columns from the JoinCols the
+	// mediator relays in comm.result and pm.result. Over two INT columns
+	// a rewrite from id to the other column would decode the key and that
+	// column swapped, silently; the key positions are bound in the AAD,
+	// so the sets fail to open instead.
+	ints := func(name, other string, rows ...[2]int64) *rel.Relation {
+		r := rel.New(rel.MustSchema(name, rel.Column{Name: "id", Kind: rel.KindInt}, rel.Column{Name: other, Kind: rel.KindInt}))
+		for _, row := range rows {
+			r.MustAppend(rel.Tuple{rel.Int(row[0]), rel.Int(row[1])})
+		}
+		return r
+	}
+	i1 := ints("R1", "n", [2]int64{1, 10}, [2]int64{1, 11}, [2]int64{2, 20})
+	i2 := ints("R2", "m", [2]int64{1, 100}, [2]int64{1, 101}, [2]int64{2, 200}, [2]int64{2, 201})
+	for _, run := range []struct {
+		name    string
+		proto   Protocol
+		dropped bool
+	}{
+		{"commutative", ProtocolCommutative, false},
+		{"pm", ProtocolPM, true},
+	} {
+		run := run
+		t.Run(run.name+"/joincols", func(t *testing.T) {
+			want, err := networkOver(t, nil, i1, i2).Query(fixtureSQL, run.proto, fastParams())
+			if err != nil || want.Len() != 6 {
+				t.Fatalf("untampered query: %v, %v", want, err)
+			}
+			got, _, err := queryAtMediator(t, networkOver(t, nil, i1, i2), func(link string, c transport.Conn) transport.Conn {
+				if link != "client" {
+					return c
+				}
+				return &mediatorLinkConn{Conn: c, onSend: func(m transport.Message) transport.Message {
+					return rewriteJoinCols(t, m, func(_, cols2 *[]string) { *cols2 = []string{"m"} })
+				}}
+			}, fixtureSQL, run.proto, fastParams())
+			checkRewriteOutcome(t, want, got, err, run.dropped)
+		})
+	}
+}
+
+// checkRewriteOutcome accepts a query under a rewritten relay that ended
+// in a *ProtocolError, or, where dropped allows it, returned only true
+// tuples.
+func checkRewriteOutcome(t *testing.T, want, got *rel.Relation, err error, dropped bool) {
+	t.Helper()
+	var pe *ProtocolError
+	if err != nil && errors.As(err, &pe) {
+		t.Logf("aborted: %v", err)
+		return
+	}
+	if err != nil || !dropped {
+		t.Fatalf("query under a rewritten relay returned %v, %v; want a *ProtocolError", got, err)
+	}
+	// Withholding only: every tuple returned is a true one.
+	truth := map[string]bool{}
+	for _, tu := range want.Tuples() {
+		truth[fmt.Sprint(tu)] = true
+	}
+	for _, tu := range got.Tuples() {
+		if !truth[fmt.Sprint(tu)] {
+			t.Errorf("query under a rewritten relay returned the wrong tuple %v (truth %v)", tu, want.Tuples())
 		}
 	}
 }

@@ -98,7 +98,11 @@ func (s *Source) serveMobileCode(mediator *link.Link, pq *PartialQuery, rel *rel
 		aad := rel.Schema().AAD("mc:" + pq.SessionID)
 		// One seal per row, so the mediator learns |R_i| and no more.
 		for _, t := range rel.Tuples() {
-			ct, err := sess.Seal(relation.EncodeTupleSet([]relation.Tuple{t}), aad)
+			set, err := relation.EncodeTupleSet([]relation.Tuple{t}, nil)
+			if err != nil {
+				return err
+			}
+			ct, err := sess.Seal(set, aad)
 			if err != nil {
 				return err
 			}
@@ -198,7 +202,7 @@ func (c *Client) openMCPartial(queryKey *ecdh.PrivateKey, p mcPartial) (*relatio
 		if err != nil {
 			return nil, err
 		}
-		rows, err := relation.DecodeTupleSet(p.Schema, pt)
+		rows, err := relation.DecodeTupleSet(p.Schema, nil, pt)
 		if err != nil {
 			return nil, err
 		}

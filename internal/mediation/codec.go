@@ -149,11 +149,16 @@ func (a PartialAck) MarshalBinary() ([]byte, error) { return codec.Marshal(a) }
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (a *PartialAck) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, a) }
 
-// EncodeTo writes the schema, then the tuples as relation.EncodeTupleSet
-// with its length.
+// EncodeTo writes the schema, then the tuples as a tuple set with no
+// fixed columns (relation.EncodeTupleSet), with its length.
 func (w wireRelation) EncodeTo(e *codec.Encoder) {
 	w.Schema.EncodeTo(e)
-	e.Bytes(relation.EncodeTupleSet(w.Tuples))
+	set, err := relation.EncodeTupleSet(w.Tuples, nil)
+	if err != nil {
+		e.Fail(err)
+		return
+	}
+	e.Bytes(set)
 }
 
 // DecodeFrom reads a relation written by EncodeTo.
@@ -164,7 +169,7 @@ func (w *wireRelation) DecodeFrom(d *codec.Decoder) {
 		return
 	}
 	var err error
-	if w.Tuples, err = relation.DecodeTupleSet(w.Schema, set); err != nil {
+	if w.Tuples, err = relation.DecodeTupleSet(w.Schema, nil, set); err != nil {
 		d.Fail(err)
 	}
 	if len(w.Tuples) == 0 {

@@ -22,7 +22,8 @@ type commItem struct {
 	// cross-encryption steps 5/6): a commutative.ElementSize-byte group
 	// element.
 	Hash []byte
-	// Payload is encrypt(Tup(a)) — the sealed relation.EncodeTupleSet.
+	// Payload is encrypt(Tup(a)) — the sealed tuple set, with a written
+	// once (tupLayout).
 	Payload []byte
 	// ID replaces Payload between mediator and opposite source in ID mode.
 	ID uint64
@@ -79,7 +80,10 @@ func (s *Source) serveCommutative(mediator *link.Link, pq *PartialQuery, rel *re
 			return err
 		}
 		offer = commOffer{Session: pq.SessionID, Schema: rel.Schema(), KeyShare: sess.Share()}
-		aad := rel.Schema().AAD("comm:" + pq.SessionID)
+		layout, err := newTupLayout(rel.Schema(), pq.JoinCols, "comm:"+pq.SessionID)
+		if err != nil {
+			return err
+		}
 		// The per-value hash+encrypt+seal work is the protocol's dominant
 		// cost (one scalar multiplication per active-domain value); fan it
 		// out over the worker pool. Map preallocates the full item slice
@@ -91,7 +95,11 @@ func (s *Source) serveCommutative(mediator *link.Link, pq *PartialQuery, rel *re
 			if err != nil {
 				return commItem{}, err
 			}
-			sealed, err := sess.Seal(relation.EncodeTupleSet(g.Tuples), aad)
+			set, err := layout.encode(g.Tuples)
+			if err != nil {
+				return commItem{}, err
+			}
+			sealed, err := sess.Seal(set, layout.aad)
 			if err != nil {
 				return commItem{}, err
 			}
@@ -253,18 +261,20 @@ func (c *Client) runCommutative(mediator *link.Link, queryKey *ecdh.PrivateKey, 
 			return err
 		}
 		joined = relation.New(schema)
-		aad1 := res.Schema1.AAD("comm:" + res.Session)
-		aad2 := res.Schema2.AAD("comm:" + res.Session)
+		layout1, layout2, err := joinLayouts(res.Schema1, res.Schema2, res.JoinCols1, res.JoinCols2, "comm:"+res.Session)
+		if err != nil {
+			return err
+		}
 		// Open both tuple sets of every matched pair in parallel; the
 		// cross products append into the shared relation sequentially in
 		// pair order, keeping the result deterministic.
 		type pairSets struct{ ts1, ts2 []relation.Tuple }
 		opened, err := parallel.Map(len(res.Pairs), 0, func(i int) (pairSets, error) {
-			ts1, err := openTupleSet(recv1, res.Pairs[i].T1, aad1, res.Schema1)
+			ts1, err := openTupleSet(recv1, res.Pairs[i].T1, layout1)
 			if err != nil {
 				return pairSets{}, err
 			}
-			ts2, err := openTupleSet(recv2, res.Pairs[i].T2, aad2, res.Schema2)
+			ts2, err := openTupleSet(recv2, res.Pairs[i].T2, layout2)
 			if err != nil {
 				return pairSets{}, err
 			}
@@ -297,16 +307,16 @@ func (c *Client) runCommutative(mediator *link.Link, queryKey *ecdh.PrivateKey, 
 	return joined, res.Schema2, res.JoinCols2, nil
 }
 
-func openTupleSet(recv *hybrid.Receiver, blob, aad []byte, schema relation.Schema) ([]relation.Tuple, error) {
+func openTupleSet(recv *hybrid.Receiver, blob []byte, layout tupLayout) ([]relation.Tuple, error) {
 	ct, err := hybrid.UnmarshalCiphertext(blob)
 	if err != nil {
 		return nil, err
 	}
-	pt, err := recv.Open(ct, aad)
+	pt, err := recv.Open(ct, layout.aad)
 	if err != nil {
 		return nil, err
 	}
-	return relation.DecodeTupleSet(schema, pt)
+	return layout.decode(pt)
 }
 
 // stripPayloads implements footnote 1: replace payloads with fresh IDs and

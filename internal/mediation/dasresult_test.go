@@ -214,7 +214,13 @@ func uvarintLen(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
 
 // wireRowLen is a row's length in a tuple set: the set's length less
 // its one-byte count.
-func wireRowLen(tu rel.Tuple) int { return len(rel.EncodeTupleSet([]rel.Tuple{tu})) - 1 }
+func wireRowLen(tu rel.Tuple) int {
+	set, err := rel.EncodeTupleSet([]rel.Tuple{tu}, nil)
+	if err != nil {
+		panic(err)
+	}
+	return len(set) - 1
+}
 
 // shippedRows lists, per side, the row counts of the runs q_S ships for
 // params over r1 ⋈ r2 on id (partitions overlapping one of the other

@@ -91,15 +91,20 @@ func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Re
 		// Section 6: each source learns the shape of the opposite
 		// polynomials.
 		observeBuckets(s.Ledger, s.party(), "opposite", &cross)
+		layout, err := newTupLayout(rel.Schema(), pq.JoinCols, "pm:"+pq.SessionID)
+		if err != nil {
+			return err
+		}
 		payloads := make([][]byte, len(groupsByKey))
 		for i, g := range groupsByKey {
-			payloads[i] = relation.EncodeTupleSet(g.Tuples)
+			if payloads[i], err = layout.encode(g.Tuples); err != nil {
+				return err
+			}
 		}
 		// The oblivious evaluations — Θ(max-load) homomorphic
 		// multiply-adds plus a masking per value — dominate the sender's
 		// cost; MaskedEvalBatch fans them out over the worker pool.
-		aad := rel.Schema().AAD("pm:" + pq.SessionID)
-		evals.Evals, err = cross.MaskedEvalBatch(pk, roots, payloads, aad)
+		evals.Evals, err = cross.MaskedEvalBatch(pk, roots, payloads, layout.aad)
 		if err != nil {
 			return err
 		}
@@ -167,12 +172,12 @@ func observeBuckets(l *leakage.Ledger, party, of string, b *pm.ECBuckets) {
 	l.Observe(party, "max-bucket-load("+of+")", maxLoad)
 }
 
-// pmSide is one opened side of the PM result: root → tuple set.
+// pmSide is one opened side of the PM result: join key → tuple set.
 type pmSide map[string][]relation.Tuple
 
 // runPM implements the client's step 8: decrypt all n+m evaluations under
-// the query key's scalar, open the blobs that match, match equal roots
-// across the two sides and cross-combine the tuple sets.
+// the query key's scalar, open the blobs that match, match equal join
+// keys across the two sides and cross-combine the tuple sets.
 func (c *Client) runPM(mediator *link.Link, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res pmResult
 	if err := mediator.Recv(msgPMResult, &res); err != nil {
@@ -186,11 +191,15 @@ func (c *Client) runPM(mediator *link.Link, queryKey *ecdh.PrivateKey, watch *st
 		c.Ledger.Observe(leakage.PartyClient, "encrypted-values-received", int64(len(res.Evals1)+len(res.Evals2)))
 		c.Ledger.UsePrimitive(leakage.PartyClient, "homomorphic-decryption", int64(len(res.Evals1)+len(res.Evals2)))
 
-		side1, err := openPMSide(sk, res.Evals1, res.Session, res.Schema1)
+		layout1, layout2, err := joinLayouts(res.Schema1, res.Schema2, res.JoinCols1, res.JoinCols2, "pm:"+res.Session)
 		if err != nil {
 			return err
 		}
-		side2, err := openPMSide(sk, res.Evals2, res.Session, res.Schema2)
+		side1, err := openPMSide(sk, res.Evals1, layout1)
+		if err != nil {
+			return err
+		}
+		side2, err := openPMSide(sk, res.Evals2, layout2)
 		if err != nil {
 			return err
 		}
@@ -199,8 +208,8 @@ func (c *Client) runPM(mediator *link.Link, queryKey *ecdh.PrivateKey, watch *st
 			return err
 		}
 		joined = relation.New(schema)
-		for root, ts1 := range side1 {
-			ts2, ok := side2[root]
+		for key, ts1 := range side1 {
+			ts2, ok := side2[key]
 			if !ok {
 				continue
 			}
@@ -226,19 +235,19 @@ func (c *Client) runPM(mediator *link.Link, queryKey *ecdh.PrivateKey, watch *st
 
 // pmOpened is one evaluation after decryption: ok marks a match.
 type pmOpened struct {
-	root    *big.Int
 	payload []byte
 	ok      bool
 }
 
 // openPMSide decrypts one source's evaluations and returns the matching
-// entries keyed by root. A blob that does not open is a non-match; a
-// ciphertext that is not two curve points aborts the query.
-func openPMSide(sk *ecelgamal.PrivateKey, evals []pm.Eval, session string, schema relation.Schema) (pmSide, error) {
-	aad := schema.AAD("pm:" + session)
+// tuple sets keyed by their rows' join key — the values a source hashed
+// the root from, so equal keys on both sides are equal roots. A blob
+// that does not open is a non-match; a ciphertext that is not two curve
+// points, or a blob that opens to no tuple set, aborts the query.
+func openPMSide(sk *ecelgamal.PrivateKey, evals []pm.Eval, layout tupLayout) (pmSide, error) {
 	opened, err := parallel.Map(len(evals), 0, func(i int) (pmOpened, error) {
-		root, payload, ok, err := pm.OpenEval(sk, evals[i], aad)
-		return pmOpened{root, payload, ok}, err
+		payload, ok, err := pm.OpenEval(sk, evals[i], layout.aad)
+		return pmOpened{payload, ok}, err
 	})
 	if err != nil {
 		return nil, err
@@ -248,11 +257,14 @@ func openPMSide(sk *ecelgamal.PrivateKey, evals []pm.Eval, session string, schem
 		if !o.ok {
 			continue // non-matching value: decrypts to a random point
 		}
-		tuples, err := relation.DecodeTupleSet(schema, o.payload)
+		tuples, err := layout.decode(o.payload)
 		if err != nil {
 			return nil, err
 		}
-		side[o.root.String()] = tuples
+		if len(tuples) == 0 {
+			return nil, fmt.Errorf("pm: a tuple set of %s holds no rows", layout.schema.Relation)
+		}
+		side[layout.joinKey(tuples[0])] = tuples
 	}
 	return side, nil
 }

@@ -118,7 +118,7 @@ type Eval struct {
 // its payload, evaluate the bucket polynomial a′ falls into by Horner's
 // rule over ciphertexts, and return e = r·E(P(a′)) + E(s) for fresh
 // nonzero r and s (E's fresh ρ re-randomizes e) with the blob
-// SealPayload(s·G, a′, payload, aad). Order is preserved across the
+// SealPayload(s·G, payload, aad). Order is preserved across the
 // worker pool. Every coefficient is decoded, and so validated, once
 // before any evaluation; a malformed one is an error.
 func (eb *ECBuckets) MaskedEvalBatch(pk *ecelgamal.PublicKey, roots []*big.Int, payloads [][]byte, aad []byte) ([]Eval, error) {
@@ -161,7 +161,7 @@ func (eb *ECBuckets) MaskedEvalBatch(pk *ecelgamal.PublicKey, roots []*big.Int, 
 		if err != nil {
 			return Eval{}, err
 		}
-		sealed, err := SealPayload(ecelgamal.BaseMul(s), a, payloads[i], aad)
+		sealed, err := SealPayload(ecelgamal.BaseMul(s), payloads[i], aad)
 		if err != nil {
 			return Eval{}, err
 		}

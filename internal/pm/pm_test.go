@@ -45,18 +45,18 @@ func encryptBuckets(t testing.TB, pk *ecelgamal.PublicKey, roots []*big.Int, b i
 
 // openOne masked-evaluates eb at one root with payload and opens the
 // result as the client does.
-func openOne(t testing.TB, sk *ecelgamal.PrivateKey, pk *ecelgamal.PublicKey, eb *ECBuckets, root *big.Int, payload []byte) (*big.Int, []byte, bool) {
+func openOne(t testing.TB, sk *ecelgamal.PrivateKey, pk *ecelgamal.PublicKey, eb *ECBuckets, root *big.Int, payload []byte) ([]byte, bool) {
 	t.Helper()
 	aad := []byte("pm:test")
 	evals, err := eb.MaskedEvalBatch(pk, []*big.Int{root}, [][]byte{payload}, aad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, p, ok, err := OpenEval(sk, evals[0], aad)
+	p, ok, err := OpenEval(sk, evals[0], aad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, p, ok
+	return p, ok
 }
 
 func TestRootOfValueDeterministicAndDistinct(t *testing.T) {
@@ -180,33 +180,33 @@ func TestEncryptModulusMismatch(t *testing.T) {
 }
 
 // A masked evaluation at a root of the chooser's polynomial opens to its
-// root and payload; at a non-root it does not open.
+// payload; at a non-root it does not open.
 func TestMaskedEvalRootRevealsPayload(t *testing.T) {
 	sk, pk := testKey(t)
 	v1, v2 := rel.Int(100), rel.Int(200)
 	eb := encryptBuckets(t, pk, []*big.Int{RootOfValue(v1), RootOfValue(v2)}, 1)
 
-	root, payload, ok := openOne(t, sk, pk, eb, RootOfValue(v1), []byte("tuples-of-100"))
-	if !ok || string(payload) != "tuples-of-100" || root.Cmp(RootOfValue(v1)) != 0 {
+	payload, ok := openOne(t, sk, pk, eb, RootOfValue(v1), []byte("tuples-of-100"))
+	if !ok || string(payload) != "tuples-of-100" {
 		t.Errorf("root hit: ok=%v payload=%q", ok, payload)
 	}
-	if _, _, ok := openOne(t, sk, pk, eb, RootOfValue(rel.Int(300)), []byte("tuples-of-300")); ok {
+	if _, ok := openOne(t, sk, pk, eb, RootOfValue(rel.Int(300)), []byte("tuples-of-300")); ok {
 		t.Error("non-root masked eval opened (2^-128 event)")
 	}
 }
 
-// The sealed-payload codec round-trips root ‖ payload under the point's
-// key.
+// The sealed-payload codec round-trips a payload under the point's key,
+// and the blob is the payload and a 16-byte GCM tag: no nonce, no root.
 func TestCodecPackUnpackRoundtrip(t *testing.T) {
-	point := ecelgamal.BaseMul(big.NewInt(77))
 	aad := []byte("pm:s:R1")
-	f := func(id int64, payload []byte) bool {
-		sealed, err := SealPayload(point, RootOfValue(rel.Int(id)), payload, aad)
-		if err != nil {
+	f := func(s uint32, payload []byte) bool {
+		point := ecelgamal.BaseMul(big.NewInt(int64(s) + 1))
+		sealed, err := SealPayload(point, payload, aad)
+		if err != nil || len(sealed) != len(payload)+16 {
 			return false
 		}
-		root, got, ok := OpenPayload(point, sealed, aad)
-		return ok && root.Cmp(RootOfValue(rel.Int(id))) == 0 && bytes.Equal(got, payload)
+		got, ok := OpenPayload(point, sealed, aad)
+		return ok && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -214,37 +214,31 @@ func TestCodecPackUnpackRoundtrip(t *testing.T) {
 }
 
 // The sealed-payload codec rejects the wrong key, the wrong associated
-// data, truncations, random bytes and out-of-range roots.
+// data, truncations and random bytes.
 func TestCodecRejects(t *testing.T) {
 	point := ecelgamal.BaseMul(big.NewInt(77))
 	aad := []byte("pm:s:R1")
-	sealed, err := SealPayload(point, RootOfValue(rel.Int(1)), []byte("payload"), aad)
+	sealed, err := SealPayload(point, []byte("payload"), aad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := OpenPayload(ecelgamal.BaseMul(big.NewInt(78)), sealed, aad); ok {
+	if _, ok := OpenPayload(ecelgamal.BaseMul(big.NewInt(78)), sealed, aad); ok {
 		t.Error("opened under another point's key")
 	}
-	if _, _, ok := OpenPayload(point, sealed, []byte("pm:s:R2")); ok {
+	if _, ok := OpenPayload(point, sealed, []byte("pm:s:R2")); ok {
 		t.Error("opened under other associated data")
 	}
 	for n := 0; n < len(sealed); n += 7 {
-		if _, _, ok := OpenPayload(point, sealed[:n], aad); ok {
+		if _, ok := OpenPayload(point, sealed[:n], aad); ok {
 			t.Fatalf("%d-byte truncation opened", n)
 		}
 	}
 	for i := 0; i < 50; i++ {
 		junk := make([]byte, len(sealed))
 		rand.Read(junk)
-		if _, _, ok := OpenPayload(point, junk, aad); ok {
+		if _, ok := OpenPayload(point, junk, aad); ok {
 			t.Fatal("random bytes opened")
 		}
-	}
-	if _, err := SealPayload(point, big.NewInt(-1), nil, aad); err == nil {
-		t.Error("negative root sealed")
-	}
-	if _, err := SealPayload(point, new(big.Int).Lsh(big.NewInt(1), 8*RootBytes), nil, aad); err == nil {
-		t.Error("oversized root sealed")
 	}
 }
 
@@ -288,10 +282,10 @@ func TestBucketsEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if _, payload, ok := openOne(t, sk, pk, eb, RootOfValue(rel.Int(7)), []byte("p7")); !ok || string(payload) != "p7" {
+	if payload, ok := openOne(t, sk, pk, eb, RootOfValue(rel.Int(7)), []byte("p7")); !ok || string(payload) != "p7" {
 		t.Errorf("bucketed match failed: ok=%v payload=%q", ok, payload)
 	}
-	if _, _, ok := openOne(t, sk, pk, eb, RootOfValue(rel.Int(999)), []byte("p999")); ok {
+	if _, ok := openOne(t, sk, pk, eb, RootOfValue(rel.Int(999)), []byte("p999")); ok {
 		t.Error("bucketed non-match opened")
 	}
 }
@@ -325,23 +319,23 @@ func TestBucketIndexStable(t *testing.T) {
 	}
 }
 
-// Flipping any bit of the sealed blob — nonce, ciphertext or GCM tag —
-// makes it fail to open: the tag replaces the old 64-bit codec tag.
+// Flipping any bit of the sealed blob — ciphertext or GCM tag — makes it
+// fail to open: the tag replaces the old 64-bit codec tag.
 func TestUnpackRejectsTamperedTag(t *testing.T) {
 	point := ecelgamal.BaseMul(big.NewInt(5))
 	aad := []byte("pm:s:R1")
-	sealed, err := SealPayload(point, RootOfValue(rel.Int(7)), []byte("payload"), aad)
+	sealed, err := SealPayload(point, []byte("payload"), aad)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range sealed {
 		tampered := bytes.Clone(sealed)
 		tampered[i] ^= 0x01
-		if _, _, ok := OpenPayload(point, tampered, aad); ok {
+		if _, ok := OpenPayload(point, tampered, aad); ok {
 			t.Fatalf("tampered byte %d opened", i)
 		}
 	}
-	if _, _, ok := OpenPayload(point, sealed, aad); !ok {
+	if _, ok := OpenPayload(point, sealed, aad); !ok {
 		t.Fatal("control blob no longer opens")
 	}
 }
@@ -361,14 +355,14 @@ func TestMaskedEvalBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range evals {
-		root, payload, ok, err := OpenEval(sk, e, aad)
+		payload, ok, err := OpenEval(sk, e, aad)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if isRoot := i != 1; ok != isRoot {
 			t.Fatalf("evaluation %d opened = %v", i, ok)
 		}
-		if ok && (root.Cmp(as[i]) != 0 || !bytes.Equal(payload, payloads[i])) {
+		if ok && !bytes.Equal(payload, payloads[i]) {
 			t.Fatalf("evaluation %d opened to another value", i)
 		}
 	}
@@ -406,7 +400,7 @@ func TestMaskedEvalNonRootsNeverOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range evals {
-		if _, _, ok, err := OpenEval(sk, e, aad); err != nil || ok {
+		if _, ok, err := OpenEval(sk, e, aad); err != nil || ok {
 			t.Fatalf("non-root %d: ok=%v err=%v", i, ok, err)
 		}
 	}

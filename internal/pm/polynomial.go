@@ -6,7 +6,7 @@
 // evaluation with which a source attaches a tuple-set payload to each of
 // its values a′:
 //
-//	e = r·E(P(a′)) + E(s),   blob = AEAD_{KDF(s·G)}(a′ ‖ payload).
+//	e = r·E(P(a′)) + E(s),   blob = AEAD_{KDF(s·G)}(payload).
 //
 // The client decrypts e to the point M = (r·P(a′) + s)·G and opens the
 // blob under KDF(M): it opens iff P(a′) = 0, so no discrete logarithm is

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"github.com/secmediation/secmediation/internal/codec"
@@ -56,15 +57,22 @@ func (s Schema) MarshalBinary() ([]byte, error) { return codec.Marshal(s) }
 func (s *Schema) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, s) }
 
 // AAD is the additional data a tuple set of this schema is sealed under:
-// the schema's encoding, then tag. A tuple set carries neither kinds nor
-// names, so binding the schema makes a set relayed under any other
-// schema — columns renamed, swapped or retyped — fail its AEAD check
-// instead of decoding into the wrong columns. The schema encoding is
-// self-delimiting, so no two (schema, tag) pairs share an AAD.
-func (s Schema) AAD(tag string) []byte {
+// the schema's encoding, then a uvarint count and the uvarint positions of
+// the columns the set is keyed on (none for a set keyed on nothing), then
+// tag. A tuple set carries neither kinds, names nor positions, so binding
+// them makes a set relayed under any other schema — columns renamed,
+// swapped or retyped — or under other key columns fail its AEAD check
+// instead of decoding into the wrong columns. The schema encoding and the
+// position list are self-delimiting, so no two (schema, positions, tag)
+// triples share an AAD.
+func (s Schema) AAD(tag string, keyCols ...int) []byte {
 	b, err := s.MarshalBinary()
 	if err != nil {
 		panic(err) // unreachable: Schema.EncodeTo never fails
+	}
+	b = binary.AppendUvarint(b, uint64(len(keyCols)))
+	for _, j := range keyCols {
+		b = binary.AppendUvarint(b, uint64(j))
 	}
 	return append(b, tag...)
 }
