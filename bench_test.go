@@ -196,14 +196,6 @@ func BenchmarkDASPartitionSweep(b *testing.B) {
 	}
 }
 
-// footnote1: commutative protocol with mediator-retained tuple sets
-// (fixed-length IDs circulate instead of payloads).
-func BenchmarkFootnote1IDMode(b *testing.B) {
-	params := benchParams()
-	params.IDMode = true
-	runProtocol(b, mediation.ProtocolCommutative, params)
-}
-
 // FNP bucketing ablation: PM evaluation cost with and without buckets.
 func BenchmarkPMBucketing(b *testing.B) {
 	for _, buckets := range []int{1, 4, 16} {

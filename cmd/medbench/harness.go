@@ -283,7 +283,7 @@ func (h *harness) table4() error {
 }
 
 // table5 measures the extension ablations: selection pushdown, the
-// footnote-1/2 transport optimizations, and FNP bucketing.
+// footnote-1/2 transport forms, and FNP bucketing.
 func (h *harness) table5() error {
 	fmt.Println("Extension ablations (measured)")
 	rows := [][]string{{"variant", "wall", "bytes to client", "client receives / note"}}
@@ -292,9 +292,6 @@ func (h *harness) table5() error {
 	base.Partitions = 32
 	push := base
 	push.Pushdown = true
-	comm := h.params()
-	commID := comm
-	commID.IDMode = true
 	pm := h.params()
 	pmBuckets := pm
 	pmBuckets.Buckets = 8
@@ -306,8 +303,7 @@ func (h *harness) table5() error {
 	}{
 		{"das (no pushdown)", mediation.ProtocolDAS, base},
 		{"das + selection pushdown", mediation.ProtocolDAS, push},
-		{"commutative (payloads circulate)", mediation.ProtocolCommutative, comm},
-		{"commutative + footnote-1 ID mode", mediation.ProtocolCommutative, commID},
+		{"commutative (footnote-1: tuple sets stay at the mediator)", mediation.ProtocolCommutative, h.params()},
 		{"pm (footnote-2 sealed payloads)", mediation.ProtocolPM, pm},
 		{"pm + FNP buckets (b=8)", mediation.ProtocolPM, pmBuckets},
 	} {

@@ -104,7 +104,6 @@ func runQuery(args []string) error {
 	sql := fs.String("sql", "", "global SQL query (two-relation JOIN)")
 	protoName := fs.String("protocol", "commutative", "delivery protocol: plaintext|mobilecode|das|commutative|pm")
 	partitions := fs.Int("partitions", 16, "DAS partitions per index table (1-65536)")
-	idMode := fs.Bool("idmode", false, "commutative footnote-1 ID mode")
 	buckets := fs.Int("buckets", 0, "PM FNP bucket count (0 = single polynomial, at most 4096)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-operation send/receive deadline for every party (0 disables)")
 	retries := fs.Int("retries", 4, "attempts per query: transient faults (dial failure, timeout, overload, drain, link death) are retried with backoff; protocol errors are not")
@@ -142,7 +141,6 @@ func runQuery(args []string) error {
 	}
 	params := mediation.Params{
 		Partitions: *partitions,
-		IDMode:     *idMode,
 		Buckets:    *buckets,
 		Timeout:    *timeout,
 	}

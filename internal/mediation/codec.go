@@ -19,11 +19,8 @@ import (
 // EC-ElGamal ciphertexts 66, all written bare; everything a party relays
 // unopened is a length-prefixed byte string.
 
-// Flag bits of Params' flag byte.
-const (
-	paramPushdown = 1 << iota
-	paramIDMode
-)
+// paramPushdown is the one flag bit of Params' flag byte.
+const paramPushdown = 1
 
 // EncodeTo writes the parameters; the deprecated PayloadMode and
 // Strategy are not sent.
@@ -32,9 +29,6 @@ func (p Params) EncodeTo(e *codec.Encoder) {
 	var flags byte
 	if p.Pushdown {
 		flags |= paramPushdown
-	}
-	if p.IDMode {
-		flags |= paramIDMode
 	}
 	e.Byte(flags)
 	e.Int(int64(p.Buckets))
@@ -48,10 +42,10 @@ func (p Params) EncodeTo(e *codec.Encoder) {
 func (p *Params) DecodeFrom(d *codec.Decoder) {
 	*p = Params{Partitions: d.Int()}
 	flags := d.Byte()
-	if flags&^(paramPushdown|paramIDMode) != 0 {
+	if flags&^paramPushdown != 0 {
 		d.Fail(fmt.Errorf("mediation: unknown parameter flags %#x", flags))
 	}
-	p.Pushdown, p.IDMode = flags&paramPushdown != 0, flags&paramIDMode != 0
+	p.Pushdown = flags&paramPushdown != 0
 	p.Buckets = d.Int()
 	p.Timeout = time.Duration(d.Int64())
 	p.QueryID = d.Text()
@@ -350,41 +344,20 @@ func (r dasResult) MarshalBinary() ([]byte, error) { return codec.Marshal(r) }
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (r *dasResult) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, r) }
 
-// commItemSize is the least encoding of a commItem: its element, an
-// empty payload's length and a one-byte ID.
-const commItemSize = commutative.ElementSize + 2
+// commItemSize is the least encoding of a commItem: its element and an
+// empty payload's length.
+const commItemSize = commutative.ElementSize + 1
 
-// EncodeTo writes the 32-byte element, the sealed tuple set and the ID.
+// EncodeTo writes the 32-byte element and the sealed tuple set.
 func (it commItem) EncodeTo(e *codec.Encoder) {
 	e.Fixed(it.Hash, commutative.ElementSize)
 	e.Bytes(it.Payload)
-	e.Uint(it.ID)
 }
 
 // DecodeFrom reads an item written by EncodeTo.
 func (it *commItem) DecodeFrom(d *codec.Decoder) {
 	it.Hash = d.Fixed(commutative.ElementSize)
 	it.Payload = d.Bytes()
-	it.ID = d.Uint()
-}
-
-func encodeItems(e *codec.Encoder, items []commItem) {
-	e.Len(len(items))
-	for _, it := range items {
-		it.EncodeTo(e)
-	}
-}
-
-func decodeItems(d *codec.Decoder) []commItem {
-	n := d.Count(commItemSize)
-	if n == 0 {
-		return nil
-	}
-	items := make([]commItem, n)
-	for i := range items {
-		items[i].DecodeFrom(d)
-	}
-	return items
 }
 
 // EncodeTo writes a source's step 3 message.
@@ -392,7 +365,10 @@ func (o commOffer) EncodeTo(e *codec.Encoder) {
 	e.Text(o.Session)
 	o.Schema.EncodeTo(e)
 	e.Fixed(o.KeyShare, hybrid.PointSize)
-	encodeItems(e, o.Items)
+	e.Len(len(o.Items))
+	for _, it := range o.Items {
+		it.EncodeTo(e)
+	}
 }
 
 // DecodeFrom reads a step 3 message written by EncodeTo.
@@ -400,7 +376,13 @@ func (o *commOffer) DecodeFrom(d *codec.Decoder) {
 	o.Session = d.Text()
 	o.Schema.DecodeFrom(d)
 	o.KeyShare = d.Fixed(hybrid.PointSize)
-	o.Items = decodeItems(d)
+	o.Items = nil
+	if n := d.Count(commItemSize); n > 0 {
+		o.Items = make([]commItem, n)
+	}
+	for i := range o.Items {
+		o.Items[i].DecodeFrom(d)
+	}
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -409,11 +391,24 @@ func (o commOffer) MarshalBinary() ([]byte, error) { return codec.Marshal(o) }
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (o *commOffer) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, o) }
 
-// EncodeTo writes the items.
-func (c commCross) EncodeTo(e *codec.Encoder) { encodeItems(e, c.Items) }
+// EncodeTo writes the elements: a count, then each element bare.
+func (c commCross) EncodeTo(e *codec.Encoder) {
+	e.Len(len(c.Elems))
+	for _, el := range c.Elems {
+		e.Fixed(el, commutative.ElementSize)
+	}
+}
 
-// DecodeFrom reads items written by EncodeTo.
-func (c *commCross) DecodeFrom(d *codec.Decoder) { c.Items = decodeItems(d) }
+// DecodeFrom reads elements written by EncodeTo.
+func (c *commCross) DecodeFrom(d *codec.Decoder) {
+	c.Elems = nil
+	if n := d.Count(commutative.ElementSize); n > 0 {
+		c.Elems = make([][]byte, n)
+	}
+	for i := range c.Elems {
+		c.Elems[i] = d.Fixed(commutative.ElementSize)
+	}
+}
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (c commCross) MarshalBinary() ([]byte, error) { return codec.Marshal(c) }

@@ -78,8 +78,7 @@ type wireSample struct {
 }
 
 // sampleMessages runs one tiny query per protocol over Pair links — DAS
-// also with selection pushdown, commutative also in ID mode — plus a
-// union and an aggregate, and returns the first payload of every message
+// also with selection pushdown — plus a union and an aggregate, and returns the first payload of every message
 // type in each run.
 func sampleMessages(t *testing.T) []wireSample {
 	t.Helper()
@@ -98,8 +97,8 @@ func sampleMessages(t *testing.T) []wireSample {
 		}
 		return n
 	}
-	pushdown, idMode := fastParams(), fastParams()
-	pushdown.Pushdown, idMode.IDMode = true, true
+	pushdown := fastParams()
+	pushdown.Pushdown = true
 	runs := []struct {
 		name   string
 		n      *Network
@@ -112,7 +111,6 @@ func sampleMessages(t *testing.T) []wireSample {
 		{"das", newTestNetwork(t, nil), fixtureSQL, ProtocolDAS, fastParams()},
 		{"das-pushdown", newTestNetwork(t, nil), fixtureSQL + " WHERE R1.id > 1", ProtocolDAS, pushdown},
 		{"commutative", newTestNetwork(t, nil), fixtureSQL, ProtocolCommutative, fastParams()},
-		{"commutative-id", newTestNetwork(t, nil), fixtureSQL, ProtocolCommutative, idMode},
 		{"pm", newTestNetwork(t, nil), fixtureSQL, ProtocolPM, fastParams()},
 		{"union", union(), "SELECT * FROM A UNION SELECT * FROM B", ProtocolDAS, fastParams()},
 		{"aggregate", aggNetwork(t, nil), "SELECT SUM(units) FROM Claims WHERE payer = 'a'", ProtocolPM, fastParams()},
@@ -352,4 +350,22 @@ func hostileBlame(bad []byte, width int, consumer, phase, sender string) (string
 		return sender, ""
 	}
 	return consumer, phase
+}
+
+// Pushdown is the one flag bit of Params; a set bit beside it, such as
+// the retired bit 1, does not decode.
+func TestParamsUnknownFlagRejected(t *testing.T) {
+	b, err := Params{Pushdown: true}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A zero Partitions is one varint byte; the flag byte follows.
+	for _, flags := range []byte{0, 1, 2, 3, 0x80} {
+		b[1] = flags
+		var p Params
+		err := p.UnmarshalBinary(b)
+		if ok := flags <= 1; (err == nil) != ok || (ok && p.Pushdown != (flags == 1)) {
+			t.Errorf("flags %#x: %+v, %v", flags, p, err)
+		}
+	}
 }

@@ -14,19 +14,15 @@ import (
 	"github.com/secmediation/secmediation/internal/telemetry"
 )
 
-// commItem is one message component ⟨f_e(h(a)), encrypt(Tup(a))⟩. In the
-// footnote-1 ID mode the mediator strips Payload before forwarding and
-// sets ID so the opposite source handles fixed-length items only.
+// commItem is one message component ⟨f_e(h(a)), encrypt(Tup(a))⟩ of a
+// source's offer.
 type commItem struct {
-	// Hash is f_e(h(a)) (after step 3) or f_e1(f_e2(h(a))) (after the
-	// cross-encryption steps 5/6): a commutative.ElementSize-byte group
-	// element.
+	// Hash is f_e(h(a)): a commutative.ElementSize-byte group element.
 	Hash []byte
 	// Payload is encrypt(Tup(a)) — the sealed tuple set, with a written
-	// once (tupLayout).
+	// once (tupLayout). The mediator keeps it and relays it to the
+	// client only (footnote 1).
 	Payload []byte
-	// ID replaces Payload between mediator and opposite source in ID mode.
-	ID uint64
 }
 
 // commOffer is a source's step 3 message M_i.
@@ -37,10 +33,11 @@ type commOffer struct {
 	Items    []commItem
 }
 
-// commCross carries the opposite source's items (step 4), and commCrossBack
-// the re-encrypted ones (steps 5/6).
+// commCross carries the opposite offer's elements f_ej(h(a)) in the
+// offer's order (step 4), and commCrossBack the same elements
+// re-encrypted, f_ei(f_ej(h(a))), in the same order (steps 5/6).
 type commCross struct {
-	Items []commItem
+	Elems [][]byte
 }
 
 // commPair is one result message ⟨encrypt(Tup1(a)), encrypt(Tup2(a))⟩.
@@ -112,7 +109,7 @@ func (s *Source) serveCommutative(mediator *link.Link, pq *PartialQuery, rel *re
 		s.Ledger.UsePrimitive(s.party(), "commutative-encryption", int64(len(offer.Items)))
 		s.Ledger.UsePrimitive(s.party(), "hybrid-encryption", int64(len(offer.Items)))
 		// Step 3: "arbitrarily ordered" — shuffle so positions leak nothing.
-		return shuffleItems(offer.Items)
+		return shuffleSlice(offer.Items)
 	})
 	if err != nil {
 		return err
@@ -121,7 +118,7 @@ func (s *Source) serveCommutative(mediator *link.Link, pq *PartialQuery, rel *re
 		return err
 	}
 
-	// Steps 4–6: re-encrypt the opposite source's hash values.
+	// Steps 4–6: re-encrypt the opposite source's elements in place.
 	var cross commCross
 	if err := mediator.Recv(msgCommCross, &cross); err != nil {
 		return err
@@ -129,23 +126,18 @@ func (s *Source) serveCommutative(mediator *link.Link, pq *PartialQuery, rel *re
 	var back commCross
 	err = watch.phase(telemetry.PhaseCrossEncrypt, func() error {
 		// Both sources learn the opposite active-domain size (Section 6).
-		s.Ledger.Observe(s.party(), "|domactive(opposite)|", int64(len(cross.Items)))
+		s.Ledger.Observe(s.party(), "|domactive(opposite)|", int64(len(cross.Elems)))
 		// The second layer. These elements crossed two links: Apply
 		// validates each one before the key touches it.
 		var err error
-		back.Items, err = parallel.Map(len(cross.Items), 0, func(i int) (commItem, error) {
-			it := cross.Items[i]
-			doubled, err := key.Apply(it.Hash)
-			if err != nil {
-				return commItem{}, err
-			}
-			return commItem{Hash: doubled, Payload: it.Payload, ID: it.ID}, nil
+		back.Elems, err = parallel.Map(len(cross.Elems), 0, func(i int) ([]byte, error) {
+			return key.Apply(cross.Elems[i])
 		})
 		if err != nil {
 			return err
 		}
-		s.Ledger.UsePrimitive(s.party(), "commutative-encryption", int64(len(cross.Items)))
-		return shuffleItems(back.Items)
+		s.Ledger.UsePrimitive(s.party(), "commutative-encryption", int64(len(cross.Elems)))
+		return nil
 	})
 	if err != nil {
 		return err
@@ -153,12 +145,13 @@ func (s *Source) serveCommutative(mediator *link.Link, pq *PartialQuery, rel *re
 	return mediator.Send(msgCommCrossBack, back)
 }
 
-// mediateCommutative implements the mediator's role: exchange the message
-// sets between the sources (step 4; in ID mode retaining the encrypted
-// tuple sets per footnote 1), then match doubly-encrypted hash values and
-// assemble the result messages (step 7).
+// mediateCommutative implements the mediator's role: keep both offers'
+// tuple sets (footnote 1), send each source the opposite offer's
+// elements (step 4), then pair every doubly-encrypted element with its
+// tuple set by position, match identical ones and assemble the result
+// messages (step 7).
 // seclint:entry mediator
-func (m *Mediator) mediateCommutative(client, s1, s2 *link.Link, d *decomposition, params Params, watch *stopwatch) error {
+func (m *Mediator) mediateCommutative(client, s1, s2 *link.Link, d *decomposition, watch *stopwatch) error {
 	var o1, o2 commOffer
 	if err := s1.Recv(msgCommOffer, &o1); err != nil {
 		return err
@@ -170,18 +163,11 @@ func (m *Mediator) mediateCommutative(client, s1, s2 *link.Link, d *decompositio
 	m.Ledger.Observe(leakage.PartyMediator, "|domactive(R1.Ajoin)|", int64(len(o1.Items)))
 	m.Ledger.Observe(leakage.PartyMediator, "|domactive(R2.Ajoin)|", int64(len(o2.Items)))
 
-	// Step 4: forward each offer to the opposite source.
-	var store1, store2 map[uint64][]byte
-	cross1, cross2 := commCross{Items: o2.Items}, commCross{Items: o1.Items}
-	if params.IDMode {
-		// Footnote 1: keep the payloads here; circulate fixed-length IDs.
-		store1, cross2.Items = stripPayloads(o1.Items)
-		store2, cross1.Items = stripPayloads(o2.Items)
-	}
-	if err := s1.Send(msgCommCross, cross1); err != nil {
+	// Step 4: each source gets the opposite offer's elements only.
+	if err := s1.Send(msgCommCross, elements(o2.Items)); err != nil {
 		return err
 	}
-	if err := s2.Send(msgCommCross, cross2); err != nil {
+	if err := s2.Send(msgCommCross, elements(o1.Items)); err != nil {
 		return err
 	}
 	var b1, b2 commCross
@@ -192,8 +178,8 @@ func (m *Mediator) mediateCommutative(client, s1, s2 *link.Link, d *decompositio
 		return err
 	}
 
-	// Step 7: match identical first components. b2 carries R1's tuple
-	// sets (S2 re-encrypted S1's hashes), b1 carries R2's.
+	// Step 7: match identical doubly-encrypted elements. b2[i] is S2's
+	// layer over o1.Items[i], b1[i] is S1's over o2.Items[i].
 	res := commResult{
 		Session: o1.Session,
 		Schema1: o1.Schema, Schema2: o2.Schema,
@@ -201,31 +187,20 @@ func (m *Mediator) mediateCommutative(client, s1, s2 *link.Link, d *decompositio
 		Share1: o1.KeyShare, Share2: o2.KeyShare,
 	}
 	err := watch.phase(telemetry.PhaseMatch, func() error {
-		tup1ByHash := make(map[string][]byte, len(b2.Items))
-		for _, it := range b2.Items {
-			payload := it.Payload
-			if params.IDMode {
-				var ok bool
-				payload, ok = store1[it.ID]
-				if !ok {
-					return fmt.Errorf("comm: unknown ID %d from S2", it.ID)
-				}
-			}
-			tup1ByHash[string(it.Hash)] = payload
+		if err := checkCrossBack(s1, b1, len(o2.Items)); err != nil {
+			return err
 		}
-		for _, it := range b1.Items {
-			t1, ok := tup1ByHash[string(it.Hash)]
-			if !ok {
-				continue
+		if err := checkCrossBack(s2, b2, len(o1.Items)); err != nil {
+			return err
+		}
+		tup1ByHash := make(map[string][]byte, len(b2.Elems))
+		for i, h := range b2.Elems {
+			tup1ByHash[string(h)] = o1.Items[i].Payload
+		}
+		for i, h := range b1.Elems {
+			if t1, ok := tup1ByHash[string(h)]; ok {
+				res.Pairs = append(res.Pairs, commPair{T1: t1, T2: o2.Items[i].Payload})
 			}
-			t2 := it.Payload
-			if params.IDMode {
-				t2, ok = store2[it.ID]
-				if !ok {
-					return fmt.Errorf("comm: unknown ID %d from S1", it.ID)
-				}
-			}
-			res.Pairs = append(res.Pairs, commPair{T1: t1, T2: t2})
 		}
 		// Table 1: the mediator learns the intersection size, a lower
 		// bound of the global result size.
@@ -236,6 +211,25 @@ func (m *Mediator) mediateCommutative(client, s1, s2 *link.Link, d *decompositio
 		return err
 	}
 	return client.Send(msgCommResult, res)
+}
+
+// checkCrossBack checks that src returned one element per element it
+// was sent, so that positions pair up; a source that did not is blamed.
+func checkCrossBack(src *link.Link, back commCross, sent int) error {
+	if len(back.Elems) != sent {
+		return &ProtocolError{Party: src.Peer(), Phase: telemetry.PhaseMatch,
+			Err: fmt.Errorf("comm: %d elements back for %d sent", len(back.Elems), sent)}
+	}
+	return nil
+}
+
+// elements is the step 4 message of an offer: its elements in order.
+func elements(items []commItem) commCross {
+	c := commCross{Elems: make([][]byte, len(items))}
+	for i, it := range items {
+		c.Elems[i] = it.Hash
+	}
+	return c
 }
 
 // runCommutative implements the client's step 8: decrypt the matched tuple
@@ -283,8 +277,22 @@ func (c *Client) runCommutative(mediator *link.Link, queryKey *ecdh.PrivateKey, 
 		if err != nil {
 			return err
 		}
+		// A pair holds Tup1(a) and Tup2(a) of one a, and no a comes twice:
+		// a mediator that swaps or replays sets is caught here.
+		seen := make(map[string]bool, len(opened))
 		for _, p := range opened {
 			ts1, ts2 := p.ts1, p.ts2
+			if len(ts1) == 0 || len(ts2) == 0 {
+				return fmt.Errorf("comm: a relayed pair holds an empty tuple set")
+			}
+			key := layout1.joinKey(ts1[0])
+			if layout2.joinKey(ts2[0]) != key {
+				return fmt.Errorf("comm: a relayed pair joins two different keys")
+			}
+			if seen[key] {
+				return fmt.Errorf("comm: a join key is relayed in two pairs")
+			}
+			seen[key] = true
 			for _, t1 := range ts1 {
 				for _, t2 := range ts2 {
 					t := make(relation.Tuple, 0, len(t1)+len(t2))
@@ -318,22 +326,3 @@ func openTupleSet(recv *hybrid.Receiver, blob []byte, layout tupLayout) ([]relat
 	}
 	return layout.decode(pt)
 }
-
-// stripPayloads implements footnote 1: replace payloads with fresh IDs and
-// return the retention map.
-func stripPayloads(items []commItem) (map[uint64][]byte, []commItem) {
-	store := make(map[uint64][]byte, len(items))
-	out := make([]commItem, len(items))
-	var next uint64
-	for i, it := range items {
-		next++
-		store[next] = it.Payload
-		out[i] = commItem{Hash: it.Hash, ID: next}
-	}
-	return store, out
-}
-
-// shuffleItems applies a cryptographic Fisher-Yates shuffle, realizing the
-// paper's "arbitrarily ordered set of messages" (see shuffle.go for the
-// buffered randomness source).
-func shuffleItems(items []commItem) error { return shuffleSlice(items) }

@@ -5,6 +5,7 @@ import (
 	"encoding"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -113,20 +114,16 @@ func TestCommEmptyPartialResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, idMode := range []bool{false, true} {
-				n := networkOver(t, nil, tc.r1, tc.r2)
-				params := fastParams()
-				params.IDMode = idMode
-				got, err := n.Query(fixtureSQL, ProtocolCommutative, params)
-				if err != nil {
-					t.Fatalf("IDMode %v: %v", idMode, err)
-				}
-				if got.Len() != 0 || !got.EqualMultiset(want) {
-					t.Errorf("IDMode %v: got\n%v\nwant the empty\n%v", idMode, got, want)
-				}
-				if errs := n.SourceErrors(); len(errs) != 0 {
-					t.Errorf("IDMode %v: source errors: %v", idMode, errs)
-				}
+			n := networkOver(t, nil, tc.r1, tc.r2)
+			got, err := n.Query(fixtureSQL, ProtocolCommutative, fastParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != 0 || !got.EqualMultiset(want) {
+				t.Errorf("got\n%v\nwant the empty\n%v", got, want)
+			}
+			if errs := n.SourceErrors(); len(errs) != 0 {
+				t.Errorf("source errors: %v", errs)
 			}
 		})
 	}
@@ -160,7 +157,7 @@ func TestCommHostileCrossElement(t *testing.T) {
 					var cross commCross
 					decodeBody(t, m, &cross)
 					return hostileFrame(t, m.Type, commutative.ElementSize, bad, func(field []byte) encoding.BinaryMarshaler {
-						cross.Items[1].Hash = field
+						cross.Elems[1] = field
 						return cross
 					})
 				}}
@@ -183,6 +180,160 @@ func TestCommHostileCrossElement(t *testing.T) {
 	}
 }
 
+// A comm.cross-back that does not hold one element per element sent
+// cannot be paired by position: the mediator aborts in its match phase,
+// blames the source that sent it, and every party unwinds.
+func TestCommCrossBackCountMismatch(t *testing.T) {
+	cases := map[string]func([][]byte) [][]byte{
+		"one too few":  func(e [][]byte) [][]byte { return e[:len(e)-1] },
+		"one too many": func(e [][]byte) [][]byte { return append(e, e[0]) },
+	}
+	for name, edit := range cases {
+		edit := edit
+		t.Run(name, func(t *testing.T) {
+			n := newTestNetwork(t, nil)
+			_, _, err := queryAtMediator(t, n, func(link string, c transport.Conn) transport.Conn {
+				if link != "source:R1" {
+					return c
+				}
+				return &mediatorLinkConn{Conn: c, onRecv: func(m transport.Message) transport.Message {
+					if m.Type != msgCommCrossBack {
+						return m
+					}
+					var back commCross
+					decodeBody(t, m, &back)
+					back.Elems = edit(back.Elems)
+					out, err := transport.NewMessage(m.Type, back)
+					if err != nil {
+						t.Error(err)
+					}
+					return out
+				}}
+			}, fixtureSQL, ProtocolCommutative, fastParams())
+			var pe *ProtocolError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want a *ProtocolError", err)
+			}
+			if want := leakage.PartySource("R1"); pe.Party != want || pe.Phase != telemetry.PhaseMatch {
+				t.Errorf("blamed %s/%s, want %s/%s", pe.Party, pe.Phase, want, telemetry.PhaseMatch)
+			}
+			if resilience.Retryable(err) {
+				t.Errorf("count mismatch classified retryable: %v", err)
+			}
+		})
+	}
+}
+
+// The client opens every relayed pair and checks that it is Tup1(a) and
+// Tup2(a) of one a, and that no a comes twice. A mediator that swaps the
+// second sets of two pairs, or replays a pair, would otherwise get a
+// cross product of unrelated tuples, or duplicate rows, into the result.
+func TestCommResultMismatchedPairAborts(t *testing.T) {
+	cases := map[string]func([]commPair) []commPair{
+		"swap": func(p []commPair) []commPair {
+			p[0].T2, p[1].T2 = p[1].T2, p[0].T2
+			return p
+		},
+		"replay": func(p []commPair) []commPair { return append(p, p[0]) },
+	}
+	for name, edit := range cases {
+		edit := edit
+		t.Run(name, func(t *testing.T) {
+			got, _, err := queryAtMediator(t, newTestNetwork(t, nil), func(link string, c transport.Conn) transport.Conn {
+				if link != "client" {
+					return c
+				}
+				return &mediatorLinkConn{Conn: c, onSend: func(m transport.Message) transport.Message {
+					if m.Type != msgCommResult {
+						return m
+					}
+					var res commResult
+					decodeBody(t, m, &res)
+					if len(res.Pairs) < 2 {
+						t.Errorf("%d pairs, want at least 2", len(res.Pairs))
+						return m
+					}
+					res.Pairs = edit(res.Pairs)
+					out, err := transport.NewMessage(m.Type, res)
+					if err != nil {
+						t.Error(err)
+					}
+					return out
+				}}
+			}, fixtureSQL, ProtocolCommutative, fastParams())
+			var pe *ProtocolError
+			if !errors.As(err, &pe) {
+				t.Fatalf("query returned %v, %v; want a *ProtocolError", got, err)
+			}
+			if resilience.Retryable(err) {
+				t.Errorf("mismatched pair classified retryable: %v", err)
+			}
+		})
+	}
+}
+
+// viewOf runs the commutative join of in with the mediator's links
+// tapped, checks it against the plaintext join, and returns the (link,
+// direction, type, body length) sequence of the messages keep selects,
+// with the query's op counts. Every element a selected message carries
+// must be ElementSize bytes.
+func viewOf(t *testing.T, in [2]*rel.Relation, keep func(link, dir string) bool) ([]string, map[string]int64) {
+	t.Helper()
+	var view []string
+	record := func(link, dir string) func(transport.Message) transport.Message {
+		return func(msg transport.Message) transport.Message {
+			if !keep(link, dir) {
+				return msg
+			}
+			var elems [][]byte
+			switch msg.Type {
+			case msgCommOffer:
+				var o commOffer
+				decodeBody(t, msg, &o)
+				for _, it := range o.Items {
+					elems = append(elems, it.Hash)
+				}
+			case msgCommCross, msgCommCrossBack:
+				var c commCross
+				decodeBody(t, msg, &c)
+				elems = c.Elems
+			}
+			for _, el := range elems {
+				if len(el) != commutative.ElementSize {
+					t.Errorf("%s %s %s carries a %d-byte element", link, dir, msg.Type, len(el))
+				}
+			}
+			// Only the mediator's session goroutine uses its links.
+			view = append(view, fmt.Sprintf("%s %s %s %d", link, dir, msg.Type, len(msg.Body)))
+			return msg
+		}
+	}
+	want, err := networkOver(t, nil, in[0], in[1]).Query(fixtureSQL, ProtocolPlaintext, fastParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	got, srcErrs, err := queryAtMediator(t, networkOver(t, nil, in[0], in[1]), func(link string, c transport.Conn) transport.Conn {
+		return &mediatorLinkConn{Conn: c, onSend: record(link, "send"), onRecv: record(link, "recv")}
+	}, fixtureSQL, ProtocolCommutative, fastParams())
+	if err != nil || srcErrs["S1"] != nil || srcErrs["S2"] != nil {
+		t.Fatalf("query: %v, sources: %v", err, srcErrs)
+	}
+	if !got.EqualMultiset(want) {
+		t.Fatalf("got\n%v\nwant\n%v", got, want)
+	}
+	return view, reg.OpDeltas()
+}
+
+// buildComm is a relation of schema with one row per id, all carrying text.
+func buildComm(schema rel.Schema, text string, ids ...int64) *rel.Relation {
+	r := rel.New(schema)
+	for _, id := range ids {
+		r.MustAppend(rel.Tuple{rel.Int(id), rel.String_(text)})
+	}
+	return r
+}
+
 // The mediator's view is a function of its Table 1 row: two inputs with
 // equal (|domactive(R1)|, |domactive(R2)|, |∩|) and equal tuple-set sizes
 // per matched value, but different values attached to them, put the same
@@ -190,68 +341,56 @@ func TestCommHostileCrossElement(t *testing.T) {
 // links, and every element it holds is ElementSize bytes.
 func TestCommMediatorViewShape(t *testing.T) {
 	s1, s2 := testRelations(t)
-	build := func(schema rel.Schema, text string, ids ...int64) *rel.Relation {
-		r := rel.New(schema)
-		for _, id := range ids {
-			r.MustAppend(rel.Tuple{rel.Int(id), rel.String_(text)})
-		}
-		return r
-	}
 	// n = 4, m = 3, ∩ = 2; the doubled value joins the doubled value.
 	inputs := [][2]*rel.Relation{
-		{build(s1.Schema(), "aaaa", 1, 2, 3, 3, 7), build(s2.Schema(), "bbbbbb", 2, 3, 3, 9)},
-		{build(s1.Schema(), "wxyz", 50, 60, 60, 80, 90), build(s2.Schema(), "qrstuv", 10, 60, 60, 90)},
+		{buildComm(s1.Schema(), "aaaa", 1, 2, 3, 3, 7), buildComm(s2.Schema(), "bbbbbb", 2, 3, 3, 9)},
+		{buildComm(s1.Schema(), "wxyz", 50, 60, 60, 80, 90), buildComm(s2.Schema(), "qrstuv", 10, 60, 60, 90)},
 	}
 	const n, m = 4, 3
-	for _, idMode := range []bool{false, true} {
-		var views [2][]string
-		for i, in := range inputs {
-			record := func(link, dir string) func(transport.Message) transport.Message {
-				return func(msg transport.Message) transport.Message {
-					var items []commItem
-					switch msg.Type {
-					case msgCommOffer:
-						var o commOffer
-						decodeBody(t, msg, &o)
-						items = o.Items
-					case msgCommCross, msgCommCrossBack:
-						var c commCross
-						decodeBody(t, msg, &c)
-						items = c.Items
-					}
-					for _, it := range items {
-						if len(it.Hash) != commutative.ElementSize {
-							t.Errorf("%s %s %s carries a %d-byte element", link, dir, msg.Type, len(it.Hash))
-						}
-					}
-					// Only the mediator's session goroutine uses its links.
-					views[i] = append(views[i], fmt.Sprintf("%s %s %s %d", link, dir, msg.Type, len(msg.Body)))
-					return msg
-				}
-			}
-			reg := telemetry.NewRegistry()
-			params := fastParams()
-			params.IDMode = idMode
-			net := networkOver(t, nil, in[0], in[1])
-			got, srcErrs, err := queryAtMediator(t, net, func(link string, c transport.Conn) transport.Conn {
-				return &mediatorLinkConn{Conn: c, onSend: record(link, "send"), onRecv: record(link, "recv")}
-			}, fixtureSQL, ProtocolCommutative, params)
-			if err != nil || srcErrs["S1"] != nil || srcErrs["S2"] != nil {
-				t.Fatalf("query: %v, sources: %v", err, srcErrs)
-			}
-			if got.Len() != 5 {
-				t.Fatalf("input %d: join has %d rows, want 5", i, got.Len())
-			}
-			ops := reg.OpDeltas()
-			if ops["commutative.exp"] != 2*(n+m) || ops["oracle.hash"] != n+m {
-				t.Errorf("input %d: commutative.exp = %d, oracle.hash = %d; want %d, %d",
-					i, ops["commutative.exp"], ops["oracle.hash"], 2*(n+m), n+m)
+	var views [2][]string
+	for i, in := range inputs {
+		var ops map[string]int64
+		views[i], ops = viewOf(t, in, func(string, string) bool { return true })
+		if ops["commutative.exp"] != 2*(n+m) || ops["oracle.hash"] != n+m {
+			t.Errorf("input %d: commutative.exp = %d, oracle.hash = %d; want %d, %d",
+				i, ops["commutative.exp"], ops["oracle.hash"], 2*(n+m), n+m)
+		}
+	}
+	// The mediator talks to its three links in a fixed order, so the
+	// interleaving is part of the view.
+	if len(views[0]) == 0 || fmt.Sprint(views[0]) != fmt.Sprint(views[1]) {
+		t.Errorf("mediator views differ:\n%v\n%v", views[0], views[1])
+	}
+}
+
+// A source's view is exactly its Table 1 row, |domactive(opposite)|: two
+// inputs with equal active-domain sizes on each side but different
+// multiplicities, TEXT lengths and intersections send each source the
+// same frames, and its comm.cross is vlen(k) + 32·k bytes (and its
+// digest) for k opposite elements.
+func TestCommSourceViewShape(t *testing.T) {
+	s1, s2 := testRelations(t)
+	// |domactive(R1)| = 4 and |domactive(R2)| = 3 in both inputs.
+	inputs := [][2]*rel.Relation{
+		{buildComm(s1.Schema(), "a", 1, 2, 3, 7), buildComm(s2.Schema(), "b", 2, 3, 9)},
+		{buildComm(s1.Schema(), "a much longer text", 1, 1, 1, 2, 3, 3, 7),
+			buildComm(s2.Schema(), "", 1, 2, 2, 2, 2, 5, 5)},
+	}
+	const digest = 8
+	opposite := map[string]int{"source:R1": 3, "source:R2": 4}
+	// What the mediator sends a source is what that source sees.
+	toSources := func(link, dir string) bool { return link != "client" && dir == "send" }
+	var views [2][]string
+	for i, in := range inputs {
+		views[i], _ = viewOf(t, in, toSources)
+		for link, k := range opposite {
+			want := fmt.Sprintf("%s send %s %d", link, msgCommCross, digest+uvarintLen(k)+commutative.ElementSize*k)
+			if !slices.Contains(views[i], want) {
+				t.Errorf("input %d: no %q in the view %v", i, want, views[i])
 			}
 		}
-		// The mediator talks to its three links in a fixed order, so the
-		// interleaving is part of the view.
-		if len(views[0]) == 0 || fmt.Sprint(views[0]) != fmt.Sprint(views[1]) {
-			t.Errorf("IDMode %v: mediator views differ:\n%v\n%v", idMode, views[0], views[1])
-		}
+	}
+	if len(views[0]) == 0 || fmt.Sprint(views[0]) != fmt.Sprint(views[1]) {
+		t.Errorf("source views differ:\n%v\n%v", views[0], views[1])
 	}
 }

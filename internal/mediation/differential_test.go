@@ -52,9 +52,6 @@ func TestDifferentialRandomWorkloads(t *testing.T) {
 			if proto == ProtocolPM {
 				params.Buckets = 1 + rng.Intn(3)
 			}
-			if proto == ProtocolCommutative && rng.Intn(2) == 1 {
-				params.IDMode = true
-			}
 			got, err := n.Query(fixtureSQL, proto, params)
 			if err != nil {
 				t.Fatalf("trial %d %v (%+v): %v", trial, proto, spec, err)

@@ -167,7 +167,6 @@ func TestProtocolVariants(t *testing.T) {
 		{"das-two-partitions", ProtocolDAS, Params{Partitions: 2}},
 		{"das-four-partitions", ProtocolDAS, Params{Partitions: 4}},
 		{"das-one-partition", ProtocolDAS, Params{Partitions: 1}},
-		{"comm-id-mode", ProtocolCommutative, Params{IDMode: true}},
 		{"pm-hybrid-payload", ProtocolPM, Params{}},
 		{"pm-bucketed", ProtocolPM, Params{Buckets: 3}},
 		{"pm-bucketed-hybrid", ProtocolPM, Params{Buckets: 2}},

@@ -105,7 +105,7 @@ func (m *Mediator) handleSession(client *link.Link) error {
 	case d.protocol == ProtocolDAS:
 		err = m.mediateDAS(client, sources[0], sources[1], d, watch)
 	case d.protocol == ProtocolCommutative:
-		err = m.mediateCommutative(client, sources[0], sources[1], d, req.Params, watch)
+		err = m.mediateCommutative(client, sources[0], sources[1], d, watch)
 	case d.protocol == ProtocolPM:
 		err = m.mediatePM(client, sources[0], sources[1], d, watch)
 	default:

@@ -104,10 +104,6 @@ type Params struct {
 	//
 	// Deprecated: DAS has one partitioning.
 	Strategy das.Strategy
-	// IDMode enables footnote 1 for the commutative protocol: the
-	// mediator retains the encrypted tuple sets and circulates fixed-
-	// length IDs instead.
-	IDMode bool
 	// PayloadMode is ignored.
 	//
 	// Deprecated: PM has one payload mode.

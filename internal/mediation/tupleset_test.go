@@ -5,9 +5,11 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/secmediation/secmediation/internal/algebra"
+	"github.com/secmediation/secmediation/internal/crypto/commutative"
 	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/transport"
@@ -61,7 +63,7 @@ func TestTupLayout(t *testing.T) {
 	}
 }
 
-// The commutative protocol (plain and footnote-1 ID mode) and PM write
+// The commutative protocol and PM write
 // the join key once per tuple set and copy it back into every row. The
 // result must be the plaintext join bit for bit: FLOAT NaN, −0 and +0
 // keys, TEXT keys down to the empty string, a two-column key named out of
@@ -128,7 +130,6 @@ func TestFactoredKeysBitExact(t *testing.T) {
 		params Params
 	}{
 		{"commutative", ProtocolCommutative, fastParams()},
-		{"commutative-idmode", ProtocolCommutative, Params{IDMode: true}},
 		{"pm", ProtocolPM, fastParams()},
 	}
 	for _, c := range cases {
@@ -157,14 +158,12 @@ func TestFactoredKeysBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := algebra.Distinct(join)
-		for _, params := range []Params{fastParams(), {IDMode: true}} {
-			got, err := networkOver(t, nil, equal1, equal2).Intersect("R1", "R2", params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sortedLines(got) != sortedLines(want) {
-				t.Errorf("IDMode %v: got\n%v\nwant\n%v", params.IDMode, got, want)
-			}
+		got, err := networkOver(t, nil, equal1, equal2).Intersect("R1", "R2", fastParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sortedLines(got) != sortedLines(want) {
+			t.Errorf("got\n%v\nwant\n%v", got, want)
 		}
 	})
 }
@@ -310,7 +309,10 @@ func resultBody(t *testing.T, r1, r2 *rel.Relation, proto Protocol, params Param
 // setLen bytes. pm.result on pm_small's 45 ⋈ 450 rows: a header, then
 // one evaluation per active-domain value of a 66-byte ciphertext and a
 // blob of 16 (tag) + setLen bytes. Each body adds its 8-byte digest.
-// The totals are pinned too, so a header that grows fails as well.
+// The totals are pinned too, so a header that grows fails as well. The
+// mediator–source links carry elements only: each of the four comm.cross
+// and comm.cross-back frames on comm_tpch's shape is vlen(k) + 32·k for
+// k opposite active-domain values.
 func TestResultBytesClosedForm(t *testing.T) {
 	const (
 		digest = 8
@@ -318,6 +320,8 @@ func TestResultBytesClosedForm(t *testing.T) {
 		commTPCH = 35040
 		// 45 one-row and 30 fifteen-row evaluations, 4 buckets.
 		pmSmall = 15420
+		// Two frames of 100 and two of 150 elements.
+		commCrossTPCH = 16038
 	)
 	keyed := func(r *rel.Relation) map[string][]rel.Tuple {
 		groups, err := r.GroupByColumns([]string{"id"})
@@ -355,6 +359,41 @@ func TestResultBytesClosedForm(t *testing.T) {
 			t.Errorf("comm.result is %d bytes, closed form %d, pinned %d", got, want, commTPCH)
 		}
 		t.Logf("comm.result: %d bytes, %d pairs", got, matched)
+	})
+	t.Run("comm.cross", func(t *testing.T) {
+		r1, r2 := benchRelations(t, 150, 1, 100, 15, 1)
+		// The mediator sends S1 R2's 100 elements, and S2 R1's 150; each
+		// source returns as many.
+		opposite := map[string]int{"source:R1": 100, "source:R2": 150}
+		var mu sync.Mutex
+		frames := map[string]int{}
+		total := 0
+		_, _, err := queryAtMediator(t, networkOver(t, nil, r1, r2), func(link string, c transport.Conn) transport.Conn {
+			k, ok := opposite[link]
+			if !ok {
+				return c
+			}
+			check := func(m transport.Message) transport.Message {
+				if m.Type != msgCommCross && m.Type != msgCommCrossBack {
+					return m
+				}
+				if want := digest + uvarintLen(k) + commutative.ElementSize*k; len(m.Body) != want {
+					t.Errorf("%s %s is %d bytes, closed form %d", link, m.Type, len(m.Body), want)
+				}
+				mu.Lock()
+				frames[link+" "+m.Type]++
+				total += len(m.Body)
+				mu.Unlock()
+				return m
+			}
+			return &mediatorLinkConn{Conn: c, onSend: check, onRecv: check}
+		}, "SELECT * FROM R1 JOIN R2 ON R1.id = R2.id", ProtocolCommutative, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frames) != 4 || total != commCrossTPCH {
+			t.Errorf("%d cross frames %v of %d bytes, pinned 4 of %d", len(frames), frames, total, commCrossTPCH)
+		}
 	})
 	t.Run("pm.result", func(t *testing.T) {
 		r1, r2 := benchRelations(t, 45, 1, 30, 15, 1)
