@@ -196,17 +196,6 @@ func BenchmarkDASPartitionSweep(b *testing.B) {
 	}
 }
 
-// FNP bucketing ablation: PM evaluation cost with and without buckets.
-func BenchmarkPMBucketing(b *testing.B) {
-	for _, buckets := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
-			params := benchParams()
-			params.Buckets = buckets
-			runProtocol(b, mediation.ProtocolPM, params)
-		})
-	}
-}
-
 // ext-multiattr: multi-attribute join extension (Section 8).
 func BenchmarkExtMultiAttr(b *testing.B) {
 	ca, client := benchClient(b)

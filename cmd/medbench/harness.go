@@ -282,8 +282,10 @@ func (h *harness) table4() error {
 	return nil
 }
 
-// table5 measures the extension ablations: selection pushdown, the
-// footnote-1/2 transport forms, and FNP bucketing.
+// table5 measures the extension ablations: selection pushdown and the
+// footnote-1/2 transport forms. FNP bucketing has no row: each PM source
+// derives its bucket count, and BenchmarkPMBucketing in internal/pm
+// ablates it.
 func (h *harness) table5() error {
 	fmt.Println("Extension ablations (measured)")
 	rows := [][]string{{"variant", "wall", "bytes to client", "client receives / note"}}
@@ -292,9 +294,6 @@ func (h *harness) table5() error {
 	base.Partitions = 32
 	push := base
 	push.Pushdown = true
-	pm := h.params()
-	pmBuckets := pm
-	pmBuckets.Buckets = 8
 	query := joinSQL + " WHERE R1.id < 3"
 	for _, v := range []struct {
 		name   string
@@ -304,8 +303,7 @@ func (h *harness) table5() error {
 		{"das (no pushdown)", mediation.ProtocolDAS, base},
 		{"das + selection pushdown", mediation.ProtocolDAS, push},
 		{"commutative (footnote-1: tuple sets stay at the mediator)", mediation.ProtocolCommutative, h.params()},
-		{"pm (footnote-2 sealed payloads)", mediation.ProtocolPM, pm},
-		{"pm + FNP buckets (b=8)", mediation.ProtocolPM, pmBuckets},
+		{"pm (footnote-2 sealed payloads)", mediation.ProtocolPM, h.params()},
 	} {
 		m, err := h.run(query, v.proto, v.params)
 		if err != nil {

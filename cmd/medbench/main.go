@@ -5,7 +5,7 @@
 //	medbench -table 2    Table 2  — applied cryptographic primitives
 //	medbench -table 3    Section 6 cost matrix (per-party compute, traffic, interactions)
 //	medbench -table 4    DAS partitioning trade-off (superset size vs partition count)
-//	medbench -table 5    extension ablations (selection pushdown, footnote modes, FNP buckets)
+//	medbench -table 5    extension ablations (selection pushdown, footnote modes)
 //	medbench -table soak query-lifecycle fault-recovery soak: retry
 //	                     orchestration + circuit breakers + graceful
 //	                     drain under seeded link faults and source

@@ -104,7 +104,6 @@ func runQuery(args []string) error {
 	sql := fs.String("sql", "", "global SQL query (two-relation JOIN)")
 	protoName := fs.String("protocol", "commutative", "delivery protocol: plaintext|mobilecode|das|commutative|pm")
 	partitions := fs.Int("partitions", 16, "DAS partitions per index table (1-65536)")
-	buckets := fs.Int("buckets", 0, "PM FNP bucket count (0 = single polynomial, at most 4096)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-operation send/receive deadline for every party (0 disables)")
 	retries := fs.Int("retries", 4, "attempts per query: transient faults (dial failure, timeout, overload, drain, link death) are retried with backoff; protocol errors are not")
 	retryBudget := fs.Duration("retry-budget", 0, "total elapsed-time budget across a query's attempts (0 = bounded by -retries only)")
@@ -141,7 +140,6 @@ func runQuery(args []string) error {
 	}
 	params := mediation.Params{
 		Partitions: *partitions,
-		Buckets:    *buckets,
 		Timeout:    *timeout,
 	}
 

@@ -56,9 +56,23 @@ func decodePoint(b []byte) (point, error) {
 
 func (p point) compressed() []byte { return elliptic.MarshalCompressed(curve, p.x, p.y) }
 
-func add(p, q point) (r point)          { r.x, r.y = curve.Add(p.x, p.y, q.x, q.y); return }
-func mul(p point, k *big.Int) (r point) { r.x, r.y = curve.ScalarMult(p.x, p.y, k.Bytes()); return }
-func baseMul(k *big.Int) (r point)      { r.x, r.y = curve.ScalarBaseMult(k.Bytes()); return }
+func add(p, q point) (r point) {
+	opAdd.Add(1)
+	r.x, r.y = curve.Add(p.x, p.y, q.x, q.y)
+	return
+}
+
+func mul(p point, k *big.Int) (r point) {
+	opMul.Add(1)
+	r.x, r.y = curve.ScalarMult(p.x, p.y, k.Bytes())
+	return
+}
+
+func baseMul(k *big.Int) (r point) {
+	opBaseMul.Add(1)
+	r.x, r.y = curve.ScalarBaseMult(k.Bytes())
+	return
+}
 
 // PublicKey is the point X = x·G.
 type PublicKey struct{ x point }
@@ -128,6 +142,13 @@ func (pk *PublicKey) Encrypt(rnd io.Reader, m *big.Int) (*Ciphertext, error) {
 // Add returns E(m₁ + m₂).
 func Add(c1, c2 *Ciphertext) *Ciphertext {
 	return &Ciphertext{a: add(c1.a, c2.a), b: add(c1.b, c2.b)}
+}
+
+// AddPlain returns E(m + k) for a public k: it adds k·G to B and keeps
+// A, one fixed-base multiplication and one point addition.
+func AddPlain(c *Ciphertext, k *big.Int) *Ciphertext {
+	kk := new(big.Int).Mod(k, curve.Params().N)
+	return &Ciphertext{a: c.a, b: add(c.b, baseMul(kk))}
 }
 
 // ScalarMul returns E(k·m).

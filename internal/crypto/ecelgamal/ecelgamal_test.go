@@ -99,6 +99,53 @@ func TestAdditiveAndScalarHomomorphism(t *testing.T) {
 	}
 }
 
+// AddPlain adds a public plaintext, negative ones included, to a
+// ciphertext, and leaves its A point as it was.
+func TestAddPlain(t *testing.T) {
+	sk := mustKey(t)
+	pk, _ := ParsePublicKey(sk.PublicKey())
+	m := big.NewInt(1000)
+	c := mustEncrypt(t, pk, m)
+	for _, k := range []*big.Int{big.NewInt(1), big.NewInt(-7), new(big.Int).Add(Order(), big.NewInt(3))} {
+		sum := AddPlain(c, k)
+		if got, want := sk.Decrypt(sum), refPoint(new(big.Int).Add(m, k)); !bytes.Equal(got, want) {
+			t.Errorf("Decrypt(E(m) + %v) is not (m + %v)·G", k, k)
+		}
+		if !bytes.Equal(sum.Bytes()[:PointSize], c.Bytes()[:PointSize]) {
+			t.Errorf("AddPlain(%v) changed A", k)
+		}
+	}
+}
+
+// Every point operation is counted once where it happens: an encryption
+// is two fixed-base multiplications, one variable-base one and one
+// addition; a ciphertext ScalarMul or Add counts both its points; a
+// decryption is one multiplication and one addition; AddPlain is one
+// fixed-base multiplication and one addition.
+func TestOpCounts(t *testing.T) {
+	sk := mustKey(t)
+	pk, _ := ParsePublicKey(sk.PublicKey())
+	k := big.NewInt(5)
+	for _, tc := range []struct {
+		name           string
+		op             func()
+		mul, base, add int64
+	}{
+		{"Encrypt", func() { mustEncrypt(t, pk, k) }, 1, 2, 1},
+		{"ScalarMul", func() { ScalarMul(mustEncrypt(t, pk, k), k) }, 1 + 2, 2, 1},
+		{"Add", func() { Add(mustEncrypt(t, pk, k), mustEncrypt(t, pk, k)) }, 2, 4, 2 + 2},
+		{"AddPlain", func() { AddPlain(mustEncrypt(t, pk, k), k) }, 1, 2 + 1, 1 + 1},
+		{"Decrypt", func() { sk.Decrypt(mustEncrypt(t, pk, k)) }, 1 + 1, 2, 1 + 1},
+		{"BaseMul", func() { BaseMul(k) }, 0, 1, 0},
+	} {
+		m0, b0, a0 := opMul.Count(), opBaseMul.Count(), opAdd.Count()
+		tc.op()
+		if m, b, a := opMul.Count()-m0, opBaseMul.Count()-b0, opAdd.Count()-a0; m != tc.mul || b != tc.base || a != tc.add {
+			t.Errorf("%s: mul/base_mul/add = %d/%d/%d, want %d/%d/%d", tc.name, m, b, a, tc.mul, tc.base, tc.add)
+		}
+	}
+}
+
 // Each encryption draws its own ρ: equal plaintexts give distinct
 // ciphertexts that still decrypt alike.
 func TestEncryptRerandomizes(t *testing.T) {

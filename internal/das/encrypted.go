@@ -2,6 +2,7 @@ package das
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -322,9 +323,10 @@ type Opener interface {
 // the join and the number of false positives q_C discarded, Size minus
 // the join's rows. The result comes from a peer: a repeated run, a run
 // without rows, or a Size outside [max(n1, n2, joined rows), n1·n2] for
-// n1 and n2 opened rows, is an error. The run decryptions fan out over a
-// worker pool; the join is sequential, so the result is worker-count
-// independent.
+// n1 and n2 opened rows, is an error; the repeated run and the Size are
+// the relay's doing and wrap ErrInconsistentResult. The run decryptions
+// fan out over a worker pool; the join is sequential, so the result is
+// worker-count independent.
 // seclint:source decrypted DAS server result tuples
 func DecryptServerResult(res *ServerResult, recv1, recv2 Opener,
 	schema1, schema2 relation.Schema, joinCols1, joinCols2 []string, workers int) (*relation.Relation, int, error) {
@@ -358,7 +360,7 @@ func DecryptServerResult(res *ServerResult, recv1, recv2 Opener,
 	// without the overflow).
 	n1, n2 := len(rows1), len(rows2)
 	if res.Size < n1 || res.Size < n2 || (n1 == 0 && res.Size != 0) || (n1 > 0 && (res.Size-1)/n1 >= n2) {
-		return nil, 0, fmt.Errorf("das: server result claims %d pairs over tables of %d and %d rows", res.Size, n1, n2)
+		return nil, 0, fmt.Errorf("%w: it claims %d pairs over tables of %d and %d rows", ErrInconsistentResult, res.Size, n1, n2)
 	}
 	r1, err := relation.FromTuples(schema1, rows1...)
 	if err != nil {
@@ -373,10 +375,15 @@ func DecryptServerResult(res *ServerResult, recv1, recv2 Opener,
 		return nil, 0, err
 	}
 	if out.Len() > res.Size {
-		return nil, 0, fmt.Errorf("das: server result claims %d pairs, but %d tuple pairs join", res.Size, out.Len())
+		return nil, 0, fmt.Errorf("%w: it claims %d pairs, but %d tuple pairs join", ErrInconsistentResult, res.Size, out.Len())
 	}
 	return out, res.Size - out.Len(), nil
 }
+
+// ErrInconsistentResult marks a server result whose runs and Size no
+// honest relay of sealed runs produces: a sealed run opens or fails on
+// its own, but which runs arrive, and how often, is the server's choice.
+var ErrInconsistentResult = errors.New("das: inconsistent server result")
 
 // distinct rejects a table that holds some run twice: a mediator cannot
 // forge a run, but replaying one would inflate the client's join.
@@ -384,7 +391,7 @@ func distinct(runs [][]byte, side string) error {
 	seen := make(map[string]struct{}, len(runs))
 	for i, e := range runs {
 		if _, dup := seen[string(e)]; dup {
-			return fmt.Errorf("das: server result repeats a run of %s at slot %d", side, i)
+			return fmt.Errorf("%w: it repeats a run of %s at slot %d", ErrInconsistentResult, side, i)
 		}
 		seen[string(e)] = struct{}{}
 	}

@@ -22,8 +22,8 @@ import (
 // paramPushdown is the one flag bit of Params' flag byte.
 const paramPushdown = 1
 
-// EncodeTo writes the parameters; the deprecated PayloadMode and
-// Strategy are not sent.
+// EncodeTo writes the parameters; the deprecated PayloadMode, Strategy
+// and Buckets are not sent.
 func (p Params) EncodeTo(e *codec.Encoder) {
 	e.Int(int64(p.Partitions))
 	var flags byte
@@ -31,7 +31,6 @@ func (p Params) EncodeTo(e *codec.Encoder) {
 		flags |= paramPushdown
 	}
 	e.Byte(flags)
-	e.Int(int64(p.Buckets))
 	e.Int(int64(p.Timeout))
 	e.Text(p.QueryID)
 	e.Int(int64(p.Attempt))
@@ -46,7 +45,6 @@ func (p *Params) DecodeFrom(d *codec.Decoder) {
 		d.Fail(fmt.Errorf("mediation: unknown parameter flags %#x", flags))
 	}
 	p.Pushdown = flags&paramPushdown != 0
-	p.Buckets = d.Int()
 	p.Timeout = time.Duration(d.Int64())
 	p.QueryID = d.Text()
 	p.Attempt = d.Int()

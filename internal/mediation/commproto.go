@@ -3,6 +3,7 @@ package mediation
 import (
 	"crypto/ecdh"
 	"crypto/rand"
+	"errors"
 	"fmt"
 
 	"github.com/secmediation/secmediation/internal/crypto/commutative"
@@ -278,19 +279,20 @@ func (c *Client) runCommutative(mediator *link.Link, queryKey *ecdh.PrivateKey, 
 			return err
 		}
 		// A pair holds Tup1(a) and Tup2(a) of one a, and no a comes twice:
-		// a mediator that swaps or replays sets is caught here.
+		// a mediator that swaps or replays sets is caught here, and
+		// blamed.
 		seen := make(map[string]bool, len(opened))
 		for _, p := range opened {
 			ts1, ts2 := p.ts1, p.ts2
 			if len(ts1) == 0 || len(ts2) == 0 {
-				return fmt.Errorf("comm: a relayed pair holds an empty tuple set")
+				return mediator.Blame(errors.New("comm: a relayed pair holds an empty tuple set"))
 			}
 			key := layout1.joinKey(ts1[0])
 			if layout2.joinKey(ts2[0]) != key {
-				return fmt.Errorf("comm: a relayed pair joins two different keys")
+				return mediator.Blame(errors.New("comm: a relayed pair joins two different keys"))
 			}
 			if seen[key] {
-				return fmt.Errorf("comm: a join key is relayed in two pairs")
+				return mediator.Blame(errors.New("comm: a join key is relayed in two pairs"))
 			}
 			seen[key] = true
 			for _, t1 := range ts1 {

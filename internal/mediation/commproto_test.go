@@ -227,7 +227,8 @@ func TestCommCrossBackCountMismatch(t *testing.T) {
 // The client opens every relayed pair and checks that it is Tup1(a) and
 // Tup2(a) of one a, and that no a comes twice. A mediator that swaps the
 // second sets of two pairs, or replays a pair, would otherwise get a
-// cross product of unrelated tuples, or duplicate rows, into the result.
+// cross product of unrelated tuples, or duplicate rows, into the result;
+// the client blames it.
 func TestCommResultMismatchedPairAborts(t *testing.T) {
 	cases := map[string]func([]commPair) []commPair{
 		"swap": func(p []commPair) []commPair {
@@ -264,6 +265,9 @@ func TestCommResultMismatchedPairAborts(t *testing.T) {
 			var pe *ProtocolError
 			if !errors.As(err, &pe) {
 				t.Fatalf("query returned %v, %v; want a *ProtocolError", got, err)
+			}
+			if pe.Party != leakage.PartyMediator || pe.Phase != "" {
+				t.Errorf("blamed %s/%s, want %s: %v", pe.Party, pe.Phase, leakage.PartyMediator, err)
 			}
 			if resilience.Retryable(err) {
 				t.Errorf("mismatched pair classified retryable: %v", err)

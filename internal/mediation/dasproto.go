@@ -2,6 +2,7 @@ package mediation
 
 import (
 	"crypto/ecdh"
+	"errors"
 	"fmt"
 
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
@@ -222,6 +223,9 @@ func (c *Client) runDAS(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.P
 		var err error
 		joined, discarded, err = das.DecryptServerResult(&das.ServerResult{E1: res.E1, E2: res.E2, Size: res.Size},
 			recv1, recv2, its.Schema1, its.Schema2, its.JoinCols1, its.JoinCols2, 0)
+		if errors.Is(err, das.ErrInconsistentResult) {
+			return mediator.Blame(err)
+		}
 		if err != nil {
 			return err
 		}

@@ -89,16 +89,16 @@ func TestDASEmptyPartialResult(t *testing.T) {
 
 // queryDASTampered runs the fixture DAS query with tamper applied to the
 // client's inbound das.result, and checks that the query ends in a
-// terminal *ProtocolError blamed on the client's post-filter.
-func queryDASTampered(t *testing.T, tamper func(*dasResult)) *ProtocolError {
+// terminal *ProtocolError blamed on party, in phase.
+func queryDASTampered(t *testing.T, party, phase string, tamper func(*dasResult)) *ProtocolError {
 	t.Helper()
 	_, err := queryDASVisiting(t, newTestNetwork(t, nil), fixtureSQL, fastParams(), func(res *dasResult, _ int) { tamper(res) })
 	var pe *ProtocolError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *ProtocolError", err)
 	}
-	if pe.Party != leakage.PartyClient || pe.Phase != telemetry.PhasePostFilter {
-		t.Errorf("blamed %s/%s, want %s/%s", pe.Party, pe.Phase, leakage.PartyClient, telemetry.PhasePostFilter)
+	if pe.Party != party || pe.Phase != phase {
+		t.Errorf("blamed %s/%s, want %s/%s", pe.Party, pe.Phase, party, phase)
 	}
 	if resilience.Retryable(err) {
 		t.Errorf("tampered das.result classified retryable: %v", err)
@@ -107,9 +107,10 @@ func queryDASTampered(t *testing.T, tamper func(*dasResult)) *ProtocolError {
 }
 
 // A mediator cannot forge a run, but it could replay one to inflate the
-// client's join: a das.result that repeats a run aborts the query.
+// client's join: a das.result that repeats a run aborts the query, and
+// the client blames the mediator that relayed it.
 func TestDASResultDuplicateEtupleAborts(t *testing.T) {
-	pe := queryDASTampered(t, func(res *dasResult) {
+	pe := queryDASTampered(t, leakage.PartyMediator, "", func(res *dasResult) {
 		if len(res.E1) < 2 {
 			t.Fatalf("fixture ships %d R1 runs, need 2", len(res.E1))
 		}
@@ -123,7 +124,7 @@ func TestDASResultDuplicateEtupleAborts(t *testing.T) {
 // Each source seals its runs under its own session: a run the mediator
 // moves to the other side's table fails its AEAD at the client.
 func TestDASResultMovedRunFailsOpen(t *testing.T) {
-	pe := queryDASTampered(t, func(res *dasResult) {
+	pe := queryDASTampered(t, leakage.PartyClient, telemetry.PhasePostFilter, func(res *dasResult) {
 		res.E2 = append(res.E2, res.E1[len(res.E1)-1])
 		res.E1 = res.E1[:len(res.E1)-1]
 	})
@@ -163,8 +164,8 @@ func TestDASResultRejectsEmptyRun(t *testing.T) {
 const fixtureSize, fixtureRows1, fixtureRows2 = 6, 4, 3
 
 // A das.result whose Size no set of pairs over its tables' rows could
-// have aborts the query. |E1| and |E2| count the rows of the tables'
-// runs.
+// have aborts the query, blamed on the mediator. |E1| and |E2| count the
+// rows of the tables' runs.
 func TestDASResultBadSizeAborts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -175,7 +176,7 @@ func TestDASResultBadSizeAborts(t *testing.T) {
 		{"negative", -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pe := queryDASTampered(t, func(res *dasResult) {
+			pe := queryDASTampered(t, leakage.PartyMediator, "", func(res *dasResult) {
 				if res.Size != fixtureSize {
 					t.Fatalf("fixture has |R_C| = %d, want %d", res.Size, fixtureSize)
 				}

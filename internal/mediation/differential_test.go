@@ -49,9 +49,6 @@ func TestDifferentialRandomWorkloads(t *testing.T) {
 		for _, proto := range []Protocol{ProtocolDAS, ProtocolCommutative, ProtocolPM} {
 			params := fastParams()
 			params.Partitions = 1 + rng.Intn(6)
-			if proto == ProtocolPM {
-				params.Buckets = 1 + rng.Intn(3)
-			}
 			got, err := n.Query(fixtureSQL, proto, params)
 			if err != nil {
 				t.Fatalf("trial %d %v (%+v): %v", trial, proto, spec, err)

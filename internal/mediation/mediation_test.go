@@ -157,24 +157,41 @@ func TestAllProtocolsAgree(t *testing.T) {
 	}
 }
 
+// PM's variants are inputs: each source derives its bucket count from
+// its own domain size, here 9 and 5 values (B = 8 and 4), then 17 and 3
+// (B = 16 and 2).
 func TestProtocolVariants(t *testing.T) {
-	want := expectedJoin(t)
+	s1, s2 := testRelations(t)
+	wide := func(n1, n2 int64) []*rel.Relation {
+		return []*rel.Relation{buildComm(s1.Schema(), "r1", idRange(0, 3, n1)...), buildComm(s2.Schema(), "r2", idRange(0, 2, n2)...)}
+	}
 	cases := []struct {
 		name   string
 		proto  Protocol
 		params Params
+		in     []*rel.Relation // nil: the fixture
 	}{
-		{"das-two-partitions", ProtocolDAS, Params{Partitions: 2}},
-		{"das-four-partitions", ProtocolDAS, Params{Partitions: 4}},
-		{"das-one-partition", ProtocolDAS, Params{Partitions: 1}},
-		{"pm-hybrid-payload", ProtocolPM, Params{}},
-		{"pm-bucketed", ProtocolPM, Params{Buckets: 3}},
-		{"pm-bucketed-hybrid", ProtocolPM, Params{Buckets: 2}},
+		{"das-two-partitions", ProtocolDAS, Params{Partitions: 2}, nil},
+		{"das-four-partitions", ProtocolDAS, Params{Partitions: 4}, nil},
+		{"das-one-partition", ProtocolDAS, Params{Partitions: 1}, nil},
+		{"pm-hybrid-payload", ProtocolPM, Params{}, nil},
+		{"pm-bucketed", ProtocolPM, Params{}, wide(9, 5)},
+		{"pm-bucketed-hybrid", ProtocolPM, Params{}, wide(17, 3)},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			n := newTestNetwork(t, nil)
+			n, want := newTestNetwork(t, nil), expectedJoin(t)
+			if tc.in != nil {
+				var err error
+				n = networkOver(t, nil, tc.in[0], tc.in[1])
+				if want, err = algebra.EquiJoin(tc.in[0], tc.in[1], []string{"id"}, []string{"id"}); err != nil {
+					t.Fatal(err)
+				}
+				if want.Len() == 0 {
+					t.Fatal("the input joins no rows")
+				}
+			}
 			got, err := n.Query(fixtureSQL, tc.proto, tc.params)
 			if err != nil {
 				t.Fatal(err)
@@ -353,28 +370,50 @@ func TestTable1MediatorLeakage(t *testing.T) {
 		t.Error("commutative mediator learned |R1|")
 	}
 
-	// PM: per source, the bucket count B and the max bucket load L.
-	for _, buckets := range []int{1, 4} {
+	// PM: per source, the bucket count B, derived from its own
+	// |domactive(A)|, and the max bucket load L.
+	for _, in := range pmLeakageInputs(t) {
 		ledger = leakage.NewLedger()
-		n = newTestNetwork(t, ledger)
-		params := fastParams()
-		params.Buckets = buckets
-		if _, err := n.Query(fixtureSQL, ProtocolPM, params); err != nil {
+		n = networkOver(t, ledger, in[0], in[1])
+		if _, err := n.Query(fixtureSQL, ProtocolPM, fastParams()); err != nil {
 			t.Fatal(err)
 		}
-		checkBucketShape(t, ledger, leakage.PartyMediator, "R1.Ajoin", buckets, d1)
-		checkBucketShape(t, ledger, leakage.PartyMediator, "R2.Ajoin", buckets, d2)
+		checkBucketShape(t, ledger, leakage.PartyMediator, "R1.Ajoin", in[0])
+		checkBucketShape(t, ledger, leakage.PartyMediator, "R2.Ajoin", in[1])
 		if _, ok := ledger.Observed(leakage.PartyMediator, "|R1|"); ok {
 			t.Error("pm mediator learned |R1|")
 		}
 	}
 }
 
+// pmLeakageInputs are the PM leakage tests' inputs: the fixture, whose
+// 4 and 3 values make B = 2 on both sides, and 20 and 9 values, which
+// make B = 16 and 8.
+func pmLeakageInputs(t *testing.T) [][2]*rel.Relation {
+	r1, r2 := testRelations(t)
+	return [][2]*rel.Relation{{r1, r2},
+		{buildComm(r1.Schema(), "w1", idRange(0, 1, 20)...), buildComm(r2.Schema(), "w2", idRange(0, 2, 9)...)}}
+}
+
+// idRange is the n join values from, from + step, ….
+func idRange(from, step, n int64) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = from + int64(i)*step
+	}
+	return out
+}
+
 // checkBucketShape asserts that party recorded, for the PM polynomials of
-// the active domain dom, the bucket count and the max bucket load, the
-// latter counted here with pm.BucketIndex.
-func checkBucketShape(t *testing.T, ledger *leakage.Ledger, party, of string, buckets int, dom []rel.Value) {
+// r's join attribute, the bucket count pm.BucketCount(|domactive(id)|)
+// and the max bucket load, counted here with pm.BucketIndex.
+func checkBucketShape(t *testing.T, ledger *leakage.Ledger, party, of string, r *rel.Relation) {
 	t.Helper()
+	dom, err := r.ActiveDomain("id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buckets := pm.BucketCount(len(dom))
 	loads := make([]int64, buckets)
 	var maxLoad int64
 	for _, v := range dom {
@@ -484,16 +523,14 @@ func TestSourceLeakage(t *testing.T) {
 	if v, _ := ledger.Observed(leakage.PartySource("S2"), "|domactive(opposite)|"); v != int64(len(d1)) {
 		t.Errorf("S2 sees opposite domain %d, want %d", v, len(d1))
 	}
-	for _, buckets := range []int{1, 4} {
+	for _, in := range pmLeakageInputs(t) {
 		ledger := leakage.NewLedger()
-		n := newTestNetwork(t, ledger)
-		params := fastParams()
-		params.Buckets = buckets
-		if _, err := n.Query(fixtureSQL, ProtocolPM, params); err != nil {
+		n := networkOver(t, ledger, in[0], in[1])
+		if _, err := n.Query(fixtureSQL, ProtocolPM, fastParams()); err != nil {
 			t.Fatal(err)
 		}
-		checkBucketShape(t, ledger, leakage.PartySource("S1"), "opposite", buckets, d2)
-		checkBucketShape(t, ledger, leakage.PartySource("S2"), "opposite", buckets, d1)
+		checkBucketShape(t, ledger, leakage.PartySource("S1"), "opposite", in[1])
+		checkBucketShape(t, ledger, leakage.PartySource("S2"), "opposite", in[0])
 	}
 }
 
@@ -716,7 +753,7 @@ func TestProtocolStrings(t *testing.T) {
 
 func TestParamsDefaultsAndGroups(t *testing.T) {
 	p := Params{}.withDefaults()
-	if p.Partitions == 0 || p.Buckets == 0 {
+	if p.Partitions == 0 {
 		t.Errorf("defaults not applied: %+v", p)
 	}
 }

@@ -40,12 +40,14 @@ type pmResult struct {
 }
 
 // servePM implements a datasource's role in Listing 4: build the
-// polynomial over the active domain of the join attributes, encrypt its
-// coefficients under the query key as an EC-ElGamal point, then obliviously
-// evaluate the opposite source's polynomial at every own value, masked,
-// with the tuple set sealed under the key only a match decrypts to
-// (footnote 2's out-of-band payload, the only mode). An empty partial
-// result still ships B filler buckets and evaluates nothing.
+// polynomials over the active domain of the join attributes, in
+// pm.BucketCount(n) buckets for its own n values, encrypt their
+// coefficients under the query key as an EC-ElGamal point, then
+// obliviously evaluate the opposite source's polynomial at every own
+// value, masked, with the tuple set sealed under the key only a match
+// decrypts to (footnote 2's out-of-band payload, the only mode). An
+// empty partial result ships one filler bucket of load 1, as a
+// one-value domain does, and evaluates nothing.
 func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Relation, watch *stopwatch) error {
 	pk, err := ecelgamal.ParsePublicKey(pq.QueryKey)
 	if err != nil {
@@ -61,7 +63,7 @@ func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Re
 	}
 	var coeffs pmCoeffs
 	err = watch.phase(telemetry.PhaseSourceEncrypt, func() error {
-		buckets, err := pm.BuildBuckets(roots, pq.Params.Buckets, ecelgamal.Order())
+		buckets, err := pm.BuildBuckets(roots, pm.BucketCount(len(roots)), ecelgamal.Order())
 		if err != nil {
 			return err
 		}
@@ -69,7 +71,7 @@ func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Re
 		if err != nil {
 			return err
 		}
-		nCoeffs := int64(len(enc.Polys)) * int64(buckets.MaxDegree()+1)
+		nCoeffs := int64(len(enc.Polys)) * int64(buckets.MaxDegree())
 		s.Ledger.UsePrimitive(s.party(), "homomorphic-encryption", nCoeffs)
 		coeffs = pmCoeffs{Session: pq.SessionID, Schema: rel.Schema(), Buckets: *enc}
 		return nil
@@ -81,7 +83,9 @@ func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Re
 		return err
 	}
 
-	// Step 4: the opposite source's encrypted polynomial.
+	// Step 4: the opposite source's encrypted polynomial. Its decoder
+	// refuses a shape no source derives (pm.ECBuckets.DecodeFrom), and
+	// Recv blames the mediator for it.
 	var cross pm.ECBuckets
 	if err := mediator.Recv(msgPMCross, &cross); err != nil {
 		return err
@@ -89,7 +93,7 @@ func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Re
 	var evals pmEvals
 	err = watch.phase(telemetry.PhaseCrossEncrypt, func() error {
 		// Section 6: each source learns the shape of the opposite
-		// polynomials.
+		// polynomials, B of which is a function of |domactive(A)|.
 		observeBuckets(s.Ledger, s.party(), "opposite", &cross)
 		layout, err := newTupLayout(rel.Schema(), pq.JoinCols, "pm:"+pq.SessionID)
 		if err != nil {
@@ -160,13 +164,13 @@ func (m *Mediator) mediatePM(client, s1, s2 *link.Link, d *decomposition, watch 
 }
 
 // observeBuckets records what encrypted bucket polynomials show a party
-// without the query key: the bucket count B and the maximum bucket load
-// L, the degree every bucket is padded to. Only at B = 1 is L the
-// active-domain size.
+// without the query key: the bucket count B = pm.BucketCount(n) of the
+// active-domain size n, and the maximum bucket load L, the degree every
+// bucket is padded to and the number of coefficients each ships.
 func observeBuckets(l *leakage.Ledger, party, of string, b *pm.ECBuckets) {
 	var maxLoad int64
 	for _, p := range b.Polys {
-		maxLoad = max(maxLoad, int64(len(p)-1))
+		maxLoad = max(maxLoad, int64(len(p)))
 	}
 	l.Observe(party, "buckets("+of+")", int64(len(b.Polys)))
 	l.Observe(party, "max-bucket-load("+of+")", maxLoad)
@@ -195,11 +199,11 @@ func (c *Client) runPM(mediator *link.Link, queryKey *ecdh.PrivateKey, watch *st
 		if err != nil {
 			return err
 		}
-		side1, err := openPMSide(sk, res.Evals1, layout1)
+		side1, err := openPMSide(mediator, sk, res.Evals1, layout1)
 		if err != nil {
 			return err
 		}
-		side2, err := openPMSide(sk, res.Evals2, layout2)
+		side2, err := openPMSide(mediator, sk, res.Evals2, layout2)
 		if err != nil {
 			return err
 		}
@@ -243,8 +247,9 @@ type pmOpened struct {
 // tuple sets keyed by their rows' join key — the values a source hashed
 // the root from, so equal keys on both sides are equal roots. A blob
 // that does not open is a non-match; a ciphertext that is not two curve
-// points, or a blob that opens to no tuple set, aborts the query.
-func openPMSide(sk *ecelgamal.PrivateKey, evals []pm.Eval, layout tupLayout) (pmSide, error) {
+// points, or a blob that opens to no tuple set, aborts the query. An
+// empty tuple set is blamed on the mediator, which relayed it.
+func openPMSide(mediator *link.Link, sk *ecelgamal.PrivateKey, evals []pm.Eval, layout tupLayout) (pmSide, error) {
 	opened, err := parallel.Map(len(evals), 0, func(i int) (pmOpened, error) {
 		payload, ok, err := pm.OpenEval(sk, evals[i], layout.aad)
 		return pmOpened{payload, ok}, err
@@ -262,7 +267,7 @@ func openPMSide(sk *ecelgamal.PrivateKey, evals []pm.Eval, layout tupLayout) (pm
 			return nil, err
 		}
 		if len(tuples) == 0 {
-			return nil, fmt.Errorf("pm: a tuple set of %s holds no rows", layout.schema.Relation)
+			return nil, mediator.Blame(fmt.Errorf("pm: a tuple set of %s holds no rows", layout.schema.Relation))
 		}
 		side[layout.joinKey(tuples[0])] = tuples
 	}

@@ -2,11 +2,13 @@ package mediation
 
 import (
 	"bytes"
+	crand "crypto/rand"
 	"encoding"
 	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +23,8 @@ import (
 )
 
 // An empty partial result on either side is an empty join, as in
-// algebra.EquiJoin; the empty side still ships B filler buckets.
+// algebra.EquiJoin; the empty side still ships one filler bucket of load
+// 1, the shape of a one-value domain.
 func TestPMEmptyPartialResult(t *testing.T) {
 	full1, full2 := testRelations(t)
 	empty1, empty2 := rel.New(full1.Schema()), rel.New(full2.Schema())
@@ -40,19 +43,26 @@ func TestPMEmptyPartialResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, buckets := range []int{1, 4} {
-				n := networkOver(t, nil, tc.r1, tc.r2)
-				params := fastParams()
-				params.Buckets = buckets
-				got, err := n.Query(fixtureSQL, ProtocolPM, params)
-				if err != nil {
-					t.Fatalf("Buckets %d: %v", buckets, err)
+			ledger := leakage.NewLedger()
+			n := networkOver(t, ledger, tc.r1, tc.r2)
+			got, err := n.Query(fixtureSQL, ProtocolPM, fastParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != 0 || !got.EqualMultiset(want) {
+				t.Errorf("got\n%v\nwant the empty\n%v", got, want)
+			}
+			if errs := n.SourceErrors(); len(errs) != 0 {
+				t.Errorf("source errors: %v", errs)
+			}
+			for of, r := range map[string]*rel.Relation{"R1.Ajoin": tc.r1, "R2.Ajoin": tc.r2} {
+				if r.Len() != 0 {
+					continue
 				}
-				if got.Len() != 0 || !got.EqualMultiset(want) {
-					t.Errorf("Buckets %d: got\n%v\nwant the empty\n%v", buckets, got, want)
-				}
-				if errs := n.SourceErrors(); len(errs) != 0 {
-					t.Errorf("Buckets %d: source errors: %v", buckets, errs)
+				b, _ := ledger.Observed(leakage.PartyMediator, "buckets("+of+")")
+				l, _ := ledger.Observed(leakage.PartyMediator, "max-bucket-load("+of+")")
+				if b != 1 || l != 1 {
+					t.Errorf("empty %s ships %d buckets of load %d, want 1 of load 1", of, b, l)
 				}
 			}
 		})
@@ -168,110 +178,219 @@ func pmMaxLoad(ids []int64, b int) int {
 	return max
 }
 
+// pmView runs the PM join of in with params and every mediator link
+// tapped, checks it against the plaintext join, and returns the (link,
+// direction, type, body length) sequence on the mediator's links, with
+// the query's op counts. Every ciphertext the mediator holds must be
+// ecelgamal.CiphertextSize bytes.
+func pmView(t *testing.T, in [2]*rel.Relation, params Params) ([]string, map[string]int64) {
+	t.Helper()
+	var view []string
+	record := func(link, dir string) func(transport.Message) transport.Message {
+		return func(msg transport.Message) transport.Message {
+			var cts [][]byte
+			switch msg.Type {
+			case msgPMCoeffs:
+				var c pmCoeffs
+				decodeBody(t, msg, &c)
+				for _, p := range c.Buckets.Polys {
+					cts = append(cts, p...)
+				}
+			case msgPMCross:
+				var c pm.ECBuckets
+				decodeBody(t, msg, &c)
+				for _, p := range c.Polys {
+					cts = append(cts, p...)
+				}
+			case msgPMEvals:
+				var e pmEvals
+				decodeBody(t, msg, &e)
+				for _, ev := range e.Evals {
+					cts = append(cts, ev.Cipher)
+				}
+			}
+			for _, c := range cts {
+				if len(c) != ecelgamal.CiphertextSize {
+					t.Errorf("%s %s %s carries a %d-byte ciphertext", link, dir, msg.Type, len(c))
+				}
+			}
+			// Only the mediator's session goroutine uses its links.
+			view = append(view, fmt.Sprintf("%s %s %s %d", link, dir, msg.Type, len(msg.Body)))
+			return msg
+		}
+	}
+	want, err := networkOver(t, nil, in[0], in[1]).Query(fixtureSQL, ProtocolPlaintext, fastParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	got, srcErrs, err := queryAtMediator(t, networkOver(t, nil, in[0], in[1]), func(link string, c transport.Conn) transport.Conn {
+		return &mediatorLinkConn{Conn: c, onSend: record(link, "send"), onRecv: record(link, "recv")}
+	}, fixtureSQL, ProtocolPM, params)
+	if err != nil || srcErrs["S1"] != nil || srcErrs["S2"] != nil {
+		t.Fatalf("query: %v, sources: %v", err, srcErrs)
+	}
+	if !got.EqualMultiset(want) {
+		t.Fatalf("got\n%v\nwant\n%v", got, want)
+	}
+	return view, reg.OpDeltas()
+}
+
 // The mediator's PM view is a function of its Table 1 row: two inputs
-// with equal (B, max load, n, m) and equal tuple-set sizes, but different
+// with equal (n, m, max loads) and equal tuple-set sizes, but different
 // values, put the same sequence of (link, direction, type, body length)
-// on the mediator's links, and every ciphertext it holds is
-// ecelgamal.CiphertextSize bytes. The second input is a seeded relabeling
-// of the first, redrawn until its max loads match.
+// on the mediator's links. The second input is a seeded relabeling of
+// the first, redrawn until its max loads under the derived bucket counts
+// match.
 func TestPMMediatorViewShape(t *testing.T) {
 	s1, s2 := testRelations(t)
-	build := func(schema rel.Schema, text string, ids []int64) *rel.Relation {
-		r := rel.New(schema)
-		for _, id := range ids {
-			r.MustAppend(rel.Tuple{rel.Int(id), rel.String_(text)})
-		}
-		return r
-	}
 	// n = 4, m = 3, ∩ = 2; the doubled value joins the doubled value.
 	ids1, ids2 := []int64{1, 2, 3, 3, 7}, []int64{2, 3, 3, 9}
 	const n, m = 4, 3
+	b1, b2 := pm.BucketCount(n), pm.BucketCount(m)
 	rng := rand.New(rand.NewSource(27))
-	for _, buckets := range []int{1, 3} {
-		var relabeled1, relabeled2 []int64
-		for {
-			label := map[int64]int64{}
-			for _, id := range append(append([]int64{}, ids1...), ids2...) {
-				if _, ok := label[id]; !ok {
-					label[id] = 1000 + rng.Int63n(1_000_000)
+	var relabeled1, relabeled2 []int64
+	for {
+		label := map[int64]int64{}
+		for _, id := range append(append([]int64{}, ids1...), ids2...) {
+			if _, ok := label[id]; !ok {
+				label[id] = 1000 + rng.Int63n(1_000_000)
+			}
+		}
+		relabeled1, relabeled2 = nil, nil
+		for _, id := range ids1 {
+			relabeled1 = append(relabeled1, label[id])
+		}
+		for _, id := range ids2 {
+			relabeled2 = append(relabeled2, label[id])
+		}
+		if pmMaxLoad(relabeled1, b1) == pmMaxLoad(ids1, b1) && pmMaxLoad(relabeled2, b2) == pmMaxLoad(ids2, b2) {
+			break
+		}
+	}
+	inputs := [][2]*rel.Relation{
+		{buildComm(s1.Schema(), "aaaa", ids1...), buildComm(s2.Schema(), "bbbbbb", ids2...)},
+		{buildComm(s1.Schema(), "wxyz", relabeled1...), buildComm(s2.Schema(), "qrstuv", relabeled2...)},
+	}
+	var views [2][]string
+	for i, in := range inputs {
+		var ops map[string]int64
+		views[i], ops = pmView(t, in, fastParams())
+		if ops["hybrid.seal"] != n+m || ops["paillier.encrypt"] != 0 || ops["paillier.decrypt"] != 0 {
+			t.Errorf("input %d: hybrid.seal = %d, paillier encrypt/decrypt = %d/%d; want %d, 0/0",
+				i, ops["hybrid.seal"], ops["paillier.encrypt"], ops["paillier.decrypt"], n+m)
+		}
+	}
+	if len(views[0]) == 0 || fmt.Sprint(views[0]) != fmt.Sprint(views[1]) {
+		t.Errorf("mediator views differ:\n%v\n%v", views[0], views[1])
+	}
+}
+
+// Each source derives its bucket count from its own |domactive(A)| and
+// nothing else. Params.Buckets is no longer sent, so no value of it
+// changes anything on the mediator's links; and two inputs of equal
+// domain sizes but different values give equal bucket counts,
+// pm.BucketCount of the size, at the mediator and at the opposite
+// source.
+func TestPMBucketsFromOwnDomain(t *testing.T) {
+	s1, s2 := testRelations(t)
+	in := [2]*rel.Relation{buildComm(s1.Schema(), "a", idRange(1, 7, 9)...), buildComm(s2.Schema(), "b", idRange(1, 7, 5)...)}
+	var first []string
+	for _, buckets := range []int{0, 1, 4, 4096} {
+		params := fastParams()
+		params.Buckets = buckets
+		view, _ := pmView(t, in, params)
+		if first == nil {
+			first = view
+		} else if fmt.Sprint(view) != fmt.Sprint(first) {
+			t.Errorf("Params.Buckets = %d changed the mediator's view:\n%v\n%v", buckets, view, first)
+		}
+	}
+	for _, n := range []int64{1, 2, 3, 5, 9, 17, 45} {
+		for _, from := range []int64{1, 1_000_003} {
+			ledger := leakage.NewLedger()
+			r1 := buildComm(s1.Schema(), "a", idRange(from, 7, n)...)
+			r2 := buildComm(s2.Schema(), "b", idRange(from+5, 7, n+1)...)
+			if _, err := networkOver(t, ledger, r1, r2).Query(fixtureSQL, ProtocolPM, fastParams()); err != nil {
+				t.Fatal(err)
+			}
+			for _, obs := range []struct {
+				party, of string
+				want      int
+			}{
+				{leakage.PartyMediator, "R1.Ajoin", pm.BucketCount(int(n))},
+				{leakage.PartyMediator, "R2.Ajoin", pm.BucketCount(int(n + 1))},
+				{leakage.PartySource("S2"), "opposite", pm.BucketCount(int(n))},
+				{leakage.PartySource("S1"), "opposite", pm.BucketCount(int(n + 1))},
+			} {
+				if b, _ := ledger.Observed(obs.party, "buckets("+obs.of+")"); b != int64(obs.want) {
+					t.Errorf("n = %d from %d: %s sees buckets(%s) = %d, want %d", n, from, obs.party, obs.of, b, obs.want)
 				}
 			}
-			relabeled1, relabeled2 = nil, nil
-			for _, id := range ids1 {
-				relabeled1 = append(relabeled1, label[id])
-			}
-			for _, id := range ids2 {
-				relabeled2 = append(relabeled2, label[id])
-			}
-			if pmMaxLoad(relabeled1, buckets) == pmMaxLoad(ids1, buckets) &&
-				pmMaxLoad(relabeled2, buckets) == pmMaxLoad(ids2, buckets) {
-				break
-			}
-		}
-		inputs := [][2]*rel.Relation{
-			{build(s1.Schema(), "aaaa", ids1), build(s2.Schema(), "bbbbbb", ids2)},
-			{build(s1.Schema(), "wxyz", relabeled1), build(s2.Schema(), "qrstuv", relabeled2)},
-		}
-		var views [2][]string
-		for i, in := range inputs {
-			record := func(link, dir string) func(transport.Message) transport.Message {
-				return func(msg transport.Message) transport.Message {
-					var cts [][]byte
-					switch msg.Type {
-					case msgPMCoeffs:
-						var c pmCoeffs
-						decodeBody(t, msg, &c)
-						for _, p := range c.Buckets.Polys {
-							cts = append(cts, p...)
-						}
-					case msgPMCross:
-						var c pm.ECBuckets
-						decodeBody(t, msg, &c)
-						for _, p := range c.Polys {
-							cts = append(cts, p...)
-						}
-					case msgPMEvals:
-						var e pmEvals
-						decodeBody(t, msg, &e)
-						for _, ev := range e.Evals {
-							cts = append(cts, ev.Cipher)
-						}
-					}
-					for _, c := range cts {
-						if len(c) != ecelgamal.CiphertextSize {
-							t.Errorf("%s %s %s carries a %d-byte ciphertext", link, dir, msg.Type, len(c))
-						}
-					}
-					views[i] = append(views[i], fmt.Sprintf("%s %s %s %d", link, dir, msg.Type, len(msg.Body)))
-					return msg
-				}
-			}
-			reg := telemetry.NewRegistry()
-			params := fastParams()
-			params.Buckets = buckets
-			net := networkOver(t, nil, in[0], in[1])
-			got, srcErrs, err := queryAtMediator(t, net, func(link string, c transport.Conn) transport.Conn {
-				return &mediatorLinkConn{Conn: c, onSend: record(link, "send"), onRecv: record(link, "recv")}
-			}, fixtureSQL, ProtocolPM, params)
-			if err != nil || srcErrs["S1"] != nil || srcErrs["S2"] != nil {
-				t.Fatalf("query: %v, sources: %v", err, srcErrs)
-			}
-			if got.Len() != 5 {
-				t.Fatalf("input %d: join has %d rows, want 5", i, got.Len())
-			}
-			ops := reg.OpDeltas()
-			if ops["hybrid.seal"] != n+m || ops["paillier.encrypt"] != 0 || ops["paillier.decrypt"] != 0 {
-				t.Errorf("input %d: hybrid.seal = %d, paillier encrypt/decrypt = %d/%d; want %d, 0/0",
-					i, ops["hybrid.seal"], ops["paillier.encrypt"], ops["paillier.decrypt"], n+m)
-			}
-		}
-		if len(views[0]) == 0 || fmt.Sprint(views[0]) != fmt.Sprint(views[1]) {
-			t.Errorf("Buckets %d: mediator views differ:\n%v\n%v", buckets, views[0], views[1])
 		}
 	}
 }
 
-// A seeded loop of PM queries over the deployed topology — TCP, one
+// pmOps is one PM query's point-operation counts.
+type pmOps struct{ mul, baseMul, add int64 }
+
+// pmOpsClosedForm counts one PM query's P-256 operations
+// (docs/PROTOCOLS.md). Source 1 has n values in B1 buckets of degree L1,
+// source 2 has m, B2 and L2. Each source encrypts its B·L shipped
+// coefficients: one multiplication, two fixed-base ones and one
+// addition each. At each own value it evaluates the opposite
+// polynomial: AddPlain, L − 1 Horner steps of a ScalarMul and an Add,
+// the masking ScalarMul, E(s), s·G and the final Add. The client makes
+// its key's public point once and decrypts n + m evaluations.
+func pmOpsClosedForm(n, m, b1, b2, l1, l2 int64) pmOps {
+	coeffs := b1*l1 + b2*l2
+	return pmOps{
+		mul:     coeffs + n*(2*l2+1) + m*(2*l1+1) + (n + m),
+		baseMul: 2*coeffs + 4*(n+m) + 1,
+		add:     coeffs + n*(2*l2+2) + m*(2*l1+2) + (n + m),
+	}
+}
+
+// One PM query does exactly the closed form's point operations, on
+// pm_small's 45 ⋈ 30-key shape and on the 150 ⋈ 100-key TPC-H shape,
+// with loads counted by pm.BucketIndex under the derived bucket counts.
+// On the first, B = 4 for both sources did 2,460 variable-base
+// multiplications.
+func TestPMOpCount(t *testing.T) {
+	for _, tc := range []struct {
+		keys1, mult1, keys2, mult2 int
+		want                       pmOps
+	}{
+		{45, 1, 30, 15, pmOps{942, 685, 1017}},
+		{150, 1, 100, 15, pmOps{3632, 2665, 3882}},
+	} {
+		r1, r2 := benchRelations(t, tc.keys1, tc.mult1, tc.keys2, tc.mult2, 1)
+		shape := func(r *rel.Relation) (n, b, l int64) {
+			dom, err := r.ActiveDomain("id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, b, l = int64(len(dom)), int64(pm.BucketCount(len(dom))), 1
+			loads := make([]int64, b)
+			for _, v := range dom {
+				i := pm.BucketIndex(pm.RootOfValue(v), int(b))
+				loads[i]++
+				l = max(l, loads[i])
+			}
+			return n, b, l
+		}
+		n, b1, l1 := shape(r1)
+		m, b2, l2 := shape(r2)
+		_, ops := pmView(t, [2]*rel.Relation{r1, r2}, Params{})
+		got := pmOps{ops["ecelgamal.mul"], ops["ecelgamal.base_mul"], ops["ecelgamal.add"]}
+		if form := pmOpsClosedForm(n, m, b1, b2, l1, l2); got != form || got != tc.want {
+			t.Errorf("%d ⋈ %d keys (B = %d, %d; L = %d, %d): mul/base_mul/add = %v, closed form %v, pinned %v",
+				n, m, b1, b2, l1, l2, got, form, tc.want)
+		}
+	}
+}
+
+// A loop of PM queries over the deployed topology — TCP, one
 // multiplexed client link, pooled source links — has no failures and
 // every result is the plaintext join.
 func TestPMSessionTCPLoop(t *testing.T) {
@@ -288,11 +407,9 @@ func TestPMSessionTCPLoop(t *testing.T) {
 	}
 	mux := session.NewMux(conn, session.Config{})
 	defer mux.Close()
-	rng := rand.New(rand.NewSource(500))
 	failed := 0
 	for i := 0; i < runs; i++ {
 		params := fastParams()
-		params.Buckets = 1 + rng.Intn(4)
 		params.Timeout = 30 * time.Second
 		st, err := mux.Open()
 		if err != nil {
@@ -305,10 +422,128 @@ func TestPMSessionTCPLoop(t *testing.T) {
 		}
 		if err != nil {
 			failed++
-			t.Errorf("query %d (buckets %d): %v", i, params.Buckets, err)
+			t.Errorf("query %d: %v", i, err)
 		}
 	}
 	if failed > 0 {
 		t.Fatalf("%d/%d PM queries failed", failed, runs)
+	}
+}
+
+// A pm.cross whose shape no source derives — a bucket count that is not
+// a power of two or exceeds pm.MaxBuckets, or buckets of degree 0 — ends
+// the query before the receiving source reads a ciphertext, in a
+// terminal *ProtocolError blaming the mediator that sent it.
+func TestHostilePMCross(t *testing.T) {
+	reshape := func(b, degree int) func(pm.ECBuckets) pm.ECBuckets {
+		return func(cross pm.ECBuckets) pm.ECBuckets {
+			out := pm.ECBuckets{Polys: make([][][]byte, b)}
+			for i := range out.Polys {
+				for k := 0; k < degree; k++ {
+					out.Polys[i] = append(out.Polys[i], cross.Polys[0][0])
+				}
+			}
+			return out
+		}
+	}
+	for name, rewrite := range map[string]func(pm.ECBuckets) pm.ECBuckets{
+		"buckets 3":    reshape(3, 2),
+		"buckets 2^13": reshape(2*pm.MaxBuckets, 1),
+		"degree 0":     reshape(2, 0),
+	} {
+		rewrite := rewrite
+		t.Run(name, func(t *testing.T) {
+			params := fastParams()
+			params.Timeout = 30 * time.Second // a hang fails, never blocks the suite
+			_, srcErrs, err := queryAtMediator(t, newTestNetwork(t, nil), func(link string, c transport.Conn) transport.Conn {
+				if link != "source:R1" {
+					return c
+				}
+				return &mediatorLinkConn{Conn: c, onSend: func(m transport.Message) transport.Message {
+					if m.Type != msgPMCross {
+						return m
+					}
+					var cross pm.ECBuckets
+					decodeBody(t, m, &cross)
+					out, err := transport.NewMessage(m.Type, rewrite(cross))
+					if err != nil {
+						t.Error(err)
+					}
+					return out
+				}}
+			}, fixtureSQL, ProtocolPM, params)
+			var pe *ProtocolError
+			if !errors.As(err, &pe) || pe.Party != leakage.PartyMediator {
+				t.Fatalf("err = %v, want a *ProtocolError blaming the mediator", err)
+			}
+			if resilience.Retryable(err) {
+				t.Errorf("hostile pm.cross classified retryable: %v", err)
+			}
+			if !errors.As(srcErrs["S1"], &pe) || pe.Party != leakage.PartyMediator {
+				t.Errorf("S1 returned %v, want a *ProtocolError blaming the mediator", srcErrs["S1"])
+			}
+		})
+	}
+}
+
+// The mediator knows the query key, so it can forge an evaluation that
+// opens: one that opens to an empty tuple set, which no source seals,
+// aborts the query at the client, blamed on the mediator.
+func TestPMEmptyTupleSetBlamesMediator(t *testing.T) {
+	var queryKey []byte
+	_, _, err := queryAtMediator(t, newTestNetwork(t, nil), func(link string, c transport.Conn) transport.Conn {
+		if link != "client" {
+			return c
+		}
+		return &mediatorLinkConn{Conn: c,
+			onRecv: func(m transport.Message) transport.Message {
+				if m.Type == msgRequest {
+					var req Request
+					decodeBody(t, m, &req)
+					queryKey = req.QueryKey
+				}
+				return m
+			},
+			onSend: func(m transport.Message) transport.Message {
+				if m.Type != msgPMResult {
+					return m
+				}
+				var res pmResult
+				decodeBody(t, m, &res)
+				layout, err := newTupLayout(res.Schema1, res.JoinCols1, "pm:"+res.Session)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pk, err := ecelgamal.ParsePublicKey(queryKey)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := big.NewInt(12345)
+				es, err := pk.Encrypt(crand.Reader, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				empty, err := layout.encode(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sealed, err := pm.SealPayload(ecelgamal.BaseMul(s), empty, layout.aad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.Evals1[0] = pm.Eval{Cipher: es.Bytes(), Sealed: sealed}
+				out, err := transport.NewMessage(m.Type, res)
+				if err != nil {
+					t.Error(err)
+				}
+				return out
+			}}
+	}, fixtureSQL, ProtocolPM, fastParams())
+	var pe *ProtocolError
+	if !errors.As(err, &pe) || pe.Party != leakage.PartyMediator || !strings.Contains(err.Error(), "holds no rows") {
+		t.Fatalf("err = %v, want the empty tuple set blamed on the mediator", err)
+	}
+	if resilience.Retryable(err) {
+		t.Errorf("empty tuple set classified retryable: %v", err)
 	}
 }

@@ -108,8 +108,11 @@ type Params struct {
 	//
 	// Deprecated: PM has one payload mode.
 	PayloadMode PayloadMode
-	// Buckets is the FNP bucketing parameter for PM; 0 or 1 means one
-	// polynomial over the whole active domain.
+	// Buckets is ignored: it is not sent, and each PM source derives
+	// its bucket count from its own active-domain size
+	// (pm.BucketCount).
+	//
+	// Deprecated: no party chooses the PM bucket count.
 	Buckets int
 	// Timeout bounds every single Send/Recv a party performs for this
 	// query (via transport.Conn.SetTimeout); it travels in the request so
@@ -136,9 +139,6 @@ func (p Params) withDefaults() Params {
 	if p.Partitions == 0 {
 		p.Partitions = 16
 	}
-	if p.Buckets < 1 {
-		p.Buckets = 1
-	}
 	return p
 }
 
@@ -152,10 +152,6 @@ const (
 	// the first party that decodes it, far above the tens of partitions
 	// where Table 4's superset/precision trade-off lies.
 	maxPartitions = 1 << 16
-	// maxBuckets caps the PM bucket count: every bucket, even an empty
-	// one, costs the source two EC-ElGamal encryptions, so 4,096
-	// buckets already make each source ship half a megabyte of filler.
-	maxBuckets = 1 << 12
 	// maxQueryIDLen caps a query ID: a source stores up to attemptCap of
 	// them before it verifies any credential, and resilience.NewQueryID
 	// makes 16 bytes.
@@ -168,8 +164,6 @@ func (p Params) check() error {
 	switch {
 	case p.Partitions < 1 || p.Partitions > maxPartitions:
 		return fmt.Errorf("mediation: partition count %d outside [1, %d]", p.Partitions, maxPartitions)
-	case p.Buckets < 1 || p.Buckets > maxBuckets:
-		return fmt.Errorf("mediation: bucket count %d outside [1, %d]", p.Buckets, maxBuckets)
 	case p.Strategy != 0:
 		return fmt.Errorf("mediation: unknown partitioning strategy %d", p.Strategy)
 	case p.Timeout < 0:

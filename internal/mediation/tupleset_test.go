@@ -398,7 +398,7 @@ func TestResultBytesClosedForm(t *testing.T) {
 	t.Run("pm.result", func(t *testing.T) {
 		r1, r2 := benchRelations(t, 45, 1, 30, 15, 1)
 		var res pmResult
-		got := resultBody(t, r1, r2, ProtocolPM, Params{Buckets: 4}, msgPMResult, &res)
+		got := resultBody(t, r1, r2, ProtocolPM, Params{}, msgPMResult, &res)
 		header := res
 		header.Evals1, header.Evals2 = nil, nil
 		want := digest + len(mustMarshal(t, header)) - 2*uvarintLen(0) +

@@ -11,6 +11,25 @@ import (
 	"github.com/secmediation/secmediation/internal/parallel"
 )
 
+// MaxBuckets caps a chooser's bucket count, and so what a receiver of
+// encrypted buckets accepts: every bucket, even an empty one, costs the
+// chooser its encrypted coefficients.
+const MaxBuckets = 1 << 12
+
+// BucketCount is the bucket count B a chooser with n distinct roots
+// uses: B = 2^⌈log₂⌈n/2⌉⌉, 1 for n ≤ 2, at most MaxBuckets. It depends
+// on n alone, so the count a party sees tells it ⌈log₂⌈n/2⌉⌉ of the
+// opposite domain and nothing more. Of the power-of-two rules, n/2
+// gives the fewest point multiplications per query on the benchmark's
+// shapes (docs/PROTOCOLS.md has the count it minimizes).
+func BucketCount(n int) int {
+	b := 1
+	for b < (n+1)/2 && b < MaxBuckets {
+		b <<= 1
+	}
+	return b
+}
+
 // BucketIndex assigns a root to one of b buckets by hashing; chooser and
 // sender agree on the assignment because it depends only on the root.
 func BucketIndex(root *big.Int, b int) int {
@@ -76,20 +95,23 @@ func (b *Buckets) MaxDegree() int { return b.Polys[0].Degree() }
 
 // ECBuckets is the encrypted form the chooser ships to the sender:
 // Polys[i][k] is the ecelgamal ciphertext (ecelgamal.CiphertextSize
-// bytes) of bucket i's coefficient c_k.
+// bytes) of bucket i's coefficient c_k, for k < L. Every bucket has the
+// same degree L, and its leading coefficient c_L = (−1)^L (FromRoots
+// expands Π (a_i − x)) is public, so it does not travel.
 type ECBuckets struct {
 	Polys [][][]byte
 }
 
-// EncryptEC encrypts every bucket polynomial under the client's point.
-// The (bucket, coefficient) space is flattened before fanning out over
-// the worker pool, so the pool stays evenly loaded whether the parameters
-// give one huge polynomial or many low-degree ones.
+// EncryptEC encrypts every bucket polynomial but its public leading
+// coefficient under the client's point. The (bucket, coefficient) space
+// is flattened before fanning out over the worker pool, so the pool
+// stays evenly loaded whether the roots give one huge polynomial or
+// many low-degree ones.
 func (b *Buckets) EncryptEC(pk *ecelgamal.PublicKey) (*ECBuckets, error) {
 	if b.N.Cmp(ecelgamal.Order()) != 0 {
 		return nil, fmt.Errorf("pm: bucket modulus is not the group order")
 	}
-	stride := b.MaxDegree() + 1 // every bucket is padded to uniform degree
+	stride := b.MaxDegree() // every bucket is padded to uniform degree
 	flat, err := parallel.Map(len(b.Polys)*stride, 0, func(i int) ([]byte, error) {
 		c, err := pk.Encrypt(rand.Reader, b.Polys[i/stride].Coeffs[i%stride])
 		if err != nil {
@@ -118,9 +140,11 @@ type Eval struct {
 // its payload, evaluate the bucket polynomial a′ falls into by Horner's
 // rule over ciphertexts, and return e = r·E(P(a′)) + E(s) for fresh
 // nonzero r and s (E's fresh ρ re-randomizes e) with the blob
-// SealPayload(s·G, payload, aad). Order is preserved across the
-// worker pool. Every coefficient is decoded, and so validated, once
-// before any evaluation; a malformed one is an error.
+// SealPayload(s·G, payload, aad). Horner starts from the public leading
+// coefficient: E(c_{L−1}) + ((−1)^L·a′)·G, one fixed-base multiplication
+// where a ciphertext step costs two variable-base ones. Order is
+// preserved across the worker pool. Every coefficient is decoded, and
+// so validated, once before any evaluation; a malformed one is an error.
 func (eb *ECBuckets) MaskedEvalBatch(pk *ecelgamal.PublicKey, roots []*big.Int, payloads [][]byte, aad []byte) ([]Eval, error) {
 	if len(roots) != len(payloads) {
 		return nil, fmt.Errorf("pm: %d roots but %d payloads", len(roots), len(payloads))
@@ -145,7 +169,11 @@ func (eb *ECBuckets) MaskedEvalBatch(pk *ecelgamal.PublicKey, roots []*big.Int, 
 	return parallel.Map(len(roots), 0, func(i int) (Eval, error) {
 		a := roots[i]
 		coeffs := polys[BucketIndex(a, len(polys))]
-		acc := coeffs[len(coeffs)-1]
+		lead := a // c_L·a′ with c_L = (−1)^L
+		if len(coeffs)%2 == 1 {
+			lead = new(big.Int).Neg(a)
+		}
+		acc := ecelgamal.AddPlain(coeffs[len(coeffs)-1], lead)
 		for k := len(coeffs) - 2; k >= 0; k-- {
 			acc = ecelgamal.Add(ecelgamal.ScalarMul(acc, a), coeffs[k])
 		}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/ecdh"
 	"crypto/rand"
+	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -127,34 +129,81 @@ func TestFromRootsMatchesProductForm(t *testing.T) {
 }
 
 // The homomorphic Horner evaluation decrypts to P(x)·G, checked against
-// the plaintext polynomial.
+// the plaintext polynomial at degrees 1–4: EncryptEC ships c_0 … c_{L−1},
+// L ciphertexts, and the evaluator supplies c_L = (−1)^L itself.
 func TestEncryptedEvaluationMatchesPlain(t *testing.T) {
 	sk, pk := testKey(t)
-	roots := []*big.Int{big.NewInt(11), big.NewInt(22), big.NewInt(33)}
-	p, _ := FromRoots(roots, q)
-	eb := encryptBuckets(t, pk, roots, 1)
-	for _, x := range []*big.Int{big.NewInt(11), big.NewInt(5), big.NewInt(1 << 30)} {
-		coeffs := make([]*ecelgamal.Ciphertext, len(eb.Polys[0]))
-		for k, c := range eb.Polys[0] {
-			ct, err := ecelgamal.DecodeCiphertext(c)
+	all := []*big.Int{big.NewInt(11), big.NewInt(22), big.NewInt(33), big.NewInt(44)}
+	for degree := 1; degree <= len(all); degree++ {
+		roots := all[:degree]
+		p, _ := FromRoots(roots, q)
+		eb := encryptBuckets(t, pk, roots, 1)
+		if len(eb.Polys[0]) != degree {
+			t.Fatalf("degree %d: %d ciphertexts shipped, want %d", degree, len(eb.Polys[0]), degree)
+		}
+		lead := big.NewInt(1)
+		if degree%2 == 1 {
+			lead.Sub(q, lead)
+		}
+		if p.Coeffs[degree].Cmp(lead) != 0 {
+			t.Fatalf("degree %d: leading coefficient %v, want (−1)^%d", degree, p.Coeffs[degree], degree)
+		}
+		for _, x := range []*big.Int{big.NewInt(11), big.NewInt(5), big.NewInt(1 << 30)} {
+			coeffs := make([]*ecelgamal.Ciphertext, len(eb.Polys[0]))
+			for k, c := range eb.Polys[0] {
+				ct, err := ecelgamal.DecodeCiphertext(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				coeffs[k] = ct
+			}
+			acc := ecelgamal.AddPlain(coeffs[degree-1], new(big.Int).Mul(lead, x))
+			for k := degree - 2; k >= 0; k-- {
+				acc = ecelgamal.Add(ecelgamal.ScalarMul(acc, x), coeffs[k])
+			}
+			// Adding E(1) keeps a root's P(x)·G off the identity, which has no
+			// compressed form.
+			one, err := pk.Encrypt(rand.Reader, big.NewInt(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			coeffs[k] = ct
+			want := new(big.Int).Add(p.Eval(x), big.NewInt(1))
+			if !bytes.Equal(sk.Decrypt(ecelgamal.Add(acc, one)), ecelgamal.BaseMul(want)) {
+				t.Errorf("degree %d: E-eval(%v) does not decrypt to P(%v)·G", degree, x, x)
+			}
 		}
-		acc := coeffs[len(coeffs)-1]
-		for k := len(coeffs) - 2; k >= 0; k-- {
-			acc = ecelgamal.Add(ecelgamal.ScalarMul(acc, x), coeffs[k])
+	}
+}
+
+// The sign of the leading coefficient the evaluator supplies matters: a
+// bucket of every degree 1–4 opens at each of its roots and at no other
+// value. Taking c_L = +1 would leave every odd-degree bucket unopenable.
+func TestMaskedEvalEveryDegree(t *testing.T) {
+	sk, pk := testKey(t)
+	aad := []byte("pm:degree")
+	for degree := 1; degree <= 4; degree++ {
+		var roots []*big.Int
+		for i := 0; i < degree; i++ {
+			roots = append(roots, RootOfValue(rel.Int(int64(10*degree+i))))
 		}
-		// Adding E(1) keeps a root's P(x)·G off the identity, which has no
-		// compressed form.
-		one, err := pk.Encrypt(rand.Reader, big.NewInt(1))
+		eb := encryptBuckets(t, pk, roots, 1)
+		as := append(append([]*big.Int{}, roots...), RootOfValue(rel.Int(-1)))
+		payloads := make([][]byte, len(as))
+		for i := range payloads {
+			payloads[i] = []byte{byte(i)}
+		}
+		evals, err := eb.MaskedEvalBatch(pk, as, payloads, aad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := new(big.Int).Add(p.Eval(x), big.NewInt(1))
-		if !bytes.Equal(sk.Decrypt(ecelgamal.Add(acc, one)), ecelgamal.BaseMul(want)) {
-			t.Errorf("E-eval(%v) does not decrypt to P(%v)·G", x, x)
+		for i, e := range evals {
+			payload, ok, err := OpenEval(sk, e, aad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if isRoot := i < degree; ok != isRoot || (ok && !bytes.Equal(payload, payloads[i])) {
+				t.Errorf("degree %d: value %d opened = %v to %x, want %v", degree, i, ok, payload, isRoot)
+			}
 		}
 	}
 }
@@ -403,5 +452,104 @@ func TestMaskedEvalNonRootsNeverOpen(t *testing.T) {
 		if _, ok, err := OpenEval(sk, e, aad); err != nil || ok {
 			t.Fatalf("non-root %d: ok=%v err=%v", i, ok, err)
 		}
+	}
+}
+
+// BucketCount is 2^⌈log₂⌈n/2⌉⌉, 1 for n ≤ 2, and stops at MaxBuckets.
+func TestBucketCount(t *testing.T) {
+	for n, want := range map[int]int{0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 8: 4, 9: 8, 30: 16, 45: 32,
+		100: 64, 150: 128, 2 * MaxBuckets: MaxBuckets, 2*MaxBuckets + 1: MaxBuckets, 1 << 40: MaxBuckets} {
+		if got := BucketCount(n); got != want {
+			t.Errorf("BucketCount(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// Encrypted buckets share one degree, written once. A receiver refuses,
+// before it reads any ciphertext, a bucket count BucketCount never
+// gives and a degree of 0; buckets of unequal degree have no encoding.
+func TestECBucketsCodec(t *testing.T) {
+	ct := bytes.Repeat([]byte{2}, ecelgamal.CiphertextSize)
+	shape := func(b, degree int) ECBuckets {
+		eb := ECBuckets{Polys: make([][][]byte, b)}
+		for i := range eb.Polys {
+			eb.Polys[i] = make([][]byte, degree)
+			for k := range eb.Polys[i] {
+				eb.Polys[i][k] = ct
+			}
+		}
+		return eb
+	}
+	good := shape(4, 3)
+	b, err := good.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 + 4*3*ecelgamal.CiphertextSize; len(b) != want {
+		t.Errorf("4 buckets of degree 3 encode to %d bytes, want %d", len(b), want)
+	}
+	var back ECBuckets
+	if err := back.UnmarshalBinary(b); err != nil || len(back.Polys) != 4 || len(back.Polys[3]) != 3 || !bytes.Equal(back.Polys[3][2], ct) {
+		t.Errorf("round trip: %v, %d buckets", err, len(back.Polys))
+	}
+	encode := func(eb ECBuckets) []byte {
+		b, err := eb.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for name, tc := range map[string]struct {
+		frame []byte
+		msg   string
+	}{
+		"no buckets":        {encode(shape(0, 0)), "not a power of two"},
+		"3 buckets":         {encode(shape(3, 1)), "not a power of two"},
+		"2^13 buckets":      {encode(shape(2*MaxBuckets, 1)), "not a power of two"},
+		"degree 0":          {encode(shape(2, 0)), "degree 0"},
+		"degree past bytes": {[]byte{2, 3}, "elements"}, // 2 buckets of degree 3, no ciphertext
+	} {
+		if err := new(ECBuckets).UnmarshalBinary(tc.frame); err == nil || !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("%s: decode error %v, want one about %q", name, err, tc.msg)
+		}
+	}
+	uneven := shape(2, 2)
+	uneven.Polys[1] = uneven.Polys[1][:1]
+	if _, err := uneven.MarshalBinary(); err == nil {
+		t.Error("buckets of degrees 2 and 1 encoded")
+	}
+}
+
+// FNP bucketing ablation (§6's "evaluated efficiently"): one query's
+// polynomial work — build, encrypt, and one masked evaluation per
+// opposite value — for 45 roots against 30 values, at one polynomial
+// (b = 1), at a fixed b = 4, and at the BucketCount a source derives.
+func BenchmarkPMBucketing(b *testing.B) {
+	_, pk := testKey(b)
+	roots := make([]*big.Int, 45)
+	for i := range roots {
+		roots[i] = RootOfValue(rel.Int(int64(i)))
+	}
+	values := make([]*big.Int, 30)
+	payloads := make([][]byte, len(values))
+	for i := range values {
+		values[i] = RootOfValue(rel.Int(int64(2 * i)))
+	}
+	for _, buckets := range []int{1, 4, BucketCount(len(roots))} {
+		b.Run(fmt.Sprintf("b=%d", buckets), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bs, err := BuildBuckets(roots, buckets, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				eb, err := bs.EncryptEC(pk)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eb.MaskedEvalBatch(pk, values, payloads, []byte("pm:bench")); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -360,12 +360,14 @@ func (p *parser) parseQuery() (*Query, error) {
 			for i := range step.OnLeft {
 				l, r := step.OnLeft[i], step.OnRight[i]
 				// Normalize: the column qualified by (or belonging to) the
-				// left relation goes into JoinLeft. A self-join has no
-				// side to prefer, so its pairs keep their written order.
+				// left relation goes into JoinLeft. A pair whose two sides
+				// name the same relation, and a self-join, have no side to
+				// prefer, so they keep their written order; swapping them
+				// would make the rendering flip on every re-parse.
 				if q.Left != q.Right {
-					if rel, _, ok := qualifier(l); ok && rel == q.Right {
-						l, r = r, l
-					} else if rel, _, ok := qualifier(r); ok && rel == q.Left {
+					lrel, _, _ := qualifier(l) // "" when unqualified
+					rrel, _, _ := qualifier(r)
+					if (lrel == q.Right && rrel != q.Right) || (rrel == q.Left && lrel != q.Left) {
 						l, r = r, l
 					}
 				}
