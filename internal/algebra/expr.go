@@ -10,6 +10,7 @@ package algebra
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/secmediation/secmediation/internal/relation"
@@ -61,9 +62,20 @@ func (l Literal) Check(relation.Schema) (relation.Kind, error) {
 	return l.Value.Kind(), nil
 }
 
+// String renders the literal as SQL that parses back to the same value
+// and kind.
 func (l Literal) String() string {
-	if l.Value.Kind() == relation.KindString {
+	switch l.Value.Kind() {
+	case relation.KindString:
 		return "'" + strings.ReplaceAll(l.Value.AsString(), "'", "''") + "'"
+	case relation.KindFloat:
+		// No exponent, which the lexer does not read, and a point even
+		// in an integral value, which would otherwise parse as an INT.
+		s := strconv.FormatFloat(l.Value.AsFloat(), 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
 	}
 	return l.Value.String()
 }

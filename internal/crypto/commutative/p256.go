@@ -47,6 +47,13 @@ func decompress(elem []byte) ([]byte, error) {
 // The number of tries depends on the value, which only the source that
 // owns the value can time.
 func HashToElement(label string, data []byte) []byte {
+	elem, _ := hashToPoint(label, data)
+	return elem
+}
+
+// hashToPoint is HashToElement returning also the winning digest's
+// uncompressed point, which the try-and-increment test decompressed.
+func hashToPoint(label string, data []byte) (elem, point []byte) {
 	opHash.Add(1)
 	h := sha256.New()
 	var ctr [4]byte
@@ -59,8 +66,8 @@ func HashToElement(label string, data []byte) []byte {
 		h.Write(ctr[:])
 		h.Write(data)
 		elem := h.Sum(nil)
-		if _, err := decompress(elem); err == nil {
-			return elem
+		if point, err := decompress(elem); err == nil {
+			return elem, point
 		}
 	}
 }
@@ -91,6 +98,21 @@ func (k *CurveKey) Apply(elem []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return k.applyPoint(point)
+}
+
+// HashApply computes f_k(h(data)), equal to Apply(HashToElement(label,
+// data)), but feeds the point the hash already decompressed straight to
+// the scalar multiplication, so the element is decompressed once.
+// seclint:sanitizer commutative encrypt boundary
+func (k *CurveKey) HashApply(label string, data []byte) ([]byte, error) {
+	_, point := hashToPoint(label, data)
+	return k.applyPoint(point)
+}
+
+// applyPoint multiplies an uncompressed point, one decompress already
+// validated, by the secret scalar.
+func (k *CurveKey) applyPoint(point []byte) ([]byte, error) {
 	pub, err := ecdh.P256().NewPublicKey(point)
 	if err != nil {
 		return nil, fmt.Errorf("commutative: %w", err)

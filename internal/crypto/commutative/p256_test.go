@@ -71,6 +71,34 @@ func TestApplyMatchesScalarMult(t *testing.T) {
 	}
 }
 
+// HashApply is Apply of HashToElement, for every label and value, and
+// counts as one hash and one scalar multiplication like that pair does.
+func TestHashApplyIsApplyOfHash(t *testing.T) {
+	n := 500
+	if testing.Short() {
+		n = 50
+	}
+	k, err := GenerateCurveKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		label := []string{"", "session-a", "session-b"}[i%3]
+		data := relation.Int(int64(i)).Encode(nil)
+		h0, e0 := opHash.Count(), opExp.Count()
+		got, err := k.HashApply(label, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, e := opHash.Count()-h0, opExp.Count()-e0; h != 1 || e != 1 {
+			t.Fatalf("HashApply counted %d hashes and %d exps, want 1 and 1", h, e)
+		}
+		if want := mustApply(t, k, HashToElement(label, data)); !bytes.Equal(got, want) {
+			t.Fatalf("HashApply(%q, %x) = %x, Apply(HashToElement) = %x", label, data, got, want)
+		}
+	}
+}
+
 // Commutativity is what the mediator's matching step (Listing 3, step 7)
 // relies on; injectivity is what makes a match mean equal values.
 func TestCurveKeysCommuteAndAreInjective(t *testing.T) {

@@ -96,10 +96,12 @@ type PrivateKey struct {
 // KeyFromECDH reuses an ecdh.P256 key's scalar (crypto/ecdh keeps it in
 // [1, q−1]) as the decryption scalar, so one per-query key serves key
 // transport and PM alike: the public point is the same X = x·G in both
-// roles.
+// roles. The point is the ECDH key's own, recompressed, so no
+// multiplication recomputes it.
 func KeyFromECDH(k *ecdh.PrivateKey) *PrivateKey {
-	d := new(big.Int).SetBytes(k.Bytes())
-	return &PrivateKey{d: d, pub: baseMul(d).compressed()}
+	var p point
+	p.x, p.y = elliptic.Unmarshal(curve, k.PublicKey().Bytes())
+	return &PrivateKey{d: new(big.Int).SetBytes(k.Bytes()), pub: p.compressed()}
 }
 
 // PublicKey returns the compressed public point, the form it travels in.

@@ -121,7 +121,8 @@ func TestAddPlain(t *testing.T) {
 // is two fixed-base multiplications, one variable-base one and one
 // addition; a ciphertext ScalarMul or Add counts both its points; a
 // decryption is one multiplication and one addition; AddPlain is one
-// fixed-base multiplication and one addition.
+// fixed-base multiplication and one addition; a key taken from an ECDH
+// key multiplies nothing.
 func TestOpCounts(t *testing.T) {
 	sk := mustKey(t)
 	pk, _ := ParsePublicKey(sk.PublicKey())
@@ -135,6 +136,7 @@ func TestOpCounts(t *testing.T) {
 		{"ScalarMul", func() { ScalarMul(mustEncrypt(t, pk, k), k) }, 1 + 2, 2, 1},
 		{"Add", func() { Add(mustEncrypt(t, pk, k), mustEncrypt(t, pk, k)) }, 2, 4, 2 + 2},
 		{"AddPlain", func() { AddPlain(mustEncrypt(t, pk, k), k) }, 1, 2 + 1, 1 + 1},
+		{"KeyFromECDH", func() { mustKey(t) }, 0, 0, 0},
 		{"Decrypt", func() { sk.Decrypt(mustEncrypt(t, pk, k)) }, 1 + 1, 2, 1 + 1},
 		{"BaseMul", func() { BaseMul(k) }, 0, 1, 0},
 	} {

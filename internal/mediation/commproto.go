@@ -89,7 +89,7 @@ func (s *Source) serveCommutative(mediator *link.Link, pq *PartialQuery, rel *re
 		// independent.
 		offer.Items, err = parallel.Map(len(groupsByKey), 0, func(i int) (commItem, error) {
 			g := groupsByKey[i]
-			c, err := key.Apply(commutative.HashToElement(pq.SessionID, relation.EncodeValues(g.Key, nil)))
+			c, err := key.HashApply(pq.SessionID, relation.EncodeValues(g.Key, nil))
 			if err != nil {
 				return commItem{}, err
 			}

@@ -2,6 +2,7 @@ package mediation
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	crand "crypto/rand"
 	"encoding"
 	"errors"
@@ -338,16 +339,19 @@ type pmOps struct{ mul, baseMul, add int64 }
 // (docs/PROTOCOLS.md). Source 1 has n values in B1 buckets of degree L1,
 // source 2 has m, B2 and L2. Each source encrypts its B·L shipped
 // coefficients: one multiplication, two fixed-base ones and one
-// addition each. At each own value it evaluates the opposite
-// polynomial: AddPlain, L − 1 Horner steps of a ScalarMul and an Add,
-// the masking ScalarMul, E(s), s·G and the final Add. The client makes
-// its key's public point once and decrypts n + m evaluations.
+// addition each. Before evaluating the opposite polynomial it encrypts
+// one zero and adds it to each opposite bucket's constant coefficient.
+// At each own value it runs L − 1 Horner steps of a ScalarMul and an
+// Add, the masking ScalarMul by r, one AddPlain of the scaled leading
+// term and s, and s·G for the blob. The client takes its key's public
+// point from the ECDH key, multiplying nothing, and decrypts n + m
+// evaluations.
 func pmOpsClosedForm(n, m, b1, b2, l1, l2 int64) pmOps {
 	coeffs := b1*l1 + b2*l2
 	return pmOps{
-		mul:     coeffs + n*(2*l2+1) + m*(2*l1+1) + (n + m),
-		baseMul: 2*coeffs + 4*(n+m) + 1,
-		add:     coeffs + n*(2*l2+2) + m*(2*l1+2) + (n + m),
+		mul:     coeffs + 2*n*l2 + 2*m*l1 + (n + m) + 2,
+		baseMul: 2*coeffs + 2*(n+m) + 4,
+		add:     coeffs + 2*n*l2 + 2*m*l1 + 2*(b1+b2) + 2,
 	}
 }
 
@@ -355,14 +359,14 @@ func pmOpsClosedForm(n, m, b1, b2, l1, l2 int64) pmOps {
 // pm_small's 45 ⋈ 30-key shape and on the 150 ⋈ 100-key TPC-H shape,
 // with loads counted by pm.BucketIndex under the derived bucket counts.
 // On the first, B = 4 for both sources did 2,460 variable-base
-// multiplications.
+// multiplications, and a fresh E(s) per evaluation 942.
 func TestPMOpCount(t *testing.T) {
 	for _, tc := range []struct {
 		keys1, mult1, keys2, mult2 int
 		want                       pmOps
 	}{
-		{45, 1, 30, 15, pmOps{942, 685, 1017}},
-		{150, 1, 100, 15, pmOps{3632, 2665, 3882}},
+		{45, 1, 30, 15, pmOps{869, 538, 890}},
+		{150, 1, 100, 15, pmOps{3384, 2168, 3518}},
 	} {
 		r1, r2 := benchRelations(t, tc.keys1, tc.mult1, tc.keys2, tc.mult2, 1)
 		shape := func(r *rel.Relation) (n, b, l int64) {
@@ -483,6 +487,82 @@ func TestHostilePMCross(t *testing.T) {
 				t.Errorf("S1 returned %v, want a *ProtocolError blaming the mediator", srcErrs["S1"])
 			}
 		})
+	}
+}
+
+// A mediator that relays to S1, in place of S2's polynomial, one with
+// roots at S1's own join values encrypted under a key of its own cannot
+// open any of S1's blobs under that key: S1 evaluates under the query
+// key the client signed. S1 accepts the forged shape, so the query runs
+// through; only what the mediator can open is checked.
+func TestPMForgedCrossOpensNothingAtMediator(t *testing.T) {
+	r1, _ := testRelations(t)
+	groups, err := r1.GroupByColumns([]string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := make([]*big.Int, len(groups))
+	for i, g := range groups {
+		roots[i] = pm.RootOfBytes(rel.EncodeValues(g.Key, nil))
+	}
+	forged, err := pm.BuildBuckets(roots, pm.BucketCount(len(roots)), ecelgamal.Order())
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgerKey, err := ecdh.P256().GenerateKey(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgerSK := ecelgamal.KeyFromECDH(forgerKey)
+	forgerPK, err := ecelgamal.ParsePublicKey(forgerSK.PublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross, err := forged.EncryptEC(forgerPK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var coeffs pmCoeffs
+	var evals pmEvals
+	_, srcErrs, _ := queryAtMediator(t, newTestNetwork(t, nil), func(link string, c transport.Conn) transport.Conn {
+		if link != "source:R1" {
+			return c
+		}
+		return &mediatorLinkConn{Conn: c,
+			onRecv: func(m transport.Message) transport.Message {
+				switch m.Type {
+				case msgPMCoeffs:
+					decodeBody(t, m, &coeffs)
+				case msgPMEvals:
+					decodeBody(t, m, &evals)
+				}
+				return m
+			},
+			onSend: func(m transport.Message) transport.Message {
+				if m.Type != msgPMCross {
+					return m
+				}
+				out, err := transport.NewMessage(m.Type, *cross)
+				if err != nil {
+					t.Error(err)
+				}
+				return out
+			}}
+	}, fixtureSQL, ProtocolPM, fastParams())
+	if srcErrs["S1"] != nil {
+		t.Fatalf("S1 refused the forged polynomial: %v", srcErrs["S1"])
+	}
+	if len(evals.Evals) != len(roots) {
+		t.Fatalf("S1 sent %d evaluations, want one per each of its %d values", len(evals.Evals), len(roots))
+	}
+	layout, err := newTupLayout(coeffs.Schema, []string{"id"}, "pm:"+coeffs.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range evals.Evals {
+		if _, ok, err := pm.OpenEval(forgerSK, e, layout.aad); err != nil || ok {
+			t.Errorf("evaluation %d: opened = %v, err = %v under the mediator's key", i, ok, err)
+		}
 	}
 }
 

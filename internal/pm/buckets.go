@@ -137,14 +137,21 @@ type Eval struct {
 }
 
 // MaskedEvalBatch is the sender's step 5/6: for every own root a′ with
-// its payload, evaluate the bucket polynomial a′ falls into by Horner's
-// rule over ciphertexts, and return e = r·E(P(a′)) + E(s) for fresh
-// nonzero r and s (E's fresh ρ re-randomizes e) with the blob
-// SealPayload(s·G, payload, aad). Horner starts from the public leading
-// coefficient: E(c_{L−1}) + ((−1)^L·a′)·G, one fixed-base multiplication
-// where a ciphertext step costs two variable-base ones. Order is
-// preserved across the worker pool. Every coefficient is decoded, and
-// so validated, once before any evaluation; a malformed one is an error.
+// its payload, evaluate the bucket polynomial a′ falls into under
+// encryption and return e = r·(E(P(a′)) + Z) + (0, s·G) with the blob
+// SealPayload(s·G, payload, aad), for fresh nonzero r and s. Z = (ρ·G,
+// ρ·X) is one fresh encryption of zero under the client's authenticated
+// point pk, drawn per batch and added to every bucket's constant
+// coefficient, so each e carries its own re-randomization r·ρ under X.
+// The coefficients arrive through the mediator unauthenticated: without
+// a term under X, a relay that encrypted them under its own key would
+// decrypt e at a guessed root to s·G (docs/SECURITY.md, *EC-ElGamal*).
+// Horner's rule runs over the L shipped coefficients only; the public
+// leading term c_L·a′^L, c_L = (−1)^L, is scaled by r and joins s in one
+// fixed-base multiplication. Order is preserved across the worker pool.
+// Every coefficient of every bucket is decoded, and so validated, before
+// any evaluation, including buckets no own root falls into: which
+// buckets a batch reads must not decide whether it fails.
 func (eb *ECBuckets) MaskedEvalBatch(pk *ecelgamal.PublicKey, roots []*big.Int, payloads [][]byte, aad []byte) ([]Eval, error) {
 	if len(roots) != len(payloads) {
 		return nil, fmt.Errorf("pm: %d roots but %d payloads", len(roots), len(payloads))
@@ -166,14 +173,18 @@ func (eb *ECBuckets) MaskedEvalBatch(pk *ecelgamal.PublicKey, roots []*big.Int, 
 			polys[i][k] = ct
 		}
 	}
+	z, err := pk.Encrypt(rand.Reader, new(big.Int))
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range polys {
+		p[0] = ecelgamal.Add(p[0], z)
+	}
+	q := ecelgamal.Order()
 	return parallel.Map(len(roots), 0, func(i int) (Eval, error) {
 		a := roots[i]
 		coeffs := polys[BucketIndex(a, len(polys))]
-		lead := a // c_L·a′ with c_L = (−1)^L
-		if len(coeffs)%2 == 1 {
-			lead = new(big.Int).Neg(a)
-		}
-		acc := ecelgamal.AddPlain(coeffs[len(coeffs)-1], lead)
+		acc := coeffs[len(coeffs)-1]
 		for k := len(coeffs) - 2; k >= 0; k-- {
 			acc = ecelgamal.Add(ecelgamal.ScalarMul(acc, a), coeffs[k])
 		}
@@ -185,14 +196,15 @@ func (eb *ECBuckets) MaskedEvalBatch(pk *ecelgamal.PublicKey, roots []*big.Int, 
 		if err != nil {
 			return Eval{}, err
 		}
-		es, err := pk.Encrypt(rand.Reader, s)
-		if err != nil {
-			return Eval{}, err
+		lead := new(big.Int).Exp(a, big.NewInt(int64(len(coeffs))), q)
+		if len(coeffs)%2 == 1 {
+			lead.Neg(lead)
 		}
+		mask := lead.Add(lead.Mul(lead, r), s) // r·c_L·a′^L + s
 		sealed, err := SealPayload(ecelgamal.BaseMul(s), payloads[i], aad)
 		if err != nil {
 			return Eval{}, err
 		}
-		return Eval{Cipher: ecelgamal.Add(ecelgamal.ScalarMul(acc, r), es).Bytes(), Sealed: sealed}, nil
+		return Eval{Cipher: ecelgamal.AddPlain(ecelgamal.ScalarMul(acc, r), mask).Bytes(), Sealed: sealed}, nil
 	})
 }

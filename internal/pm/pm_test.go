@@ -13,6 +13,7 @@ import (
 	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	"github.com/secmediation/secmediation/internal/crypto/paillier"
 	rel "github.com/secmediation/secmediation/internal/relation"
+	"github.com/secmediation/secmediation/internal/telemetry"
 )
 
 // q is the coefficient modulus the protocol uses.
@@ -425,6 +426,124 @@ func TestMaskedEvalBatch(t *testing.T) {
 	for _, empty := range []*ECBuckets{{}, {Polys: [][][]byte{{}}}} {
 		if _, err := empty.MaskedEvalBatch(pk, as, payloads, aad); err == nil {
 			t.Error("empty encrypted buckets accepted")
+		}
+	}
+}
+
+// Every coefficient is validated before any evaluation, also in a bucket
+// none of the evaluated roots falls into: a relay that planted a
+// malformed point there must not learn, from whether the batch failed,
+// which buckets the sender's values occupy.
+func TestMaskedEvalValidatesUnusedBuckets(t *testing.T) {
+	_, pk := testKey(t)
+	const b = 4
+	var roots []*big.Int
+	for i := 0; i < 8; i++ {
+		roots = append(roots, RootOfValue(rel.Int(int64(i))))
+	}
+	eb := encryptBuckets(t, pk, roots, b)
+	as := roots[:1]
+	unused := (BucketIndex(as[0], b) + 1) % b
+	valid := eb.Polys[unused][0]
+	hostile := append(bytes.Clone(valid[:ecelgamal.CiphertextSize/2]), bytes.Repeat([]byte{0xFF}, ecelgamal.CiphertextSize/2)...)
+	hostile[ecelgamal.CiphertextSize/2] = 0x02 // x = 2²⁵⁶ − 1 ≥ p: no point
+	eb.Polys[unused][0] = hostile
+	mul, add := telemetry.CryptoOp("ecelgamal.mul"), telemetry.CryptoOp("ecelgamal.add")
+	m0, a0 := mul.Count(), add.Count()
+	if _, err := eb.MaskedEvalBatch(pk, as, [][]byte{[]byte("p0")}, []byte("pm:unused")); err == nil {
+		t.Fatalf("a malformed coefficient in bucket %d, which root 0 (bucket %d) never reads, was accepted", unused, BucketIndex(as[0], b))
+	}
+	if m, a := mul.Count()-m0, add.Count()-a0; m != 0 || a != 0 {
+		t.Errorf("the rejected batch did %d multiplications and %d additions first, want none", m, a)
+	}
+	eb.Polys[unused][0] = valid
+	if _, err := eb.MaskedEvalBatch(pk, as, [][]byte{[]byte("p0")}, []byte("pm:unused")); err != nil {
+		t.Fatalf("control batch: %v", err)
+	}
+}
+
+// Two batches over one encrypted polynomial and one set of roots share no
+// point of e: the fresh r, s and per-batch zero encryption re-randomize
+// every evaluation. A root's e still decrypts to exactly the s·G its blob
+// is sealed under, and a fresh one per batch.
+func TestMaskedEvalRerandomizes(t *testing.T) {
+	sk, pk := testKey(t)
+	roots := []*big.Int{RootOfValue(rel.Int(1)), RootOfValue(rel.Int(2))}
+	eb := encryptBuckets(t, pk, roots, 1)
+	as := []*big.Int{roots[0], roots[1], RootOfValue(rel.Int(3))}
+	payloads := [][]byte{[]byte("p1"), []byte("p2"), []byte("p3")}
+	aad := []byte("pm:rerandomize")
+	points, keys := map[string]bool{}, map[string]bool{}
+	for batch := 0; batch < 2; batch++ {
+		evals, err := eb.MaskedEvalBatch(pk, as, payloads, aad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range evals {
+			for _, half := range [][]byte{e.Cipher[:ecelgamal.PointSize], e.Cipher[ecelgamal.PointSize:]} {
+				if points[string(half)] {
+					t.Fatalf("batch %d, evaluation %d repeats a point of an earlier e", batch, i)
+				}
+				points[string(half)] = true
+			}
+			c, err := ecelgamal.DecodeCiphertext(e.Cipher)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := sk.Decrypt(c)
+			payload, ok := OpenPayload(key, e.Sealed, aad)
+			if isRoot := i < len(roots); ok != isRoot || ok && !bytes.Equal(payload, payloads[i]) {
+				t.Fatalf("batch %d, evaluation %d: opened = %v to %q", batch, i, ok, payload)
+			}
+			if keys[string(key)] {
+				t.Fatalf("batch %d, evaluation %d decrypts to the point of an earlier e", batch, i)
+			}
+			keys[string(key)] = true
+		}
+	}
+}
+
+// The coefficients reach the sender through the mediator, which can
+// replace them with a polynomial of its own, with roots at guessed
+// values, encrypted under a key of its own. Evaluated under the client's
+// authenticated point, no blob opens under the forger's decryption nor
+// under the client's: the zero encryption under that point leaves a term
+// r·ρ·(X − x′·G) only x cancels. The control evaluates under the
+// forger's point, as a sender that trusted the relayed key would: there
+// every guessed root opens.
+func TestMaskedEvalForgedKeyNeverOpens(t *testing.T) {
+	sk, pk := testKey(t)
+	forgerSK, forgerPK := testKey(t)
+	var roots []*big.Int
+	var payloads [][]byte
+	for i := 0; i < 6; i++ {
+		roots = append(roots, RootOfValue(rel.Int(int64(i))))
+		payloads = append(payloads, []byte{byte(i)})
+	}
+	forged := encryptBuckets(t, forgerPK, roots, 2)
+	aad := []byte("pm:forged")
+	for _, tc := range []struct {
+		name     string
+		evalKey  *ecelgamal.PublicKey
+		forgerOK bool
+	}{
+		{"client key", pk, false},
+		{"forger key (control)", forgerPK, true},
+	} {
+		evals, err := forged.MaskedEvalBatch(tc.evalKey, roots, payloads, aad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range evals {
+			for who, key := range map[string]*ecelgamal.PrivateKey{"forger": forgerSK, "client": sk} {
+				payload, ok, err := OpenEval(key, e, aad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := tc.forgerOK && who == "forger"; ok != want || ok && !bytes.Equal(payload, payloads[i]) {
+					t.Errorf("%s: the %s opened root %d's blob = %v, want %v", tc.name, who, i, ok, want)
+				}
+			}
 		}
 	}
 }

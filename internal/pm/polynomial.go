@@ -6,11 +6,12 @@
 // evaluation with which a source attaches a tuple-set payload to each of
 // its values a′:
 //
-//	e = r·E(P(a′)) + E(s),   blob = AEAD_{KDF(s·G)}(payload).
+//	e = r·(E(P(a′)) + Z) + (0, s·G),   blob = AEAD_{KDF(s·G)}(payload),
 //
-// The client decrypts e to the point M = (r·P(a′) + s)·G and opens the
-// blob under KDF(M): it opens iff P(a′) = 0, so no discrete logarithm is
-// ever solved.
+// with fresh nonzero r and s, and Z a fresh encryption of zero under the
+// client's signed point, one per batch. The client decrypts e to the
+// point M = (r·P(a′) + s)·G and opens the blob under KDF(M): it opens iff
+// P(a′) = 0, so no discrete logarithm is ever solved.
 //
 // It also implements FNP's bucketing optimization (hashing inputs into
 // buckets with low-degree polynomials), which the paper alludes to when

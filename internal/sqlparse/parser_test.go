@@ -176,17 +176,24 @@ func TestNaturalJoinTreeEvaluation(t *testing.T) {
 	}
 }
 
+// Canonical queries render as written, and every rendering re-parses to
+// itself; a FLOAT literal keeps its point, so it does not come back as
+// an INT.
 func TestQueryStringRoundtrip(t *testing.T) {
 	inputs := []string{
 		"SELECT * FROM R",
 		"SELECT name, city FROM R JOIN S ON R.id = S.id",
 		"SELECT * FROM R NATURAL JOIN S",
 		"SELECT * FROM R WHERE id = 1",
+		"SELECT * FROM R WHERE (f = 2.0 OR f = -0.0)",
 	}
 	for _, in := range inputs {
 		q, err := Parse(in)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", in, err)
+		}
+		if q.String() != in {
+			t.Errorf("Parse(%q) renders as %q", in, q.String())
 		}
 		q2, err := Parse(q.String())
 		if err != nil {
