@@ -137,6 +137,7 @@ func BenchmarkBaselineMobileCode(b *testing.B) {
 
 // listing2: end-to-end DAS delivery phase, client setting.
 func BenchmarkListing2DAS(b *testing.B) {
+	b.ReportAllocs()
 	runProtocol(b, mediation.ProtocolDAS, benchParams())
 }
 

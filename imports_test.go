@@ -1,6 +1,12 @@
 package secmediation_test
 
 import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -33,6 +39,115 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 			t.Errorf("%s has no importer among non-test files", pkg)
 		}
 	}
+}
+
+// benchOnly lists the symbols only the frozen benchmark may use, by
+// package path below the module: a function's name, or "Type.Field" for
+// a field. The protocol counts R_C (das.SelectRuns); only bench/ lists
+// it.
+var benchOnly = map[string][]string{
+	"internal/das": {"ExecuteServerQuery", "ServerResult.Pairs"},
+}
+
+// TestBenchOnlySymbolsStayFenced fails when non-test code outside bench/
+// and a bench-only symbol's own package refers to that symbol (ROADMAP
+// 1d). It type-checks every module package against the build cache's
+// export data, so a use through a value of another package's making is
+// caught as well as a qualified name. It also requires bench/ to use
+// every listed symbol, so a symbol that loses its last user gets
+// deleted instead of fenced.
+func TestBenchOnlySymbolsStayFenced(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	out, err := exec.Command("go", "list", "-export", "-deps", "-f",
+		`{{.ImportPath}}|{{.Export}}|{{with .Module}}{{.Path}}{{end}}|{{.Dir}}|{{join .GoFiles ","}}`, "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	const module = "github.com/secmediation/secmediation"
+	export := map[string]string{}
+	type pkg struct {
+		path, dir string
+		files     []string
+	}
+	var pkgs []pkg
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Split(line, "|")
+		export[f[0]] = f[1]
+		if f[2] == module && f[4] != "" {
+			pkgs = append(pkgs, pkg{f[0], f[3], strings.Split(f[4], ",")})
+		}
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(export[path]) })
+	benchUses := map[string]int{}
+	for _, p := range pkgs {
+		rel := strings.TrimPrefix(strings.TrimPrefix(p.path, module), "/")
+		var files []*ast.File
+		for _, name := range p.files {
+			f, err := parser.ParseFile(fset, filepath.Join(p.dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		if _, err := (&types.Config{Importer: imp}).Check(p.path, fset, files, info); err != nil {
+			t.Fatalf("type-checking %s: %v", p.path, err)
+		}
+		for id, obj := range info.Uses {
+			sym := benchOnlySymbol(obj, module)
+			switch {
+			case sym == "" || strings.HasPrefix(sym, rel+"."):
+			case rel == "bench":
+				benchUses[sym]++
+			default:
+				t.Errorf("%s uses the bench-only %s", fset.Position(id.Pos()), sym)
+			}
+		}
+	}
+	for dir, names := range benchOnly {
+		for _, name := range names {
+			if benchUses[dir+"."+name] == 0 {
+				t.Errorf("bench/ no longer uses %s.%s: delete it rather than fence it", dir, name)
+			}
+		}
+	}
+}
+
+// benchOnlySymbol names obj as benchOnly lists it ("internal/das.Name"),
+// or returns "" when obj is not listed.
+func benchOnlySymbol(obj types.Object, module string) string {
+	if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), module+"/") {
+		return ""
+	}
+	dir := strings.TrimPrefix(obj.Pkg().Path(), module+"/")
+	for _, listed := range benchOnly[dir] {
+		typ, field, isField := strings.Cut(listed, ".")
+		if !isField {
+			if _, ok := obj.(*types.Func); ok && obj.Name() == listed {
+				return dir + "." + listed
+			}
+			continue
+		}
+		v, ok := obj.(*types.Var)
+		if !ok || !v.IsField() || v.Name() != field {
+			continue
+		}
+		tn := obj.Pkg().Scope().Lookup(typ)
+		if tn == nil {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Field(i) == v {
+					return dir + "." + listed
+				}
+			}
+		}
+	}
+	return ""
 }
 
 // docGoPath matches a repo-relative Go file path in prose, with or

@@ -108,16 +108,9 @@ func EquiJoin(r, s *relation.Relation, leftCols, rightCols []string) (*relation.
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(schema)
-
-	key := func(t relation.Tuple, idx []int) string {
-		var b []byte
-		for _, i := range idx {
-			b = t[i].Encode(b)
-		}
-		return string(b)
-	}
-	// Build on the smaller side.
+	// Build on the smaller side: its rows are grouped by encoded join
+	// key, and each probe row's group is looked up once, so the output is
+	// counted before it is built.
 	build, probe := s, r
 	buildIdx, probeIdx := ri, li
 	swapped := false
@@ -126,23 +119,54 @@ func EquiJoin(r, s *relation.Relation, leftCols, rightCols []string) (*relation.
 		buildIdx, probeIdx = li, ri
 		swapped = true
 	}
-	table := make(map[string][]relation.Tuple, build.Len())
-	for _, t := range build.Tuples() {
-		k := key(t, buildIdx)
-		table[k] = append(table[k], t)
+	var key []byte
+	appendKey := func(t relation.Tuple, idx []int) []byte {
+		key = key[:0]
+		for _, i := range idx {
+			key = t[i].Encode(key)
+		}
+		return key
 	}
-	for _, pt := range probe.Tuples() {
-		for _, bt := range table[key(pt, probeIdx)] {
-			var a, b relation.Tuple
+	groupOf := make(map[string]int, build.Len())
+	var groups [][]relation.Tuple
+	for _, t := range build.Tuples() {
+		k := appendKey(t, buildIdx)
+		g, ok := groupOf[string(k)]
+		if !ok {
+			g = len(groups)
+			groupOf[string(k)] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], t)
+	}
+	match := make([]int, probe.Len())
+	total := 0
+	for p, t := range probe.Tuples() {
+		g, ok := groupOf[string(appendKey(t, probeIdx))]
+		if !ok {
+			g = -1
+		} else {
+			total += len(groups[g])
+		}
+		match[p] = g
+	}
+	// Every joined tuple is cut from one slab of values.
+	width := r.Schema().Arity() + s.Schema().Arity()
+	slab := make([]relation.Value, 0, total*width)
+	out := relation.New(schema)
+	out.Grow(total)
+	for p, pt := range probe.Tuples() {
+		if match[p] < 0 {
+			continue
+		}
+		for _, bt := range groups[match[p]] {
+			a, b := pt, bt
 			if swapped {
 				a, b = bt, pt
-			} else {
-				a, b = pt, bt
 			}
-			t := make(relation.Tuple, 0, len(a)+len(b))
-			t = append(t, a...)
-			t = append(t, b...)
-			if err := out.Append(t); err != nil {
+			start := len(slab)
+			slab = append(append(slab, a...), b...)
+			if err := out.Append(slab[start:len(slab):len(slab)]); err != nil {
 				return nil, err
 			}
 		}

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Encodable is a value with a codec layout.
@@ -34,14 +35,41 @@ type Decodable interface {
 	DecodeFrom(d *Decoder)
 }
 
-// Marshal returns v's encoding: the body of a MarshalBinary.
-func Marshal(v Encodable) ([]byte, error) {
-	var e Encoder
+// Size returns the length of v's encoding: a pass of EncodeTo that
+// counts bytes and writes none.
+func Size(v Encodable) (int, error) {
+	e := Encoder{sizing: true}
 	v.EncodeTo(&e)
+	return e.size, e.err
+}
+
+// Append appends v's encoding, whose Size is n, to dst. When dst lacks
+// room for it, dst grows once, to exactly len(dst)+n bytes, so a caller
+// that sized dst itself gets its own array back. It fails when v writes
+// other than n bytes.
+func Append(dst []byte, v Encodable, n int) ([]byte, error) {
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	e := Encoder{buf: dst}
+	v.EncodeTo(&e)
+	if e.err == nil && len(e.buf) != len(dst)+n {
+		e.err = fmt.Errorf("codec: %T wrote %d bytes, sized %d", v, len(e.buf)-len(dst), n)
+	}
 	if e.err != nil {
 		return nil, e.err
 	}
 	return e.buf, nil
+}
+
+// Marshal returns v's encoding, in a buffer of exactly its length: the
+// body of a MarshalBinary.
+func Marshal(v Encodable) ([]byte, error) {
+	n, err := Size(v)
+	if err != nil {
+		return nil, err
+	}
+	return Append(nil, v, n)
 }
 
 // Unmarshal decodes all of b into v: the body of an UnmarshalBinary.
@@ -52,10 +80,14 @@ func Unmarshal(b []byte, v Decodable) error {
 	return d.Finish()
 }
 
-// Encoder appends fields to a buffer.
+// Encoder appends fields to a buffer. A sizing encoder (see Size) only
+// counts them; its buffer is scratch space for the callbacks of
+// Encoder.Append.
 type Encoder struct {
-	buf []byte
-	err error
+	buf    []byte
+	size   int
+	sizing bool
+	err    error
 }
 
 // Fail records err as the encoding's error, unless one is already set.
@@ -66,16 +98,34 @@ func (e *Encoder) Fail(err error) {
 }
 
 // Uint writes n as a uvarint.
-func (e *Encoder) Uint(n uint64) { e.buf = binary.AppendUvarint(e.buf, n) }
+func (e *Encoder) Uint(n uint64) {
+	if e.sizing {
+		e.size += (bits.Len64(n|1) + 6) / 7
+		return
+	}
+	e.buf = binary.AppendUvarint(e.buf, n)
+}
 
 // Int writes n as a zigzag varint.
-func (e *Encoder) Int(n int64) { e.buf = binary.AppendVarint(e.buf, n) }
+func (e *Encoder) Int(n int64) {
+	u := uint64(n) << 1
+	if n < 0 {
+		u = ^u
+	}
+	e.Uint(u)
+}
 
 // Len writes a count or a length.
 func (e *Encoder) Len(n int) { e.Uint(uint64(n)) }
 
 // Byte writes one byte.
-func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
+func (e *Encoder) Byte(b byte) {
+	if e.sizing {
+		e.size++
+		return
+	}
+	e.buf = append(e.buf, b)
+}
 
 // Bool writes 1 or 0.
 func (e *Encoder) Bool(b bool) {
@@ -89,12 +139,16 @@ func (e *Encoder) Bool(b bool) {
 // Bytes writes b with its length.
 func (e *Encoder) Bytes(b []byte) {
 	e.Len(len(b))
-	e.buf = append(e.buf, b...)
+	e.raw(b)
 }
 
 // Text writes s with its length.
 func (e *Encoder) Text(s string) {
 	e.Len(len(s))
+	if e.sizing {
+		e.size += len(s)
+		return
+	}
 	e.buf = append(e.buf, s...)
 }
 
@@ -120,15 +174,38 @@ func (e *Encoder) Fixed(b []byte, n int) {
 		e.Fail(fmt.Errorf("codec: %d-byte field, want %d", len(b), n))
 		return
 	}
+	e.raw(b)
+}
+
+// raw writes b bare.
+func (e *Encoder) raw(b []byte) {
+	if e.sizing {
+		e.size += len(b)
+		return
+	}
 	e.buf = append(e.buf, b...)
 }
 
 // Uint64 writes n as 8 big-endian bytes.
-func (e *Encoder) Uint64(n uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, n) }
+func (e *Encoder) Uint64(n uint64) {
+	if e.sizing {
+		e.size += 8
+		return
+	}
+	e.buf = binary.BigEndian.AppendUint64(e.buf, n)
+}
 
 // Append writes whatever f appends: a layout owned by another package,
-// such as relation.Value's canonical encoding.
-func (e *Encoder) Append(f func(dst []byte) []byte) { e.buf = f(e.buf) }
+// such as relation.Value's canonical encoding. A sizing encoder runs f
+// on its scratch buffer and counts what it wrote.
+func (e *Encoder) Append(f func(dst []byte) []byte) {
+	if e.sizing {
+		e.buf = f(e.buf[:0])
+		e.size += len(e.buf)
+		return
+	}
+	e.buf = f(e.buf)
+}
 
 // Decoder reads fields from the front of a buffer.
 type Decoder struct {

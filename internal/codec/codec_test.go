@@ -58,6 +58,11 @@ func TestRoundTrip(t *testing.T) {
 	if out.s != in.s || out.i != in.i || out.word != in.word || !bytes.Equal(out.fixed, in.fixed) || len(out.blobs) != 2 {
 		t.Errorf("decoded %+v, want %+v", out, in)
 	}
+	// The sizing pass counts what the writing pass writes, and Marshal
+	// allocates exactly that.
+	if n, err := Size(in); err != nil || n != len(b) || cap(b) != len(b) {
+		t.Errorf("Size = %d (%v); encoding of %d bytes, capacity %d", n, err, len(b), cap(b))
+	}
 	// A decoded byte string aliases the input without reaching past its
 	// own end.
 	if cap(out.raw) != len(out.raw) {
@@ -95,5 +100,35 @@ func TestDecoderRejects(t *testing.T) {
 				t.Errorf("err = %v, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// uintField is a message of one uvarint and one zigzag varint.
+type uintField struct {
+	u uint64
+	i int64
+}
+
+func (f uintField) EncodeTo(e *Encoder) {
+	e.Uint(f.u)
+	e.Int(f.i)
+}
+
+// The sizing pass counts every varint width the writing pass produces.
+func TestSizeMatchesVarintWidths(t *testing.T) {
+	for _, f := range []uintField{{0, 0}, {127, -64}, {128, 64}, {1<<14 - 1, -1 << 13}, {1 << 14, 1 << 13},
+		{1<<63 - 1, -1 << 62}, {1 << 63, 1 << 62}, {^uint64(0), -1 << 63}, {^uint64(0), 1<<63 - 1}} {
+		var e Encoder
+		f.EncodeTo(&e)
+		if n, err := Size(f); err != nil || n != len(e.buf) {
+			t.Errorf("%+v: Size = %d (%v), written %d", f, n, err, len(e.buf))
+		}
+	}
+}
+
+// Append fails when a value writes other than the size it was given.
+func TestAppendRejectsWrongSize(t *testing.T) {
+	if _, err := Append(nil, uintField{u: 1}, 3); err == nil || !strings.Contains(err.Error(), "sized 3") {
+		t.Errorf("err = %v, want the size mismatch named", err)
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 )
 
 // PointSize is the width of a SEC 1 compressed P-256 point.
@@ -96,12 +98,10 @@ type PrivateKey struct {
 // KeyFromECDH reuses an ecdh.P256 key's scalar (crypto/ecdh keeps it in
 // [1, q−1]) as the decryption scalar, so one per-query key serves key
 // transport and PM alike: the public point is the same X = x·G in both
-// roles. The point is the ECDH key's own, recompressed, so no
-// multiplication recomputes it.
+// roles. The point is the ECDH key's own, compressed as key transport
+// sends it, so no multiplication recomputes it.
 func KeyFromECDH(k *ecdh.PrivateKey) *PrivateKey {
-	var p point
-	p.x, p.y = elliptic.Unmarshal(curve, k.PublicKey().Bytes())
-	return &PrivateKey{d: new(big.Int).SetBytes(k.Bytes()), pub: p.compressed()}
+	return &PrivateKey{d: new(big.Int).SetBytes(k.Bytes()), pub: hybrid.CompressPoint(k.PublicKey())}
 }
 
 // PublicKey returns the compressed public point, the form it travels in.

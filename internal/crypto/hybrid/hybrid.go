@@ -162,6 +162,32 @@ func (s *Session) Seal(plaintext, aad []byte) (*Ciphertext, error) {
 	return &Ciphertext{Nonce: nonce, Sealed: s.aead.Seal(nil, nonce, plaintext, aad)}, nil
 }
 
+// SealEncoded seals the n-byte plaintext that encode appends to the
+// empty slice it is given, and returns the ciphertext in its Marshal
+// form. The buffer is allocated once, at exactly the ciphertext's
+// length: encode writes the plaintext straight behind the nonce, and the
+// plaintext is sealed in place, so no copy of it is left behind. It
+// fails when encode appends other than n bytes.
+// seclint:sanitizer hybrid encrypt boundary
+func (s *Session) SealEncoded(n int, encode func(dst []byte) ([]byte, error), aad []byte) ([]byte, error) {
+	buf := make([]byte, nonceSize, nonceSize+n+s.aead.Overhead())
+	if _, err := rand.Read(buf); err != nil {
+		return nil, fmt.Errorf("hybrid: nonce: %w", err)
+	}
+	pt, err := encode(buf[nonceSize:])
+	if err != nil {
+		return nil, err
+	}
+	// The plaintext must lie where the nonce's buffer continues, or the
+	// seal would land outside it.
+	if len(pt) != n || n > 0 && &pt[0] != &buf[:nonceSize+1][nonceSize] {
+		return nil, fmt.Errorf("hybrid: encoder did not write its %d sized bytes in place (%d written)", n, len(pt))
+	}
+	opSeal.Add(1)
+	sealed := s.aead.Seal(pt[:0], buf[:nonceSize], pt, aad)
+	return buf[:nonceSize+len(sealed)], nil
+}
+
 // Receiver is the client side of a Session, with the session's AEAD
 // built once.
 type Receiver struct {

@@ -75,6 +75,38 @@ func TestEncryptDecryptRoundtrip(t *testing.T) {
 	}
 }
 
+// SealEncoded's output is a marshaled ciphertext of exactly its length
+// that opens to what the encoder wrote; an encoder that writes other
+// than its size, or elsewhere, fails the seal.
+func TestSealEncoded(t *testing.T) {
+	_, sess, recv := sessionPair(t)
+	for _, m := range [][]byte{{}, []byte("x"), bytes.Repeat([]byte("run "), 1000)} {
+		blob, err := sess.SealEncoded(len(m), func(dst []byte) ([]byte, error) { return append(dst, m...), nil }, []byte("aad"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(blob) != len(blob) || len(blob) != len(m)+28 {
+			t.Errorf("%d-byte plaintext: %d-byte ciphertext of capacity %d", len(m), len(blob), cap(blob))
+		}
+		c, err := UnmarshalCiphertext(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := recv.Open(c, []byte("aad")); err != nil || !bytes.Equal(got, m) {
+			t.Errorf("%d-byte plaintext opened to %d bytes (%v)", len(m), len(got), err)
+		}
+	}
+	for name, encode := range map[string]func([]byte) ([]byte, error){
+		"short":     func(dst []byte) ([]byte, error) { return append(dst, 1), nil },
+		"long":      func(dst []byte) ([]byte, error) { return append(dst, make([]byte, 100)...), nil },
+		"elsewhere": func([]byte) ([]byte, error) { return make([]byte, 2), nil },
+	} {
+		if _, err := sess.SealEncoded(2, encode, nil); err == nil {
+			t.Errorf("%s: sealed", name)
+		}
+	}
+}
+
 func TestDecryptRejectsTampering(t *testing.T) {
 	_, sess, recv := sessionPair(t)
 	c, err := sess.Seal([]byte("secret partial result"), nil)

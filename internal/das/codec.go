@@ -52,9 +52,10 @@ func (er *EncryptedRelation) DecodeFrom(d *codec.Decoder) {
 		return
 	}
 	er.Runs = make([]Run, n)
+	index := make([]IndexValue, n*width)
 	for i := range er.Runs {
 		run := &er.Runs[i]
-		run.Index = make([]IndexValue, width)
+		run.Index = index[i*width : (i+1)*width : (i+1)*width]
 		for j := range run.Index {
 			run.Index[j] = IndexValue(d.Uint64())
 		}

@@ -5,6 +5,7 @@ import (
 	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/rsa"
+	"errors"
 	"fmt"
 	"math"
 	mrand "math/rand"
@@ -346,7 +347,7 @@ func TestEncryptRelationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openRun(recv, er.Runs[0].Sealed, runAAD(r1.Schema()), r1.Schema()); err != nil {
+	if _, err := openRows(recv, er.Runs[0].Sealed, runAAD(r1.Schema()), r1.Schema()); err != nil {
 		t.Errorf("EncryptRelation run does not open: %v", err)
 	}
 }
@@ -650,11 +651,11 @@ func oracleDecrypt(pairs []oraclePair, recv1, recv2 Opener, s1, s2 rel.Schema, c
 	out := rel.New(joined)
 	discarded := 0
 	for _, p := range pairs {
-		run1, err := openRun(recv1, p.E1, aad1, s1)
+		run1, err := openRows(recv1, p.E1, aad1, s1)
 		if err != nil {
 			return nil, 0, err
 		}
-		run2, err := openRun(recv2, p.E2, aad2, s2)
+		run2, err := openRows(recv2, p.E2, aad2, s2)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -840,7 +841,7 @@ func pairRows(t *testing.T, res *ServerResult, s1, s2 dasSide) *rel.Relation {
 	rows := func(runs [][]byte, side dasSide) []rel.Tuple {
 		var out []rel.Tuple
 		for _, run := range runs {
-			tuples, err := openRun(side.recv.Opener, run, runAAD(side.r.Schema()), side.r.Schema())
+			tuples, err := openRows(side.recv.Opener, run, runAAD(side.r.Schema()), side.r.Schema())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -861,11 +862,11 @@ func oracleRows(t *testing.T, pairs []oraclePair, s1, s2 dasSide) *rel.Relation 
 	t.Helper()
 	out := concatRelation(t, s1, s2)
 	for _, p := range pairs {
-		run1, err := openRun(s1.recv.Opener, p.E1, runAAD(s1.r.Schema()), s1.r.Schema())
+		run1, err := openRows(s1.recv.Opener, p.E1, runAAD(s1.r.Schema()), s1.r.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
-		run2, err := openRun(s2.recv.Opener, p.E2, runAAD(s2.r.Schema()), s2.r.Schema())
+		run2, err := openRows(s2.recv.Opener, p.E2, runAAD(s2.r.Schema()), s2.r.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1234,6 +1235,44 @@ func TestIndexTableRejectsMalformedInterval(t *testing.T) {
 		}
 		if _, err := EncodeIndexTables([]*IndexTable{{Attribute: "id", Entries: []IndexEntry{{Partition: p}}}}); err == nil {
 			t.Errorf("%s: encoded", name)
+		}
+	}
+}
+
+// openRows opens one run and decodes its rows.
+func openRows(r Opener, blob, aad []byte, schema rel.Schema) ([]rel.Tuple, error) {
+	set, err := openRun(r, blob, aad, schema)
+	if err != nil {
+		return nil, err
+	}
+	return rel.DecodeTupleSet(schema, nil, set)
+}
+
+// distinct names the first slot whose run an earlier slot already holds,
+// however the repeats interleave.
+func TestDistinctNamesFirstRepeat(t *testing.T) {
+	x, y, z := []byte("run x"), []byte("run y"), []byte("run z")
+	for _, tc := range []struct {
+		runs [][]byte
+		slot int // -1: no repeat
+	}{
+		{nil, -1},
+		{[][]byte{x, y, z}, -1},
+		{[][]byte{x, y, x}, 2},
+		{[][]byte{z, y, y, z}, 2},
+		{[][]byte{y, x, z, x, y}, 3},
+		{[][]byte{x, x, x}, 1},
+	} {
+		err := distinct(tc.runs, "R1")
+		want := ""
+		if tc.slot >= 0 {
+			want = fmt.Sprintf("at slot %d", tc.slot)
+		}
+		switch {
+		case want == "" && err != nil:
+			t.Errorf("%q: %v", tc.runs, err)
+		case want != "" && (!errors.Is(err, ErrInconsistentResult) || !strings.Contains(err.Error(), want)):
+			t.Errorf("%q: err = %v, want %s", tc.runs, err, want)
 		}
 	}
 }

@@ -1,10 +1,11 @@
 package das
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
@@ -78,15 +79,21 @@ func SealRelation(r *relation.Relation, joinCols []string, its []*IndexTable, se
 		}
 	}
 	// IndexOf scans its table, so each distinct value is looked up once.
-	// A run's key is its index vector in big-endian bytes, whose byte
-	// order is the vectors' ascending order.
+	// Each distinct index vector is one run; rows are counted per run,
+	// then placed run by run (in relation order within a run), so no run
+	// grows a list of its own.
 	known := make([]map[string]IndexValue, len(idxs))
 	for i := range known {
 		known[i] = make(map[string]IndexValue)
 	}
-	groups := make(map[string][]relation.Tuple)
+	w := len(idxs)
+	runOf := make(map[string]int)
+	var vecs []IndexValue // run r's index vector is vecs[r*w:(r+1)*w]
+	var counts []int
+	tuples := r.Tuples()
+	rowRun := make([]int, len(tuples))
 	var key, enc []byte
-	for _, t := range r.Tuples() {
+	for row, t := range tuples {
 		key = key[:0]
 		for i, ji := range idxs {
 			enc = t[ji].Encode(enc[:0])
@@ -100,29 +107,52 @@ func SealRelation(r *relation.Relation, joinCols []string, its []*IndexTable, se
 			}
 			key = binary.BigEndian.AppendUint64(key, uint64(iv))
 		}
-		groups[string(key)] = append(groups[string(key)], t)
+		run, ok := runOf[string(key)]
+		if !ok {
+			run = len(counts)
+			runOf[string(key)] = run
+			counts = append(counts, 0)
+			for a := 0; a < w; a++ {
+				vecs = append(vecs, IndexValue(binary.BigEndian.Uint64(key[8*a:])))
+			}
+		}
+		rowRun[row] = run
+		counts[run]++
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	vec := func(run int) []IndexValue { return vecs[run*w : (run+1)*w : (run+1)*w] }
+	// Runs ascend by index vector.
+	order := make([]int, len(counts))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Strings(keys)
+	slices.SortFunc(order, func(a, b int) int { return slices.Compare(vec(a), vec(b)) })
+	first := make([]int, len(counts))
+	n := 0
+	for _, run := range order {
+		first[run] = n
+		n += counts[run]
+	}
+	sorted := make([]relation.Tuple, len(tuples))
+	next := slices.Clone(first)
+	for row, t := range tuples {
+		sorted[next[rowRun[row]]] = t
+		next[rowRun[row]]++
+	}
 	aad := runAAD(r.Schema())
-	runs, err := parallel.Map(len(keys), workers, func(i int) (Run, error) {
-		rows := groups[keys[i]]
-		set, err := relation.EncodeTupleSet(rows, nil)
+	runs, err := parallel.Map(len(order), workers, func(i int) (Run, error) {
+		run := order[i]
+		rows := sorted[first[run] : first[run]+counts[run]]
+		n, err := relation.TupleSetLen(rows, nil)
 		if err != nil {
 			return Run{}, err
 		}
-		ct, err := sess.Seal(set, aad)
+		sealed, err := sess.SealEncoded(n, func(dst []byte) ([]byte, error) {
+			return relation.AppendTupleSet(dst, rows, nil)
+		}, aad)
 		if err != nil {
 			return Run{}, err
 		}
-		iv := make([]IndexValue, len(idxs))
-		for a := range iv {
-			iv[a] = IndexValue(binary.BigEndian.Uint64([]byte(keys[i][8*a:])))
-		}
-		return Run{Index: iv, Rows: len(rows), Sealed: ct.Marshal()}, nil
+		return Run{Index: vec(run), Rows: len(rows), Sealed: sealed}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -171,13 +201,6 @@ func BuildServerQuery(its1, its2 []*IndexTable) (ServerQuery, error) {
 	return q, nil
 }
 
-// ServerResultPair is one row of R_C: the ordinals, among the rows of
-// the runs in ServerResult.E1 and ServerResult.E2 taken in order, of two
-// rows whose runs' index values satisfied CondS.
-type ServerResultPair struct {
-	I, J uint32
-}
-
 // ServerResult is R_C = σ_CondS(R1^S × R2^S), still encrypted, in
 // semi-join-reduced form: every run that occurs in some admissible pair
 // is shipped once, together with |R_C|, and the pairs themselves are not
@@ -193,22 +216,66 @@ type ServerResult struct {
 	// Size is |R_C|, the number of admissible row pairs: the sum of
 	// rows₁·rows₂ over the admissible run pairs.
 	Size int
-	// Pairs lists R_C in evaluation order, for in-process callers that
-	// measure it; the protocol neither ships nor reads it.
+	// Pairs lists R_C for the benchmark alone: only ExecuteServerQuery
+	// (benchonly.go) fills it, and the protocol neither ships nor reads
+	// it.
 	Pairs []ServerResultPair
 }
 
-// ExecuteServerQuery evaluates q_S over the two encrypted relations. This
-// is the mediator's computation: it sees only index values, row counts
-// and ciphertext blobs. Implemented as a hash join of runs on the first
-// attribute's admissible pairs with residual filtering on the remaining
-// attributes — semantically identical to σ_CondS(R1^S × R2^S), since a
-// run pair qualifies exactly when each of its row pairs does. Pair order
-// is a function of the inputs alone: R1 run order, then q.PerAttr[0]
-// order, then R2 run order, then row order within the runs.
-func ExecuteServerQuery(r1, r2 *EncryptedRelation, q ServerQuery) (*ServerResult, error) {
+// SelectRuns evaluates q_S over the two encrypted relations. This is the
+// mediator's computation: it sees only index values, row counts and
+// ciphertext blobs, and it counts R_C without listing it.
+func SelectRuns(r1, r2 *EncryptedRelation, q ServerQuery) (*ServerResult, error) {
+	m, err := matchRuns(r1, r2, q, nil)
+	if err != nil {
+		return nil, err
+	}
+	return m.result(r1, r2), nil
+}
+
+// runMatch is q_S evaluated at run granularity: which runs of each side
+// occur in some admissible pair, and |R_C|.
+type runMatch struct {
+	keep1, keep2 []bool
+	size         int
+}
+
+// result is the ServerResult of the match: the kept runs, in run order.
+func (m runMatch) result(r1, r2 *EncryptedRelation) *ServerResult {
+	return &ServerResult{E1: keptRuns(r1.Runs, m.keep1), E2: keptRuns(r2.Runs, m.keep2), Size: m.size}
+}
+
+// keptRuns returns the sealed bytes of the kept runs, in run order.
+func keptRuns(runs []Run, keep []bool) [][]byte {
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([][]byte, 0, n)
+	for i, run := range runs {
+		if keep[i] {
+			out = append(out, run.Sealed)
+		}
+	}
+	return out
+}
+
+// matchRuns is the one evaluation of q_S: a hash join of runs on the
+// first attribute's admissible pairs with residual filtering on the
+// remaining attributes — semantically identical to σ_CondS(R1^S × R2^S),
+// since a run pair qualifies exactly when each of its row pairs does.
+// visit, when not nil, sees every admissible run pair (positions in
+// r1.Runs and r2.Runs) in evaluation order: R1 run order, then
+// q.PerAttr[0] order, then R2 run order. That order is a function of the
+// inputs alone.
+func matchRuns(r1, r2 *EncryptedRelation, q ServerQuery, visit func(i, j int)) (runMatch, error) {
 	if len(q.PerAttr) == 0 {
-		return nil, fmt.Errorf("das: empty server query")
+		return runMatch{}, fmt.Errorf("das: empty server query")
 	}
 	// Admissibility maps: attr -> I1 -> set of I2. The first attribute
 	// drives the join, so it also keeps each I1's partners in query order
@@ -232,39 +299,31 @@ func ExecuteServerQuery(r1, r2 *EncryptedRelation, q ServerQuery) (*ServerResult
 	}
 	filter1, err := buildFilter(q.Filters1)
 	if err != nil {
-		return nil, err
+		return runMatch{}, err
 	}
 	filter2, err := buildFilter(q.Filters2)
 	if err != nil {
-		return nil, err
+		return runMatch{}, err
 	}
 	// Group r2's runs by first-attribute index, applying the pushed-down
 	// filters.
 	byIdx := make(map[IndexValue][]int, len(r2.Runs))
 	for j, run := range r2.Runs {
 		if len(run.Index) < len(q.PerAttr) {
-			return nil, fmt.Errorf("das: R2 run has %d index values, query has %d attributes", len(run.Index), len(q.PerAttr))
+			return runMatch{}, fmt.Errorf("das: R2 run has %d index values, query has %d attributes", len(run.Index), len(q.PerAttr))
 		}
 		if filter2.admits(run.Index) {
 			byIdx[run.Index[0]] = append(byIdx[run.Index[0]], j)
 		}
 	}
-	res := &ServerResult{}
-	// A matched run pair: the first row ordinal and the row count of the
-	// R1 run, and the R2 run's position, whose ordinals are known once
-	// the survivors of R2 are.
-	type match struct{ base1, rows1, j int }
-	var matches []match
-	survives2 := make([]bool, len(r2.Runs))
-	rows1 := 0
-	for _, run1 := range r1.Runs {
+	m := runMatch{keep1: make([]bool, len(r1.Runs)), keep2: make([]bool, len(r2.Runs))}
+	for i, run1 := range r1.Runs {
 		if len(run1.Index) < len(q.PerAttr) {
-			return nil, fmt.Errorf("das: R1 run has %d index values, query has %d attributes", len(run1.Index), len(q.PerAttr))
+			return runMatch{}, fmt.Errorf("das: R1 run has %d index values, query has %d attributes", len(run1.Index), len(q.PerAttr))
 		}
 		if !filter1.admits(run1.Index) {
 			continue
 		}
-		shipped := false
 		for _, i2 := range partners[run1.Index[0]] {
 			for _, j := range byIdx[i2] {
 				run2 := r2.Runs[j]
@@ -278,35 +337,15 @@ func ExecuteServerQuery(r1, r2 *EncryptedRelation, q ServerQuery) (*ServerResult
 				if !ok {
 					continue
 				}
-				if !shipped {
-					res.E1 = append(res.E1, run1.Sealed)
-					rows1 += run1.Rows
-					shipped = true
+				m.keep1[i], m.keep2[j] = true, true
+				m.size += run1.Rows * run2.Rows
+				if visit != nil {
+					visit(i, j)
 				}
-				survives2[j] = true
-				matches = append(matches, match{base1: rows1 - run1.Rows, rows1: run1.Rows, j: j})
-				res.Size += run1.Rows * run2.Rows
 			}
 		}
 	}
-	base2 := make([]int, len(r2.Runs))
-	rows2 := 0
-	for j, run2 := range r2.Runs {
-		if survives2[j] {
-			base2[j] = rows2
-			rows2 += run2.Rows
-			res.E2 = append(res.E2, run2.Sealed)
-		}
-	}
-	res.Pairs = make([]ServerResultPair, 0, res.Size)
-	for _, m := range matches {
-		for i := m.base1; i < m.base1+m.rows1; i++ {
-			for j := base2[m.j]; j < base2[m.j]+r2.Runs[m.j].Rows; j++ {
-				res.Pairs = append(res.Pairs, ServerResultPair{I: uint32(i), J: uint32(j)})
-			}
-		}
-	}
-	return res, nil
+	return m, nil
 }
 
 // Opener decrypts session ciphertexts; *hybrid.Receiver implements it.
@@ -339,7 +378,7 @@ func DecryptServerResult(res *ServerResult, recv1, recv2 Opener,
 	}
 	e1 := len(res.E1)
 	aad1, aad2 := runAAD(schema1), runAAD(schema2)
-	opened, err := parallel.Map(e1+len(res.E2), workers, func(i int) ([]relation.Tuple, error) {
+	opened, err := parallel.Map(e1+len(res.E2), workers, func(i int) ([]byte, error) {
 		if i < e1 {
 			return openRun(recv1, res.E1[i], aad1, schema1)
 		}
@@ -348,27 +387,20 @@ func DecryptServerResult(res *ServerResult, recv1, recv2 Opener,
 	if err != nil {
 		return nil, 0, err
 	}
-	var rows1, rows2 []relation.Tuple
-	for _, run := range opened[:e1] {
-		rows1 = append(rows1, run...)
+	r1, err := relation.DecodeTupleSets(schema1, nil, opened[:e1])
+	if err != nil {
+		return nil, 0, err
 	}
-	for _, run := range opened[e1:] {
-		rows2 = append(rows2, run...)
+	r2, err := relation.DecodeTupleSets(schema2, nil, opened[e1:])
+	if err != nil {
+		return nil, 0, err
 	}
 	// Every shipped row is in at least one of the Size pairs, and no
 	// more than n1·n2 pairs exist ((Size-1)/n1 >= n2 is Size > n1·n2
 	// without the overflow).
-	n1, n2 := len(rows1), len(rows2)
+	n1, n2 := r1.Len(), r2.Len()
 	if res.Size < n1 || res.Size < n2 || (n1 == 0 && res.Size != 0) || (n1 > 0 && (res.Size-1)/n1 >= n2) {
 		return nil, 0, fmt.Errorf("%w: it claims %d pairs over tables of %d and %d rows", ErrInconsistentResult, res.Size, n1, n2)
-	}
-	r1, err := relation.FromTuples(schema1, rows1...)
-	if err != nil {
-		return nil, 0, err
-	}
-	r2, err := relation.FromTuples(schema2, rows2...)
-	if err != nil {
-		return nil, 0, err
 	}
 	out, err := algebra.EquiJoin(r1, r2, joinCols1, joinCols2)
 	if err != nil {
@@ -386,14 +418,28 @@ func DecryptServerResult(res *ServerResult, recv1, recv2 Opener,
 var ErrInconsistentResult = errors.New("das: inconsistent server result")
 
 // distinct rejects a table that holds some run twice: a mediator cannot
-// forge a run, but replaying one would inflate the client's join.
+// forge a run, but replaying one would inflate the client's join. It
+// sorts the slots by their bytes rather than keying a set on copies of
+// them, and names the first slot whose run an earlier slot holds.
 func distinct(runs [][]byte, side string) error {
-	seen := make(map[string]struct{}, len(runs))
-	for i, e := range runs {
-		if _, dup := seen[string(e)]; dup {
-			return fmt.Errorf("%w: it repeats a run of %s at slot %d", ErrInconsistentResult, side, i)
+	order := make([]int, len(runs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := bytes.Compare(runs[a], runs[b]); c != 0 {
+			return c
 		}
-		seen[string(e)] = struct{}{}
+		return a - b
+	})
+	repeat := -1
+	for k := 1; k < len(order); k++ {
+		if bytes.Equal(runs[order[k-1]], runs[order[k]]) && (repeat < 0 || order[k] < repeat) {
+			repeat = order[k]
+		}
+	}
+	if repeat >= 0 {
+		return fmt.Errorf("%w: it repeats a run of %s at slot %d", ErrInconsistentResult, side, repeat)
 	}
 	return nil
 }
@@ -431,9 +477,10 @@ func (cf compiledFilter) admits(index []IndexValue) bool {
 	return true
 }
 
-// openRun opens one run; an honest source never seals an empty one.
+// openRun opens one run and returns its tuple set; an honest source
+// never seals an empty one.
 // seclint:source decrypted DAS run
-func openRun(r Opener, blob, aad []byte, schema relation.Schema) ([]relation.Tuple, error) {
+func openRun(r Opener, blob, aad []byte, schema relation.Schema) ([]byte, error) {
 	ct, err := hybrid.UnmarshalCiphertext(blob)
 	if err != nil {
 		return nil, err
@@ -442,12 +489,12 @@ func openRun(r Opener, blob, aad []byte, schema relation.Schema) ([]relation.Tup
 	if err != nil {
 		return nil, err
 	}
-	rows, err := relation.DecodeTupleSet(schema, nil, pt)
+	rows, err := relation.TupleSetRows(schema, nil, pt)
 	if err != nil {
 		return nil, err
 	}
-	if len(rows) == 0 {
+	if rows == 0 {
 		return nil, fmt.Errorf("das: a run of %s holds no rows", schema.Relation)
 	}
-	return rows, nil
+	return pt, nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/secmediation/secmediation/internal/algebra"
+	"github.com/secmediation/secmediation/internal/codec"
 	"github.com/secmediation/secmediation/internal/credential"
 	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/pm"
@@ -311,7 +312,7 @@ func FuzzMessageDecode(f *testing.F) {
 // rawBody is a payload that is already encoded.
 type rawBody []byte
 
-func (b rawBody) MarshalBinary() ([]byte, error) { return b, nil }
+func (b rawBody) EncodeTo(e *codec.Encoder) { e.Fixed(b, len(b)) }
 
 // hostileFrame is a typ frame of a message with one fixed-width field set
 // to bad: set stores its argument in that field and returns the message.
@@ -322,7 +323,7 @@ func (b rawBody) MarshalBinary() ([]byte, error) { return b, nil }
 // refuse to decode.
 func hostileFrame(t *testing.T, typ string, width int, bad []byte, set func(field []byte) encoding.BinaryMarshaler) transport.Message {
 	t.Helper()
-	var v encoding.BinaryMarshaler
+	var v any
 	if len(bad) == width {
 		v = set(bad)
 	} else {

@@ -109,7 +109,8 @@ func (s *Source) serveDAS(mediator *link.Link, pq *PartialQuery, rel *relation.R
 
 // mediateDAS implements the mediator's role: forward the encrypted index
 // tables to the client (step 4), receive the server query (step 5),
-// evaluate it over the encrypted partial results and return R_C (step 6).
+// evaluate it over the encrypted partial results and return R_C (step 6)
+// as its surviving runs and its size: R_C is counted, never listed.
 // seclint:entry mediator
 func (m *Mediator) mediateDAS(client, s1, s2 *link.Link, d *decomposition, watch *stopwatch) error {
 	var p1, p2 dasPartial
@@ -144,7 +145,7 @@ func (m *Mediator) mediateDAS(client, s1, s2 *link.Link, d *decomposition, watch
 	var res *das.ServerResult
 	err := watch.phase(telemetry.PhaseMatch, func() error {
 		var err error
-		res, err = das.ExecuteServerQuery(&p1.EncRel, &p2.EncRel, sq)
+		res, err = das.SelectRuns(&p1.EncRel, &p2.EncRel, sq)
 		return err
 	})
 	if err != nil {

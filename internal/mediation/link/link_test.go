@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/secmediation/secmediation/internal/codec"
 	"github.com/secmediation/secmediation/internal/resilience"
 	"github.com/secmediation/secmediation/internal/transport"
 )
@@ -31,7 +32,7 @@ func (c *stubConn) Send(m transport.Message) error {
 // probe is a payload that records whether the decoder ever reached it.
 type probe struct{ decoded bool }
 
-func (p *probe) MarshalBinary() ([]byte, error) { return []byte{1}, nil }
+func (p *probe) EncodeTo(e *codec.Encoder) { e.Byte(1) }
 
 func (p *probe) UnmarshalBinary(b []byte) error {
 	if !bytes.Equal(b, []byte{1}) {

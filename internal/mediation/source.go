@@ -109,8 +109,11 @@ func (s *Source) now() time.Time {
 // failure).
 func (s *Source) Serve(conn transport.Conn) error {
 	mediator := link.New(conn, leakage.PartyMediator)
-	// The session's traffic counts on every exit from here on, a denied
-	// or rejected request included.
+	// The session span, once started, ends last: whoever waits for it
+	// finds the traffic counters too. The traffic counts on every exit
+	// from here on, a denied or rejected request included.
+	var root *telemetry.Span
+	defer func() { root.End() }()
 	defer trafficCounters(s.Telemetry, s.party(), mediator.Peer(), conn.Stats())
 	// fail reports err to the mediator and returns the session error.
 	fail := func(err error) error {
@@ -146,11 +149,10 @@ func (s *Source) Serve(conn transport.Conn) error {
 	if err := mediator.Send(msgPartialAck, PartialAck{Granted: true, Schema: rel.Schema()}); err != nil {
 		return err
 	}
-	root := s.Telemetry.Tracer(s.party()).Start("session")
+	root = s.Telemetry.Tracer(s.party()).Start("session")
 	root.Annotate("protocol", pq.Protocol.String())
 	root.Annotate("relation", pq.Relation)
 	annotateSession(root, mediator)
-	defer root.End()
 	watch := &stopwatch{party: s.party(), root: root}
 	switch {
 	case pq.Protocol == ProtocolPlaintext:

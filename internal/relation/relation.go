@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -75,6 +76,7 @@ func New(s Schema) *Relation {
 // each against the schema.
 func FromTuples(s Schema, tuples ...Tuple) (*Relation, error) {
 	r := New(s)
+	r.Grow(len(tuples))
 	for _, t := range tuples {
 		if err := r.Append(t); err != nil {
 			return nil, err
@@ -117,6 +119,10 @@ func (r *Relation) Append(t Tuple) error {
 	r.tuples = append(r.tuples, t)
 	return nil
 }
+
+// Grow makes room for n more tuples, so that as many Appends do not
+// reallocate.
+func (r *Relation) Grow(n int) { r.tuples = slices.Grow(r.tuples, n) }
 
 // MustAppend is Append but panics on error.
 func (r *Relation) MustAppend(t Tuple) {
@@ -173,18 +179,28 @@ func (r *Relation) ActiveDomain(column string) ([]Value, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("relation: %s has no column %q", r.schema.Relation, column)
 	}
-	vals := make([]Value, 0, len(r.tuples))
-	for _, t := range r.tuples {
-		vals = append(vals, t[i])
+	// Sort row positions, not a copy of the column, and count the
+	// distinct values before collecting them.
+	order := make([]int, len(r.tuples))
+	for k := range order {
+		order[k] = k
 	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a].Compare(vals[b]) < 0 })
-	out := vals[:0]
-	for _, v := range vals {
-		if len(out) == 0 || !out[len(out)-1].Equal(v) {
-			out = append(out, v)
+	slices.SortFunc(order, func(a, b int) int { return r.tuples[a][i].Compare(r.tuples[b][i]) })
+	col := func(k int) Value { return r.tuples[order[k]][i] }
+	first := func(k int) bool { return k == 0 || !col(k-1).Equal(col(k)) }
+	n := 0
+	for k := range order {
+		if first(k) {
+			n++
 		}
 	}
-	return append([]Value(nil), out...), nil
+	out := make([]Value, 0, n)
+	for k := range order {
+		if first(k) {
+			out = append(out, col(k))
+		}
+	}
+	return out, nil
 }
 
 // TupleSet returns Tup(a) for the named join column: all tuples whose value

@@ -31,23 +31,30 @@ import (
 
 // EncodeTupleSet writes tuples as a tuple set with the columns at fixed
 // (strictly ascending positions, fewer than a row's width) written once,
-// sized in one pass. It fails when the positions are malformed or a row's
-// fixed value is not bit-for-bit the first row's. The tuples must
-// otherwise conform to the schema the reader decodes with (a Relation's
-// tuples do); nothing here checks it, and an invalid value writes nothing.
+// in one buffer of exactly its length. It fails when the positions are
+// malformed or a row's fixed value is not bit-for-bit the first row's.
+// The tuples must otherwise conform to the schema the reader decodes with
+// (a Relation's tuples do); nothing here checks it, and an invalid value
+// writes nothing.
 func EncodeTupleSet(tuples []Tuple, fixed []int) ([]byte, error) {
+	return AppendTupleSet(nil, tuples, fixed)
+}
+
+// TupleSetLen returns the length of tuples' tuple set with the columns at
+// fixed written once, and fails as EncodeTupleSet does.
+func TupleSetLen(tuples []Tuple, fixed []int) (int, error) {
 	arity := -1
 	if len(tuples) > 0 {
 		arity = len(tuples[0])
 	}
 	if err := checkFixed(fixed, arity); err != nil {
-		return nil, err
+		return 0, err
 	}
+	size := uvarintLen(uint64(len(tuples)))
 	if len(tuples) == 0 {
-		return []byte{0}, nil
+		return size, nil
 	}
 	first := tuples[0]
-	size := uvarintLen(uint64(len(tuples)))
 	for _, j := range fixed {
 		size += first[j].wireLen()
 	}
@@ -56,7 +63,7 @@ func EncodeTupleSet(tuples []Tuple, fixed []int) ([]byte, error) {
 		for j, v := range t {
 			if fi < len(fixed) && fixed[fi] == j {
 				if !v.sameBits(first[j]) {
-					return nil, fmt.Errorf("relation: encode tuple set: row %d column %d is %v, not the fixed %v", i, j, v, first[j])
+					return 0, fmt.Errorf("relation: encode tuple set: row %d column %d is %v, not the fixed %v", i, j, v, first[j])
 				}
 				fi++
 				continue
@@ -64,12 +71,30 @@ func EncodeTupleSet(tuples []Tuple, fixed []int) ([]byte, error) {
 			size += v.wireLen()
 		}
 		if fi < len(fixed) {
-			return nil, fmt.Errorf("relation: encode tuple set: row %d has no column %d", i, fixed[fi])
+			return 0, fmt.Errorf("relation: encode tuple set: row %d has no column %d", i, fixed[fi])
 		}
 	}
-	out := binary.AppendUvarint(make([]byte, 0, size), uint64(len(tuples)))
+	return size, nil
+}
+
+// AppendTupleSet appends tuples' tuple set to dst, which it grows once,
+// to exactly its final length, when dst lacks room for the
+// TupleSetLen bytes; it fails as EncodeTupleSet does.
+func AppendTupleSet(dst []byte, tuples []Tuple, fixed []int) ([]byte, error) {
+	n, err := TupleSetLen(tuples, fixed)
+	if err != nil {
+		return nil, err
+	}
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(tuples)))
+	if len(tuples) == 0 {
+		return dst, nil
+	}
+	first := tuples[0]
 	for _, j := range fixed {
-		out = first[j].appendWire(out)
+		dst = first[j].appendWire(dst)
 	}
 	for _, t := range tuples {
 		fi := 0
@@ -78,10 +103,10 @@ func EncodeTupleSet(tuples []Tuple, fixed []int) ([]byte, error) {
 				fi++
 				continue
 			}
-			out = v.appendWire(out)
+			dst = v.appendWire(dst)
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // checkFixed accepts strictly ascending non-negative positions; against
@@ -102,7 +127,7 @@ func checkFixed(fixed []int, arity int) error {
 // sameBits reports whether two values are identical bit for bit: a FLOAT
 // NaN is the same as itself, and −0 is not +0.
 func (v Value) sameBits(o Value) bool {
-	return v.kind == o.kind && v.i == o.i && math.Float64bits(v.f) == math.Float64bits(o.f) && v.s == o.s && v.b == o.b
+	return v == o
 }
 
 // wireLen is the length of the value in a tuple set.
@@ -122,15 +147,10 @@ func (v Value) wireLen() int {
 // appendWire appends the value's tuple-set encoding.
 func (v Value) appendWire(dst []byte) []byte {
 	switch v.kind {
-	case KindInt:
-		return binary.BigEndian.AppendUint64(dst, uint64(v.i))
-	case KindFloat:
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.f))
+	case KindInt, KindFloat:
+		return binary.BigEndian.AppendUint64(dst, v.n)
 	case KindBool:
-		if v.b {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
+		return append(dst, byte(v.n))
 	case KindString:
 		return append(binary.AppendUvarint(dst, uint64(len(v.s))), v.s...)
 	default:
@@ -146,14 +166,85 @@ func (v Value) appendWire(dst []byte) []byte {
 // columns, before anything is allocated; the rows share one backing array
 // of values, and the TEXT values share one string copy of b.
 func DecodeTupleSet(s Schema, fixed []int, b []byte) ([]Tuple, error) {
-	arity := len(s.Columns)
-	if arity == 0 {
-		return nil, fmt.Errorf("relation: decode tuple set: schema %s has no columns", s.Relation)
-	}
-	if err := checkFixed(fixed, arity); err != nil {
+	l, err := newSetLayout(s, fixed)
+	if err != nil {
 		return nil, err
 	}
-	minFixed, minRow, hasText, fi := 0, 0, false, 0
+	n, body, err := l.count(b)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Tuple, n)
+	if err := l.decode(body, make([]Value, n*len(s.Columns)), out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DecodeTupleSets decodes each of sets as DecodeTupleSet does, in order,
+// into one relation of schema s. The sets' rows are counted first, so the
+// relation's rows and their values are each allocated once, and since
+// they were decoded by the schema's kinds, nothing validates them again.
+func DecodeTupleSets(s Schema, fixed []int, sets [][]byte) (*Relation, error) {
+	l, err := newSetLayout(s, fixed)
+	if err != nil {
+		return nil, err
+	}
+	total := 0
+	for _, b := range sets {
+		n, _, err := l.count(b)
+		if err != nil {
+			return nil, err
+		}
+		total += n
+	}
+	arity := len(s.Columns)
+	rows := make([]Tuple, total)
+	vals := make([]Value, total*arity)
+	at := 0
+	for _, b := range sets {
+		n, body, err := l.count(b)
+		if err != nil {
+			return nil, err
+		}
+		if err := l.decode(body, vals[at*arity:(at+n)*arity], rows[at:at+n]); err != nil {
+			return nil, err
+		}
+		at += n
+	}
+	return &Relation{schema: s, tuples: rows}, nil
+}
+
+// TupleSetRows returns the row count at the head of a tuple set, checked
+// against the bytes after it as DecodeTupleSet checks it.
+func TupleSetRows(s Schema, fixed []int, b []byte) (int, error) {
+	l, err := newSetLayout(s, fixed)
+	if err != nil {
+		return 0, err
+	}
+	n, _, err := l.count(b)
+	return n, err
+}
+
+// setLayout is a schema's tuple-set layout under fixed positions.
+type setLayout struct {
+	cols  []Column
+	fixed []int
+	// minFixed and minRow are the least widths of the fixed values and
+	// of a row's other values.
+	minFixed, minRow int
+	hasText          bool
+}
+
+func newSetLayout(s Schema, fixed []int) (setLayout, error) {
+	l := setLayout{cols: s.Columns, fixed: fixed}
+	if len(s.Columns) == 0 {
+		return l, fmt.Errorf("relation: decode tuple set: schema %s has no columns", s.Relation)
+	}
+	if err := checkFixed(fixed, len(s.Columns)); err != nil {
+		return l, err
+	}
+	fi := 0
 	for j, c := range s.Columns {
 		w := 0
 		switch c.Kind {
@@ -163,62 +254,77 @@ func DecodeTupleSet(s Schema, fixed []int, b []byte) ([]Tuple, error) {
 			w = 1
 		case KindString:
 			w = 1
-			hasText = true
+			l.hasText = true
 		default:
-			return nil, fmt.Errorf("relation: decode tuple set: column %q has kind %v", c.Name, c.Kind)
+			return l, fmt.Errorf("relation: decode tuple set: column %q has kind %v", c.Name, c.Kind)
 		}
 		if fi < len(fixed) && fixed[fi] == j {
-			minFixed += w
+			l.minFixed += w
 			fi++
 		} else {
-			minRow += w
+			l.minRow += w
 		}
 	}
+	return l, nil
+}
+
+// count reads a set's row count and returns it with the bytes after it.
+// The count is checked against those bytes before anything is sized by
+// it, and an empty set must end there.
+func (l setLayout) count(b []byte) (int, []byte, error) {
 	n, k := minimalUvarint(b)
 	if k <= 0 {
-		return nil, fmt.Errorf("relation: decode tuple set: bad count")
+		return 0, nil, fmt.Errorf("relation: decode tuple set: bad count")
 	}
 	b = b[k:]
 	if n == 0 {
 		if len(b) != 0 {
-			return nil, fmt.Errorf("relation: decode tuple set: %d trailing bytes", len(b))
+			return 0, nil, fmt.Errorf("relation: decode tuple set: %d trailing bytes", len(b))
 		}
-		return []Tuple{}, nil
+		return 0, b, nil
 	}
-	if len(b) < minFixed || n > uint64((len(b)-minFixed)/minRow) {
-		return nil, fmt.Errorf("relation: decode tuple set: %d rows of ≥ %d bytes in %d bytes", n, minRow, len(b))
+	if len(b) < l.minFixed || n > uint64((len(b)-l.minFixed)/l.minRow) {
+		return 0, nil, fmt.Errorf("relation: decode tuple set: %d rows of ≥ %d bytes in %d bytes", n, l.minRow, len(b))
+	}
+	return int(n), b, nil
+}
+
+// decode reads the len(out) rows of a set's body, the bytes after its
+// count, into out, whose values it cuts from vals (len(out) rows wide).
+func (l setLayout) decode(b []byte, vals []Value, out []Tuple) error {
+	if len(out) == 0 {
+		return nil
 	}
 	var text string
-	if hasText {
+	if l.hasText {
 		text = string(b)
 	}
-	vals := make([]Value, int(n)*arity)
-	out := make([]Tuple, n)
+	arity := len(l.cols)
 	off := 0
-	for _, j := range fixed {
-		if off = readWire(&vals[j], s.Columns[j].Kind, b, text, off); off < 0 {
-			return nil, fmt.Errorf("relation: decode tuple set: fixed column %d is truncated or malformed", j)
+	for _, j := range l.fixed {
+		if off = readWire(&vals[j], l.cols[j].Kind, b, text, off); off < 0 {
+			return fmt.Errorf("relation: decode tuple set: fixed column %d is truncated or malformed", j)
 		}
 	}
 	for i := range out {
 		row := vals[i*arity : (i+1)*arity : (i+1)*arity]
 		fi := 0
-		for j, c := range s.Columns {
-			if fi < len(fixed) && fixed[fi] == j {
+		for j, c := range l.cols {
+			if fi < len(l.fixed) && l.fixed[fi] == j {
 				row[j] = vals[j]
 				fi++
 				continue
 			}
 			if off = readWire(&row[j], c.Kind, b, text, off); off < 0 {
-				return nil, fmt.Errorf("relation: decode tuple set: row %d column %d is truncated or malformed", i, j)
+				return fmt.Errorf("relation: decode tuple set: row %d column %d is truncated or malformed", i, j)
 			}
 		}
 		out[i] = row
 	}
 	if off != len(b) {
-		return nil, fmt.Errorf("relation: decode tuple set: %d trailing bytes", len(b)-off)
+		return fmt.Errorf("relation: decode tuple set: %d trailing bytes", len(b)-off)
 	}
-	return out, nil
+	return nil
 }
 
 // readWire reads one value of kind k at b[off:] into v and returns the

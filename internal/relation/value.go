@@ -71,26 +71,38 @@ func ParseKind(s string) (Kind, error) {
 // KindInvalid and compares unequal to every valid value.
 //
 // Value is a small immutable struct passed by value throughout the system.
+// Every row holds its values inline, so a Value is kept to 32 bytes: the
+// non-TEXT kinds share one 64-bit payload.
 type Value struct {
+	s string
+	// n is an INT's two's complement, a FLOAT's IEEE 754 bits, or a
+	// BOOL's 0 or 1.
+	n    uint64
 	kind Kind
-	i    int64
-	f    float64
-	s    string
-	b    bool
 }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // String_ returns a string value. (Named with a trailing underscore because
 // String is reserved for fmt.Stringer.)
 func String_(v string) Value { return Value{kind: KindString, s: v} }
 
 // Float returns a floating point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
+
+// i, f and b read the payload of an INT, a FLOAT and a BOOL.
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+func (v Value) b() bool    { return v.n != 0 }
 
 // Kind reports the kind of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -100,7 +112,7 @@ func (v Value) AsInt() int64 {
 	if v.kind != KindInt {
 		panic(fmt.Sprintf("relation: AsInt on %v value", v.kind))
 	}
-	return v.i
+	return v.i()
 }
 
 // AsString returns the string payload; it panics if the value is not KindString.
@@ -116,7 +128,7 @@ func (v Value) AsFloat() float64 {
 	if v.kind != KindFloat {
 		panic(fmt.Sprintf("relation: AsFloat on %v value", v.kind))
 	}
-	return v.f
+	return v.f()
 }
 
 // AsBool returns the boolean payload; it panics if the value is not KindBool.
@@ -124,7 +136,7 @@ func (v Value) AsBool() bool {
 	if v.kind != KindBool {
 		panic(fmt.Sprintf("relation: AsBool on %v value", v.kind))
 	}
-	return v.b
+	return v.b()
 }
 
 // Valid reports whether the value has a valid kind.
@@ -139,14 +151,12 @@ func (v Value) Equal(o Value) bool {
 		return false
 	}
 	switch v.kind {
-	case KindInt:
-		return v.i == o.i
+	case KindInt, KindBool:
+		return v.n == o.n
 	case KindString:
 		return v.s == o.s
 	case KindFloat:
-		return v.f == o.f
-	case KindBool:
-		return v.b == o.b
+		return v.f() == o.f()
 	default:
 		return false
 	}
@@ -163,16 +173,16 @@ func (v Value) Compare(o Value) int {
 	switch v.kind {
 	case KindInt:
 		switch {
-		case v.i < o.i:
+		case v.i() < o.i():
 			return -1
-		case v.i > o.i:
+		case v.i() > o.i():
 			return 1
 		}
 		return 0
 	case KindString:
 		return strings.Compare(v.s, o.s)
 	case KindFloat:
-		vn, on := math.IsNaN(v.f), math.IsNaN(o.f)
+		vn, on := math.IsNaN(v.f()), math.IsNaN(o.f())
 		switch {
 		case vn && on:
 			return 0
@@ -180,17 +190,17 @@ func (v Value) Compare(o Value) int {
 			return -1
 		case on:
 			return 1
-		case v.f < o.f:
+		case v.f() < o.f():
 			return -1
-		case v.f > o.f:
+		case v.f() > o.f():
 			return 1
 		}
 		return 0
 	case KindBool:
 		switch {
-		case !v.b && o.b:
+		case !v.b() && o.b():
 			return -1
-		case v.b && !o.b:
+		case v.b() && !o.b():
 			return 1
 		}
 		return 0
@@ -203,13 +213,13 @@ func (v Value) Compare(o Value) int {
 func (v Value) String() string {
 	switch v.kind {
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindString:
 		return v.s
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.b())
 	default:
 		return "<invalid>"
 	}
@@ -257,25 +267,13 @@ func Parse(k Kind, s string) (Value, error) {
 func (v Value) Encode(dst []byte) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
-	case KindInt:
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(v.i))
-		dst = append(dst, buf[:]...)
+	case KindInt, KindFloat:
+		dst = binary.BigEndian.AppendUint64(dst, v.n)
 	case KindString:
-		var buf [4]byte
-		binary.BigEndian.PutUint32(buf[:], uint32(len(v.s)))
-		dst = append(dst, buf[:]...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(v.s)))
 		dst = append(dst, v.s...)
-	case KindFloat:
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.f))
-		dst = append(dst, buf[:]...)
 	case KindBool:
-		if v.b {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = append(dst, byte(v.n))
 	}
 	return dst
 }

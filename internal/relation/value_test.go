@@ -211,3 +211,22 @@ func TestCompareConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Rows hold their values inline, so every decoded row and joined tuple
+// pays a Value's size per column: the non-TEXT kinds share one payload
+// word, and a FLOAT keeps its exact bits (−0 and NaN payloads survive).
+func TestValueIsFourWords(t *testing.T) {
+	if size := reflect.TypeOf(Value{}).Size(); size != 32 {
+		t.Errorf("a Value is %d bytes, want 32", size)
+	}
+	negZero := Float(math.Copysign(0, -1))
+	if math.Signbit(negZero.AsFloat()) != true || !negZero.Equal(Float(0)) || negZero.sameBits(Float(0)) {
+		t.Errorf("−0 lost its sign or its equality to +0")
+	}
+	if nan := Float(math.NaN()); nan.Equal(nan) || !nan.sameBits(nan) {
+		t.Errorf("NaN equals itself or differs from its own bits")
+	}
+	if Bool(true).Equal(Bool(false)) || Int(1).Equal(Bool(true)) || !Bool(true).AsBool() {
+		t.Errorf("BOOL payload confused")
+	}
+}

@@ -17,6 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/secmediation/secmediation/internal/codec"
 )
 
 // ErrTimeout reports that a Send or Recv exceeded the timeout configured
@@ -53,23 +55,29 @@ type Message struct {
 // their own per-endpoint Stats.
 func (m Message) Size() int { return len(m.Type) + len(m.Body) }
 
-// Encode encodes a payload into a message body: by its MarshalBinary
+// Encode encodes a payload into a message body: by its codec layout
 // when it has one, as every protocol message does, and as gob otherwise.
 // seclint:wire encodes the payload for a link
 func Encode(v any) ([]byte, error) {
-	return encode(nil, v)
+	return encode(0, v)
 }
 
-// encode appends v's encoding to buf.
-func encode(buf []byte, v any) ([]byte, error) {
-	if m, ok := v.(encoding.BinaryMarshaler); ok {
-		b, err := m.MarshalBinary()
+// encode returns v's encoding behind prefix zero bytes. A codec layout
+// is sized first and written straight into one buffer of exactly the
+// final length.
+func encode(prefix int, v any) ([]byte, error) {
+	if m, ok := v.(codec.Encodable); ok {
+		n, err := codec.Size(m)
 		if err != nil {
 			return nil, fmt.Errorf("transport: encode: %w", err)
 		}
-		return append(buf, b...), nil
+		b, err := codec.Append(make([]byte, prefix, prefix+n), m, n)
+		if err != nil {
+			return nil, fmt.Errorf("transport: encode: %w", err)
+		}
+		return b, nil
 	}
-	w := bytes.NewBuffer(buf)
+	w := bytes.NewBuffer(make([]byte, prefix))
 	if err := gob.NewEncoder(w).Encode(v); err != nil {
 		return nil, fmt.Errorf("transport: encode: %w", err)
 	}
@@ -123,10 +131,11 @@ func Payload(m Message) ([]byte, error) {
 
 // NewMessage builds a message with an encoded, integrity-sealed body
 // (see Encode). The payload is encoded once, behind an empty digest slot
-// that is then filled in place.
+// that is then filled in place; a codec layout's body is allocated once,
+// at exactly its length.
 // seclint:wire encodes the payload for a link
 func NewMessage(typ string, v any) (Message, error) {
-	body, err := encode(make([]byte, sumLen), v)
+	body, err := encode(sumLen, v)
 	if err != nil {
 		return Message{}, err
 	}

@@ -1,12 +1,15 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
 	"sync"
 	"testing"
+
+	"github.com/secmediation/secmediation/internal/codec"
 )
 
 type payload struct {
@@ -36,6 +39,32 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 	if out.N.Cmp(in.N) != 0 || out.Name != in.Name || len(out.Data) != 3 {
 		t.Errorf("roundtrip mismatch: %+v", out)
+	}
+}
+
+// blobs is a message with a codec layout.
+type blobs [][]byte
+
+func (b blobs) EncodeTo(e *codec.Encoder) { e.ByteStrings(b) }
+
+// A codec message's body is allocated once, at exactly its length: the
+// digest, then the bytes of its codec.Marshal.
+func TestNewMessageCodecBodyExact(t *testing.T) {
+	in := blobs{bytes.Repeat([]byte{7}, 1000), {1, 2, 3}, nil}
+	m, err := NewMessage("blobs", in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(m.Body) != len(m.Body) {
+		t.Errorf("body has capacity %d for its %d bytes", cap(m.Body), len(m.Body))
+	}
+	want, err := codec.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Payload(m)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Errorf("payload %x (%v), want %x", got, err, want)
 	}
 }
 
