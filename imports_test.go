@@ -21,32 +21,70 @@ import (
 // only from _test.go files (or from nothing) is dead weight that still
 // costs every tier-1 run its build and tests.
 func TestNoOrphanInternalPackages(t *testing.T) {
-	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}} {{join .Imports " "}}`, "./...").Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	var pkgs []string
+	pkgs := nonTestImports(t)
 	imported := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		fields := strings.Fields(line)
-		pkgs = append(pkgs, fields[0])
-		for _, imp := range fields[1:] {
+	for _, imps := range pkgs {
+		for _, imp := range imps {
 			imported[imp] = true
 		}
 	}
-	for _, pkg := range pkgs {
+	for pkg := range pkgs {
 		if strings.Contains(pkg, "/internal/") && !imported[pkg] {
 			t.Errorf("%s has no importer among non-test files", pkg)
 		}
 	}
 }
 
+// TestOneMessageContract guards the one message contract: a link sends
+// a codec.Encodable and receives a codec.Decodable. It fails when
+// non-test code imports "encoding", whose BinaryMarshaler interfaces
+// would give a message a second contract, or imports "encoding/gob"
+// outside bench/ and internal/transport, which keeps gob only for the
+// frozen benchmark's payloads.
+func TestOneMessageContract(t *testing.T) {
+	for pkg, imps := range nonTestImports(t) {
+		rel := strings.TrimPrefix(pkg, module+"/")
+		gobAllowed := rel == "internal/transport" || rel == "bench" || strings.HasPrefix(rel, "bench/")
+		for _, imp := range imps {
+			switch {
+			case imp == "encoding":
+				t.Errorf("%s imports encoding: encode messages through codec.Encodable and codec.Decodable", pkg)
+			case imp == "encoding/gob" && !gobAllowed:
+				t.Errorf("%s imports encoding/gob: encode messages through codec.Encodable and codec.Decodable", pkg)
+			}
+		}
+	}
+}
+
+// module is the module path.
+const module = "github.com/secmediation/secmediation"
+
+// nonTestImports maps every package of the module to the packages its
+// non-test files import.
+func nonTestImports(t *testing.T) map[string][]string {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}} {{join .Imports " "}}`, "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	pkgs := map[string][]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		fields := strings.Fields(line)
+		pkgs[fields[0]] = fields[1:]
+	}
+	return pkgs
+}
+
 // benchOnly lists the symbols only the frozen benchmark may use, by
 // package path below the module: a function's name, or "Type.Field" for
-// a field. The protocol counts R_C (das.SelectRuns); only bench/ lists
-// it.
+// a field. Protocol code counts R_C with das.SelectRuns, partitions
+// with das.EquiDepthPartitions, frames with transport.NewMessage and
+// retries with resilience.Do; no party reads the deprecated Params
+// fields.
 var benchOnly = map[string][]string{
-	"internal/das": {"ExecuteServerQuery", "ServerResult.Pairs"},
+	"internal/das":       {"ExecuteServerQuery", "ServerResult.Pairs", "PartitionDomain"},
+	"internal/transport": {"Encode", "DialRetry"},
+	"internal/mediation": {"Params.PayloadMode", "Params.Buckets", "Params.Strategy"},
 }
 
 // TestBenchOnlySymbolsStayFenced fails when non-test code outside bench/
@@ -65,7 +103,6 @@ func TestBenchOnlySymbolsStayFenced(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
-	const module = "github.com/secmediation/secmediation"
 	export := map[string]string{}
 	type pkg struct {
 		path, dir string
@@ -97,7 +134,7 @@ func TestBenchOnlySymbolsStayFenced(t *testing.T) {
 			t.Fatalf("type-checking %s: %v", p.path, err)
 		}
 		for id, obj := range info.Uses {
-			sym := benchOnlySymbol(obj, module)
+			sym := benchOnlySymbol(obj)
 			switch {
 			case sym == "" || strings.HasPrefix(sym, rel+"."):
 			case rel == "bench":
@@ -118,7 +155,7 @@ func TestBenchOnlySymbolsStayFenced(t *testing.T) {
 
 // benchOnlySymbol names obj as benchOnly lists it ("internal/das.Name"),
 // or returns "" when obj is not listed.
-func benchOnlySymbol(obj types.Object, module string) string {
+func benchOnlySymbol(obj types.Object) string {
 	if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), module+"/") {
 		return ""
 	}
@@ -126,7 +163,8 @@ func benchOnlySymbol(obj types.Object, module string) string {
 	for _, listed := range benchOnly[dir] {
 		typ, field, isField := strings.Cut(listed, ".")
 		if !isField {
-			if _, ok := obj.(*types.Func); ok && obj.Name() == listed {
+			// A method of the same name is not the listed function.
+			if fn, ok := obj.(*types.Func); ok && fn.Name() == listed && fn.Type().(*types.Signature).Recv() == nil {
 				return dir + "." + listed
 			}
 			continue

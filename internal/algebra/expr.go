@@ -252,39 +252,6 @@ func (n Not) Eval(s relation.Schema, t relation.Tuple) (relation.Value, error) {
 
 func (n Not) String() string { return fmt.Sprintf("(NOT %s)", n.Inner) }
 
-// TrueExpr is the always-true predicate (useful as a neutral element when
-// assembling disjunctions such as the DAS server condition CondS).
-var TrueExpr Expr = Literal{Value: relation.Bool(true)}
-
-// FalseExpr is the always-false predicate.
-var FalseExpr Expr = Literal{Value: relation.Bool(false)}
-
-// Disjunction folds a list of predicates with OR. An empty list yields
-// FalseExpr, matching the empty disjunction.
-func Disjunction(exprs []Expr) Expr {
-	if len(exprs) == 0 {
-		return FalseExpr
-	}
-	out := exprs[0]
-	for _, e := range exprs[1:] {
-		out = Or{Left: out, Right: e}
-	}
-	return out
-}
-
-// Conjunction folds a list of predicates with AND. An empty list yields
-// TrueExpr, matching the empty conjunction.
-func Conjunction(exprs []Expr) Expr {
-	if len(exprs) == 0 {
-		return TrueExpr
-	}
-	out := exprs[0]
-	for _, e := range exprs[1:] {
-		out = And{Left: out, Right: e}
-	}
-	return out
-}
-
 func checkBoolPair(s relation.Schema, l, r Expr, op string) (relation.Kind, error) {
 	lk, err := l.Check(s)
 	if err != nil {

@@ -134,25 +134,3 @@ func Leaves(n Node) []Scan {
 		return nil
 	}
 }
-
-// FindJoin returns the topmost JoinNode of the tree, if any, together with
-// the stack of unary operators above it (outermost first). The mediation
-// protocols require exactly one join with scans beneath it; the unary
-// operators are re-applied by the client after decryption.
-func FindJoin(n Node) (JoinNode, []Node, bool) {
-	var unary []Node
-	for {
-		switch t := n.(type) {
-		case JoinNode:
-			return t, unary, true
-		case SelectNode:
-			unary = append(unary, t)
-			n = t.Child
-		case ProjectNode:
-			unary = append(unary, t)
-			n = t.Child
-		default:
-			return JoinNode{}, nil, false
-		}
-	}
-}

@@ -62,8 +62,7 @@ func Append(dst []byte, v Encodable, n int) ([]byte, error) {
 	return e.buf, nil
 }
 
-// Marshal returns v's encoding, in a buffer of exactly its length: the
-// body of a MarshalBinary.
+// Marshal returns v's encoding, in a buffer of exactly its length.
 func Marshal(v Encodable) ([]byte, error) {
 	n, err := Size(v)
 	if err != nil {
@@ -72,8 +71,8 @@ func Marshal(v Encodable) ([]byte, error) {
 	return Append(nil, v, n)
 }
 
-// Unmarshal decodes all of b into v: the body of an UnmarshalBinary.
-// Byte strings and fixed-width fields of v alias b.
+// Unmarshal decodes all of b into v. Byte strings and fixed-width fields
+// of v alias b.
 func Unmarshal(b []byte, v Decodable) error {
 	d := Decoder{b: b}
 	v.DecodeFrom(&d)

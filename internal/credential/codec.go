@@ -59,9 +59,3 @@ func (s *Set) DecodeFrom(d *codec.Decoder) {
 		(*s)[i] = c
 	}
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s Set) MarshalBinary() ([]byte, error) { return codec.Marshal(s) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *Set) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, s) }

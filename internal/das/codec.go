@@ -95,12 +95,6 @@ func lessIndex(a, b []IndexValue) bool {
 	return false
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (er EncryptedRelation) MarshalBinary() ([]byte, error) { return codec.Marshal(er) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (er *EncryptedRelation) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, er) }
-
 // EncodeTo writes q_S: per join attribute its admissible index pairs
 // (16 bytes each), then each side's filters (an attribute position and
 // its admissible index values).
@@ -134,12 +128,6 @@ func (q *ServerQuery) DecodeFrom(d *codec.Decoder) {
 	q.Filters1 = decodeFilters(d)
 	q.Filters2 = decodeFilters(d)
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (q ServerQuery) MarshalBinary() ([]byte, error) { return codec.Marshal(q) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *ServerQuery) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, q) }
 
 func encodeFilters(e *codec.Encoder, fs []IndexFilter) {
 	e.Len(len(fs))

@@ -1124,12 +1124,12 @@ func TestEncryptedRelationLayout(t *testing.T) {
 		return Run{Index: index, Rows: rows, Sealed: []byte(sealed)}
 	}
 	valid := EncryptedRelation{Name: "R1", KeyShare: share, Runs: []Run{run(1, "a", 1, 9), run(2, "bcd", 2, 0)}}
-	b, err := valid.MarshalBinary()
+	b, err := codec.Marshal(valid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var back EncryptedRelation
-	if err := back.UnmarshalBinary(b); err != nil || !reflect.DeepEqual(back, valid) {
+	if err := codec.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, valid) {
 		t.Fatalf("round trip: %v\n%+v\n%+v", err, back, valid)
 	}
 	// raw writes R^S field by field, valid or not.
@@ -1172,13 +1172,13 @@ func TestEncryptedRelationLayout(t *testing.T) {
 	for name, tc := range bad {
 		if tc.er.Runs != nil {
 			tc.er.Name, tc.er.KeyShare = "R1", share
-			if _, err := tc.er.MarshalBinary(); err == nil {
+			if _, err := codec.Marshal(tc.er); err == nil {
 				t.Errorf("%s: encoded", name)
 			}
 		}
 		if tc.enc != nil {
 			var er EncryptedRelation
-			if err := er.UnmarshalBinary(tc.enc); err == nil {
+			if err := codec.Unmarshal(tc.enc, &er); err == nil {
 				t.Errorf("%s: decoded", name)
 			}
 		}

@@ -50,12 +50,6 @@ func (p *Params) DecodeFrom(d *codec.Decoder) {
 	p.Attempt = d.Int()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p Params) MarshalBinary() ([]byte, error) { return codec.Marshal(p) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *Params) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, p) }
-
 // EncodeTo writes the request.
 func (r Request) EncodeTo(e *codec.Encoder) {
 	e.Text(r.SQL)
@@ -75,12 +69,6 @@ func (r *Request) DecodeFrom(d *codec.Decoder) {
 	r.QueryKey = d.Bytes()
 	r.QueryKeySig = d.Bytes()
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r Request) MarshalBinary() ([]byte, error) { return codec.Marshal(r) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (r *Request) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, r) }
 
 // EncodeTo writes the partial query; an aggregate spec follows a 1 byte,
 // its absence is a 0 byte.
@@ -116,12 +104,6 @@ func (pq *PartialQuery) DecodeFrom(d *codec.Decoder) {
 	}
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (pq PartialQuery) MarshalBinary() ([]byte, error) { return codec.Marshal(pq) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (pq *PartialQuery) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, pq) }
-
 // EncodeTo writes the acknowledgement.
 func (a PartialAck) EncodeTo(e *codec.Encoder) {
 	e.Bool(a.Granted)
@@ -134,12 +116,6 @@ func (a *PartialAck) DecodeFrom(d *codec.Decoder) {
 	a.Granted, a.Reason = d.Bool(), d.Text()
 	a.Schema.DecodeFrom(d)
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (a PartialAck) MarshalBinary() ([]byte, error) { return codec.Marshal(a) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (a *PartialAck) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, a) }
 
 // EncodeTo writes the schema, then the tuples as a tuple set with no
 // fixed columns (relation.EncodeTupleSet), with its length.
@@ -169,12 +145,6 @@ func (w *wireRelation) DecodeFrom(d *codec.Decoder) {
 	}
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (w wireRelation) MarshalBinary() ([]byte, error) { return codec.Marshal(w) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (w *wireRelation) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, w) }
-
 // EncodeTo writes the joined relation and the right side's schema and
 // join columns.
 func (r ptResult) EncodeTo(e *codec.Encoder) {
@@ -189,12 +159,6 @@ func (r *ptResult) DecodeFrom(d *codec.Decoder) {
 	r.Schema2.DecodeFrom(d)
 	r.JoinCols2 = d.Strings()
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r ptResult) MarshalBinary() ([]byte, error) { return codec.Marshal(r) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (r *ptResult) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, r) }
 
 // EncodeTo writes the sealed partial result.
 func (p mcPartial) EncodeTo(e *codec.Encoder) {
@@ -211,12 +175,6 @@ func (p *mcPartial) DecodeFrom(d *codec.Decoder) {
 	p.KeyShare = d.Fixed(hybrid.PointSize)
 	p.Rows = d.ByteStrings()
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p mcPartial) MarshalBinary() ([]byte, error) { return codec.Marshal(p) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *mcPartial) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, p) }
 
 // mcPartialSize is the least encoding of an mcPartial.
 const mcPartialSize = 1 + 2 + hybrid.PointSize + 1
@@ -243,12 +201,6 @@ func (r *mcResult) DecodeFrom(d *codec.Decoder) {
 	r.JoinCols1, r.JoinCols2 = d.Strings(), d.Strings()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r mcResult) MarshalBinary() ([]byte, error) { return codec.Marshal(r) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (r *mcResult) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, r) }
-
 // EncodeTo writes a source's DAS message; the sealed index tables are a
 // length-prefixed blob.
 func (p dasPartial) EncodeTo(e *codec.Encoder) {
@@ -267,12 +219,6 @@ func (p *dasPartial) DecodeFrom(d *codec.Decoder) {
 	p.EncRel.DecodeFrom(d)
 	p.EncIndexTables = d.Bytes()
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p dasPartial) MarshalBinary() ([]byte, error) { return codec.Marshal(p) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *dasPartial) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, p) }
 
 // EncodeTo writes the mediator's step 4 message.
 func (m dasIndexTables) EncodeTo(e *codec.Encoder) {
@@ -298,12 +244,6 @@ func (m *dasIndexTables) DecodeFrom(d *codec.Decoder) {
 	m.Share1, m.Share2 = d.Fixed(hybrid.PointSize), d.Fixed(hybrid.PointSize)
 	m.Enc1, m.Enc2 = d.Bytes(), d.Bytes()
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m dasIndexTables) MarshalBinary() ([]byte, error) { return codec.Marshal(m) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *dasIndexTables) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, m) }
 
 // EncodeTo writes both tables of sealed runs, each a count and every
 // run with its length, then |R_C|. The decoder rejects an empty run.
@@ -335,12 +275,6 @@ func decodeRuns(d *codec.Decoder) [][]byte {
 	}
 	return runs
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r dasResult) MarshalBinary() ([]byte, error) { return codec.Marshal(r) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (r *dasResult) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, r) }
 
 // commItemSize is the least encoding of a commItem: its element and an
 // empty payload's length.
@@ -383,12 +317,6 @@ func (o *commOffer) DecodeFrom(d *codec.Decoder) {
 	}
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (o commOffer) MarshalBinary() ([]byte, error) { return codec.Marshal(o) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (o *commOffer) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, o) }
-
 // EncodeTo writes the elements: a count, then each element bare.
 func (c commCross) EncodeTo(e *codec.Encoder) {
 	e.Len(len(c.Elems))
@@ -407,12 +335,6 @@ func (c *commCross) DecodeFrom(d *codec.Decoder) {
 		c.Elems[i] = d.Fixed(commutative.ElementSize)
 	}
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (c commCross) MarshalBinary() ([]byte, error) { return codec.Marshal(c) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (c *commCross) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, c) }
 
 // EncodeTo writes the mediator's step 7 message; each pair is its two
 // sealed tuple sets.
@@ -447,12 +369,6 @@ func (r *commResult) DecodeFrom(d *codec.Decoder) {
 	}
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r commResult) MarshalBinary() ([]byte, error) { return codec.Marshal(r) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (r *commResult) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, r) }
-
 // EncodeTo writes a source's step 2/3 message.
 func (c pmCoeffs) EncodeTo(e *codec.Encoder) {
 	e.Text(c.Session)
@@ -466,12 +382,6 @@ func (c *pmCoeffs) DecodeFrom(d *codec.Decoder) {
 	c.Schema.DecodeFrom(d)
 	c.Buckets.DecodeFrom(d)
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (c pmCoeffs) MarshalBinary() ([]byte, error) { return codec.Marshal(c) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (c *pmCoeffs) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, c) }
 
 // evalSize is the least encoding of a pm.Eval: its ciphertext and an
 // empty blob's length.
@@ -502,12 +412,6 @@ func (m pmEvals) EncodeTo(e *codec.Encoder) { encodeEvals(e, m.Evals) }
 // DecodeFrom reads evaluations written by EncodeTo.
 func (m *pmEvals) DecodeFrom(d *codec.Decoder) { m.Evals = decodeEvals(d) }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m pmEvals) MarshalBinary() ([]byte, error) { return codec.Marshal(m) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *pmEvals) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, m) }
-
 // EncodeTo writes the mediator's step 7 message.
 func (r pmResult) EncodeTo(e *codec.Encoder) {
 	e.Text(r.Session)
@@ -527,9 +431,3 @@ func (r *pmResult) DecodeFrom(d *codec.Decoder) {
 	r.JoinCols1, r.JoinCols2 = d.Strings(), d.Strings()
 	r.Evals1, r.Evals2 = decodeEvals(d), decodeEvals(d)
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r pmResult) MarshalBinary() ([]byte, error) { return codec.Marshal(r) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (r *pmResult) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, r) }

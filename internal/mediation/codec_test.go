@@ -3,7 +3,6 @@ package mediation
 import (
 	"bytes"
 	"crypto/rsa"
-	"encoding"
 	"encoding/gob"
 	"reflect"
 	"runtime"
@@ -25,40 +24,49 @@ import (
 // index tables. The abort frame's layout belongs to package link.
 var messageDecoders = []struct {
 	typ string
-	new func() encoding.BinaryUnmarshaler
+	new func() codec.Decodable
 }{
-	{msgRequest, func() encoding.BinaryUnmarshaler { return new(Request) }},
-	{msgPartialQuery, func() encoding.BinaryUnmarshaler { return new(PartialQuery) }},
-	{msgPartialAck, func() encoding.BinaryUnmarshaler { return new(PartialAck) }},
-	{msgDASPartial, func() encoding.BinaryUnmarshaler { return new(dasPartial) }},
-	{msgDASIndexTables, func() encoding.BinaryUnmarshaler { return new(dasIndexTables) }},
-	{msgDASServerQuery, func() encoding.BinaryUnmarshaler { return new(das.ServerQuery) }},
-	{msgDASResult, func() encoding.BinaryUnmarshaler { return new(dasResult) }},
-	{msgCommOffer, func() encoding.BinaryUnmarshaler { return new(commOffer) }},
-	{msgCommCross, func() encoding.BinaryUnmarshaler { return new(commCross) }},
-	{msgCommCrossBack, func() encoding.BinaryUnmarshaler { return new(commCross) }},
-	{msgCommResult, func() encoding.BinaryUnmarshaler { return new(commResult) }},
-	{msgPMCoeffs, func() encoding.BinaryUnmarshaler { return new(pmCoeffs) }},
-	{msgPMCross, func() encoding.BinaryUnmarshaler { return new(pm.ECBuckets) }},
-	{msgPMEvals, func() encoding.BinaryUnmarshaler { return new(pmEvals) }},
-	{msgPMResult, func() encoding.BinaryUnmarshaler { return new(pmResult) }},
-	{msgMCPartial, func() encoding.BinaryUnmarshaler { return new(mcPartial) }},
-	{msgMCResult, func() encoding.BinaryUnmarshaler { return new(mcResult) }},
-	{msgPTPartial, func() encoding.BinaryUnmarshaler { return new(wireRelation) }},
-	{msgPTResult, func() encoding.BinaryUnmarshaler { return new(ptResult) }},
-	{"das.index-tables (sealed)", func() encoding.BinaryUnmarshaler { return new(sealedIndexTables) }},
+	{msgRequest, func() codec.Decodable { return new(Request) }},
+	{msgPartialQuery, func() codec.Decodable { return new(PartialQuery) }},
+	{msgPartialAck, func() codec.Decodable { return new(PartialAck) }},
+	{msgDASPartial, func() codec.Decodable { return new(dasPartial) }},
+	{msgDASIndexTables, func() codec.Decodable { return new(dasIndexTables) }},
+	{msgDASServerQuery, func() codec.Decodable { return new(das.ServerQuery) }},
+	{msgDASResult, func() codec.Decodable { return new(dasResult) }},
+	{msgCommOffer, func() codec.Decodable { return new(commOffer) }},
+	{msgCommCross, func() codec.Decodable { return new(commCross) }},
+	{msgCommCrossBack, func() codec.Decodable { return new(commCross) }},
+	{msgCommResult, func() codec.Decodable { return new(commResult) }},
+	{msgPMCoeffs, func() codec.Decodable { return new(pmCoeffs) }},
+	{msgPMCross, func() codec.Decodable { return new(pm.ECBuckets) }},
+	{msgPMEvals, func() codec.Decodable { return new(pmEvals) }},
+	{msgPMResult, func() codec.Decodable { return new(pmResult) }},
+	{msgMCPartial, func() codec.Decodable { return new(mcPartial) }},
+	{msgMCResult, func() codec.Decodable { return new(mcResult) }},
+	{msgPTPartial, func() codec.Decodable { return new(wireRelation) }},
+	{msgPTResult, func() codec.Decodable { return new(ptResult) }},
+	{"das.index-tables (sealed)", func() codec.Decodable { return new(sealedIndexTables) }},
 }
 
 // sealedIndexTables is the plaintext a DAS source seals its index tables
 // in (das.EncodeIndexTables).
 type sealedIndexTables []*das.IndexTable
 
-func (its sealedIndexTables) MarshalBinary() ([]byte, error) { return das.EncodeIndexTables(its) }
+func (its sealedIndexTables) EncodeTo(e *codec.Encoder) {
+	b, err := das.EncodeIndexTables(its)
+	if err != nil {
+		e.Fail(err)
+		return
+	}
+	e.Fixed(b, len(b))
+}
 
-func (its *sealedIndexTables) UnmarshalBinary(b []byte) error {
-	tables, err := das.DecodeIndexTables(b)
-	*its = tables
-	return err
+func (its *sealedIndexTables) DecodeFrom(d *codec.Decoder) {
+	d.Next(func(b []byte) (int, error) {
+		tables, err := das.DecodeIndexTables(b)
+		*its = tables
+		return len(b), err
+	})
 }
 
 // decoderFor returns the decoder index of a message tag.
@@ -152,8 +160,8 @@ func sampleMessages(t *testing.T) []wireSample {
 // gobBody is the length of v's gob encoding without type descriptors: the
 // second of two encodings on one encoder, whose first already described
 // the types. v is first mirrored into types without methods, so gob sees
-// the fields and not the MarshalBinary under test, and a relation.Value
-// becomes its canonical bytes, as its GobEncode gave them.
+// only the fields, and a relation.Value becomes its canonical bytes, as
+// its GobEncode gave them.
 func gobBody(t *testing.T, v any) int {
 	t.Helper()
 	m := gobMirror(reflect.ValueOf(v)).Interface()
@@ -255,7 +263,7 @@ func TestWireNotLargerThanGob(t *testing.T) {
 	for _, s := range sampleMessages(t) {
 		seen[s.typ] = true
 		v := messageDecoders[decoderFor(t, s.typ)].new()
-		if err := v.UnmarshalBinary(s.payload); err != nil {
+		if err := codec.Unmarshal(s.payload, v); err != nil {
 			t.Errorf("%s %s: %v", s.run, s.typ, err)
 			continue
 		}
@@ -291,7 +299,7 @@ func FuzzMessageDecode(f *testing.F) {
 		v := d.new()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := v.UnmarshalBinary(payload)
+		err := codec.Unmarshal(payload, v)
 		runtime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got > allocBound(len(payload)) {
 			t.Fatalf("%s: decoding %d bytes allocated %d", d.typ, len(payload), got)
@@ -299,7 +307,7 @@ func FuzzMessageDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := v.(encoding.BinaryMarshaler).MarshalBinary()
+		again, err := codec.Marshal(v.(codec.Encodable))
 		if err != nil {
 			t.Fatalf("%s: re-encoding an accepted payload: %v", d.typ, err)
 		}
@@ -321,14 +329,14 @@ func (b rawBody) EncodeTo(e *codec.Encoder) { e.Fixed(b, len(b)) }
 // message's encoding with bad spliced in place of the field's bytes —
 // what a deviating sender can put on a link, and what its receiver must
 // refuse to decode.
-func hostileFrame(t *testing.T, typ string, width int, bad []byte, set func(field []byte) encoding.BinaryMarshaler) transport.Message {
+func hostileFrame(t *testing.T, typ string, width int, bad []byte, set func(field []byte) codec.Encodable) transport.Message {
 	t.Helper()
 	var v any
 	if len(bad) == width {
 		v = set(bad)
 	} else {
 		marker := bytes.Repeat([]byte{0xA5}, width)
-		enc, err := set(marker).MarshalBinary()
+		enc, err := codec.Marshal(set(marker))
 		i := bytes.Index(enc, marker)
 		if err != nil || i < 0 {
 			t.Errorf("encoding %s around a %d-byte marker: %v", typ, width, err)
@@ -356,7 +364,7 @@ func hostileBlame(bad []byte, width int, consumer, phase, sender string) (string
 // Pushdown is the one flag bit of Params; a set bit beside it, such as
 // the retired bit 1, does not decode.
 func TestParamsUnknownFlagRejected(t *testing.T) {
-	b, err := Params{Pushdown: true}.MarshalBinary()
+	b, err := codec.Marshal(Params{Pushdown: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +372,7 @@ func TestParamsUnknownFlagRejected(t *testing.T) {
 	for _, flags := range []byte{0, 1, 2, 3, 0x80} {
 		b[1] = flags
 		var p Params
-		err := p.UnmarshalBinary(b)
+		err := codec.Unmarshal(b, &p)
 		if ok := flags <= 1; (err == nil) != ok || (ok && p.Pushdown != (flags == 1)) {
 			t.Errorf("flags %#x: %+v, %v", flags, p, err)
 		}

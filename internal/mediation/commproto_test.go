@@ -2,13 +2,13 @@ package mediation
 
 import (
 	"bytes"
-	"encoding"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"testing"
 
+	"github.com/secmediation/secmediation/internal/codec"
 	"github.com/secmediation/secmediation/internal/crypto/commutative"
 	"github.com/secmediation/secmediation/internal/leakage"
 	rel "github.com/secmediation/secmediation/internal/relation"
@@ -156,7 +156,7 @@ func TestCommHostileCrossElement(t *testing.T) {
 					}
 					var cross commCross
 					decodeBody(t, m, &cross)
-					return hostileFrame(t, m.Type, commutative.ElementSize, bad, func(field []byte) encoding.BinaryMarshaler {
+					return hostileFrame(t, m.Type, commutative.ElementSize, bad, func(field []byte) codec.Encodable {
 						cross.Elems[1] = field
 						return cross
 					})

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/secmediation/secmediation/internal/codec"
 	"github.com/secmediation/secmediation/internal/das"
 	"github.com/secmediation/secmediation/internal/leakage"
 	rel "github.com/secmediation/secmediation/internal/relation"
@@ -145,15 +146,15 @@ func TestDASResultRejectsEmptyRun(t *testing.T) {
 		"empty E1 run": {dasResult{E1: [][]byte{{}}, E2: [][]byte{{2}}, Size: 1}, true},
 		"empty E2 run": {dasResult{E1: [][]byte{{1}}, E2: [][]byte{{2}, nil}, Size: 2}, true},
 	} {
-		b, err := tc.res.MarshalBinary()
+		b, err := codec.Marshal(tc.res)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := new(dasResult).UnmarshalBinary(b); (err != nil) != tc.wantErr {
+		if err := codec.Unmarshal(b, new(dasResult)); (err != nil) != tc.wantErr {
 			t.Errorf("%s: decode error %v, want one: %v", name, err, tc.wantErr)
 		}
 	}
-	if err := new(dasResult).UnmarshalBinary([]byte{100, 5, 1}); err == nil {
+	if err := codec.Unmarshal([]byte{100, 5, 1}, new(dasResult)); err == nil {
 		t.Error("100 runs in 2 bytes decoded")
 	}
 }

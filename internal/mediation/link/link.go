@@ -6,7 +6,6 @@
 package link
 
 import (
-	"encoding"
 	"errors"
 	"fmt"
 	"time"
@@ -93,12 +92,6 @@ func (b *errorBody) DecodeFrom(d *codec.Decoder) {
 	b.Transient, b.Timeout = flags&flagTransient != 0, flags&flagTimeout != 0
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (b errorBody) MarshalBinary() ([]byte, error) { return codec.Marshal(b) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (b *errorBody) UnmarshalBinary(data []byte) error { return codec.Unmarshal(data, b) }
-
 // peerError is a failure a peer reported in an abort frame. Message is
 // the origin's own text, which Abort relays as is, so a failure reads
 // "peer error: " once however many parties it crossed.
@@ -164,7 +157,7 @@ func (l *Link) Blame(err error) error { return &ProtocolError{Party: l.peer, Err
 // on the peer.
 //
 // seclint:wire encodes the payload onto the party link
-func (l *Link) Send(typ string, v encoding.BinaryMarshaler) error {
+func (l *Link) Send(typ string, v codec.Encodable) error {
 	m, err := transport.NewMessage(typ, v)
 	if err != nil {
 		return err
@@ -184,7 +177,7 @@ func (l *Link) Send(typ string, v encoding.BinaryMarshaler) error {
 //
 // seclint:wire decodes a link payload into the target (keys must not
 // arrive over a link either)
-func (l *Link) Recv(typ string, v encoding.BinaryUnmarshaler) error {
+func (l *Link) Recv(typ string, v codec.Decodable) error {
 	m, err := l.conn.Recv()
 	if err != nil {
 		return l.fail("link failed awaiting %q: %w", typ, err)

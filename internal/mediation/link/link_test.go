@@ -34,12 +34,14 @@ type probe struct{ decoded bool }
 
 func (p *probe) EncodeTo(e *codec.Encoder) { e.Byte(1) }
 
-func (p *probe) UnmarshalBinary(b []byte) error {
-	if !bytes.Equal(b, []byte{1}) {
-		return errors.New("not a probe")
-	}
-	p.decoded = true
-	return nil
+func (p *probe) DecodeFrom(d *codec.Decoder) {
+	d.Next(func(b []byte) (int, error) {
+		if !bytes.Equal(b, []byte{1}) {
+			return 0, errors.New("not a probe")
+		}
+		p.decoded = true
+		return len(b), nil
+	})
 }
 
 const wantType = "test.frame"
@@ -192,8 +194,8 @@ func FuzzLinkRecv(f *testing.F) {
 			t.Fatalf("decoded a %q frame, then failed with %v", typ, err)
 		}
 		var eb errorBody
-		if payload, perr := transport.Payload(m); perr == nil && eb.UnmarshalBinary(payload) == nil {
-			if again, err := eb.MarshalBinary(); err != nil || !bytes.Equal(again, payload) {
+		if payload, perr := transport.Payload(m); perr == nil && codec.Unmarshal(payload, &eb) == nil {
+			if again, err := codec.Marshal(eb); err != nil || !bytes.Equal(again, payload) {
 				t.Fatalf("abort payload %x re-encodes to %x (%v)", payload, again, err)
 			}
 		}
@@ -213,7 +215,7 @@ func TestAbortFrameNotLargerThanGob(t *testing.T) {
 		{Party: "source:S2", Phase: "cross.encrypt", Message: "bad partition"},
 		{},
 	} {
-		body, err := b.MarshalBinary()
+		body, err := codec.Marshal(b)
 		if err != nil {
 			t.Fatal(err)
 		}

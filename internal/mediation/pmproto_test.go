@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/ecdh"
 	crand "crypto/rand"
-	"encoding"
 	"errors"
 	"fmt"
 	"math/big"
@@ -13,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/secmediation/secmediation/internal/codec"
 	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/pm"
@@ -103,7 +103,7 @@ func TestPMHostileCiphertext(t *testing.T) {
 			func(t *testing.T, m transport.Message, bad []byte) transport.Message {
 				var cross pm.ECBuckets
 				decodeBody(t, m, &cross)
-				return hostileFrame(t, m.Type, ecelgamal.CiphertextSize, bad, func(field []byte) encoding.BinaryMarshaler {
+				return hostileFrame(t, m.Type, ecelgamal.CiphertextSize, bad, func(field []byte) codec.Encodable {
 					cross.Polys[0][1] = field
 					return cross
 				})
@@ -112,7 +112,7 @@ func TestPMHostileCiphertext(t *testing.T) {
 			func(t *testing.T, m transport.Message, bad []byte) transport.Message {
 				var evals pmEvals
 				decodeBody(t, m, &evals)
-				return hostileFrame(t, m.Type, ecelgamal.CiphertextSize, bad, func(field []byte) encoding.BinaryMarshaler {
+				return hostileFrame(t, m.Type, ecelgamal.CiphertextSize, bad, func(field []byte) codec.Encodable {
 					evals.Evals[0].Cipher = field
 					return evals
 				})

@@ -6,12 +6,12 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/rsa"
-	"encoding"
 	"errors"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/secmediation/secmediation/internal/codec"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/resilience"
@@ -258,22 +258,22 @@ func TestHostileKeyShare(t *testing.T) {
 		msg   string
 		phase string
 		// edit decodes m and returns the setter of its share field.
-		edit func(t *testing.T, m transport.Message) func(share []byte) encoding.BinaryMarshaler
+		edit func(t *testing.T, m transport.Message) func(share []byte) codec.Encodable
 	}{
-		{ProtocolDAS, msgDASIndexTables, telemetry.PhaseTranslate, func(t *testing.T, m transport.Message) func([]byte) encoding.BinaryMarshaler {
+		{ProtocolDAS, msgDASIndexTables, telemetry.PhaseTranslate, func(t *testing.T, m transport.Message) func([]byte) codec.Encodable {
 			var its dasIndexTables
 			decodeBody(t, m, &its)
-			return func(share []byte) encoding.BinaryMarshaler { its.Share1 = share; return its }
+			return func(share []byte) codec.Encodable { its.Share1 = share; return its }
 		}},
-		{ProtocolCommutative, msgCommResult, telemetry.PhasePostFilter, func(t *testing.T, m transport.Message) func([]byte) encoding.BinaryMarshaler {
+		{ProtocolCommutative, msgCommResult, telemetry.PhasePostFilter, func(t *testing.T, m transport.Message) func([]byte) codec.Encodable {
 			var res commResult
 			decodeBody(t, m, &res)
-			return func(share []byte) encoding.BinaryMarshaler { res.Share2 = share; return res }
+			return func(share []byte) codec.Encodable { res.Share2 = share; return res }
 		}},
-		{ProtocolMobileCode, msgMCResult, telemetry.PhasePostFilter, func(t *testing.T, m transport.Message) func([]byte) encoding.BinaryMarshaler {
+		{ProtocolMobileCode, msgMCResult, telemetry.PhasePostFilter, func(t *testing.T, m transport.Message) func([]byte) codec.Encodable {
 			var res mcResult
 			decodeBody(t, m, &res)
-			return func(share []byte) encoding.BinaryMarshaler { res.Partials[0].KeyShare = share; return res }
+			return func(share []byte) codec.Encodable { res.Partials[0].KeyShare = share; return res }
 		}},
 	}
 	for _, p := range protos {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/secmediation/secmediation/internal/algebra"
+	"github.com/secmediation/secmediation/internal/codec"
 	"github.com/secmediation/secmediation/internal/crypto/commutative"
 	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	rel "github.com/secmediation/secmediation/internal/relation"
@@ -415,9 +416,9 @@ func TestResultBytesClosedForm(t *testing.T) {
 	})
 }
 
-func mustMarshal(t *testing.T, v interface{ MarshalBinary() ([]byte, error) }) []byte {
+func mustMarshal(t *testing.T, v codec.Encodable) []byte {
 	t.Helper()
-	b, err := v.MarshalBinary()
+	b, err := codec.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}

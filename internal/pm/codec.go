@@ -57,12 +57,6 @@ func (eb *ECBuckets) DecodeFrom(d *codec.Decoder) {
 	}
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (eb ECBuckets) MarshalBinary() ([]byte, error) { return codec.Marshal(eb) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (eb *ECBuckets) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, eb) }
-
 // EncodeTo writes the 66-byte ciphertext and the sealed blob.
 func (ev Eval) EncodeTo(e *codec.Encoder) {
 	e.Fixed(ev.Cipher, ecelgamal.CiphertextSize)
@@ -74,9 +68,3 @@ func (ev *Eval) DecodeFrom(d *codec.Decoder) {
 	ev.Cipher = d.Fixed(ecelgamal.CiphertextSize)
 	ev.Sealed = d.Bytes()
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (ev Eval) MarshalBinary() ([]byte, error) { return codec.Marshal(ev) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (ev *Eval) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, ev) }

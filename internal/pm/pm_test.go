@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/secmediation/secmediation/internal/codec"
 	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	"github.com/secmediation/secmediation/internal/crypto/paillier"
 	rel "github.com/secmediation/secmediation/internal/relation"
@@ -600,7 +601,7 @@ func TestECBucketsCodec(t *testing.T) {
 		return eb
 	}
 	good := shape(4, 3)
-	b, err := good.MarshalBinary()
+	b, err := codec.Marshal(good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,11 +609,11 @@ func TestECBucketsCodec(t *testing.T) {
 		t.Errorf("4 buckets of degree 3 encode to %d bytes, want %d", len(b), want)
 	}
 	var back ECBuckets
-	if err := back.UnmarshalBinary(b); err != nil || len(back.Polys) != 4 || len(back.Polys[3]) != 3 || !bytes.Equal(back.Polys[3][2], ct) {
+	if err := codec.Unmarshal(b, &back); err != nil || len(back.Polys) != 4 || len(back.Polys[3]) != 3 || !bytes.Equal(back.Polys[3][2], ct) {
 		t.Errorf("round trip: %v, %d buckets", err, len(back.Polys))
 	}
 	encode := func(eb ECBuckets) []byte {
-		b, err := eb.MarshalBinary()
+		b, err := codec.Marshal(eb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -628,13 +629,13 @@ func TestECBucketsCodec(t *testing.T) {
 		"degree 0":          {encode(shape(2, 0)), "degree 0"},
 		"degree past bytes": {[]byte{2, 3}, "elements"}, // 2 buckets of degree 3, no ciphertext
 	} {
-		if err := new(ECBuckets).UnmarshalBinary(tc.frame); err == nil || !strings.Contains(err.Error(), tc.msg) {
+		if err := codec.Unmarshal(tc.frame, new(ECBuckets)); err == nil || !strings.Contains(err.Error(), tc.msg) {
 			t.Errorf("%s: decode error %v, want one about %q", name, err, tc.msg)
 		}
 	}
 	uneven := shape(2, 2)
 	uneven.Polys[1] = uneven.Polys[1][:1]
-	if _, err := uneven.MarshalBinary(); err == nil {
+	if _, err := codec.Marshal(uneven); err == nil {
 		t.Error("buckets of degrees 2 and 1 encoded")
 	}
 }

@@ -50,12 +50,6 @@ func (s *Schema) DecodeFrom(d *codec.Decoder) {
 	}
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s Schema) MarshalBinary() ([]byte, error) { return codec.Marshal(s) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *Schema) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, s) }
-
 // AAD is the additional data a tuple set of this schema is sealed under:
 // the schema's encoding, then a uvarint count and the uvarint positions of
 // the columns the set is keyed on (none for a set keyed on nothing), then
@@ -66,7 +60,7 @@ func (s *Schema) UnmarshalBinary(b []byte) error { return codec.Unmarshal(b, s) 
 // position list are self-delimiting, so no two (schema, positions, tag)
 // triples share an AAD.
 func (s Schema) AAD(tag string, keyCols ...int) []byte {
-	b, err := s.MarshalBinary()
+	b, err := codec.Marshal(s)
 	if err != nil {
 		panic(err) // unreachable: Schema.EncodeTo never fails
 	}

@@ -203,44 +203,6 @@ func (r *Relation) ActiveDomain(column string) ([]Value, error) {
 	return out, nil
 }
 
-// TupleSet returns Tup(a) for the named join column: all tuples whose value
-// in that column equals a (paper, Section 4.1). The returned slice aliases
-// the relation's tuples.
-func (r *Relation) TupleSet(column string, a Value) ([]Tuple, error) {
-	i := r.schema.IndexOf(column)
-	if i < 0 {
-		return nil, fmt.Errorf("relation: %s has no column %q", r.schema.Relation, column)
-	}
-	var out []Tuple
-	for _, t := range r.tuples {
-		if t[i].Equal(a) {
-			out = append(out, t)
-		}
-	}
-	return out, nil
-}
-
-// GroupByColumn partitions the relation's tuples by the value of the named
-// column, returning the active domain (sorted) and the map from each value
-// (by encoded key) to its tuple set. This is the bulk form of TupleSet used
-// by the protocol implementations.
-func (r *Relation) GroupByColumn(column string) ([]Value, map[string][]Tuple, error) {
-	i := r.schema.IndexOf(column)
-	if i < 0 {
-		return nil, nil, fmt.Errorf("relation: %s has no column %q", r.schema.Relation, column)
-	}
-	groups := make(map[string][]Tuple)
-	for _, t := range r.tuples {
-		k := string(t[i].Encode(nil))
-		groups[k] = append(groups[k], t)
-	}
-	dom, err := r.ActiveDomain(column)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dom, groups, nil
-}
-
 // Filter returns a new relation containing the tuples for which keep
 // returns true.
 func (r *Relation) Filter(keep func(Tuple) bool) *Relation {
@@ -314,10 +276,10 @@ func EncodeValues(vals []Value, dst []byte) []byte {
 }
 
 // GroupByColumns partitions the relation by the composite key over the
-// named columns, returning groups sorted by key. With a single column this
-// is the multi-column generalization of GroupByColumn; the protocols use
-// it to compute Tup_i(a) for composite join keys (the paper's
-// multi-attribute future-work extension).
+// named columns, returning groups sorted by key: each group is Tup(a)
+// (paper, Section 4.1) for its key a. The protocols use it for single
+// and composite join keys (the paper's multi-attribute future-work
+// extension).
 func (r *Relation) GroupByColumns(cols []string) ([]KeyGroup, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("relation: GroupByColumns needs at least one column")

@@ -110,7 +110,7 @@ func TestRelationAppendValidation(t *testing.T) {
 	}
 }
 
-func TestActiveDomainAndTupleSet(t *testing.T) {
+func TestActiveDomain(t *testing.T) {
 	s := MustSchema("R", Column{Name: "k", Kind: KindInt}, Column{Name: "v", Kind: KindString})
 	r := MustFromTuples(s,
 		Tuple{Int(3), String_("c")},
@@ -132,38 +132,8 @@ func TestActiveDomainAndTupleSet(t *testing.T) {
 			t.Errorf("dom[%d] = %v, want %d", i, dom[i], w)
 		}
 	}
-	ts, err := r.TupleSet("k", Int(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts) != 2 {
-		t.Errorf("TupleSet(3) size = %d, want 2", len(ts))
-	}
 	if _, err := r.ActiveDomain("nope"); err == nil {
 		t.Error("ActiveDomain(nope) succeeded")
-	}
-	if _, err := r.TupleSet("nope", Int(1)); err == nil {
-		t.Error("TupleSet(nope) succeeded")
-	}
-}
-
-func TestGroupByColumn(t *testing.T) {
-	s := MustSchema("R", Column{Name: "k", Kind: KindString}, Column{Name: "v", Kind: KindInt})
-	r := MustFromTuples(s,
-		Tuple{String_("x"), Int(1)},
-		Tuple{String_("y"), Int(2)},
-		Tuple{String_("x"), Int(3)},
-	)
-	dom, groups, err := r.GroupByColumn("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dom) != 2 || len(groups) != 2 {
-		t.Fatalf("GroupByColumn: dom=%d groups=%d, want 2/2", len(dom), len(groups))
-	}
-	kx := string(String_("x").Encode(nil))
-	if len(groups[kx]) != 2 {
-		t.Errorf("group x size = %d, want 2", len(groups[kx]))
 	}
 }
 

@@ -87,15 +87,6 @@ func Parse(input string) (*Query, error) {
 	return q, nil
 }
 
-// ParseToTree parses an SQL string and converts it to an algebra tree.
-func ParseToTree(input string) (algebra.Node, error) {
-	q, err := Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	return q.Tree(), nil
-}
-
 // Tree converts the parsed query into an algebra tree: scans at the leaves,
 // an optional join, then selection, then projection — the shape the
 // mediator's decomposition (Listing 1) expects.

@@ -130,11 +130,11 @@ func TestParseErrors(t *testing.T) {
 
 func TestTreeEvaluation(t *testing.T) {
 	cat := testCatalog(t)
-	tree, err := ParseToTree("SELECT name, city FROM R JOIN S ON R.id = S.id WHERE city <> 'z'")
+	q, err := Parse("SELECT name, city FROM R JOIN S ON R.id = S.id WHERE city <> 'z'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := tree.Eval(cat)
+	out, err := q.Tree().Eval(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestTreeEvaluation(t *testing.T) {
 
 func TestTreeSingleRelation(t *testing.T) {
 	cat := testCatalog(t)
-	tree, err := ParseToTree("SELECT name FROM R WHERE id > 1")
+	q, err := Parse("SELECT name FROM R WHERE id > 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := tree.Eval(cat)
+	out, err := q.Tree().Eval(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +163,11 @@ func TestTreeSingleRelation(t *testing.T) {
 
 func TestNaturalJoinTreeEvaluation(t *testing.T) {
 	cat := testCatalog(t)
-	tree, err := ParseToTree("SELECT * FROM R NATURAL JOIN S")
+	q, err := Parse("SELECT * FROM R NATURAL JOIN S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := tree.Eval(cat)
+	out, err := q.Tree().Eval(cat)
 	if err != nil {
 		t.Fatal(err)
 	}

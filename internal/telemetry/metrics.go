@@ -272,17 +272,6 @@ func (r *Registry) OpDeltas() map[string]int64 {
 	return out
 }
 
-// ResetOps re-baselines the registry's operation deltas to now.
-func (r *Registry) ResetOps() {
-	if !r.active() {
-		return
-	}
-	base := OpTotals()
-	r.mu.Lock()
-	r.opsBase = base
-	r.mu.Unlock()
-}
-
 // globalHistSnapshots returns sorted name → snapshot of the process-wide
 // histograms (cumulative, Prometheus-style).
 func globalHistSnapshots() map[string]HistogramSnapshot {

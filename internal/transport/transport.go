@@ -7,7 +7,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -84,12 +83,12 @@ func encode(prefix int, v any) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// Decode decodes a message body into v: by its UnmarshalBinary when it
-// has one, and as gob otherwise.
+// Decode decodes a message body into v: by its codec layout when it has
+// one, as every protocol message does, and as gob otherwise.
 func Decode(b []byte, v any) error {
 	var err error
-	if u, ok := v.(encoding.BinaryUnmarshaler); ok {
-		err = u.UnmarshalBinary(b)
+	if u, ok := v.(codec.Decodable); ok {
+		err = codec.Unmarshal(b, u)
 	} else {
 		err = gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 	}
