@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,88 +16,59 @@ import (
 	"github.com/secmediation/secmediation/internal/transport"
 )
 
-// tamperConn is a man-in-the-middle wrapper: it mutates the body of every
-// received message whose type matches, modeling a mediator (or network
-// adversary) that deviates from the semi-honest model by modifying
-// ciphertext material.
-type tamperConn struct {
-	transport.Conn
-	typePrefix string
-	mutate     func([]byte)
+// flipLastByte returns b with its last byte flipped. On a sealed blob
+// that byte lies in the AEAD tag.
+func flipLastByte(b []byte) []byte {
+	out := append([]byte(nil), b...)
+	out[len(out)-1] ^= 0xFF
+	return out
 }
 
-func (c *tamperConn) Recv() (transport.Message, error) {
-	m, err := c.Conn.Recv()
-	if err != nil {
-		return m, err
-	}
-	if strings.HasPrefix(m.Type, c.typePrefix) && len(m.Body) > 0 {
-		body := append([]byte(nil), m.Body...)
-		c.mutate(body)
-		m.Body = body
-	}
-	return m, nil
-}
-
-// queryOver runs one query over n with the client's end of the
-// client–mediator link wrapped by wrap.
-func queryOver(t *testing.T, n *Network, wrap func(transport.Conn) transport.Conn, sql string, proto Protocol, params Params) (*rel.Relation, error) {
+// assertTamperRejected checks that a query whose sealed blob the
+// mediator corrupted failed where the client opens the blob: the mediator
+// re-seals the frame digest, so the query must not end in
+// transport.ErrIntegrity.
+func assertTamperRejected(t *testing.T, what string, err error) {
 	t.Helper()
-	clientSide, mediatorSide := transport.Pair()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = n.Mediator.HandleSession(mediatorSide)
-		mediatorSide.Close()
-	}()
-	res, err := n.Client.Query(wrap(clientSide), sql, proto, params)
-	// Close before waiting: an early client abort must unblock a mediator
-	// still awaiting client messages.
-	clientSide.Close()
-	<-done
-	return res, err
+	switch {
+	case err == nil:
+		t.Errorf("tampered %s accepted", what)
+	case errors.Is(err, transport.ErrIntegrity):
+		t.Errorf("tampered %s failed the frame digest, not its own check: %v", what, err)
+	case !strings.Contains(err.Error(), "message authentication failed"):
+		t.Errorf("tampered %s failed outside its AEAD: %v", what, err)
+	}
 }
 
-// queryThroughTamperer runs one query with the client's inbound messages
-// of the given type corrupted.
-func queryThroughTamperer(t *testing.T, proto Protocol, typePrefix string, mutate func([]byte)) error {
-	t.Helper()
-	_, err := queryOver(t, newTestNetwork(t, nil), func(c transport.Conn) transport.Conn {
-		return &tamperConn{Conn: c, typePrefix: typePrefix, mutate: mutate}
-	}, fixtureSQL, proto, fastParams())
-	return err
-}
-
-// flipLastByte corrupts the tail of a message body — in every protocol
-// result the tail lands inside ciphertext or integrity-protected material.
-func flipLastByte(b []byte) { b[len(b)-1] ^= 0xFF }
-
-// Tampered protocol results must fail loudly at the client (AEAD or
-// decode), never silently return wrong data.
+// Tampered protocol results must fail loudly at the client when it opens
+// them, never silently return wrong data. Each case flips a byte of one
+// sealed blob in the result the mediator sends.
 func TestTamperedResultsAreRejected(t *testing.T) {
 	cases := []struct {
 		proto  Protocol
-		prefix string
+		tamper hook
 	}{
-		{ProtocolMobileCode, "mc.result"},
-		{ProtocolDAS, "das.result"},
-		{ProtocolCommutative, "comm.result"},
+		{ProtocolMobileCode, rewrite(t, "client", msgMCResult, func(r *mcResult) {
+			r.Partials[0].Rows[0] = flipLastByte(r.Partials[0].Rows[0])
+		})},
+		{ProtocolDAS, rewrite(t, "client", msgDASResult, func(r *dasResult) { r.E1[0] = flipLastByte(r.E1[0]) })},
+		{ProtocolCommutative, rewrite(t, "client", msgCommResult, func(r *commResult) {
+			r.Pairs[0].T1 = flipLastByte(r.Pairs[0].T1)
+		})},
 	}
 	for _, tc := range cases {
-		err := queryThroughTamperer(t, tc.proto, tc.prefix, flipLastByte)
-		if err == nil {
-			t.Errorf("%v: tampered %s accepted", tc.proto, tc.prefix)
-		}
+		_, _, err := tap{onSend: tc.tamper}.query(t, newTestNetwork(t, nil), fixtureSQL, tc.proto, fastParams())
+		assertTamperRejected(t, tc.proto.String()+" result", err)
 	}
 }
 
 // Tampering with the DAS index tables must be detected when the client
 // opens them (they are sealed with AEAD under the session key).
 func TestTamperedIndexTablesRejected(t *testing.T) {
-	err := queryThroughTamperer(t, ProtocolDAS, "das.index-tables", flipLastByte)
-	if err == nil {
-		t.Error("tampered index tables accepted")
-	}
+	_, _, err := tap{onSend: rewrite(t, "client", msgDASIndexTables, func(its *dasIndexTables) {
+		its.Enc1 = flipLastByte(its.Enc1)
+	})}.query(t, newTestNetwork(t, nil), fixtureSQL, ProtocolDAS, fastParams())
+	assertTamperRejected(t, "index tables", err)
 }
 
 // A PM evaluation corrupted by the mediator decrypts to garbage; the
@@ -106,20 +76,14 @@ func TestTamperedIndexTablesRejected(t *testing.T) {
 // disappears rather than producing a wrong tuple. This is the documented
 // semi-honest limitation: corruption is equivalent to withholding.
 func TestTamperedPMEvaluationDropsMatchOnly(t *testing.T) {
-	n := newTestNetwork(t, nil)
-	clientSide, mediatorSide := transport.Pair()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = n.Mediator.HandleSession(mediatorSide)
-		mediatorSide.Close()
-	}()
-	// Corrupting the body fails its digest → hard failure, which is also
-	// acceptable; both outcomes must avoid wrong results.
-	wrapped := &tamperConn{Conn: clientSide, typePrefix: "pm.result", mutate: flipLastByte}
-	res, err := n.Client.Query(wrapped, fixtureSQL, ProtocolPM, fastParams())
-	clientSide.Close()
-	<-done
+	res, _, err := tap{onSend: rewrite(t, "client", msgPMResult, func(r *pmResult) {
+		r.Evals1[0].Sealed = flipLastByte(r.Evals1[0].Sealed)
+	})}.query(t, newTestNetwork(t, nil), fixtureSQL, ProtocolPM, fastParams())
+	// A hard failure is also acceptable; both outcomes must avoid wrong
+	// results, and neither may come from the re-sealed frame digest.
+	if errors.Is(err, transport.ErrIntegrity) {
+		t.Errorf("tampered evaluation failed the frame digest, not its own check: %v", err)
+	}
 	if err == nil {
 		// If decoding survived, the result must be a subset of the truth.
 		want := expectedJoin(t)
@@ -188,31 +152,6 @@ func TestHostileParams(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc := tc
-		// tamper rewrites the Params of the one message that carries them
-		// on a link: the request on the client link, the partial query on
-		// a source link.
-		tamper := func(m transport.Message) transport.Message {
-			var v any
-			switch m.Type {
-			case msgRequest:
-				var req Request
-				decodeBody(t, m, &req)
-				tc.mutate(&req.Params)
-				v = req
-			case msgPartialQuery:
-				var pq PartialQuery
-				decodeBody(t, m, &pq)
-				tc.mutate(&pq.Params)
-				v = pq
-			default:
-				return m
-			}
-			out, err := transport.NewMessage(m.Type, v)
-			if err != nil {
-				t.Errorf("re-encoding %s: %v", m.Type, err)
-			}
-			return out
-		}
 		for _, party := range []string{"client", "mediator", "source:S1"} {
 			party := party
 			if tc.clientOnly && party != "client" {
@@ -225,25 +164,20 @@ func TestHostileParams(t *testing.T) {
 				if party == "client" {
 					tc.mutate(&params)
 				}
-				var mu sync.Mutex
-				var dialed []string
+				// The mediator rewrites the Params of the one message that
+				// carries them on a link: the request on the client link, the
+				// partial query on every source link.
+				var tp tap
+				switch party {
+				case "mediator":
+					tp.onRecv = rewrite(t, "client", msgRequest, func(req *Request) { tc.mutate(&req.Params) })
+				case "source:S1":
+					tp.onSend = rewrite(t, "", msgPartialQuery, func(pq *PartialQuery) { tc.mutate(&pq.Params) })
+				}
 				var srcErrs map[string]error
 				err := testutil.WithinDeadline(t, 10*time.Second, func() error {
 					var err error
-					_, srcErrs, err = queryAtMediator(t, n, func(link string, c transport.Conn) transport.Conn {
-						switch {
-						case link == "client" && party == "mediator":
-							return &mediatorLinkConn{Conn: c, onRecv: tamper}
-						case link != "client":
-							mu.Lock()
-							dialed = append(dialed, link)
-							mu.Unlock()
-							if party == "source:S1" {
-								return &mediatorLinkConn{Conn: c, onSend: tamper}
-							}
-						}
-						return c
-					}, fixtureSQL, tc.proto, params)
+					_, srcErrs, err = tp.query(t, n, fixtureSQL, tc.proto, params)
 					return err
 				})
 				var pe *ProtocolError
@@ -254,8 +188,9 @@ func TestHostileParams(t *testing.T) {
 					t.Errorf("hostile Params error is retryable: %v", err)
 				}
 				if party != "source:S1" {
-					if len(dialed) != 0 {
-						t.Errorf("sources dialed before the %s rejected the query: %v", party, dialed)
+					// query holds an error, nil or not, for each source dialed.
+					if len(srcErrs) != 0 {
+						t.Errorf("sources dialed before the %s rejected the query: %v", party, srcErrs)
 					}
 					return
 				}
@@ -336,44 +271,13 @@ func TestRelayedSchemaRewriteRejected(t *testing.T) {
 				}
 				// The mediator rewrites the schema of the one message
 				// that brings it from the source.
-				rewrite := func(m transport.Message) transport.Message {
-					var v any
-					switch m.Type {
-					case msgDASPartial:
-						var p dasPartial
-						decodeBody(t, m, &p)
-						rw.edit(&p.Schema)
-						v = p
-					case msgCommOffer:
-						var o commOffer
-						decodeBody(t, m, &o)
-						rw.edit(&o.Schema)
-						v = o
-					case msgPMCoeffs:
-						var c pmCoeffs
-						decodeBody(t, m, &c)
-						rw.edit(&c.Schema)
-						v = c
-					case msgMCPartial:
-						var p mcPartial
-						decodeBody(t, m, &p)
-						rw.edit(&p.Schema)
-						v = p
-					default:
-						return m
-					}
-					out, err := transport.NewMessage(m.Type, v)
-					if err != nil {
-						t.Errorf("re-encoding %s: %v", m.Type, err)
-					}
-					return out
-				}
-				got, _, err := queryAtMediator(t, run.net(t), func(link string, c transport.Conn) transport.Conn {
-					if link == run.link {
-						return &mediatorLinkConn{Conn: c, onRecv: rewrite}
-					}
-					return c
-				}, run.sql, run.proto, fastParams())
+				edit := chain(
+					rewrite(t, run.link, msgDASPartial, func(p *dasPartial) { rw.edit(&p.Schema) }),
+					rewrite(t, run.link, msgCommOffer, func(o *commOffer) { rw.edit(&o.Schema) }),
+					rewrite(t, run.link, msgPMCoeffs, func(c *pmCoeffs) { rw.edit(&c.Schema) }),
+					rewrite(t, run.link, msgMCPartial, func(p *mcPartial) { rw.edit(&p.Schema) }),
+				)
+				got, _, err := tap{onRecv: edit}.query(t, run.net(t), run.sql, run.proto, fastParams())
 				checkRewriteOutcome(t, want, got, err, run.dropped)
 			})
 		}
@@ -406,15 +310,31 @@ func TestRelayedSchemaRewriteRejected(t *testing.T) {
 			if err != nil || want.Len() != 6 {
 				t.Fatalf("untampered query: %v, %v", want, err)
 			}
-			got, _, err := queryAtMediator(t, networkOver(t, nil, i1, i2), func(link string, c transport.Conn) transport.Conn {
-				if link != "client" {
-					return c
-				}
-				return &mediatorLinkConn{Conn: c, onSend: func(m transport.Message) transport.Message {
-					return rewriteJoinCols(t, m, func(_, cols2 *[]string) { *cols2 = []string{"m"} })
-				}}
-			}, fixtureSQL, run.proto, fastParams())
+			got, _, err := tap{onSend: editJoinCols(t, func(_, cols2 *[]string) { *cols2 = []string{"m"} })}.
+				query(t, networkOver(t, nil, i1, i2), fixtureSQL, run.proto, fastParams())
 			checkRewriteOutcome(t, want, got, err, run.dropped)
+		})
+	}
+	// The DAS and mobile-code clients are relayed no A_i: each resolves
+	// it from its own query over the AAD-bound schemas. A mediator that
+	// decomposes the request with its ON clause rewritten asks the
+	// sources for R2.m as A_2; a client that joined on the mediator's A_i
+	// would return the empty join without an error. DAS aborts, as the
+	// indexed columns relayed for R2 no longer begin with A_2; mobile code
+	// joins on id.
+	for name, proto := range map[string]Protocol{"das": ProtocolDAS, "mobile-code": ProtocolMobileCode} {
+		proto := proto
+		t.Run(name+"/joincols", func(t *testing.T) {
+			want, err := networkOver(t, nil, i1, i2).Query(fixtureSQL, proto, fastParams())
+			if err != nil || want.Len() != 6 {
+				t.Fatalf("untampered query: %v, %v", want, err)
+			}
+			onM := rewrite(t, "client", msgRequest, func(r *Request) { r.SQL = "SELECT * FROM R1 JOIN R2 ON R1.id = R2.m" })
+			got, _, err := tap{onRecv: onM}.query(t, networkOver(t, nil, i1, i2), fixtureSQL, proto, fastParams())
+			var pe *ProtocolError
+			if err != nil && !errors.As(err, &pe) || err == nil && !got.EqualMultiset(want) {
+				t.Fatalf("query under a rewritten join condition returned %v, %v; want the join or a *ProtocolError", got, err)
+			}
 		})
 	}
 }

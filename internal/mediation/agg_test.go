@@ -165,8 +165,12 @@ func TestAggregateMediatorViewShape(t *testing.T) {
 		var views [2][]string
 		for i, in := range []*rel.Relation{claims(), large} {
 			ledger := leakage.NewLedger()
-			var got *rel.Relation
-			views[i], got = mediatorView(t, aggNetworkOver(t, ledger, in), sql, ProtocolPM, true)
+			var tr transcript
+			got, srcErrs, err := tap{log: &tr}.query(t, aggNetworkOver(t, ledger, in), sql, ProtocolPM, fastParams())
+			if err != nil || srcErrs["Insurer"] != nil {
+				t.Fatalf("%s: %v, source: %v", sql, err, srcErrs["Insurer"])
+			}
+			views[i] = tr.lines(nil)
 			if got.Len() != 1 {
 				t.Errorf("%s over %d rows: %d result rows", sql, in.Len(), got.Len())
 			}

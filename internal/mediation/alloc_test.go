@@ -9,8 +9,8 @@ import (
 
 // dasTPCHBytesBudget bounds what one das_tpch-shaped query allocates in
 // this process (client, mediator and both sources over in-memory links):
-// 1,063,000 bytes measured (go1.24, linux/amd64), × 1.25.
-const dasTPCHBytesBudget = 1_063_000 * 5 / 4
+// 822,000 bytes measured (go1.24, linux/amd64), × 1.25.
+const dasTPCHBytesBudget = 822_000 * 5 / 4
 
 // A DAS query allocates each byte of its data path about once: frames
 // of their exact size, R_C counted, runs sealed, opened and joined

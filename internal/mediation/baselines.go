@@ -79,11 +79,11 @@ type mcPartial struct {
 }
 
 // mcResult forwards the encrypted partial results to the client, one per
-// relation the query reads: two for a join or a union (whose join
-// attribute lists are empty), one for an aggregate.
+// relation the query reads: two for a join or a union, one for an
+// aggregate. A join's client resolves A_1 and A_2 from its own query over
+// the sealed schemas.
 type mcResult struct {
-	Partials             []mcPartial
-	JoinCols1, JoinCols2 []string
+	Partials []mcPartial
 }
 
 func (s *Source) serveMobileCode(mediator *link.Link, pq *PartialQuery, rel *relation.Relation, queryKey *ecdh.PublicKey, watch *stopwatch) error {
@@ -133,7 +133,7 @@ func (m *Mediator) mediateMobileCode(client *link.Link, sources []*link.Link, d 
 			m.Ledger.Observe(leakage.PartyMediator, fmt.Sprintf("|R%d|", i+1), int64(len(parts[i].Rows)))
 		}
 	}
-	return client.Send(msgMCResult, mcResult{Partials: parts, JoinCols1: d.joinCols1, JoinCols2: d.joinCols2})
+	return client.Send(msgMCResult, mcResult{Partials: parts})
 }
 
 // runMobileCode opens the partial results and merges them: a join
@@ -150,6 +150,7 @@ func (c *Client) runMobileCode(mediator *link.Link, q *sqlparse.Query, queryKey 
 		want = 1
 	}
 	var joined *relation.Relation
+	var joinCols2 []string
 	err := watch.phase(telemetry.PhasePostFilter, func() error {
 		if len(res.Partials) != want {
 			return fmt.Errorf("mediation: %d partial results, want %d", len(res.Partials), want)
@@ -173,7 +174,11 @@ func (c *Client) runMobileCode(mediator *link.Link, q *sqlparse.Query, queryKey 
 			joined, err = algebra.Union(r1, r2.Rename(r1.Schema().Relation))
 			return err
 		}
-		joined, err = algebra.EquiJoin(r1, r2, res.JoinCols1, res.JoinCols2)
+		var joinCols1 []string
+		if joinCols1, joinCols2, err = joinColumns(q, r1.Schema(), r2.Schema()); err != nil {
+			return mediator.Blame(err)
+		}
+		joined, err = algebra.EquiJoin(r1, r2, joinCols1, joinCols2)
 		return err
 	})
 	if err != nil {
@@ -182,7 +187,7 @@ func (c *Client) runMobileCode(mediator *link.Link, q *sqlparse.Query, queryKey 
 	if q.Aggregate != nil {
 		return joined, relation.Schema{}, nil, nil
 	}
-	return joined, res.Partials[1].Schema, res.JoinCols2, nil
+	return joined, res.Partials[1].Schema, joinCols2, nil
 }
 
 func (c *Client) openMCPartial(queryKey *ecdh.PrivateKey, p mcPartial) (*relation.Relation, error) {

@@ -179,14 +179,12 @@ func (p *mcPartial) DecodeFrom(d *codec.Decoder) {
 // mcPartialSize is the least encoding of an mcPartial.
 const mcPartialSize = 1 + 2 + hybrid.PointSize + 1
 
-// EncodeTo writes the partial results, then the join columns.
+// EncodeTo writes the partial results.
 func (r mcResult) EncodeTo(e *codec.Encoder) {
 	e.Len(len(r.Partials))
 	for _, p := range r.Partials {
 		p.EncodeTo(e)
 	}
-	e.Strings(r.JoinCols1)
-	e.Strings(r.JoinCols2)
 }
 
 // DecodeFrom reads a result written by EncodeTo.
@@ -198,7 +196,6 @@ func (r *mcResult) DecodeFrom(d *codec.Decoder) {
 	for i := range r.Partials {
 		r.Partials[i].DecodeFrom(d)
 	}
-	r.JoinCols1, r.JoinCols2 = d.Strings(), d.Strings()
 }
 
 // EncodeTo writes a source's DAS message; the sealed index tables are a
@@ -225,8 +222,6 @@ func (m dasIndexTables) EncodeTo(e *codec.Encoder) {
 	e.Text(m.Session)
 	m.Schema1.EncodeTo(e)
 	m.Schema2.EncodeTo(e)
-	e.Strings(m.JoinCols1)
-	e.Strings(m.JoinCols2)
 	e.Strings(m.Cols1)
 	e.Strings(m.Cols2)
 	e.Fixed(m.Share1, hybrid.PointSize)
@@ -240,7 +235,7 @@ func (m *dasIndexTables) DecodeFrom(d *codec.Decoder) {
 	m.Session = d.Text()
 	m.Schema1.DecodeFrom(d)
 	m.Schema2.DecodeFrom(d)
-	m.JoinCols1, m.JoinCols2, m.Cols1, m.Cols2 = d.Strings(), d.Strings(), d.Strings(), d.Strings()
+	m.Cols1, m.Cols2 = d.Strings(), d.Strings()
 	m.Share1, m.Share2 = d.Fixed(hybrid.PointSize), d.Fixed(hybrid.PointSize)
 	m.Enc1, m.Enc2 = d.Bytes(), d.Bytes()
 }

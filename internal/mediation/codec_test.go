@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -126,25 +125,8 @@ func sampleMessages(t *testing.T) []wireSample {
 	}
 	var out []wireSample
 	for _, r := range runs {
-		var mu sync.Mutex
-		seen := map[string]bool{}
-		record := func(m transport.Message) transport.Message {
-			payload, err := transport.Payload(m)
-			if err != nil {
-				t.Errorf("%s: %v", r.name, err)
-				return m
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if !seen[m.Type] {
-				seen[m.Type] = true
-				out = append(out, wireSample{run: r.name, typ: m.Type, payload: payload})
-			}
-			return m
-		}
-		_, srcErrs, err := queryAtMediator(t, r.n, func(_ string, c transport.Conn) transport.Conn {
-			return &mediatorLinkConn{Conn: c, onSend: record, onRecv: record}
-		}, r.sql, r.proto, r.params)
+		var tr transcript
+		_, srcErrs, err := tap{log: &tr}.query(t, r.n, r.sql, r.proto, r.params)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
@@ -152,6 +134,19 @@ func sampleMessages(t *testing.T) []wireSample {
 			if err != nil {
 				t.Fatalf("%s: source %s: %v", r.name, src, err)
 			}
+		}
+		seen := map[string]bool{}
+		for _, f := range tr.on("") {
+			if seen[f.Type] {
+				continue
+			}
+			seen[f.Type] = true
+			payload, err := transport.Payload(f.Message)
+			if err != nil {
+				t.Errorf("%s: %v", r.name, err)
+				continue
+			}
+			out = append(out, wireSample{run: r.name, typ: f.Type, payload: payload})
 		}
 	}
 	return out

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"github.com/secmediation/secmediation/internal/codec"
@@ -16,83 +15,6 @@ import (
 	"github.com/secmediation/secmediation/internal/telemetry"
 	"github.com/secmediation/secmediation/internal/transport"
 )
-
-// mediatorLinkConn is the mediator's end of one of its links. onSend and
-// onRecv (either may be nil) see each message on its way through and may
-// return a replacement: a tap when they only read, a deviating mediator
-// when they rewrite.
-type mediatorLinkConn struct {
-	transport.Conn
-	onSend, onRecv func(transport.Message) transport.Message
-}
-
-func (c *mediatorLinkConn) Send(m transport.Message) error {
-	if c.onSend != nil {
-		m = c.onSend(m)
-	}
-	return c.Conn.Send(m)
-}
-
-func (c *mediatorLinkConn) Recv() (transport.Message, error) {
-	m, err := c.Conn.Recv()
-	if err == nil && c.onRecv != nil {
-		m = c.onRecv(m)
-	}
-	return m, err
-}
-
-// queryAtMediator runs one query over n's parties with the mediator's end
-// of every link — "client" and "source:<relation>" — wrapped by wrap. It
-// returns once every party has unwound, with each source's Serve error by
-// source name.
-func queryAtMediator(t *testing.T, n *Network, wrap func(link string, c transport.Conn) transport.Conn, sql string, proto Protocol, params Params) (*rel.Relation, map[string]error, error) {
-	t.Helper()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	srcErrs := map[string]error{}
-	for _, src := range n.Sources {
-		src := src
-		for name := range src.Catalog {
-			name := name
-			n.Mediator.Routes[name] = func() (transport.Conn, error) {
-				a, b := transport.Pair()
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					err := src.Serve(b)
-					b.Close()
-					mu.Lock()
-					srcErrs[src.Name] = err
-					mu.Unlock()
-				}()
-				return wrap("source:"+name, a), nil
-			}
-		}
-	}
-	clientSide, mediatorSide := transport.Pair()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = n.Mediator.HandleSession(wrap("client", mediatorSide))
-		mediatorSide.Close()
-	}()
-	res, err := n.Client.Query(clientSide, sql, proto, params)
-	clientSide.Close()
-	wg.Wait()
-	return res, srcErrs, err
-}
-
-// decodeBody decodes a message's sealed body, failing the test otherwise.
-func decodeBody(t *testing.T, m transport.Message, v any) {
-	t.Helper()
-	payload, err := transport.Payload(m)
-	if err == nil {
-		err = transport.Decode(payload, v)
-	}
-	if err != nil {
-		t.Errorf("decoding %s: %v", m.Type, err)
-	}
-}
 
 // An empty partial result on either side is an empty join, as in
 // algebra.EquiJoin.
@@ -146,22 +68,17 @@ func TestCommHostileCrossElement(t *testing.T) {
 		bad := bad
 		t.Run(name, func(t *testing.T) {
 			n := newTestNetwork(t, nil)
-			_, srcErrs, err := queryAtMediator(t, n, func(link string, c transport.Conn) transport.Conn {
-				if link != "source:R1" {
-					return c
+			_, srcErrs, err := tap{onSend: func(link string, m transport.Message) transport.Message {
+				if link != "source:R1" || m.Type != msgCommCross {
+					return m
 				}
-				return &mediatorLinkConn{Conn: c, onSend: func(m transport.Message) transport.Message {
-					if m.Type != msgCommCross {
-						return m
-					}
-					var cross commCross
-					decodeBody(t, m, &cross)
-					return hostileFrame(t, m.Type, commutative.ElementSize, bad, func(field []byte) codec.Encodable {
-						cross.Elems[1] = field
-						return cross
-					})
-				}}
-			}, fixtureSQL, ProtocolCommutative, fastParams())
+				var cross commCross
+				decodeBody(t, m, &cross)
+				return hostileFrame(t, m.Type, commutative.ElementSize, bad, func(field []byte) codec.Encodable {
+					cross.Elems[1] = field
+					return cross
+				})
+			}}.query(t, n, fixtureSQL, ProtocolCommutative, fastParams())
 			var pe *ProtocolError
 			if !errors.As(err, &pe) {
 				t.Fatalf("err = %v, want a *ProtocolError", err)
@@ -192,24 +109,9 @@ func TestCommCrossBackCountMismatch(t *testing.T) {
 		edit := edit
 		t.Run(name, func(t *testing.T) {
 			n := newTestNetwork(t, nil)
-			_, _, err := queryAtMediator(t, n, func(link string, c transport.Conn) transport.Conn {
-				if link != "source:R1" {
-					return c
-				}
-				return &mediatorLinkConn{Conn: c, onRecv: func(m transport.Message) transport.Message {
-					if m.Type != msgCommCrossBack {
-						return m
-					}
-					var back commCross
-					decodeBody(t, m, &back)
-					back.Elems = edit(back.Elems)
-					out, err := transport.NewMessage(m.Type, back)
-					if err != nil {
-						t.Error(err)
-					}
-					return out
-				}}
-			}, fixtureSQL, ProtocolCommutative, fastParams())
+			_, _, err := tap{onRecv: rewrite(t, "source:R1", msgCommCrossBack, func(back *commCross) {
+				back.Elems = edit(back.Elems)
+			})}.query(t, n, fixtureSQL, ProtocolCommutative, fastParams())
 			var pe *ProtocolError
 			if !errors.As(err, &pe) {
 				t.Fatalf("err = %v, want a *ProtocolError", err)
@@ -240,28 +142,13 @@ func TestCommResultMismatchedPairAborts(t *testing.T) {
 	for name, edit := range cases {
 		edit := edit
 		t.Run(name, func(t *testing.T) {
-			got, _, err := queryAtMediator(t, newTestNetwork(t, nil), func(link string, c transport.Conn) transport.Conn {
-				if link != "client" {
-					return c
+			got, _, err := tap{onSend: rewrite(t, "client", msgCommResult, func(res *commResult) {
+				if len(res.Pairs) < 2 {
+					t.Errorf("%d pairs, want at least 2", len(res.Pairs))
+					return
 				}
-				return &mediatorLinkConn{Conn: c, onSend: func(m transport.Message) transport.Message {
-					if m.Type != msgCommResult {
-						return m
-					}
-					var res commResult
-					decodeBody(t, m, &res)
-					if len(res.Pairs) < 2 {
-						t.Errorf("%d pairs, want at least 2", len(res.Pairs))
-						return m
-					}
-					res.Pairs = edit(res.Pairs)
-					out, err := transport.NewMessage(m.Type, res)
-					if err != nil {
-						t.Error(err)
-					}
-					return out
-				}}
-			}, fixtureSQL, ProtocolCommutative, fastParams())
+				res.Pairs = edit(res.Pairs)
+			})}.query(t, newTestNetwork(t, nil), fixtureSQL, ProtocolCommutative, fastParams())
 			var pe *ProtocolError
 			if !errors.As(err, &pe) {
 				t.Fatalf("query returned %v, %v; want a *ProtocolError", got, err)
@@ -277,56 +164,50 @@ func TestCommResultMismatchedPairAborts(t *testing.T) {
 }
 
 // viewOf runs the commutative join of in with the mediator's links
-// tapped, checks it against the plaintext join, and returns the (link,
-// direction, type, body length) sequence of the messages keep selects,
-// with the query's op counts. Every element a selected message carries
-// must be ElementSize bytes.
-func viewOf(t *testing.T, in [2]*rel.Relation, keep func(link, dir string) bool) ([]string, map[string]int64) {
+// tapped, checks it against the plaintext join, and returns the view
+// lines of the frames keep selects (every frame when keep is nil), with
+// the query's op counts. Every element a selected frame carries must be
+// ElementSize bytes.
+func viewOf(t *testing.T, in [2]*rel.Relation, keep func(frame) bool) ([]string, map[string]int64) {
 	t.Helper()
-	var view []string
-	record := func(link, dir string) func(transport.Message) transport.Message {
-		return func(msg transport.Message) transport.Message {
-			if !keep(link, dir) {
-				return msg
-			}
-			var elems [][]byte
-			switch msg.Type {
-			case msgCommOffer:
-				var o commOffer
-				decodeBody(t, msg, &o)
-				for _, it := range o.Items {
-					elems = append(elems, it.Hash)
-				}
-			case msgCommCross, msgCommCrossBack:
-				var c commCross
-				decodeBody(t, msg, &c)
-				elems = c.Elems
-			}
-			for _, el := range elems {
-				if len(el) != commutative.ElementSize {
-					t.Errorf("%s %s %s carries a %d-byte element", link, dir, msg.Type, len(el))
-				}
-			}
-			// Only the mediator's session goroutine uses its links.
-			view = append(view, fmt.Sprintf("%s %s %s %d", link, dir, msg.Type, len(msg.Body)))
-			return msg
-		}
-	}
 	want, err := networkOver(t, nil, in[0], in[1]).Query(fixtureSQL, ProtocolPlaintext, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	got, srcErrs, err := queryAtMediator(t, networkOver(t, nil, in[0], in[1]), func(link string, c transport.Conn) transport.Conn {
-		return &mediatorLinkConn{Conn: c, onSend: record(link, "send"), onRecv: record(link, "recv")}
-	}, fixtureSQL, ProtocolCommutative, fastParams())
+	var tr transcript
+	got, srcErrs, err := tap{log: &tr}.query(t, networkOver(t, nil, in[0], in[1]), fixtureSQL, ProtocolCommutative, fastParams())
 	if err != nil || srcErrs["S1"] != nil || srcErrs["S2"] != nil {
 		t.Fatalf("query: %v, sources: %v", err, srcErrs)
 	}
 	if !got.EqualMultiset(want) {
 		t.Fatalf("got\n%v\nwant\n%v", got, want)
 	}
-	return view, reg.OpDeltas()
+	ops := reg.OpDeltas()
+	for _, f := range tr.on("") {
+		if keep != nil && !keep(f) {
+			continue
+		}
+		var elems [][]byte
+		switch f.Type {
+		case msgCommOffer:
+			var o commOffer
+			decodeBody(t, f.Message, &o)
+			for _, it := range o.Items {
+				elems = append(elems, it.Hash)
+			}
+		case msgCommCross, msgCommCrossBack:
+			var c commCross
+			decodeBody(t, f.Message, &c)
+			elems = c.Elems
+		}
+		for _, el := range elems {
+			if len(el) != commutative.ElementSize {
+				t.Errorf("%s %s %s carries a %d-byte element", f.link, f.dir, f.Type, len(el))
+			}
+		}
+	}
+	return tr.lines(keep), ops
 }
 
 // buildComm is a relation of schema with one row per id, all carrying text.
@@ -354,7 +235,7 @@ func TestCommMediatorViewShape(t *testing.T) {
 	var views [2][]string
 	for i, in := range inputs {
 		var ops map[string]int64
-		views[i], ops = viewOf(t, in, func(string, string) bool { return true })
+		views[i], ops = viewOf(t, in, nil)
 		if ops["commutative.exp"] != 2*(n+m) || ops["oracle.hash"] != n+m {
 			t.Errorf("input %d: commutative.exp = %d, oracle.hash = %d; want %d, %d",
 				i, ops["commutative.exp"], ops["oracle.hash"], 2*(n+m), n+m)
@@ -383,7 +264,7 @@ func TestCommSourceViewShape(t *testing.T) {
 	const digest = 8
 	opposite := map[string]int{"source:R1": 3, "source:R2": 4}
 	// What the mediator sends a source is what that source sees.
-	toSources := func(link, dir string) bool { return link != "client" && dir == "send" }
+	toSources := func(f frame) bool { return f.link != "client" && f.dir == "send" }
 	var views [2][]string
 	for i, in := range inputs {
 		views[i], _ = viewOf(t, in, toSources)

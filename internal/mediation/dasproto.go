@@ -4,6 +4,7 @@ import (
 	"crypto/ecdh"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/das"
@@ -29,11 +30,12 @@ type dasPartial struct {
 	EncIndexTables []byte
 }
 
-// dasIndexTables is the mediator's step 4 message to the client.
+// dasIndexTables is the mediator's step 4 message to the client. It
+// carries no join columns: the client resolves A_1 and A_2 from its own
+// query over the sealed schemas.
 type dasIndexTables struct {
-	Session              string
-	Schema1, Schema2     relation.Schema
-	JoinCols1, JoinCols2 []string
+	Session          string
+	Schema1, Schema2 relation.Schema
 	// Cols1/Cols2 name all indexed attributes per side (join columns
 	// first, then pushdown filter columns).
 	Cols1, Cols2   []string
@@ -127,7 +129,6 @@ func (m *Mediator) mediateDAS(client, s1, s2 *link.Link, d *decomposition, watch
 	if err := client.Send(msgDASIndexTables, dasIndexTables{
 		Session: p1.Session,
 		Schema1: p1.Schema, Schema2: p2.Schema,
-		JoinCols1: d.joinCols1, JoinCols2: d.joinCols2,
 		Cols1: p1.Columns, Cols2: p2.Columns,
 		Share1: p1.EncRel.KeyShare, Share2: p2.EncRel.KeyShare,
 		Enc1: p1.EncIndexTables, Enc2: p2.EncIndexTables,
@@ -167,9 +168,13 @@ func (c *Client) runDAS(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.P
 	}
 	var recv1, recv2 *hybrid.Receiver
 	var tables1, tables2 []*das.IndexTable
+	var joinCols1, joinCols2 []string
 	var sq das.ServerQuery
 	err := watch.phase(telemetry.PhaseTranslate, func() error {
 		var err error
+		if joinCols1, joinCols2, err = joinColumns(q, its.Schema1, its.Schema2); err != nil {
+			return mediator.Blame(err)
+		}
 		recv1, err = hybrid.NewReceiverECDH(queryKey, its.Share1)
 		if err != nil {
 			return err
@@ -190,11 +195,15 @@ func (c *Client) runDAS(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.P
 		c.Ledger.Observe(leakage.PartyClient, "index-table-partitions",
 			int64(len(tables1[0].Entries)+len(tables2[0].Entries)))
 		// The join pairs are built from the join-column tables only; the
-		// remaining tables cover pushdown filter columns.
-		nJoin := len(its.JoinCols1)
-		if nJoin > len(tables1) || nJoin > len(tables2) {
-			return fmt.Errorf("mediation: fewer index tables than join columns")
+		// remaining tables cover pushdown filter columns. The relayed
+		// column lists must name the sealed tables and begin with A_i.
+		if err := indexedAs(its.Cols1, tables1, joinCols1); err != nil {
+			return mediator.Blame(err)
 		}
+		if err := indexedAs(its.Cols2, tables2, joinCols2); err != nil {
+			return mediator.Blame(err)
+		}
+		nJoin := len(joinCols1)
 		sq, err = das.BuildServerQuery(tables1[:nJoin], tables2[:nJoin])
 		if err != nil {
 			return err
@@ -223,7 +232,7 @@ func (c *Client) runDAS(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.P
 		var discarded int
 		var err error
 		joined, discarded, err = das.DecryptServerResult(&das.ServerResult{E1: res.E1, E2: res.E2, Size: res.Size},
-			recv1, recv2, its.Schema1, its.Schema2, its.JoinCols1, its.JoinCols2, 0)
+			recv1, recv2, its.Schema1, its.Schema2, joinCols1, joinCols2, 0)
 		if errors.Is(err, das.ErrInconsistentResult) {
 			return mediator.Blame(err)
 		}
@@ -240,7 +249,24 @@ func (c *Client) runDAS(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.P
 	if err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
-	return joined, its.Schema2, its.JoinCols2, nil
+	return joined, its.Schema2, joinCols2, nil
+}
+
+// indexedAs checks that cols names the index tables a source sealed, in
+// order, and begins with the join columns.
+func indexedAs(cols []string, tables []*das.IndexTable, joinCols []string) error {
+	if len(cols) != len(tables) {
+		return fmt.Errorf("mediation: %d indexed columns %v for %d sealed index tables", len(cols), cols, len(tables))
+	}
+	if len(cols) < len(joinCols) || !slices.Equal(cols[:len(joinCols)], joinCols) {
+		return fmt.Errorf("mediation: indexed columns %v do not begin with the join columns %v", cols, joinCols)
+	}
+	for i, t := range tables {
+		if t.Attribute != cols[i] {
+			return fmt.Errorf("mediation: index table %d covers %q, not %q", i, t.Attribute, cols[i])
+		}
+	}
+	return nil
 }
 
 // buildIndexFilters maps pushable conditions onto the indexed columns.

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/secmediation/secmediation/internal/codec"
@@ -16,41 +15,21 @@ import (
 	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/resilience"
 	"github.com/secmediation/secmediation/internal/telemetry"
-	"github.com/secmediation/secmediation/internal/transport"
 )
 
-// dasResultConn sits on the client's end of the client–mediator link and
-// shows every das.result to visit before delivering it (as visit left it):
-// a tap when visit only reads, a deviating mediator when it writes.
-type dasResultConn struct {
-	transport.Conn
-	visit func(res *dasResult, bodyBytes int)
-}
-
-func (c *dasResultConn) Recv() (transport.Message, error) {
-	m, err := c.Conn.Recv()
-	if err != nil || m.Type != msgDASResult {
-		return m, err
-	}
-	payload, err := transport.Payload(m)
+// queryDASResult runs one DAS query over n, which must succeed, and
+// returns its result and the das.result the mediator sent the client,
+// with its body length.
+func queryDASResult(t *testing.T, n *Network, params Params) (*rel.Relation, dasResult, int) {
+	t.Helper()
+	var tr transcript
+	got, _, err := tap{log: &tr}.query(t, n, fixtureSQL, ProtocolDAS, params)
 	if err != nil {
-		return m, err
+		t.Fatal(err)
 	}
 	var res dasResult
-	if err := transport.Decode(payload, &res); err != nil {
-		return m, err
-	}
-	c.visit(&res, len(m.Body))
-	return transport.NewMessage(m.Type, res)
-}
-
-// queryDASVisiting runs one DAS query over n with visit on the client's
-// inbound das.result.
-func queryDASVisiting(t *testing.T, n *Network, sql string, params Params, visit func(*dasResult, int)) (*rel.Relation, error) {
-	t.Helper()
-	return queryOver(t, n, func(c transport.Conn) transport.Conn {
-		return &dasResultConn{Conn: c, visit: visit}
-	}, sql, ProtocolDAS, params)
+	body := tr.first(t, "client", msgDASResult, &res)
+	return got, res, body
 }
 
 // An empty partial result on either side is an empty join, as in
@@ -93,7 +72,7 @@ func TestDASEmptyPartialResult(t *testing.T) {
 // terminal *ProtocolError blamed on party, in phase.
 func queryDASTampered(t *testing.T, party, phase string, tamper func(*dasResult)) *ProtocolError {
 	t.Helper()
-	_, err := queryDASVisiting(t, newTestNetwork(t, nil), fixtureSQL, fastParams(), func(res *dasResult, _ int) { tamper(res) })
+	_, _, err := tap{onSend: rewrite(t, "client", msgDASResult, tamper)}.query(t, newTestNetwork(t, nil), fixtureSQL, ProtocolDAS, fastParams())
 	var pe *ProtocolError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *ProtocolError", err)
@@ -199,7 +178,7 @@ type dasResultShape struct {
 	runFraming int
 }
 
-func (s *dasResultShape) visit(res *dasResult, bodyBytes int) {
+func (s *dasResultShape) visit(res dasResult, bodyBytes int) {
 	s.body, s.size = bodyBytes, res.Size
 	s.runs = len(res.E1) + len(res.E2)
 	s.runFraming = uvarintLen(len(res.E1)) + uvarintLen(len(res.E2))
@@ -281,11 +260,9 @@ func TestDASClientOpensLinear(t *testing.T) {
 	ledger := leakage.NewLedger()
 	n := networkOver(t, ledger, r1, r2)
 	reg := telemetry.NewRegistry()
+	got, res, body := queryDASResult(t, n, Params{})
 	var shape dasResultShape
-	got, err := queryDASVisiting(t, n, fixtureSQL, Params{}, shape.visit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shape.visit(res, body)
 	if got.Len() != 40 {
 		t.Fatalf("join has %d rows, want 40", got.Len())
 	}
@@ -369,13 +346,8 @@ func TestDASSelectiveJoinShipsJoinRows(t *testing.T) {
 		}
 		return n
 	}
-	var rows1, rows2 int
-	got, err := queryDASVisiting(t, networkOver(t, nil, r1, r2), fixtureSQL, Params{}, func(res *dasResult, _ int) {
-		rows1, rows2 = rowsOf("R1", res.E1), rowsOf("R2", res.E2)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, res, _ := queryDASResult(t, networkOver(t, nil, r1, r2), Params{})
+	rows1, rows2 := rowsOf("R1", res.E1), rowsOf("R2", res.E2)
 	if got.Len() != 16 {
 		t.Fatalf("join has %d rows, want 16", got.Len())
 	}
@@ -407,11 +379,9 @@ func TestDASResultSizeIndependentOfSuperset(t *testing.T) {
 	framing := map[int]int{}
 	for _, k := range []int{1, 20} {
 		params := Params{Partitions: k}
+		got, res, body := queryDASResult(t, networkOver(t, nil, r1, r2), params)
 		shapes[k] = &dasResultShape{}
-		got, err := queryDASVisiting(t, networkOver(t, nil, r1, r2), fixtureSQL, params, shapes[k].visit)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shapes[k].visit(res, body)
 		if got.Len() != 200 {
 			t.Fatalf("k=%d: join has %d rows, want 200", k, got.Len())
 		}
@@ -465,50 +435,41 @@ func TestDASMediatorViewShape(t *testing.T) {
 	}
 	var views [2][]string
 	for i, in := range inputs {
-		var mu sync.Mutex
-		record := func(link, dir string) func(transport.Message) transport.Message {
-			return func(msg transport.Message) transport.Message {
-				entry := fmt.Sprintf("%s %s %s %d", link, dir, msg.Type, len(msg.Body))
-				var runs []string
-				switch msg.Type {
-				case msgDASPartial:
-					var p dasPartial
-					decodeBody(t, msg, &p)
-					for _, run := range p.EncRel.Runs {
-						runs = append(runs, fmt.Sprintf("%d×%d rows/%d B", len(run.Index), run.Rows, len(run.Sealed)))
-					}
-				case msgDASResult:
-					var res dasResult
-					decodeBody(t, msg, &res)
-					for _, tab := range [][][]byte{res.E1, res.E2} {
-						var lens []string
-						for _, run := range tab {
-							lens = append(lens, fmt.Sprintf("%d B", len(run)))
-						}
-						slices.Sort(lens)
-						runs = append(runs, fmt.Sprint(lens))
-					}
-				}
-				if msg.Type == msgDASPartial {
-					slices.Sort(runs)
-				}
-				if len(runs) > 0 {
-					entry += fmt.Sprint(" ", runs)
-				}
-				mu.Lock()
-				views[i] = append(views[i], entry)
-				mu.Unlock()
-				return msg
-			}
-		}
-		got, srcErrs, err := queryAtMediator(t, networkOver(t, nil, in[0], in[1]), func(link string, c transport.Conn) transport.Conn {
-			return &mediatorLinkConn{Conn: c, onSend: record(link, "send"), onRecv: record(link, "recv")}
-		}, fixtureSQL, ProtocolDAS, fastParams())
+		var tr transcript
+		got, srcErrs, err := tap{log: &tr}.query(t, networkOver(t, nil, in[0], in[1]), fixtureSQL, ProtocolDAS, fastParams())
 		if err != nil || srcErrs["S1"] != nil || srcErrs["S2"] != nil {
 			t.Fatalf("query: %v, sources: %v", err, srcErrs)
 		}
 		if got.Len() != 5 {
 			t.Fatalf("input %d: join has %d rows, want 5", i, got.Len())
+		}
+		for _, f := range tr.on("") {
+			entry := f.String()
+			var runs []string
+			switch f.Type {
+			case msgDASPartial:
+				var p dasPartial
+				decodeBody(t, f.Message, &p)
+				for _, run := range p.EncRel.Runs {
+					runs = append(runs, fmt.Sprintf("%d×%d rows/%d B", len(run.Index), run.Rows, len(run.Sealed)))
+				}
+				slices.Sort(runs)
+			case msgDASResult:
+				var res dasResult
+				decodeBody(t, f.Message, &res)
+				for _, tab := range [][][]byte{res.E1, res.E2} {
+					var lens []string
+					for _, run := range tab {
+						lens = append(lens, fmt.Sprintf("%d B", len(run)))
+					}
+					slices.Sort(lens)
+					runs = append(runs, fmt.Sprint(lens))
+				}
+			}
+			if len(runs) > 0 {
+				entry += fmt.Sprint(" ", runs)
+			}
+			views[i] = append(views[i], entry)
 		}
 	}
 	if len(views[0]) == 0 || fmt.Sprint(views[0]) != fmt.Sprint(views[1]) {
@@ -547,5 +508,33 @@ func TestDASFloatKeysMatchPlaintext(t *testing.T) {
 		if got.Clone().Sort().String() != want.Clone().Sort().String() {
 			t.Errorf("k=%d: got\n%v\nwant\n%v", k, got, want)
 		}
+	}
+}
+
+// The DAS client finds each sealed index table's column in the relayed
+// Columns lists. A list that does not name the sealed tables, in order,
+// aborts the query, blamed on the mediator.
+func TestDASRelayedColumnsNameSealedTables(t *testing.T) {
+	params := fastParams()
+	params.Pushdown = true
+	for name, edit := range map[string]func(*dasIndexTables){
+		"renamed filter column": func(its *dasIndexTables) { its.Cols1[1] = "id" },
+		"dropped filter column": func(its *dasIndexTables) { its.Cols1 = its.Cols1[:1] },
+	} {
+		edit := edit
+		t.Run(name, func(t *testing.T) {
+			_, _, err := tap{onSend: rewrite(t, "client", msgDASIndexTables, func(its *dasIndexTables) {
+				if len(its.Cols1) != 2 {
+					t.Errorf("R1 indexes %v, want its join and its filter column", its.Cols1)
+					return
+				}
+				edit(its)
+			})}.query(t, newTestNetwork(t, nil), fixtureSQL+" WHERE R1.name = 'ada'", ProtocolDAS, params)
+			var pe *ProtocolError
+			if !errors.As(err, &pe) || pe.Party != leakage.PartyMediator {
+				t.Fatalf("err = %v, want a *ProtocolError blaming the mediator", err)
+			}
+			t.Logf("aborted: %v", err)
+		})
 	}
 }

@@ -125,21 +125,17 @@ func TestPMHostileCiphertext(t *testing.T) {
 				n := newTestNetwork(t, nil)
 				params := fastParams()
 				params.Timeout = 30 * time.Second // a hang fails, never blocks the suite
-				_, srcErrs, err := queryAtMediator(t, n, func(link string, c transport.Conn) transport.Conn {
-					if link != target.link {
-						return c
+				edit := func(link string, m transport.Message) transport.Message {
+					if link != target.link || m.Type != target.msgType {
+						return m
 					}
-					hook := func(m transport.Message) transport.Message {
-						if m.Type != target.msgType {
-							return m
-						}
-						return target.rewrite(t, m, bad)
-					}
-					if target.direction == "send" {
-						return &mediatorLinkConn{Conn: c, onSend: hook}
-					}
-					return &mediatorLinkConn{Conn: c, onRecv: hook}
-				}, fixtureSQL, ProtocolPM, params)
+					return target.rewrite(t, m, bad)
+				}
+				tp := tap{onRecv: edit}
+				if target.direction == "send" {
+					tp = tap{onSend: edit}
+				}
+				_, srcErrs, err := tp.query(t, n, fixtureSQL, ProtocolPM, params)
 				var pe *ProtocolError
 				if !errors.As(err, &pe) {
 					t.Fatalf("err = %v, want a *ProtocolError", err)
@@ -180,61 +176,54 @@ func pmMaxLoad(ids []int64, b int) int {
 }
 
 // pmView runs the PM join of in with params and every mediator link
-// tapped, checks it against the plaintext join, and returns the (link,
-// direction, type, body length) sequence on the mediator's links, with
-// the query's op counts. Every ciphertext the mediator holds must be
-// ecelgamal.CiphertextSize bytes.
+// tapped, checks it against the plaintext join, and returns the
+// mediator's view lines, with the query's op counts. Every ciphertext
+// the mediator holds must be ecelgamal.CiphertextSize bytes.
 func pmView(t *testing.T, in [2]*rel.Relation, params Params) ([]string, map[string]int64) {
 	t.Helper()
-	var view []string
-	record := func(link, dir string) func(transport.Message) transport.Message {
-		return func(msg transport.Message) transport.Message {
-			var cts [][]byte
-			switch msg.Type {
-			case msgPMCoeffs:
-				var c pmCoeffs
-				decodeBody(t, msg, &c)
-				for _, p := range c.Buckets.Polys {
-					cts = append(cts, p...)
-				}
-			case msgPMCross:
-				var c pm.ECBuckets
-				decodeBody(t, msg, &c)
-				for _, p := range c.Polys {
-					cts = append(cts, p...)
-				}
-			case msgPMEvals:
-				var e pmEvals
-				decodeBody(t, msg, &e)
-				for _, ev := range e.Evals {
-					cts = append(cts, ev.Cipher)
-				}
-			}
-			for _, c := range cts {
-				if len(c) != ecelgamal.CiphertextSize {
-					t.Errorf("%s %s %s carries a %d-byte ciphertext", link, dir, msg.Type, len(c))
-				}
-			}
-			// Only the mediator's session goroutine uses its links.
-			view = append(view, fmt.Sprintf("%s %s %s %d", link, dir, msg.Type, len(msg.Body)))
-			return msg
-		}
-	}
 	want, err := networkOver(t, nil, in[0], in[1]).Query(fixtureSQL, ProtocolPlaintext, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	got, srcErrs, err := queryAtMediator(t, networkOver(t, nil, in[0], in[1]), func(link string, c transport.Conn) transport.Conn {
-		return &mediatorLinkConn{Conn: c, onSend: record(link, "send"), onRecv: record(link, "recv")}
-	}, fixtureSQL, ProtocolPM, params)
+	var tr transcript
+	got, srcErrs, err := tap{log: &tr}.query(t, networkOver(t, nil, in[0], in[1]), fixtureSQL, ProtocolPM, params)
 	if err != nil || srcErrs["S1"] != nil || srcErrs["S2"] != nil {
 		t.Fatalf("query: %v, sources: %v", err, srcErrs)
 	}
 	if !got.EqualMultiset(want) {
 		t.Fatalf("got\n%v\nwant\n%v", got, want)
 	}
-	return view, reg.OpDeltas()
+	ops := reg.OpDeltas()
+	for _, f := range tr.on("") {
+		var cts [][]byte
+		switch f.Type {
+		case msgPMCoeffs:
+			var c pmCoeffs
+			decodeBody(t, f.Message, &c)
+			for _, p := range c.Buckets.Polys {
+				cts = append(cts, p...)
+			}
+		case msgPMCross:
+			var c pm.ECBuckets
+			decodeBody(t, f.Message, &c)
+			for _, p := range c.Polys {
+				cts = append(cts, p...)
+			}
+		case msgPMEvals:
+			var e pmEvals
+			decodeBody(t, f.Message, &e)
+			for _, ev := range e.Evals {
+				cts = append(cts, ev.Cipher)
+			}
+		}
+		for _, c := range cts {
+			if len(c) != ecelgamal.CiphertextSize {
+				t.Errorf("%s %s %s carries a %d-byte ciphertext", f.link, f.dir, f.Type, len(c))
+			}
+		}
+	}
+	return tr.lines(nil), ops
 }
 
 // The mediator's PM view is a function of its Table 1 row: two inputs
@@ -450,32 +439,18 @@ func TestHostilePMCross(t *testing.T) {
 			return out
 		}
 	}
-	for name, rewrite := range map[string]func(pm.ECBuckets) pm.ECBuckets{
+	for name, reshaped := range map[string]func(pm.ECBuckets) pm.ECBuckets{
 		"buckets 3":    reshape(3, 2),
 		"buckets 2^13": reshape(2*pm.MaxBuckets, 1),
 		"degree 0":     reshape(2, 0),
 	} {
-		rewrite := rewrite
+		reshaped := reshaped
 		t.Run(name, func(t *testing.T) {
 			params := fastParams()
 			params.Timeout = 30 * time.Second // a hang fails, never blocks the suite
-			_, srcErrs, err := queryAtMediator(t, newTestNetwork(t, nil), func(link string, c transport.Conn) transport.Conn {
-				if link != "source:R1" {
-					return c
-				}
-				return &mediatorLinkConn{Conn: c, onSend: func(m transport.Message) transport.Message {
-					if m.Type != msgPMCross {
-						return m
-					}
-					var cross pm.ECBuckets
-					decodeBody(t, m, &cross)
-					out, err := transport.NewMessage(m.Type, rewrite(cross))
-					if err != nil {
-						t.Error(err)
-					}
-					return out
-				}}
-			}, fixtureSQL, ProtocolPM, params)
+			_, srcErrs, err := tap{onSend: rewrite(t, "source:R1", msgPMCross, func(cross *pm.ECBuckets) {
+				*cross = reshaped(*cross)
+			})}.query(t, newTestNetwork(t, nil), fixtureSQL, ProtocolPM, params)
 			var pe *ProtocolError
 			if !errors.As(err, &pe) || pe.Party != leakage.PartyMediator {
 				t.Fatalf("err = %v, want a *ProtocolError blaming the mediator", err)
@@ -522,36 +497,16 @@ func TestPMForgedCrossOpensNothingAtMediator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var coeffs pmCoeffs
-	var evals pmEvals
-	_, srcErrs, _ := queryAtMediator(t, newTestNetwork(t, nil), func(link string, c transport.Conn) transport.Conn {
-		if link != "source:R1" {
-			return c
-		}
-		return &mediatorLinkConn{Conn: c,
-			onRecv: func(m transport.Message) transport.Message {
-				switch m.Type {
-				case msgPMCoeffs:
-					decodeBody(t, m, &coeffs)
-				case msgPMEvals:
-					decodeBody(t, m, &evals)
-				}
-				return m
-			},
-			onSend: func(m transport.Message) transport.Message {
-				if m.Type != msgPMCross {
-					return m
-				}
-				out, err := transport.NewMessage(m.Type, *cross)
-				if err != nil {
-					t.Error(err)
-				}
-				return out
-			}}
-	}, fixtureSQL, ProtocolPM, fastParams())
+	var tr transcript
+	_, srcErrs, _ := tap{onSend: rewrite(t, "source:R1", msgPMCross, func(c *pm.ECBuckets) { *c = *cross }), log: &tr}.
+		query(t, newTestNetwork(t, nil), fixtureSQL, ProtocolPM, fastParams())
 	if srcErrs["S1"] != nil {
 		t.Fatalf("S1 refused the forged polynomial: %v", srcErrs["S1"])
 	}
+	var coeffs pmCoeffs
+	var evals pmEvals
+	tr.first(t, "source:R1", msgPMCoeffs, &coeffs)
+	tr.first(t, "source:R1", msgPMEvals, &evals)
 	if len(evals.Evals) != len(roots) {
 		t.Fatalf("S1 sent %d evaluations, want one per each of its %d values", len(evals.Evals), len(roots))
 	}
@@ -570,55 +525,33 @@ func TestPMForgedCrossOpensNothingAtMediator(t *testing.T) {
 // opens: one that opens to an empty tuple set, which no source seals,
 // aborts the query at the client, blamed on the mediator.
 func TestPMEmptyTupleSetBlamesMediator(t *testing.T) {
-	var queryKey []byte
-	_, _, err := queryAtMediator(t, newTestNetwork(t, nil), func(link string, c transport.Conn) transport.Conn {
-		if link != "client" {
-			return c
+	var tr transcript
+	_, _, err := tap{log: &tr, onSend: rewrite(t, "client", msgPMResult, func(res *pmResult) {
+		var req Request
+		tr.first(t, "client", msgRequest, &req)
+		layout, err := newTupLayout(res.Schema1, res.JoinCols1, "pm:"+res.Session)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return &mediatorLinkConn{Conn: c,
-			onRecv: func(m transport.Message) transport.Message {
-				if m.Type == msgRequest {
-					var req Request
-					decodeBody(t, m, &req)
-					queryKey = req.QueryKey
-				}
-				return m
-			},
-			onSend: func(m transport.Message) transport.Message {
-				if m.Type != msgPMResult {
-					return m
-				}
-				var res pmResult
-				decodeBody(t, m, &res)
-				layout, err := newTupLayout(res.Schema1, res.JoinCols1, "pm:"+res.Session)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pk, err := ecelgamal.ParsePublicKey(queryKey)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := big.NewInt(12345)
-				es, err := pk.Encrypt(crand.Reader, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				empty, err := layout.encode(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sealed, err := pm.SealPayload(ecelgamal.BaseMul(s), empty, layout.aad)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res.Evals1[0] = pm.Eval{Cipher: es.Bytes(), Sealed: sealed}
-				out, err := transport.NewMessage(m.Type, res)
-				if err != nil {
-					t.Error(err)
-				}
-				return out
-			}}
-	}, fixtureSQL, ProtocolPM, fastParams())
+		pk, err := ecelgamal.ParsePublicKey(req.QueryKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := big.NewInt(12345)
+		es, err := pk.Encrypt(crand.Reader, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty, err := layout.encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed, err := pm.SealPayload(ecelgamal.BaseMul(s), empty, layout.aad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Evals1[0] = pm.Eval{Cipher: es.Bytes(), Sealed: sealed}
+	})}.query(t, newTestNetwork(t, nil), fixtureSQL, ProtocolPM, fastParams())
 	var pe *ProtocolError
 	if !errors.As(err, &pe) || pe.Party != leakage.PartyMediator || !strings.Contains(err.Error(), "holds no rows") {
 		t.Fatalf("err = %v, want the empty tuple set blamed on the mediator", err)

@@ -19,55 +19,6 @@ import (
 	"github.com/secmediation/secmediation/internal/transport"
 )
 
-// sourceLinkLog records, per source link, the type of every message and
-// the grant of every ack.
-type sourceLinkLog struct {
-	mu     sync.Mutex
-	types  map[string][]string
-	grants map[string][]PartialAck
-}
-
-func newSourceLinkLog() *sourceLinkLog {
-	return &sourceLinkLog{types: map[string][]string{}, grants: map[string][]PartialAck{}}
-}
-
-func (l *sourceLinkLog) tap(t *testing.T, link string, c transport.Conn) transport.Conn {
-	note := func(dir string) func(transport.Message) transport.Message {
-		return func(m transport.Message) transport.Message {
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			l.types[link] = append(l.types[link], dir+" "+m.Type)
-			if m.Type == msgPartialAck {
-				var ack PartialAck
-				decodeBody(t, m, &ack)
-				l.grants[link] = append(l.grants[link], ack)
-			}
-			return m
-		}
-	}
-	return &mediatorLinkConn{Conn: c, onSend: note("send"), onRecv: note("recv")}
-}
-
-// rewriteRequest returns a client-link wrapper that lets edit change the
-// request after the client signed it.
-func rewriteRequest(t *testing.T, edit func(*Request)) func(transport.Conn) transport.Conn {
-	return func(c transport.Conn) transport.Conn {
-		return &mediatorLinkConn{Conn: c, onRecv: func(m transport.Message) transport.Message {
-			if m.Type != msgRequest {
-				return m
-			}
-			var req Request
-			decodeBody(t, m, &req)
-			edit(&req)
-			out, err := transport.NewMessage(m.Type, req)
-			if err != nil {
-				t.Error(err)
-			}
-			return out
-		}}
-	}
-}
-
 // freshPoint is a valid compressed P-256 point nobody signed.
 func freshPoint(t *testing.T) []byte {
 	t.Helper()
@@ -130,7 +81,7 @@ func TestQueryKeyBoundToCredential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, srcErrs, err := queryAtMediator(t, sh.net(), func(_ string, c transport.Conn) transport.Conn { return c }, sh.sql, sh.proto, fastParams())
+			got, srcErrs, err := tap{}.query(t, sh.net(), sh.sql, sh.proto, fastParams())
 			if err != nil || !got.EqualMultiset(want) {
 				t.Fatalf("honest query: %v\n%v\nwant\n%v", err, got, want)
 			}
@@ -140,27 +91,22 @@ func TestQueryKeyBoundToCredential(t *testing.T) {
 				}
 			}
 
-			denied := map[string]func(*testing.T) (*Network, func(transport.Conn) transport.Conn){
-				"rewritten key": func(t *testing.T) (*Network, func(transport.Conn) transport.Conn) {
-					return sh.net(), rewriteRequest(t, func(r *Request) { r.QueryKey = freshPoint(t) })
+			denied := map[string]func(*testing.T) (*Network, hook){
+				"rewritten key": func(t *testing.T) (*Network, hook) {
+					return sh.net(), rewrite(t, "client", msgRequest, func(r *Request) { r.QueryKey = freshPoint(t) })
 				},
-				"copied credential": func(t *testing.T) (*Network, func(transport.Conn) transport.Conn) {
+				"copied credential": func(t *testing.T) (*Network, hook) {
 					n := sh.net()
 					n.Client = &Client{PrivateKey: thief(t), Credentials: n.Client.Credentials}
-					return n, func(c transport.Conn) transport.Conn { return c }
+					return n, nil
 				},
 			}
 			for name, setup := range denied {
 				t.Run(name, func(t *testing.T) {
-					n, clientLink := setup(t)
-					links := newSourceLinkLog()
-					_, srcErrs, err := queryAtMediator(t, n, func(link string, c transport.Conn) transport.Conn {
-						if link == "client" {
-							return clientLink(c)
-						}
-						return links.tap(t, link, c)
-					}, sh.sql, sh.proto, fastParams())
-					assertKeyDenied(t, err, srcErrs, links, len(n.Sources), "not signed by the credential's client key")
+					n, onRecv := setup(t)
+					var tr transcript
+					_, srcErrs, err := tap{onRecv: onRecv, log: &tr}.query(t, n, sh.sql, sh.proto, fastParams())
+					assertKeyDenied(t, err, srcErrs, &tr, len(n.Sources), "not signed by the credential's client key")
 				})
 			}
 		})
@@ -170,7 +116,7 @@ func TestQueryKeyBoundToCredential(t *testing.T) {
 // assertKeyDenied checks that the client got the mediator's denial and
 // that each of the wantSources sources denied the query with reason and
 // sent nothing after its ack.
-func assertKeyDenied(t *testing.T, err error, srcErrs map[string]error, links *sourceLinkLog, wantSources int, reason string) {
+func assertKeyDenied(t *testing.T, err error, srcErrs map[string]error, tr *transcript, wantSources int, reason string) {
 	t.Helper()
 	var pe *ProtocolError
 	if !errors.As(err, &pe) || pe.Party != leakage.PartyMediator || !strings.Contains(err.Error(), "denied") {
@@ -181,18 +127,24 @@ func assertKeyDenied(t *testing.T, err error, srcErrs map[string]error, links *s
 			t.Errorf("source %s failed instead of denying: %v", src, serr)
 		}
 	}
-	links.mu.Lock()
-	defer links.mu.Unlock()
-	if len(links.grants) != wantSources {
-		t.Errorf("%d sources answered, want %d", len(links.grants), wantSources)
+	grants := map[string][]PartialAck{}
+	for _, f := range tr.on("") {
+		if f.Type == msgPartialAck {
+			var ack PartialAck
+			decodeBody(t, f.Message, &ack)
+			grants[f.link] = append(grants[f.link], ack)
+		}
 	}
-	for link, acks := range links.grants {
+	if len(grants) != wantSources {
+		t.Errorf("%d sources answered, want %d", len(grants), wantSources)
+	}
+	for link, acks := range grants {
 		if len(acks) != 1 || acks[0].Granted || !strings.Contains(acks[0].Reason, reason) {
 			t.Errorf("%s: acks %+v, want one denial for %q", link, acks, reason)
 		}
-		for _, ty := range links.types[link] {
-			if strings.HasPrefix(ty, "recv ") && ty != "recv "+msgPartialAck {
-				t.Errorf("%s: source sent %s after denying", link, ty)
+		for _, f := range tr.on(link) {
+			if f.dir == "recv" && f.Type != msgPartialAck {
+				t.Errorf("%s: source sent %s after denying", link, f.Type)
 			}
 		}
 	}
@@ -208,21 +160,16 @@ func TestMalformedQueryKeyDenied(t *testing.T) {
 		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {
 			reg := telemetry.NewRegistry()
-			links := newSourceLinkLog()
-			_, srcErrs, err := queryAtMediator(t, newTestNetwork(t, nil), func(link string, c transport.Conn) transport.Conn {
-				if link == "client" {
-					return rewriteRequest(t, func(r *Request) {
-						r.QueryKey = offCurve
-						sig, err := signQueryKey(f.client.PrivateKey, r.QueryKey)
-						if err != nil {
-							t.Error(err)
-						}
-						r.QueryKeySig = sig
-					})(c)
+			var tr transcript
+			_, srcErrs, err := tap{onRecv: rewrite(t, "client", msgRequest, func(r *Request) {
+				r.QueryKey = offCurve
+				sig, err := signQueryKey(f.client.PrivateKey, r.QueryKey)
+				if err != nil {
+					t.Error(err)
 				}
-				return links.tap(t, link, c)
-			}, fixtureSQL, proto, fastParams())
-			assertKeyDenied(t, err, srcErrs, links, 2, "malformed query key")
+				r.QueryKeySig = sig
+			}), log: &tr}.query(t, newTestNetwork(t, nil), fixtureSQL, proto, fastParams())
+			assertKeyDenied(t, err, srcErrs, &tr, 2, "malformed query key")
 			if ops := reg.OpDeltas(); ops["hybrid.wrap"] != 0 || ops["commutative.exp"] != 0 {
 				t.Errorf("sources multiplied before refusing: hybrid.wrap %d, commutative.exp %d", ops["hybrid.wrap"], ops["commutative.exp"])
 			}
@@ -281,17 +228,12 @@ func TestHostileKeyShare(t *testing.T) {
 		for name, bad := range shares {
 			bad := bad
 			t.Run(p.proto.String()+"/"+name, func(t *testing.T) {
-				_, _, err := queryAtMediator(t, newTestNetwork(t, nil), func(link string, c transport.Conn) transport.Conn {
-					if link != "client" {
-						return c
+				_, _, err := tap{onSend: func(link string, m transport.Message) transport.Message {
+					if link != "client" || m.Type != p.msg {
+						return m
 					}
-					return &mediatorLinkConn{Conn: c, onSend: func(m transport.Message) transport.Message {
-						if m.Type != p.msg {
-							return m
-						}
-						return hostileFrame(t, m.Type, hybrid.PointSize, bad, p.edit(t, m))
-					}}
-				}, fixtureSQL, p.proto, fastParams())
+					return hostileFrame(t, m.Type, hybrid.PointSize, bad, p.edit(t, m))
+				}}.query(t, newTestNetwork(t, nil), fixtureSQL, p.proto, fastParams())
 				var pe *ProtocolError
 				if !errors.As(err, &pe) {
 					t.Fatalf("err = %v, want a *ProtocolError", err)

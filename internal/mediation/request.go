@@ -205,37 +205,49 @@ func decompose(sql string, schemas map[string]relation.Schema) (*decomposition, 
 	if d.schema2, err = schemaOf(q.Right); err != nil {
 		return nil, err
 	}
-	s1, s2 := d.schema1, d.schema2
+	if d.joinCols1, d.joinCols2, err = joinColumns(q, d.schema1, d.schema2); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// joinColumns resolves the join attribute sets A_1 and A_2 of the join
+// q over the schemas s1 and s2 of its two relations: the shared columns
+// of a NATURAL JOIN, else the ON pairs, which must agree in kind. The
+// mediator decomposes a query with it, and the DAS and mobile-code
+// clients resolve their own A_i with it over the schemas the sources
+// sealed under, so no A_i the mediator relays is joined on.
+func joinColumns(q *sqlparse.Query, s1, s2 relation.Schema) (cols1, cols2 []string, err error) {
 	if q.Natural {
 		for _, c := range s1.Columns {
 			if s2.IndexOf(c.Name) >= 0 {
-				d.joinCols1 = append(d.joinCols1, c.Name)
-				d.joinCols2 = append(d.joinCols2, c.Name)
+				cols1 = append(cols1, c.Name)
+				cols2 = append(cols2, c.Name)
 			}
 		}
-		if len(d.joinCols1) == 0 {
-			return nil, fmt.Errorf("mediation: NATURAL JOIN of %s and %s shares no columns", q.Left, q.Right)
+		if len(cols1) == 0 {
+			return nil, nil, fmt.Errorf("mediation: NATURAL JOIN of %s and %s shares no columns", q.Left, q.Right)
 		}
-	} else {
-		for i := range q.JoinLeft {
-			c1 := localColumn(q.JoinLeft[i], q.Left)
-			c2 := localColumn(q.JoinRight[i], q.Right)
-			k1, err := s1.KindOf(c1)
-			if err != nil {
-				return nil, fmt.Errorf("mediation: %s has no join column %q", q.Left, c1)
-			}
-			k2, err := s2.KindOf(c2)
-			if err != nil {
-				return nil, fmt.Errorf("mediation: %s has no join column %q", q.Right, c2)
-			}
-			if k1 != k2 {
-				return nil, fmt.Errorf("mediation: join column kinds differ: %s.%s is %v, %s.%s is %v", q.Left, c1, k1, q.Right, c2, k2)
-			}
-			d.joinCols1 = append(d.joinCols1, c1)
-			d.joinCols2 = append(d.joinCols2, c2)
-		}
+		return cols1, cols2, nil
 	}
-	return d, nil
+	for i := range q.JoinLeft {
+		c1 := localColumn(q.JoinLeft[i], q.Left)
+		c2 := localColumn(q.JoinRight[i], q.Right)
+		k1, err := s1.KindOf(c1)
+		if err != nil {
+			return nil, nil, fmt.Errorf("mediation: %s has no join column %q", q.Left, c1)
+		}
+		k2, err := s2.KindOf(c2)
+		if err != nil {
+			return nil, nil, fmt.Errorf("mediation: %s has no join column %q", q.Right, c2)
+		}
+		if k1 != k2 {
+			return nil, nil, fmt.Errorf("mediation: join column kinds differ: %s.%s is %v, %s.%s is %v", q.Left, c1, k1, q.Right, c2, k2)
+		}
+		cols1 = append(cols1, c1)
+		cols2 = append(cols2, c2)
+	}
+	return cols1, cols2, nil
 }
 
 // localColumn strips a relation qualifier.

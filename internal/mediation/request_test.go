@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/secmediation/secmediation/internal/algebra"
@@ -14,42 +13,7 @@ import (
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/sqlparse"
-	"github.com/secmediation/secmediation/internal/transport"
 )
-
-// partialQueryTap records, per source link, the partial query the
-// mediator ships and the type of every message on that link.
-type partialQueryTap struct {
-	mu       sync.Mutex
-	partials map[string]PartialQuery
-	types    map[string][]string
-}
-
-func newPartialQueryTap() *partialQueryTap {
-	return &partialQueryTap{partials: map[string]PartialQuery{}, types: map[string][]string{}}
-}
-
-func (p *partialQueryTap) wrap(t *testing.T) func(link string, c transport.Conn) transport.Conn {
-	return func(link string, c transport.Conn) transport.Conn {
-		if link == "client" {
-			return c
-		}
-		note := func(dir string) func(transport.Message) transport.Message {
-			return func(m transport.Message) transport.Message {
-				p.mu.Lock()
-				defer p.mu.Unlock()
-				p.types[link] = append(p.types[link], dir+" "+m.Type)
-				if m.Type == msgPartialQuery {
-					var pq PartialQuery
-					decodeBody(t, m, &pq)
-					p.partials[link] = pq
-				}
-				return m
-			}
-		}
-		return &mediatorLinkConn{Conn: c, onSend: note("send"), onRecv: note("recv")}
-	}
-}
 
 // Listing 1 runs once for every query shape: a join, a union and an
 // aggregate each get their partial queries from the same request phase,
@@ -104,8 +68,8 @@ func TestRequestPhase(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tap := newPartialQueryTap()
-			got, srcErrs, err := queryAtMediator(t, tc.n, tap.wrap(t), tc.sql, tc.proto, fastParams())
+			var tr transcript
+			got, srcErrs, err := tap{log: &tr}.query(t, tc.n, tc.sql, tc.proto, fastParams())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,11 +81,19 @@ func TestRequestPhase(t *testing.T) {
 			if !got.EqualMultiset(want) {
 				t.Errorf("result\n%v\nwant\n%v", got, want)
 			}
-			if len(tap.partials) != len(tc.links) {
-				t.Errorf("mediator contacted %d sources, want %d", len(tap.partials), len(tc.links))
+			partials := map[string]PartialQuery{}
+			for _, f := range tr.on("") {
+				if f.Type == msgPartialQuery {
+					var pq PartialQuery
+					decodeBody(t, f.Message, &pq)
+					partials[f.link] = pq
+				}
+			}
+			if len(partials) != len(tc.links) {
+				t.Errorf("mediator contacted %d sources, want %d", len(partials), len(tc.links))
 			}
 			for link, w := range tc.links {
-				pq, ok := tap.partials[link]
+				pq, ok := partials[link]
 				if !ok {
 					t.Errorf("%s: no partial query", link)
 					continue
@@ -139,8 +111,9 @@ func TestRequestPhase(t *testing.T) {
 					t.Errorf("%s: no credentials forwarded", link)
 				}
 				// Steps 3 and 4 open every link, before any delivery message.
-				if ty := tap.types[link]; len(ty) < 2 || ty[0] != "send "+msgPartialQuery || ty[1] != "recv "+msgPartialAck {
-					t.Errorf("%s: link opens with %v", link, ty)
+				if fs := tr.on(link); len(fs) < 2 || fs[0].dir != "send" || fs[0].Type != msgPartialQuery ||
+					fs[1].dir != "recv" || fs[1].Type != msgPartialAck {
+					t.Errorf("%s: link opens with %v", link, fs)
 				}
 			}
 		})
@@ -177,19 +150,14 @@ func TestRequestPhaseRejects(t *testing.T) {
 	for _, sh := range shapes {
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
-			dialed := 0
-			_, _, err := queryAtMediator(t, denyR1(sh.rel2), func(link string, c transport.Conn) transport.Conn {
-				if link != "client" {
-					dialed++
-				}
-				return c
-			}, sh.unknownSQL, ProtocolCommutative, fastParams())
-			if err == nil || !strings.Contains(err.Error(), `unknown relation "RX"`) || dialed != 0 {
-				t.Errorf("unknown relation: err = %v after %d dials", err, dialed)
+			// query holds an error, nil or not, for each source dialed.
+			_, srcErrs, err := tap{}.query(t, denyR1(sh.rel2), sh.unknownSQL, ProtocolCommutative, fastParams())
+			if err == nil || !strings.Contains(err.Error(), `unknown relation "RX"`) || len(srcErrs) != 0 {
+				t.Errorf("unknown relation: err = %v after %d dials", err, len(srcErrs))
 			}
 
-			tap := newPartialQueryTap()
-			_, srcErrs, err := queryAtMediator(t, denyR1(sh.rel2), tap.wrap(t), sh.sql, ProtocolCommutative, fastParams())
+			var tr transcript
+			_, srcErrs, err = tap{log: &tr}.query(t, denyR1(sh.rel2), sh.sql, ProtocolCommutative, fastParams())
 			var pe *ProtocolError
 			if !errors.As(err, &pe) || pe.Party != "mediator" || !strings.Contains(err.Error(), "access to R1 denied") {
 				t.Fatalf("denied: err = %v, want the mediator's denial", err)
@@ -197,11 +165,11 @@ func TestRequestPhaseRejects(t *testing.T) {
 			if srcErrs["S1"] != nil {
 				t.Errorf("denying source S1 failed: %v", srcErrs["S1"])
 			}
-			// Every source has unwound (queryAtMediator waited for them), and
-			// the granted one was sent the reason.
-			if ty := tap.types["source:R2"]; sh.name != "aggregate" &&
-				(len(ty) != 3 || ty[2] != "send mmm.error") {
-				t.Errorf("granted source's link carried %v, want the partial query, its ack and the abort", ty)
+			// Every source has unwound (query waited for them), and the
+			// granted one was sent the reason.
+			if fs := tr.on("source:R2"); sh.name != "aggregate" &&
+				(len(fs) != 3 || fs[2].dir != "send" || fs[2].Type != "mmm.error") {
+				t.Errorf("granted source's link carried %v, want the partial query, its ack and the abort", fs)
 			}
 		})
 	}
@@ -224,8 +192,29 @@ func TestUnionMediatorViewShape(t *testing.T) {
 		{build("R1", "aaaa", 1, 2, 3), build("R2", "bbbb", 2, 3)},
 		{build("R1", "wxyz", 41, 42, 43), build("R2", "qrst", 51, 52)},
 	}
+	// view runs sql over r1 and r2 and returns the mediator's view lines,
+	// without their lengths unless withLength is set. The query and every
+	// source must succeed.
 	view := func(r1, r2 *rel.Relation, sql string, proto Protocol, withLength bool) ([]string, *rel.Relation) {
-		return mediatorView(t, networkOver(t, nil, r1, r2), sql, proto, withLength)
+		var tr transcript
+		got, srcErrs, err := tap{log: &tr}.query(t, networkOver(t, nil, r1, r2), sql, proto, fastParams())
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		for src, serr := range srcErrs {
+			if serr != nil {
+				t.Fatalf("%s: source %s: %v", sql, src, serr)
+			}
+		}
+		var out []string
+		for _, f := range tr.on("") {
+			line := f.String()
+			if !withLength {
+				line = f.link + " " + f.dir + " " + f.Type
+			}
+			out = append(out, line)
+		}
+		return out, got
 	}
 	const unionSQL = "SELECT * FROM R1 UNION ALL SELECT * FROM R2"
 	var views [2][]string
@@ -244,37 +233,4 @@ func TestUnionMediatorViewShape(t *testing.T) {
 	if fmt.Sprint(unionTypes) != fmt.Sprint(joinTypes) {
 		t.Errorf("union transcript is not a mobile-code join transcript:\n%v\n%v", unionTypes, joinTypes)
 	}
-}
-
-// mediatorView runs sql over n and records every message on the
-// mediator's links as "link direction type", with the body length when
-// withLength is set. The query and every source must succeed.
-func mediatorView(t *testing.T, n *Network, sql string, proto Protocol, withLength bool) ([]string, *rel.Relation) {
-	t.Helper()
-	var mu sync.Mutex
-	var out []string
-	record := func(link, dir string) func(transport.Message) transport.Message {
-		return func(m transport.Message) transport.Message {
-			entry := fmt.Sprintf("%s %s %s", link, dir, m.Type)
-			if withLength {
-				entry += fmt.Sprintf(" %d", len(m.Body))
-			}
-			mu.Lock()
-			out = append(out, entry)
-			mu.Unlock()
-			return m
-		}
-	}
-	got, srcErrs, err := queryAtMediator(t, n, func(link string, c transport.Conn) transport.Conn {
-		return &mediatorLinkConn{Conn: c, onSend: record(link, "send"), onRecv: record(link, "recv")}
-	}, sql, proto, fastParams())
-	if err != nil {
-		t.Fatalf("%s: %v", sql, err)
-	}
-	for src, serr := range srcErrs {
-		if serr != nil {
-			t.Fatalf("%s: source %s: %v", sql, src, serr)
-		}
-	}
-	return out, got
 }

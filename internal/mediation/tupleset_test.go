@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/secmediation/secmediation/internal/algebra"
@@ -13,7 +12,6 @@ import (
 	"github.com/secmediation/secmediation/internal/crypto/commutative"
 	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	rel "github.com/secmediation/secmediation/internal/relation"
-	"github.com/secmediation/secmediation/internal/transport"
 	"github.com/secmediation/secmediation/internal/workload"
 )
 
@@ -184,14 +182,8 @@ func TestRelayedJoinColsUnresolvable(t *testing.T) {
 	for _, proto := range []Protocol{ProtocolCommutative, ProtocolPM} {
 		for _, rw := range rewrites {
 			t.Run(proto.String()+"/"+rw.name, func(t *testing.T) {
-				got, _, err := queryAtMediator(t, newTestNetwork(t, nil), func(link string, c transport.Conn) transport.Conn {
-					if link != "client" {
-						return c
-					}
-					return &mediatorLinkConn{Conn: c, onSend: func(m transport.Message) transport.Message {
-						return rewriteJoinCols(t, m, func(c1, c2 *[]string) { *c1, *c2 = rw.cols1, rw.cols2 })
-					}}
-				}, fixtureSQL, proto, fastParams())
+				got, _, err := tap{onSend: editJoinCols(t, func(c1, c2 *[]string) { *c1, *c2 = rw.cols1, rw.cols2 })}.
+					query(t, newTestNetwork(t, nil), fixtureSQL, proto, fastParams())
 				var pe *ProtocolError
 				if !errors.As(err, &pe) {
 					t.Fatalf("query returned %v, %v; want a *ProtocolError", got, err)
@@ -202,30 +194,13 @@ func TestRelayedJoinColsUnresolvable(t *testing.T) {
 	}
 }
 
-// rewriteJoinCols applies edit to the JoinCols of a comm.result or
-// pm.result and re-encodes it; other messages pass unchanged.
-func rewriteJoinCols(t *testing.T, m transport.Message, edit func(c1, c2 *[]string)) transport.Message {
-	t.Helper()
-	var v any
-	switch m.Type {
-	case msgCommResult:
-		var r commResult
-		decodeBody(t, m, &r)
-		edit(&r.JoinCols1, &r.JoinCols2)
-		v = r
-	case msgPMResult:
-		var r pmResult
-		decodeBody(t, m, &r)
-		edit(&r.JoinCols1, &r.JoinCols2)
-		v = r
-	default:
-		return m
-	}
-	out, err := transport.NewMessage(m.Type, v)
-	if err != nil {
-		t.Errorf("re-encoding %s: %v", m.Type, err)
-	}
-	return out
+// editJoinCols is the hook that applies edit to the JoinCols of the
+// comm.result or pm.result the mediator sends the client.
+func editJoinCols(t *testing.T, edit func(c1, c2 *[]string)) hook {
+	return chain(
+		rewrite(t, "client", msgCommResult, func(r *commResult) { edit(&r.JoinCols1, &r.JoinCols2) }),
+		rewrite(t, "client", msgPMResult, func(r *pmResult) { edit(&r.JoinCols1, &r.JoinCols2) }),
+	)
 }
 
 // benchRelations builds a benchmark workload's relations as the
@@ -284,23 +259,12 @@ func setLen(t *testing.T, tuples []rel.Tuple, fixed []int) int {
 // message typ as the client receives it, decoded into v.
 func resultBody(t *testing.T, r1, r2 *rel.Relation, proto Protocol, params Params, typ string, v any) int {
 	t.Helper()
-	size := -1
-	_, _, err := queryAtMediator(t, networkOver(t, nil, r1, r2), func(link string, c transport.Conn) transport.Conn {
-		if link != "client" {
-			return c
-		}
-		return &mediatorLinkConn{Conn: c, onSend: func(m transport.Message) transport.Message {
-			if m.Type == typ {
-				size = len(m.Body)
-				decodeBody(t, m, v)
-			}
-			return m
-		}}
-	}, "SELECT * FROM R1 JOIN R2 ON R1.id = R2.id", proto, params)
-	if err != nil || size < 0 {
-		t.Fatalf("%v: no %s (%v)", proto, typ, err)
+	var tr transcript
+	_, _, err := tap{log: &tr}.query(t, networkOver(t, nil, r1, r2), "SELECT * FROM R1 JOIN R2 ON R1.id = R2.id", proto, params)
+	if err != nil {
+		t.Fatalf("%v: %v", proto, err)
 	}
-	return size
+	return tr.first(t, "client", typ, v)
 }
 
 // The client link's bytes on the benchmark shapes are pinned to their
@@ -366,31 +330,23 @@ func TestResultBytesClosedForm(t *testing.T) {
 		// The mediator sends S1 R2's 100 elements, and S2 R1's 150; each
 		// source returns as many.
 		opposite := map[string]int{"source:R1": 100, "source:R2": 150}
-		var mu sync.Mutex
-		frames := map[string]int{}
-		total := 0
-		_, _, err := queryAtMediator(t, networkOver(t, nil, r1, r2), func(link string, c transport.Conn) transport.Conn {
-			k, ok := opposite[link]
-			if !ok {
-				return c
-			}
-			check := func(m transport.Message) transport.Message {
-				if m.Type != msgCommCross && m.Type != msgCommCrossBack {
-					return m
-				}
-				if want := digest + uvarintLen(k) + commutative.ElementSize*k; len(m.Body) != want {
-					t.Errorf("%s %s is %d bytes, closed form %d", link, m.Type, len(m.Body), want)
-				}
-				mu.Lock()
-				frames[link+" "+m.Type]++
-				total += len(m.Body)
-				mu.Unlock()
-				return m
-			}
-			return &mediatorLinkConn{Conn: c, onSend: check, onRecv: check}
-		}, "SELECT * FROM R1 JOIN R2 ON R1.id = R2.id", ProtocolCommutative, Params{})
+		var tr transcript
+		_, _, err := tap{log: &tr}.query(t, networkOver(t, nil, r1, r2), "SELECT * FROM R1 JOIN R2 ON R1.id = R2.id", ProtocolCommutative, Params{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		frames := map[string]int{}
+		total := 0
+		for _, f := range tr.on("") {
+			k, ok := opposite[f.link]
+			if !ok || f.Type != msgCommCross && f.Type != msgCommCrossBack {
+				continue
+			}
+			if want := digest + uvarintLen(k) + commutative.ElementSize*k; len(f.Body) != want {
+				t.Errorf("%s %s is %d bytes, closed form %d", f.link, f.Type, len(f.Body), want)
+			}
+			frames[f.link+" "+f.Type]++
+			total += len(f.Body)
 		}
 		if len(frames) != 4 || total != commCrossTPCH {
 			t.Errorf("%d cross frames %v of %d bytes, pinned 4 of %d", len(frames), frames, total, commCrossTPCH)

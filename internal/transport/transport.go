@@ -202,12 +202,23 @@ type chanConn struct {
 	stats     Stats
 }
 
+// pairDepth is the frames each direction of a Pair buffers. On a
+// mediation link the most frames one end sends before its next receive
+// is 2: a source's partial-ack and its first delivery message. An abort
+// adds its mmm.error frame and a chaos duplicate one more frame, so at
+// most 4 are unread at once. A session mux over a Pair parks frames on
+// the link while a session's receive queue is full: TestMuxBackpressure
+// sends 16 past a full queue, one held by the blocked demux loop and 15
+// on the link. Each slot is a 40-byte Message
+// header, so a link holds 1.3 kB where 1,024 slots held 80 kB.
+const pairDepth = 16
+
 // Pair creates a connected in-memory duplex link and returns its two
-// endpoints. The buffer is generous so that strictly alternating protocols
-// never deadlock even when one side sends several messages per round.
+// endpoints. Each direction buffers pairDepth frames, so a protocol
+// that alternates sends and receives never blocks on a send.
 func Pair() (Conn, Conn) {
-	ab := make(chan Message, 1024)
-	ba := make(chan Message, 1024)
+	ab := make(chan Message, pairDepth)
+	ba := make(chan Message, pairDepth)
 	a := &chanConn{out: ab, in: ba, closed: make(chan struct{})}
 	b := &chanConn{out: ba, in: ab, closed: make(chan struct{})}
 	a.peerDone = b.closed
