@@ -3,8 +3,8 @@
 // Counts, lengths and unsigned fields are uvarints; signed integer
 // fields are zigzag varints, so a hostile negative value reaches the
 // receiver's own bounds check intact; cryptographic fields of a known
-// width (group elements, ciphertexts, key shares, index values) are
-// written bare; byte strings are length-prefixed. There are no field
+// width (group elements, ciphertexts, key shares) are written bare;
+// byte strings are length-prefixed. There are no field
 // names, tags or type descriptors: a message is its fields in a fixed
 // order.
 //
@@ -185,15 +185,6 @@ func (e *Encoder) raw(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// Uint64 writes n as 8 big-endian bytes.
-func (e *Encoder) Uint64(n uint64) {
-	if e.sizing {
-		e.size += 8
-		return
-	}
-	e.buf = binary.BigEndian.AppendUint64(e.buf, n)
-}
-
 // Append writes whatever f appends: a layout owned by another package,
 // such as relation.Value's canonical encoding. A sizing encoder runs f
 // on its scratch buffer and counts what it wrote.
@@ -346,15 +337,6 @@ func (d *Decoder) Fixed(n int) []byte {
 	out := d.b[:n:n]
 	d.b = d.b[n:]
 	return out
-}
-
-// Uint64 reads 8 big-endian bytes.
-func (d *Decoder) Uint64() uint64 {
-	b := d.Fixed(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
 }
 
 // Next decodes a layout owned by another package: f decodes from the

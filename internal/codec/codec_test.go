@@ -16,7 +16,6 @@ type fields struct {
 	fixed   []byte
 	strs    []string
 	blobs   [][]byte
-	word    uint64
 	present byte
 }
 
@@ -29,7 +28,6 @@ func (f fields) EncodeTo(e *Encoder) {
 	e.Fixed(f.fixed, 4)
 	e.Strings(f.strs)
 	e.ByteStrings(f.blobs)
-	e.Uint64(f.word)
 	e.Byte(f.present)
 }
 
@@ -37,12 +35,12 @@ func (f *fields) DecodeFrom(d *Decoder) {
 	f.u, f.i, f.b = d.Uint(), d.Int(), d.Bool()
 	f.s, f.raw, f.fixed = d.Text(), d.Bytes(), d.Fixed(4)
 	f.strs, f.blobs = d.Strings(), d.ByteStrings()
-	f.word, f.present = d.Uint64(), d.Byte()
+	f.present = d.Byte()
 }
 
 func TestRoundTrip(t *testing.T) {
 	in := fields{u: 300, i: -70, b: true, s: "join", raw: []byte{9, 8}, fixed: []byte{1, 2, 3, 4},
-		strs: []string{"a", ""}, blobs: [][]byte{{7}, nil}, word: 1 << 60, present: 0xfe}
+		strs: []string{"a", ""}, blobs: [][]byte{{7}, nil}, present: 0xfe}
 	b, err := Marshal(in)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +53,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil || !bytes.Equal(again, b) {
 		t.Fatalf("re-encoding gave %x (%v), want %x", again, err, b)
 	}
-	if out.s != in.s || out.i != in.i || out.word != in.word || !bytes.Equal(out.fixed, in.fixed) || len(out.blobs) != 2 {
+	if out.s != in.s || out.i != in.i || !bytes.Equal(out.fixed, in.fixed) || len(out.blobs) != 2 {
 		t.Errorf("decoded %+v, want %+v", out, in)
 	}
 	// The sizing pass counts what the writing pass writes, and Marshal

@@ -10,8 +10,8 @@ import (
 
 // EncodeTo writes R^S: the name, the 33-byte key share, the number of
 // index values per run (one per indexed column, the same for every run,
-// and at least one when there are runs), then the runs, each its 8-byte
-// index values, its row count and its sealed tuple set. Runs ascend
+// and at least one when there are runs), then the runs, each its index
+// values as uvarints, its row count and its sealed tuple set. Runs ascend
 // strictly by index vector, hold at least one row each, and their sealed
 // tuple set takes at least one byte per row.
 func (er EncryptedRelation) EncodeTo(e *codec.Encoder) {
@@ -29,7 +29,7 @@ func (er EncryptedRelation) EncodeTo(e *codec.Encoder) {
 			return
 		}
 		for _, iv := range run.Index {
-			e.Uint64(uint64(iv))
+			e.Uint(uint64(iv))
 		}
 		e.Len(run.Rows)
 		e.Bytes(run.Sealed)
@@ -40,10 +40,10 @@ func (er EncryptedRelation) EncodeTo(e *codec.Encoder) {
 func (er *EncryptedRelation) DecodeFrom(d *codec.Decoder) {
 	er.Name = d.Text()
 	er.KeyShare = d.Fixed(hybrid.PointSize)
-	width := d.Count(8)
+	width := d.Count(1)
 	// A run is its index values, a row count, a length and one byte
 	// per row.
-	n := d.Count(8*width + 3)
+	n := d.Count(width + 3)
 	if (n == 0) != (width == 0) {
 		d.Fail(fmt.Errorf("das: %d runs of %d index values", n, width))
 	}
@@ -57,7 +57,7 @@ func (er *EncryptedRelation) DecodeFrom(d *codec.Decoder) {
 		run := &er.Runs[i]
 		run.Index = index[i*width : (i+1)*width : (i+1)*width]
 		for j := range run.Index {
-			run.Index[j] = IndexValue(d.Uint64())
+			run.Index[j] = IndexValue(d.Uint())
 		}
 		run.Rows = d.Count(1)
 		run.Sealed = d.Bytes()
@@ -95,16 +95,16 @@ func lessIndex(a, b []IndexValue) bool {
 	return false
 }
 
-// EncodeTo writes q_S: per join attribute its admissible index pairs
-// (16 bytes each), then each side's filters (an attribute position and
-// its admissible index values).
+// EncodeTo writes q_S: per join attribute its admissible index pairs,
+// then each side's filters (an attribute position and its admissible
+// index values). Every index value is a uvarint.
 func (q ServerQuery) EncodeTo(e *codec.Encoder) {
 	e.Len(len(q.PerAttr))
 	for _, pairs := range q.PerAttr {
 		e.Len(len(pairs))
 		for _, p := range pairs {
-			e.Uint64(uint64(p.I1))
-			e.Uint64(uint64(p.I2))
+			e.Uint(uint64(p.I1))
+			e.Uint(uint64(p.I2))
 		}
 	}
 	encodeFilters(e, q.Filters1)
@@ -118,11 +118,11 @@ func (q *ServerQuery) DecodeFrom(d *codec.Decoder) {
 		q.PerAttr = make([][]IndexPair, n)
 	}
 	for i := range q.PerAttr {
-		if n := d.Count(16); n > 0 {
+		if n := d.Count(2); n > 0 {
 			q.PerAttr[i] = make([]IndexPair, n)
 		}
 		for j := range q.PerAttr[i] {
-			q.PerAttr[i][j] = IndexPair{I1: IndexValue(d.Uint64()), I2: IndexValue(d.Uint64())}
+			q.PerAttr[i][j] = IndexPair{I1: IndexValue(d.Uint()), I2: IndexValue(d.Uint())}
 		}
 	}
 	q.Filters1 = decodeFilters(d)
@@ -135,7 +135,7 @@ func encodeFilters(e *codec.Encoder, fs []IndexFilter) {
 		e.Int(int64(f.Attr))
 		e.Len(len(f.Allowed))
 		for _, iv := range f.Allowed {
-			e.Uint64(uint64(iv))
+			e.Uint(uint64(iv))
 		}
 	}
 }
@@ -148,11 +148,11 @@ func decodeFilters(d *codec.Decoder) []IndexFilter {
 	fs := make([]IndexFilter, n)
 	for i := range fs {
 		fs[i].Attr = d.Int()
-		if m := d.Count(8); m > 0 {
+		if m := d.Count(1); m > 0 {
 			fs[i].Allowed = make([]IndexValue, m)
 		}
 		for j := range fs[i].Allowed {
-			fs[i].Allowed[j] = IndexValue(d.Uint64())
+			fs[i].Allowed[j] = IndexValue(d.Uint())
 		}
 	}
 	return fs
@@ -162,7 +162,7 @@ func decodeFilters(d *codec.Decoder) []IndexFilter {
 type indexTables []*IndexTable
 
 // EncodeTo writes the tables: per table its attribute and its entries,
-// each its partition's two bounds and its 8-byte index value.
+// each its partition's two bounds and its index value as a uvarint.
 func (its indexTables) EncodeTo(e *codec.Encoder) {
 	e.Len(len(its))
 	for _, it := range its {
@@ -179,7 +179,7 @@ func (its indexTables) EncodeTo(e *codec.Encoder) {
 			}
 			en.Partition.Lo.EncodeTo(e)
 			en.Partition.Hi.EncodeTo(e)
-			e.Uint64(uint64(en.Index))
+			e.Uint(uint64(en.Index))
 		}
 	}
 }
@@ -193,14 +193,14 @@ func (its *indexTables) DecodeFrom(d *codec.Decoder) {
 	for i := range *its {
 		it := &IndexTable{Attribute: d.Text()}
 		// The smallest entry is two BOOL bounds and its index value.
-		if n := d.Count(12); n > 0 {
+		if n := d.Count(5); n > 0 {
 			it.Entries = make([]IndexEntry, n)
 		}
 		for j := range it.Entries {
 			var p Partition
 			p.Lo.DecodeFrom(d)
 			p.Hi.DecodeFrom(d)
-			it.Entries[j] = IndexEntry{Partition: p, Index: IndexValue(d.Uint64())}
+			it.Entries[j] = IndexEntry{Partition: p, Index: IndexValue(d.Uint())}
 			if d.Err() != nil {
 				return
 			}

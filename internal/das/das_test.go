@@ -1141,7 +1141,7 @@ func TestEncryptedRelationLayout(t *testing.T) {
 			e.Len(count)
 			for _, r := range runs {
 				for _, iv := range r.Index {
-					e.Uint64(uint64(iv))
+					e.Uint(uint64(iv))
 				}
 				e.Len(r.Rows)
 				e.Bytes(r.Sealed)
@@ -1203,7 +1203,7 @@ func TestIndexTableRejectsMalformedInterval(t *testing.T) {
 			e.Len(1)
 			lo.EncodeTo(e)
 			hi.EncodeTo(e)
-			e.Uint64(7)
+			e.Uint(7)
 		}))
 		if err != nil {
 			t.Fatal(err)

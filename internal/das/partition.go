@@ -15,8 +15,8 @@ package das
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"fmt"
+	"math/big"
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/relation"
@@ -92,7 +92,9 @@ func EquiDepthPartitions(dom []relation.Value, k int) ([]Partition, error) {
 	return parts, nil
 }
 
-// IndexValue is the opaque identifier of a partition; the paper's "index".
+// IndexValue is the opaque identifier of a partition; the paper's
+// "index". BuildIndexTable draws it from [0, n) for n partitions, and
+// the wire carries it as a uvarint.
 type IndexValue uint64
 
 // IndexEntry maps one partition to its index value.
@@ -111,26 +113,25 @@ type IndexTable struct {
 	Entries []IndexEntry
 }
 
-// BuildIndexTable assigns a fresh random unique index value to every
-// partition. Random identifiers play the role of the paper's
-// "collision-free hash of partition properties" while revealing nothing
-// about the partitions themselves.
+// BuildIndexTable labels a table's n partitions with a fresh, uniformly
+// random permutation of [0, n). The labels play the role of the
+// paper's "collision-free hash of partition properties": unique, and,
+// drawn independently of the partitions' order, they reveal nothing
+// about the partitions but their number n, which a party that sees the
+// runs learns anyway. Small labels cost a byte each on the wire.
 func BuildIndexTable(attribute string, parts []Partition) (*IndexTable, error) {
-	it := &IndexTable{Attribute: attribute}
-	seen := make(map[IndexValue]bool, len(parts))
-	for _, p := range parts {
-		for {
-			var buf [8]byte
-			if _, err := rand.Read(buf[:]); err != nil {
-				return nil, fmt.Errorf("das: index value: %w", err)
-			}
-			iv := IndexValue(binary.BigEndian.Uint64(buf[:]))
-			if !seen[iv] {
-				seen[iv] = true
-				it.Entries = append(it.Entries, IndexEntry{Partition: p, Index: iv})
-				break
-			}
+	it := &IndexTable{Attribute: attribute, Entries: make([]IndexEntry, len(parts))}
+	for i, p := range parts {
+		it.Entries[i] = IndexEntry{Partition: p, Index: IndexValue(i)}
+	}
+	// Fisher–Yates over crypto/rand.
+	for i := len(parts) - 1; i > 0; i-- {
+		j, err := rand.Int(rand.Reader, big.NewInt(int64(i+1)))
+		if err != nil {
+			return nil, fmt.Errorf("das: index label: %w", err)
 		}
+		e, f := &it.Entries[i], &it.Entries[j.Int64()]
+		e.Index, f.Index = f.Index, e.Index
 	}
 	return it, nil
 }

@@ -207,8 +207,8 @@ func TestHostileParams(t *testing.T) {
 
 // A mediator that rewrites the schema it relays — two same-kind columns
 // renamed into each other's place, or an INT column retyped FLOAT — or
-// the join columns of a commutative or PM result must not make the
-// client read one column's values as another's. A tuple set carries
+// the join condition it decomposes must not make the client read one
+// column's values as another's. A tuple set carries
 // neither names, kinds nor key positions, so every sealed set binds them
 // in its AAD: DAS, commutative and mobile code abort with a
 // *ProtocolError, and under PM a set that does not open is a non-match,
@@ -282,11 +282,17 @@ func TestRelayedSchemaRewriteRejected(t *testing.T) {
 			})
 		}
 	}
-	// The client derives a tuple set's fixed columns from the JoinCols the
-	// mediator relays in comm.result and pm.result. Over two INT columns
-	// a rewrite from id to the other column would decode the key and that
-	// column swapped, silently; the key positions are bound in the AAD,
-	// so the sets fail to open instead.
+	// No client joins on an A_i the mediator relays: each resolves it
+	// from its own query over the AAD-bound schemas. A mediator that
+	// decomposes the request with its ON clause rewritten asks the
+	// sources for R2.m as A_2. Over two INT columns whose values overlap,
+	// a client that joined on the mediator's A_i would return tuples
+	// outside the join without an error. DAS aborts, as the indexed
+	// columns relayed for R2 no longer begin with A_2; mobile code joins
+	// on id; the commutative and PM sets bind their key positions in the
+	// AAD, so they fail to open: commutative aborts and PM withholds.
+	// The source-joincols rows hand source R2 the other column directly,
+	// on the partial query, with the same outcome.
 	ints := func(name, other string, rows ...[2]int64) *rel.Relation {
 		r := rel.New(rel.MustSchema(name, rel.Column{Name: "id", Kind: rel.KindInt}, rel.Column{Name: other, Kind: rel.KindInt}))
 		for _, row := range rows {
@@ -295,47 +301,41 @@ func TestRelayedSchemaRewriteRejected(t *testing.T) {
 		return r
 	}
 	i1 := ints("R1", "n", [2]int64{1, 10}, [2]int64{1, 11}, [2]int64{2, 20})
-	i2 := ints("R2", "m", [2]int64{1, 100}, [2]int64{1, 101}, [2]int64{2, 200}, [2]int64{2, 201})
+	i2 := ints("R2", "m", [2]int64{1, 2}, [2]int64{1, 1}, [2]int64{2, 1}, [2]int64{2, 2})
+	onM := rewrite(t, "client", msgRequest, func(r *Request) { r.SQL = "SELECT * FROM R1 JOIN R2 ON R1.id = R2.m" })
+	sourceM := rewrite(t, "source:R2", msgPartialQuery, func(pq *PartialQuery) { pq.JoinCols = []string{"m"} })
 	for _, run := range []struct {
 		name    string
 		proto   Protocol
 		dropped bool
+		ignored bool // the client never reads the rewritten clause: the exact join
 	}{
-		{"commutative", ProtocolCommutative, false},
-		{"pm", ProtocolPM, true},
+		{"das", ProtocolDAS, false, false},
+		{"mobile-code", ProtocolMobileCode, false, true},
+		{"commutative", ProtocolCommutative, false, false},
+		{"pm", ProtocolPM, true, false},
 	} {
 		run := run
+		want, err := networkOver(t, nil, i1, i2).Query(fixtureSQL, run.proto, fastParams())
+		if err != nil || want.Len() != 6 {
+			t.Fatalf("%s: untampered query: %v, %v", run.name, want, err)
+		}
 		t.Run(run.name+"/joincols", func(t *testing.T) {
-			want, err := networkOver(t, nil, i1, i2).Query(fixtureSQL, run.proto, fastParams())
-			if err != nil || want.Len() != 6 {
-				t.Fatalf("untampered query: %v, %v", want, err)
+			got, _, err := tap{onRecv: onM}.query(t, networkOver(t, nil, i1, i2), fixtureSQL, run.proto, fastParams())
+			if run.ignored {
+				if err != nil || !got.EqualMultiset(want) {
+					t.Fatalf("query under a rewritten join condition returned %v, %v; want the join", got, err)
+				}
+				return
 			}
-			got, _, err := tap{onSend: editJoinCols(t, func(_, cols2 *[]string) { *cols2 = []string{"m"} })}.
-				query(t, networkOver(t, nil, i1, i2), fixtureSQL, run.proto, fastParams())
 			checkRewriteOutcome(t, want, got, err, run.dropped)
 		})
-	}
-	// The DAS and mobile-code clients are relayed no A_i: each resolves
-	// it from its own query over the AAD-bound schemas. A mediator that
-	// decomposes the request with its ON clause rewritten asks the
-	// sources for R2.m as A_2; a client that joined on the mediator's A_i
-	// would return the empty join without an error. DAS aborts, as the
-	// indexed columns relayed for R2 no longer begin with A_2; mobile code
-	// joins on id.
-	for name, proto := range map[string]Protocol{"das": ProtocolDAS, "mobile-code": ProtocolMobileCode} {
-		proto := proto
-		t.Run(name+"/joincols", func(t *testing.T) {
-			want, err := networkOver(t, nil, i1, i2).Query(fixtureSQL, proto, fastParams())
-			if err != nil || want.Len() != 6 {
-				t.Fatalf("untampered query: %v, %v", want, err)
-			}
-			onM := rewrite(t, "client", msgRequest, func(r *Request) { r.SQL = "SELECT * FROM R1 JOIN R2 ON R1.id = R2.m" })
-			got, _, err := tap{onRecv: onM}.query(t, networkOver(t, nil, i1, i2), fixtureSQL, proto, fastParams())
-			var pe *ProtocolError
-			if err != nil && !errors.As(err, &pe) || err == nil && !got.EqualMultiset(want) {
-				t.Fatalf("query under a rewritten join condition returned %v, %v; want the join or a *ProtocolError", got, err)
-			}
-		})
+		if run.proto == ProtocolCommutative || run.proto == ProtocolPM {
+			t.Run(run.name+"/source-joincols", func(t *testing.T) {
+				got, _, err := tap{onSend: sourceM}.query(t, networkOver(t, nil, i1, i2), fixtureSQL, run.proto, fastParams())
+				checkRewriteOutcome(t, want, got, err, run.dropped)
+			})
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ const dasTPCHBytesBudget = 822_000 * 5 / 4
 // without regrowing. The race detector instruments allocations, so the
 // test builds without it.
 func TestDASQueryAllocBudget(t *testing.T) {
-	r1, r2 := benchRelations(t, 150, 1, 100, 15, 1)
+	r1, r2 := benchRelations(t, 150, 1, 100, 15, 1, 1)
 	n := networkOver(t, nil, r1, r2)
 	query := func() {
 		t.Helper()

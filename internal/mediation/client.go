@@ -105,9 +105,9 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	case proto == ProtocolDAS:
 		joined, schema2, joinCols2, err = c.runDAS(mediator, q, queryKey, params, watch)
 	case proto == ProtocolCommutative:
-		joined, schema2, joinCols2, err = c.runCommutative(mediator, queryKey, watch)
+		joined, schema2, joinCols2, err = c.runCommutative(mediator, q, queryKey, watch)
 	case proto == ProtocolPM:
-		joined, schema2, joinCols2, err = c.runPM(mediator, queryKey, watch)
+		joined, schema2, joinCols2, err = c.runPM(mediator, q, queryKey, watch)
 	default:
 		err = fmt.Errorf("mediation: unknown protocol %d", proto)
 	}

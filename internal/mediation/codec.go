@@ -337,8 +337,6 @@ func (r commResult) EncodeTo(e *codec.Encoder) {
 	e.Text(r.Session)
 	r.Schema1.EncodeTo(e)
 	r.Schema2.EncodeTo(e)
-	e.Strings(r.JoinCols1)
-	e.Strings(r.JoinCols2)
 	e.Fixed(r.Share1, hybrid.PointSize)
 	e.Fixed(r.Share2, hybrid.PointSize)
 	e.Len(len(r.Pairs))
@@ -353,7 +351,6 @@ func (r *commResult) DecodeFrom(d *codec.Decoder) {
 	r.Session = d.Text()
 	r.Schema1.DecodeFrom(d)
 	r.Schema2.DecodeFrom(d)
-	r.JoinCols1, r.JoinCols2 = d.Strings(), d.Strings()
 	r.Share1, r.Share2 = d.Fixed(hybrid.PointSize), d.Fixed(hybrid.PointSize)
 	r.Pairs = nil
 	if n := d.Count(2); n > 0 {
@@ -412,8 +409,6 @@ func (r pmResult) EncodeTo(e *codec.Encoder) {
 	e.Text(r.Session)
 	r.Schema1.EncodeTo(e)
 	r.Schema2.EncodeTo(e)
-	e.Strings(r.JoinCols1)
-	e.Strings(r.JoinCols2)
 	encodeEvals(e, r.Evals1)
 	encodeEvals(e, r.Evals2)
 }
@@ -423,6 +418,5 @@ func (r *pmResult) DecodeFrom(d *codec.Decoder) {
 	r.Session = d.Text()
 	r.Schema1.DecodeFrom(d)
 	r.Schema2.DecodeFrom(d)
-	r.JoinCols1, r.JoinCols2 = d.Strings(), d.Strings()
 	r.Evals1, r.Evals2 = decodeEvals(d), decodeEvals(d)
 }

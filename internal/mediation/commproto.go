@@ -12,6 +12,7 @@ import (
 	"github.com/secmediation/secmediation/internal/mediation/link"
 	"github.com/secmediation/secmediation/internal/parallel"
 	"github.com/secmediation/secmediation/internal/relation"
+	"github.com/secmediation/secmediation/internal/sqlparse"
 	"github.com/secmediation/secmediation/internal/telemetry"
 )
 
@@ -46,13 +47,13 @@ type commPair struct {
 	T1, T2 []byte
 }
 
-// commResult is the mediator's step 7 message to the client.
+// commResult is the mediator's step 7 message to the client. It carries
+// no A_i: the client resolves them from its own query.
 type commResult struct {
-	Session              string
-	Schema1, Schema2     relation.Schema
-	JoinCols1, JoinCols2 []string
-	Share1, Share2       []byte
-	Pairs                []commPair
+	Session          string
+	Schema1, Schema2 relation.Schema
+	Share1, Share2   []byte
+	Pairs            []commPair
 }
 
 // serveCommutative implements a datasource's role in Listing 3: generate a
@@ -184,7 +185,6 @@ func (m *Mediator) mediateCommutative(client, s1, s2 *link.Link, d *decompositio
 	res := commResult{
 		Session: o1.Session,
 		Schema1: o1.Schema, Schema2: o2.Schema,
-		JoinCols1: d.joinCols1, JoinCols2: d.joinCols2,
 		Share1: o1.KeyShare, Share2: o2.KeyShare,
 	}
 	err := watch.phase(telemetry.PhaseMatch, func() error {
@@ -235,14 +235,20 @@ func elements(items []commItem) commCross {
 
 // runCommutative implements the client's step 8: decrypt the matched tuple
 // sets and construct the result tuples (a cross product per matched join
-// value).
-func (c *Client) runCommutative(mediator *link.Link, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+// value). The client resolves A_i from its own query q over the schemas
+// the sources sealed under.
+func (c *Client) runCommutative(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res commResult
 	if err := mediator.Recv(msgCommResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	var joined *relation.Relation
+	var joinCols1, joinCols2 []string
 	err := watch.phase(telemetry.PhasePostFilter, func() error {
+		var err error
+		if joinCols1, joinCols2, err = joinColumns(q, res.Schema1, res.Schema2); err != nil {
+			return mediator.Blame(err)
+		}
 		recv1, err := hybrid.NewReceiverECDH(queryKey, res.Share1)
 		if err != nil {
 			return err
@@ -256,7 +262,7 @@ func (c *Client) runCommutative(mediator *link.Link, queryKey *ecdh.PrivateKey, 
 			return err
 		}
 		joined = relation.New(schema)
-		layout1, layout2, err := joinLayouts(res.Schema1, res.Schema2, res.JoinCols1, res.JoinCols2, "comm:"+res.Session)
+		layout1, layout2, err := joinLayouts(res.Schema1, res.Schema2, joinCols1, joinCols2, "comm:"+res.Session)
 		if err != nil {
 			return err
 		}
@@ -314,7 +320,7 @@ func (c *Client) runCommutative(mediator *link.Link, queryKey *ecdh.PrivateKey, 
 	if err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
-	return joined, res.Schema2, res.JoinCols2, nil
+	return joined, res.Schema2, joinCols2, nil
 }
 
 func openTupleSet(recv *hybrid.Receiver, blob []byte, layout tupLayout) ([]relation.Tuple, error) {

@@ -261,7 +261,7 @@ func TestCommSourceViewShape(t *testing.T) {
 		{buildComm(s1.Schema(), "a much longer text", 1, 1, 1, 2, 3, 3, 7),
 			buildComm(s2.Schema(), "", 1, 2, 2, 2, 2, 5, 5)},
 	}
-	const digest = 8
+	const digest = 4
 	opposite := map[string]int{"source:R1": 3, "source:R2": 4}
 	// What the mediator sends a source is what that source sees.
 	toSources := func(f frame) bool { return f.link != "client" && f.dir == "send" }

@@ -538,3 +538,43 @@ func TestDASRelayedColumnsNameSealedTables(t *testing.T) {
 		})
 	}
 }
+
+// das_tiny_concurrent's client link carries, per query, the sealed index
+// tables and the server query. Both are pinned on its shape (8 keys of 2
+// rows a side, half of them shared, the default 16 partitions asked
+// for), so a wire regression fails here and not only in the benchmark.
+// A table's n partitions are labelled with a permutation of [0, n), one
+// uvarint byte each while n ≤ 128: das.server-query is its 4-byte
+// digest, the attribute count, the pair count, two labels per pair and
+// two empty filter lists.
+func TestDASTranslateBytesPinned(t *testing.T) {
+	const (
+		indexTables = 509
+		serverQuery = 16
+		// Eight keys a side, so eight partitions each.
+		parts = 8
+	)
+	r1, r2 := benchRelations(t, 8, 2, 8, 2, 0.5, 19920817)
+	var tr transcript
+	if _, _, err := (tap{log: &tr}).query(t, networkOver(t, nil, r1, r2), fixtureSQL, ProtocolDAS, Params{}); err != nil {
+		t.Fatal(err)
+	}
+	var its dasIndexTables
+	if got := tr.first(t, "client", msgDASIndexTables, &its); got != indexTables {
+		t.Errorf("das.index-tables is %d bytes, pinned %d", got, indexTables)
+	}
+	var sq das.ServerQuery
+	got := tr.first(t, "client", msgDASServerQuery, &sq)
+	if len(sq.PerAttr) != 1 {
+		t.Fatalf("server query over %d attributes, want 1", len(sq.PerAttr))
+	}
+	pairs := sq.PerAttr[0]
+	for _, p := range pairs {
+		if p.I1 >= parts || p.I2 >= parts {
+			t.Errorf("pair %v: a label outside [0, %d)", p, parts)
+		}
+	}
+	if want := 4 + 1 + uvarintLen(len(pairs)) + 2*len(pairs) + 2; got != want || got != serverQuery {
+		t.Errorf("das.server-query is %d bytes for %d pairs, closed form %d, pinned %d", got, len(pairs), want, serverQuery)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"github.com/secmediation/secmediation/internal/parallel"
 	"github.com/secmediation/secmediation/internal/pm"
 	"github.com/secmediation/secmediation/internal/relation"
+	"github.com/secmediation/secmediation/internal/sqlparse"
 	"github.com/secmediation/secmediation/internal/telemetry"
 )
 
@@ -31,12 +32,12 @@ type pmEvals struct {
 }
 
 // pmResult is the mediator's step 7 message to the client: all n+m
-// evaluations with their sealed tuple sets.
+// evaluations with their sealed tuple sets. It carries no A_i: the
+// client resolves them from its own query.
 type pmResult struct {
-	Session              string
-	Schema1, Schema2     relation.Schema
-	JoinCols1, JoinCols2 []string
-	Evals1, Evals2       []pm.Eval
+	Session          string
+	Schema1, Schema2 relation.Schema
+	Evals1, Evals2   []pm.Eval
 }
 
 // servePM implements a datasource's role in Listing 4: build the
@@ -158,7 +159,6 @@ func (m *Mediator) mediatePM(client, s1, s2 *link.Link, d *decomposition, watch 
 	return client.Send(msgPMResult, pmResult{
 		Session: c1.Session,
 		Schema1: c1.Schema, Schema2: c2.Schema,
-		JoinCols1: d.joinCols1, JoinCols2: d.joinCols2,
 		Evals1: e1.Evals, Evals2: e2.Evals,
 	})
 }
@@ -181,21 +181,28 @@ type pmSide map[string][]relation.Tuple
 
 // runPM implements the client's step 8: decrypt all n+m evaluations under
 // the query key's scalar, open the blobs that match, match equal join
-// keys across the two sides and cross-combine the tuple sets.
-func (c *Client) runPM(mediator *link.Link, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
+// keys across the two sides and cross-combine the tuple sets. The client
+// resolves A_i from its own query q over the schemas the sources sealed
+// under.
+func (c *Client) runPM(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.PrivateKey, watch *stopwatch) (*relation.Relation, relation.Schema, []string, error) {
 	var res pmResult
 	if err := mediator.Recv(msgPMResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
 	var joined *relation.Relation
+	var joinCols1, joinCols2 []string
 	err := watch.phase(telemetry.PhasePostFilter, func() error {
+		var err error
+		if joinCols1, joinCols2, err = joinColumns(q, res.Schema1, res.Schema2); err != nil {
+			return mediator.Blame(err)
+		}
 		sk := ecelgamal.KeyFromECDH(queryKey)
 		// Table 1: the client receives encrypted values of both partial
 		// results (n+m of them) but can open only the matching ones.
 		c.Ledger.Observe(leakage.PartyClient, "encrypted-values-received", int64(len(res.Evals1)+len(res.Evals2)))
 		c.Ledger.UsePrimitive(leakage.PartyClient, "homomorphic-decryption", int64(len(res.Evals1)+len(res.Evals2)))
 
-		layout1, layout2, err := joinLayouts(res.Schema1, res.Schema2, res.JoinCols1, res.JoinCols2, "pm:"+res.Session)
+		layout1, layout2, err := joinLayouts(res.Schema1, res.Schema2, joinCols1, joinCols2, "pm:"+res.Session)
 		if err != nil {
 			return err
 		}
@@ -234,7 +241,7 @@ func (c *Client) runPM(mediator *link.Link, queryKey *ecdh.PrivateKey, watch *st
 	if err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
-	return joined, res.Schema2, res.JoinCols2, nil
+	return joined, res.Schema2, joinCols2, nil
 }
 
 // pmOpened is one evaluation after decryption: ok marks a match.

@@ -357,7 +357,7 @@ func TestPMOpCount(t *testing.T) {
 		{45, 1, 30, 15, pmOps{869, 538, 890}},
 		{150, 1, 100, 15, pmOps{3384, 2168, 3518}},
 	} {
-		r1, r2 := benchRelations(t, tc.keys1, tc.mult1, tc.keys2, tc.mult2, 1)
+		r1, r2 := benchRelations(t, tc.keys1, tc.mult1, tc.keys2, tc.mult2, 1, 1)
 		shape := func(r *rel.Relation) (n, b, l int64) {
 			dom, err := r.ActiveDomain("id")
 			if err != nil {
@@ -529,7 +529,9 @@ func TestPMEmptyTupleSetBlamesMediator(t *testing.T) {
 	_, _, err := tap{log: &tr, onSend: rewrite(t, "client", msgPMResult, func(res *pmResult) {
 		var req Request
 		tr.first(t, "client", msgRequest, &req)
-		layout, err := newTupLayout(res.Schema1, res.JoinCols1, "pm:"+res.Session)
+		var pq PartialQuery
+		tr.first(t, "source:R1", msgPartialQuery, &pq)
+		layout, err := newTupLayout(res.Schema1, pq.JoinCols, "pm:"+res.Session)
 		if err != nil {
 			t.Fatal(err)
 		}

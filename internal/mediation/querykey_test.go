@@ -183,7 +183,10 @@ func TestMalformedQueryKeyDenied(t *testing.T) {
 // and every party unwinds. One that is not 33 bytes long does not decode,
 // and the client blames the mediator that sent it.
 func TestHostileKeyShare(t *testing.T) {
-	uncompressed, err := ecdh.P256().GenerateKey(rand.Reader)
+	// A fixed point, not a fresh one: a random 65-byte splice can leave
+	// a frame that decodes by chance, which moves the check to the
+	// client. The hook below asserts that no splice decodes.
+	uncompressed, err := ecdh.P256().NewPrivateKey(bytes.Repeat([]byte{1}, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +235,14 @@ func TestHostileKeyShare(t *testing.T) {
 					if link != "client" || m.Type != p.msg {
 						return m
 					}
-					return hostileFrame(t, m.Type, hybrid.PointSize, bad, p.edit(t, m))
+					out := hostileFrame(t, m.Type, hybrid.PointSize, bad, p.edit(t, m))
+					if len(bad) != hybrid.PointSize {
+						payload, err := transport.Payload(out)
+						if err == nil && codec.Unmarshal(payload, messageDecoders[decoderFor(t, m.Type)].new()) == nil {
+							t.Errorf("the %d-byte splice decodes as %s", len(bad), m.Type)
+						}
+					}
+					return out
 				}}.query(t, newTestNetwork(t, nil), fixtureSQL, p.proto, fastParams())
 				var pe *ProtocolError
 				if !errors.As(err, &pe) {

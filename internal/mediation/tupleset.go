@@ -15,9 +15,9 @@ import (
 // Intersect) nothing is fixed, so a row never has zero width.
 //
 // A source builds the layout from its partial query's JoinCols, the
-// client from the JoinCols the mediator relays; the AAD binds the key
-// positions, so a relayed JoinCols that moves them makes the sets fail
-// to open instead of decoding shifted.
+// client from the A_i it resolves from its own query; the AAD binds the
+// key positions, so a mediator that hands a source other join columns
+// makes the sets fail to open instead of decoding shifted.
 type tupLayout struct {
 	schema relation.Schema
 	// key holds the positions of A_i in JoinCols order: a row's join
@@ -51,9 +51,9 @@ func newTupLayout(s relation.Schema, joinCols []string, tag string) (tupLayout, 
 	return l, nil
 }
 
-// joinLayouts builds the client's layouts of both sides from a relayed
-// result. The two JoinCols lists pair up column by column, so they must
-// have one length.
+// joinLayouts builds the client's layouts of both sides of a result.
+// The two join column lists pair up column by column, so they must have
+// one length.
 func joinLayouts(s1, s2 relation.Schema, cols1, cols2 []string, tag string) (l1, l2 tupLayout, err error) {
 	if len(cols1) != len(cols2) {
 		return l1, l2, fmt.Errorf("join columns %v and %v do not pair up", cols1, cols2)

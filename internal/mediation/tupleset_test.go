@@ -11,6 +11,7 @@ import (
 	"github.com/secmediation/secmediation/internal/codec"
 	"github.com/secmediation/secmediation/internal/crypto/commutative"
 	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
+	"github.com/secmediation/secmediation/internal/leakage"
 	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/workload"
 )
@@ -167,26 +168,32 @@ func TestFactoredKeysBitExact(t *testing.T) {
 	})
 }
 
-// A relayed JoinCols the client cannot resolve — an unknown column, or a
-// column repeated so the two lists no longer pair up — ends the query in
-// a *ProtocolError, not a panic or a result.
+// The commutative and PM clients resolve A_i from their own query over
+// the schemas the mediator relays in comm.result and pm.result. A
+// relayed schema in which a join column of the query does not resolve —
+// renamed away, repeated so that it is ambiguous, or dropped with every
+// other column — ends the query in a *ProtocolError that blames the
+// mediator, not a panic or a result.
 func TestRelayedJoinColsUnresolvable(t *testing.T) {
 	rewrites := []struct {
-		name         string
-		cols1, cols2 []string
+		name string
+		edit func(*rel.Schema)
 	}{
-		{"unknown", []string{"nope"}, []string{"id"}},
-		{"duplicated", []string{"id", "id"}, []string{"id"}},
-		{"empty", nil, nil},
+		{"unknown", func(s *rel.Schema) { s.Columns[0].Name = "nope" }},
+		{"duplicated", func(s *rel.Schema) { s.Columns = append(s.Columns, s.Columns[0]) }},
+		{"empty", func(s *rel.Schema) { s.Columns = nil }},
 	}
 	for _, proto := range []Protocol{ProtocolCommutative, ProtocolPM} {
 		for _, rw := range rewrites {
 			t.Run(proto.String()+"/"+rw.name, func(t *testing.T) {
-				got, _, err := tap{onSend: editJoinCols(t, func(c1, c2 *[]string) { *c1, *c2 = rw.cols1, rw.cols2 })}.
-					query(t, newTestNetwork(t, nil), fixtureSQL, proto, fastParams())
+				edit := chain(
+					rewrite(t, "client", msgCommResult, func(r *commResult) { rw.edit(&r.Schema1) }),
+					rewrite(t, "client", msgPMResult, func(r *pmResult) { rw.edit(&r.Schema1) }),
+				)
+				got, _, err := tap{onSend: edit}.query(t, newTestNetwork(t, nil), fixtureSQL, proto, fastParams())
 				var pe *ProtocolError
-				if !errors.As(err, &pe) {
-					t.Fatalf("query returned %v, %v; want a *ProtocolError", got, err)
+				if !errors.As(err, &pe) || pe.Party != leakage.PartyMediator {
+					t.Fatalf("query returned %v, %v; want a *ProtocolError blaming the mediator", got, err)
 				}
 				t.Logf("aborted: %v", err)
 			})
@@ -194,24 +201,16 @@ func TestRelayedJoinColsUnresolvable(t *testing.T) {
 	}
 }
 
-// editJoinCols is the hook that applies edit to the JoinCols of the
-// comm.result or pm.result the mediator sends the client.
-func editJoinCols(t *testing.T, edit func(c1, c2 *[]string)) hook {
-	return chain(
-		rewrite(t, "client", msgCommResult, func(r *commResult) { edit(&r.JoinCols1, &r.JoinCols2) }),
-		rewrite(t, "client", msgPMResult, func(r *pmResult) { edit(&r.JoinCols1, &r.JoinCols2) }),
-	)
-}
-
 // benchRelations builds a benchmark workload's relations as the
 // benchmark harness does: Mult layers of a workload.JoinSpec with keys1
-// and keys2 distinct keys, so every R1 key holds mult1 rows and every R2
-// key mult2, each with one 16-byte TEXT payload.
-func benchRelations(t *testing.T, keys1, mult1, keys2, mult2 int, seed int64) (r1, r2 *rel.Relation) {
+// and keys2 distinct keys, of which the overlap share is shared, so
+// every R1 key holds mult1 rows and every R2 key mult2, each with one
+// 16-byte TEXT payload.
+func benchRelations(t *testing.T, keys1, mult1, keys2, mult2 int, overlap float64, seed int64) (r1, r2 *rel.Relation) {
 	t.Helper()
 	for i := 0; i < max(mult1, mult2); i++ {
 		a, b, err := workload.JoinSpec{Rows1: keys1, Domain1: keys1, Rows2: keys2, Domain2: keys2,
-			Overlap: 1, PayloadCols: 1, PayloadWidth: 16, Seed: seed + int64(i)*1000003}.Generate()
+			Overlap: overlap, PayloadCols: 1, PayloadWidth: 16, Seed: seed + int64(i)*1000003}.Generate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,20 +272,20 @@ func resultBody(t *testing.T, r1, r2 *rel.Relation, proto Protocol, params Param
 // one pair per matched key of two sealed sets of 12 (nonce) + 16 (tag) +
 // setLen bytes. pm.result on pm_small's 45 ⋈ 450 rows: a header, then
 // one evaluation per active-domain value of a 66-byte ciphertext and a
-// blob of 16 (tag) + setLen bytes. Each body adds its 8-byte digest.
+// blob of 16 (tag) + setLen bytes. Each body adds its 4-byte digest.
 // The totals are pinned too, so a header that grows fails as well. The
 // mediator–source links carry elements only: each of the four comm.cross
 // and comm.cross-back frames on comm_tpch's shape is vlen(k) + 32·k for
 // k opposite active-domain values.
 func TestResultBytesClosedForm(t *testing.T) {
 	const (
-		digest = 8
+		digest = 4
 		// 100 pairs of a 1-row and a 15-row set of (id INT, p0 TEXT(16)).
-		commTPCH = 35040
+		commTPCH = 35028
 		// 45 one-row and 30 fifteen-row evaluations, 4 buckets.
-		pmSmall = 15420
+		pmSmall = 15408
 		// Two frames of 100 and two of 150 elements.
-		commCrossTPCH = 16038
+		commCrossTPCH = 16022
 	)
 	keyed := func(r *rel.Relation) map[string][]rel.Tuple {
 		groups, err := r.GroupByColumns([]string{"id"})
@@ -303,7 +302,7 @@ func TestResultBytesClosedForm(t *testing.T) {
 	fixed := []int{0}
 
 	t.Run("comm.result", func(t *testing.T) {
-		r1, r2 := benchRelations(t, 150, 1, 100, 15, 1)
+		r1, r2 := benchRelations(t, 150, 1, 100, 15, 1, 1)
 		var res commResult
 		got := resultBody(t, r1, r2, ProtocolCommutative, Params{}, msgCommResult, &res)
 		header := res
@@ -326,7 +325,7 @@ func TestResultBytesClosedForm(t *testing.T) {
 		t.Logf("comm.result: %d bytes, %d pairs", got, matched)
 	})
 	t.Run("comm.cross", func(t *testing.T) {
-		r1, r2 := benchRelations(t, 150, 1, 100, 15, 1)
+		r1, r2 := benchRelations(t, 150, 1, 100, 15, 1, 1)
 		// The mediator sends S1 R2's 100 elements, and S2 R1's 150; each
 		// source returns as many.
 		opposite := map[string]int{"source:R1": 100, "source:R2": 150}
@@ -353,7 +352,7 @@ func TestResultBytesClosedForm(t *testing.T) {
 		}
 	})
 	t.Run("pm.result", func(t *testing.T) {
-		r1, r2 := benchRelations(t, 45, 1, 30, 15, 1)
+		r1, r2 := benchRelations(t, 45, 1, 30, 15, 1, 1)
 		var res pmResult
 		got := resultBody(t, r1, r2, ProtocolPM, Params{}, msgPMResult, &res)
 		header := res

@@ -74,6 +74,15 @@ func WriteCSV(r *Relation, w io.Writer) error {
 		for i, v := range t {
 			row[i] = v.String()
 		}
+		if len(row) == 1 && row[0] == "" {
+			// csv.Writer writes a lone empty field as an empty line,
+			// which every reader skips: quote it so the row survives.
+			cw.Flush()
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return fmt.Errorf("relation: write csv row: %w", err)
+			}
+			continue
+		}
 		if err := cw.Write(row); err != nil {
 			return fmt.Errorf("relation: write csv row: %w", err)
 		}

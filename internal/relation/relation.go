@@ -173,11 +173,15 @@ func (r *Relation) EqualMultiset(o *Relation) bool {
 
 // ActiveDomain returns the sorted set of distinct values appearing in the
 // named column — domactive(A) in the paper's notation. The commutative and
-// PM protocols operate on exactly this set.
+// PM protocols operate on exactly this set. Distinct is Value.Equal: a
+// FLOAT column keeps every NaN row and merges −0 with +0.
 func (r *Relation) ActiveDomain(column string) ([]Value, error) {
 	i := r.schema.IndexOf(column)
 	if i < 0 {
 		return nil, fmt.Errorf("relation: %s has no column %q", r.schema.Relation, column)
+	}
+	if r.schema.Columns[i].Kind == KindInt {
+		return r.intDomain(i), nil
 	}
 	// Sort row positions, not a copy of the column, and count the
 	// distinct values before collecting them.
@@ -201,6 +205,22 @@ func (r *Relation) ActiveDomain(column string) ([]Value, error) {
 		}
 	}
 	return out, nil
+}
+
+// intDomain is ActiveDomain of the INT column i: its keys sort as int64,
+// not through Value.Compare.
+func (r *Relation) intDomain(i int) []Value {
+	keys := make([]int64, len(r.tuples))
+	for k, t := range r.tuples {
+		keys[k] = t[i].i()
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	out := make([]Value, len(keys))
+	for k, n := range keys {
+		out[k] = Int(n)
+	}
+	return out
 }
 
 // Filter returns a new relation containing the tuples for which keep

@@ -59,8 +59,10 @@ func TestRetryableMidFrameStall(t *testing.T) {
 	c := transport.WrapNetConn(local)
 	defer c.Close()
 	c.SetTimeout(20 * time.Millisecond)
-	// A length prefix promising 64 bytes, 2 of them, then silence.
-	go peer.Write([]byte{64, 0, 0})
+	// A data frame header promising a 64-byte body (format 1 in the first
+	// byte's high bits, then session id 0, an empty type tag and the body
+	// length), 2 bytes of it, then silence.
+	go peer.Write([]byte{1 << 4, 0, 0, 64, 0, 0})
 	_, err := c.Recv()
 	if errors.Is(err, transport.ErrTimeout) || !Retryable(err) {
 		t.Fatalf("mid-frame stall: %v; want a retryable, non-timeout error", err)

@@ -9,26 +9,13 @@ import (
 	"github.com/secmediation/secmediation/internal/transport"
 )
 
-// The mux frame header lives in the transport.Message type tag, so a
-// multiplexed link reuses the transport's frames unchanged and the
-// per-link wire-byte accounting automatically includes the mux
-// overhead. The format is
-//
-//	mux.<op>.<sid>[.<rest>]
-//
-// where <op> is a one-byte opcode, <sid> the decimal session ID, and
-// <rest> the inner message type (data frames) or the reject reason
-// (reject frames). Bodies travel verbatim: a data frame's body IS the
-// session message's body, with no re-encoding.
-const framePrefix = "mux."
-
-// Frame opcodes.
-const (
-	opOpen   byte = 'o' // open a new session (sid chosen by the sender)
-	opData   byte = 'd' // payload frame for an open session
-	opClose  byte = 'c' // orderly close of a session
-	opReject byte = 'r' // refuse a session the peer opened
-)
+// The mux frame header is transport.Message's own: the opcode (Op) and
+// the session id (Session), which a TCP link encodes in its frame header,
+// so the per-link wire-byte accounting automatically includes the mux
+// overhead. A data frame's Type and Body are the session message's,
+// verbatim; a reject frame's Type is the reject reason; open and close
+// frames carry neither. Session ids are never 0 (the opener's ids are
+// odd, the server's even), so a frame of session 0 is not a mux frame.
 
 // Reject-frame reasons. An overload reject may append a retry-after
 // hint in whole milliseconds ("overloaded:250"); a draining reject
@@ -80,33 +67,10 @@ func (e *retryHintError) Unwrap() error { return e.err }
 // RetryAfter returns the peer's suggested backoff before retrying.
 func (e *retryHintError) RetryAfter() time.Duration { return e.hint }
 
-// isMuxFrame reports whether a message type tag carries the mux frame
-// header — the Server's check of a link's first frame.
-func isMuxFrame(typ string) bool {
-	return strings.HasPrefix(typ, framePrefix)
-}
-
-// parseFrame splits a frame type tag into opcode, session ID and the
-// trailing field. Malformed frames return ok=false and are discarded
-// (and counted) by the demux loop rather than failing the link: a
-// single damaged header must not take sibling sessions down.
-func parseFrame(typ string) (op byte, sid uint64, rest string, ok bool) {
-	tail, found := strings.CutPrefix(typ, framePrefix)
-	if !found || len(tail) < 3 || tail[1] != '.' {
-		return 0, 0, "", false
-	}
-	op = tail[0]
-	switch op {
-	case opOpen, opData, opClose, opReject:
-	default:
-		return 0, 0, "", false
-	}
-	sidStr, rest, _ := strings.Cut(tail[2:], ".")
-	sid, err := strconv.ParseUint(sidStr, 10, 64)
-	if err != nil {
-		return 0, 0, "", false
-	}
-	return op, sid, rest, true
+// isMuxFrame reports whether a frame carries a session — the Server's
+// check of a link's first frame.
+func isMuxFrame(m transport.Message) bool {
+	return m.Session != 0
 }
 
 // dataFrame wraps a session message into a mux data frame. The body is
@@ -114,23 +78,16 @@ func parseFrame(typ string) (op byte, sid uint64, rest string, ok bool) {
 //
 // seclint:wire wraps an already-encoded payload body for the shared link
 func dataFrame(sid uint64, m transport.Message) transport.Message {
-	return transport.Message{
-		Type: framePrefix + string(opData) + "." + strconv.FormatUint(sid, 10) + "." + m.Type,
-		Body: m.Body,
-	}
+	return transport.Message{Op: transport.OpData, Session: sid, Type: m.Type, Body: m.Body}
 }
 
-// controlFrame builds a bodyless open/close/reject frame; reason is
-// appended for rejects.
-func controlFrame(op byte, sid uint64, reason string) transport.Message {
-	typ := framePrefix + string(op) + "." + strconv.FormatUint(sid, 10)
-	if reason != "" {
-		typ += "." + reason
-	}
-	return transport.Message{Type: typ}
+// controlFrame builds a bodyless open/close/reject frame; reason is the
+// type tag of a reject.
+func controlFrame(op transport.Op, sid uint64, reason string) transport.Message {
+	return transport.Message{Op: op, Session: sid, Type: reason}
 }
 
 // unwrapData recovers the session message from a data frame.
-func unwrapData(rest string, frame transport.Message) transport.Message {
-	return transport.Message{Type: rest, Body: frame.Body}
+func unwrapData(frame transport.Message) transport.Message {
+	return transport.Message{Type: frame.Type, Body: frame.Body}
 }

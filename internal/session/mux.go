@@ -73,7 +73,7 @@ func (m *Mux) Open() (*Stream, error) {
 	m.mu.Unlock()
 	m.count("mux_sessions_opened")
 	m.gaugeActive()
-	if err := m.send(controlFrame(opOpen, sid, "")); err != nil {
+	if err := m.send(controlFrame(transport.OpOpen, sid, "")); err != nil {
 		m.removeStream(sid)
 		return nil, fmt.Errorf("session: open: %w", err)
 	}
@@ -161,18 +161,18 @@ func (m *Mux) recvLoop(preread []transport.Message) {
 }
 
 // dispatch routes one inbound frame. Unknown sessions and malformed
-// headers are counted and dropped — stale frames for a session closed
-// locally must not damage its siblings.
+// headers (session 0, an unknown opcode) are counted and dropped — stale
+// frames for a session closed locally must not damage its siblings.
 func (m *Mux) dispatch(frame transport.Message) {
-	op, sid, rest, ok := parseFrame(frame.Type)
-	if !ok {
+	sid := frame.Session
+	if sid == 0 {
 		m.count("mux_frames_malformed")
 		return
 	}
-	switch op {
-	case opOpen:
+	switch frame.Op {
+	case transport.OpOpen:
 		m.handleOpen(sid)
-	case opData:
+	case transport.OpData:
 		m.mu.Lock()
 		st := m.streams[sid]
 		m.mu.Unlock()
@@ -180,8 +180,8 @@ func (m *Mux) dispatch(frame transport.Message) {
 			m.count("mux_frames_stale")
 			return
 		}
-		st.deliver(unwrapData(rest, frame), int64(frame.Size()))
-	case opClose:
+		st.deliver(unwrapData(frame), int64(frame.FrameSize()))
+	case transport.OpClose:
 		m.mu.Lock()
 		st := m.streams[sid]
 		delete(m.streams, sid)
@@ -190,16 +190,18 @@ func (m *Mux) dispatch(frame transport.Message) {
 			st.peerClose()
 			m.gaugeActive()
 		}
-	case opReject:
+	case transport.OpReject:
 		m.mu.Lock()
 		st := m.streams[sid]
 		delete(m.streams, sid)
 		m.mu.Unlock()
 		if st != nil {
-			st.fail(parseReject(sid, rest))
+			st.fail(parseReject(sid, frame.Type))
 			m.count("mux_sessions_rejected_by_peer")
 			m.gaugeActive()
 		}
+	default:
+		m.count("mux_frames_malformed")
 	}
 }
 
@@ -234,7 +236,7 @@ func (m *Mux) handleOpen(sid uint64) {
 // reject refuses a peer-opened session with the given reason.
 func (m *Mux) reject(sid uint64, reason string) {
 	m.count("mux_sessions_rejected")
-	if err := m.send(controlFrame(opReject, sid, reason)); err != nil {
+	if err := m.send(controlFrame(transport.OpReject, sid, reason)); err != nil {
 		// The link just died; fail() already tore everything down and
 		// the opener learns from the link failure instead.
 		return
@@ -330,14 +332,17 @@ func (s *Stream) SessionID() uint64 { return s.id }
 // deliver enqueues one inbound message. A full queue blocks the demux
 // loop (bounded buffering is the link's backpressure); a session closed
 // locally discards instead, so an abandoned session cannot stall its
-// siblings.
+// siblings. The frame is counted before the hand-off, so a consumer
+// that reads Stats after Recv sees it, and uncounted when discarded.
 func (s *Stream) deliver(msg transport.Message, wireSize int64) {
+	s.stats.CountRecv(wireSize)
 	select {
 	case s.in <- msg:
-		s.stats.CountRecv(wireSize)
 	case <-s.closed:
+		s.stats.UncountRecv(wireSize)
 		s.mux.count("mux_frames_stale")
 	case <-s.mux.done:
+		s.stats.UncountRecv(wireSize)
 	}
 }
 
@@ -388,7 +393,7 @@ func (s *Stream) Send(m transport.Message) error {
 	if err := s.mux.send(frame); err != nil {
 		return fmt.Errorf("session: send: %w", err)
 	}
-	s.stats.CountSend(int64(frame.Size()))
+	s.stats.CountSend(int64(frame.FrameSize()))
 	return nil
 }
 
@@ -445,7 +450,7 @@ func (s *Stream) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.closed)
 		s.mux.removeStream(s.id)
-		if err := s.mux.send(controlFrame(opClose, s.id, "")); err != nil {
+		if err := s.mux.send(controlFrame(transport.OpClose, s.id, "")); err != nil {
 			// The link is already down; every session has been failed
 			// and the peer learns from the link, not the frame.
 			return
@@ -497,5 +502,6 @@ func (s *Stream) SetTimeout(d time.Duration) {
 }
 
 // Stats implements transport.Conn: this session's share of the link
-// traffic, counted in full frames (mux header included).
+// traffic, counted in full frames (header included, see
+// transport.Message.FrameSize).
 func (s *Stream) Stats() *transport.Stats { return &s.stats }

@@ -313,8 +313,11 @@ func TestMuxMidFrameTimeoutFailsLink(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	go func() {
-		// A length prefix promising 64 bytes, 10 of them, then silence.
-		peer.Write([]byte{64})
+		// A data frame header for session 1 promising a 64-byte body
+		// (format 1 in the first byte's high bits, then the session id,
+		// the type tag's length and the body's length), 10 bytes of it,
+		// then silence.
+		peer.Write([]byte{1<<4 | byte(transport.OpData), 1, 0, 64})
 		peer.Write(make([]byte, 10))
 	}()
 	err = testutil.WithinDeadline(t, time.Second, func() error {
@@ -347,20 +350,21 @@ func TestMuxStrayFrames(t *testing.T) {
 		t.Fatalf("expect: %v", err)
 	}
 
-	// Inject junk below the mux: malformed header, unknown session,
-	// unknown opcode, close for a session that never existed.
-	for _, typ := range []string{
-		"not-a-mux-frame",
-		"mux.",
-		"mux.d.",
-		"mux.d.notanumber.x",
-		"mux.z.1.x",
-		"mux.d.99.ghost",
-		"mux.c.97",
-		"mux.r.95.overloaded",
+	// Inject junk below the mux: frames of no session, an unknown
+	// opcode, data for an unknown session, close and reject for
+	// sessions that never existed, a duplicate open.
+	for _, f := range []transport.Message{
+		{Type: "not-a-mux-frame"},
+		{Op: transport.OpOpen},
+		{Op: transport.OpClose},
+		{Op: 9, Session: 1, Type: "x"},
+		{Op: transport.OpData, Session: 99, Type: "ghost"},
+		{Op: transport.OpClose, Session: 97},
+		{Op: transport.OpReject, Session: 95, Type: "overloaded"},
+		{Op: transport.OpOpen, Session: st.SessionID()},
 	} {
-		if err := cm.send(transport.Message{Type: typ}); err != nil {
-			t.Fatalf("inject %q: %v", typ, err)
+		if err := cm.send(f); err != nil {
+			t.Fatalf("inject %+v: %v", f, err)
 		}
 	}
 	// The live session still works after all of it.
@@ -516,5 +520,66 @@ func TestGateNil(t *testing.T) {
 	}
 	if NewGate(0, 5, nil) != nil {
 		t.Fatal("NewGate(0, ...) should disable admission control")
+	}
+}
+
+// Over TCP, a session's frames cost their closed-form width — one
+// opcode byte, vlen(sid) + vlen(t) + vlen(b) for a t-byte tag and a
+// b-byte body, then both — on the link and, for data frames, on the
+// session's own Stats at both ends: the open and close control frames
+// are 3 + vlen(sid) bytes each, and count on the link only.
+func TestMuxFrameWidthClosedForm(t *testing.T) {
+	snap := testutil.Snapshot()
+	defer testutil.CheckGoroutines(t, snap)
+	a, b := net.Pipe()
+	cm := NewMux(transport.WrapNetConn(a), Config{})
+	sm := NewMux(transport.WrapNetConn(b), Config{Server: true})
+	defer sm.Close()
+	defer cm.Close()
+	vlen := func(n int) int64 {
+		w := int64(1)
+		for ; n >= 0x80; n >>= 7 {
+			w++
+		}
+		return w
+	}
+	st, err := cm.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid := int(st.SessionID())
+	control := 3 + vlen(sid)
+	var data int64
+	for _, n := range []int{0, 10, 127, 128, 20000} {
+		typ := "data"
+		sendFrame(t, st, typ, string(make([]byte, n)))
+		data += 1 + vlen(sid) + vlen(len(typ)) + vlen(n) + int64(len(typ)+n)
+	}
+	srv, err := sm.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 5 {
+		if _, err := recvType(srv, "data"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := st.Stats().BytesSent(); got != data {
+		t.Errorf("session sent %d bytes, closed form %d", got, data)
+	}
+	if got := srv.Stats().BytesRecv(); got != data {
+		t.Errorf("peer session received %d bytes, closed form %d", got, data)
+	}
+	if got := cm.Stats().BytesSent(); got != control+data {
+		t.Errorf("link sent %d bytes, closed form %d (open frame %d, data %d)", got, control+data, control, data)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Recv(); err != io.EOF {
+		t.Fatalf("recv after close: %v, want io.EOF", err)
+	}
+	if got := sm.Stats().BytesRecv(); got != 2*control+data {
+		t.Errorf("peer link received %d bytes, closed form %d", got, 2*control+data)
 	}
 }

@@ -207,7 +207,7 @@ func (s *Server) serveLink(conn transport.Conn) {
 	s.gaugeLinks(1)
 	defer s.gaugeLinks(-1)
 	first, err := conn.Recv()
-	if err != nil || !isMuxFrame(first.Type) {
+	if err != nil || !isMuxFrame(first) {
 		// The peer vanished before speaking, or does not speak the mux
 		// framing; nothing to serve.
 		if err == nil {

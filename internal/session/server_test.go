@@ -207,6 +207,38 @@ func TestServerRefusesPlainLink(t *testing.T) {
 	}
 }
 
+// TestServerRefusesOtherFormat checks that a peer writing frames of
+// another format — here a mux open in the previous format, a 6-byte
+// header and the textual tag "mux.o.1" — is refused at its first frame:
+// the link is closed unserved and the handler never runs.
+func TestServerRefusesOtherFormat(t *testing.T) {
+	var handled atomic.Int64
+	addr := startServer(t, &Server{
+		Handler: func(c transport.Conn) error {
+			handled.Add(1)
+			return echoHandler(c)
+		},
+		Logf: t.Logf,
+	})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer nc.Close()
+	if err := nc.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(append([]byte{0, 7, 0, 0, 0, 0}, "mux.o.1"...)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if n, err := nc.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on a link of another format = %d bytes, %v; want the link closed", n, err)
+	}
+	if n := handled.Load(); n != 0 {
+		t.Fatalf("handler ran %d times for a link of another format, want 0", n)
+	}
+}
+
 // TestServerGateReject checks cross-link admission control: with every
 // slot busy and no wait queue, a new session is refused with a typed
 // ErrOverloaded reaching the opener, and admitted work is unaffected.

@@ -16,7 +16,7 @@ func FuzzTCPRecv(f *testing.F) {
 	f.Add(append(valid, 1, 2, 3))
 	f.Add(append(frameHeaderBytes(3, 0), "ack"...))
 	f.Add(frameHeaderBytes(0, limit+1))
-	f.Add(frameHeaderBytes(2, 9)[:4])
+	f.Add(frameHeaderBytes(2, 9)[:3])
 	f.Add(append(frameHeaderBytes(1, 9), 't', 1, 2))
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		p1, p2 := net.Pipe()

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -134,11 +135,12 @@ func TestTCPCleanCloseEOF(t *testing.T) {
 	}
 }
 
-// frameHeaderBytes hand-builds a frame header: a type tag of typeLen
-// bytes and a body of bodyLen bytes follow it.
-func frameHeaderBytes(typeLen uint16, bodyLen uint32) []byte {
-	return []byte{byte(typeLen >> 8), byte(typeLen),
-		byte(bodyLen >> 24), byte(bodyLen >> 16), byte(bodyLen >> 8), byte(bodyLen)}
+// frameHeaderBytes hand-builds the header of a data frame of session 0:
+// a type tag of typeLen bytes and a body of bodyLen bytes follow it.
+func frameHeaderBytes(typeLen, bodyLen uint64) []byte {
+	h := []byte{frameVersion << frameVersionShift, 0}
+	h = binary.AppendUvarint(h, typeLen)
+	return binary.AppendUvarint(h, bodyLen)
 }
 
 // TestTCPRecvErrorWrapped closes the stream inside a frame — after a
@@ -210,23 +212,65 @@ func TestTCPMidFrameTimeoutPoisonsLink(t *testing.T) {
 	}
 }
 
+// TestTCPRefusesOtherFormat feeds frames a peer of another format
+// writes — the previous format's 16-bit type length, whose first byte
+// is 0, and a header of padded uvarints — and a frame that needs more
+// than the four opcode bits. Recv refuses each at its header, and the
+// link stays poisoned; Send refuses an opcode it cannot encode.
+func TestTCPRefusesOtherFormat(t *testing.T) {
+	for name, stream := range map[string][]byte{
+		"format 0":       {0, 4, 0, 0, 0, 3, 'p', 'i', 'n', 'g', 1, 2, 3},
+		"format 2":       append([]byte{2 << frameVersionShift}, frameHeaderBytes(1, 0)[1:]...),
+		"padded uvarint": {frameVersion << frameVersionShift, 0x80, 0x00, 0, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p1, p2 := net.Pipe()
+			defer p1.Close()
+			c := WrapNetConn(p2)
+			defer c.Close()
+			c.SetTimeout(2 * time.Second)
+			go p1.Write(stream)
+			_, err := c.Recv()
+			if !errors.Is(err, errFormat) {
+				t.Fatalf("recv of a frame of another format = %v, want errFormat", err)
+			}
+			if _, again := c.Recv(); again == nil || again.Error() != err.Error() {
+				t.Errorf("second recv = %v, want the sticky %v", again, err)
+			}
+		})
+	}
+	p1, p2 := net.Pipe()
+	defer p2.Close()
+	c := WrapNetConn(p1)
+	defer c.Close()
+	if err := c.Send(Message{Op: opLimit}); err == nil || c.Stats().BytesSent() != 0 {
+		t.Errorf("send of opcode %d = %v after %d bytes, want a refusal before any", opLimit, err, c.Stats().BytesSent())
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Message size limit.
 
 // TestTCPOversizedHeader feeds hand-built headers whose declared frame
 // exceeds the limit — through the body length, and through the type
-// length alone. Recv must reject each from the 6-byte header, before
+// length alone — or whose type tag exceeds maxTypeLen under a limit
+// that would hold it. Recv must reject each from the header, before
 // reading or allocating anything more, and the connection stays
 // poisoned.
 func TestTCPOversizedHeader(t *testing.T) {
-	for name, hdr := range map[string][]byte{
-		"body":     frameHeaderBytes(3, math.MaxUint32),
-		"type tag": frameHeaderBytes(math.MaxUint16, 0),
+	for name, tc := range map[string]struct {
+		hdr   []byte
+		limit int64
+	}{
+		"body":          {frameHeaderBytes(3, math.MaxUint32), 4096},
+		"type tag":      {frameHeaderBytes(math.MaxUint16, 0), 4096},
+		"type tag 64 K": {frameHeaderBytes(maxTypeLen+1, 0), 1 << 20},
 	} {
+		hdr := tc.hdr
 		t.Run(name, func(t *testing.T) {
 			p1, p2 := net.Pipe()
 			defer p1.Close()
-			c := WrapNetConnLimit(p2, 4096)
+			c := WrapNetConnLimit(p2, tc.limit)
 			defer c.Close()
 			// The header is all the peer ever sends: a Recv that tried to
 			// read the declared frame would stall into a mid-frame timeout.
@@ -247,8 +291,8 @@ func TestTCPOversizedHeader(t *testing.T) {
 	}
 }
 
-// TestTCPSendRejectsUnframable pins that a type tag too long for its
-// 16-bit header field is refused with a typed error, not truncated.
+// TestTCPSendRejectsUnframable pins that a type tag past maxTypeLen is
+// refused with a typed error, not sent.
 func TestTCPSendRejectsUnframable(t *testing.T) {
 	p1, p2 := net.Pipe()
 	defer p2.Close()

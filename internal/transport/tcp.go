@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,10 +21,27 @@ import (
 // claiming gigabytes is rejected before any allocation.
 const DefaultMaxMessage = 256 << 20 // 256 MiB
 
-// frameHeader is the length of the header in front of every frame on a
-// TCP link: the type tag's length as a big-endian uint16, then the
-// body's length as a big-endian uint32. The tag and the body follow.
-const frameHeader = 6
+// A frame on a TCP link is its header, its type tag and its body. The
+// header is one byte, the format version above the opcode, then the
+// session id, the type tag's length and the body's length as minimal
+// uvarints (see Message.FrameSize).
+const (
+	// frameVersion is the frame format. A peer that writes another
+	// format is refused at its first frame; the format before this one
+	// began every frame with the high byte of a 16-bit type length, 0.
+	frameVersion      = 1
+	frameVersionShift = 4
+	// maxFrameHeader is the longest header: the first byte and three
+	// uvarints.
+	maxFrameHeader = 1 + 3*binary.MaxVarintLen64
+	// maxTypeLen bounds a type tag: tags are protocol names and reject
+	// reasons.
+	maxTypeLen = math.MaxUint16
+)
+
+// errFormat reports a frame of another format version, or a header that
+// is not minimal uvarints.
+var errFormat = errors.New("malformed frame header")
 
 // midFrame renders a read failure inside a frame for the sticky error.
 // A clean EOF becomes io.ErrUnexpectedEOF so it is never mistaken for an
@@ -43,11 +61,13 @@ func midFrame(err error) error {
 }
 
 // tcpConn adapts a net.Conn to the Conn interface with length-prefixed
-// frames (see frameHeader). Stats reports true wire bytes: every frame
-// costs exactly frameHeader + len(Type) + len(Body) on both ends.
+// frames (see frameVersion), read through one buffer per link, so a
+// header and a small body cost one read. Stats reports true wire bytes:
+// every frame costs exactly its FrameSize on both ends.
 type tcpConn struct {
 	nc        net.Conn
-	max       int64 // inbound limit on len(Type)+len(Body)
+	br        *bufio.Reader // guarded by recvMu
+	max       int64         // inbound limit on len(Type)+len(Body)
 	sendMu    sync.Mutex
 	recvMu    sync.Mutex
 	recvErr   error        // sticky, guarded by recvMu: the stream position is lost
@@ -78,7 +98,7 @@ func WrapNetConnLimit(nc net.Conn, maxMessage int64) Conn {
 	if maxMessage <= 0 {
 		maxMessage = DefaultMaxMessage
 	}
-	return &tcpConn{nc: nc, max: maxMessage}
+	return &tcpConn{nc: nc, br: bufio.NewReader(nc), max: maxMessage}
 }
 
 // Listener accepts party connections.
@@ -129,12 +149,17 @@ func (c *tcpConn) armDeadline(set func(time.Time) error) {
 // Send implements Conn. It writes the header and type tag from one
 // buffer and the body from the caller's slice, in one vectored write.
 func (c *tcpConn) Send(m Message) error {
-	if len(m.Type) > math.MaxUint16 || uint64(len(m.Body)) > math.MaxUint32 {
-		return fmt.Errorf("transport: tcp send: %w: %d-byte type tag, %d-byte body", ErrTooLarge, len(m.Type), len(m.Body))
+	if len(m.Type) > maxTypeLen {
+		return fmt.Errorf("transport: tcp send: %w: %d-byte type tag", ErrTooLarge, len(m.Type))
 	}
-	head := make([]byte, frameHeader, frameHeader+len(m.Type))
-	binary.BigEndian.PutUint16(head, uint16(len(m.Type)))
-	binary.BigEndian.PutUint32(head[2:], uint32(len(m.Body)))
+	if m.Op >= opLimit {
+		return fmt.Errorf("transport: tcp send: opcode %d has no encoding", m.Op)
+	}
+	head := make([]byte, 0, maxFrameHeader+len(m.Type))
+	head = append(head, frameVersion<<frameVersionShift|byte(m.Op))
+	head = binary.AppendUvarint(head, m.Session)
+	head = binary.AppendUvarint(head, uint64(len(m.Type)))
+	head = binary.AppendUvarint(head, uint64(len(m.Body)))
 	frame := net.Buffers{append(head, m.Type...)}
 	if len(m.Body) > 0 { // an empty write blocks net.Pipe until the peer's next read
 		frame = append(frame, m.Body)
@@ -154,17 +179,18 @@ func (c *tcpConn) Send(m Message) error {
 	return nil
 }
 
-// Recv implements Conn. It checks the header's declared size against the
-// limit before allocating, then reads the type tag and body into one
-// buffer.
+// Recv implements Conn. It checks the header's version, then its
+// declared type tag against maxTypeLen and its declared size against
+// the limit before allocating, then reads the type tag and body into
+// one buffer.
 //
 // Error mapping mirrors the in-memory transport: an orderly peer shutdown
 // between messages surfaces as bare io.EOF; a timeout before the first
 // header byte surfaces as an error matching ErrTimeout; neither is sticky,
 // because the stream is still aligned. Any failure after the first header
-// byte, and an oversized frame (ErrTooLarge), poisons the link: every
-// later Recv returns the same error, which never matches ErrTimeout (see
-// midFrame).
+// byte, a frame of another format, and an oversized frame (ErrTooLarge)
+// poison the link: every later Recv returns the same error, which never
+// matches ErrTimeout (see midFrame).
 func (c *tcpConn) Recv() (Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
@@ -172,32 +198,61 @@ func (c *tcpConn) Recv() (Message, error) {
 		return Message{}, c.recvErr
 	}
 	c.armDeadline(c.nc.SetReadDeadline)
-	var hdr [frameHeader]byte
-	n, err := io.ReadFull(c.nc, hdr[:])
-	c.stats.bytesRecv.Add(int64(n))
+	first, err := c.br.ReadByte()
 	switch {
-	case n == 0 && err == io.EOF:
+	case err == io.EOF:
 		return Message{}, io.EOF
-	case n == 0 && errors.Is(err, os.ErrDeadlineExceeded):
+	case errors.Is(err, os.ErrDeadlineExceeded):
 		return Message{}, fmt.Errorf("transport: tcp recv: %w", ErrTimeout)
-	case n == 0 && err != nil:
-		return Message{}, fmt.Errorf("transport: tcp recv: %w", err)
 	case err != nil:
-		return c.poison(fmt.Errorf("truncated frame header: %w", midFrame(err)))
+		return Message{}, fmt.Errorf("transport: tcp recv: %w", err)
 	}
-	typeLen := int64(binary.BigEndian.Uint16(hdr[:2]))
-	size := typeLen + int64(binary.BigEndian.Uint32(hdr[2:]))
-	if size > c.max {
-		return c.poison(fmt.Errorf("%w: frame declares %d bytes, limit %d", ErrTooLarge, size, c.max))
+	c.stats.bytesRecv.Add(1)
+	if v := first >> frameVersionShift; v != frameVersion {
+		return c.poison(fmt.Errorf("%w: format %d, want %d", errFormat, v, frameVersion))
 	}
-	buf := make([]byte, size)
-	n, err = io.ReadFull(c.nc, buf)
+	var h [3]uint64 // session id, type tag length, body length
+	for i := range h {
+		if h[i], err = c.uvarint(); err != nil {
+			return c.poison(fmt.Errorf("frame header: %w", midFrame(err)))
+		}
+	}
+	typeLen, bodyLen := h[1], h[2]
+	if typeLen > maxTypeLen {
+		return c.poison(fmt.Errorf("%w: frame declares a %d-byte type tag, limit %d", ErrTooLarge, typeLen, maxTypeLen))
+	}
+	if typeLen > uint64(c.max) || bodyLen > uint64(c.max)-typeLen {
+		return c.poison(fmt.Errorf("%w: frame declares a %d-byte type tag and a %d-byte body, limit %d", ErrTooLarge, typeLen, bodyLen, c.max))
+	}
+	buf := make([]byte, typeLen+bodyLen)
+	n, err := io.ReadFull(c.br, buf)
 	c.stats.bytesRecv.Add(int64(n))
 	if err != nil {
 		return c.poison(fmt.Errorf("truncated frame: %w", midFrame(err)))
 	}
 	c.stats.msgsRecv.Add(1)
-	return Message{Type: string(buf[:typeLen]), Body: buf[typeLen:]}, nil
+	return Message{Op: Op(first & (opLimit - 1)), Session: h[0], Type: string(buf[:typeLen]), Body: buf[typeLen:]}, nil
+}
+
+// uvarint reads one minimal uvarint of a frame header and counts its
+// bytes. The caller holds recvMu.
+func (c *tcpConn) uvarint() (uint64, error) {
+	var x uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := c.br.ReadByte()
+		if err != nil {
+			return 0, err
+		}
+		c.stats.bytesRecv.Add(1)
+		if b < 0x80 {
+			if i > 0 && b == 0 || i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, fmt.Errorf("%w: uvarint not minimal or past 64 bits", errFormat)
+			}
+			return x | uint64(b)<<(7*i), nil
+		}
+		x |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, fmt.Errorf("%w: uvarint past 64 bits", errFormat)
 }
 
 // poison records err as the link's sticky receive error. The caller

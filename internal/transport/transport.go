@@ -11,8 +11,9 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,19 +41,55 @@ var ErrTooLarge = errors.New("transport: message exceeds size limit")
 var ErrIntegrity = errors.New("transport: integrity: message digest mismatch")
 
 // Message is the unit of exchange between parties: a protocol-defined type
-// tag and an encoded body.
+// tag and an encoded body, behind the session layer's fixed header (an
+// opcode and a session id). A message of the zero header is a data frame
+// on a link without sessions.
 type Message struct {
 	// Type tags the message for dispatching (e.g. "das.partial-result").
 	Type string
 	// Body is the integrity digest followed by the encoded payload.
 	Body []byte
+	// Op is the frame's opcode (see OpData).
+	Op Op
+	// Session is the id of the multiplexed session the frame belongs to;
+	// 0 on a link without sessions.
+	Session uint64
 }
 
-// Size returns the accounted wire size of the message (type tag plus
-// body bytes) — the unit the in-memory transport counts in. Exported for
-// Conn wrappers outside this package (the session mux) that maintain
-// their own per-endpoint Stats.
+// Op is a frame's opcode: what the session layer does with it.
+type Op uint8
+
+// The opcodes. A TCP frame carries one in the low bits of its first
+// byte, below the format version (see frameVersion).
+const (
+	// OpData carries a message: a session's, or the link's own.
+	OpData Op = iota
+	// OpOpen opens a session; the sender picked its id.
+	OpOpen
+	// OpClose closes a session in order.
+	OpClose
+	// OpReject refuses a session the peer opened; Type holds the reason.
+	OpReject
+	// opLimit is one past the largest opcode a frame can carry.
+	opLimit = 1 << frameVersionShift
+)
+
+// Size returns the message's payload size: type tag plus body bytes.
+// The size limit of a TCP link bounds it.
 func (m Message) Size() int { return len(m.Type) + len(m.Body) }
+
+// FrameSize returns the bytes the message occupies on a TCP link: its
+// header (opcode byte, then the session id, the type tag's length and
+// the body's length as uvarints), its type tag and its body. Every
+// transport, and the session mux for each of its sessions, counts a
+// message at this size, so the in-memory links account the bytes a TCP
+// deployment puts on the wire.
+func (m Message) FrameSize() int {
+	return 1 + uvarintLen(m.Session) + uvarintLen(uint64(len(m.Type))) + uvarintLen(uint64(len(m.Body))) + m.Size()
+}
+
+// uvarintLen is the length of n's uvarint encoding.
+func uvarintLen(n uint64) int { return (bits.Len64(n|1) + 6) / 7 }
 
 // Encode encodes a payload into a message body: by its codec layout
 // when it has one, as every protocol message does, and as gob otherwise.
@@ -100,19 +137,21 @@ func Decode(b []byte, v any) error {
 
 // sumLen is the length of the integrity digest prefixed to every
 // message body by NewMessage and verified by Payload.
-const sumLen = 8
+const sumLen = 4
 
-// digest is the FNV-1a sum of an encoded payload. It detects accidental
+// castagnoli is the CRC-32C table; hash/crc32 computes it with the
+// CPU's CRC instruction where there is one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// digest is the CRC-32C of an encoded payload. It detects accidental
 // in-flight corruption and truncation (so protocols fail typed instead
 // of computing on mangled inputs); it is NOT a MAC — tamper resistance
 // comes from the hybrid-encryption layer above, per the paper's trust
-// model.
-func digest(payload []byte) uint64 {
-	h := fnv.New64a()
-	if _, err := h.Write(payload); err != nil {
-		panic("transport: fnv write: " + err.Error())
-	}
-	return h.Sum64()
+// model. It travels in the body, not in the TCP frame header, because
+// the faults it must catch (FaultCorrupt, FaultTruncate) act on
+// messages on any Conn, in-memory links and mux sessions included.
+func digest(payload []byte) uint32 {
+	return crc32.Checksum(payload, castagnoli)
 }
 
 // Payload verifies a received message's integrity digest and returns
@@ -122,7 +161,7 @@ func Payload(m Message) ([]byte, error) {
 	if len(m.Body) < sumLen {
 		return nil, fmt.Errorf("message %q: %d-byte body: %w", m.Type, len(m.Body), ErrIntegrity)
 	}
-	if binary.BigEndian.Uint64(m.Body) != digest(m.Body[sumLen:]) {
+	if binary.BigEndian.Uint32(m.Body) != digest(m.Body[sumLen:]) {
 		return nil, fmt.Errorf("message %q: %w", m.Type, ErrIntegrity)
 	}
 	return m.Body[sumLen:], nil
@@ -138,7 +177,7 @@ func NewMessage(typ string, v any) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	binary.BigEndian.PutUint64(body, digest(body[sumLen:]))
+	binary.BigEndian.PutUint32(body, digest(body[sumLen:]))
 	return Message{Type: typ, Body: body}, nil
 }
 
@@ -192,6 +231,13 @@ func (s *Stats) CountRecv(bytes int64) {
 	s.bytesRecv.Add(bytes)
 }
 
+// UncountRecv takes back a CountRecv of the given size, for a message
+// counted on arrival and then discarded undelivered.
+func (s *Stats) UncountRecv(bytes int64) {
+	s.msgsRecv.Add(-1)
+	s.bytesRecv.Add(-bytes)
+}
+
 // chanConn is an in-memory Conn over buffered channels.
 type chanConn struct {
 	out, in   chan Message
@@ -209,8 +255,8 @@ type chanConn struct {
 // most 4 are unread at once. A session mux over a Pair parks frames on
 // the link while a session's receive queue is full: TestMuxBackpressure
 // sends 16 past a full queue, one held by the blocked demux loop and 15
-// on the link. Each slot is a 40-byte Message
-// header, so a link holds 1.3 kB where 1,024 slots held 80 kB.
+// on the link. Each slot is a 56-byte Message
+// header, so a link holds 1.8 kB where 1,024 slots held 80 kB.
 const pairDepth = 16
 
 // Pair creates a connected in-memory duplex link and returns its two
@@ -248,8 +294,7 @@ func (c *chanConn) Send(m Message) error {
 	case <-c.peerDone:
 		return fmt.Errorf("transport: peer closed")
 	case c.out <- m:
-		c.stats.msgsSent.Add(1)
-		c.stats.bytesSent.Add(int64(m.Size()))
+		c.stats.CountSend(int64(m.FrameSize()))
 		return nil
 	case <-deadline:
 		return fmt.Errorf("transport: send: %w", ErrTimeout)
@@ -281,8 +326,7 @@ func (c *chanConn) Recv() (Message, error) {
 	case <-c.closed:
 		return Message{}, fmt.Errorf("transport: recv on closed connection")
 	case m := <-c.in:
-		c.stats.msgsRecv.Add(1)
-		c.stats.bytesRecv.Add(int64(m.Size()))
+		c.stats.CountRecv(int64(m.FrameSize()))
 		return m, nil
 	case <-deadline:
 		return Message{}, fmt.Errorf("transport: recv: %w", ErrTimeout)
@@ -290,8 +334,7 @@ func (c *chanConn) Recv() (Message, error) {
 		// Drain messages the peer sent before closing.
 		select {
 		case m := <-c.in:
-			c.stats.msgsRecv.Add(1)
-			c.stats.bytesRecv.Add(int64(m.Size()))
+			c.stats.CountRecv(int64(m.FrameSize()))
 			return m, nil
 		default:
 			return Message{}, io.EOF

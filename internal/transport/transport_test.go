@@ -136,10 +136,12 @@ func TestStatsAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.Stats().MsgsSent() != 3 || a.Stats().BytesSent() != 3*101 {
+	// Each message counts at its FrameSize: a 4-byte header, the tag and
+	// the body.
+	if a.Stats().MsgsSent() != 3 || a.Stats().BytesSent() != 3*105 {
 		t.Errorf("sender stats: %d msgs %d bytes", a.Stats().MsgsSent(), a.Stats().BytesSent())
 	}
-	if b.Stats().MsgsRecv() != 3 || b.Stats().BytesRecv() != 3*101 {
+	if b.Stats().MsgsRecv() != 3 || b.Stats().BytesRecv() != 3*105 {
 		t.Errorf("receiver stats: %d msgs %d bytes", b.Stats().MsgsRecv(), b.Stats().BytesRecv())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -41,10 +42,10 @@ func tcpPair(t *testing.T) (Conn, Conn) {
 }
 
 // The TCP transport must account the bytes that actually cross the wire:
-// the frame header and all — strictly more than the in-memory
-// transport's len(Type)+len(Body) approximation, exactly
-// frameHeader+len(Type)+len(Body) per frame, and identical on both ends
-// of the link.
+// the frame header and all — strictly more than the payload's
+// len(Type)+len(Body), exactly FrameSize per frame, identical on both
+// ends of the link, and what the in-memory transport counts for the same
+// messages.
 func TestTCPWireBytesExceedPayloadBytes(t *testing.T) {
 	client, server := tcpPair(t)
 
@@ -53,13 +54,14 @@ func TestTCPWireBytesExceedPayloadBytes(t *testing.T) {
 	defer memB.Close()
 
 	const rounds = 5
-	var framed int64
+	var framed, payload int64
 	for i := 0; i < rounds; i++ {
-		m := Message{Type: "bulk", Body: make([]byte, 1000+i)}
+		m := Message{Type: "bulk", Body: make([]byte, 1000+i), Session: uint64(i) << 7}
 		if i == rounds-1 {
 			m.Body = nil // a bodyless control frame costs its header and tag
 		}
-		framed += int64(frameHeader + m.Size())
+		framed += int64(m.FrameSize())
+		payload += int64(m.Size())
 		if err := client.Send(m); err != nil {
 			t.Fatal(err)
 		}
@@ -75,9 +77,11 @@ func TestTCPWireBytesExceedPayloadBytes(t *testing.T) {
 	}
 
 	tcpSent := client.Stats().BytesSent()
-	memSent := memA.Stats().BytesSent()
-	if tcpSent <= memSent {
-		t.Errorf("tcp wire bytes (%d) not greater than payload bytes (%d): framing overhead vanished", tcpSent, memSent)
+	if tcpSent <= payload {
+		t.Errorf("tcp wire bytes (%d) not greater than payload bytes (%d): framing overhead vanished", tcpSent, payload)
+	}
+	if memSent := memA.Stats().BytesSent(); memSent != tcpSent {
+		t.Errorf("in-memory link counted %d bytes, tcp %d", memSent, tcpSent)
 	}
 	// Both ends of the TCP link have seen the same stream, so the
 	// sender's wire-byte count and the receiver's must agree exactly.
@@ -212,5 +216,53 @@ func TestPairDrainsAllQueuedAfterPeerClose(t *testing.T) {
 	}
 	if got := b.Stats().MsgsRecv(); got != queued {
 		t.Errorf("drained msgs counted = %d, want %d", got, queued)
+	}
+}
+
+// A frame's width is closed-form in its session id, its type tag's
+// length t and its body's length b: one opcode byte, vlen(sid) + vlen(t)
+// + vlen(b), then t + b. A data frame of session 0 with a 5-byte tag and
+// a 100-byte body is 109 bytes; a tagless, bodyless control frame of a
+// session id below 128 is 4.
+func TestFrameWidthClosedForm(t *testing.T) {
+	client, server := tcpPair(t)
+	vlen := func(n uint64) int64 {
+		w := int64(1)
+		for ; n >= 0x80; n >>= 7 {
+			w++
+		}
+		return w
+	}
+	for _, c := range []struct {
+		op            Op
+		sid           uint64
+		typeLen, body int
+		pinned        int64 // 0: not pinned
+	}{
+		{OpData, 0, 5, 100, 109},
+		{OpOpen, 1, 0, 0, 4},
+		{OpData, 127, 16, 127, 0},
+		{OpData, 128, 128, 128, 0},
+		{OpData, 1 << 40, 300, 20000, 0},
+		{OpClose, ^uint64(0), 0, 0, 0},
+		{OpReject, 2, 13, 0, 0},
+	} {
+		m := Message{Op: c.op, Session: c.sid, Type: strings.Repeat("t", c.typeLen), Body: make([]byte, c.body)}
+		want := 1 + vlen(c.sid) + vlen(uint64(c.typeLen)) + vlen(uint64(c.body)) + int64(c.typeLen+c.body)
+		sent, recv := client.Stats().BytesSent(), server.Stats().BytesRecv()
+		if err := client.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		got, err := server.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Op != m.Op || got.Session != m.Session || got.Type != m.Type || len(got.Body) != len(m.Body) {
+			t.Errorf("%+v: received op %d session %d tag %q body %d", c, got.Op, got.Session, got.Type, len(got.Body))
+		}
+		dSent, dRecv := client.Stats().BytesSent()-sent, server.Stats().BytesRecv()-recv
+		if dSent != want || dRecv != want || int64(m.FrameSize()) != want || c.pinned != 0 && want != c.pinned {
+			t.Errorf("%+v: sent %d, received %d, FrameSize %d; closed form %d, pinned %d", c, dSent, dRecv, m.FrameSize(), want, c.pinned)
+		}
 	}
 }
