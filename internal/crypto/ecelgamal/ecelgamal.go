@@ -88,6 +88,14 @@ func ParsePublicKey(b []byte) (*PublicKey, error) {
 	return &PublicKey{x: p}, nil
 }
 
+// PublicKeyFromECDH takes an ecdh.P256 public key, already validated by
+// crypto/ecdh, as the EC-ElGamal key X: the query key of key transport
+// and of PM is one point.
+func PublicKeyFromECDH(pub *ecdh.PublicKey) *PublicKey {
+	raw := pub.Bytes() // 0x04 ‖ x ‖ y
+	return &PublicKey{x: point{new(big.Int).SetBytes(raw[1:PointSize]), new(big.Int).SetBytes(raw[PointSize:])}}
+}
+
 // PrivateKey holds the secret scalar x.
 // seclint:private EC-ElGamal decryption scalar
 type PrivateKey struct {

@@ -8,7 +8,6 @@ import (
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
-	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/mediation/link"
 	"github.com/secmediation/secmediation/internal/relation"
@@ -22,8 +21,10 @@ import (
 // the client side of each delivery phase (decryption, the DAS query
 // translation, PM matching, result assembly).
 type Client struct {
-	// PrivateKey matches the public key in the credentials. It signs each
-	// query's fresh P-256 key, which the data is then encrypted to.
+	// PrivateKey matches the public key in the credentials. It signs a
+	// P-256 query root once per root lifetime, shared by every Client
+	// that holds the same key, and each query derives from that root the
+	// fresh key its data is encrypted to.
 	PrivateKey *rsa.PrivateKey
 	// Credentials is the credential set CR attached to queries.
 	Credentials credential.Set
@@ -71,15 +72,12 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	mediator := link.New(conn, leakage.PartyMediator)
 	proto = delivery(q, proto)
 	req := Request{SQL: sql, Credentials: c.Credentials, Protocol: proto, Params: params}
-	// A fresh query key per query: the mediator cannot link a client's
-	// queries by a public key beyond what the credentials already show.
+	// A fresh query key per query, derived from the key's signed query
+	// root: no query's sealed frames open under another's key, and the
+	// root's point links nothing the credentials do not already link.
 	var queryKey *ecdh.PrivateKey
 	if needsQueryKey(proto) {
-		if queryKey, err = ecdh.P256().GenerateKey(rand.Reader); err != nil {
-			return nil, fmt.Errorf("mediation: query key: %w", err)
-		}
-		req.QueryKey = hybrid.CompressPoint(queryKey.PublicKey())
-		if req.QueryKeySig, err = signQueryKey(c.PrivateKey, req.QueryKey); err != nil {
+		if queryKey, err = req.bindQueryKey(c.PrivateKey); err != nil {
 			return nil, err
 		}
 	}

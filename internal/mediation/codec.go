@@ -58,6 +58,7 @@ func (r Request) EncodeTo(e *codec.Encoder) {
 	r.Params.EncodeTo(e)
 	e.Bytes(r.QueryKey)
 	e.Bytes(r.QueryKeySig)
+	e.Uint(r.QueryKeyIndex)
 }
 
 // DecodeFrom reads a request written by EncodeTo.
@@ -68,6 +69,7 @@ func (r *Request) DecodeFrom(d *codec.Decoder) {
 	r.Params.DecodeFrom(d)
 	r.QueryKey = d.Bytes()
 	r.QueryKeySig = d.Bytes()
+	r.QueryKeyIndex = d.Uint()
 }
 
 // EncodeTo writes the partial query; an aggregate spec follows a 1 byte,
@@ -83,6 +85,7 @@ func (pq PartialQuery) EncodeTo(e *codec.Encoder) {
 	pq.Params.EncodeTo(e)
 	e.Bytes(pq.QueryKey)
 	e.Bytes(pq.QueryKeySig)
+	e.Uint(pq.QueryKeyIndex)
 	e.Bool(pq.Aggregate != nil)
 	if pq.Aggregate != nil {
 		e.Text(pq.Aggregate.Func)
@@ -97,7 +100,7 @@ func (pq *PartialQuery) DecodeFrom(d *codec.Decoder) {
 	pq.Credentials.DecodeFrom(d)
 	pq.Protocol = Protocol(d.Byte())
 	pq.Params.DecodeFrom(d)
-	pq.QueryKey, pq.QueryKeySig = d.Bytes(), d.Bytes()
+	pq.QueryKey, pq.QueryKeySig, pq.QueryKeyIndex = d.Bytes(), d.Bytes(), d.Uint()
 	pq.Aggregate = nil
 	if d.Bool() {
 		pq.Aggregate = &sqlparse.AggregateSpec{Func: d.Text(), Column: d.Text()}

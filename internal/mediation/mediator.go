@@ -161,7 +161,7 @@ func (m *Mediator) requestPhase(req *Request) (*decomposition, []*link.Link, err
 			SessionID: session, Query: d.partial1, Relation: rel, JoinCols: d.joinCols1,
 			Credentials: m.selectCredentials(rel, req.Credentials),
 			Protocol:    d.protocol, Params: req.Params, Aggregate: d.query.Aggregate,
-			QueryKey: req.QueryKey, QueryKeySig: req.QueryKeySig,
+			QueryKey: req.QueryKey, QueryKeySig: req.QueryKeySig, QueryKeyIndex: req.QueryKeyIndex,
 		}
 		if i == 1 {
 			pq.Query, pq.JoinCols = d.partial2, d.joinCols2

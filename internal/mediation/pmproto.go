@@ -6,6 +6,7 @@ import (
 	"math/big"
 
 	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
+	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/mediation/link"
 	"github.com/secmediation/secmediation/internal/parallel"
@@ -49,11 +50,8 @@ type pmResult struct {
 // decrypts to (footnote 2's out-of-band payload, the only mode). An
 // empty partial result ships one filler bucket of load 1, as a
 // one-value domain does, and evaluates nothing.
-func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Relation, watch *stopwatch) error {
-	pk, err := ecelgamal.ParsePublicKey(pq.QueryKey)
-	if err != nil {
-		return fmt.Errorf("pm: request carries no valid client key: %w", err)
-	}
+func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Relation, queryKey *ecdh.PublicKey, watch *stopwatch) error {
+	pk := ecelgamal.PublicKeyFromECDH(queryKey)
 	groupsByKey, err := rel.GroupByColumns(pq.JoinCols)
 	if err != nil {
 		return err
@@ -96,7 +94,7 @@ func (s *Source) servePM(mediator *link.Link, pq *PartialQuery, rel *relation.Re
 		// Section 6: each source learns the shape of the opposite
 		// polynomials, B of which is a function of |domactive(A)|.
 		observeBuckets(s.Ledger, s.party(), "opposite", &cross)
-		layout, err := newTupLayout(rel.Schema(), pq.JoinCols, "pm:"+pq.SessionID)
+		layout, err := newTupLayout(rel.Schema(), pq.JoinCols, pmTag(pq.SessionID, queryKey))
 		if err != nil {
 			return err
 		}
@@ -163,6 +161,17 @@ func (m *Mediator) mediatePM(client, s1, s2 *link.Link, d *decomposition, watch 
 	})
 }
 
+// pmTag is the tag of the AAD a PM tuple set is sealed under: the
+// session and the query key X_c, which the source derived and the client
+// holds, neither taking it from the mediator. X_c ties a blob to its
+// query. Two queries' keys under one root differ by a public multiple of
+// G, X_c2 = X_c1 + (h_c2 − h_c1)·G, so a mediator can move an
+// evaluation from one query's key to the other's, and it decrypts to
+// the same point; the blob it unlocks then fails its AEAD check.
+func pmTag(session string, queryKey *ecdh.PublicKey) string {
+	return "pm:" + session + string(hybrid.CompressPoint(queryKey))
+}
+
 // observeBuckets records what encrypted bucket polynomials show a party
 // without the query key: the bucket count B = pm.BucketCount(n) of the
 // active-domain size n, and the maximum bucket load L, the degree every
@@ -202,7 +211,7 @@ func (c *Client) runPM(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.Pr
 		c.Ledger.Observe(leakage.PartyClient, "encrypted-values-received", int64(len(res.Evals1)+len(res.Evals2)))
 		c.Ledger.UsePrimitive(leakage.PartyClient, "homomorphic-decryption", int64(len(res.Evals1)+len(res.Evals2)))
 
-		layout1, layout2, err := joinLayouts(res.Schema1, res.Schema2, joinCols1, joinCols2, "pm:"+res.Session)
+		layout1, layout2, err := joinLayouts(res.Schema1, res.Schema2, joinCols1, joinCols2, pmTag(res.Session, queryKey.PublicKey()))
 		if err != nil {
 			return err
 		}

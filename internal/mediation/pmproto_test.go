@@ -510,7 +510,9 @@ func TestPMForgedCrossOpensNothingAtMediator(t *testing.T) {
 	if len(evals.Evals) != len(roots) {
 		t.Fatalf("S1 sent %d evaluations, want one per each of its %d values", len(evals.Evals), len(roots))
 	}
-	layout, err := newTupLayout(coeffs.Schema, []string{"id"}, "pm:"+coeffs.Session)
+	var req Request
+	tr.first(t, "client", msgRequest, &req)
+	layout, err := newTupLayout(coeffs.Schema, []string{"id"}, pmTag(coeffs.Session, queryPublic(t, req.QueryKey, req.QueryKeyIndex)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,14 +533,12 @@ func TestPMEmptyTupleSetBlamesMediator(t *testing.T) {
 		tr.first(t, "client", msgRequest, &req)
 		var pq PartialQuery
 		tr.first(t, "source:R1", msgPartialQuery, &pq)
-		layout, err := newTupLayout(res.Schema1, pq.JoinCols, "pm:"+res.Session)
+		queryKey := queryPublic(t, req.QueryKey, req.QueryKeyIndex)
+		layout, err := newTupLayout(res.Schema1, pq.JoinCols, pmTag(res.Session, queryKey))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pk, err := ecelgamal.ParsePublicKey(req.QueryKey)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pk := ecelgamal.PublicKeyFromECDH(queryKey)
 		s := big.NewInt(12345)
 		es, err := pk.Encrypt(crand.Reader, s)
 		if err != nil {

@@ -6,14 +6,22 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/rsa"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"math/big"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/secmediation/secmediation/internal/codec"
+	"github.com/secmediation/secmediation/internal/credential"
+	"github.com/secmediation/secmediation/internal/crypto/ecelgamal"
 	"github.com/secmediation/secmediation/internal/crypto/hybrid"
 	"github.com/secmediation/secmediation/internal/leakage"
+	"github.com/secmediation/secmediation/internal/pm"
+	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/resilience"
 	"github.com/secmediation/secmediation/internal/telemetry"
 	"github.com/secmediation/secmediation/internal/transport"
@@ -27,6 +35,22 @@ func freshPoint(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return hybrid.CompressPoint(k.PublicKey())
+}
+
+// queryPublic is the query key that a request's root and counter
+// derive: the public computation every source, and the mediator too, can
+// make.
+func queryPublic(t *testing.T, root []byte, c uint64) *ecdh.PublicKey {
+	t.Helper()
+	x, err := hybrid.ParsePoint(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := hybrid.DeriveQueryPublic(x, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
 }
 
 var (
@@ -163,7 +187,7 @@ func TestMalformedQueryKeyDenied(t *testing.T) {
 			var tr transcript
 			_, srcErrs, err := tap{onRecv: rewrite(t, "client", msgRequest, func(r *Request) {
 				r.QueryKey = offCurve
-				sig, err := signQueryKey(f.client.PrivateKey, r.QueryKey)
+				sig, err := signQueryRoot(f.client.PrivateKey, r.QueryKey)
 				if err != nil {
 					t.Error(err)
 				}
@@ -258,4 +282,230 @@ func TestHostileKeyShare(t *testing.T) {
 			})
 		}
 	}
+}
+
+// keyedClient is a fresh RSA key with a credential the fixture CA issued
+// for it: its query root is cold.
+func keyedClient(t *testing.T) (*rsa.PrivateKey, credential.Set) {
+	t.Helper()
+	c, err := NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cred, err := getFixture(t).ca.Issue(&c.PrivateKey.PublicKey,
+		[]credential.Property{{Name: "role", Value: "analyst"}}, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.PrivateKey, credential.Set{cred}
+}
+
+// A key's query root is signed once and serves every query of its
+// lifetime: concurrent queries on a cold root and sequential ones, each
+// through its own Client value, make one signature between them. Another
+// key signs its own root, and an expired root, or one out of counter
+// values, is signed afresh.
+func TestQueryRootSignedOncePerKey(t *testing.T) {
+	const n = 8
+	key, creds := keyedClient(t)
+	// network is built on the test's goroutine: networkOver sets the
+	// shared fixture client's ledger.
+	network := func(key *rsa.PrivateKey, creds credential.Set) *Network {
+		net := newTestNetwork(t, nil)
+		net.Client = &Client{PrivateKey: key, Credentials: creds}
+		return net
+	}
+	want := expectedJoin(t)
+	run := func(net *Network) {
+		got, err := net.Query(fixtureSQL, ProtocolDAS, fastParams())
+		if err != nil || !got.EqualMultiset(want) {
+			t.Errorf("query: %v\n%v", err, got)
+		}
+	}
+	query := func(key *rsa.PrivateKey, creds credential.Set) { run(network(key, creds)) }
+	signed := func(t *testing.T, count int64, do func()) {
+		t.Helper()
+		before := rootSignatures.Load()
+		do()
+		if got := rootSignatures.Load() - before; got != count {
+			t.Errorf("%d root signatures, want %d", got, count)
+		}
+	}
+	signed(t, 1, func() {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			net := network(key, creds)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(net)
+			}()
+		}
+		wg.Wait()
+		for i := 0; i < n; i++ {
+			query(key, creds)
+		}
+	})
+	signed(t, 1, func() {
+		key2, creds2 := keyedClient(t)
+		query(key2, creds2)
+		query(key2, creds2)
+	})
+	signed(t, 1, func() {
+		defer func(clock func() time.Time) { rootClock = clock }(rootClock)
+		rootClock = func() time.Time { return time.Now().Add(rootLifetime) }
+		query(key, creds)
+		query(key, creds)
+	})
+	signed(t, 1, func() {
+		slot := slotFor(key)
+		slot.mu.Lock()
+		slot.root.next = rootCounterLimit
+		slot.mu.Unlock()
+		query(key, creds)
+		query(key, creds)
+	})
+}
+
+// A query's frames open only under its own key. A mediator that answers
+// a client's second query with the frames it relayed for the first, or
+// that rewrites the counter on one source's partial query, makes a
+// hybrid protocol abort at the client, and PM return no row outside the
+// second query's join: the replayed or misdirected evaluations decrypt
+// to random points, which is withholding.
+func TestCrossQueryReplayRejected(t *testing.T) {
+	r1, r2 := testRelations(t)
+	join := func() *Network { return networkOver(t, nil, r1, r2) }
+	agg := func() *Network { return aggNetwork(t, nil) }
+	for _, sh := range []struct {
+		name       string
+		net        func() *Network
+		sql1, sql2 string
+		proto      Protocol
+		source     string // the link whose partial query gets another counter
+		dropped    bool
+	}{
+		{"das", join, fixtureSQL + " WHERE R1.id = 2", fixtureSQL + " WHERE R1.id = 3", ProtocolDAS, "source:R1", false},
+		{"commutative", join, fixtureSQL + " WHERE R1.id = 2", fixtureSQL + " WHERE R1.id = 3", ProtocolCommutative, "source:R1", false},
+		{"mobilecode", join, fixtureSQL + " WHERE R1.id = 2", fixtureSQL + " WHERE R1.id = 3", ProtocolMobileCode, "source:R2", false},
+		{"aggregate", agg, "SELECT SUM(units) FROM Claims WHERE id = 1", "SELECT SUM(units) FROM Claims WHERE id = 4", ProtocolDAS, "source:Claims", false},
+		{"pm", join, fixtureSQL + " WHERE R1.id = 2", fixtureSQL + " WHERE R1.id = 3", ProtocolPM, "source:R2", true},
+	} {
+		sh := sh
+		want, err := sh.net().Query(sh.sql2, ProtocolPlaintext, fastParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(sh.name+"/replay", func(t *testing.T) {
+			var first transcript
+			if _, _, err := (tap{log: &first}).query(t, sh.net(), sh.sql1, sh.proto, fastParams()); err != nil {
+				t.Fatalf("first query: %v", err)
+			}
+			replayed := map[string][]transport.Message{}
+			for _, f := range first.on("client") {
+				if f.dir == "send" {
+					replayed[f.Type] = append(replayed[f.Type], f.Message)
+				}
+			}
+			var mu sync.Mutex
+			got, _, err := tap{onSend: func(link string, m transport.Message) transport.Message {
+				mu.Lock()
+				defer mu.Unlock()
+				if old := replayed[m.Type]; link == "client" && len(old) > 0 {
+					m, replayed[m.Type] = old[0], old[1:]
+				}
+				return m
+			}}.query(t, sh.net(), sh.sql2, sh.proto, fastParams())
+			checkRewriteOutcome(t, want, got, err, sh.dropped)
+		})
+		t.Run(sh.name+"/counter", func(t *testing.T) {
+			got, _, err := tap{onSend: rewrite(t, sh.source, msgPartialQuery, func(pq *PartialQuery) { pq.QueryKeyIndex++ })}.
+				query(t, sh.net(), sh.sql2, sh.proto, fastParams())
+			checkRewriteOutcome(t, want, got, err, sh.dropped)
+		})
+	}
+	// A replay matters when it answers with what the sources no longer
+	// hold: between the two queries R2 loses (3, dortmund).
+	t.Run("pm/rekeyed-replay", func(t *testing.T) {
+		var kept []rel.Tuple
+		for _, tu := range r2.Tuples() {
+			if tu[1] != rel.String_("dortmund") {
+				kept = append(kept, tu)
+			}
+		}
+		later := rel.MustFromTuples(r2.Schema(), kept...)
+		want, err := networkOver(t, nil, r1, later).Query(fixtureSQL, ProtocolPlaintext, fastParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rekeyedPMReplay(t, networkOver(t, nil, r1, r2), networkOver(t, nil, r1, later), fixtureSQL)
+		checkRewriteOutcome(t, want, got, err, true)
+	})
+}
+
+// rekeyedPMReplay answers sql over net2 with the PM result the mediator
+// relayed for sql over net1, each evaluation moved to the second query's
+// key. Both queries'
+// keys derive from one root X, so X_c2 = X_c1 + (h_c2 − h_c1)·G with
+// offsets the mediator computes from the requests it relays, and
+// (A, B + (h_c2 − h_c1)·A) decrypts under x_c2 to the point (A, B)
+// decrypts to under x_c1. Only the blobs' binding to the client's own
+// query key keeps the sealed tuple sets from opening.
+func rekeyedPMReplay(t *testing.T, net1, net2 *Network, sql string) (*rel.Relation, error) {
+	var first transcript
+	if _, _, err := (tap{log: &first}).query(t, net1, sql, ProtocolPM, fastParams()); err != nil {
+		t.Fatalf("first query: %v", err)
+	}
+	var req1 Request
+	var res1 pmResult
+	first.first(t, "client", msgRequest, &req1)
+	first.first(t, "client", msgPMResult, &res1)
+	h1 := queryKeyOffset(req1.QueryKey, req1.QueryKeyIndex)
+	curve := elliptic.P256()
+	x, y := elliptic.UnmarshalCompressed(curve, req1.QueryKey)
+	hx, hy := curve.ScalarBaseMult(h1.Bytes())
+	x, y = curve.Add(x, y, hx, hy)
+	if !bytes.Equal(elliptic.MarshalCompressed(curve, x, y), hybrid.CompressPoint(queryPublic(t, req1.QueryKey, req1.QueryKeyIndex))) {
+		t.Fatal("queryKeyOffset disagrees with hybrid.DeriveQueryPublic")
+	}
+	var mu sync.Mutex
+	d := new(big.Int)
+	onRecv := rewrite(t, "client", msgRequest, func(req2 *Request) {
+		if !bytes.Equal(req2.QueryKey, req1.QueryKey) {
+			t.Error("the two queries do not share a query root")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		d.Sub(queryKeyOffset(req2.QueryKey, req2.QueryKeyIndex), h1)
+		d.Mod(d, curve.Params().N)
+	})
+	onSend := rewrite(t, "client", msgPMResult, func(res *pmResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		*res = res1
+		for _, evals := range [][]pm.Eval{res.Evals1, res.Evals2} {
+			for i := range evals {
+				evals[i].Cipher = rekey(evals[i].Cipher, d)
+			}
+		}
+	})
+	got, _, err := tap{onRecv: onRecv, onSend: onSend}.query(t, net2, sql, ProtocolPM, fastParams())
+	return got, err
+}
+
+// queryKeyOffset is h_c = SHA-256(tag ‖ X ‖ uvarint(c)) mod n, computed
+// from public values alone, as a mediator can.
+func queryKeyOffset(root []byte, c uint64) *big.Int {
+	sum := sha256.Sum256(binary.AppendUvarint(append([]byte("secmediation/query-key-offset\x00"), root...), c))
+	return new(big.Int).Mod(new(big.Int).SetBytes(sum[:]), elliptic.P256().Params().N)
+}
+
+// rekey returns the EC-ElGamal ciphertext (A, B + d·A) of a valid (A, B).
+func rekey(c []byte, d *big.Int) []byte {
+	curve := elliptic.P256()
+	ax, ay := elliptic.UnmarshalCompressed(curve, c[:ecelgamal.PointSize])
+	bx, by := elliptic.UnmarshalCompressed(curve, c[ecelgamal.PointSize:])
+	dx, dy := curve.ScalarMult(ax, ay, d.Bytes())
+	bx, by = curve.Add(bx, by, dx, dy)
+	return append(elliptic.MarshalCompressed(curve, ax, ay), elliptic.MarshalCompressed(curve, bx, by)...)
 }

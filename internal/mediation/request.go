@@ -8,6 +8,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/credential"
@@ -18,35 +19,43 @@ import (
 
 // Request is the client's global query message (Listing 1, step 1): the
 // SQL text (a join, a union or an aggregate), the credential set CR, and
-// the chosen delivery protocol. The client's per-query public key rides
-// along, which models the paper's "this key is distributed with the
-// client's credentials": the query key, drawn fresh for every query but a
-// plaintext join. The credential's RSA key signs it, so a source encrypts
-// only to a key the credential's holder chose.
+// the chosen delivery protocol. The client's public key rides along,
+// which models the paper's "this key is distributed with the client's
+// credentials": a P-256 query root, which the credential's RSA key signs
+// once per root lifetime (see queryRoot), and the counter from which
+// every query but a plaintext join derives its own key. A source thus
+// encrypts only to a key the credential's holder chose, and each query
+// to a different one.
 type Request struct {
 	SQL         string
 	Credentials credential.Set
 	Protocol    Protocol
 	Params      Params
-	// QueryKey is the compressed P-256 point of the query's fresh key: the
-	// sources' hybrid sessions agree their keys with it, and PM encrypts
-	// under it as an EC-ElGamal key.
+	// QueryKey is the compressed P-256 point X of the client's query
+	// root. The query's own key is X + h·G with h from X and
+	// QueryKeyIndex (hybrid.DeriveQueryPublic): the sources' hybrid
+	// sessions agree their keys with it, and PM encrypts under it as an
+	// EC-ElGamal key.
 	QueryKey []byte
 	// QueryKeySig is the client's RSA-PSS/SHA-256 signature of
-	// queryKeyDigest(QueryKey) under the credential's key.
+	// queryRootDigest(QueryKey) under the credential's key.
 	QueryKeySig []byte
+	// QueryKeyIndex is the query's counter under the root: the client
+	// uses each value once, so no two queries share a key.
+	QueryKeyIndex uint64
 }
 
-// queryKeyTag domain-separates the query-key binding from every other
-// message the client key signs.
-const queryKeyTag = "secmediation/query-key\x00"
+// queryRootTag domain-separates the query-root binding from every other
+// message the client key signs, the per-query signatures of earlier
+// versions included.
+const queryRootTag = "secmediation/query-root\x00"
 
-// queryKeyDigest is SHA-256(tag ‖ QueryKey): what the client signs to
-// bind its query key to its credential.
-func queryKeyDigest(queryKey []byte) []byte {
+// queryRootDigest is SHA-256(tag ‖ root): what the client signs to bind
+// its query root to its credential.
+func queryRootDigest(root []byte) []byte {
 	h := sha256.New()
-	h.Write([]byte(queryKeyTag))
-	h.Write(queryKey)
+	h.Write([]byte(queryRootTag))
+	h.Write(root)
 	return h.Sum(nil)
 }
 
@@ -57,32 +66,41 @@ func needsQueryKey(proto Protocol) bool {
 	return proto != ProtocolPlaintext
 }
 
-// signQueryKey signs the query key with the credential's private key.
+// rootSignatures counts the query-root signatures this process has made.
+var rootSignatures atomic.Int64
+
+// signQueryRoot signs a query root with the credential's private key.
 // seclint:sanitizer a signature is public: it travels in the request
-func signQueryKey(priv *rsa.PrivateKey, queryKey []byte) ([]byte, error) {
-	sig, err := rsa.SignPSS(rand.Reader, priv, crypto.SHA256, queryKeyDigest(queryKey), nil)
+func signQueryRoot(priv *rsa.PrivateKey, root []byte) ([]byte, error) {
+	rootSignatures.Add(1)
+	sig, err := rsa.SignPSS(rand.Reader, priv, crypto.SHA256, queryRootDigest(root), nil)
 	if err != nil {
-		return nil, fmt.Errorf("mediation: signing the query key: %w", err)
+		return nil, fmt.Errorf("mediation: signing the query root: %w", err)
 	}
 	return sig, nil
 }
 
-// verifyQueryKey is a source's check that the query key was signed by the
-// client key of the credential that granted access, and the parse of that
-// key. Every credential crosses the mediator in the clear; without this
-// check anyone holding a copy could run a query under a key of their own.
-// A non-empty reason denies the query; a malformed key is refused here,
-// before any scalar touches it.
+// verifyQueryKey is a source's check that the query root was signed by
+// the client key of the credential that granted access, the parse of the
+// root and the derivation of the query's key from it. Every credential
+// crosses the mediator in the clear; without this check anyone holding a
+// copy could run a query under a key of their own. A non-empty reason
+// denies the query; a malformed root is refused here, before any scalar
+// touches it.
 func verifyQueryKey(pq *PartialQuery, clientKey *rsa.PublicKey) (*ecdh.PublicKey, string) {
 	if !needsQueryKey(pq.Protocol) {
 		return nil, ""
 	}
-	if err := rsa.VerifyPSS(clientKey, crypto.SHA256, queryKeyDigest(pq.QueryKey), pq.QueryKeySig, nil); err != nil {
+	if err := rsa.VerifyPSS(clientKey, crypto.SHA256, queryRootDigest(pq.QueryKey), pq.QueryKeySig, nil); err != nil {
 		return nil, "query key is not signed by the credential's client key"
 	}
-	key, err := hybrid.ParsePoint(pq.QueryKey)
+	root, err := hybrid.ParsePoint(pq.QueryKey)
 	if err != nil {
 		return nil, fmt.Sprintf("malformed query key: %v", err)
+	}
+	key, err := hybrid.DeriveQueryPublic(root, pq.QueryKeyIndex)
+	if err != nil {
+		return nil, fmt.Sprintf("underivable query key: %v", err)
 	}
 	return key, ""
 }
@@ -111,9 +129,11 @@ type PartialQuery struct {
 	// Protocol and Params mirror the client's request.
 	Protocol Protocol
 	Params   Params
-	// QueryKey and QueryKeySig are forwarded from the client's request.
-	QueryKey    []byte
-	QueryKeySig []byte
+	// QueryKey, QueryKeySig and QueryKeyIndex are forwarded from the
+	// client's request.
+	QueryKey      []byte
+	QueryKeySig   []byte
+	QueryKeyIndex uint64
 	// Aggregate is set for an aggregate's partial query: the source folds
 	// its rows into the one result row (see aggregate).
 	Aggregate *sqlparse.AggregateSpec

@@ -164,7 +164,7 @@ func (s *Source) Serve(conn transport.Conn) error {
 	case pq.Protocol == ProtocolCommutative:
 		err = s.serveCommutative(mediator, &pq, rel, queryKey, watch)
 	case pq.Protocol == ProtocolPM:
-		err = s.servePM(mediator, &pq, rel, watch)
+		err = s.servePM(mediator, &pq, rel, queryKey, watch)
 	default:
 		err = fmt.Errorf("unknown protocol %d", pq.Protocol)
 	}
@@ -177,7 +177,8 @@ func (s *Source) Serve(conn transport.Conn) error {
 // executePartial runs Listing 1 step 4: credential check, the query-key
 // binding check, then execution of q_i against the catalog, with the
 // policy's row filter applied, and for an aggregate the fold into its one
-// result row. It returns the parsed query key (nil for a plaintext join).
+// result row. It returns the query's key, derived from the verified
+// root, which every delivery protocol uses (nil for a plaintext join).
 // The returned denyReason is non-empty when access is denied (not an
 // error).
 func (s *Source) executePartial(pq *PartialQuery) (*relation.Relation, *ecdh.PublicKey, string, error) {

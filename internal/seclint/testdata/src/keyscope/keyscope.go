@@ -86,6 +86,27 @@ func shipQueryKey(k *ecdh.PrivateKey) error {
 	return send(k)
 }
 
+// queryRoot models the client's cached query root, from whose scalar
+// every query key of the root's lifetime derives.
+//
+// seclint:private query-root scalar
+type queryRoot struct {
+	key   *ecdh.PrivateKey // seclint:secret the root scalar
+	point []byte
+	sig   []byte
+}
+
+// shipQueryRoot puts the client's query root on the wire.
+func shipQueryRoot(r *queryRoot) error {
+	return send(r)
+}
+
+// shipQueryRootPub sends what a request carries of the root, its point
+// and signature: clean.
+func shipQueryRootPub(r *queryRoot) error {
+	return send([][]byte{r.point, r.sig})
+}
+
 // shipQueryPub sends the query key's public half: clean.
 func shipQueryPub(k *ecdh.PrivateKey) error {
 	return send(k.PublicKey().Bytes())
