@@ -1,6 +1,6 @@
 // Command mmmca is the certification authority of the preparatory phase:
 // it generates a CA signing key and issues property credentials binding a
-// client's public encryption key to attested properties.
+// client's RSA public key to attested properties.
 //
 // Usage:
 //

@@ -8,7 +8,7 @@
 // # Architecture
 //
 // A Client issues a global SQL query together with a set of credentials
-// (properties bound to its public encryption key by a certification
+// (properties bound to its RSA public key by a certification
 // Authority). The Mediator decomposes the query into partial queries,
 // selects credential subsets, localizes the owning Sources, and then runs
 // one of three delivery-phase protocols over ciphertexts:

@@ -1,15 +1,18 @@
 // Package credential implements the MMM system's credential-based access
 // control (paper Section 2): a trusted certification authority issues
 // credentials that bind *properties* of a client to one of the client's
-// public encryption keys — without revealing the client's identity.
-// Datasources base access decisions solely on the properties shown; the
-// public key inside an accepted credential is what the delivery-phase
-// protocols encrypt partial results under.
+// RSA public keys — without revealing the client's identity.
+// Datasources base access decisions solely on the properties shown. The
+// public key inside an accepted credential verifies the client's
+// signature on the query root, from which each query's P-256 key derives;
+// the delivery-phase protocols seal partial results to that P-256 key,
+// never to the RSA key.
 //
 // Signatures are RSA-PSS over a canonical serialization of the credential
-// body. Identity certificates (linking identity to a key, kept by the
-// client "in a safe place" for legal disputes) are modeled too, but never
-// travel with queries.
+// body; VerifyPSS checks each distinct signature once per process.
+// Identity certificates (linking identity to a key, kept by the client
+// "in a safe place" for legal disputes) are modeled too, but never travel
+// with queries.
 package credential
 
 import (
@@ -31,13 +34,13 @@ type Property struct {
 	Value string
 }
 
-// Credential binds a set of properties to a client public encryption key.
-// It deliberately carries no client identity.
+// Credential binds a set of properties to a client RSA public key. It
+// deliberately carries no client identity.
 type Credential struct {
 	// Properties are the attested attributes, kept sorted by (Name, Value).
 	Properties []Property
-	// ClientKeyDER is the client's public encryption key (PKIX DER). The
-	// datasources use it for hybrid encryption of partial results.
+	// ClientKeyDER is the client's RSA public key (PKIX DER). The
+	// datasources use it to verify the client's query-root signature.
 	ClientKeyDER []byte
 	// NotAfter bounds the credential's validity.
 	NotAfter time.Time
@@ -167,13 +170,14 @@ func writeLV(h interface{ Write([]byte) (int, error) }, b []byte) {
 	h.Write(b)
 }
 
-// Verify checks the credential's signature against a trusted CA key and
-// its validity period against now.
+// Verify checks the credential's validity period against now, on every
+// call, and its signature against a trusted CA key, once per process
+// (VerifyPSS).
 func (c *Credential) Verify(caKey *rsa.PublicKey, now time.Time) error {
 	if now.After(c.NotAfter) {
 		return fmt.Errorf("credential: expired at %v", c.NotAfter)
 	}
-	if err := rsa.VerifyPSS(caKey, crypto.SHA256, c.digest(), c.Signature, nil); err != nil {
+	if err := VerifyPSS(caKey, c.digest(), c.Signature); err != nil {
 		return fmt.Errorf("credential: bad signature: %w", err)
 	}
 	return nil

@@ -55,6 +55,10 @@ func TestVerifyRejectsTamperingAndExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Verified, and so memoised, first: each check below must still fail.
+	if err := cred.Verify(ca.PublicKey(), time.Now()); err != nil {
+		t.Fatal(err)
+	}
 	// Wrong CA key.
 	if err := cred.Verify(other.PublicKey(), time.Now()); err == nil {
 		t.Error("credential verified against wrong CA")
@@ -186,5 +190,29 @@ func TestPolicyNoRequirements(t *testing.T) {
 	d := pol.Check(Set{cred}, []*rsa.PublicKey{ca.PublicKey()}, time.Now())
 	if !d.Granted || d.ClientKey == nil {
 		t.Errorf("open policy denied: %+v", d)
+	}
+}
+
+// Credentials cross the mediator in the clear, so a client could add
+// another client's credential to its own set. A policy that needs a
+// property from each is not satisfied by two credentials that bind two
+// client keys; the same two properties bound to one key are.
+func TestPolicyRejectsCredentialsOfTwoKeys(t *testing.T) {
+	ca, _ := NewAuthority("TestCA")
+	ka, kb := newClientKey(t), newClientKey(t)
+	analystA, _ := ca.Issue(&ka.PublicKey, []Property{{"role", "analyst"}}, time.Hour)
+	secretA, _ := ca.Issue(&ka.PublicKey, []Property{{"clearance", "secret"}}, time.Hour)
+	secretB, _ := ca.Issue(&kb.PublicKey, []Property{{"clearance", "secret"}}, time.Hour)
+	trusted := []*rsa.PublicKey{ca.PublicKey()}
+	pol := &Policy{Relation: "Cases", Require: []Requirement{
+		{Property{"role", "analyst"}}, {Property{"clearance", "secret"}}}}
+
+	d := pol.Check(Set{analystA, secretB}, trusted, time.Now())
+	if d.Granted || d.Reason != "credentials bind more than one client key" {
+		t.Errorf("credentials of two keys: %+v, want a denial", d)
+	}
+	d = pol.Check(Set{analystA, secretA}, trusted, time.Now())
+	if !d.Granted || !d.ClientKey.Equal(&ka.PublicKey) {
+		t.Errorf("credentials of one key: %+v, want a grant under that key", d)
 	}
 }

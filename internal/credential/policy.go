@@ -2,6 +2,7 @@ package credential
 
 import (
 	"crypto/rsa"
+	"crypto/subtle"
 	"fmt"
 	"time"
 
@@ -45,8 +46,9 @@ type Policy struct {
 type Decision struct {
 	// Granted reports whether the query may run at all.
 	Granted bool
-	// ClientKey is the encryption key extracted from the first credential
-	// that satisfied a requirement; the delivery phase encrypts under it.
+	// ClientKey is the RSA key that every verified credential binds. The
+	// query root must carry its signature: a source encrypts only to a
+	// query key that the holder of the granting credentials chose.
 	ClientKey *rsa.PublicKey
 	// Filter is the row-level predicate to apply, or nil for full access.
 	Filter algebra.Expr
@@ -56,7 +58,10 @@ type Decision struct {
 
 // Check evaluates the policy against a credential set, verifying every
 // used credential against the trusted CA keys. Credentials that do not
-// verify are ignored (semi-honest mediators may forward stale ones).
+// verify are ignored (semi-honest mediators may forward stale ones). The
+// verified ones must all bind one client key: credentials cross the
+// mediator in the clear, so a set that mixed keys would let one client
+// borrow another client's properties.
 func (p *Policy) Check(creds Set, trusted []*rsa.PublicKey, now time.Time) Decision {
 	verified := make(Set, 0, len(creds))
 	for _, c := range creds {
@@ -70,44 +75,38 @@ func (p *Policy) Check(creds Set, trusted []*rsa.PublicKey, now time.Time) Decis
 	if len(verified) == 0 {
 		return Decision{Reason: "no verifiable credentials presented"}
 	}
-	var keySource *Credential
-	for _, req := range p.Require {
-		found := false
-		for _, c := range verified {
-			if c.HasProperty(req.Property.Name, req.Property.Value) {
-				found = true
-				if keySource == nil {
-					keySource = c
-				}
-				break
-			}
+	for _, c := range verified[1:] {
+		if subtle.ConstantTimeCompare(c.ClientKeyDER, verified[0].ClientKeyDER) != 1 {
+			return Decision{Reason: "credentials bind more than one client key"}
 		}
-		if !found {
+	}
+	for _, req := range p.Require {
+		if !verified.attests(req.Property) {
 			return Decision{Reason: fmt.Sprintf("missing property %s=%s", req.Property.Name, req.Property.Value)}
 		}
 	}
-	if keySource == nil { // policy with no requirements: any verified credential supplies the key
-		keySource = verified[0]
-	}
-	key, err := keySource.ClientKey()
+	key, err := verified[0].ClientKey()
 	if err != nil {
 		return Decision{Reason: err.Error()}
 	}
 	d := Decision{Granted: true, ClientKey: key}
 	for _, f := range p.Filters {
-		applies := false
-		for _, c := range verified {
-			if c.HasProperty(f.IfProperty.Name, f.IfProperty.Value) {
-				applies = true
-				break
-			}
-		}
-		if applies {
+		if verified.attests(f.IfProperty) {
 			d.Filter = f.Predicate
 			break
 		}
 	}
 	return d
+}
+
+// attests reports whether some credential of the set attests p.
+func (s Set) attests(p Property) bool {
+	for _, c := range s {
+		if c.HasProperty(p.Name, p.Value) {
+			return true
+		}
+	}
+	return false
 }
 
 // ApplyFilter applies a decision's row filter to a partial result (no-op

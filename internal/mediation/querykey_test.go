@@ -28,7 +28,7 @@ import (
 )
 
 // freshPoint is a valid compressed P-256 point nobody signed.
-func freshPoint(t *testing.T) []byte {
+func freshPoint(t testing.TB) []byte {
 	t.Helper()
 	k, err := ecdh.P256().GenerateKey(rand.Reader)
 	if err != nil {
@@ -364,6 +364,202 @@ func TestQueryRootSignedOncePerKey(t *testing.T) {
 		slot.mu.Unlock()
 		query(key, creds)
 		query(key, creds)
+	})
+}
+
+// rsaVerifications is the number of RSA-PSS verifications this process
+// has made: the misses of credential.VerifyPSS's memo.
+func rsaVerifications() int64 { return telemetry.OpTotals()["credential.rsa_verify"] }
+
+// verifies checks that do makes count RSA-PSS verifications.
+func verifies(t *testing.T, count int64, do func()) {
+	t.Helper()
+	before := rsaVerifications()
+	do()
+	if got := rsaVerifications() - before; got != count {
+		t.Errorf("%d RSA-PSS verifications, want %d", got, count)
+	}
+}
+
+// A source verifies each credential and each query root once: the first
+// query under a root verifies both, later ones under it, sequential and
+// concurrent, verify nothing, and a new root costs one verification. The
+// sources of one process share the memo, so the counts are taken on a
+// one-source network (an aggregate); the warm joins add nothing at
+// either source.
+func TestSourceVerifiesOncePerRoot(t *testing.T) {
+	const n = 8
+	key, creds := keyedClient(t)
+	// Networks are built on the test's goroutine: networkOver sets the
+	// shared fixture client's ledger.
+	keyed := func(net *Network) *Network {
+		net.Client = &Client{PrivateKey: key, Credentials: creds}
+		return net
+	}
+	want := expectedJoin(t)
+	join := func(net *Network) {
+		got, err := net.Query(fixtureSQL, ProtocolDAS, fastParams())
+		if err != nil || !got.EqualMultiset(want) {
+			t.Errorf("join: %v\n%v", err, got)
+		}
+	}
+	aggregate := func() {
+		if _, err := keyed(aggNetwork(t, nil)).Query("SELECT SUM(units) FROM Claims", ProtocolDAS, fastParams()); err != nil {
+			t.Errorf("aggregate: %v", err)
+		}
+	}
+	verifies(t, 2, aggregate)
+	verifies(t, 0, func() {
+		aggregate()
+		for i := 0; i < n; i++ {
+			join(keyed(newTestNetwork(t, nil)))
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			net := keyed(newTestNetwork(t, nil))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				join(net)
+			}()
+		}
+		wg.Wait()
+	})
+	verifies(t, 1, func() {
+		defer func(clock func() time.Time) { rootClock = clock }(rootClock)
+		rootClock = func() time.Time { return time.Now().Add(rootLifetime) }
+		aggregate()
+		aggregate()
+	})
+}
+
+// A memoised verification stands for the signature check alone. After a
+// credential and a root were verified and memoised, every source still
+// denies the credential past its NotAfter, the credential under a CA key
+// it does not trust, the root with one byte of its signature flipped, and
+// the root that key A signed under key B's credential. The failures are
+// not memoised: each source verifies them afresh.
+func TestMemoisedVerificationStillDenies(t *testing.T) {
+	keyA, credsA := keyedClient(t)
+	keyB, credsB := keyedClient(t)
+	network := func(key *rsa.PrivateKey, creds credential.Set) *Network {
+		net := newTestNetwork(t, nil)
+		net.Client = &Client{PrivateKey: key, Credentials: creds}
+		return net
+	}
+	want := expectedJoin(t)
+	// B's credential, then A's credential and A's root, are memoised.
+	for _, net := range []*Network{network(keyB, credsB), network(keyA, credsA)} {
+		if got, err := net.Query(fixtureSQL, ProtocolDAS, fastParams()); err != nil || !got.EqualMultiset(want) {
+			t.Fatalf("honest query: %v\n%v", err, got)
+		}
+	}
+	cases := []struct {
+		name   string
+		net    func() (*Network, hook)
+		reason string
+		count  int64
+	}{
+		{"expired credential", func() (*Network, hook) {
+			net := network(keyA, credsA)
+			for _, src := range net.Sources {
+				src.Now = func() time.Time { return credsA[0].NotAfter.Add(time.Second) }
+			}
+			return net, nil
+		}, "no verifiable credentials", 0},
+		{"untrusted CA", func() (*Network, hook) {
+			net := network(keyA, credsA)
+			for _, src := range net.Sources {
+				src.TrustedCAs = []*rsa.PublicKey{&thief(t).PublicKey}
+			}
+			return net, nil
+		}, "no verifiable credentials", 2},
+		{"flipped root signature", func() (*Network, hook) {
+			return network(keyA, credsA), rewrite(t, "client", msgRequest, func(r *Request) {
+				r.QueryKeySig = append([]byte(nil), r.QueryKeySig...)
+				r.QueryKeySig[len(r.QueryKeySig)-1] ^= 1
+			})
+		}, "not signed by the credential's client key", 2},
+		{"root of another key", func() (*Network, hook) {
+			return network(keyA, credsB), nil
+		}, "not signed by the credential's client key", 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			net, onRecv := c.net()
+			verifies(t, c.count, func() {
+				var tr transcript
+				_, srcErrs, err := tap{onRecv: onRecv, log: &tr}.query(t, net, fixtureSQL, ProtocolDAS, fastParams())
+				assertKeyDenied(t, err, srcErrs, &tr, len(net.Sources), c.reason)
+			})
+		})
+	}
+}
+
+// coldAuthorizations is the number of credentials and roots that
+// BenchmarkSourceAuthorize/cold cycles through: more than the memo
+// holds, so that each of them misses.
+const coldAuthorizations = 1100
+
+// BenchmarkSourceAuthorize is a source's authorization of one partial
+// query: Policy.Check and verifyQueryKey. Warm repeats one credential and
+// root, as every query of a root's lifetime after its first does; cold
+// verifies a credential and a root it has not seen, as the first query
+// of a process does.
+func BenchmarkSourceAuthorize(b *testing.B) {
+	f := getFixture(b)
+	pol := policyFor("R1")
+	trusted := []*rsa.PublicKey{f.ca.PublicKey()}
+	// partial is a DAS partial query with one credential of the fixture
+	// client and a root it signed.
+	partial := func(cred *credential.Credential, root []byte) *PartialQuery {
+		sig, err := signQueryRoot(f.client.PrivateKey, root)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return &PartialQuery{Credentials: credential.Set{cred}, Protocol: ProtocolDAS,
+			QueryKey: root, QueryKeySig: sig, QueryKeyIndex: 1}
+	}
+	authorize := func(pq *PartialQuery) {
+		d := pol.Check(pq.Credentials, trusted, time.Now())
+		if !d.Granted {
+			b.Fatal(d.Reason)
+		}
+		if _, reason := verifyQueryKey(pq, d.ClientKey); reason != "" {
+			b.Fatal(reason)
+		}
+	}
+	b.Run("warm", func(b *testing.B) {
+		pq := partial(f.client.Credentials[0], freshPoint(b))
+		authorize(pq)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			authorize(pq)
+		}
+	})
+	var cold []*PartialQuery
+	next := 0 // the cycle goes on across runs: a restart would hit
+	b.Run("cold", func(b *testing.B) {
+		for len(cold) < coldAuthorizations {
+			cred, err := f.ca.Issue(&f.client.PrivateKey.PublicKey,
+				[]credential.Property{{Name: "role", Value: "analyst"}}, time.Hour)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cold = append(cold, partial(cred, freshPoint(b)))
+		}
+		before := rsaVerifications()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			authorize(cold[next])
+			next = (next + 1) % len(cold)
+		}
+		b.StopTimer()
+		if got := rsaVerifications() - before; got != 2*int64(b.N) {
+			b.Fatalf("%d RSA-PSS verifications in %d authorizations, want 2 each", got, b.N)
+		}
 	})
 }
 

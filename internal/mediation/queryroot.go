@@ -54,23 +54,22 @@ type rootSlot struct {
 	root *queryRoot
 }
 
-// roots is the process-wide root cache: the slot of the last key to
-// query, its only entry.
+// roots is the process-wide root cache: one slot, the last key's to
+// query.
 var roots struct {
-	mu    sync.Mutex
-	slots map[*rsa.PrivateKey]*rootSlot
+	mu   sync.Mutex
+	last *rsa.PrivateKey
+	slot *rootSlot
 }
 
 // slotFor returns priv's slot, replacing another key's.
 func slotFor(priv *rsa.PrivateKey) *rootSlot {
 	roots.mu.Lock()
 	defer roots.mu.Unlock()
-	s, ok := roots.slots[priv]
-	if !ok {
-		s = new(rootSlot)
-		roots.slots = map[*rsa.PrivateKey]*rootSlot{priv: s}
+	if roots.last != priv {
+		roots.last, roots.slot = priv, new(rootSlot)
 	}
-	return s
+	return roots.slot
 }
 
 // nextCounter returns the root to use and the counter value it gives

@@ -84,14 +84,15 @@ func signQueryRoot(priv *rsa.PrivateKey, root []byte) ([]byte, error) {
 // the client key of the credential that granted access, the parse of the
 // root and the derivation of the query's key from it. Every credential
 // crosses the mediator in the clear; without this check anyone holding a
-// copy could run a query under a key of their own. A non-empty reason
-// denies the query; a malformed root is refused here, before any scalar
-// touches it.
+// copy could run a query under a key of their own. The signature is
+// verified once per root and process (credential.VerifyPSS); the parse
+// and the derivation run per query. A non-empty reason denies the query;
+// a malformed root is refused here, before any scalar touches it.
 func verifyQueryKey(pq *PartialQuery, clientKey *rsa.PublicKey) (*ecdh.PublicKey, string) {
 	if !needsQueryKey(pq.Protocol) {
 		return nil, ""
 	}
-	if err := rsa.VerifyPSS(clientKey, crypto.SHA256, queryRootDigest(pq.QueryKey), pq.QueryKeySig, nil); err != nil {
+	if err := credential.VerifyPSS(clientKey, queryRootDigest(pq.QueryKey), pq.QueryKeySig); err != nil {
 		return nil, "query key is not signed by the credential's client key"
 	}
 	root, err := hybrid.ParsePoint(pq.QueryKey)

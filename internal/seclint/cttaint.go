@@ -43,8 +43,9 @@ import (
 //     key; only fields that are themselves secret (annotated, written
 //     with secret values, or of private type) taint a selection.
 //   - error values never carry taint (err != nil steers control on
-//     failure shape, not key bits), and comparisons against nil are
-//     public (pointer presence, not value bits).
+//     failure shape, not key bits), and comparisons against nil or
+//     between two pointers are public (pointer presence or identity,
+//     not value bits), as a map lookup keyed by the pointer is.
 //   - len/cap of a secret-valued container are public: the module
 //     sizes its slices by public parameters, and element count is not
 //     element bits. Ranging over a secret slice taints the iteration
@@ -1100,8 +1101,9 @@ func (w *ctWalker) exprTaint(e ast.Expr) *ctCause {
 	case *ast.UnaryExpr:
 		return w.exprTaint(e.X)
 	case *ast.BinaryExpr:
-		// Comparisons against nil observe presence, not bits.
-		if (e.Op == token.EQL || e.Op == token.NEQ) && (w.isNil(e.X) || w.isNil(e.Y)) {
+		// Comparisons against nil observe presence, and between two
+		// pointers identity, not bits.
+		if (e.Op == token.EQL || e.Op == token.NEQ) && (w.isNil(e.X) || w.isNil(e.Y) || w.isPointer(e.X) && w.isPointer(e.Y)) {
 			return nil
 		}
 		if c := w.exprTaint(e.X); c != nil {
@@ -1146,6 +1148,15 @@ func (w *ctWalker) exprTaint(e ast.Expr) *ctCause {
 func (w *ctWalker) isNil(e ast.Expr) bool {
 	tv, ok := w.pkg.Info.Types[e]
 	return ok && tv.IsNil()
+}
+
+func (w *ctWalker) isPointer(e ast.Expr) bool {
+	tv, ok := w.pkg.Info.Types[e]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	_, ptr := tv.Type.Underlying().(*types.Pointer)
+	return ptr
 }
 
 // deriveResult contextualizes one summary result cause at a call site.

@@ -4,7 +4,7 @@
 // var, function results, named parameters) plus the structural
 // private-type rule, interprocedural propagation through summaries and
 // closures, and the precision cuts (nil compares, errors, len, public
-// sibling fields) that must stay clean.
+// sibling fields, pointer identity) that must stay clean.
 package cttaint
 
 import "math/big"
@@ -219,4 +219,26 @@ func clean(k *Key, xs []*big.Int) int {
 	}
 	_ = v
 	return n
+}
+
+// wallet is private by type, like sched.
+//
+// seclint:private fixture signing key
+type wallet struct{ d uint64 }
+
+// lastWallet is the last wallet seen.
+var lastWallet *wallet
+
+// sameWallet compares two pointers of a private type, which observes
+// identity and stays clean, and then the values behind them, which is a
+// finding.
+func sameWallet(w *wallet) int {
+	if lastWallet != w {
+		lastWallet = w
+		return 0
+	}
+	if *lastWallet == *w {
+		return 1
+	}
+	return 2
 }
