@@ -7,10 +7,12 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -82,9 +84,12 @@ func nonTestImports(t *testing.T) map[string][]string {
 // retries with resilience.Do; no party reads the deprecated Params
 // fields.
 var benchOnly = map[string][]string{
-	"internal/das":       {"ExecuteServerQuery", "ServerResult.Pairs", "PartitionDomain"},
-	"internal/transport": {"Encode", "DialRetry"},
-	"internal/mediation": {"Params.PayloadMode", "Params.Buckets", "Params.Strategy"},
+	"internal/das":                {"ExecuteServerQuery", "ServerResult.Pairs", "PartitionDomain", "EncryptRelation"},
+	"internal/transport":          {"Encode", "DialRetry"},
+	"internal/mediation":          {"Params.PayloadMode", "Params.Buckets", "Params.Strategy"},
+	"internal/crypto/hybrid":      {"NewReceiver"},
+	"internal/pm":                 {"NewCodec"},
+	"internal/crypto/commutative": {"GenerateKey"},
 }
 
 // TestBenchOnlySymbolsStayFenced fails when non-test code outside bench/
@@ -200,9 +205,19 @@ var docMake = regexp.MustCompile("`make ([^`]+)`")
 // target name.
 var makeTarget = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
 
+// docTest matches a test name cited in prose. A citation may be a
+// prefix of the tests it means: `-run TestChaos`, or
+// TestTable1{Mediator,Client}Leakage, which matches as TestTable1.
+var docTest = regexp.MustCompile(`\bTest[A-Z0-9][A-Za-z0-9_]*`)
+
+// testFunc matches a test function's declaration; the capture is its
+// name.
+var testFunc = regexp.MustCompile(`(?m)^func (Test[A-Za-z0-9_]*)\(`)
+
 // TestDocsNameRealFiles fails when the living docs name a Go file that
-// does not exist, or quote a `make` target the Makefile does not
-// define — a reader following the reference lands nowhere. The dated
+// does not exist, cite a test that no test function of the module
+// begins with, or quote a `make` target the Makefile does not define —
+// a reader following the reference lands nowhere. The dated
 // history (ROADMAP.md, CHANGES.md, EXPERIMENTS.md) may name files and
 // targets since deleted, and bench/README.md documents a frozen
 // harness, so neither is scanned.
@@ -220,6 +235,29 @@ func TestDocsNameRealFiles(t *testing.T) {
 	for _, m := range makeTarget.FindAllStringSubmatch(string(makefile), -1) {
 		targets[m[1]] = true
 	}
+	var tests []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			if err == nil {
+				err = fs.SkipDir
+			}
+			return err
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			tests = append(tests, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isTest := func(cited string) bool {
+		return slices.ContainsFunc(tests, func(name string) bool { return strings.HasPrefix(name, cited) })
+	}
 	for _, doc := range docs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -230,6 +268,11 @@ func TestDocsNameRealFiles(t *testing.T) {
 			for _, m := range docGoPath.FindAllStringSubmatch(line, -1) {
 				if _, err := os.Stat(m[1]); err != nil {
 					t.Errorf("%s:%d names %s, which does not exist", doc, i+1, m[1])
+				}
+			}
+			for _, cited := range docTest.FindAllString(line, -1) {
+				if !isTest(cited) {
+					t.Errorf("%s:%d cites %s, which no test function begins with", doc, i+1, cited)
 				}
 			}
 			for _, m := range docMake.FindAllStringSubmatch(line, -1) {

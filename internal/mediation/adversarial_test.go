@@ -1,15 +1,13 @@
 package mediation
 
 import (
-	"crypto/rsa"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"github.com/secmediation/secmediation/internal/algebra"
-	"github.com/secmediation/secmediation/internal/credential"
+	"github.com/secmediation/secmediation/internal/leakage"
 	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/resilience"
 	"github.com/secmediation/secmediation/internal/testutil"
@@ -128,8 +126,9 @@ func TestExpiredCredentialDenied(t *testing.T) {
 
 // Params no party may run with end the query in a terminal
 // *ProtocolError from the first party that decodes them: the client when
-// it chose them, the mediator when they reach it rewritten on the client
-// link, a source when the mediator rewrites a partial query. Before the
+// it chose them, and the mediator when they reach it rewritten on the
+// client link. A source that decodes them in a partial query the mediator
+// rewrote names the mediator (stopwatch.blame). Before the
 // parties bounded them, a huge Partitions crashed the source, as a huge
 // bucket count did before each PM source derived its own
 // (TestHostilePMCross checks what a source accepts in its place). A
@@ -180,9 +179,13 @@ func TestHostileParams(t *testing.T) {
 					_, srcErrs, err = tp.query(t, n, fixtureSQL, tc.proto, params)
 					return err
 				})
+				blamed := party
+				if party == "source:S1" {
+					blamed = leakage.PartyMediator
+				}
 				var pe *ProtocolError
-				if !errors.As(err, &pe) || pe.Party != party || !strings.Contains(pe.Error(), tc.msg) {
-					t.Fatalf("query error = %v, want a *ProtocolError from %s about the %s", err, party, tc.msg)
+				if !errors.As(err, &pe) || pe.Party != blamed || !strings.Contains(pe.Error(), tc.msg) {
+					t.Fatalf("query error = %v, want a *ProtocolError blaming %s about the %s", err, blamed, tc.msg)
 				}
 				if resilience.Retryable(err) {
 					t.Errorf("hostile Params error is retryable: %v", err)
@@ -196,8 +199,8 @@ func TestHostileParams(t *testing.T) {
 				}
 				// Both sources get a rewritten partial query; each rejects it.
 				for _, src := range []string{"S1", "S2"} {
-					if !errors.As(srcErrs[src], &pe) || pe.Party != "source:"+src {
-						t.Errorf("%s returned %v, want its own *ProtocolError", src, srcErrs[src])
+					if !errors.As(srcErrs[src], &pe) || pe.Party != blamed {
+						t.Errorf("%s returned %v, want a *ProtocolError blaming the mediator", src, srcErrs[src])
 					}
 				}
 			})
@@ -226,18 +229,7 @@ func TestRelayedSchemaRewriteRejected(t *testing.T) {
 		rel.Column{Name: "y", Kind: rel.KindString}, rel.Column{Name: "n", Kind: rel.KindInt})
 	a := rel.MustFromTuples(union, rel.Tuple{rel.Int(1), rel.String_("p"), rel.String_("q"), rel.Int(5)})
 	b := rel.MustFromTuples(union.Rename("B"), rel.Tuple{rel.Int(2), rel.String_("r"), rel.String_("s"), rel.Int(6)})
-	unionNet := func(t *testing.T) *Network {
-		f := getFixture(t)
-		src := func(name, relName string, r *rel.Relation) *Source {
-			return &Source{Name: name, Catalog: algebra.MapCatalog{relName: r},
-				Policies: map[string]*credential.Policy{relName: policyFor(relName)}, TrustedCAs: []*rsa.PublicKey{f.ca.PublicKey()}}
-		}
-		n, err := NewNetwork(f.client, &Mediator{}, src("SA", "A", a), src("SB", "B", b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
+	unionNet := func(t *testing.T) *Network { return unionNetwork(t, a, b) }
 	// Each rewrite acts on the second relation's schema: its columns 1
 	// and 2 are TEXT, its column 3 is an INT.
 	rewrites := []struct {

@@ -145,15 +145,15 @@ func (c *Client) runMobileCode(mediator *link.Link, q *sqlparse.Query, queryKey 
 	if err := mediator.Recv(msgMCResult, &res); err != nil {
 		return nil, relation.Schema{}, nil, err
 	}
-	want := 2
-	if q.Aggregate != nil {
-		want = 1
-	}
 	var joined *relation.Relation
 	var joinCols2 []string
 	err := watch.phase(telemetry.PhasePostFilter, func() error {
-		if len(res.Partials) != want {
-			return fmt.Errorf("mediation: %d partial results, want %d", len(res.Partials), want)
+		schemas := make([]relation.Schema, len(res.Partials))
+		for i, p := range res.Partials {
+			schemas[i] = p.Schema
+		}
+		if err := sealedFor(q, schemas...); err != nil {
+			return err
 		}
 		r1, err := c.openMCPartial(queryKey, res.Partials[0])
 		if err != nil {
@@ -176,7 +176,7 @@ func (c *Client) runMobileCode(mediator *link.Link, q *sqlparse.Query, queryKey 
 		}
 		var joinCols1 []string
 		if joinCols1, joinCols2, err = joinColumns(q, r1.Schema(), r2.Schema()); err != nil {
-			return mediator.Blame(err)
+			return err
 		}
 		joined, err = algebra.EquiJoin(r1, r2, joinCols1, joinCols2)
 		return err
@@ -190,6 +190,8 @@ func (c *Client) runMobileCode(mediator *link.Link, q *sqlparse.Query, queryKey 
 	return joined, res.Partials[1].Schema, joinCols2, nil
 }
 
+// openMCPartial opens one sealed partial result. Each row is sealed under
+// a fresh nonce, so a repeated nonce is a row the mediator replayed.
 func (c *Client) openMCPartial(queryKey *ecdh.PrivateKey, p mcPartial) (*relation.Relation, error) {
 	recv, err := hybrid.NewReceiverECDH(queryKey, p.KeyShare)
 	if err != nil {
@@ -198,11 +200,16 @@ func (c *Client) openMCPartial(queryKey *ecdh.PrivateKey, p mcPartial) (*relatio
 	c.Ledger.UsePrimitive(leakage.PartyClient, "hybrid-decryption", int64(len(p.Rows)))
 	out := relation.New(p.Schema)
 	aad := p.Schema.AAD("mc:" + p.Session)
+	nonces := make(map[string]bool, len(p.Rows))
 	for _, blob := range p.Rows {
 		ct, err := hybrid.UnmarshalCiphertext(blob)
 		if err != nil {
 			return nil, err
 		}
+		if nonces[string(ct.Nonce)] {
+			return nil, fmt.Errorf("mediation: a sealed row of %s comes twice", p.Schema.Relation)
+		}
+		nonces[string(ct.Nonce)] = true
 		pt, err := recv.Open(ct, aad)
 		if err != nil {
 			return nil, err

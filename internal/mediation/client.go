@@ -91,7 +91,7 @@ func (c *Client) Query(conn transport.Conn, sql string, proto Protocol, params P
 	root.Annotate("protocol", proto.String())
 	annotateSession(root, mediator)
 	defer root.End()
-	watch := &stopwatch{party: leakage.PartyClient, root: root}
+	watch := &stopwatch{party: leakage.PartyClient, peer: mediator.Peer(), root: root}
 	var joined *relation.Relation
 	var schema2 relation.Schema
 	var joinCols2 []string

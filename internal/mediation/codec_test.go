@@ -2,17 +2,15 @@ package mediation
 
 import (
 	"bytes"
-	"crypto/rsa"
 	"encoding/gob"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
-	"github.com/secmediation/secmediation/internal/algebra"
 	"github.com/secmediation/secmediation/internal/codec"
-	"github.com/secmediation/secmediation/internal/credential"
 	"github.com/secmediation/secmediation/internal/das"
+	"github.com/secmediation/secmediation/internal/leakage"
 	"github.com/secmediation/secmediation/internal/pm"
 	rel "github.com/secmediation/secmediation/internal/relation"
 	"github.com/secmediation/secmediation/internal/transport"
@@ -90,20 +88,10 @@ type wireSample struct {
 // type in each run.
 func sampleMessages(t *testing.T) []wireSample {
 	t.Helper()
-	f := getFixture(t)
 	union := func() *Network {
 		schema := rel.MustSchema("A", rel.Column{Name: "k", Kind: rel.KindInt})
-		a := rel.MustFromTuples(schema, rel.Tuple{rel.Int(1)}, rel.Tuple{rel.Int(2)}, rel.Tuple{rel.Int(2)})
-		b := rel.MustFromTuples(schema.Rename("B"), rel.Tuple{rel.Int(2)}, rel.Tuple{rel.Int(3)})
-		sa := &Source{Name: "SA", Catalog: algebra.MapCatalog{"A": a},
-			Policies: map[string]*credential.Policy{"A": policyFor("A")}, TrustedCAs: []*rsa.PublicKey{f.ca.PublicKey()}}
-		sb := &Source{Name: "SB", Catalog: algebra.MapCatalog{"B": b},
-			Policies: map[string]*credential.Policy{"B": policyFor("B")}, TrustedCAs: []*rsa.PublicKey{f.ca.PublicKey()}}
-		n, err := NewNetwork(f.client, &Mediator{}, sa, sb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
+		return unionNetwork(t, rel.MustFromTuples(schema, rel.Tuple{rel.Int(1)}, rel.Tuple{rel.Int(2)}, rel.Tuple{rel.Int(2)}),
+			rel.MustFromTuples(schema.Rename("B"), rel.Tuple{rel.Int(2)}, rel.Tuple{rel.Int(3)}))
 	}
 	pushdown := fastParams()
 	pushdown.Pushdown = true
@@ -346,14 +334,16 @@ func hostileFrame(t *testing.T, typ string, width int, bad []byte, set func(fiel
 	return m
 }
 
-// hostileBlame is where a query with a hostile fixed-width field ends: at
-// the consumer in its phase when the field has its width, and, when it
-// has not, at the receiver's decoder, which blames the frame's sender.
-func hostileBlame(bad []byte, width int, consumer, phase, sender string) (string, string) {
+// hostileBlame is the party a query with a hostile fixed-width field
+// blames: the frame's sender, named by the receiver's decoder, when the
+// field does not have its width; and, when it has, the mediator, named by
+// the client or source that consumes the field (stopwatch.blame). Either
+// error carries no phase.
+func hostileBlame(bad []byte, width int, sender string) string {
 	if len(bad) != width {
-		return sender, ""
+		return sender
 	}
-	return consumer, phase
+	return leakage.PartyMediator
 }
 
 // Pushdown is the one flag bit of Params; a set bit beside it, such as

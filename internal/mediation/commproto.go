@@ -245,9 +245,12 @@ func (c *Client) runCommutative(mediator *link.Link, q *sqlparse.Query, queryKey
 	var joined *relation.Relation
 	var joinCols1, joinCols2 []string
 	err := watch.phase(telemetry.PhasePostFilter, func() error {
+		if err := sealedFor(q, res.Schema1, res.Schema2); err != nil {
+			return err
+		}
 		var err error
 		if joinCols1, joinCols2, err = joinColumns(q, res.Schema1, res.Schema2); err != nil {
-			return mediator.Blame(err)
+			return err
 		}
 		recv1, err := hybrid.NewReceiverECDH(queryKey, res.Share1)
 		if err != nil {
@@ -285,31 +288,23 @@ func (c *Client) runCommutative(mediator *link.Link, q *sqlparse.Query, queryKey
 			return err
 		}
 		// A pair holds Tup1(a) and Tup2(a) of one a, and no a comes twice:
-		// a mediator that swaps or replays sets is caught here, and
-		// blamed.
+		// a mediator that swaps or replays sets is caught here.
 		seen := make(map[string]bool, len(opened))
 		for _, p := range opened {
 			ts1, ts2 := p.ts1, p.ts2
 			if len(ts1) == 0 || len(ts2) == 0 {
-				return mediator.Blame(errors.New("comm: a relayed pair holds an empty tuple set"))
+				return errors.New("comm: a relayed pair holds an empty tuple set")
 			}
 			key := layout1.joinKey(ts1[0])
 			if layout2.joinKey(ts2[0]) != key {
-				return mediator.Blame(errors.New("comm: a relayed pair joins two different keys"))
+				return errors.New("comm: a relayed pair joins two different keys")
 			}
 			if seen[key] {
-				return mediator.Blame(errors.New("comm: a join key is relayed in two pairs"))
+				return errors.New("comm: a join key is relayed in two pairs")
 			}
 			seen[key] = true
-			for _, t1 := range ts1 {
-				for _, t2 := range ts2 {
-					t := make(relation.Tuple, 0, len(t1)+len(t2))
-					t = append(t, t1...)
-					t = append(t, t2...)
-					if err := joined.Append(t); err != nil {
-						return err
-					}
-				}
+			if err := appendCross(joined, ts1, ts2); err != nil {
+				return err
 			}
 		}
 		c.Ledger.UsePrimitive(leakage.PartyClient, "hybrid-decryption", int64(2*len(res.Pairs)))
@@ -321,6 +316,22 @@ func (c *Client) runCommutative(mediator *link.Link, q *sqlparse.Query, queryKey
 		return nil, relation.Schema{}, nil, err
 	}
 	return joined, res.Schema2, joinCols2, nil
+}
+
+// appendCross appends to r the cross product ts1 × ts2 of the tuple sets
+// one join key matched on both sides, each row t1 ‖ t2.
+func appendCross(r *relation.Relation, ts1, ts2 []relation.Tuple) error {
+	for _, t1 := range ts1 {
+		for _, t2 := range ts2 {
+			t := make(relation.Tuple, 0, len(t1)+len(t2))
+			t = append(t, t1...)
+			t = append(t, t2...)
+			if err := r.Append(t); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func openTupleSet(recv *hybrid.Receiver, blob []byte, layout tupLayout) ([]relation.Tuple, error) {

@@ -2,7 +2,6 @@ package mediation
 
 import (
 	"crypto/ecdh"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -171,9 +170,12 @@ func (c *Client) runDAS(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.P
 	var joinCols1, joinCols2 []string
 	var sq das.ServerQuery
 	err := watch.phase(telemetry.PhaseTranslate, func() error {
+		if err := sealedFor(q, its.Schema1, its.Schema2); err != nil {
+			return err
+		}
 		var err error
 		if joinCols1, joinCols2, err = joinColumns(q, its.Schema1, its.Schema2); err != nil {
-			return mediator.Blame(err)
+			return err
 		}
 		recv1, err = hybrid.NewReceiverECDH(queryKey, its.Share1)
 		if err != nil {
@@ -198,10 +200,10 @@ func (c *Client) runDAS(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.P
 		// remaining tables cover pushdown filter columns. The relayed
 		// column lists must name the sealed tables and begin with A_i.
 		if err := indexedAs(its.Cols1, tables1, joinCols1); err != nil {
-			return mediator.Blame(err)
+			return err
 		}
 		if err := indexedAs(its.Cols2, tables2, joinCols2); err != nil {
-			return mediator.Blame(err)
+			return err
 		}
 		nJoin := len(joinCols1)
 		sq, err = das.BuildServerQuery(tables1[:nJoin], tables2[:nJoin])
@@ -233,9 +235,6 @@ func (c *Client) runDAS(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.P
 		var err error
 		joined, discarded, err = das.DecryptServerResult(&das.ServerResult{E1: res.E1, E2: res.E2, Size: res.Size},
 			recv1, recv2, its.Schema1, its.Schema2, joinCols1, joinCols2, 0)
-		if errors.Is(err, das.ErrInconsistentResult) {
-			return mediator.Blame(err)
-		}
 		if err != nil {
 			return err
 		}

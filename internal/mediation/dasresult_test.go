@@ -69,16 +69,16 @@ func TestDASEmptyPartialResult(t *testing.T) {
 
 // queryDASTampered runs the fixture DAS query with tamper applied to the
 // client's inbound das.result, and checks that the query ends in a
-// terminal *ProtocolError blamed on party, in phase.
-func queryDASTampered(t *testing.T, party, phase string, tamper func(*dasResult)) *ProtocolError {
+// terminal *ProtocolError that blames the mediator, with no phase.
+func queryDASTampered(t *testing.T, tamper func(*dasResult)) *ProtocolError {
 	t.Helper()
 	_, _, err := tap{onSend: rewrite(t, "client", msgDASResult, tamper)}.query(t, newTestNetwork(t, nil), fixtureSQL, ProtocolDAS, fastParams())
 	var pe *ProtocolError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *ProtocolError", err)
 	}
-	if pe.Party != party || pe.Phase != phase {
-		t.Errorf("blamed %s/%s, want %s/%s", pe.Party, pe.Phase, party, phase)
+	if pe.Party != leakage.PartyMediator || pe.Phase != "" {
+		t.Errorf("blamed %s/%s, want %s", pe.Party, pe.Phase, leakage.PartyMediator)
 	}
 	if resilience.Retryable(err) {
 		t.Errorf("tampered das.result classified retryable: %v", err)
@@ -90,7 +90,7 @@ func queryDASTampered(t *testing.T, party, phase string, tamper func(*dasResult)
 // client's join: a das.result that repeats a run aborts the query, and
 // the client blames the mediator that relayed it.
 func TestDASResultDuplicateEtupleAborts(t *testing.T) {
-	pe := queryDASTampered(t, leakage.PartyMediator, "", func(res *dasResult) {
+	pe := queryDASTampered(t, func(res *dasResult) {
 		if len(res.E1) < 2 {
 			t.Fatalf("fixture ships %d R1 runs, need 2", len(res.E1))
 		}
@@ -102,9 +102,10 @@ func TestDASResultDuplicateEtupleAborts(t *testing.T) {
 }
 
 // Each source seals its runs under its own session: a run the mediator
-// moves to the other side's table fails its AEAD at the client.
+// moves to the other side's table fails its AEAD at the client, which
+// blames the mediator that relayed it.
 func TestDASResultMovedRunFailsOpen(t *testing.T) {
-	pe := queryDASTampered(t, leakage.PartyClient, telemetry.PhasePostFilter, func(res *dasResult) {
+	pe := queryDASTampered(t, func(res *dasResult) {
 		res.E2 = append(res.E2, res.E1[len(res.E1)-1])
 		res.E1 = res.E1[:len(res.E1)-1]
 	})
@@ -156,7 +157,7 @@ func TestDASResultBadSizeAborts(t *testing.T) {
 		{"negative", -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pe := queryDASTampered(t, leakage.PartyMediator, "", func(res *dasResult) {
+			pe := queryDASTampered(t, func(res *dasResult) {
 				if res.Size != fixtureSize {
 					t.Fatalf("fixture has |R_C| = %d, want %d", res.Size, fixtureSize)
 				}

@@ -145,13 +145,8 @@ func (l *Link) SessionID() (uint64, bool) {
 
 // fail blames a failure on the peer.
 func (l *Link) fail(format string, args ...any) error {
-	return l.Blame(fmt.Errorf(format, args...))
+	return &ProtocolError{Party: l.peer, Err: fmt.Errorf(format, args...)}
 }
-
-// Blame attributes err to the peer: a party's check on what the peer
-// sent over this link failed. The attribution is the origin's, so a
-// phase that returns it does not re-blame its own party.
-func (l *Link) Blame(err error) error { return &ProtocolError{Party: l.peer, Err: err} }
 
 // Send encodes v and sends it as a typ frame. A send failure is blamed
 // on the peer.

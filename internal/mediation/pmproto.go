@@ -201,9 +201,12 @@ func (c *Client) runPM(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.Pr
 	var joined *relation.Relation
 	var joinCols1, joinCols2 []string
 	err := watch.phase(telemetry.PhasePostFilter, func() error {
+		if err := sealedFor(q, res.Schema1, res.Schema2); err != nil {
+			return err
+		}
 		var err error
 		if joinCols1, joinCols2, err = joinColumns(q, res.Schema1, res.Schema2); err != nil {
-			return mediator.Blame(err)
+			return err
 		}
 		sk := ecelgamal.KeyFromECDH(queryKey)
 		// Table 1: the client receives encrypted values of both partial
@@ -215,11 +218,11 @@ func (c *Client) runPM(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.Pr
 		if err != nil {
 			return err
 		}
-		side1, err := openPMSide(mediator, sk, res.Evals1, layout1)
+		side1, err := openPMSide(sk, res.Evals1, layout1)
 		if err != nil {
 			return err
 		}
-		side2, err := openPMSide(mediator, sk, res.Evals2, layout2)
+		side2, err := openPMSide(sk, res.Evals2, layout2)
 		if err != nil {
 			return err
 		}
@@ -229,18 +232,9 @@ func (c *Client) runPM(mediator *link.Link, q *sqlparse.Query, queryKey *ecdh.Pr
 		}
 		joined = relation.New(schema)
 		for key, ts1 := range side1 {
-			ts2, ok := side2[key]
-			if !ok {
-				continue
-			}
-			for _, t1 := range ts1 {
-				for _, t2 := range ts2 {
-					t := make(relation.Tuple, 0, len(t1)+len(t2))
-					t = append(t, t1...)
-					t = append(t, t2...)
-					if err := joined.Append(t); err != nil {
-						return err
-					}
+			if ts2, ok := side2[key]; ok {
+				if err := appendCross(joined, ts1, ts2); err != nil {
+					return err
 				}
 			}
 		}
@@ -263,9 +257,9 @@ type pmOpened struct {
 // tuple sets keyed by their rows' join key — the values a source hashed
 // the root from, so equal keys on both sides are equal roots. A blob
 // that does not open is a non-match; a ciphertext that is not two curve
-// points, or a blob that opens to no tuple set, aborts the query. An
-// empty tuple set is blamed on the mediator, which relayed it.
-func openPMSide(mediator *link.Link, sk *ecelgamal.PrivateKey, evals []pm.Eval, layout tupLayout) (pmSide, error) {
+// points, or a blob that opens to no tuple set or to an empty one, which
+// no source seals, aborts the query.
+func openPMSide(sk *ecelgamal.PrivateKey, evals []pm.Eval, layout tupLayout) (pmSide, error) {
 	opened, err := parallel.Map(len(evals), 0, func(i int) (pmOpened, error) {
 		payload, ok, err := pm.OpenEval(sk, evals[i], layout.aad)
 		return pmOpened{payload, ok}, err
@@ -283,7 +277,7 @@ func openPMSide(mediator *link.Link, sk *ecelgamal.PrivateKey, evals []pm.Eval, 
 			return nil, err
 		}
 		if len(tuples) == 0 {
-			return nil, mediator.Blame(fmt.Errorf("pm: a tuple set of %s holds no rows", layout.schema.Relation))
+			return nil, fmt.Errorf("pm: a tuple set of %s holds no rows", layout.schema.Relation)
 		}
 		side[layout.joinKey(tuples[0])] = tuples
 	}

@@ -88,18 +88,19 @@ func hostileCiphertexts() map[string][]byte {
 
 // A pm.cross coefficient or a pm.evals ciphertext that is not two curve
 // points makes the party that decodes it abort before it computes with
-// it: the source in cross.encrypt, or the client in client.post-filter.
-// One that is not 66 bytes long does not decode: the next party to
-// receive the frame refuses it and blames the party that sent it.
+// it, blaming the mediator that relayed it: the source in cross.encrypt,
+// or the client in client.post-filter. One that is not 66 bytes long does
+// not decode: the next party to receive the frame refuses it and blames
+// the party that sent it.
 func TestPMHostileCiphertext(t *testing.T) {
 	targets := []struct {
 		name, link, msgType string
 		direction           string
-		party, phase        string
+		consumer            string
 		sender              string
 		rewrite             func(t *testing.T, m transport.Message, bad []byte) transport.Message
 	}{
-		{"cross coefficient", "source:R1", msgPMCross, "send", leakage.PartySource("S1"), telemetry.PhaseCrossEncrypt, leakage.PartyMediator,
+		{"cross coefficient", "source:R1", msgPMCross, "send", leakage.PartySource("S1"), leakage.PartyMediator,
 			func(t *testing.T, m transport.Message, bad []byte) transport.Message {
 				var cross pm.ECBuckets
 				decodeBody(t, m, &cross)
@@ -108,7 +109,7 @@ func TestPMHostileCiphertext(t *testing.T) {
 					return cross
 				})
 			}},
-		{"evaluation", "source:R1", msgPMEvals, "recv", leakage.PartyClient, telemetry.PhasePostFilter, "source:R1",
+		{"evaluation", "source:R1", msgPMEvals, "recv", leakage.PartyClient, "source:R1",
 			func(t *testing.T, m transport.Message, bad []byte) transport.Message {
 				var evals pmEvals
 				decodeBody(t, m, &evals)
@@ -140,15 +141,15 @@ func TestPMHostileCiphertext(t *testing.T) {
 				if !errors.As(err, &pe) {
 					t.Fatalf("err = %v, want a *ProtocolError", err)
 				}
-				party, phase := hostileBlame(bad, ecelgamal.CiphertextSize, target.party, target.phase, target.sender)
-				if pe.Party != party || pe.Phase != phase {
-					t.Errorf("blamed %s/%s, want %s/%s (%v)", pe.Party, pe.Phase, party, phase, err)
+				party := hostileBlame(bad, ecelgamal.CiphertextSize, target.sender)
+				if pe.Party != party || pe.Phase != "" {
+					t.Errorf("blamed %s/%s, want %s (%v)", pe.Party, pe.Phase, party, err)
 				}
 				if resilience.Retryable(err) {
 					t.Errorf("hostile ciphertext classified retryable: %v", err)
 				}
-				if target.party == leakage.PartySource("S1") && (!errors.As(srcErrs["S1"], &pe) || pe.Party != party || pe.Phase != phase) {
-					t.Errorf("S1 returned %v, want its own %s/%s abort", srcErrs["S1"], party, phase)
+				if target.consumer == leakage.PartySource("S1") && (!errors.As(srcErrs["S1"], &pe) || pe.Party != party || pe.Phase != "") {
+					t.Errorf("S1 returned %v, want an abort blaming %s", srcErrs["S1"], party)
 				}
 			})
 		}

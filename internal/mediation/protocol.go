@@ -258,21 +258,33 @@ func abortLinks(err error, links ...*link.Link) {
 // each phase becomes a child span of the attached session root, so a
 // party's compute time is the sum of its phase spans (time blocked on the
 // network falls between phases). With no root attached the span calls
-// are nil no-ops.
+// are nil no-ops. peer is the one peer of a client or a source, the
+// mediator; the mediator has none.
 type stopwatch struct {
 	party string
+	peer  string
 	root  *telemetry.Span
 }
 
 // phase runs f as one named telemetry phase (a child span of the root).
-// A failing phase aborts the protocol: the error is attributed to this
-// party and phase (unless it already carries an origin attribution from
-// a peer).
+// A failing phase aborts the protocol with the error blame attributes.
 func (s *stopwatch) phase(name string, f func() error) error {
 	sp := s.root.Start(name)
 	err := f()
 	sp.End()
-	return attribute(s.party, name, err)
+	return s.blame(name, err)
+}
+
+// blame is the one blame rule. A party with one peer computes only on
+// what that peer sent it, so its failure names the peer, with no phase
+// (the detecting phase is not the peer's). The mediator reads several
+// peers: its failure names itself and the phase. An error that already
+// names its origin keeps it (checkCrossBack names a source).
+func (s *stopwatch) blame(phase string, err error) error {
+	if s.peer != "" {
+		return attribute(s.peer, "", err)
+	}
+	return attribute(s.party, phase, err)
 }
 
 // trafficCounters adds one session's transport counters to the telemetry

@@ -204,8 +204,8 @@ func TestMalformedQueryKeyDenied(t *testing.T) {
 // A source's session share reaches the client through the mediator. Any
 // value that is not a compressed P-256 point ends the query in a terminal
 // *ProtocolError at the client, in the phase that builds the receivers,
-// and every party unwinds. One that is not 33 bytes long does not decode,
-// and the client blames the mediator that sent it.
+// which blames the mediator that relayed it, and every party unwinds. One
+// that is not 33 bytes long does not decode, with the same blame.
 func TestHostileKeyShare(t *testing.T) {
 	// A fixed point, not a fresh one: a random 65-byte splice can leave
 	// a frame that decodes by chance, which moves the check to the
@@ -230,21 +230,20 @@ func TestHostileKeyShare(t *testing.T) {
 	protos := []struct {
 		proto Protocol
 		msg   string
-		phase string
 		// edit decodes m and returns the setter of its share field.
 		edit func(t *testing.T, m transport.Message) func(share []byte) codec.Encodable
 	}{
-		{ProtocolDAS, msgDASIndexTables, telemetry.PhaseTranslate, func(t *testing.T, m transport.Message) func([]byte) codec.Encodable {
+		{ProtocolDAS, msgDASIndexTables, func(t *testing.T, m transport.Message) func([]byte) codec.Encodable {
 			var its dasIndexTables
 			decodeBody(t, m, &its)
 			return func(share []byte) codec.Encodable { its.Share1 = share; return its }
 		}},
-		{ProtocolCommutative, msgCommResult, telemetry.PhasePostFilter, func(t *testing.T, m transport.Message) func([]byte) codec.Encodable {
+		{ProtocolCommutative, msgCommResult, func(t *testing.T, m transport.Message) func([]byte) codec.Encodable {
 			var res commResult
 			decodeBody(t, m, &res)
 			return func(share []byte) codec.Encodable { res.Share2 = share; return res }
 		}},
-		{ProtocolMobileCode, msgMCResult, telemetry.PhasePostFilter, func(t *testing.T, m transport.Message) func([]byte) codec.Encodable {
+		{ProtocolMobileCode, msgMCResult, func(t *testing.T, m transport.Message) func([]byte) codec.Encodable {
 			var res mcResult
 			decodeBody(t, m, &res)
 			return func(share []byte) codec.Encodable { res.Partials[0].KeyShare = share; return res }
@@ -272,9 +271,8 @@ func TestHostileKeyShare(t *testing.T) {
 				if !errors.As(err, &pe) {
 					t.Fatalf("err = %v, want a *ProtocolError", err)
 				}
-				party, phase := hostileBlame(bad, hybrid.PointSize, leakage.PartyClient, p.phase, leakage.PartyMediator)
-				if pe.Party != party || pe.Phase != phase {
-					t.Errorf("blamed %s/%s, want %s/%s: %v", pe.Party, pe.Phase, party, phase, err)
+				if pe.Party != leakage.PartyMediator || pe.Phase != "" {
+					t.Errorf("blamed %s/%s, want %s: %v", pe.Party, pe.Phase, leakage.PartyMediator, err)
 				}
 				if resilience.Retryable(err) {
 					t.Errorf("hostile share classified retryable: %v", err)

@@ -271,6 +271,34 @@ func joinColumns(q *sqlparse.Query, s1, s2 relation.Schema) (cols1, cols2 []stri
 	return cols1, cols2, nil
 }
 
+// sealedFor checks that the schemas a client's partial results were
+// sealed under are, in order, those of what its query q reads: a join's
+// or a union's two relations, or an aggregate's one column. The mediator
+// picks which sealed result it relays where: with the sides swapped, a
+// join would return R2 ⋈ R1.
+func sealedFor(q *sqlparse.Query, schemas ...relation.Schema) error {
+	want := []string{q.Left, q.Right + q.UnionWith}
+	if q.Aggregate != nil {
+		want = []string{aggregateColumn(q.Aggregate)}
+	}
+	for i, s := range schemas {
+		got := s.Relation
+		if q.Aggregate != nil && s.Relation == "" && len(s.Columns) == 1 {
+			got = s.Columns[0].Name
+		}
+		if i >= len(want) || got != want[i] {
+			return fmt.Errorf("mediation: sealed partial result %d is %v, the query reads %v", i+1, s, want)
+		}
+	}
+	if len(schemas) != len(want) {
+		return fmt.Errorf("mediation: %d sealed partial results, the query reads %v", len(schemas), want)
+	}
+	return nil
+}
+
+// aggregateColumn names the one column an aggregate folds to: "SUM(units)".
+func aggregateColumn(a *sqlparse.AggregateSpec) string { return a.Func + "(" + a.Column + ")" }
+
 // localColumn strips a relation qualifier.
 func localColumn(name, rel string) string {
 	if strings.HasPrefix(name, rel+".") {

@@ -115,9 +115,12 @@ func (s *Source) Serve(conn transport.Conn) error {
 	var root *telemetry.Span
 	defer func() { root.End() }()
 	defer trafficCounters(s.Telemetry, s.party(), mediator.Peer(), conn.Stats())
-	// fail reports err to the mediator and returns the session error.
+	// fail reports err to the mediator and returns the session error. An
+	// error that names no party is a check or a phase failing on what the
+	// mediator sent: it names the mediator.
+	watch := &stopwatch{party: s.party(), peer: mediator.Peer()}
 	fail := func(err error) error {
-		return fmt.Errorf("mediation: source %s: %w", s.Name, abort(mediator, s.Telemetry, s.party(), err))
+		return fmt.Errorf("mediation: source %s: %w", s.Name, abort(mediator, s.Telemetry, s.party(), watch.blame("", err)))
 	}
 	var pq PartialQuery
 	if err := mediator.Recv(msgPartialQuery, &pq); err != nil {
@@ -153,7 +156,7 @@ func (s *Source) Serve(conn transport.Conn) error {
 	root.Annotate("protocol", pq.Protocol.String())
 	root.Annotate("relation", pq.Relation)
 	annotateSession(root, mediator)
-	watch := &stopwatch{party: s.party(), root: root}
+	watch.root = root
 	switch {
 	case pq.Protocol == ProtocolPlaintext:
 		err = s.servePlaintext(mediator, rel)
@@ -180,7 +183,8 @@ func (s *Source) Serve(conn transport.Conn) error {
 // result row. It returns the query's key, derived from the verified
 // root, which every delivery protocol uses (nil for a plaintext join).
 // The returned denyReason is non-empty when access is denied (not an
-// error).
+// error). An error evaluating q_i is the source's own; any other error
+// rejects what the mediator sent.
 func (s *Source) executePartial(pq *PartialQuery) (*relation.Relation, *ecdh.PublicKey, string, error) {
 	pol, ok := s.Policies[pq.Relation]
 	if !ok {
@@ -203,11 +207,11 @@ func (s *Source) executePartial(pq *PartialQuery) (*relation.Relation, *ecdh.Pub
 	}
 	out, err := q.Tree().Eval(s.Catalog)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, "", attribute(s.party(), "", err)
 	}
 	out, err = decision.ApplyFilter(out)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, "", attribute(s.party(), "", err)
 	}
 	// Validate the join attributes exist before entering the delivery
 	// phase. The protocols that encrypt A_i need at least one; the
@@ -224,7 +228,7 @@ func (s *Source) executePartial(pq *PartialQuery) (*relation.Relation, *ecdh.Pub
 	}
 	if pq.Aggregate != nil {
 		if out, err = aggregate(out, pq.Aggregate); err != nil {
-			return nil, nil, "", err
+			return nil, nil, "", attribute(s.party(), "", err)
 		}
 	}
 	return out, queryKey, "", nil
@@ -282,7 +286,7 @@ func aggregate(rel *relation.Relation, spec *sqlparse.AggregateSpec) (*relation.
 	default:
 		return nil, fmt.Errorf("agg: unsupported aggregate %q", spec.Func)
 	}
-	schema, err := relation.NewSchema("", relation.Column{Name: spec.Func + "(" + spec.Column + ")", Kind: v.Kind()})
+	schema, err := relation.NewSchema("", relation.Column{Name: aggregateColumn(spec), Kind: v.Kind()})
 	if err != nil {
 		return nil, err
 	}
